@@ -9,7 +9,9 @@
 //! * **`hausdorff_within`** — the grid-bucketed threshold test against the
 //!   brute-force pair scan, on cluster pairs near the decision boundary.
 //! * **`TickSearcher` construction** — per-tick index build under every
-//!   range-search strategy, with the reusable [`SearcherScratch`].
+//!   range-search strategy, with the reusable [`SearcherScratch`] — and one
+//!   tick of **grid range searches**: the previous tick's buckets reused as
+//!   the queries, the same queries bucketed again, and SR.
 //!
 //! Each kernel additionally runs in both point layouts — structure-of-arrays
 //! columns ([`gpdt_geo::PointColumns`]) and the interleaved `&[Point]` slice
@@ -226,9 +228,9 @@ fn bench_tick_searcher(c: &mut Criterion, rng: &mut StdRng) {
     }
     group.finish();
 
-    // The grid index build in both layouts: the tick's shared column arena
-    // (what `TickSearcher` feeds it) against materialised `Vec<Point>`
-    // rows, through the same generic build.
+    // The grid index build from the tick's shared column arena (what
+    // `TickSearcher` feeds it) and from materialised `Vec<Point>` rows, which
+    // convert to columns at the edge — `PointsView` is the index's one input.
     let views: Vec<gpdt_geo::PointsView<'_>> = set.clusters.iter().map(|c| c.points()).collect();
     let rows: Vec<Vec<Point>> = views.iter().map(|v| v.to_points()).collect();
     let geometry = gpdt_geo::GridGeometry::for_delta(delta);
@@ -236,16 +238,75 @@ fn bench_tick_searcher(c: &mut Criterion, rng: &mut StdRng) {
     let mut group = c.benchmark_group("grid_index_build");
     group.bench_function("soa", |b| {
         b.iter(|| {
-            gpdt_index::GridClusterIndex::build_access(
-                geometry,
-                black_box(&views),
-                &mut grid_scratch,
-            )
+            gpdt_index::GridClusterIndex::build(geometry, black_box(&views), &mut grid_scratch)
         })
     });
     group.bench_function("aos", |b| {
         b.iter(|| {
-            gpdt_index::GridClusterIndex::build_with(geometry, black_box(&rows), &mut grid_scratch)
+            let columns: Vec<PointColumns> = black_box(&rows)
+                .iter()
+                .map(|r| PointColumns::from_points(r))
+                .collect();
+            let views: Vec<_> = columns.iter().map(|c| c.view()).collect();
+            gpdt_index::GridClusterIndex::build(geometry, &views, &mut grid_scratch)
+        })
+    });
+    group.finish();
+
+    // One tick's worth of range searches against the next tick (every
+    // cluster drifted by under δ/4, so each query has a match to refine):
+    // the sweep's query — the previous tick's buckets reused as they are —
+    // against the same query bucketed again as an external one, and against
+    // SR (R-tree `dmin` pruning + exact Hausdorff) on the same sets.
+    let next = SnapshotClusterSet {
+        time: 1,
+        clusters: set
+            .clusters
+            .iter()
+            .map(|c| {
+                let (dx, dy) = (rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0));
+                let pts = c.points().iter().map(|p| Point::new(p.x + dx, p.y + dy));
+                SnapshotCluster::new(1, c.members().to_vec(), pts.collect())
+            })
+            .collect(),
+    };
+    let next_views: Vec<_> = next.clusters.iter().map(|c| c.points()).collect();
+    let prev_index = gpdt_index::GridClusterIndex::build(geometry, &views, &mut grid_scratch);
+    let next_index = gpdt_index::GridClusterIndex::build(geometry, &next_views, &mut grid_scratch);
+    let sr = TickSearcher::build_with(RangeSearchStrategy::RTreeDmin, &next, delta, &mut scratch);
+    let mut search_scratch = gpdt_index::GridSearchScratch::default();
+    let mut bucketed = gpdt_index::BucketedQuery::default();
+    let mut out = Vec::new();
+    let mut group = c.benchmark_group("grid_index_search");
+    group.bench_function("bucket_reuse", |b| {
+        b.iter(|| {
+            (0..prev_index.len())
+                .map(|i| {
+                    let query = black_box(&prev_index).cluster(i);
+                    next_index.search(query, delta, &mut search_scratch, &mut out);
+                    out.len()
+                })
+                .sum::<usize>()
+        })
+    });
+    group.bench_function("external", |b| {
+        b.iter(|| {
+            black_box(&views)
+                .iter()
+                .map(|v| {
+                    let query = next_index.bucket(*v, &mut bucketed);
+                    next_index.search(query, delta, &mut search_scratch, &mut out);
+                    out.len()
+                })
+                .sum::<usize>()
+        })
+    });
+    group.bench_function("sr", |b| {
+        b.iter(|| {
+            black_box(&set.clusters)
+                .iter()
+                .map(|q| sr.search_into(q, &mut out).results)
+                .sum::<usize>()
         })
     });
     group.finish();
@@ -451,6 +512,19 @@ fn main() {
             "hausdorff_within (2048)",
             "hausdorff_within/dispatched_soa/2048",
             "hausdorff_within/bruteforce/2048",
+        ),
+        // One tick of GRID range searches: the previous tick's buckets
+        // reused as the queries against re-bucketing each query, and against
+        // SR on the same sets.
+        (
+            "grid search (bucket reuse vs external)",
+            "grid_index_search/bucket_reuse",
+            "grid_index_search/external",
+        ),
+        (
+            "grid search (bucket reuse vs SR)",
+            "grid_index_search/bucket_reuse",
+            "grid_index_search/sr",
         ),
     ] {
         if let (Some(f), Some(s)) = (mean_ns(&criterion, fast), mean_ns(&criterion, slow)) {

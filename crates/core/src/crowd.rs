@@ -297,8 +297,13 @@ impl CrowdDiscovery {
         let mut qualifying: Vec<usize> = Vec::new();
         let mut absorbed: Vec<bool> = Vec::new();
         let mut next_candidates: Vec<Crowd> = Vec::new();
+        // The searcher of the tick before the current window (one extra
+        // index alive): every candidate ends at the previous tick, so its
+        // last cluster is queried through that tick's searcher, which under
+        // GRID already holds it bucketed.
+        let mut carried: Option<TickSearcher<'_>> = None;
         for tick_window in ticks.chunks(window) {
-            let searchers: Vec<TickSearcher<'_>> = par_map_with(
+            let mut searchers: Vec<TickSearcher<'_>> = par_map_with(
                 tick_window,
                 self.threads,
                 SearcherScratch::new,
@@ -310,9 +315,13 @@ impl CrowdDiscovery {
                 },
             );
 
-            for searcher in &searchers {
+            for (i, searcher) in searchers.iter().enumerate() {
                 let set = searcher.cluster_set();
                 let t = set.time;
+                let previous = match i {
+                    0 => carried.as_ref(),
+                    _ => Some(&searchers[i - 1]),
+                };
 
                 // Indices of clusters at `t` that extended at least one
                 // candidate; they must not seed new candidates (they are
@@ -322,10 +331,16 @@ impl CrowdDiscovery {
                 next_candidates.clear();
 
                 for candidate in candidates.drain(..) {
-                    let last = cdb
-                        .cluster(candidate.last())
-                        .expect("candidate clusters exist in the database");
-                    searcher.search_into(last, &mut near);
+                    let last = candidate.last();
+                    match previous.filter(|p| p.cluster_set().time == last.time) {
+                        Some(previous) => searcher.search_from(previous, last.index, &mut near),
+                        // A seed of a resumed run: its tick has no searcher.
+                        None => searcher.search_into(
+                            cdb.cluster(last)
+                                .expect("candidate clusters exist in the database"),
+                            &mut near,
+                        ),
+                    };
                     qualifying.clear();
                     for &idx in &near {
                         if set.clusters[idx].len() < self.params.mc {
@@ -367,6 +382,7 @@ impl CrowdDiscovery {
                     observer(t, &candidates);
                 }
             }
+            carried = searchers.pop();
         }
 
         // End of the time domain: candidates long enough are closed crowds

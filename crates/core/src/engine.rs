@@ -468,17 +468,18 @@ impl GatheringEngine {
         // (the sweep reports every end-of-domain candidate with lifetime >= kc
         // as closed), so they carry no gatherings yet.
         let closed = result.closed_crowds;
+        debug_assert!(
+            result
+                .frontier
+                .iter()
+                .all(|c| (c.lifetime() >= self.config.crowd.kc) == closed.contains(c)),
+            "a frontier sequence is in the closed set exactly when it is long enough to be a crowd"
+        );
         let leftovers: Vec<Crowd> = result
             .frontier
             .into_iter()
-            .filter(|c| !closed.contains(c))
+            .filter(|c| c.lifetime() < self.config.crowd.kc)
             .collect();
-        debug_assert!(
-            leftovers
-                .iter()
-                .all(|c| c.lifetime() < self.config.crowd.kc),
-            "a frontier sequence long enough to be a crowd must be in the closed set"
-        );
 
         // Per-crowd gathering detection is independent across crowds: fan it
         // out, preserving order.  Extensions of old frontier crowds reuse the

@@ -19,9 +19,13 @@
 //! A [`TickSearcher`] is built once per timestamp from that timestamp's
 //! cluster set and then queried once per crowd candidate.
 
+use std::cell::RefCell;
+
 use gpdt_clustering::{SnapshotCluster, SnapshotClusterSet};
-use gpdt_geo::GridGeometry;
-use gpdt_index::{rtree::Entry, GridBuildScratch, GridClusterIndex, RTree};
+use gpdt_geo::{GridGeometry, PointsView};
+use gpdt_index::{
+    rtree::Entry, BucketedQuery, GridBuildScratch, GridClusterIndex, GridSearchScratch, RTree,
+};
 
 /// The pruning scheme used by the crowd-discovery range search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -32,8 +36,11 @@ pub enum RangeSearchStrategy {
     RTreeDmin,
     /// R-tree pruning with the `dside` lower bound (the paper's **IR**).
     RTreeDside,
-    /// Grid index with affect-region pruning and grid refinement
-    /// (the paper's **GRID**, the fastest scheme).
+    /// Grid index with affect-region pruning and grid refinement (the
+    /// paper's **GRID**).  The default: all timestamps share one geometry, so
+    /// the sweep buckets each cluster once and reuses tick `t − 1`'s buckets
+    /// as the queries against tick `t`.  README "Performance" has the
+    /// measured per-strategy sweep times.
     #[default]
     Grid,
 }
@@ -90,7 +97,7 @@ impl gpdt_obs::MetricSource for SearchStats {
 enum TickIndex {
     Brute,
     RTree { tree: RTree, use_dside: bool },
-    Grid { index: GridClusterIndex },
+    Grid(GridClusterIndex),
 }
 
 /// Reusable buffers for [`TickSearcher::build_with`]: the R-tree entry list
@@ -101,6 +108,22 @@ enum TickIndex {
 pub struct SearcherScratch {
     entries: Vec<Entry>,
     grid: GridBuildScratch,
+}
+
+/// The grid search's per-query buffers: the bucketed form of an external
+/// query and the pruning stamps.
+#[derive(Default)]
+struct GridQueryState {
+    query: BucketedQuery,
+    search: GridSearchScratch,
+}
+
+thread_local! {
+    /// [`TickSearcher::search_into`] takes `&self` and a searcher outlives
+    /// the `SearcherScratch` it was built with, so the query buffers cannot
+    /// ride on either; they are pure scratch, kept once per thread and reused
+    /// by every grid searcher queried there.
+    static GRID_QUERY: RefCell<GridQueryState> = RefCell::default();
 }
 
 impl SearcherScratch {
@@ -150,11 +173,13 @@ impl<'a> TickSearcher<'a> {
                 let geometry = GridGeometry::for_delta(delta);
                 // Columnar views straight out of the tick's shared arena —
                 // no per-cluster point copies.
-                let point_sets: Vec<gpdt_geo::PointsView<'_>> =
+                let point_sets: Vec<PointsView<'_>> =
                     set.clusters.iter().map(|c| c.points()).collect();
-                TickIndex::Grid {
-                    index: GridClusterIndex::build_access(geometry, &point_sets, &mut scratch.grid),
-                }
+                TickIndex::Grid(GridClusterIndex::build(
+                    geometry,
+                    &point_sets,
+                    &mut scratch.grid,
+                ))
             }
         };
         TickSearcher { set, delta, index }
@@ -202,23 +227,44 @@ impl<'a> TickSearcher<'a> {
                 );
                 candidates
             }
-            TickIndex::Grid { index } => {
-                // Bucket the query once; every candidate refinement reuses it.
-                let prepared = index.prepare_query_access(query.points());
-                let candidate_ids = index.candidates(prepared.cells());
-                let candidates = candidate_ids.len();
-                out.extend(
-                    candidate_ids
-                        .into_iter()
-                        .filter(|&i| index.within_delta_prepared(&prepared, i, self.delta)),
-                );
-                candidates
-            }
+            // An external query: bucket it (into the thread's reusable
+            // buffers), then prune and refine.
+            TickIndex::Grid(index) => GRID_QUERY.with(|state| {
+                let state = &mut *state.borrow_mut();
+                let bucketed = index.bucket(query.points(), &mut state.query);
+                index.search(bucketed, self.delta, &mut state.search, out)
+            }),
         };
         SearchStats {
             candidates,
             results: out.len(),
         }
+    }
+
+    /// [`Self::search_into`] for cluster `idx` of the set `prev` covers — the
+    /// sweep's query, the last cluster of a candidate ending one tick
+    /// earlier.  Under GRID the query's cells and points are read straight
+    /// out of `prev`'s index (the geometry is shared by all timestamps)
+    /// instead of being bucketed again.
+    pub(crate) fn search_from(
+        &self,
+        prev: &TickSearcher<'_>,
+        idx: usize,
+        out: &mut Vec<usize>,
+    ) -> SearchStats {
+        if let (TickIndex::Grid(index), TickIndex::Grid(prev_index)) = (&self.index, &prev.index) {
+            if index.geometry() == prev_index.geometry() {
+                let candidates = GRID_QUERY.with(|state| {
+                    let search = &mut state.borrow_mut().search;
+                    index.search(prev_index.cluster(idx), self.delta, search, out)
+                });
+                return SearchStats {
+                    candidates,
+                    results: out.len(),
+                };
+            }
+        }
+        self.search_into(&prev.set.clusters[idx], out)
     }
 
     /// Like [`Self::search`] but also reports pruning statistics.

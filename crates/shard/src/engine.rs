@@ -10,7 +10,7 @@
 //!                    ▼                     ▼
 //!              shard 0 batch   ...   shard N-1 batch      (+ per-tick layout,
 //!                    │                     │                boundary flags)
-//!              GatheringEngine       GatheringEngine       scoped threads,
+//!              GatheringEngine       GatheringEngine       parked threads,
 //!              (observer logs        (observer logs        one per shard
 //!               boundary prefixes)    boundary prefixes)
 //!                    └──────────┬──────────┘
@@ -210,7 +210,8 @@ pub struct ShardSupervision {
     /// Wall-clock budget for one batch's parallel shard ingestion.  A worker
     /// that has not reported back when it expires is abandoned and its shard
     /// rebuilt from the retained snapshot; `None` (the default) waits
-    /// indefinitely — panics are still caught and recovered either way.
+    /// indefinitely, so the coordinator ingests one shard itself instead of
+    /// idling — panics are still caught and recovered either way.
     pub worker_deadline: Option<Duration>,
     /// Snapshots of the shard engines are refreshed after this many batches;
     /// the coordinator retains the partitioned inputs of every batch since
@@ -294,6 +295,44 @@ impl gpdt_obs::MetricSource for ShardedStats {
     }
 }
 
+type Job = Box<dyn FnOnce() + Send>;
+
+/// One parked ingest thread per shard, started on first use and kept for the
+/// engine's lifetime.  Starting a thread per shard per batch costs an `mmap`,
+/// a `clone` and a `munmap` each — 50 to 250 µs on a small VM, a third of a
+/// 10-tick batch and the part of it that differs from run to run; a parked
+/// thread costs one futex wake.  Dropping the engine hangs up the channels
+/// and the threads exit.
+#[derive(Debug, Default)]
+struct WorkerPool {
+    workers: Vec<Option<mpsc::Sender<Job>>>,
+}
+
+impl WorkerPool {
+    /// Hands `job` to shard `s`'s thread.
+    fn run(&mut self, s: usize, job: Job) {
+        if self.workers.len() <= s {
+            self.workers.resize_with(s + 1, || None);
+        }
+        let worker = self.workers[s].get_or_insert_with(|| {
+            let (tx, rx) = mpsc::channel::<Job>();
+            std::thread::spawn(move || rx.into_iter().for_each(|job| job()));
+            tx
+        });
+        // Jobs catch their own panics, so the thread is there to receive.
+        worker.send(job).expect("shard worker thread is alive");
+    }
+
+    /// Gives up on shard `s`'s thread (it overran the deadline): it exits
+    /// once its current job returns, and the next batch starts a fresh one
+    /// instead of queueing behind it.
+    fn retire(&mut self, s: usize) {
+        if let Some(worker) = self.workers.get_mut(s) {
+            *worker = None;
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Counters {
     ticks: u64,
@@ -346,6 +385,7 @@ pub struct ShardedEngine {
     restarts: Vec<u64>,
     /// Chaos hooks: a fault each shard's next worker fires mid-ingest.
     pending_faults: Vec<Option<ShardFault>>,
+    workers: WorkerPool,
 }
 
 impl ShardedEngine {
@@ -389,6 +429,7 @@ impl ShardedEngine {
             retained_batches: Vec::new(),
             restarts: vec![0; shard_count],
             pending_faults: vec![None; shard_count],
+            workers: WorkerPool::default(),
         }
     }
 
@@ -714,21 +755,44 @@ impl ShardedEngine {
             self.retained_batches.clear();
         }
         let (tx, rx) = mpsc::channel();
-        let mut engines: Vec<Option<GatheringEngine>> = self.shards.drain(..).map(Some).collect();
-        for (s, sets) in local_sets.iter().enumerate() {
-            let mut engine = engines[s].take().expect("each shard engine is taken once");
-            let sets = sets.clone();
+        // Without a deadline the coordinator blocks until every worker has
+        // reported, so it works the largest sub-batch itself: the wake-up of
+        // the other shards' threads passes while it is busy rather than while
+        // it waits.  With a deadline every shard goes to a thread, because
+        // only a thread can be abandoned.
+        let inline = match self.supervision.worker_deadline {
+            None => (0..shard_count).max_by_key(|&s| {
+                local_sets[s]
+                    .iter()
+                    .map(|set| set.clusters.len())
+                    .sum::<usize>()
+            }),
+            Some(_) => None,
+        };
+        let mut job = |s: usize, mut engine: GatheringEngine| {
+            let sets = local_sets[s].clone();
             let bits = boundary_bits[s].clone();
             let fault = self.pending_faults[s].take();
             let tx = tx.clone();
-            std::thread::spawn(move || {
+            move || {
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     ingest_with_boundary_log(&mut engine, sets, &bits, batch_start, fault)
                 }));
                 // The receiver hangs up once the deadline passes; a failed
                 // send is exactly the abandoned-worker case.
                 let _ = tx.send((s, outcome.ok().map(|log| (engine, log))));
-            });
+            }
+        };
+        let mut own = None;
+        for (s, engine) in self.shards.drain(..).enumerate() {
+            if Some(s) == inline {
+                own = Some(engine);
+            } else {
+                self.workers.run(s, Box::new(job(s, engine)));
+            }
+        }
+        if let Some((s, engine)) = inline.zip(own) {
+            job(s, engine)();
         }
         drop(tx);
         let mut results: Vec<Option<(GatheringEngine, Vec<(Timestamp, Vec<Crowd>)>)>> =
@@ -752,6 +816,9 @@ impl ShardedEngine {
             results[s] = payload;
         }
         drop(rx);
+        for s in (0..shard_count).filter(|&s| !seen[s]) {
+            self.workers.retire(s);
+        }
         for (s, slot) in results.into_iter().enumerate() {
             match slot {
                 Some((engine, log)) => {
@@ -841,7 +908,11 @@ impl ShardedEngine {
             // Every strategy returns the same result set (a repo invariant,
             // exercised by the strategy-equivalence tests), so for a handful
             // of probes the early-exit scan beats paying a full per-tick
-            // index build — the replay's dominant cost otherwise.
+            // index build.  Re-measured after the grid rewrite (`e2e run
+            // --workload sharded_stream --trace 1`, three runs each way):
+            // always building the configured index costs 59–67 ms of merge
+            // replay a pass against 52–63 ms with this fork (merge share
+            // 0.26–0.27 against 0.23–0.25) — about a tenth, so it stays.
             let tick_strategy = if merge.len() + tails <= 16 {
                 RangeSearchStrategy::BruteForce
             } else {
@@ -1222,6 +1293,7 @@ impl ShardedEngine {
             retained_batches: Vec::new(),
             restarts: vec![0; shard_count],
             pending_faults: vec![None; shard_count],
+            workers: WorkerPool::default(),
         })
     }
 }

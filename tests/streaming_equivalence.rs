@@ -208,3 +208,63 @@ fn interleaving_trajectory_and_cluster_ingestion_is_consistent() {
     assert_eq!(engine.closed_crowds(), reference.crowds);
     assert_eq!(engine.gatherings(), reference.gatherings);
 }
+
+/// GRID sweeps query tick `t` with the buckets of tick `t − 1`'s index; that
+/// hand-over must survive the sweep's look-ahead window boundary (32 ticks
+/// on one thread) and an engine resume, where the previous tick has no index
+/// and the seeds are bucketed afresh.  A 100-tick run sliced into 1-, 7- and
+/// 60-tick batches, on one and two threads, must give the crowds, gatherings
+/// and per-tick observer callbacks of the one-batch run — and of IR.
+#[test]
+fn grid_bucket_reuse_survives_window_boundaries_and_resumes() {
+    let duration = 100u32;
+    let scenario = scenario(1313, duration);
+    let config = config();
+    let full = ClusterDatabase::build(&scenario.database, &config.clustering);
+
+    // Feeds `full` in `width`-tick batches; returns crowds, gatherings and
+    // the observer log with each tick's candidate set in canonical order.
+    let run = |strategy: RangeSearchStrategy, threads: usize, width: u32| {
+        let mut engine = GatheringEngine::new(config)
+            .with_strategy(strategy)
+            .with_threads(threads);
+        let mut log: Vec<(u32, Vec<Crowd>)> = Vec::new();
+        let mut observer = |t: u32, candidates: &[Crowd]| {
+            log.push((t, canonical_crowds(candidates.to_vec())));
+        };
+        let mut start = 0u32;
+        while start < duration {
+            let end = (start + width).min(duration);
+            let sets = (start..end)
+                .map(|t| full.set_at(t).expect("contiguous").clone())
+                .collect();
+            engine.ingest_clusters_observed(ClusterDatabase::from_sets(sets), Some(&mut observer));
+            start = end;
+        }
+        (engine.closed_crowds(), engine.gatherings(), log)
+    };
+
+    let reference = run(RangeSearchStrategy::RTreeDside, 1, duration);
+    assert!(reference.0.len() > 5 && !reference.1.is_empty());
+    assert_eq!(
+        reference.2.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+        (0..duration).collect::<Vec<_>>()
+    );
+    for threads in [1, 2] {
+        for width in [duration, 1, 7, 60] {
+            let got = run(RangeSearchStrategy::Grid, threads, width);
+            assert_eq!(
+                got.0, reference.0,
+                "crowds: {threads} threads, {width}-tick batches"
+            );
+            assert_eq!(
+                got.1, reference.1,
+                "gatherings: {threads} threads, {width}-tick batches"
+            );
+            assert_eq!(
+                got.2, reference.2,
+                "observer: {threads} threads, {width}-tick batches"
+            );
+        }
+    }
+}
