@@ -13,6 +13,11 @@
 //!   tick of **grid range searches**: the previous tick's buckets reused as
 //!   the queries, the same queries bucketed again, and SR.
 //!
+//! * **The monitoring tick's set-up stages** — the interpolated snapshot of
+//!   a dense day in tick order (index probe vs the binary search it
+//!   replaced), the DBSCAN ε-grid build on its own (table vs the sparse-box
+//!   sort), and an occurrence table extended by one cluster vs rebuilt.
+//!
 //! Each kernel additionally runs in both point layouts — structure-of-arrays
 //! columns ([`gpdt_geo::PointColumns`]) and the interleaved `&[Point]` slice
 //! — through the same generic code path, isolating the layout effect.
@@ -29,14 +34,15 @@ use gpdt_clustering::{
     dbscan_columns_with, dbscan_with, ClusteringParams, DbscanScratch, SnapshotCluster,
     SnapshotClusterSet,
 };
-use gpdt_core::{RangeSearchStrategy, SearcherScratch, TickSearcher};
+use gpdt_core::{CrowdOccurrence, RangeSearchStrategy, SearcherScratch, TickSearcher};
 use gpdt_geo::hausdorff::{hausdorff_within_bruteforce_access, hausdorff_within_bucketed_access};
 use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
 use gpdt_geo::{
     bucketed_pair_cutoff, hausdorff_within_bruteforce, hausdorff_within_bucketed,
     hausdorff_within_views, Point, PointColumns,
 };
-use gpdt_trajectory::ObjectId;
+use gpdt_trajectory::{ObjectId, Timestamp, Trajectory};
+use gpdt_workload::{generate_scenario, ScenarioConfig, Weather};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -312,6 +318,100 @@ fn bench_tick_searcher(c: &mut Criterion, rng: &mut StdRng) {
     group.finish();
 }
 
+/// `Trajectory::position_at` as it was before it probed: a binary search of
+/// the whole sample buffer, bounds read from its two ends.
+fn position_by_binary_search(trajectory: &Trajectory, t: Timestamp) -> Option<Point> {
+    let samples = trajectory.samples();
+    if t < samples[0].time || t > samples[samples.len() - 1].time {
+        return None;
+    }
+    Some(match samples.binary_search_by_key(&t, |s| s.time) {
+        Ok(idx) => samples[idx].position,
+        Err(idx) => {
+            let (before, after) = (&samples[idx - 1], &samples[idx]);
+            let frac = (t - before.time) as f64 / (after.time - before.time) as f64;
+            before.position.lerp(&after.position, frac)
+        }
+    })
+}
+
+/// The three set-up stages around the algorithms of a monitoring tick, on
+/// the `city_stream` day (1 200 taxis, 1 440 ticks, every tick sampled).
+fn bench_tick_stages(c: &mut Criterion) {
+    let day =
+        generate_scenario(&ScenarioConfig::single_day(2013, Weather::Clear).with_taxis(1_200));
+    let db = &day.database;
+    let ticks = db
+        .time_domain()
+        .expect("a generated day is not empty")
+        .len();
+
+    // One tick's snapshot per iteration, in tick order like a stream.
+    let mut group = c.benchmark_group("snapshot_tick");
+    let mut t = 0;
+    group.bench_function("probe/1200", |b| {
+        b.iter(|| {
+            t = (t + 1) % ticks;
+            db.snapshot_columns(black_box(t))
+        })
+    });
+    let mut t = 0;
+    group.bench_function("binary_search/1200", |b| {
+        b.iter(|| {
+            t = (t + 1) % ticks;
+            let mut ids = Vec::with_capacity(db.len());
+            let mut cols = PointColumns::with_capacity(db.len());
+            for trajectory in db.iter() {
+                if let Some(p) = position_by_binary_search(trajectory, black_box(t)) {
+                    ids.push(trajectory.id());
+                    cols.push(p);
+                }
+            }
+            (ids, cols)
+        })
+    });
+    group.finish();
+
+    // The ε-grid alone: the midday snapshot (its cells' box gets a table),
+    // and the same taxis on a map forty times as wide, which is too sparse
+    // for one (the points are sorted by cell key instead).
+    let eps = 200.0;
+    let (_, midday) = db.snapshot_columns(ticks / 2);
+    let spread = PointColumns::from_vecs(
+        midday.xs().iter().map(|x| x * 40.0).collect(),
+        midday.ys().iter().map(|y| y * 40.0).collect(),
+    );
+    let mut scratch = DbscanScratch::new();
+    let mut group = c.benchmark_group("dbscan_grid_build");
+    for (label, columns) in [("table", &midday), ("sorted", &spread)] {
+        group.bench_function(format!("{label}/{}", columns.len()), |b| {
+            b.iter(|| scratch.build_grid(black_box(columns.view()), eps))
+        });
+    }
+    group.finish();
+
+    // A crowd one cluster longer: its predecessor's table cloned and
+    // extended (what the engine does where a crowd branches; the last heir
+    // skips the clone) against the table rebuilt from the first cluster.
+    let mut group = c.benchmark_group("occurrence_extend_vs_build");
+    for length in [30usize, 240] {
+        let spec = gpdt_bench::SyntheticCrowdSpec::jam_like(2013, length);
+        let (cdb, crowd) = gpdt_bench::synthetic_crowd(&spec);
+        let carried = CrowdOccurrence::build(&crowd.sub_crowd(0, length - 1), &cdb);
+        group.bench_function(format!("extend/{length}"), |b| {
+            b.iter(|| {
+                let mut table = black_box(&carried).clone();
+                table.extend(&crowd, &cdb);
+                table
+            })
+        });
+        group.bench_function(format!("build/{length}"), |b| {
+            b.iter(|| CrowdOccurrence::build(black_box(&crowd), &cdb))
+        });
+    }
+    group.finish();
+}
+
 /// Mean time of the report entry whose name starts with `prefix`, in ns.
 fn mean_ns(c: &Criterion, prefix: &str) -> Option<f64> {
     c.reports()
@@ -475,6 +575,7 @@ fn main() {
     bench_hausdorff(&mut criterion, &mut rng);
     bench_tick_searcher(&mut criterion, &mut rng);
     bench_simd_kernels(&mut criterion, &mut rng);
+    bench_tick_stages(&mut criterion);
 
     let mut report = BenchReport::new("micro");
     let mut results = Table::new("Microbenchmarks — mean ns per iteration", &["bench", "ns"]);
@@ -525,6 +626,27 @@ fn main() {
             "grid search (bucket reuse vs SR)",
             "grid_index_search/bucket_reuse",
             "grid_index_search/sr",
+        ),
+        // The set-up stages of a monitoring tick.
+        (
+            "snapshot tick (probe vs binary search)",
+            "snapshot_tick/probe/1200",
+            "snapshot_tick/binary_search/1200",
+        ),
+        (
+            "dbscan grid build (table vs sorted, 1200 pts)",
+            "dbscan_grid_build/table/1200",
+            "dbscan_grid_build/sorted/1200",
+        ),
+        (
+            "occurrence table (extend vs build, 30 clusters)",
+            "occurrence_extend_vs_build/extend/30",
+            "occurrence_extend_vs_build/build/30",
+        ),
+        (
+            "occurrence table (extend vs build, 240 clusters)",
+            "occurrence_extend_vs_build/extend/240",
+            "occurrence_extend_vs_build/build/240",
         ),
     ] {
         if let (Some(f), Some(s)) = (mean_ns(&criterion, fast), mean_ns(&criterion, slow)) {

@@ -9,16 +9,26 @@
 //!
 //! The ε-neighbourhood query is served by a uniform grid with cell side
 //! `eps`, so a query only inspects the 3×3 block of cells around the query
-//! point instead of the whole snapshot.  The grid is stored as a flat
-//! sorted-bucket (CSR-style) structure inside a reusable [`DbscanScratch`]
-//! arena: point indices are sorted by cell key into one contiguous buffer
-//! with per-cell offset ranges, and cell lookup is a binary search over the
-//! sorted unique keys.  Callers that cluster many snapshots (the cluster
-//! database builders, the streaming clusterer) keep one scratch alive and
-//! pass it to [`dbscan_with`], making the per-snapshot hot path free of heap
-//! allocation apart from the output itself.
+//! point instead of the whole snapshot.  The grid is a flat bucket (CSR)
+//! structure inside a reusable [`DbscanScratch`] arena, built in time linear
+//! in the snapshot: one pass turns every point into a packed integer cell
+//! key, a table with one slot per cell of the cells' bounding box is counted
+//! and prefix-summed into bucket offsets, the points are scattered into
+//! their buckets, and each point's three 3×1 neighbour ranges are read
+//! straight off the table.  Only a snapshot whose box is too sparse for a
+//! table (a few points, far apart) sorts its points by key instead.  Callers
+//! that cluster many snapshots (the cluster database builders, the streaming
+//! clusterer) keep one scratch alive and pass it to [`dbscan_with`], making
+//! the per-snapshot hot path free of heap allocation apart from the output
+//! itself.
+//!
+//! The result is canonical — clusters numbered by their lowest seed index, a
+//! border point in the earliest-discovered cluster that reaches it, members
+//! sorted — so it depends on neither the cell order nor the order of points
+//! inside a bucket.
 
 use gpdt_geo::bvs::BitVector;
+use gpdt_geo::grid::clamped_cell_index;
 use gpdt_geo::{Point, PointAccess, PointsView};
 
 use crate::params::ClusteringParams;
@@ -32,58 +42,93 @@ pub struct DbscanResult {
     /// For each cluster, the indices (into the input slice) of its members,
     /// sorted in increasing order.
     pub clusters: Vec<Vec<usize>>,
-    /// Indices of points assigned to no cluster.
-    pub noise: Vec<usize>,
-    /// Per-point cluster label (`NOISE` sentinel for noise), kept so that
-    /// [`Self::label_of`] answers in O(1).
-    labels: Vec<u32>,
+    /// Number of input points (the indices `clusters` does not name are
+    /// noise).
+    len: usize,
 }
 
 impl DbscanResult {
-    fn empty() -> Self {
+    /// Groups the final per-point labels into member lists by counting:
+    /// each list is allocated at its exact size and filled in index order,
+    /// so it comes out sorted.
+    fn from_labels(cluster_count: usize, labels: &[u32]) -> Self {
+        let mut sizes = vec![0usize; cluster_count];
+        for &label in labels {
+            if label != NOISE {
+                sizes[label as usize] += 1;
+            }
+        }
+        let mut clusters: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (idx, &label) in labels.iter().enumerate() {
+            if label != NOISE {
+                clusters[label as usize].push(idx);
+            }
+        }
         DbscanResult {
-            clusters: Vec::new(),
-            noise: Vec::new(),
-            labels: Vec::new(),
+            clusters,
+            len: labels.len(),
         }
     }
 
-    fn from_labels(clusters: Vec<Vec<usize>>, labels: &[u32]) -> Self {
-        let noise = labels
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, &l)| (l == NOISE).then_some(idx))
-            .collect();
-        DbscanResult {
-            clusters,
-            noise,
-            labels: labels.to_vec(),
+    /// Indices of the points assigned to no cluster, in increasing order.
+    pub fn noise(&self) -> Vec<usize> {
+        let mut clustered = vec![false; self.len];
+        for &idx in self.clusters.iter().flatten() {
+            clustered[idx] = true;
         }
+        (0..self.len).filter(|&idx| !clustered[idx]).collect()
     }
 
     /// Cluster label of point `idx`: `Some(cluster_index)` or `None` for
-    /// noise.  O(1) — labels are precomputed at construction.
+    /// noise.  Searches the member lists; a caller labelling every point
+    /// should walk [`Self::clusters`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is not an index into the clustered point slice.
     pub fn label_of(&self, idx: usize) -> Option<usize> {
-        match self.labels[idx] {
-            NOISE => None,
-            l => Some(l as usize),
-        }
+        assert!(idx < self.len, "point index {idx} out of range");
+        self.clusters
+            .iter()
+            .position(|members| members.binary_search(&idx).is_ok())
     }
 }
 
+/// Flipping the sign bit biases an `i32` cell index into an order-preserving
+/// `u32`.
+const CELL_BIAS: u32 = 1 << 31;
+/// One column step of a packed cell key.
+const COLUMN: u64 = 1 << 32;
+
+/// The packed key of the cell `(col, row)` (biased indices): column in the
+/// high half, row in the low half, so keys order by (column, row) and a step
+/// to a neighbouring cell is one addition.  Indices are clamped
+/// ([`clamped_cell_index`]) to the middle half of the `u32` range, so no step
+/// carries from one half into the other.
 #[inline]
-fn cell_key_xy(x: f64, y: f64, eps: f64) -> (i64, i64) {
-    ((x / eps).floor() as i64, (y / eps).floor() as i64)
+fn pack_cell(col: u32, row: u32) -> u64 {
+    u64::from(col) << 32 | u64::from(row)
+}
+
+/// Biased cell index of a coordinate along one axis.
+#[inline]
+fn axis_cell(v: f64, eps: f64) -> u32 {
+    clamped_cell_index(v / eps) as u32 ^ CELL_BIAS
 }
 
 #[inline]
-fn cell_key(p: &Point, eps: f64) -> (i64, i64) {
-    cell_key_xy(p.x, p.y, eps)
+fn column_of(key: u64) -> u32 {
+    (key >> 32) as u32
 }
+
+#[inline]
+fn row_of(key: u64) -> u32 {
+    key as u32
+}
+
+/// The cells' bounding box gets a table, rather than the points a sort, when
+/// it has at most this many cells per point.
+const TABLED_BOX_CELLS_PER_POINT: u64 = 16;
 
 /// Reusable scratch arena for [`dbscan_with`]: the CSR grid buffers and the
 /// per-point working state.  Create one (cheap, all-empty) and reuse it
@@ -91,28 +136,32 @@ fn cell_key(p: &Point, eps: f64) -> (i64, i64) {
 /// clustering performs no heap allocation beyond the returned result.
 #[derive(Debug, Clone, Default)]
 pub struct DbscanScratch {
-    /// `(cell key, point index)` pairs, sorted; materialised so the sort
-    /// compares contiguous elements instead of chasing per-point key
-    /// lookups.
-    pairs: Vec<((i64, i64), u32)>,
-    /// The CSR bucket payload sorted by (cell key, index), stored as three
-    /// parallel columns (SoA): coordinates split into `bxs`/`bys` so the
-    /// ε-scan streams two dense `f64` arrays, with the original point index
+    /// Packed cell key of each point.
+    keys: Vec<u64>,
+    /// Bucket offsets over the cells' bounding box, one slot per cell
+    /// (column by column, a border of empty cells all around): the bucket of
+    /// slot `s` is `box_starts[s]..box_starts[s + 1]`.  Unused when the box
+    /// is too sparse for a table.
+    box_starts: Vec<u32>,
+    /// The sparse box's stand-ins for the table: the point indices sorted by
+    /// cell key, the occupied cells' keys in ascending order and their
+    /// bucket offsets (one trailing sentinel).
+    order: Vec<u32>,
+    cells: Vec<u64>,
+    starts: Vec<u32>,
+    /// Number of occupied cells.
+    cell_count: usize,
+    /// The bucket payload, cell by cell in key order, as three parallel
+    /// columns (SoA): coordinates split into `bxs`/`bys` so the ε-scan
+    /// streams two dense `f64` arrays, with the original point index
     /// alongside in `bidx`.
     bxs: Vec<f64>,
     bys: Vec<f64>,
     bidx: Vec<u32>,
-    /// Sorted unique cell keys.
-    cells: Vec<(i64, i64)>,
-    /// CSR offsets into `bucketed`; `starts[c]..starts[c + 1]` is cell `c`'s
-    /// bucket (one trailing sentinel).
-    starts: Vec<u32>,
-    /// Cell index (into `cells`) of each point.
-    cell_of_point: Vec<u32>,
-    /// Per cell: the three contiguous `bucketed` ranges covering its 3×3
-    /// neighbourhood (cells are sorted by (col, row), so for each of the
-    /// three columns the rows `r-1..=r+1` form one contiguous run).  The
-    /// per-point ε-query walks these precomputed ranges without any lookup.
+    /// Per point: the three contiguous bucket ranges covering the 3×3
+    /// neighbourhood of its cell (buckets are in (col, row) order, so for
+    /// each of the three columns the rows `r-1..=r+1` form one contiguous
+    /// run).  The ε-query walks these precomputed ranges without any lookup.
     neighbor_ranges: Vec<[(u32, u32); 3]>,
     /// Per-point cluster label during the sweep.
     labels: Vec<u32>,
@@ -131,46 +180,138 @@ impl DbscanScratch {
         DbscanScratch::default()
     }
 
-    /// Rebuilds the CSR grid over `points` with cell side `eps`.
-    fn build_grid<P: PointAccess>(&mut self, points: P, eps: f64) {
-        // Sorting (key, index) pairs keeps each bucket in increasing point
-        // order, matching the insertion order of a per-cell push loop.
-        self.pairs.clear();
-        self.pairs.extend(
-            (0..points.len()).map(|i| (cell_key_xy(points.x(i), points.y(i), eps), i as u32)),
+    /// Rebuilds the CSR grid over `points` with cell side `eps`, in time
+    /// linear in the points and in the cells of their bounding box — or,
+    /// when that box is too sparse to tabulate, with one sort of the points
+    /// by their integer keys.  Public for the `micro` benchmark, which times
+    /// this stage on its own.
+    #[doc(hidden)]
+    pub fn build_grid<P: PointAccess>(&mut self, points: P, eps: f64) {
+        let n = points.len();
+        if n == 0 {
+            self.cell_count = 0;
+            return;
+        }
+        self.keys.clear();
+        self.keys.extend(
+            (0..n).map(|i| pack_cell(axis_cell(points.x(i), eps), axis_cell(points.y(i), eps))),
         );
-        self.pairs.sort_unstable();
-        self.bxs.clear();
-        self.bys.clear();
-        self.bidx.clear();
+        self.bxs.resize(n, 0.0);
+        self.bys.resize(n, 0.0);
+        self.bidx.resize(n, 0);
+        self.neighbor_ranges.resize(n, [(0, 0); 3]);
+
+        let bounds = |axis: fn(u64) -> u32| {
+            let cells = self.keys.iter().map(|&key| axis(key));
+            cells.fold((u32::MAX, 0), |(min, max), cell| {
+                (min.min(cell), max.max(cell))
+            })
+        };
+        let (min_col, max_col) = bounds(column_of);
+        let (min_row, max_row) = bounds(row_of);
+        // The box with its border: no neighbour of an occupied cell falls
+        // outside, so reading a neighbourhood needs no edge case.
+        let height = u64::from(max_row - min_row) + 3;
+        let slots = (u64::from(max_col - min_col) + 3) * height;
+        if slots <= TABLED_BOX_CELLS_PER_POINT * n as u64 {
+            self.tabulate(points, (min_col, min_row), height as usize, slots as usize);
+        } else {
+            self.sort_into_cells(points);
+        }
+    }
+
+    /// The grid of a box small enough for a table: count the points of each
+    /// slot, prefix-sum the counts into bucket offsets, scatter, and read
+    /// every point's neighbour ranges off the offsets.
+    fn tabulate<P: PointAccess>(
+        &mut self,
+        points: P,
+        (min_col, min_row): (u32, u32),
+        height: usize,
+        slots: usize,
+    ) {
+        let slot_of = |key: u64| {
+            (column_of(key) - min_col + 1) as usize * height + (row_of(key) - min_row + 1) as usize
+        };
+        // Counts go in two slots up: after the prefix sum `table[s + 1]` is
+        // where slot `s` starts, the scatter advances it to where the slot
+        // ends — which is where slot `s + 1` starts, so afterwards
+        // `table[s]..table[s + 1]` is the bucket of slot `s`.
+        let table = &mut self.box_starts;
+        table.clear();
+        table.resize(slots + 2, 0);
+        for &key in &self.keys {
+            table[slot_of(key) + 2] += 1;
+        }
+        self.cell_count = 0;
+        let mut running = 0;
+        for count in table.iter_mut() {
+            self.cell_count += usize::from(*count != 0);
+            running += *count;
+            *count = running;
+        }
+        for (i, &key) in self.keys.iter().enumerate() {
+            let cursor = &mut table[slot_of(key) + 1];
+            let pos = *cursor as usize;
+            *cursor += 1;
+            self.bxs[pos] = points.x(i);
+            self.bys[pos] = points.y(i);
+            self.bidx[pos] = i as u32;
+        }
+        // A column's slots are consecutive, so rows `r-1..=r+1` of each of
+        // the three columns around a cell are one run of the bucket payload.
+        for (ranges, &key) in self.neighbor_ranges.iter_mut().zip(&self.keys) {
+            let left = slot_of(key) - height;
+            for (k, range) in ranges.iter_mut().enumerate() {
+                let same_row = left + k * height;
+                *range = (table[same_row - 1], table[same_row + 2]);
+            }
+        }
+    }
+
+    /// The grid of a sparse box: sort the points by cell key (through an
+    /// index, the keys stay plain integers), cut the sorted run into cells,
+    /// and find each cell's neighbour ranges with forward cursors.
+    fn sort_into_cells<P: PointAccess>(&mut self, points: P) {
+        let keys = &self.keys;
+        self.order.clear();
+        self.order.extend(0..keys.len() as u32);
+        self.order.sort_unstable_by_key(|&i| keys[i as usize]);
         self.cells.clear();
         self.starts.clear();
-        self.cell_of_point.clear();
-        self.cell_of_point.resize(points.len(), 0);
-        for (pos, &(key, i)) in self.pairs.iter().enumerate() {
+        for (pos, &i) in self.order.iter().enumerate() {
+            let key = keys[i as usize];
             if self.cells.last() != Some(&key) {
                 self.cells.push(key);
                 self.starts.push(pos as u32);
             }
-            self.bxs.push(points.x(i as usize));
-            self.bys.push(points.y(i as usize));
-            self.bidx.push(i);
-            self.cell_of_point[i as usize] = (self.cells.len() - 1) as u32;
+            self.bxs[pos] = points.x(i as usize);
+            self.bys[pos] = points.y(i as usize);
+            self.bidx[pos] = i;
         }
-        self.starts.push(points.len() as u32);
+        self.starts.push(keys.len() as u32);
+        self.cell_count = self.cells.len();
 
-        // Precompute each cell's three 3×3-block ranges: three binary
-        // searches per *cell* instead of nine per *point*.
-        self.neighbor_ranges.clear();
-        self.neighbor_ranges.reserve(self.cells.len());
-        for &(col, row) in &self.cells {
+        // Cells ascend by (column, row), so for each of the three
+        // neighbouring columns the first cell at or past row `r - 1` and the
+        // first cell past row `r + 1` only ever move forward: six cursors,
+        // each crossing `cells` once.
+        let (mut lo, mut hi) = ([0usize; 3], [0usize; 3]);
+        for (cell, &key) in self.cells.iter().enumerate() {
             let mut ranges = [(0u32, 0u32); 3];
-            for (k, dc) in (-1i64..=1).enumerate() {
-                let lo = self.cells.partition_point(|&c| c < (col + dc, row - 1));
-                let hi = self.cells.partition_point(|&c| c <= (col + dc, row + 1));
-                ranges[k] = (self.starts[lo], self.starts[hi]);
+            for (k, range) in ranges.iter_mut().enumerate() {
+                let same_row = key - COLUMN + k as u64 * COLUMN;
+                while lo[k] < self.cell_count && self.cells[lo[k]] < same_row - 1 {
+                    lo[k] += 1;
+                }
+                while hi[k] < self.cell_count && self.cells[hi[k]] <= same_row + 1 {
+                    hi[k] += 1;
+                }
+                *range = (self.starts[lo[k]], self.starts[hi[k]]);
             }
-            self.neighbor_ranges.push(ranges);
+            for pos in self.starts[cell]..self.starts[cell + 1] {
+                self.neighbor_ranges[self.bidx[pos as usize] as usize] = ranges;
+            }
         }
     }
 
@@ -185,7 +326,7 @@ impl DbscanScratch {
         // pushes matches in bucket order with an exact comparison, so the
         // neighbour list is identical to a scalar scan at every level.
         let d = gpdt_geo::simd::dispatch();
-        for &(lo, hi) in &self.neighbor_ranges[self.cell_of_point[idx] as usize] {
+        for &(lo, hi) in &self.neighbor_ranges[idx] {
             let (lo, hi) = (lo as usize, hi as usize);
             d.filter_within(
                 &self.bxs[lo..hi],
@@ -248,15 +389,14 @@ pub fn dbscan_access<P: PointAccess>(
     params: &ClusteringParams,
     scratch: &mut DbscanScratch,
 ) -> DbscanResult {
-    if points.is_empty() {
-        return DbscanResult::empty();
+    {
+        let _span = gpdt_obs::span!("dbscan.grid");
+        scratch.build_grid(points, params.eps);
     }
-
-    scratch.build_grid(points, params.eps);
     scratch.labels.clear();
     scratch.labels.resize(points.len(), UNVISITED);
     scratch.enqueued.reset(points.len());
-    let mut clusters: Vec<Vec<usize>> = Vec::new();
+    let mut cluster_count: u32 = 0;
 
     for start in 0..points.len() {
         if scratch.labels[start] != UNVISITED {
@@ -268,10 +408,9 @@ pub fn dbscan_access<P: PointAccess>(
             continue;
         }
         // `start` is a core point: begin a new cluster and expand it.
-        let cluster_id = clusters.len() as u32;
-        clusters.push(Vec::new());
+        let cluster_id = cluster_count;
+        cluster_count += 1;
         scratch.labels[start] = cluster_id;
-        clusters[cluster_id as usize].push(start);
 
         scratch.frontier.clear();
         for i in 0..scratch.neighbors.len() {
@@ -288,14 +427,12 @@ pub fn dbscan_access<P: PointAccess>(
             if scratch.labels[q] == NOISE {
                 // Border point previously marked noise: claim it.
                 scratch.labels[q] = cluster_id;
-                clusters[cluster_id as usize].push(q);
                 continue;
             }
             if scratch.labels[q] != UNVISITED {
                 continue;
             }
             scratch.labels[q] = cluster_id;
-            clusters[cluster_id as usize].push(q);
             scratch.find_neighbors(points, q, params.eps);
             if scratch.neighbors.len() >= params.min_pts {
                 // `q` is itself a core point: its neighbourhood joins the
@@ -312,10 +449,22 @@ pub fn dbscan_access<P: PointAccess>(
         }
     }
 
-    for members in &mut clusters {
-        members.sort_unstable();
+    let result = DbscanResult::from_labels(cluster_count as usize, &scratch.labels);
+    if gpdt_obs::enabled() {
+        let clustered: usize = result.clusters.iter().map(Vec::len).sum();
+        gpdt_obs::counter!("dbscan.grid.cells").add(scratch.cell_count as u64);
+        gpdt_obs::counter!("dbscan.points.noise").add((points.len() - clustered) as u64);
     }
-    DbscanResult::from_labels(clusters, &scratch.labels)
+    result
+}
+
+/// The cell of `p` as signed indices, for the oracle's `HashMap` grid.
+#[inline]
+fn cell_of(p: &Point, eps: f64) -> (i64, i64) {
+    (
+        i64::from(clamped_cell_index(p.x / eps)),
+        i64::from(clamped_cell_index(p.y / eps)),
+    )
 }
 
 /// The previous hash-grid implementation, kept as the ablation baseline for
@@ -325,18 +474,14 @@ pub fn dbscan_access<P: PointAccess>(
 pub fn dbscan_hashgrid(points: &[Point], params: &ClusteringParams) -> DbscanResult {
     use std::collections::HashMap;
 
-    if points.is_empty() {
-        return DbscanResult::empty();
-    }
-
     let eps = params.eps;
     let mut cells: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
     for (idx, p) in points.iter().enumerate() {
-        cells.entry(cell_key(p, eps)).or_default().push(idx);
+        cells.entry(cell_of(p, eps)).or_default().push(idx);
     }
     let neighbors_of = |idx: usize| -> Vec<usize> {
         let p = &points[idx];
-        let (cx, cy) = cell_key(p, eps);
+        let (cx, cy) = cell_of(p, eps);
         let eps_sq = eps * eps;
         let mut out = Vec::new();
         for dx in -1..=1 {
@@ -378,7 +523,7 @@ fn run_with_neighbors(
     neighbors_of: impl Fn(usize) -> Vec<usize>,
 ) -> DbscanResult {
     let mut labels = vec![UNVISITED; points.len()];
-    let mut clusters: Vec<Vec<usize>> = Vec::new();
+    let mut cluster_count: u32 = 0;
     for start in 0..points.len() {
         if labels[start] != UNVISITED {
             continue;
@@ -388,10 +533,9 @@ fn run_with_neighbors(
             labels[start] = NOISE;
             continue;
         }
-        let cluster_id = clusters.len() as u32;
-        clusters.push(Vec::new());
+        let cluster_id = cluster_count;
+        cluster_count += 1;
         labels[start] = cluster_id;
-        clusters[cluster_id as usize].push(start);
         let mut frontier = neighbors;
         let mut cursor = 0;
         while cursor < frontier.len() {
@@ -399,25 +543,19 @@ fn run_with_neighbors(
             cursor += 1;
             if labels[q] == NOISE {
                 labels[q] = cluster_id;
-                clusters[cluster_id as usize].push(q);
                 continue;
             }
             if labels[q] != UNVISITED {
                 continue;
             }
             labels[q] = cluster_id;
-            clusters[cluster_id as usize].push(q);
             let q_neighbors = neighbors_of(q);
             if q_neighbors.len() >= params.min_pts {
                 frontier.extend(q_neighbors);
             }
         }
     }
-    for members in &mut clusters {
-        members.sort_unstable();
-        members.dedup();
-    }
-    DbscanResult::from_labels(clusters, &labels)
+    DbscanResult::from_labels(cluster_count as usize, &labels)
 }
 
 #[cfg(test)]
@@ -432,7 +570,7 @@ mod tests {
     fn empty_input() {
         let r = dbscan(&[], &ClusteringParams::new(1.0, 2));
         assert!(r.clusters.is_empty());
-        assert!(r.noise.is_empty());
+        assert!(r.noise().is_empty());
     }
 
     #[test]
@@ -440,11 +578,11 @@ mod tests {
         let p = pts(&[(0.0, 0.0)]);
         let r = dbscan(&p, &ClusteringParams::new(1.0, 2));
         assert!(r.clusters.is_empty());
-        assert_eq!(r.noise, vec![0]);
+        assert_eq!(r.noise(), vec![0]);
 
         let r1 = dbscan(&p, &ClusteringParams::new(1.0, 1));
         assert_eq!(r1.clusters, vec![vec![0]]);
-        assert!(r1.noise.is_empty());
+        assert!(r1.noise().is_empty());
     }
 
     #[test]
@@ -461,7 +599,7 @@ mod tests {
         assert_eq!(r.clusters.len(), 2);
         assert_eq!(r.clusters[0], vec![0, 1, 2, 3, 4]);
         assert_eq!(r.clusters[1], vec![5, 6, 7, 8]);
-        assert!(r.noise.is_empty());
+        assert!(r.noise().is_empty());
     }
 
     #[test]
@@ -475,7 +613,7 @@ mod tests {
         ]);
         let r = dbscan(&p, &ClusteringParams::new(1.0, 3));
         assert_eq!(r.clusters.len(), 1);
-        assert_eq!(r.noise, vec![4]);
+        assert_eq!(r.noise(), vec![4]);
         assert_eq!(r.label_of(0), Some(0));
         assert_eq!(r.label_of(4), None);
     }
@@ -505,7 +643,7 @@ mod tests {
         let p = pts(&coords);
         let r = dbscan(&p, &ClusteringParams::new(0.9, 3));
         let total: usize = r.clusters.iter().map(Vec::len).sum();
-        assert_eq!(total + r.noise.len(), p.len());
+        assert_eq!(total + r.noise().len(), p.len());
         let appearing: usize = r
             .clusters
             .iter()
@@ -524,7 +662,7 @@ mod tests {
             .collect();
         let r = dbscan(&p, &ClusteringParams::new(3.5, 4));
         let mut all: Vec<usize> = r.clusters.iter().flatten().copied().collect();
-        all.extend(&r.noise);
+        all.extend(r.noise());
         all.sort_unstable();
         assert_eq!(all, (0..50).collect::<Vec<_>>());
     }
@@ -540,7 +678,7 @@ mod tests {
                 assert_eq!(r.label_of(m), Some(ci));
             }
         }
-        for &m in &r.noise {
+        for m in r.noise() {
             assert_eq!(r.label_of(m), None);
         }
     }
@@ -560,7 +698,7 @@ mod tests {
             let fast = dbscan(&p, &params);
             let slow = dbscan_bruteforce(&p, &params);
             assert_eq!(fast.clusters, slow.clusters, "eps={eps} m={m}");
-            assert_eq!(fast.noise, slow.noise, "eps={eps} m={m}");
+            assert_eq!(fast.noise(), slow.noise(), "eps={eps} m={m}");
         }
     }
 }
@@ -615,6 +753,112 @@ mod proptests {
         }
     }
 
+    /// The point families the integer cell keys make risky, each held to
+    /// the brute-force oracle through ONE scratch arena, so consecutive
+    /// snapshots differ wildly in size, extent and in which way their cells
+    /// get ranked (box walk or key sort).
+    #[test]
+    fn grid_equals_bruteforce_on_adversarial_families_through_one_scratch() {
+        let mut rng = StdRng::seed_from_u64(0xd7);
+        let mut scratch = DbscanScratch::new();
+        let mut check = |label: &str, points: &[Point], eps: f64| {
+            for min_pts in [1, 2, 4] {
+                let params = ClusteringParams::new(eps, min_pts);
+                let fast = dbscan_with(points, &params, &mut scratch);
+                let slow = dbscan_bruteforce(points, &params);
+                assert_eq!(fast, slow, "{label}, eps={eps} min_pts={min_pts}");
+            }
+        };
+        let eps = 10.0;
+        let jitter = |rng: &mut StdRng, n: usize, cx: f64, cy: f64, spread: f64| -> Vec<Point> {
+            (0..n)
+                .map(|_| {
+                    Point::new(
+                        cx + rng.gen_range(-spread..spread),
+                        cy + rng.gen_range(-spread..spread),
+                    )
+                })
+                .collect()
+        };
+
+        // A large dense snapshot first, so every buffer is bigger than what
+        // follows needs.
+        check("dense", &jitter(&mut rng, 2_000, 0.0, 0.0, 300.0), eps);
+        check(
+            "negative quadrant",
+            &jitter(&mut rng, 300, -5_000.0, -7_000.0, 80.0),
+            eps,
+        );
+        // Exactly on cell borders, both signs, neighbours exactly eps apart.
+        let lattice: Vec<Point> = (-6..=6)
+            .flat_map(|i| (-6..=6).map(move |j| Point::new(f64::from(i) * eps, f64::from(j) * eps)))
+            .collect();
+        check("on cell borders", &lattice, eps);
+        check("on cell borders, eps just short", &lattice, eps * 0.999);
+        check(
+            "one cell",
+            &jitter(&mut rng, 150, 1_234.0, -1_234.0, 0.4),
+            eps,
+        );
+        check("a single point", &[Point::new(-3.0, 4.0)], eps);
+        // One point per cell: a 3-eps lattice (box walked) ...
+        let sparse_lattice: Vec<Point> = lattice
+            .iter()
+            .map(|p| Point::new(p.x * 3.0, p.y * 3.0))
+            .collect();
+        check("one point per cell", &sparse_lattice, eps);
+        // ... and a few tight groups scattered over a box of ~10¹⁰ cells,
+        // far too sparse to walk (keys sorted).
+        let mut scattered = Vec::new();
+        for _ in 0..12 {
+            let (cx, cy) = (rng.gen_range(-5e5..5e5), rng.gen_range(-5e5..5e5));
+            scattered.extend(jitter(&mut rng, 5, cx, cy, 8.0));
+        }
+        check("sparse box", &scattered, eps);
+        // Beyond the clamp: whole groups share the limit cell, on each side
+        // and in each corner, with ordinary points in between.
+        let mut far = jitter(&mut rng, 40, 0.0, 0.0, 30.0);
+        for (sx, sy) in [
+            (1.0, 1.0),
+            (-1.0, 1.0),
+            (1.0, -1.0),
+            (-1.0, -1.0),
+            (1.0, 0.0),
+        ] {
+            for k in 0..6 {
+                far.push(Point::new(
+                    sx * 1e15 + f64::from(k) * 4.0,
+                    sy * 1e15 - f64::from(k) * 4.0,
+                ));
+            }
+        }
+        check("coordinates at 1e15", &far, eps);
+        // Straddling the clamp limit itself.
+        let limit = f64::from(gpdt_geo::grid::CELL_INDEX_LIMIT) * eps;
+        let straddle: Vec<Point> = (-8..=8)
+            .map(|k| Point::new(limit + f64::from(k) * 3.0, -limit + f64::from(k) * 3.0))
+            .collect();
+        check("straddling the clamp", &straddle, eps);
+        // Non-finite coordinates match nothing, themselves included.
+        let mut hostile = jitter(&mut rng, 60, 50.0, 50.0, 25.0);
+        hostile.extend([
+            Point::new(f64::NAN, 50.0),
+            Point::new(50.0, f64::NAN),
+            Point::new(f64::NAN, f64::NAN),
+            Point::new(f64::INFINITY, 50.0),
+            Point::new(f64::INFINITY, 50.0),
+            Point::new(f64::NEG_INFINITY, f64::INFINITY),
+            Point::new(50.0, f64::NEG_INFINITY),
+        ]);
+        check("non-finite", &hostile, eps);
+        check("empty", &[], eps);
+        check(
+            "dense again",
+            &jitter(&mut rng, 1_000, 40.0, -40.0, 200.0),
+            eps,
+        );
+    }
+
     /// The columnar (SoA) entry points agree exactly with the slice (AoS)
     /// path — same clusters, same noise, same labels — across random scenes
     /// and a scratch arena shared between the two layouts.
@@ -643,7 +887,7 @@ mod proptests {
             let params = random_params(&mut rng);
             let r = dbscan(&points, &params);
             let mut all: Vec<usize> = r.clusters.iter().flatten().copied().collect();
-            all.extend(&r.noise);
+            all.extend(r.noise());
             all.sort_unstable();
             assert_eq!(all, (0..points.len()).collect::<Vec<_>>());
         }
@@ -683,7 +927,7 @@ mod proptests {
             let params = random_params(&mut rng);
             let r = dbscan(&points, &params);
             let eps_sq = params.eps * params.eps;
-            for &i in &r.noise {
+            for i in r.noise() {
                 let degree = points
                     .iter()
                     .filter(|q| points[i].distance_sq(q) <= eps_sq)

@@ -135,18 +135,17 @@ impl PartialEq for SnapshotCluster {
 /// sharing a single column arena.
 ///
 /// Feed clusters either whole ([`Self::push_cluster`]) or member by member
-/// ([`Self::push_member`] / [`Self::end_cluster`]); `finish()` freezes the
-/// arenas behind `Arc`s and computes each cluster's cached MBR and centroid
-/// from its column range.
+/// ([`Self::push_member`] / [`Self::end_cluster`]); members go straight into
+/// the arena columns and a cluster is re-ordered only if it was not fed in
+/// object-id order.  `finish()` freezes the arenas behind `Arc`s and
+/// computes each cluster's cached MBR and centroid from its column range.
 #[derive(Debug)]
 pub struct SnapshotClusterSetBuilder {
     time: Timestamp,
     ids: Vec<ObjectId>,
-    cols: PointColumns,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
     ranges: Vec<(u32, u32)>,
-    /// The cluster currently being fed, buffered so its members can be
-    /// sorted by object id before being appended to the arenas.
-    pending: Vec<(ObjectId, f64, f64)>,
 }
 
 impl SnapshotClusterSetBuilder {
@@ -155,15 +154,22 @@ impl SnapshotClusterSetBuilder {
         SnapshotClusterSetBuilder {
             time,
             ids: Vec::new(),
-            cols: PointColumns::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
             ranges: Vec::new(),
-            pending: Vec::new(),
         }
+    }
+
+    /// Where the cluster currently being fed starts in the arena.
+    fn open_start(&self) -> usize {
+        self.ranges.last().map_or(0, |&(_, end)| end as usize)
     }
 
     /// Adds one member to the cluster currently being built.
     pub fn push_member(&mut self, id: ObjectId, x: f64, y: f64) {
-        self.pending.push((id, x, y));
+        self.ids.push(id);
+        self.xs.push(x);
+        self.ys.push(y);
     }
 
     /// Seals the cluster currently being built.
@@ -172,20 +178,22 @@ impl SnapshotClusterSetBuilder {
     ///
     /// Panics if no member was pushed since the last seal.
     pub fn end_cluster(&mut self) {
-        assert!(
-            !self.pending.is_empty(),
-            "a snapshot cluster cannot be empty"
-        );
-        // Stable sort by id, matching `SnapshotCluster::new`'s ordering for
-        // duplicate ids.
-        self.pending.sort_by_key(|&(id, _, _)| id);
-        let start = self.ids.len() as u32;
-        for &(id, x, y) in &self.pending {
-            self.ids.push(id);
-            self.cols.push_xy(x, y);
+        let start = self.open_start();
+        assert!(self.ids.len() > start, "a snapshot cluster cannot be empty");
+        if !self.ids[start..].windows(2).all(|w| w[0] <= w[1]) {
+            // Stable sort by id, so members with a duplicate id keep the
+            // order they were fed in.
+            let mut members: Vec<(ObjectId, f64, f64)> = (start..self.ids.len())
+                .map(|k| (self.ids[k], self.xs[k], self.ys[k]))
+                .collect();
+            members.sort_by_key(|&(id, _, _)| id);
+            for (k, (id, x, y)) in members.into_iter().enumerate() {
+                self.ids[start + k] = id;
+                self.xs[start + k] = x;
+                self.ys[start + k] = y;
+            }
         }
-        self.ranges.push((start, self.ids.len() as u32));
-        self.pending.clear();
+        self.ranges.push((start as u32, self.ids.len() as u32));
     }
 
     /// Appends a whole cluster from parallel member/point sequences.
@@ -213,11 +221,11 @@ impl SnapshotClusterSetBuilder {
     /// sealing [`Self::end_cluster`]).
     pub fn finish(self) -> SnapshotClusterSet {
         assert!(
-            self.pending.is_empty(),
+            self.open_start() == self.ids.len(),
             "unfinished cluster: call end_cluster() before finish()"
         );
         let ids: Arc<[ObjectId]> = self.ids.into();
-        let cols = Arc::new(self.cols);
+        let cols = Arc::new(PointColumns::from_vecs(self.xs, self.ys));
         let clusters = self
             .ranges
             .iter()
@@ -394,13 +402,10 @@ impl ClusterDatabase {
         t: Timestamp,
         scratch: &mut DbscanScratch,
     ) -> SnapshotClusterSet {
-        let snapshot = db.snapshot(t);
-        // Split the snapshot into coordinate columns once: DBSCAN scans them
-        // and the finished clusters' shared arena is filled from them.
-        let mut cols = PointColumns::with_capacity(snapshot.positions.len());
-        for (_, p) in &snapshot.positions {
-            cols.push(*p);
-        }
+        // The snapshot arrives as the columns DBSCAN scans; the clusters'
+        // shared arena is gathered from them.  Ids ascend along the snapshot
+        // and member indices along each cluster, so members arrive sorted.
+        let (ids, cols) = db.snapshot_columns(t);
         let result = {
             let _span = gpdt_obs::span!("dbscan.snapshot");
             dbscan_columns_with(cols.view(), params, scratch)
@@ -408,7 +413,7 @@ impl ClusterDatabase {
         let mut builder = SnapshotClusterSetBuilder::new(t);
         for member_indices in &result.clusters {
             for &i in member_indices {
-                builder.push_member(snapshot.positions[i].0, cols.xs()[i], cols.ys()[i]);
+                builder.push_member(ids[i], cols.xs()[i], cols.ys()[i]);
             }
             builder.end_cluster();
         }

@@ -126,14 +126,15 @@ impl Crowd {
     }
 
     /// Returns `true` if `self` appears in `other` as a contiguous window.
+    ///
+    /// Cluster ids carry their timestamp, so the window can only sit where
+    /// the start times put it: one slice comparison, no sliding.
     pub fn is_window_of(&self, other: &Crowd) -> bool {
-        if self.len() > other.len() {
+        let Some(offset) = self.start_time().checked_sub(other.start_time()) else {
             return false;
-        }
-        other
-            .clusters
-            .windows(self.len())
-            .any(|w| w == self.clusters.as_slice())
+        };
+        let offset = offset as usize;
+        other.clusters.get(offset..offset + self.len()) == Some(self.clusters.as_slice())
     }
 
     /// Returns `true` if the sequence satisfies all crowd requirements of
@@ -454,6 +455,32 @@ mod tests {
         assert_eq!(sub.end_time(), 5);
         assert!(sub.is_window_of(&extended));
         assert!(!extended.is_window_of(&sub));
+    }
+
+    #[test]
+    fn is_window_of_aligns_by_time() {
+        let ids = |start: u32, indices: &[usize]| -> Crowd {
+            Crowd::new(
+                indices
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &index)| ClusterId::new(start + k as u32, index))
+                    .collect(),
+            )
+        };
+        let whole = ids(10, &[0, 1, 2, 1, 0]);
+        assert!(whole.is_window_of(&whole));
+        assert!(ids(10, &[0, 1]).is_window_of(&whole), "prefix");
+        assert!(ids(13, &[1, 0]).is_window_of(&whole), "suffix");
+        assert!(ids(11, &[1, 2, 1]).is_window_of(&whole), "inside");
+        // Right ticks, another cluster; right clusters, other ticks.
+        assert!(!ids(11, &[1, 2, 2]).is_window_of(&whole));
+        assert!(!ids(12, &[1, 2, 1]).is_window_of(&whole));
+        // Starting before, ending after, or altogether elsewhere.
+        assert!(!ids(9, &[0, 0, 1]).is_window_of(&whole));
+        assert!(!ids(13, &[1, 0, 0]).is_window_of(&whole));
+        assert!(!ids(15, &[0]).is_window_of(&whole));
+        assert!(!ids(0, &[0]).is_window_of(&whole));
     }
 
     #[test]

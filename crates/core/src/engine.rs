@@ -60,12 +60,18 @@ use gpdt_clustering::{ClusterDatabase, StreamingClusterer};
 use gpdt_trajectory::{TimeInterval, Timestamp, TrajectoryDatabase};
 
 use crate::crowd::{Crowd, CrowdDiscovery};
-use crate::gathering::{detect_closed_gatherings, Gathering, TadVariant};
-use crate::incremental::update_gatherings;
+use crate::gathering::{detect_with_occurrence, CrowdOccurrence, Gathering, TadVariant};
+use crate::incremental::update_gatherings_with;
 use crate::par::{default_threads, par_map};
 use crate::params::GatheringConfig;
 use crate::pipeline::DiscoveryResult;
 use crate::range_search::RangeSearchStrategy;
+
+/// Gathering detection of one ingest step stays on the calling thread when
+/// its crowds have fewer clusters than this between them.  Detecting a crowd
+/// costs some tens of nanoseconds per cluster, starting a worker thread some
+/// tens of microseconds.
+const FAN_OUT_MIN_CLUSTERS: usize = 4096;
 
 /// One closed crowd together with its closed gatherings.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,6 +186,13 @@ pub struct GatheringEngine {
     /// `CS`), kept for extension; for those that are already closed crowds we
     /// cache their gatherings so the Theorem 2 update can reuse them.
     frontier: Vec<(Crowd, Vec<Gathering>)>,
+    /// The occurrence table of each frontier entry that is a closed crowd,
+    /// parallel to `frontier`: derived state (never serialised), carried so
+    /// that the next Theorem 2 update extends it by the new clusters instead
+    /// of rebuilding it from the crowd's first one.  `None` for sequences
+    /// still shorter than `kc` and after a restore; the table is then built
+    /// when the crowd is next detected.
+    frontier_tables: Vec<Option<CrowdOccurrence>>,
 }
 
 impl GatheringEngine {
@@ -198,6 +211,7 @@ impl GatheringEngine {
             cdb: ClusterDatabase::new(),
             finalized: Vec::new(),
             frontier: Vec::new(),
+            frontier_tables: Vec::new(),
         }
     }
 
@@ -372,6 +386,7 @@ impl GatheringEngine {
             clusterer,
             cdb,
             finalized,
+            frontier_tables: vec![None; frontier.len()],
             frontier,
         }
     }
@@ -454,6 +469,7 @@ impl GatheringEngine {
         // can be extended).
         let seeds: Vec<Crowd> = self.frontier.iter().map(|(c, _)| c.clone()).collect();
         let old_frontier = std::mem::take(&mut self.frontier);
+        let mut old_tables = std::mem::take(&mut self.frontier_tables);
         let discovery =
             CrowdDiscovery::new(self.config.crowd, self.strategy).with_threads(self.threads);
         let result = {
@@ -481,19 +497,69 @@ impl GatheringEngine {
             .filter(|c| c.lifetime() < self.config.crowd.kc)
             .collect();
 
+        // Each closed crowd that extends an old frontier crowd inherits that
+        // crowd's occurrence table, grown by the clusters it adds — moved to
+        // its last heir, cloned for the others where the crowd branched.
+        let span = gpdt_obs::span!("engine.gathering");
+        let prefixes: Vec<Option<usize>> = closed
+            .iter()
+            .map(|crowd| self.reusable_prefix(crowd, &old_frontier))
+            .collect();
+        let mut last_heir = vec![usize::MAX; old_frontier.len()];
+        for (i, prefix) in prefixes.iter().enumerate() {
+            if let Some(p) = *prefix {
+                last_heir[p] = i;
+            }
+        }
+        let mut inherited: Vec<Option<CrowdOccurrence>> = Vec::with_capacity(closed.len());
+        for (i, (crowd, prefix)) in closed.iter().zip(&prefixes).enumerate() {
+            inherited.push(prefix.and_then(|p| {
+                let mut table = if last_heir[p] == i {
+                    old_tables[p].take()
+                } else {
+                    old_tables[p].clone()
+                }?;
+                table.extend(crowd, &self.cdb);
+                Some(table)
+            }));
+        }
+        if gpdt_obs::enabled() {
+            let extended = inherited.iter().flatten().count();
+            gpdt_obs::counter!("engine.occurrence.extended").add(extended as u64);
+            gpdt_obs::counter!("engine.occurrence.rebuilt").add((closed.len() - extended) as u64);
+        }
+
         // Per-crowd gathering detection is independent across crowds: fan it
-        // out, preserving order.  Extensions of old frontier crowds reuse the
-        // prefix gatherings via the Theorem 2 update.
-        let closed_gatherings: Vec<Vec<Gathering>> = {
-            let _span = gpdt_obs::span!("engine.gathering");
-            par_map(&closed, self.threads, |crowd| {
-                self.detect_for(crowd, &old_frontier)
-            })
+        // out, preserving order — when there is enough of it to pay for
+        // starting threads, which a tick's handful of open crowds is not.
+        // Extensions of old frontier crowds reuse the prefix gatherings via
+        // the Theorem 2 update; a crowd without an inherited table builds
+        // its own here, in parallel.
+        let clusters_to_visit: usize = closed.iter().map(Crowd::len).sum();
+        let threads = if clusters_to_visit < FAN_OUT_MIN_CLUSTERS {
+            1
+        } else {
+            self.threads
         };
-        let leftover_gatherings = vec![Vec::new(); leftovers.len()];
+        let jobs: Vec<usize> = (0..closed.len()).collect();
+        let detected: Vec<(Vec<Gathering>, Option<CrowdOccurrence>)> =
+            par_map(&jobs, threads, |&i| {
+                let built = inherited[i]
+                    .is_none()
+                    .then(|| CrowdOccurrence::build(&closed[i], &self.cdb));
+                let table = built
+                    .as_ref()
+                    .or(inherited[i].as_ref())
+                    .expect("inherited or built");
+                let old = prefixes[i].map(|p| &old_frontier[p]);
+                (self.detect_for(&closed[i], table, old), built)
+            });
+        drop(span);
 
         let mut update = EngineUpdate::default();
-        for (crowd, gatherings) in closed.into_iter().zip(closed_gatherings) {
+        for ((crowd, (gatherings, built)), inherited) in
+            closed.into_iter().zip(detected).zip(inherited)
+        {
             update.merge(EngineUpdate {
                 new_closed_crowds: 1,
                 extended_from_frontier: usize::from(
@@ -507,46 +573,55 @@ impl GatheringEngine {
                 self.finalized.push(CrowdRecord { crowd, gatherings });
             } else {
                 self.frontier.push((crowd, gatherings));
+                self.frontier_tables.push(built.or(inherited));
             }
         }
         self.frontier
-            .extend(leftovers.into_iter().zip(leftover_gatherings));
+            .extend(leftovers.into_iter().map(|crowd| (crowd, Vec::new())));
+        self.frontier_tables.resize(self.frontier.len(), None);
         update
     }
 
-    /// Detects the closed gatherings of one crowd, reusing the cached
-    /// gatherings of the longest old frontier crowd it extends (Theorem 2);
-    /// falls back to a from-scratch Test-and-Divide otherwise.
-    fn detect_for(
+    /// The old frontier entry whose gatherings (and occurrence table) the
+    /// Theorem 2 update of `crowd` starts from: the longest old frontier
+    /// crowd that is a prefix of `crowd`, provided it was already a crowd.
+    fn reusable_prefix(
         &self,
         crowd: &Crowd,
         old_frontier: &[(Crowd, Vec<Gathering>)],
-    ) -> Vec<Gathering> {
-        let best_prefix = old_frontier
+    ) -> Option<usize> {
+        old_frontier
             .iter()
-            .filter(|(old, _)| {
+            .enumerate()
+            .filter(|(_, (old, _))| {
                 old.len() <= crowd.len() && old.cluster_ids() == &crowd.cluster_ids()[..old.len()]
             })
-            .max_by_key(|(old, _)| old.len());
-        match best_prefix {
-            Some((old, old_gatherings)) if old.lifetime() >= self.config.crowd.kc => {
-                update_gatherings(
-                    crowd,
-                    &self.cdb,
-                    old.len(),
-                    old_gatherings,
-                    &self.config.gathering,
-                    self.config.crowd.kc,
-                    self.variant,
-                )
-            }
-            _ => detect_closed_gatherings(
+            .max_by_key(|(_, (old, _))| old.len())
+            .filter(|(_, (old, _))| old.lifetime() >= self.config.crowd.kc)
+            .map(|(index, _)| index)
+    }
+
+    /// Detects the closed gatherings of one crowd from its occurrence
+    /// table, reusing the cached gatherings of the old frontier crowd it
+    /// extends (Theorem 2); a from-scratch Test-and-Divide otherwise.
+    fn detect_for(
+        &self,
+        crowd: &Crowd,
+        table: &CrowdOccurrence,
+        old: Option<&(Crowd, Vec<Gathering>)>,
+    ) -> Vec<Gathering> {
+        let (params, kc) = (&self.config.gathering, self.config.crowd.kc);
+        match old {
+            Some((old, old_gatherings)) => update_gatherings_with(
                 crowd,
-                &self.cdb,
-                &self.config.gathering,
-                self.config.crowd.kc,
+                table,
+                old.len(),
+                old_gatherings,
+                params,
+                kc,
                 self.variant,
             ),
+            None => detect_with_occurrence(crowd, table, params, kc, self.variant),
         }
     }
 

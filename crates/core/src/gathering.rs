@@ -14,19 +14,17 @@
 //!    recurse into every piece that is still long enough to be a crowd.
 //!
 //! **TAD\*** performs the same recursion but represents each object's
-//! occurrence as a [`BitVector`] signature built once for the whole crowd;
+//! occurrence as a bit-vector signature built once for the whole crowd;
 //! counting occurrences in a sub-crowd is then a masked population count and
 //! dividing is just a narrowing of the active range.
 //!
 //! A quadratic **brute-force** enumerator over all contiguous sub-crowds is
 //! provided as the baseline of the paper's Figure 7.
 
-use std::collections::HashMap;
-
 use gpdt_clustering::ClusterDatabase;
 use gpdt_trajectory::ObjectId;
 
-use crate::bvs::BitVector;
+use crate::bvs::popcount_tree;
 use crate::crowd::Crowd;
 use crate::params::GatheringParams;
 
@@ -106,16 +104,33 @@ impl Gathering {
 ///
 /// Row `i` is the bit-vector signature `B(o_i)` of the `i`-th distinct object
 /// appearing anywhere in the crowd: bit `j` is set iff the object is a member
-/// of the crowd's `j`-th snapshot cluster.  Built once per crowd and shared
-/// by every recursion level of TAD/TAD\* and by the incremental gathering
-/// update.
-#[derive(Debug, Clone)]
+/// of the crowd's `j`-th snapshot cluster.  Shared by every recursion level
+/// of TAD/TAD\* and by the incremental gathering update.
+///
+/// The table grows with its crowd: [`Self::extend`] appends the clusters a
+/// longer crowd adds, at the cost of those clusters alone, and
+/// [`Self::build`] is `extend` from the empty table.  The engine keeps one
+/// table per open crowd and extends it every tick instead of rebuilding it
+/// from the crowd's first cluster.  Everything is stored flat — signatures
+/// as fixed-stride words, cluster memberships as one CSR — so cloning a table
+/// where a crowd branches is a handful of `memcpy`s.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrowdOccurrence {
+    /// The distinct objects, in first-appearance order.
     objects: Vec<ObjectId>,
-    signatures: Vec<BitVector>,
-    /// Members of each cluster as indices into `objects`.
-    cluster_members: Vec<Vec<usize>>,
-    crowd_len: usize,
+    /// `(object, its index in objects)`, ascending by object: the lookup
+    /// side of [`Self::extend`].  Object ids come from outside the program,
+    /// so this is a sorted list rather than a map with a cheap hash.
+    by_id: Vec<(ObjectId, u32)>,
+    /// Signature words, object-major: object `i` owns
+    /// `words[i * stride..(i + 1) * stride]`.
+    words: Vec<u64>,
+    /// Words per signature; `64 * stride` is at least the crowd length.
+    stride: usize,
+    /// CSR over the clusters: cluster `j`'s members, as indices into
+    /// `objects`, are `members[member_starts[j]..member_starts[j + 1]]`.
+    member_starts: Vec<u32>,
+    members: Vec<u32>,
 }
 
 impl CrowdOccurrence {
@@ -125,36 +140,78 @@ impl CrowdOccurrence {
     ///
     /// Panics if the crowd references clusters missing from the database.
     pub fn build(crowd: &Crowd, cdb: &ClusterDatabase) -> Self {
-        let n = crowd.len();
-        let mut object_index: HashMap<ObjectId, usize> = HashMap::new();
-        let mut objects: Vec<ObjectId> = Vec::new();
-        let mut memberships: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for id in crowd.cluster_ids() {
+        let mut table = CrowdOccurrence {
+            objects: Vec::new(),
+            by_id: Vec::new(),
+            words: Vec::new(),
+            stride: 1,
+            member_starts: vec![0],
+            members: Vec::new(),
+        };
+        table.extend(crowd, cdb);
+        table
+    }
+
+    /// Appends the clusters `crowd` has beyond this table's length.
+    ///
+    /// The table must have been built for a prefix of `crowd`: only the
+    /// lengths are compared, the clusters already covered are not re-read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `crowd` is shorter than the table or references clusters
+    /// missing from the database.
+    pub fn extend(&mut self, crowd: &Crowd, cdb: &ClusterDatabase) {
+        let covered = self.crowd_len();
+        assert!(
+            covered <= crowd.len(),
+            "an occurrence table extends to a longer crowd, not a shorter one"
+        );
+        self.widen_signatures(crowd.len().div_ceil(64));
+        for (pos, id) in crowd.cluster_ids().iter().enumerate().skip(covered) {
             let cluster = cdb
                 .cluster(*id)
                 .expect("crowd references a cluster missing from the database");
-            let mut members = Vec::with_capacity(cluster.len());
+            // Members ascend by id, so each lookup searches only past the
+            // previous one's place (at it, for a repeated id).
+            let mut from = 0;
             for &obj in cluster.members() {
-                let idx = *object_index.entry(obj).or_insert_with(|| {
-                    objects.push(obj);
-                    objects.len() - 1
-                });
-                members.push(idx);
+                let idx = match self.by_id[from..].binary_search_by_key(&obj, |&(o, _)| o) {
+                    Ok(at) => {
+                        from += at;
+                        self.by_id[from].1
+                    }
+                    Err(at) => {
+                        from += at;
+                        let idx = self.objects.len() as u32;
+                        self.objects.push(obj);
+                        self.by_id.insert(from, (obj, idx));
+                        self.words.resize(self.words.len() + self.stride, 0);
+                        idx
+                    }
+                };
+                self.words[idx as usize * self.stride + pos / 64] |= 1 << (pos % 64);
+                self.members.push(idx);
             }
-            memberships.push(members);
+            self.member_starts.push(self.members.len() as u32);
         }
-        let mut signatures = vec![BitVector::zeros(n); objects.len()];
-        for (pos, members) in memberships.iter().enumerate() {
-            for &obj_idx in members {
-                signatures[obj_idx].set(pos, true);
-            }
+    }
+
+    /// Re-lays the signatures out at `stride` words each, if that is wider
+    /// than they are (once per 64 clusters of growth).
+    fn widen_signatures(&mut self, stride: usize) {
+        if stride <= self.stride {
+            return;
         }
-        CrowdOccurrence {
-            objects,
-            signatures,
-            cluster_members: memberships,
-            crowd_len: n,
+        let mut words = vec![0; self.objects.len() * stride];
+        for (wide, narrow) in words
+            .chunks_exact_mut(stride)
+            .zip(self.words.chunks_exact(self.stride))
+        {
+            wide[..self.stride].copy_from_slice(narrow);
         }
+        self.words = words;
+        self.stride = stride;
     }
 
     /// Number of distinct objects appearing in the crowd.
@@ -164,7 +221,7 @@ impl CrowdOccurrence {
 
     /// Number of snapshot clusters in the crowd.
     pub fn crowd_len(&self) -> usize {
-        self.crowd_len
+        self.member_starts.len() - 1
     }
 
     /// The distinct objects, in first-appearance order.
@@ -172,23 +229,50 @@ impl CrowdOccurrence {
         &self.objects
     }
 
-    /// The bit-vector signature of object `idx`.
-    pub fn signature(&self, idx: usize) -> &BitVector {
-        &self.signatures[idx]
+    /// Bit `pos` of the signature of object `idx`: is the object a member of
+    /// the crowd's `pos`-th cluster?
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` or `pos` is out of range.
+    pub fn occurs(&self, idx: usize, pos: usize) -> bool {
+        assert!(pos < self.crowd_len(), "cluster position out of range");
+        (self.signature(idx)[pos / 64] >> (pos % 64)) & 1 == 1
+    }
+
+    /// The signature words of object `idx`.
+    fn signature(&self, idx: usize) -> &[u64] {
+        &self.words[idx * self.stride..(idx + 1) * self.stride]
+    }
+
+    /// The members of cluster `pos`, as indices into [`Self::objects`].
+    fn members_of(&self, pos: usize) -> &[u32] {
+        &self.members[self.member_starts[pos] as usize..self.member_starts[pos + 1] as usize]
+    }
+
+    /// A signature-shaped mask with ones exactly in `[start, end)`.
+    fn range_mask(&self, start: usize, end: usize) -> Vec<u64> {
+        let mut mask = vec![0u64; self.stride];
+        for pos in start..end {
+            mask[pos / 64] |= 1 << (pos % 64);
+        }
+        mask
     }
 
     /// Occurrence count of object `idx` within positions `[start, end)`,
     /// counted naively (the TAD path).
     fn count_in_range_naive(&self, idx: usize, start: usize, end: usize) -> u32 {
-        (start..end)
-            .filter(|&pos| self.signatures[idx].get(pos))
-            .count() as u32
+        (start..end).filter(|&pos| self.occurs(idx, pos)).count() as u32
     }
 
     /// Occurrence count of object `idx` under `mask` using the word-parallel
     /// popcount (the TAD\* path).
-    fn count_in_mask(&self, idx: usize, mask: &BitVector) -> u32 {
-        self.signatures[idx].count_ones_masked(mask)
+    fn count_in_mask(&self, idx: usize, mask: &[u64]) -> u32 {
+        self.signature(idx)
+            .iter()
+            .zip(mask)
+            .map(|(&sig, &mask)| popcount_tree(sig & mask))
+            .sum()
     }
 }
 
@@ -212,11 +296,7 @@ fn test_range(
     end: usize,
     use_bvs: bool,
 ) -> TestOutcome {
-    let mask = if use_bvs {
-        Some(BitVector::range_mask(occ.crowd_len(), start, end))
-    } else {
-        None
-    };
+    let mask = use_bvs.then(|| occ.range_mask(start, end));
     // Step 1: find the participators of the sub-crowd.
     let is_participator: Vec<bool> = (0..occ.object_count())
         .map(|idx| {
@@ -230,9 +310,10 @@ fn test_range(
     // Step 2: every cluster of the sub-crowd needs at least mp participators.
     let mut invalid = Vec::new();
     for pos in start..end {
-        let participators_here = occ.cluster_members[pos]
+        let participators_here = occ
+            .members_of(pos)
             .iter()
-            .filter(|&&obj| is_participator[obj])
+            .filter(|&&obj| is_participator[obj as usize])
             .count();
         if participators_here < params.mp {
             invalid.push(pos);
@@ -492,11 +573,69 @@ mod tests {
                 .iter()
                 .position(|&o| o == ObjectId::new(obj))
                 .unwrap();
-            let sig = occ.signature(idx);
             for (pos, &bit) in bits.iter().enumerate() {
-                assert_eq!(sig.get(pos), bit == 1, "object o{obj} position {pos}");
+                assert_eq!(
+                    occ.occurs(idx, pos),
+                    bit == 1,
+                    "object o{obj} position {pos}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn extending_a_table_equals_building_it_for_the_longer_crowd() {
+        // Long enough to widen the signatures twice (past 64 and 128
+        // clusters); objects come and go, some ids repeat inside a cluster.
+        let mut state: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let memberships: Vec<Vec<u32>> = (0..150)
+            .map(|pos| {
+                let mut ids: Vec<u32> = (0..40u32)
+                    .filter(|id| (id + pos / 30) % 4 != 0 && next() % 3 != 0)
+                    .collect();
+                ids.push(100 + pos);
+                ids.push(7);
+                ids.push(7);
+                ids
+            })
+            .collect();
+        let refs: Vec<&[u32]> = memberships.iter().map(|v| v.as_slice()).collect();
+        let (cdb, crowd) = membership_database(&refs);
+        let whole = CrowdOccurrence::build(&crowd, &cdb);
+        assert_eq!(whole.crowd_len(), 150);
+        for (pos, members) in memberships.iter().enumerate() {
+            for (idx, object) in whole.objects().iter().enumerate() {
+                assert_eq!(whole.occurs(idx, pos), members.contains(&object.raw()));
+            }
+        }
+        // In one step, one cluster at a time, and in ragged steps.
+        for first in [1, 2, 63, 64, 65, 127, 128, 149] {
+            let mut table = CrowdOccurrence::build(&crowd.sub_crowd(0, first), &cdb);
+            table.extend(&crowd, &cdb);
+            assert_eq!(table, whole, "extended from {first} in one step");
+        }
+        let mut table = CrowdOccurrence::build(&crowd.sub_crowd(0, 1), &cdb);
+        let mut ragged = table.clone();
+        for len in 2..=150 {
+            table.extend(&crowd.sub_crowd(0, len), &cdb);
+            assert_eq!(
+                table,
+                CrowdOccurrence::build(&crowd.sub_crowd(0, len), &cdb)
+            );
+            if len % 7 == 0 || len == 150 {
+                ragged.extend(&crowd.sub_crowd(0, len), &cdb);
+                assert_eq!(ragged, table, "ragged steps up to {len}");
+            }
+        }
+        // Extending to the same crowd is a no-op.
+        table.extend(&crowd, &cdb);
+        assert_eq!(table, whole);
     }
 
     #[test]

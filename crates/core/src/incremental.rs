@@ -38,13 +38,37 @@ pub use crate::engine::{CrowdRecord, EngineUpdate as IncrementalUpdate};
 /// * `old_len` — the length of the old prefix (`n - i + 1`);
 /// * `old_gatherings` — the closed gatherings previously found in the prefix.
 ///
-/// The occurrence table is built for the whole extended crowd (signatures are
-/// built once, as in TAD\*); the old gatherings that Theorem 2 proves stable
-/// are copied over and Test-and-Divide only runs on the part to the right of
-/// the pivot invalid cluster.
+/// Builds the extended crowd's occurrence table from scratch; the engine,
+/// which carries each open crowd's table from tick to tick, runs the same
+/// update over the table it already has.
 pub fn update_gatherings(
     new_crowd: &Crowd,
     cdb: &ClusterDatabase,
+    old_len: usize,
+    old_gatherings: &[Gathering],
+    params: &GatheringParams,
+    kc: u32,
+    variant: TadVariant,
+) -> Vec<Gathering> {
+    let occ = CrowdOccurrence::build(new_crowd, cdb);
+    update_gatherings_with(
+        new_crowd,
+        &occ,
+        old_len,
+        old_gatherings,
+        params,
+        kc,
+        variant,
+    )
+}
+
+/// [`update_gatherings`] over the extended crowd's occurrence table `occ`:
+/// the old gatherings that Theorem 2 proves stable are copied over and
+/// Test-and-Divide only runs on the part to the right of the pivot invalid
+/// cluster.
+pub(crate) fn update_gatherings_with(
+    new_crowd: &Crowd,
+    occ: &CrowdOccurrence,
     old_len: usize,
     old_gatherings: &[Gathering],
     params: &GatheringParams,
@@ -55,17 +79,16 @@ pub fn update_gatherings(
         old_len <= new_crowd.len(),
         "old prefix cannot be longer than the extended crowd"
     );
-    let occ = CrowdOccurrence::build(new_crowd, cdb);
 
     if variant == TadVariant::BruteForce {
         // The brute-force enumerator has no divide step to restrict, so the
         // Theorem 2 shortcut does not apply; detect over the whole crowd.
-        return detect_with_occurrence(new_crowd, &occ, params, kc, variant);
+        return detect_with_occurrence(new_crowd, occ, params, kc, variant);
     }
 
     // Find the invalid clusters of the extended crowd (positions with fewer
     // than mp participators w.r.t. the whole extended crowd).
-    let invalid = crate::gathering::find_invalid_positions(&occ, params, 0, new_crowd.len());
+    let invalid = crate::gathering::find_invalid_positions(occ, params, 0, new_crowd.len());
 
     // The pivot: the right-most invalid cluster at a position ≤ old_len
     // (i.e. inside the old crowd or at the first new cluster, 0-based index
@@ -75,7 +98,7 @@ pub fn update_gatherings(
     let Some(pivot) = pivot else {
         // No invalid cluster in the reusable region: Theorem 2 gives no
         // shortcut, fall back to a full detection on the extended crowd.
-        return detect_with_occurrence(new_crowd, &occ, params, kc, variant);
+        return detect_with_occurrence(new_crowd, occ, params, kc, variant);
     };
 
     // Left of the pivot: the old closed gatherings there are still closed and
@@ -92,7 +115,7 @@ pub fn update_gatherings(
     if pivot + 1 < new_crowd.len() {
         result.extend(crate::gathering::detect_in_range(
             new_crowd,
-            &occ,
+            occ,
             params,
             kc,
             variant,

@@ -15,6 +15,29 @@
 
 use crate::point::Point;
 
+/// Cell indices from [`clamped_cell_index`] lie within `±CELL_INDEX_LIMIT`.
+pub const CELL_INDEX_LIMIT: i32 = 1 << 30;
+
+/// Floor of `v` — a coordinate divided by the cell side — clamped to
+/// `±CELL_INDEX_LIMIT`; NaN maps to `-CELL_INDEX_LIMIT` (`f64::max` returns
+/// its non-NaN operand).
+///
+/// The one coordinate-to-cell rule of the flat-key grids (the DBSCAN ε-grid,
+/// `gpdt-index`'s cluster grid): no coordinate, however far or non-finite,
+/// can overflow their neighbour arithmetic.  Clamping is monotone, so two
+/// points within a cell side of each other still land at most one cell
+/// apart; a cell on the limit is unbounded, which only matters to a caller
+/// that reads "same cell" as "near".
+#[inline]
+pub fn clamped_cell_index(v: f64) -> i32 {
+    let limit = f64::from(CELL_INDEX_LIMIT);
+    let clamped = v.max(-limit).min(limit);
+    // Adding 1.5·2⁵² leaves the nearest integer in the low mantissa bits: a
+    // float-to-int conversion that, unlike `as`, vectorises.
+    let nearest = (clamped + 6_755_399_441_055_744.0).to_bits() as u32 as i32;
+    nearest - i32::from(f64::from(nearest) > clamped)
+}
+
 /// Integer coordinates of a grid cell (column, row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellCoord {
@@ -192,6 +215,32 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn rejects_non_positive_delta() {
         let _ = GridGeometry::for_delta(0.0);
+    }
+
+    #[test]
+    fn clamped_cell_index_floors_and_saturates() {
+        for (v, cell) in [
+            (0.0, 0),
+            (-0.0, 0),
+            (0.999, 0),
+            (1.0, 1),
+            (-1e-9, -1),
+            (-1.0, -1),
+            (-1.5, -2),
+            (2.5, 2),
+            (123_456.75, 123_456),
+            (-123_456.75, -123_457),
+        ] {
+            assert_eq!(clamped_cell_index(v), cell, "floor of {v}");
+        }
+        let limit = CELL_INDEX_LIMIT;
+        assert_eq!(clamped_cell_index(f64::from(limit) - 0.5), limit - 1);
+        for v in [f64::from(limit), 1e15, 1e300, f64::INFINITY] {
+            assert_eq!(clamped_cell_index(v), limit, "{v} saturates");
+        }
+        for v in [-f64::from(limit), -1e15, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(clamped_cell_index(v), -limit, "{v} saturates");
+        }
     }
 
     #[test]

@@ -47,11 +47,12 @@
 //! exactly.  A NaN coordinate therefore never matches anything, exactly as in
 //! the brute-force Hausdorff test.
 
+use gpdt_geo::grid::clamped_cell_index;
 use gpdt_geo::simd::{self, KernelDispatch};
 use gpdt_geo::{GridGeometry, PointsView};
 
 /// Cell indices are clamped to `±CELL_LIMIT` per axis.
-const CELL_LIMIT: i32 = 1 << 30;
+const CELL_LIMIT: i32 = gpdt_geo::grid::CELL_INDEX_LIMIT;
 /// Flipping the sign bit biases an `i32` cell index into an order-preserving
 /// `u32`.
 const CELL_BIAS: u32 = 1 << 31;
@@ -63,16 +64,10 @@ const VACANT: u64 = 0;
 /// Fibonacci hashing multiplier (2⁶⁴/φ).
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Floor of `v`, clamped to `±CELL_LIMIT`; NaN maps to `-CELL_LIMIT`
-/// (`f64::max` returns its non-NaN operand).
+/// The biased cell index of `v` (see [`clamped_cell_index`]).
 #[inline]
 fn axis_cell(v: f64) -> u32 {
-    let clamped = v.max(-(CELL_LIMIT as f64)).min(CELL_LIMIT as f64);
-    // Adding 1.5·2⁵² leaves the nearest integer in the low mantissa bits: a
-    // float-to-int conversion that, unlike `as`, vectorises.
-    let nearest = (clamped + 6_755_399_441_055_744.0).to_bits() as u32 as i32;
-    let floor = nearest - i32::from(f64::from(nearest) > clamped);
-    floor as u32 ^ CELL_BIAS
+    clamped_cell_index(v) as u32 ^ CELL_BIAS
 }
 
 #[inline]

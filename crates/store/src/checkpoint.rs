@@ -183,12 +183,19 @@ impl EngineCheckpoint for GatheringEngine {
 
 /// Convenience wrapper: checkpoints an engine into a fresh byte vector.
 pub fn checkpoint_to_vec(engine: &GatheringEngine) -> Vec<u8> {
-    let _span = gpdt_obs::span!("store.checkpoint");
     let mut out = Vec::new();
-    engine
-        .checkpoint(&mut out)
-        .expect("writing to a Vec never fails");
+    checkpoint_into_vec(engine, &mut out);
     out
+}
+
+/// Checkpoints an engine into `out`, replacing its contents and reusing its
+/// allocation.
+pub(crate) fn checkpoint_into_vec(engine: &GatheringEngine, out: &mut Vec<u8>) {
+    let _span = gpdt_obs::span!("store.checkpoint");
+    out.clear();
+    engine
+        .checkpoint(out)
+        .expect("writing to a Vec never fails");
 }
 
 /// Convenience wrapper: restores an engine from a byte slice, requiring the

@@ -99,9 +99,9 @@
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::{Mutex, RwLock};
-use std::time::Duration;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::{Mutex, OnceLock, RwLock};
+use std::time::{Duration, Instant};
 
 use gpdt_clustering::ClusterDatabase;
 use gpdt_core::{CrowdRecord, GatheringEngine};
@@ -130,6 +130,39 @@ enum Command {
     FlightRecorder(SyncSender<String>),
 }
 
+/// How long either end of the service's channels polls for the other end's
+/// next message before it goes to sleep in the channel.
+///
+/// In a stream the worker's next batch, and the caller's flush
+/// acknowledgement, are tens of microseconds away — less than it costs to
+/// put a thread to sleep and wake it up again, twice a tick.  Anything
+/// further off (an idle stream, a checkpoint) is slept through as before.
+const HANDOFF_POLL: Duration = Duration::from_micros(200);
+
+/// `rx.recv()`, after polling for up to [`HANDOFF_POLL`] — on a machine with
+/// a second core for the sender to run on meanwhile.
+fn recv_soon<T>(rx: &Receiver<T>) -> Result<T, mpsc::RecvError> {
+    if has_second_core() {
+        let start = Instant::now();
+        while start.elapsed() < HANDOFF_POLL {
+            match rx.try_recv() {
+                Ok(message) => return Ok(message),
+                Err(TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+                Err(TryRecvError::Empty) => std::hint::spin_loop(),
+            }
+        }
+    }
+    rx.recv()
+}
+
+/// Whether this process may run on more than one core (asked once: the
+/// answer reads the scheduler's and the cgroup's limits).
+fn has_second_core() -> bool {
+    static SECOND_CORE: OnceLock<bool> = OnceLock::new();
+    *SECOND_CORE
+        .get_or_init(|| std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1))
+}
+
 /// The engine kinds [`MonitorService::run`] can drive: the single
 /// [`GatheringEngine`] and the partitioned
 /// [`ShardedEngine`].  The service only needs the
@@ -146,9 +179,10 @@ pub trait MonitoredEngine: Send {
     fn finalized_feed(&self) -> &[CrowdRecord];
     /// The cluster database the finalized records resolve against.
     fn resolve_database(&self) -> &ClusterDatabase;
-    /// Serialises a checkpoint of the complete discovery state.
-    fn checkpoint_bytes(&self) -> Vec<u8>;
-    /// Rebuilds an engine from [`MonitoredEngine::checkpoint_bytes`] output,
+    /// Serialises a checkpoint of the complete discovery state into `out`,
+    /// replacing its contents and reusing its allocation.
+    fn checkpoint_into(&self, out: &mut Vec<u8>);
+    /// Rebuilds an engine from [`MonitoredEngine::checkpoint_into`] output,
     /// carrying over `self`'s host-side knobs (threads, retention) that a
     /// checkpoint deliberately does not pin.
     ///
@@ -179,8 +213,8 @@ impl MonitoredEngine for GatheringEngine {
         self.cluster_database()
     }
 
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        crate::checkpoint::checkpoint_to_vec(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        crate::checkpoint::checkpoint_into_vec(self, out);
     }
 
     fn restore_bytes(&self, bytes: &[u8]) -> Result<Self, DecodeError> {
@@ -218,8 +252,8 @@ impl MonitoredEngine for ShardedEngine {
         self.cluster_database()
     }
 
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        crate::sharded::sharded_checkpoint_to_vec(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        crate::sharded::sharded_checkpoint_into_vec(self, out);
     }
 
     fn restore_bytes(&self, bytes: &[u8]) -> Result<Self, DecodeError> {
@@ -593,7 +627,8 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         degraded: &'a RwLock<Option<(u64, String)>>,
         policy: SupervisorPolicy,
     ) -> Self {
-        let recovery_ckpt = engine.checkpoint_bytes();
+        let mut recovery_ckpt = Vec::new();
+        engine.checkpoint_into(&mut recovery_ckpt);
         let rng = policy.jitter_seed | 1;
         IngestWorker {
             engine,
@@ -630,7 +665,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
             }
         }
 
-        while let Ok(command) = rx.recv() {
+        while let Ok(command) = recv_soon(&rx) {
             match command {
                 Command::Clusters(batch) => {
                     if self.is_degraded() {
@@ -883,8 +918,18 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         }
     }
 
+    /// Moves the panic-recovery point up to the engine's current state.
+    ///
+    /// The bytes go into the buffer of the previous recovery point — no
+    /// fresh multi-megabyte vector per refresh — grown up front by what a
+    /// checkpoint interval may add.  It still serialises the whole discovery
+    /// state, so a refresh costs in proportion to the history the engine
+    /// retains, not to what changed since the last one.
     fn refresh_recovery_ckpt(&mut self) {
-        self.recovery_ckpt = self.engine.checkpoint_bytes();
+        let previous = self.recovery_ckpt.len();
+        self.recovery_ckpt.clear();
+        self.recovery_ckpt.reserve(previous + previous / 8);
+        self.engine.checkpoint_into(&mut self.recovery_ckpt);
         self.replay.clear();
     }
 
@@ -1100,12 +1145,10 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                 Err(err) => return Err(ServiceError::Store(err)),
             }
         }
-        let bytes = self.engine.checkpoint_bytes();
         // A successful checkpoint is also the freshest possible panic
         // recovery point.
-        self.recovery_ckpt = bytes.clone();
-        self.replay.clear();
-        Ok(bytes)
+        self.refresh_recovery_ckpt();
+        Ok(self.recovery_ckpt.clone())
     }
 
     fn snapshot(&self) -> ServiceStats {
@@ -1172,7 +1215,7 @@ impl ServiceHandle<'_> {
         self.tx
             .send(Command::Flush(ack))
             .expect("the ingest worker outlives every handle");
-        wait.recv().expect("the ingest worker answers every flush");
+        recv_soon(&wait).expect("the ingest worker answers every flush");
     }
 
     /// Flushes, fsyncs the store and serialises the engine state — a
@@ -1841,8 +1884,8 @@ mod tests {
         fn resolve_database(&self) -> &ClusterDatabase {
             self.inner.resolve_database()
         }
-        fn checkpoint_bytes(&self) -> Vec<u8> {
-            self.inner.checkpoint_bytes()
+        fn checkpoint_into(&self, out: &mut Vec<u8>) {
+            self.inner.checkpoint_into(out);
         }
         fn restore_bytes(&self, bytes: &[u8]) -> Result<Self, DecodeError> {
             Ok(PanicOnNth {

@@ -167,10 +167,17 @@ impl EngineCheckpoint for ShardedEngine {
 /// Convenience wrapper: checkpoints a sharded engine into a byte vector.
 pub fn sharded_checkpoint_to_vec(engine: &ShardedEngine) -> Vec<u8> {
     let mut out = Vec::new();
-    engine
-        .checkpoint(&mut out)
-        .expect("writing to a Vec never fails");
+    sharded_checkpoint_into_vec(engine, &mut out);
     out
+}
+
+/// Checkpoints a sharded engine into `out`, replacing its contents and
+/// reusing its allocation.
+pub(crate) fn sharded_checkpoint_into_vec(engine: &ShardedEngine, out: &mut Vec<u8>) {
+    out.clear();
+    engine
+        .checkpoint(out)
+        .expect("writing to a Vec never fails");
 }
 
 /// Convenience wrapper: restores a sharded engine from a byte slice,

@@ -98,8 +98,8 @@ impl MonitoredEngine for PanicOnNth {
     fn resolve_database(&self) -> &ClusterDatabase {
         self.inner.resolve_database()
     }
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        self.inner.checkpoint_bytes()
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        self.inner.checkpoint_into(out);
     }
     fn restore_bytes(&self, bytes: &[u8]) -> Result<Self, DecodeError> {
         Ok(PanicOnNth {

@@ -1,8 +1,8 @@
 //! The moving-object (trajectory) database `ODB`.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
-use gpdt_geo::Point;
+use gpdt_geo::{Point, PointColumns};
 
 use crate::trajectory::{Sample, Trajectory};
 use crate::types::{ObjectId, TimeInterval, Timestamp};
@@ -46,6 +46,9 @@ impl Snapshot {
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryDatabase {
     trajectories: BTreeMap<ObjectId, Trajectory>,
+    /// The hull of all lifespans, kept current by [`Self::insert`] (the only
+    /// way a trajectory enters) so that reading it costs nothing.
+    domain: Option<TimeInterval>,
 }
 
 impl TrajectoryDatabase {
@@ -65,16 +68,20 @@ impl TrajectoryDatabase {
         db
     }
 
-    /// Inserts (or merges) a trajectory.
+    /// Inserts a trajectory, or merges it into the one already stored for
+    /// its object (samples at the same tick: the inserted one wins).
+    ///
+    /// Appending samples later than everything stored for the object — what
+    /// a stream does — costs the appended samples, not the stored history.
     pub fn insert(&mut self, trajectory: Trajectory) {
-        match self.trajectories.get_mut(&trajectory.id()) {
-            Some(existing) => {
-                let mut samples: Vec<Sample> = existing.samples().to_vec();
-                samples.extend_from_slice(trajectory.samples());
-                *existing = Trajectory::new(existing.id(), samples);
-            }
-            None => {
-                self.trajectories.insert(trajectory.id(), trajectory);
+        let span = trajectory.lifespan();
+        self.domain = Some(self.domain.map_or(span, |d| {
+            TimeInterval::new(d.start.min(span.start), d.end.max(span.end))
+        }));
+        match self.trajectories.entry(trajectory.id()) {
+            Entry::Occupied(existing) => existing.into_mut().merge(trajectory),
+            Entry::Vacant(slot) => {
+                slot.insert(trajectory);
             }
         }
     }
@@ -107,18 +114,7 @@ impl TrajectoryDatabase {
     /// The time domain `TDB`: the interval spanned by all lifespans, or
     /// `None` for an empty database.
     pub fn time_domain(&self) -> Option<TimeInterval> {
-        let mut min = Timestamp::MAX;
-        let mut max = Timestamp::MIN;
-        for t in self.trajectories.values() {
-            let l = t.lifespan();
-            min = min.min(l.start);
-            max = max.max(l.end);
-        }
-        if self.trajectories.is_empty() {
-            None
-        } else {
-            Some(TimeInterval::new(min, max))
-        }
+        self.domain
     }
 
     /// The snapshot of all object locations at tick `t`.
@@ -127,12 +123,31 @@ impl TrajectoryDatabase {
     /// an exact sample at `t` contribute a linearly interpolated virtual
     /// point, exactly as prescribed in §II of the paper.
     pub fn snapshot(&self, t: Timestamp) -> Snapshot {
-        let positions = self
-            .trajectories
+        let _span = gpdt_obs::span!("trajectory.snapshot");
+        Snapshot {
+            time: t,
+            positions: self.positions_at(t).collect(),
+        }
+    }
+
+    /// The snapshot at tick `t` as parallel columns — object ids, ascending,
+    /// and their locations — the layout snapshot clustering scans and
+    /// publishes, so nothing is converted on the way.
+    pub fn snapshot_columns(&self, t: Timestamp) -> (Vec<ObjectId>, PointColumns) {
+        let _span = gpdt_obs::span!("trajectory.snapshot");
+        let mut ids = Vec::with_capacity(self.len());
+        let mut cols = PointColumns::with_capacity(self.len());
+        for (id, position) in self.positions_at(t) {
+            ids.push(id);
+            cols.push(position);
+        }
+        (ids, cols)
+    }
+
+    fn positions_at(&self, t: Timestamp) -> impl Iterator<Item = (ObjectId, Point)> + '_ {
+        self.trajectories
             .values()
-            .filter_map(|traj| traj.position_at(t).map(|p| (traj.id(), p)))
-            .collect();
-        Snapshot { time: t, positions }
+            .filter_map(move |traj| traj.position_at(t).map(|p| (traj.id(), p)))
     }
 
     /// Restricts the database to trajectories of the given objects.
@@ -141,14 +156,9 @@ impl TrajectoryDatabase {
     /// the object population.
     pub fn filter_objects(&self, ids: &[ObjectId]) -> TrajectoryDatabase {
         let wanted: std::collections::BTreeSet<ObjectId> = ids.iter().copied().collect();
-        TrajectoryDatabase {
-            trajectories: self
-                .trajectories
-                .iter()
-                .filter(|(id, _)| wanted.contains(id))
-                .map(|(id, t)| (*id, t.clone()))
-                .collect(),
-        }
+        TrajectoryDatabase::from_trajectories(
+            self.iter().filter(|t| wanted.contains(&t.id())).cloned(),
+        )
     }
 
     /// Appends a batch of new trajectory data (the incremental-update
@@ -165,13 +175,7 @@ impl TrajectoryDatabase {
     /// Restricts the database to the given time interval, dropping objects
     /// with no samples inside it.
     pub fn slice_time(&self, interval: TimeInterval) -> TrajectoryDatabase {
-        TrajectoryDatabase {
-            trajectories: self
-                .trajectories
-                .iter()
-                .filter_map(|(id, t)| t.slice(interval).map(|s| (*id, s)))
-                .collect(),
-        }
+        TrajectoryDatabase::from_trajectories(self.iter().filter_map(|t| t.slice(interval)))
     }
 
     /// Total number of stored samples across all trajectories.
@@ -283,6 +287,48 @@ mod tests {
         assert_eq!(db.len(), 1);
         assert_eq!(db.get(ObjectId::new(1)).unwrap().len(), 2);
         assert_eq!(db.total_samples(), 2);
+    }
+
+    /// The time domain recomputed from the stored trajectories.
+    fn recomputed_domain(db: &TrajectoryDatabase) -> Option<TimeInterval> {
+        let start = db.iter().map(|t| t.lifespan().start).min()?;
+        let end = db.iter().map(|t| t.lifespan().end).max()?;
+        Some(TimeInterval::new(start, end))
+    }
+
+    #[test]
+    fn cached_domain_and_merges_match_a_rebuild_under_interleaved_inserts() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x91);
+        let mut db = TrajectoryDatabase::new();
+        // Every sample ever inserted, in insertion order: rebuilding each
+        // object with `Trajectory::new` (later observation wins) is the
+        // reference for both the appending and the merging path.
+        let mut inserted: BTreeMap<ObjectId, Vec<Sample>> = BTreeMap::new();
+        for round in 0u32..300 {
+            let id = ObjectId::new(rng.gen_range(0u32..6));
+            let last = db.get(id).map(|t| t.lifespan().end);
+            let start = match last {
+                // A stream's append: strictly after everything stored.
+                Some(last) if round % 3 != 0 => last + rng.gen_range(1u32..4),
+                // Anywhere: before, inside (overwriting ticks) or after.
+                _ => rng.gen_range(0u32..600),
+            };
+            let samples: Vec<Sample> = (0..rng.gen_range(1u32..5))
+                .map(|k| Sample::new(start + k * 2, Point::new(f64::from(round), f64::from(k))))
+                .collect();
+            inserted.entry(id).or_default().extend(&samples);
+            db.insert(Trajectory::new(id, samples));
+            assert_eq!(db.time_domain(), recomputed_domain(&db), "round {round}");
+        }
+        for (id, samples) in inserted {
+            assert_eq!(db.get(id), Some(&Trajectory::new(id, samples)));
+        }
+        let filtered = db.filter_objects(&[ObjectId::new(1), ObjectId::new(4)]);
+        assert_eq!(filtered.time_domain(), recomputed_domain(&filtered));
+        let sliced = db.slice_time(TimeInterval::new(100, 220));
+        assert_eq!(sliced.time_domain(), recomputed_domain(&sliced));
     }
 
     #[test]

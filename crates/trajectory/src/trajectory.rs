@@ -31,6 +31,10 @@ impl Sample {
 pub struct Trajectory {
     id: ObjectId,
     samples: Vec<Sample>,
+    /// First and last sample tick, kept beside the sample buffer's handle:
+    /// a position lookup checks them on every call and should not have to
+    /// fetch the buffer's two ends for it.
+    lifespan: TimeInterval,
 }
 
 impl Trajectory {
@@ -57,7 +61,12 @@ impl Trajectory {
                 false
             }
         });
-        Trajectory { id, samples }
+        let lifespan = TimeInterval::new(samples[0].time, samples[samples.len() - 1].time);
+        Trajectory {
+            id,
+            samples,
+            lifespan,
+        }
     }
 
     /// Convenience constructor from `(timestamp, (x, y))` pairs.
@@ -95,10 +104,7 @@ impl Trajectory {
     /// The lifespan `o.τ` of the object: the closed interval from the first
     /// to the last sample.
     pub fn lifespan(&self) -> TimeInterval {
-        TimeInterval::new(
-            self.samples.first().expect("non-empty").time,
-            self.samples.last().expect("non-empty").time,
-        )
+        self.lifespan
     }
 
     /// The location `o(t)` of the object at tick `t`.
@@ -107,31 +113,55 @@ impl Trajectory {
     /// `t` falls strictly inside the lifespan, the *virtual point* obtained
     /// by linear interpolation between the neighbouring samples; and `None`
     /// if `t` lies outside the lifespan (the object is not being tracked).
+    ///
+    /// The lookup first probes the interpolated index
+    /// `(t − t₀)·(n − 1)/(tₙ − t₀)`: on a regularly sampled trajectory (a GPS
+    /// feed) that is the sample at or just before `t`, so the call reads two
+    /// samples, O(1), and keeps no cursor between calls.  A miss falls back
+    /// to a binary search of the side of the probe `t` lies on.
     pub fn position_at(&self, t: Timestamp) -> Option<Point> {
-        let first = self.samples.first().expect("non-empty");
-        let last = self.samples.last().expect("non-empty");
-        if t < first.time || t > last.time {
-            return None;
+        let idx = self.floor_index(t)?;
+        let before = &self.samples[idx];
+        if before.time == t {
+            return Some(before.position);
         }
-        match self.samples.binary_search_by_key(&t, |s| s.time) {
-            Ok(idx) => Some(self.samples[idx].position),
-            Err(idx) => {
-                // `idx` is the insertion point: samples[idx - 1].time < t < samples[idx].time
-                let before = &self.samples[idx - 1];
-                let after = &self.samples[idx];
-                let span = (after.time - before.time) as f64;
-                let frac = (t - before.time) as f64 / span;
-                Some(before.position.lerp(&after.position, frac))
-            }
-        }
+        // `t` is inside the lifespan and past `before`, so a later sample exists.
+        let after = &self.samples[idx + 1];
+        let span = (after.time - before.time) as f64;
+        let frac = (t - before.time) as f64 / span;
+        Some(before.position.lerp(&after.position, frac))
     }
 
     /// The exact sample at tick `t`, without interpolation.
     pub fn sample_at(&self, t: Timestamp) -> Option<&Sample> {
-        self.samples
-            .binary_search_by_key(&t, |s| s.time)
-            .ok()
-            .map(|idx| &self.samples[idx])
+        let sample = &self.samples[self.floor_index(t)?];
+        (sample.time == t).then_some(sample)
+    }
+
+    /// Index of the last sample at or before `t`, or `None` if `t` lies
+    /// outside the lifespan: the probe-then-search of [`Self::position_at`].
+    fn floor_index(&self, t: Timestamp) -> Option<usize> {
+        let samples = &self.samples;
+        let last = samples.len() - 1;
+        let (t0, tn) = (self.lifespan.start, self.lifespan.end);
+        if t < t0 || t > tn {
+            return None;
+        }
+        if last == 0 {
+            return Some(0);
+        }
+        // `last ≤ tn − t0 < 2³²` (timestamps are strictly increasing), so the
+        // product fits in 64 bits and the quotient is at most `last`.
+        let probe = (u64::from(t - t0) * last as u64 / u64::from(tn - t0)) as usize;
+        let at_or_before = |s: &Sample| s.time <= t;
+        Some(if samples[probe].time > t {
+            // `samples[0].time ≤ t`, so the partition point is at least 1.
+            samples[..probe].partition_point(at_or_before) - 1
+        } else if probe < last && samples[probe + 1].time <= t {
+            probe + samples[probe + 1..].partition_point(at_or_before)
+        } else {
+            probe
+        })
     }
 
     /// Appends a sample; it must be strictly later than the current last
@@ -144,15 +174,33 @@ impl Trajectory {
     /// Returns an error if `sample.time` is not strictly greater than the
     /// last sample's timestamp.
     pub fn append(&mut self, sample: Sample) -> Result<(), AppendError> {
-        let last = self.samples.last().expect("non-empty");
-        if sample.time <= last.time {
+        if sample.time <= self.lifespan.end {
             return Err(AppendError {
-                last: last.time,
+                last: self.lifespan.end,
                 attempted: sample.time,
             });
         }
         self.samples.push(sample);
+        self.lifespan.end = sample.time;
         Ok(())
+    }
+
+    /// Merges another trajectory of the same object into this one, a sample
+    /// of `other` replacing one of `self` at the same tick.
+    ///
+    /// When `other` starts after `self` ends — the only case a stream
+    /// produces — its samples are appended in place; otherwise the union is
+    /// re-sorted and deduplicated as in [`Trajectory::new`].
+    pub(crate) fn merge(&mut self, other: Trajectory) {
+        debug_assert_eq!(self.id, other.id, "merging different objects");
+        if other.lifespan.start > self.lifespan.end {
+            self.samples.extend_from_slice(&other.samples);
+            self.lifespan.end = other.lifespan.end;
+        } else {
+            let mut samples = std::mem::take(&mut self.samples);
+            samples.extend_from_slice(&other.samples);
+            *self = Trajectory::new(self.id, samples);
+        }
     }
 
     /// Total polyline length in metres (sum of inter-sample distances).
@@ -309,6 +357,127 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.lifespan(), TimeInterval::new(10, 20));
         assert!(t.slice(TimeInterval::new(30, 40)).is_none());
+    }
+
+    /// The binary search `position_at` used before it probed: the reference
+    /// the probing lookup must match bit for bit.
+    fn position_at_reference(traj: &Trajectory, t: Timestamp) -> Option<Point> {
+        let samples = traj.samples();
+        if t < samples[0].time || t > samples[samples.len() - 1].time {
+            return None;
+        }
+        match samples.binary_search_by_key(&t, |s| s.time) {
+            Ok(idx) => Some(samples[idx].position),
+            Err(idx) => {
+                let (before, after) = (&samples[idx - 1], &samples[idx]);
+                let span = (after.time - before.time) as f64;
+                let frac = (t - before.time) as f64 / span;
+                Some(before.position.lerp(&after.position, frac))
+            }
+        }
+    }
+
+    /// Checks `position_at` and `sample_at` against the reference at every
+    /// tick of the lifespan (`probes` of them when it is huge), its two ends
+    /// and the ticks just outside.
+    fn assert_matches_reference(traj: &Trajectory, probes: u32) {
+        let life = traj.lifespan();
+        let step = ((life.end - life.start) / probes).max(1);
+        let inside = (life.start..=life.end).step_by(step as usize);
+        let around = [
+            life.start.checked_sub(1),
+            Some(life.start),
+            Some(life.end),
+            life.end.checked_add(1),
+            Some(0),
+            Some(Timestamp::MAX),
+        ];
+        let sample_ticks = traj
+            .samples()
+            .iter()
+            .flat_map(|s| [s.time.checked_sub(1), Some(s.time), s.time.checked_add(1)]);
+        for t in inside.chain(around.into_iter().chain(sample_ticks).flatten()) {
+            let got = traj.position_at(t);
+            let want = position_at_reference(traj, t);
+            assert_eq!(
+                got.map(|p| (p.x.to_bits(), p.y.to_bits())),
+                want.map(|p| (p.x.to_bits(), p.y.to_bits())),
+                "object {} at t={t}",
+                traj.id()
+            );
+            let sampled = traj.samples().iter().find(|s| s.time == t);
+            assert_eq!(traj.sample_at(t), sampled, "sample_at t={t}");
+        }
+    }
+
+    fn wobbly(t: Timestamp) -> (f64, f64) {
+        let t = f64::from(t);
+        (t * 0.37 + (t * 0.01).sin() * 1e4, 1e5 - t * 1.13)
+    }
+
+    #[test]
+    fn position_at_equals_reference_search_on_every_sampling_shape() {
+        let id = ObjectId::new(9);
+        let from_ticks = |ticks: Vec<Timestamp>| {
+            Trajectory::from_points(id, ticks.into_iter().map(|t| (t, wobbly(t))))
+        };
+        // Dense (the probe hits), regular with a stride (the probe brackets),
+        // with a gap, front- and back-loaded (the probe lands far off on
+        // either side), one and two samples.
+        assert_matches_reference(&from_ticks((100..1540).collect()), u32::MAX);
+        assert_matches_reference(&from_ticks((0..400).map(|i| 7 + i * 5).collect()), u32::MAX);
+        assert_matches_reference(&from_ticks((0..300).chain(900..1200).collect()), u32::MAX);
+        assert_matches_reference(
+            &from_ticks((0..200).chain([5_000, 5_001, 9_999]).collect()),
+            u32::MAX,
+        );
+        assert_matches_reference(
+            &from_ticks([3, 4_000].into_iter().chain(9_800..10_000).collect()),
+            u32::MAX,
+        );
+        assert_matches_reference(&from_ticks(vec![42]), u32::MAX);
+        assert_matches_reference(&from_ticks(vec![42, 43]), u32::MAX);
+        assert_matches_reference(&from_ticks(vec![10, 90]), u32::MAX);
+    }
+
+    #[test]
+    fn position_at_equals_reference_search_on_random_irregular_trajectories() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x84);
+        for round in 0..200 {
+            let n = rng.gen_range(1..80);
+            // Mixed strides: runs of consecutive ticks between long jumps.
+            let mut t = rng.gen_range(0u32..50);
+            let mut ticks = Vec::with_capacity(n);
+            for _ in 0..n {
+                ticks.push(t);
+                t += if rng.gen_bool(0.7) {
+                    1
+                } else {
+                    rng.gen_range(2..400)
+                };
+            }
+            let traj = Trajectory::from_points(
+                ObjectId::new(round),
+                ticks.into_iter().map(|t| (t, wobbly(t))),
+            );
+            assert_matches_reference(&traj, u32::MAX);
+        }
+    }
+
+    #[test]
+    fn position_at_probe_does_not_overflow_near_the_timestamp_limit() {
+        let id = ObjectId::new(9);
+        let max = Timestamp::MAX;
+        // A lifespan as wide as the time domain, densely sampled at its far
+        // end: `(t − t₀)·(n − 1)` exceeds 32 bits by a wide margin.
+        let ticks = [0, 1, 2].into_iter().chain(max - 5_000..=max);
+        let wide = Trajectory::from_points(id, ticks.map(|t| (t, wobbly(t))));
+        assert_matches_reference(&wide, 4_096);
+        let late = Trajectory::from_points(id, (max - 300..=max).map(|t| (t, wobbly(t))));
+        assert_matches_reference(&late, u32::MAX);
+        assert_eq!(late.position_at(max - 301), None);
     }
 
     #[test]
