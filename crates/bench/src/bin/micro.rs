@@ -18,6 +18,14 @@
 //!   replaced), the DBSCAN ε-grid build on its own (table vs the sparse-box
 //!   sort), and an occurrence table extended by one cluster vs rebuilt.
 //!
+//! * **The sharded engine's per-tick extras** — the cross-edge scan over
+//!   boundary pairs against the whole-tick index and searches it replaced
+//!   (at 50 and at 2 000 clusters a tick, and with every cluster boundary
+//!   under the hash partitioner, so the far end is on record), one tick of
+//!   the merge replay's open paths by scan and by index (where its choice
+//!   crosses over), and the supervisor's history-free shard snapshot
+//!   against the engine clone it replaced.
+//!
 //! Each kernel additionally runs in both point layouts — structure-of-arrays
 //! columns ([`gpdt_geo::PointColumns`]) and the interleaved `&[Point]` slice
 //! — through the same generic code path, isolating the layout effect.
@@ -30,17 +38,22 @@
 use criterion::{black_box, Criterion};
 use gpdt_bench::report::{BenchReport, Table};
 use gpdt_clustering::dbscan::dbscan_hashgrid;
+use gpdt_clustering::ClusterDatabase;
 use gpdt_clustering::{
     dbscan_columns_with, dbscan_with, ClusteringParams, DbscanScratch, SnapshotCluster,
     SnapshotClusterSet,
 };
-use gpdt_core::{CrowdOccurrence, RangeSearchStrategy, SearcherScratch, TickSearcher};
+use gpdt_core::{
+    CrowdOccurrence, CrowdParams, GatheringConfig, GatheringParams, RangeSearchStrategy,
+    SearcherScratch, TickSearcher,
+};
 use gpdt_geo::hausdorff::{hausdorff_within_bruteforce_access, hausdorff_within_bucketed_access};
 use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
 use gpdt_geo::{
     bucketed_pair_cutoff, hausdorff_within_bruteforce, hausdorff_within_bucketed,
     hausdorff_within_views, Point, PointColumns,
 };
+use gpdt_shard::{cross_edges, GridPartitioner, Partitioner, ShardedEngine, TickLayout};
 use gpdt_trajectory::{ObjectId, Timestamp, Trajectory};
 use gpdt_workload::{generate_scenario, ScenarioConfig, Weather};
 use rand::rngs::StdRng;
@@ -412,6 +425,181 @@ fn bench_tick_stages(c: &mut Criterion) {
     group.finish();
 }
 
+/// `count` blobs of 30 taxis scattered over a map that grows with `count`
+/// (about one blob per 1.3 km², the density of the e2e archive), and the same
+/// blobs one tick later, each drifted by up to a third of δ.
+fn consecutive_ticks(
+    rng: &mut StdRng,
+    count: usize,
+    delta: f64,
+) -> (SnapshotClusterSet, SnapshotClusterSet) {
+    let half = (count as f64 * 1.3e6).sqrt() / 2.0;
+    let mut ticks = [Vec::new(), Vec::new()];
+    for i in 0..count as u32 {
+        let (cx, cy) = (rng.gen_range(-half..half), rng.gen_range(-half..half));
+        let (dx, dy) = (
+            rng.gen_range(-delta / 3.0..delta / 3.0),
+            rng.gen_range(-delta / 3.0..delta / 3.0),
+        );
+        let before = blob(rng, cx, cy, 30, 120.0);
+        let after: Vec<Point> = before
+            .iter()
+            .map(|p| Point::new(p.x + dx, p.y + dy))
+            .collect();
+        for (t, points) in [before, after].into_iter().enumerate() {
+            let members = (0..30).map(|k| ObjectId::new(i * 100 + k)).collect();
+            ticks[t].push(SnapshotCluster::new(t as Timestamp, members, points));
+        }
+    }
+    let [clusters, next] = ticks;
+    (
+        SnapshotClusterSet { time: 0, clusters },
+        SnapshotClusterSet {
+            time: 1,
+            clusters: next,
+        },
+    )
+}
+
+/// What sharding adds to a tick and to a batch: finding the cross-shard
+/// edges, and keeping something to rebuild a lost shard from.
+fn bench_shard(c: &mut Criterion, rng: &mut StdRng) {
+    let (mc, delta, shards) = (8, 200.0, 2);
+    let mut group = c.benchmark_group("shard_cross_edges");
+    for (label, partitioner, count) in [
+        ("grid", Partitioner::Grid(GridPartitioner::new(1_500.0)), 50),
+        (
+            "grid",
+            Partitioner::Grid(GridPartitioner::new(1_500.0)),
+            2_000,
+        ),
+        ("hash", Partitioner::HashByObject, 2_000),
+    ] {
+        let (tails, heads) = consecutive_ticks(rng, count, delta);
+        let tail_layout = TickLayout::build(&tails, &partitioner, delta, shards);
+        let head_layout = TickLayout::build(&heads, &partitioner, delta, shards);
+        group.bench_function(format!("boundary_pairs/{label}/{count}"), |b| {
+            b.iter(|| {
+                cross_edges(
+                    (&tail_layout, black_box(&tails)),
+                    (&head_layout, black_box(&heads)),
+                    mc,
+                    delta,
+                )
+            })
+        });
+        // What the merge replay did before: index the whole tick, search it
+        // from every boundary tail, keep the results on another shard.
+        let boundary: Vec<(usize, usize)> = (0..count)
+            .filter(|&g| partitioner.is_boundary(&tails.clusters[g], delta, shards))
+            .map(|g| (g, partitioner.shard_of(&tails.clusters[g], shards)))
+            .collect();
+        let head_shards: Vec<usize> = heads
+            .clusters
+            .iter()
+            .map(|c| partitioner.shard_of(c, shards))
+            .collect();
+        let mut scratch = SearcherScratch::new();
+        let mut near = Vec::new();
+        group.bench_function(format!("index_and_search/{label}/{count}"), |b| {
+            b.iter(|| {
+                let searcher = TickSearcher::build_with(
+                    RangeSearchStrategy::Grid,
+                    black_box(&heads),
+                    delta,
+                    &mut scratch,
+                );
+                let mut edges = Vec::new();
+                for &(g, shard) in &boundary {
+                    searcher.search_into(&tails.clusters[g], &mut near);
+                    edges.extend(
+                        near.iter()
+                            .filter(|&&d| head_shards[d] != shard)
+                            .map(|&d| (g, d)),
+                    );
+                }
+                edges
+            })
+        });
+    }
+    group.finish();
+
+    // One tick of the merge replay: every open tainted path probes the tick
+    // for its continuations, with the early-exit scan (an MBR test per path
+    // and cluster) or through an index built over the tick first — where
+    // the replay's choice between the two crosses over.
+    let (mut scratch, mut near) = (SearcherScratch::new(), Vec::new());
+    let mut group = c.benchmark_group("shard_merge_advance");
+    for (count, paths) in [
+        (200usize, 16usize),
+        (200, 200),
+        (2_000, 200),
+        (2_000, 2_000),
+    ] {
+        let (lasts, tick) = consecutive_ticks(rng, count, delta);
+        for (label, strategy) in [
+            ("scan", RangeSearchStrategy::BruteForce),
+            ("index", RangeSearchStrategy::Grid),
+        ] {
+            group.bench_function(format!("{label}/{count}x{paths}"), |b| {
+                b.iter(|| {
+                    let tick = black_box(&tick);
+                    let searcher = TickSearcher::build_with(strategy, tick, delta, &mut scratch);
+                    let mut continuations = 0;
+                    for last in &lasts.clusters[..paths] {
+                        searcher.search_into(last, &mut near);
+                        continuations += near.len();
+                    }
+                    continuations
+                })
+            });
+        }
+    }
+    group.finish();
+
+    // A shard engine with 100 and with 1 000 resident ticks of 48 lingering
+    // blobs (a kilometre apart, so each is one long crowd): the state a
+    // snapshot keeps now, and the clone it used to be.
+    let config = GatheringConfig::builder()
+        .clustering(ClusteringParams::paper_default())
+        .crowd(CrowdParams::new(mc, 10, delta))
+        .gathering(GatheringParams::new(5, 6))
+        .build()
+        .expect("valid thresholds");
+    let blobs: Vec<Vec<Point>> = (0..48)
+        .map(|i| {
+            blob(
+                rng,
+                f64::from(i % 8) * 1_000.0,
+                f64::from(i / 8) * 1_000.0,
+                30,
+                120.0,
+            )
+        })
+        .collect();
+    let mut group = c.benchmark_group("shard_snapshot");
+    for resident in [100u32, 1_000] {
+        let sets = (0..resident).map(|t| SnapshotClusterSet {
+            time: t,
+            clusters: (0..48u32)
+                .map(|i| {
+                    let members = (0..30).map(|k| ObjectId::new(i * 100 + k)).collect();
+                    SnapshotCluster::new(t, members, blobs[i as usize].clone())
+                })
+                .collect(),
+        });
+        let mut engine = ShardedEngine::new(config, 1, Partitioner::HashByObject);
+        engine.ingest_clusters(ClusterDatabase::from_sets(sets.collect()));
+        group.bench_function(format!("history_free/{resident}"), |b| {
+            b.iter(|| black_box(&engine).shard_states())
+        });
+        group.bench_function(format!("engine_clone/{resident}"), |b| {
+            b.iter(|| black_box(&engine).shard_engines().to_vec())
+        });
+    }
+    group.finish();
+}
+
 /// Mean time of the report entry whose name starts with `prefix`, in ns.
 fn mean_ns(c: &Criterion, prefix: &str) -> Option<f64> {
     c.reports()
@@ -576,6 +764,7 @@ fn main() {
     bench_tick_searcher(&mut criterion, &mut rng);
     bench_simd_kernels(&mut criterion, &mut rng);
     bench_tick_stages(&mut criterion);
+    bench_shard(&mut criterion, &mut rng);
 
     let mut report = BenchReport::new("micro");
     let mut results = Table::new("Microbenchmarks — mean ns per iteration", &["bench", "ns"]);
@@ -626,6 +815,27 @@ fn main() {
             "grid search (bucket reuse vs SR)",
             "grid_index_search/bucket_reuse",
             "grid_index_search/sr",
+        ),
+        // The sharded engine's cross-edge scan and supervision snapshot.
+        (
+            "shard cross edges (grid, 50 clusters a tick)",
+            "shard_cross_edges/boundary_pairs/grid/50",
+            "shard_cross_edges/index_and_search/grid/50",
+        ),
+        (
+            "shard cross edges (grid, 2000 clusters a tick)",
+            "shard_cross_edges/boundary_pairs/grid/2000",
+            "shard_cross_edges/index_and_search/grid/2000",
+        ),
+        (
+            "shard cross edges (hash, 2000 clusters a tick)",
+            "shard_cross_edges/boundary_pairs/hash/2000",
+            "shard_cross_edges/index_and_search/hash/2000",
+        ),
+        (
+            "shard snapshot (1000 resident ticks)",
+            "shard_snapshot/history_free/1000",
+            "shard_snapshot/engine_clone/1000",
         ),
         // The set-up stages of a monitoring tick.
         (

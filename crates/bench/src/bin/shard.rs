@@ -8,9 +8,10 @@
 //! hidden**: on a single-core host the sharded rows cannot beat the
 //! baseline, and the overhead column is exactly why.
 //!
-//! A final row runs the `hash-by-object` fallback partitioner, whose merge
-//! degenerates towards a full sweep (every cluster is boundary-adjacent);
-//! it is included to keep the cost of giving up spatial locality honest.
+//! Every shard count runs twice: under the spatial grid partitioner and
+//! under the `hash-by-object` fallback, whose merge degenerates towards a
+//! full sweep (every cluster is boundary-adjacent) — included to keep the
+//! cost of giving up spatial locality honest.
 //!
 //! Sizes honour `GPDT_SCALE`; scratch and report locations honour
 //! `GPDT_SCRATCH_DIR` / `GPDT_BENCH_DIR` (see `gpdt_bench::env`).  Run with
@@ -98,30 +99,32 @@ fn main() {
         secs(single_time)
     );
 
-    let grid = Partitioner::Grid(GridPartitioner::new(1_500.0));
-    for &shards in &shard_counts {
-        run_sharded(
-            &mut table, opts, &batches, config, shards, grid, work, &reference,
-        );
-    }
-    // The locality-oblivious fallback, at the largest shard count.
-    run_sharded(
-        &mut table,
-        opts,
-        &batches,
-        config,
-        *shard_counts.last().expect("non-empty"),
+    // Every shard count under the spatial partitioner and under the
+    // locality-oblivious fallback.
+    for partitioner in [
+        Partitioner::Grid(GridPartitioner::new(1_500.0)),
         Partitioner::HashByObject,
-        work,
-        &reference,
-    );
+    ] {
+        for &shards in &shard_counts {
+            run_sharded(
+                &mut table,
+                opts,
+                &batches,
+                config,
+                shards,
+                partitioner,
+                work,
+                &reference,
+            );
+        }
+    }
 
     report.print_and_add(table);
     report.write_logged();
     println!(
         "Expected shape: on a multi-core host the grid rows overtake the single engine as \
          shards approach the core count while merge overhead stays in single-digit percent; \
-         the hash row shows the fallback's merge approaching a full sweep.  On one core the \
+         the hash rows show the fallback's merge approaching a full sweep.  On one core the \
          sharded rows pay the merge overhead with nothing to parallelise against."
     );
 }

@@ -391,6 +391,16 @@ impl GatheringEngine {
         }
     }
 
+    /// Sets the [`EngineStats::ticks_ingested`] count, which
+    /// [`Self::from_parts`] starts at zero: a shard engine its supervisor
+    /// reassembled mid-stream goes on counting where the lost one stopped.
+    /// Part of that restore door, not of the builder surface.
+    #[doc(hidden)]
+    pub fn with_ticks_ingested(mut self, ticks: u64) -> Self {
+        self.ticks_ingested = ticks;
+        self
+    }
+
     /// The time interval ingested so far, or `None` before the first batch.
     pub fn time_domain(&self) -> Option<TimeInterval> {
         self.cdb.time_domain()

@@ -5,31 +5,40 @@
 //!
 //! ```text
 //!                        global cluster batch
+//!                               │  Partitioner, per tick: shard, local index,
+//!                               ▼  boundary flag of every cluster
+//!          global ClusterDatabase + TickLayout ring     (the one copy of history)
 //!                               │
-//!                    ┌──────────┴──────────┐  Partitioner (per tick)
+//!          1. cross edges, before any shard runs: boundary(t-1) × boundary(t)
+//!             pairs of different shards, both ≥ mc, MBR dmin ≤ δ, then dH ≤ δ
+//!                    ┌──────────┴──────────┐
 //!                    ▼                     ▼
-//!              shard 0 batch   ...   shard N-1 batch      (+ per-tick layout,
-//!                    │                     │                boundary flags)
-//!              GatheringEngine       GatheringEngine       parked threads,
-//!              (observer logs        (observer logs        one per shard
-//!               boundary prefixes)    boundary prefixes)
+//!              shard 0 sets    ...   shard N-1 sets       derived through the
+//!              GatheringEngine       GatheringEngine      layouts; parked threads,
+//!              (observer logs the    (observer logs the   one per shard
+//!               candidates ending     candidates ending
+//!               at a cross tail)      at a cross tail)
 //!                    └──────────┬──────────┘
 //!                               ▼
-//!                        merge replay (sequential, per tick):
-//!                          1. find cross-shard edges among boundary clusters
-//!                          2. splice logged prefixes onto cross extensions
-//!                          3. extend tainted paths against the global tick
+//!          2. merge replay (sequential; only ticks with an edge or an open path):
+//!               splice the logged prefixes onto the edges,
+//!               extend the tainted paths against the global tick
 //!                               │
 //!                               ▼
 //!            finalized records = filtered shard output ∪ merged paths
 //! ```
+//!
+//! A shard's cluster database is a view of the global one through the
+//! layouts' `to_global` tables, so nothing else holds a copy of it: the
+//! supervision snapshot and the `gpdt-store` checkpoint keep a
+//! [`ShardState`] per shard and derive the shard's database again when they
+//! need the engine back.
 
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use gpdt_clustering::{ClusterDatabase, ClusterId, SnapshotClusterSet, StreamingClusterer};
+use gpdt_clustering::{ClusterDatabase, ClusterId, StreamingClusterer};
 use gpdt_core::par::par_map;
 use gpdt_core::{
     canonical_crowd_order, canonical_gathering_order, detect_closed_gatherings, Crowd, CrowdRecord,
@@ -38,92 +47,52 @@ use gpdt_core::{
 };
 use gpdt_trajectory::{TimeInterval, Timestamp, TrajectoryDatabase};
 
+use crate::history::{cross_edges, records_resolve, resolves, History, ShardState, TickLayout};
 use crate::partition::Partitioner;
 
-/// Where every global cluster of one tick lives: the per-tick output of the
-/// partitioner, kept for remapping shard-local results back to global
-/// cluster ids.
-#[derive(Debug, Clone)]
-struct TickLayout {
-    time: Timestamp,
-    /// Shard of each global cluster index.
-    shard: Vec<u32>,
-    /// Within-shard index of each global cluster index.
-    local: Vec<u32>,
-    /// Per shard: local index → global index.
-    to_global: Vec<Vec<u32>>,
-    /// Global indices of boundary-adjacent clusters, ascending.
-    boundary: Vec<u32>,
+/// The open merge paths probe a tick with the early-exit scan — an MBR test
+/// per path and cluster, then the Hausdorff check — while that comes to no
+/// more MBR tests than this; beyond it they build the configured index over
+/// the tick once and share it.  Measured (`micro`, group
+/// `shard_merge_advance`, clusters × paths, scan / GRID index): 200 × 16
+/// 10 / 58 µs, 200 × 200 123 / 157 µs, 2 000 × 200 862 / 837 µs,
+/// 2 000 × 2 000 8.9 / 2.4 ms — the scan costs about 2 ns a test, the index
+/// about 0.3 µs a cluster to build and under 1 µs a path to ask, so they
+/// break even near 400 000 tests on a large tick and later on a small one.
+const SCAN_MAX_MERGE_TESTS: usize = 1 << 19;
+
+/// The most shards an engine runs — each has a thread of its own and a row
+/// in every tick's layout — and so the most a checkpoint can claim.
+pub const MAX_SHARDS: usize = 1 << 10;
+
+/// Per tick (where there are any), the candidates a shard logged at its cross
+/// tails.
+type TailLog = Vec<(Timestamp, Vec<Crowd>)>;
+
+/// The candidates whose last cluster is one of `tails` (ascending local
+/// indices).
+fn ending_at<'a>(tails: &[u32], candidates: impl IntoIterator<Item = &'a Crowd>) -> Vec<Crowd> {
+    let at_tail = |c: &&Crowd| tails.binary_search(&(c.last().index as u32)).is_ok();
+    candidates.into_iter().filter(at_tail).cloned().collect()
 }
 
-/// Partitions one tick's cluster set into its [`TickLayout`]: the single
-/// source of truth for layout construction, shared by live ingestion and
-/// checkpoint restore so a restored engine re-derives byte-identical
-/// layouts from the same partitioner.
-fn build_layout(
-    set: &SnapshotClusterSet,
-    partitioner: &Partitioner,
-    delta: f64,
-    shard_count: usize,
-) -> TickLayout {
-    let n = set.clusters.len();
-    let mut layout = TickLayout {
-        time: set.time,
-        shard: Vec::with_capacity(n),
-        local: Vec::with_capacity(n),
-        to_global: vec![Vec::new(); shard_count],
-        boundary: Vec::new(),
-    };
-    for (gidx, cluster) in set.clusters.iter().enumerate() {
-        let s = partitioner.shard_of(cluster, shard_count);
-        layout.shard.push(s as u32);
-        layout.local.push(layout.to_global[s].len() as u32);
-        layout.to_global[s].push(gidx as u32);
-        if partitioner.is_boundary(cluster, delta, shard_count) {
-            layout.boundary.push(gidx as u32);
-        }
-    }
-    layout
-}
-
-fn layout_at(layouts: &VecDeque<TickLayout>, t: Timestamp) -> Option<&TickLayout> {
-    let first = layouts.front()?.time;
-    if t < first {
-        return None;
-    }
-    layouts.get((t - first) as usize)
-}
-
-/// Rewrites a shard-local crowd into global cluster ids.
-fn remap_crowd(layouts: &VecDeque<TickLayout>, crowd: &Crowd, shard: usize) -> Crowd {
-    Crowd::new(
-        crowd
-            .cluster_ids()
-            .iter()
-            .map(|id| {
-                let layout =
-                    layout_at(layouts, id.time).expect("crowd spans retained tick layouts");
-                ClusterId::new(id.time, layout.to_global[shard][id.index] as usize)
-            })
-            .collect(),
-    )
-}
-
-/// Ingests one shard's partitioned batch into its engine, collecting the
-/// per-tick boundary-candidate log the merge replay splices from.  The one
+/// Ingests one shard's batch into its engine, logging per tick the
+/// candidates that end at a cross tail — the prefixes the merge replay
+/// splices onto that tail's cross edges.  `tails[i]` holds the ascending
+/// local indices of the cross tails at tick `first_tail_tick + i`.  The one
 /// ingest body both the parallel workers and the supervisor's rebuild path
 /// run, so a rebuilt shard is byte-identical to an undisturbed one.
 ///
 /// `fault`, if armed, fires at the first observer callback — mid-ingest by
 /// design, leaving the engine half-mutated for the supervisor to discard.
-fn ingest_with_boundary_log(
+fn ingest_logging_cross_tails(
     engine: &mut GatheringEngine,
-    sets: Vec<SnapshotClusterSet>,
-    bits: &[Vec<bool>],
-    batch_start: Timestamp,
+    batch: ClusterDatabase,
+    tails: &[Vec<u32>],
+    first_tail_tick: Timestamp,
     fault: Option<ShardFault>,
-) -> Vec<(Timestamp, Vec<Crowd>)> {
-    let mut log: Vec<(Timestamp, Vec<Crowd>)> = Vec::new();
+) -> TailLog {
+    let mut log = TailLog::new();
     let mut fired = false;
     let mut observer = |t: Timestamp, candidates: &[Crowd]| {
         if !fired {
@@ -134,18 +103,24 @@ fn ingest_with_boundary_log(
                 None => {}
             }
         }
-        let tick_bits = &bits[(t - batch_start) as usize];
-        let kept: Vec<Crowd> = candidates
-            .iter()
-            .filter(|c| tick_bits[c.last().index])
-            .cloned()
-            .collect();
-        if !kept.is_empty() {
-            log.push((t, kept));
+        let tick_tails = &tails[(t - first_tail_tick) as usize];
+        if !tick_tails.is_empty() {
+            log.push((t, ending_at(tick_tails, candidates)));
         }
     };
-    engine.ingest_clusters_observed(ClusterDatabase::from_sets(sets), Some(&mut observer));
+    engine.ingest_clusters_observed(batch, Some(&mut observer));
     log
+}
+
+/// The first tick a shard's database is derived from, given the first the
+/// global one retains: a shard evicts at its next ingest what the coordinator
+/// has evicted already, so until then it may reach back past the history it
+/// would be derived from — and never needs to, its frontier starts later.
+fn first_derived_tick(
+    engine: &GatheringEngine,
+    retained_from: Option<Timestamp>,
+) -> Option<Timestamp> {
+    engine.time_domain().map(|d| d.start).max(retained_from)
 }
 
 /// Sorted-vec membership sets for cross-edge endpoints.  Small (only
@@ -213,10 +188,10 @@ pub struct ShardSupervision {
     /// indefinitely, so the coordinator ingests one shard itself instead of
     /// idling — panics are still caught and recovered either way.
     pub worker_deadline: Option<Duration>,
-    /// Snapshots of the shard engines are refreshed after this many batches;
-    /// the coordinator retains the partitioned inputs of every batch since
-    /// the last snapshot, so a rebuilt shard replays at most this many
-    /// batches.
+    /// Snapshots of the shard states are refreshed after this many batches;
+    /// a rebuilt shard replays the batches since the last snapshot out of
+    /// the global database, at most this many.  (Bounded retention also
+    /// refreshes them whenever it evicts a tick a snapshot starts at.)
     pub snapshot_interval: u64,
 }
 
@@ -262,12 +237,26 @@ pub struct ShardedStats {
     pub merge_finalized: u64,
     /// Shard-local records dropped as invalidated by a cross edge.
     pub dropped_records: u64,
+    /// Boundary-adjacent clusters the partitioner flagged.
+    pub boundary_clusters: u64,
+    /// Boundary pairs of different shards (both ≥ `mc`) the cross-edge sweep
+    /// put to the MBR test.
+    pub merge_pairs_tested: u64,
+    /// Of those, pairs the MBR bound let through to the Hausdorff check.
+    pub merge_hausdorff_tests: u64,
+    /// Ticks the merge replay built a range-search index over.
+    pub merge_index_builds: u64,
+    /// Candidate prefixes the shards logged for the merge replay.
+    pub prefixes_logged: u64,
     /// Nanoseconds spent partitioning batches.
     pub partition_nanos: u64,
     /// Nanoseconds spent in parallel shard ingestion (wall clock).
     pub shard_ingest_nanos: u64,
-    /// Nanoseconds spent in the sequential merge replay — the overhead a
-    /// sharded deployment pays on top of the per-shard sweeps.
+    /// Nanoseconds of that spent refreshing the supervisor's snapshots.
+    pub snapshot_nanos: u64,
+    /// Nanoseconds spent in the sequential cross-edge scan and merge replay
+    /// — the overhead a sharded deployment pays on top of the per-shard
+    /// sweeps.
     pub merge_nanos: u64,
     /// Per-shard load.
     pub per_shard: Vec<ShardLoad>,
@@ -289,6 +278,7 @@ impl gpdt_obs::MetricSource for ShardedStats {
             ("dropped_records", self.dropped_records),
             ("partition_nanos", self.partition_nanos),
             ("shard_ingest_nanos", self.shard_ingest_nanos),
+            ("snapshot_nanos", self.snapshot_nanos),
             ("merge_nanos", self.merge_nanos),
             ("restarts", self.per_shard.iter().map(|l| l.restarts).sum()),
         ]
@@ -333,18 +323,6 @@ impl WorkerPool {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Counters {
-    ticks: u64,
-    cross_edges: u64,
-    imported: u64,
-    merge_finalized: u64,
-    dropped: u64,
-    partition_nanos: u64,
-    shard_nanos: u64,
-    merge_nanos: u64,
-}
-
 /// `N` independent [`GatheringEngine`]s behind a single-engine-equivalent
 /// facade.  See the [module](self) docs and the crate-level docs.
 #[derive(Debug)]
@@ -356,12 +334,8 @@ pub struct ShardedEngine {
     retention: RetentionPolicy,
     partitioner: Partitioner,
     shards: Vec<GatheringEngine>,
-    /// Finalized records already pulled (and merge-filtered) per shard.
-    consumed: Vec<usize>,
     clusterer: StreamingClusterer,
-    /// The global cluster database (retention-bounded like the engines').
-    cdb: ClusterDatabase,
-    layouts: VecDeque<TickLayout>,
+    history: History,
     /// Cluster ids with a cross-shard in-edge: locally seeded paths starting
     /// here are spurious (globally absorbed).
     cross_in: CrossSet,
@@ -372,15 +346,16 @@ pub struct ShardedEngine {
     /// least one cross-shard edge, ending at the current last tick.
     merge: Vec<Crowd>,
     finalized: Vec<CrowdRecord>,
-    counters: Counters,
+    /// The cumulative fields of [`ShardedStats`]; [`Self::stats`] adds the
+    /// instantaneous ones.
+    counters: ShardedStats,
     supervision: ShardSupervision,
-    /// Per-shard engine clones taken at the last snapshot point; `None`
-    /// until the first supervised ingest (or after a builder invalidated
-    /// them).
-    snapshots: Option<Vec<GatheringEngine>>,
-    /// Partitioned inputs of every batch since the last snapshot, indexed
-    /// `[batch][shard]` — what a rebuilt shard replays.
-    retained_batches: Vec<Vec<Vec<SnapshotClusterSet>>>,
+    /// Per-shard state as of the last snapshot point (construction, restore
+    /// or refresh): what a lost shard is rebuilt from.
+    snapshots: Vec<ShardState>,
+    /// Time domains of the batches ingested since the last snapshot — what a
+    /// rebuilt shard replays, out of the global database.
+    retained_batches: Vec<TimeInterval>,
     /// Per-shard worker rebuild counts.
     restarts: Vec<u64>,
     /// Chaos hooks: a fault each shard's next worker fires mid-ingest.
@@ -395,86 +370,56 @@ impl ShardedEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `shard_count` is zero.
+    /// Panics if `shard_count` is zero or above [`MAX_SHARDS`].
     pub fn new(config: GatheringConfig, shard_count: usize, partitioner: Partitioner) -> Self {
-        assert!(
-            shard_count >= 1,
-            "a sharded engine needs at least one shard"
-        );
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let per_shard = (threads / shard_count).max(1);
-        ShardedEngine {
+        let no_history = Self::from_parts(
             config,
-            strategy: RangeSearchStrategy::default(),
-            variant: TadVariant::default(),
-            threads,
-            retention: RetentionPolicy::KeepAll,
+            RangeSearchStrategy::default(),
+            TadVariant::default(),
             partitioner,
-            shards: (0..shard_count)
-                .map(|_| GatheringEngine::new(config).with_threads(per_shard))
-                .collect(),
-            consumed: vec![0; shard_count],
-            clusterer: StreamingClusterer::new(config.clustering).with_threads(threads),
-            cdb: ClusterDatabase::new(),
-            layouts: VecDeque::new(),
-            cross_in: CrossSet::default(),
-            cross_out: CrossSet::default(),
-            merge: Vec::new(),
-            finalized: Vec::new(),
-            counters: Counters::default(),
-            supervision: ShardSupervision::default(),
-            snapshots: None,
-            retained_batches: Vec::new(),
-            restarts: vec![0; shard_count],
-            pending_faults: vec![None; shard_count],
-            workers: WorkerPool::default(),
-        }
+            vec![ShardState::default(); shard_count],
+            ClusterDatabase::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        );
+        no_history.unwrap_or_else(|reason| panic!("{reason}"))
     }
 
-    /// Drops the supervision snapshots: the builders below reconfigure the
-    /// shard engines, so clones taken earlier no longer match them.  A fresh
-    /// snapshot is taken at the next ingest.
-    fn invalidate_snapshots(&mut self) {
-        self.snapshots = None;
-        self.retained_batches.clear();
+    fn map_shards(mut self, f: impl Fn(GatheringEngine) -> GatheringEngine) -> Self {
+        self.shards = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(f)
+            .collect();
+        self
     }
 
     /// Overrides the range-search strategy (propagated to every shard).
     pub fn with_strategy(mut self, strategy: RangeSearchStrategy) -> Self {
         self.strategy = strategy;
-        self.shards = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|e| e.with_strategy(strategy))
-            .collect();
-        self.invalidate_snapshots();
-        self
+        self.map_shards(|e| e.with_strategy(strategy))
     }
 
     /// Overrides the gathering-detection variant (propagated to every shard).
     pub fn with_variant(mut self, variant: TadVariant) -> Self {
         self.variant = variant;
-        self.shards = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|e| e.with_variant(variant))
-            .collect();
-        self.invalidate_snapshots();
-        self
+        self.map_shards(|e| e.with_variant(variant))
     }
 
     /// Overrides the total worker-thread budget; each shard engine gets an
     /// equal slice (at least one).  Never changes results.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        let per_shard = (self.threads / self.shards.len()).max(1);
-        self.shards = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|e| e.with_threads(per_shard))
-            .collect();
         self.clusterer = self.clusterer.clone().with_threads(self.threads);
-        self.invalidate_snapshots();
-        self
+        let per_shard = self.threads_per_shard();
+        self.map_shards(|e| e.with_threads(per_shard))
+    }
+
+    fn threads_per_shard(&self) -> usize {
+        // Counted off the snapshots: the engines are out with their workers
+        // when a rebuild asks.
+        (self.threads / self.snapshots.len()).max(1)
     }
 
     /// Overrides the retention policy, on the global database and every
@@ -482,12 +427,7 @@ impl ShardedEngine {
     /// [`RetentionPolicy`]).  Never changes discovery output.
     pub fn with_retention(mut self, retention: RetentionPolicy) -> Self {
         self.retention = retention;
-        self.shards = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|e| e.with_retention(retention))
-            .collect();
-        self.invalidate_snapshots();
-        self
+        self.map_shards(|e| e.with_retention(retention))
     }
 
     /// Overrides the worker supervision policy (see [`ShardSupervision`]).
@@ -562,12 +502,12 @@ impl ShardedEngine {
 
     /// The global (retention-bounded) cluster database.
     pub fn cluster_database(&self) -> &ClusterDatabase {
-        &self.cdb
+        &self.history.cdb
     }
 
     /// The time interval ingested so far, or `None` before the first batch.
     pub fn time_domain(&self) -> Option<TimeInterval> {
-        self.cdb.time_domain()
+        self.history.cdb.time_domain()
     }
 
     /// The merged finalized records, in a canonical per-batch order: crowds
@@ -597,38 +537,25 @@ impl ShardedEngine {
 
     /// A snapshot of load and merge cost.
     pub fn stats(&self) -> ShardedStats {
+        let load = |(s, engine): (usize, &GatheringEngine)| {
+            let cdb = engine.cluster_database();
+            let last_set = cdb.time_domain().and_then(|d| cdb.set_at(d.end));
+            ShardLoad {
+                resident_ticks: cdb.len(),
+                resident_clusters: cdb.total_clusters(),
+                open_sequences: engine.frontier().len(),
+                finalized_records: engine.finalized_records().len(),
+                last_tick_objects: last_set
+                    .map_or(0, |set| set.clusters.iter().map(|c| c.len()).sum()),
+                restarts: self.restarts[s],
+            }
+        };
         ShardedStats {
             shard_count: self.shards.len(),
-            ticks_ingested: self.counters.ticks,
             finalized_records: self.finalized.len(),
             open_merge_paths: self.merge.len(),
-            cross_edges: self.counters.cross_edges,
-            imported_paths: self.counters.imported,
-            merge_finalized: self.counters.merge_finalized,
-            dropped_records: self.counters.dropped,
-            partition_nanos: self.counters.partition_nanos,
-            shard_ingest_nanos: self.counters.shard_nanos,
-            merge_nanos: self.counters.merge_nanos,
-            per_shard: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(s, engine)| {
-                    let cdb = engine.cluster_database();
-                    let last_tick_objects = cdb
-                        .time_domain()
-                        .and_then(|d| cdb.set_at(d.end))
-                        .map_or(0, |set| set.clusters.iter().map(|c| c.len()).sum());
-                    ShardLoad {
-                        resident_ticks: cdb.len(),
-                        resident_clusters: cdb.total_clusters(),
-                        open_sequences: engine.frontier().len(),
-                        finalized_records: engine.finalized_records().len(),
-                        last_tick_objects,
-                        restarts: self.restarts[s],
-                    }
-                })
-                .collect(),
+            per_shard: self.shards.iter().enumerate().map(load).collect(),
+            ..self.counters.clone()
         }
     }
 
@@ -648,23 +575,91 @@ impl ShardedEngine {
         db: &TrajectoryDatabase,
         end: Timestamp,
     ) -> ShardedUpdate {
-        if let Some(domain) = self.cdb.time_domain() {
+        if let Some(domain) = self.time_domain() {
             self.clusterer.seek(domain.end + 1);
         }
         let batch = self.clusterer.advance_until(db, end);
         self.ingest_clusters(batch)
     }
 
-    /// Ingests the next batch of (globally clustered) snapshot clusters:
-    /// partitions it, feeds every shard in parallel, then runs the merge
-    /// replay.  The batch must start exactly one tick after the data
-    /// ingested so far.
-    pub fn ingest_clusters(&mut self, batch: ClusterDatabase) -> ShardedUpdate {
-        if batch.is_empty() {
-            return ShardedUpdate::default();
+    /// Every shard's [`ShardState`] as it stands: with the global
+    /// [`cluster database`](Self::cluster_database), all there is to
+    /// checkpoint of the shards.
+    pub fn shard_states(&self) -> Vec<ShardState> {
+        let retained_from = self.time_domain().map(|d| d.start);
+        let state = |engine: &GatheringEngine| ShardState {
+            first_tick: first_derived_tick(engine, retained_from),
+            ticks_ingested: engine.stats().ticks_ingested,
+            finalized: engine.finalized_records().to_vec(),
+            frontier: engine.frontier().to_vec(),
+        };
+        self.shards.iter().map(state).collect()
+    }
+
+    /// Brings every shard's snapshot up to its engine: the frontier is
+    /// replaced, the finalized records — append-only — are topped up.
+    fn refresh_snapshots(&mut self) {
+        let t0 = Instant::now();
+        let retained_from = self.time_domain().map(|d| d.start);
+        for (snapshot, engine) in self.snapshots.iter_mut().zip(&self.shards) {
+            snapshot.first_tick = first_derived_tick(engine, retained_from);
+            snapshot.ticks_ingested = engine.stats().ticks_ingested;
+            let kept = snapshot.finalized.len();
+            snapshot
+                .finalized
+                .extend_from_slice(&engine.finalized_records()[kept..]);
+            snapshot.frontier.clear();
+            snapshot.frontier.extend_from_slice(engine.frontier());
         }
-        let batch_domain = batch.time_domain().expect("non-empty batch");
-        let before = self.counters;
+        self.retained_batches.clear();
+        self.counters.snapshot_nanos += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Shard `s` as it stood before the batch starting at `batch_start`: its
+    /// snapshot over its derived database, then the batches since replayed.
+    fn rebuild_shard(&self, s: usize, batch_start: Timestamp) -> GatheringEngine {
+        let replayed = self.retained_batches.first();
+        let until = replayed.map_or(batch_start, |d| d.start);
+        let snapshot = self.snapshots[s].clone();
+        let restored = self.history.restore_shard(
+            s,
+            snapshot,
+            until,
+            self.config,
+            self.strategy,
+            self.variant,
+        );
+        let mut engine = restored
+            .expect("a snapshot fits the history it was taken over")
+            .with_threads(self.threads_per_shard())
+            .with_retention(self.retention);
+        for past in &self.retained_batches {
+            engine.ingest_clusters(self.history.shard_database(s, past.start, past.end + 1));
+        }
+        engine
+    }
+
+    /// Ingests the next batch of (globally clustered) snapshot clusters:
+    /// partitions it, finds its cross-shard edges, feeds every shard in
+    /// parallel, then runs the merge replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics — before anything is changed — if the batch does not start
+    /// exactly one tick after the data ingested so far.
+    pub fn ingest_clusters(&mut self, batch: ClusterDatabase) -> ShardedUpdate {
+        let Some(batch_domain) = batch.time_domain() else {
+            return ShardedUpdate::default();
+        };
+        let prev_end = self.time_domain().map(|d| d.end);
+        assert!(
+            prev_end.is_none_or(|end| batch_domain.start == end + 1),
+            "a batch must start right after the ingested time domain"
+        );
+        let before = self.counters.clone();
+        let (batch_start, batch_until) = (batch_domain.start, batch_domain.end + 1);
+        let batch_len = batch_domain.len() as usize;
+        let shard_count = self.shards.len();
 
         // Deferred retention, exactly like the single engine: what the
         // previous batch retired is evicted now, so records finalized then
@@ -673,110 +668,105 @@ impl ShardedEngine {
             self.evict_retired_clusters();
         }
 
-        let prev_end = self.cdb.time_domain().map(|d| d.end);
-
-        // 1. Boundary-candidate logs, seeded with each shard's current
-        // frontier: the candidate sequences ending at the previous last tick
-        // that a cross edge into the first new tick might need as prefixes.
-        let shard_count = self.shards.len();
-        let mut logs: Vec<Vec<(Timestamp, Vec<Crowd>)>> = vec![Vec::new(); shard_count];
-        if let Some(pe) = prev_end {
-            let layout = layout_at(&self.layouts, pe).expect("previous tick layout is retained");
-            for (s, engine) in self.shards.iter().enumerate() {
-                let kept: Vec<Crowd> = engine
-                    .frontier()
-                    .iter()
-                    .map(|(c, _)| c)
-                    .filter(|c| {
-                        let gidx = layout.to_global[s][c.last().index];
-                        layout.boundary.binary_search(&gidx).is_ok()
-                    })
-                    .cloned()
-                    .collect();
-                if !kept.is_empty() {
-                    logs[s].push((pe, kept));
-                }
-            }
-        }
-
-        // 2. Partition the batch tick by tick: shard assignment, boundary
-        // flags, the global↔local index maps and the per-shard sub-batches.
+        // 1. Partition the batch tick by tick — shard assignment, boundary
+        // flags, the global↔local index maps — and append it to the global
+        // database; each shard's sub-batch is a view of that.
         let t0 = Instant::now();
         let delta = self.config.crowd.delta;
-        let mut local_sets: Vec<Vec<SnapshotClusterSet>> =
-            vec![Vec::with_capacity(batch.len()); shard_count];
-        let mut boundary_bits: Vec<Vec<Vec<bool>>> =
-            vec![Vec::with_capacity(batch.len()); shard_count];
         for set in batch.iter() {
-            let layout = build_layout(set, &self.partitioner, delta, shard_count);
-            let mut bits: Vec<Vec<bool>> = layout
-                .to_global
-                .iter()
-                .map(|locals| vec![false; locals.len()])
-                .collect();
-            for &gidx in &layout.boundary {
-                let s = layout.shard[gidx as usize] as usize;
-                bits[s][layout.local[gidx as usize] as usize] = true;
-            }
-            for (s, tick_bits) in bits.into_iter().enumerate() {
-                local_sets[s].push(SnapshotClusterSet {
-                    time: set.time,
-                    clusters: layout.to_global[s]
-                        .iter()
-                        .map(|&gidx| set.clusters[gidx as usize].clone())
-                        .collect(),
-                });
-                boundary_bits[s].push(tick_bits);
-            }
-            self.layouts.push_back(layout);
+            let layout = TickLayout::build(set, &self.partitioner, delta, shard_count);
+            self.counters.boundary_clusters += layout.boundary.len() as u64;
+            self.history.layouts.push_back(layout);
         }
+        match prev_end {
+            None => self.history.cdb = batch,
+            Some(_) => self.history.cdb.append(batch),
+        }
+        self.counters.ticks_ingested += batch_len as u64;
+        let mut inputs: Vec<Option<ClusterDatabase>> = (0..shard_count)
+            .map(|s| Some(self.history.shard_database(s, batch_start, batch_until)))
+            .collect();
         let partition_nanos = t0.elapsed().as_nanos() as u64;
         self.counters.partition_nanos += partition_nanos;
-        if gpdt_obs::enabled() {
-            gpdt_obs::histogram!("shard.partition").record(partition_nanos);
-        }
 
-        match self.cdb.time_domain() {
-            None => self.cdb = batch,
-            Some(_) => self.cdb.append(batch),
+        // 2. The batch's cross-shard edges, tick by tick, before any shard
+        // runs: `edges[i]` lead into tick `batch_start + i`, and
+        // `tails[s][i]` are shard `s`'s local indices of their tails (one
+        // tick earlier; ascending, as the boundary lists are).  Their
+        // endpoints invalidate local seeds and closures; their traversals
+        // are re-derived by the replay from the prefixes logged at the tails.
+        let t1 = Instant::now();
+        let mc = self.config.crowd.mc;
+        let mut edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(batch_len);
+        let mut tails: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); batch_len + 1]; shard_count];
+        for (i, t) in batch_domain.iter().enumerate() {
+            let head = self.history.tick(t).expect("batch tick was just appended");
+            let Some(tail) = t.checked_sub(1).and_then(|t| self.history.tick(t)) else {
+                edges.push(Vec::new());
+                continue;
+            };
+            let found = cross_edges(tail, head, mc, delta);
+            self.counters.merge_pairs_tested += found.pairs_tested;
+            self.counters.merge_hausdorff_tests += found.hausdorff_tests;
+            for &(g, d) in &found.edges {
+                self.cross_out.insert(ClusterId::new(t - 1, g as usize));
+                self.cross_in.insert(ClusterId::new(t, d as usize));
+                let tick_tails = &mut tails[tail.0.shard[g as usize] as usize][i];
+                let local = tail.0.local[g as usize];
+                if tick_tails.last() != Some(&local) {
+                    tick_tails.push(local);
+                }
+            }
+            self.counters.cross_edges += found.edges.len() as u64;
+            edges.push(found.edges);
         }
-        self.counters.ticks += u64::from(batch_domain.len());
+        // The prefixes at the previous last tick come off the shards'
+        // frontiers: the candidates ending at a tail of the first new tick's
+        // edges.
+        let mut logs: Vec<TailLog> = vec![Vec::new(); shard_count];
+        for (s, engine) in self.shards.iter().enumerate() {
+            if let Some(end) = prev_end.filter(|_| !tails[s][0].is_empty()) {
+                let candidates = engine.frontier().iter().map(|(c, _)| c);
+                logs[s].push((end, ending_at(&tails[s][0], candidates)));
+            }
+        }
+        let edge_nanos = t1.elapsed().as_nanos() as u64;
 
-        // 3. Parallel shard ingestion, each shard logging its boundary
-        // candidates per tick through the observer tap.  Workers own their
+        // 3. Parallel shard ingestion, each shard logging the candidates at
+        // its cross tails through the observer tap.  Workers own their
         // engine for the batch: a panicking or deadline-overrunning worker
         // is abandoned and its shard rebuilt from the retained snapshot plus
         // a replay of the batches since, so one bad worker cannot poison the
         // coordinator and the rebuilt shard is byte-identical.
-        let t1 = Instant::now();
-        let batch_start = batch_domain.start;
-        if self.snapshots.is_none() {
-            self.snapshots = Some(self.shards.clone());
-            self.retained_batches.clear();
-        }
+        let t2 = Instant::now();
+        let consumed: Vec<usize> = self
+            .shards
+            .iter()
+            .map(|e| e.finalized_records().len())
+            .collect();
         let (tx, rx) = mpsc::channel();
         // Without a deadline the coordinator blocks until every worker has
         // reported, so it works the largest sub-batch itself: the wake-up of
         // the other shards' threads passes while it is busy rather than while
         // it waits.  With a deadline every shard goes to a thread, because
         // only a thread can be abandoned.
-        let inline = match self.supervision.worker_deadline {
-            None => (0..shard_count).max_by_key(|&s| {
-                local_sets[s]
-                    .iter()
-                    .map(|set| set.clusters.len())
-                    .sum::<usize>()
-            }),
-            Some(_) => None,
+        let deadline = self.supervision.worker_deadline;
+        let size = |s: &usize| {
+            inputs[*s]
+                .as_ref()
+                .map_or(0, ClusterDatabase::total_clusters)
         };
+        let inline = (0..shard_count)
+            .max_by_key(size)
+            .filter(|_| deadline.is_none());
         let mut job = |s: usize, mut engine: GatheringEngine| {
-            let sets = local_sets[s].clone();
-            let bits = boundary_bits[s].clone();
+            let input = inputs[s].take().expect("one job per shard");
+            let tails = tails[s][1..].to_vec();
             let fault = self.pending_faults[s].take();
             let tx = tx.clone();
             move || {
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    ingest_with_boundary_log(&mut engine, sets, &bits, batch_start, fault)
+                    ingest_logging_cross_tails(&mut engine, input, &tails, batch_start, fault)
                 }));
                 // The receiver hangs up once the deadline passes; a failed
                 // send is exactly the abandoned-worker case.
@@ -795,193 +785,116 @@ impl ShardedEngine {
             job(s, engine)();
         }
         drop(tx);
-        let mut results: Vec<Option<(GatheringEngine, Vec<(Timestamp, Vec<Crowd>)>)>> =
+        // Per shard: nothing heard yet, or what its worker reported — its
+        // engine and log, or that it panicked.
+        let mut reports: Vec<Option<Option<(GatheringEngine, TailLog)>>> =
             (0..shard_count).map(|_| None).collect();
-        let mut seen = vec![false; shard_count];
-        let mut pending = shard_count;
-        while pending > 0 {
-            let message = match self.supervision.worker_deadline {
+        while reports.iter().any(Option::is_none) {
+            let message = match deadline.map(|budget| budget.checked_sub(t2.elapsed())) {
                 None => rx.recv().ok(),
-                Some(budget) => match budget.checked_sub(t1.elapsed()) {
-                    None => None,
-                    Some(left) => rx.recv_timeout(left).ok(),
-                },
+                Some(left) => left.and_then(|left| rx.recv_timeout(left).ok()),
             };
-            let Some((s, payload)) = message else { break };
-            if seen[s] {
-                continue;
-            }
-            seen[s] = true;
-            pending -= 1;
-            results[s] = payload;
+            let Some((s, report)) = message else { break };
+            reports[s].get_or_insert(report);
         }
         drop(rx);
-        for s in (0..shard_count).filter(|&s| !seen[s]) {
-            self.workers.retire(s);
-        }
-        for (s, slot) in results.into_iter().enumerate() {
-            match slot {
-                Some((engine, log)) => {
-                    self.shards.push(engine);
-                    logs[s].extend(log);
-                }
-                None => {
-                    // Panicked, stalled past the deadline, or never reported:
-                    // rebuild from the snapshot, replay the retained batches,
-                    // then run the current batch inline — with its boundary
-                    // log, which the merge replay below still needs.
-                    let snapshots = self.snapshots.as_ref().expect("snapshot taken above");
-                    let mut engine = snapshots[s].clone();
-                    for past in &self.retained_batches {
-                        engine.ingest_clusters(ClusterDatabase::from_sets(past[s].clone()));
-                    }
-                    let log = ingest_with_boundary_log(
-                        &mut engine,
-                        local_sets[s].clone(),
-                        &boundary_bits[s],
-                        batch_start,
-                        None,
-                    );
-                    self.shards.push(engine);
-                    logs[s].extend(log);
-                    self.restarts[s] += 1;
-                    if gpdt_obs::enabled() {
-                        gpdt_obs::counter!("shard.rebuilds").inc();
-                        gpdt_obs::record_event(
-                            "shard.rebuild",
-                            Some(batch_start),
-                            format!(
-                                "shard {s} worker lost (panic/deadline); rebuilt from \
-                                 snapshot + {} retained batches",
-                                self.retained_batches.len()
-                            ),
-                        );
-                    }
-                }
+        for (s, report) in reports.into_iter().enumerate() {
+            if report.is_none() {
+                self.workers.retire(s);
             }
+            let (engine, log) = report.flatten().unwrap_or_else(|| {
+                // Panicked, stalled past the deadline, or never reported:
+                // rebuild, then run the current batch inline — with its
+                // cross-tail log, which the merge replay still needs.
+                let mut engine = self.rebuild_shard(s, batch_start);
+                let input = self.history.shard_database(s, batch_start, batch_until);
+                let tails = &tails[s][1..];
+                let log = ingest_logging_cross_tails(&mut engine, input, tails, batch_start, None);
+                self.restarts[s] += 1;
+                if gpdt_obs::enabled() {
+                    gpdt_obs::counter!("shard.rebuilds").inc();
+                    gpdt_obs::record_event(
+                        "shard.rebuild",
+                        Some(batch_start),
+                        format!(
+                            "shard {s} worker lost (panic/deadline); rebuilt from \
+                             snapshot + {} retained batches",
+                            self.retained_batches.len()
+                        ),
+                    );
+                }
+                (engine, log)
+            });
+            self.shards.push(engine);
+            logs[s].extend(log);
         }
-        self.retained_batches.push(local_sets);
+        self.retained_batches.push(batch_domain);
         if self.retained_batches.len() as u64 >= self.supervision.snapshot_interval.max(1) {
-            self.snapshots = Some(self.shards.clone());
-            self.retained_batches.clear();
+            self.refresh_snapshots();
         }
-        let shard_nanos = t1.elapsed().as_nanos() as u64;
-        self.counters.shard_nanos += shard_nanos;
-        if gpdt_obs::enabled() {
-            gpdt_obs::histogram!("shard.ingest").record(shard_nanos);
-        }
+        let logged = logs.iter().flatten().map(|(_, prefixes)| prefixes.len());
+        self.counters.prefixes_logged += logged.sum::<usize>() as u64;
+        let shard_nanos = t2.elapsed().as_nanos() as u64;
+        self.counters.shard_ingest_nanos += shard_nanos;
 
-        // 4. Merge replay: one sequential pass over the batch's ticks.
-        let t2 = Instant::now();
-        let mc = self.config.crowd.mc;
+        // 4. Merge replay: one sequential pass over the batch's ticks that
+        // have an edge leading in or a tainted path open.
+        let t3 = Instant::now();
         let kc = self.config.crowd.kc;
-        let cdb = &self.cdb;
-        let layouts = &self.layouts;
-        let cross_in = &mut self.cross_in;
-        let cross_out = &mut self.cross_out;
+        let history = &self.history;
+        let cross_in = &self.cross_in;
         let counters = &mut self.counters;
         let mut merge = std::mem::take(&mut self.merge);
         let mut merge_closed: Vec<Crowd> = Vec::new();
         let mut scratch = SearcherScratch::new();
         let mut near: Vec<usize> = Vec::new();
-        for t in batch_domain.iter() {
-            let set = cdb.set_at(t).expect("batch tick was just appended");
-            let layout = layout_at(layouts, t).expect("batch tick layout was just pushed");
-
-            // The merge has work at this tick only if tainted paths are open
-            // or a qualifying boundary tail at t-1 could start a cross edge;
-            // otherwise skip the tick — and its global index build, the
-            // dominant replay cost — entirely.
-            let prev = t
-                .checked_sub(1)
-                .and_then(|pt| layout_at(layouts, pt).zip(cdb.set_at(pt)));
-            let tails = prev.as_ref().map_or(0, |(pl, ps)| {
-                pl.boundary
-                    .iter()
-                    .filter(|&&gidx| ps.clusters[gidx as usize].len() >= mc)
-                    .count()
-            });
-            let boundary_work = tails > 0;
-            if merge.is_empty() && !boundary_work {
+        for (t, found) in batch_domain.iter().zip(&edges) {
+            if merge.is_empty() && found.is_empty() {
                 continue;
             }
-            // Every strategy returns the same result set (a repo invariant,
-            // exercised by the strategy-equivalence tests), so for a handful
-            // of probes the early-exit scan beats paying a full per-tick
-            // index build.  Re-measured after the grid rewrite (`e2e run
-            // --workload sharded_stream --trace 1`, three runs each way):
-            // always building the configured index costs 59–67 ms of merge
-            // replay a pass against 52–63 ms with this fork (merge share
-            // 0.26–0.27 against 0.23–0.25) — about a tenth, so it stays.
-            let tick_strategy = if merge.len() + tails <= 16 {
-                RangeSearchStrategy::BruteForce
-            } else {
-                self.strategy
-            };
-            let searcher = TickSearcher::build_with(tick_strategy, set, delta, &mut scratch);
+            let (_, set) = history.tick(t).expect("batch tick was just appended");
 
-            // 4a. Cross-shard edges between t-1 and t, splicing logged
-            // prefixes onto each cross extension.  Only boundary clusters
-            // can be incident to one (partitioner guarantee).
+            // 4a. Splice the logged prefixes onto each cross edge.
             let mut imports: Vec<Crowd> = Vec::new();
-            if boundary_work {
-                let prev_t = t - 1;
-                let (prev_layout, prev_set) = prev.expect("boundary_work implies a previous tick");
-                for &gidx in &prev_layout.boundary {
-                    let tail = &prev_set.clusters[gidx as usize];
-                    if tail.len() < mc {
-                        continue;
-                    }
-                    let tail_shard = prev_layout.shard[gidx as usize];
-                    searcher.search_into(tail, &mut near);
-                    for &didx in &near {
-                        if set.clusters[didx].len() < mc || layout.shard[didx] == tail_shard {
-                            continue;
-                        }
-                        // A cross edge.  Its endpoints invalidate local
-                        // seeds/closures; its traversals are re-derived
-                        // here from the logged prefixes.
-                        cross_out.insert(ClusterId::new(prev_t, gidx as usize));
-                        cross_in.insert(ClusterId::new(t, didx));
-                        counters.cross_edges += 1;
-                        let local_tail = prev_layout.local[gidx as usize] as usize;
-                        let Some((_, prefixes)) = logs[tail_shard as usize]
-                            .iter()
-                            .find(|(lt, _)| *lt == prev_t)
-                        else {
-                            continue;
-                        };
-                        for prefix in prefixes.iter().filter(|p| p.last().index == local_tail) {
-                            let global = remap_crowd(layouts, prefix, tail_shard as usize);
-                            // A spuriously seeded prefix is itself the
-                            // suffix of tainted paths already tracked by
-                            // the merge sweep — importing it would
-                            // double-count.
-                            if cross_in.contains(&global.cluster_ids()[0]) {
-                                continue;
-                            }
-                            imports.push(global.extended(ClusterId::new(t, didx)));
-                            counters.imported += 1;
-                        }
+            for &(g, d) in found {
+                let (tail_layout, _) = history.tick(t - 1).expect("edge tail tick");
+                let tail_shard = tail_layout.shard[g as usize] as usize;
+                let local_tail = tail_layout.local[g as usize] as usize;
+                let logged = logs[tail_shard].iter().find(|(lt, _)| *lt == t - 1);
+                let prefixes = logged.map_or(&[][..], |(_, prefixes)| prefixes.as_slice());
+                for prefix in prefixes.iter().filter(|p| p.last().index == local_tail) {
+                    let global = history.remap(prefix, tail_shard);
+                    // A spuriously seeded prefix is itself the suffix of
+                    // tainted paths already tracked by the merge sweep —
+                    // importing it would double-count.
+                    if !cross_in.contains(&global.cluster_ids()[0]) {
+                        imports.push(global.into_extended(ClusterId::new(t, d as usize)));
+                        counters.imported_paths += 1;
                     }
                 }
             }
 
             // 4b. Advance the tainted paths one tick against the *global*
-            // cluster set — exactly the single engine's extension rule.
+            // cluster set — exactly the single engine's extension rule,
+            // whichever strategy answers it (every strategy returns the same
+            // result set: a repo invariant the equivalence tests exercise).
+            let tick_strategy = if merge.len() * set.clusters.len() <= SCAN_MAX_MERGE_TESTS {
+                RangeSearchStrategy::BruteForce
+            } else {
+                self.strategy
+            };
+            counters.merge_index_builds +=
+                u64::from(tick_strategy != RangeSearchStrategy::BruteForce);
+            let searcher = TickSearcher::build_with(tick_strategy, set, delta, &mut scratch);
             let mut next_merge: Vec<Crowd> = Vec::with_capacity(merge.len() + imports.len());
             for path in merge.drain(..) {
-                let last = cdb
-                    .cluster(path.last())
-                    .expect("merge paths stay within retained history");
+                let last = history.cdb.cluster(path.last());
+                let last = last.expect("merge paths stay within retained history");
                 searcher.search_into(last, &mut near);
                 near.retain(|&didx| set.clusters[didx].len() >= mc);
                 match near.split_last() {
-                    None => {
-                        if path.lifetime() >= kc {
-                            merge_closed.push(path);
-                        }
-                    }
+                    None if path.lifetime() >= kc => merge_closed.push(path),
+                    None => {}
                     Some((&last_idx, rest)) => {
                         for &didx in rest {
                             next_merge.push(path.extended(ClusterId::new(t, didx)));
@@ -994,22 +907,18 @@ impl ShardedEngine {
             merge = next_merge;
         }
         self.merge = merge;
-        // The replay loop above is the cost sharding *adds*; gathering
-        // detection below is work a single engine performs anyway, so it is
-        // excluded from the reported merge overhead.
-        let merge_nanos = t2.elapsed().as_nanos() as u64;
+        // The edge scan and the replay loop are the cost sharding *adds*;
+        // gathering detection below is work a single engine performs anyway,
+        // so it is excluded from the reported merge overhead.
+        let merge_nanos = edge_nanos + t3.elapsed().as_nanos() as u64;
         counters.merge_nanos += merge_nanos;
-        if gpdt_obs::enabled() {
-            gpdt_obs::histogram!("shard.merge").record(merge_nanos);
-        }
 
         // Gathering detection for the merged crowds (no shard computed them),
         // fanned out across the thread budget.
         counters.merge_finalized += merge_closed.len() as u64;
-        let config = &self.config;
-        let variant = self.variant;
+        let (gathering, variant) = (&self.config.gathering, self.variant);
         let mut pending: Vec<CrowdRecord> = par_map(&merge_closed, self.threads, |crowd| {
-            let gatherings = detect_closed_gatherings(crowd, cdb, &config.gathering, kc, variant);
+            let gatherings = detect_closed_gatherings(crowd, &history.cdb, gathering, kc, variant);
             CrowdRecord {
                 crowd: crowd.clone(),
                 gatherings,
@@ -1019,40 +928,60 @@ impl ShardedEngine {
         // 5. Pull the shards' newly finalized records, dropping the ones a
         // cross edge invalidated (their corrected counterparts come out of
         // the merge sweep) and rewriting the rest to global ids.
-        for s in 0..shard_count {
-            let records = self.shards[s].finalized_records();
-            for record in &records[self.consumed[s]..] {
-                let crowd = remap_crowd(layouts, &record.crowd, s);
-                let first = crowd.cluster_ids()[0];
-                let last = *crowd.cluster_ids().last().expect("crowds are non-empty");
-                if cross_in.contains(&first) || cross_out.contains(&last) {
-                    counters.dropped += 1;
+        for (s, engine) in self.shards.iter().enumerate() {
+            for record in &engine.finalized_records()[consumed[s]..] {
+                let crowd = history.remap(&record.crowd, s);
+                if cross_in.contains(&crowd.cluster_ids()[0])
+                    || self.cross_out.contains(&crowd.last())
+                {
+                    counters.dropped_records += 1;
                     continue;
                 }
-                let gatherings = record
-                    .gatherings
-                    .iter()
-                    .map(|g| {
-                        Gathering::from_parts(
-                            remap_crowd(layouts, g.crowd(), s),
-                            g.participators().to_vec(),
-                        )
-                    })
-                    .collect();
+                let gatherings = record.gatherings.iter();
+                let gatherings = gatherings.map(|g| history.remap_gathering(g, s)).collect();
                 pending.push(CrowdRecord { crowd, gatherings });
             }
-            self.consumed[s] = records.len();
         }
         pending.sort_by(|a, b| canonical_crowd_order(&a.crowd, &b.crowd));
         let new_finalized = pending.len();
         self.finalized.extend(pending);
 
+        let now = &self.counters;
+        if gpdt_obs::enabled() {
+            gpdt_obs::histogram!("shard.partition").record(partition_nanos);
+            gpdt_obs::histogram!("shard.ingest").record(shard_nanos);
+            gpdt_obs::histogram!("shard.merge").record(merge_nanos);
+            gpdt_obs::counter!("shard.boundary.clusters")
+                .add(now.boundary_clusters - before.boundary_clusters);
+            gpdt_obs::counter!("shard.merge.pairs_tested")
+                .add(now.merge_pairs_tested - before.merge_pairs_tested);
+            gpdt_obs::counter!("shard.merge.hausdorff_tests")
+                .add(now.merge_hausdorff_tests - before.merge_hausdorff_tests);
+            gpdt_obs::counter!("shard.merge.index_builds")
+                .add(now.merge_index_builds - before.merge_index_builds);
+            gpdt_obs::counter!("shard.prefixes.logged")
+                .add(now.prefixes_logged - before.prefixes_logged);
+        }
         ShardedUpdate {
             new_finalized,
-            new_cross_edges: self.counters.cross_edges - before.cross_edges,
-            new_imported_paths: self.counters.imported - before.imported,
-            new_dropped_records: self.counters.dropped - before.dropped,
+            new_cross_edges: now.cross_edges - before.cross_edges,
+            new_imported_paths: now.imported_paths - before.imported_paths,
+            new_dropped_records: now.dropped_records - before.dropped_records,
         }
+    }
+
+    /// The shards' frontier crowds that are closed as the data stands, with
+    /// their cached gatherings and their shard — less the spurious local
+    /// seeds, which the merge sweep owns.
+    fn closed_frontier(&self) -> impl Iterator<Item = (usize, Crowd, &[Gathering])> {
+        let entries = self.shards.iter().enumerate();
+        let entries = entries.flat_map(|(s, engine)| engine.frontier().iter().map(move |e| (s, e)));
+        entries
+            .filter(|(_, (crowd, _))| crowd.lifetime() >= self.config.crowd.kc)
+            .map(|(s, (crowd, gatherings))| {
+                (s, self.history.remap(crowd, s), gatherings.as_slice())
+            })
+            .filter(|(_, global, _)| !self.cross_in.contains(&global.cluster_ids()[0]))
     }
 
     /// All currently known closed crowds, in the canonical order — identical
@@ -1061,18 +990,7 @@ impl ShardedEngine {
     pub fn closed_crowds(&self) -> Vec<Crowd> {
         let kc = self.config.crowd.kc;
         let mut crowds: Vec<Crowd> = self.finalized.iter().map(|r| r.crowd.clone()).collect();
-        for (s, engine) in self.shards.iter().enumerate() {
-            for (crowd, _) in engine.frontier() {
-                if crowd.lifetime() < kc {
-                    continue;
-                }
-                let global = remap_crowd(&self.layouts, crowd, s);
-                if self.cross_in.contains(&global.cluster_ids()[0]) {
-                    continue; // spurious local seed; the merge sweep owns it
-                }
-                crowds.push(global);
-            }
-        }
+        crowds.extend(self.closed_frontier().map(|(_, global, _)| global));
         crowds.extend(self.merge.iter().filter(|c| c.lifetime() >= kc).cloned());
         crowds.sort_by(canonical_crowd_order);
         crowds
@@ -1083,32 +1001,19 @@ impl ShardedEngine {
     /// [`gatherings`](GatheringEngine::gatherings) over the same stream.
     pub fn gatherings(&self) -> Vec<Gathering> {
         let kc = self.config.crowd.kc;
-        let mut out: Vec<Gathering> = self
-            .finalized
-            .iter()
-            .flat_map(|r| r.gatherings.iter().cloned())
-            .collect();
-        for (s, engine) in self.shards.iter().enumerate() {
-            for (crowd, gatherings) in engine.frontier() {
-                if crowd.lifetime() < kc {
-                    continue;
-                }
-                let global = remap_crowd(&self.layouts, crowd, s);
-                if self.cross_in.contains(&global.cluster_ids()[0]) {
-                    continue;
-                }
-                out.extend(gatherings.iter().map(|g| {
-                    Gathering::from_parts(
-                        remap_crowd(&self.layouts, g.crowd(), s),
-                        g.participators().to_vec(),
-                    )
-                }));
-            }
+        let finalized = self.finalized.iter().flat_map(|r| &r.gatherings);
+        let mut out: Vec<Gathering> = finalized.cloned().collect();
+        for (s, _, gatherings) in self.closed_frontier() {
+            out.extend(
+                gatherings
+                    .iter()
+                    .map(|g| self.history.remap_gathering(g, s)),
+            );
         }
         for path in self.merge.iter().filter(|c| c.lifetime() >= kc) {
             out.extend(detect_closed_gatherings(
                 path,
-                &self.cdb,
+                &self.history.cdb,
                 &self.config.gathering,
                 kc,
                 self.variant,
@@ -1124,177 +1029,119 @@ impl ShardedEngine {
     ///
     /// Runs automatically (one ingest step deferred) under
     /// [`RetentionPolicy::Bounded`]; the shard engines evict their own
-    /// databases with the same policy.
+    /// databases with the same policy, at their next ingest.  Safe to call by
+    /// hand at any time, before a checkpoint say: snapshots and
+    /// [`Self::shard_states`] start a shard no earlier than the global
+    /// database does.
     pub fn evict_retired_clusters(&mut self) -> usize {
-        let Some(domain) = self.cdb.time_domain() else {
+        let Some(domain) = self.time_domain() else {
             return 0;
         };
-        let mut keep_from = (domain.end + 1).saturating_sub(self.config.crowd.kc);
-        for engine in &self.shards {
-            for (crowd, _) in engine.frontier() {
-                keep_from = keep_from.min(crowd.start_time());
-            }
-        }
-        for path in &self.merge {
-            keep_from = keep_from.min(path.start_time());
-        }
-        let evicted = self.cdb.evict_before(keep_from);
-        while self
-            .layouts
-            .front()
-            .is_some_and(|layout| layout.time < keep_from)
-        {
-            self.layouts.pop_front();
-        }
+        let frontiers = self.shards.iter().flat_map(|e| e.frontier());
+        let open = frontiers.map(|(crowd, _)| crowd).chain(&self.merge);
+        let horizon = (domain.end + 1).saturating_sub(self.config.crowd.kc);
+        let keep_from = open.map(Crowd::start_time).fold(horizon, Timestamp::min);
+        let evicted = self.history.cdb.evict_before(keep_from);
+        self.history.layouts.drain(..evicted);
         self.cross_in.retain_from(keep_from);
         self.cross_out.retain_from(keep_from);
+        // A snapshot that starts at an evicted tick could no longer be
+        // rebuilt from, so it is brought up to date instead.
+        if self
+            .snapshots
+            .iter()
+            .any(|s| s.first_tick < Some(keep_from))
+        {
+            self.refresh_snapshots();
+        }
         evicted
     }
 
     /// Reassembles a sharded engine from externally persisted state (the
     /// restore half of the `gpdt-store` sharded checkpoint).
     ///
-    /// The per-tick layouts are *not* part of the persisted state: the
-    /// partitioner is deterministic in the cluster contents, so they are
-    /// rebuilt by re-partitioning the stored global database — and
-    /// cross-checked against the shard engines' own databases.
+    /// Neither the per-tick layouts nor the shards' cluster databases are
+    /// part of the persisted state: the partitioner is deterministic in the
+    /// cluster contents, so the layouts are rebuilt by re-partitioning the
+    /// stored global database and each shard's database is derived through
+    /// them from its `first_tick` on.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency between the parts.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         config: GatheringConfig,
         strategy: RangeSearchStrategy,
         variant: TadVariant,
         partitioner: Partitioner,
-        shard_engines: Vec<GatheringEngine>,
+        shard_states: Vec<ShardState>,
         cdb: ClusterDatabase,
         merge: Vec<Crowd>,
         cross_in: Vec<ClusterId>,
         cross_out: Vec<ClusterId>,
         finalized: Vec<CrowdRecord>,
     ) -> Result<Self, &'static str> {
-        if shard_engines.is_empty() {
-            return Err("a sharded engine needs at least one shard");
+        if shard_states.is_empty() || shard_states.len() > MAX_SHARDS {
+            return Err("a sharded engine has between one and MAX_SHARDS shards");
         }
-        let shard_count = shard_engines.len();
+        let shard_count = shard_states.len();
         let domain = cdb.time_domain();
-        let end = domain.map(|d| d.end);
-
-        // Rebuild the per-tick layouts from the partitioner (the same
-        // `build_layout` the live ingest uses, so a restored engine derives
-        // byte-identical layouts).
-        let delta = config.crowd.delta;
-        let layouts: VecDeque<TickLayout> = cdb
+        // The same `TickLayout::build` the live ingest uses, so a restored
+        // engine derives byte-identical layouts.
+        let layout = |set| TickLayout::build(set, &partitioner, config.crowd.delta, shard_count);
+        let layouts = cdb.iter().map(layout).collect();
+        let history = History { cdb, layouts };
+        let until = domain.map_or(0, |d| d.end + 1);
+        let restore = |(s, state): (usize, &ShardState)| {
+            history.restore_shard(s, state.clone(), until, config, strategy, variant)
+        };
+        let shards: Vec<GatheringEngine> = shard_states
             .iter()
-            .map(|set| build_layout(set, &partitioner, delta, shard_count))
-            .collect();
+            .enumerate()
+            .map(restore)
+            .collect::<Result<_, _>>()?;
 
-        // Cross-checks against the shard engines: every retained local tick
-        // must hold exactly the clusters the partitioner assigns to that
-        // shard, in layout order.  Count-only checking would let a
-        // re-encoded checkpoint with swapped shard sections restore and then
-        // remap local ids through the wrong `to_global` table.
-        for (s, engine) in shard_engines.iter().enumerate() {
-            if engine.time_domain().map(|d| d.end) != end {
-                return Err("shard engine time domain disagrees with the global database");
-            }
-            let local = engine.cluster_database();
-            for layout in &layouts {
-                // A tick absent from the shard was evicted locally; nothing
-                // to check there.
-                let Some(set) = local.set_at(layout.time) else {
-                    continue;
-                };
-                let global = cdb
-                    .set_at(layout.time)
-                    .expect("layouts mirror the database");
-                if set.len() != layout.to_global[s].len()
-                    || !layout.to_global[s]
-                        .iter()
-                        .zip(&set.clusters)
-                        .all(|(&gidx, cluster)| global.clusters[gidx as usize] == *cluster)
-                {
-                    return Err("shard clusters disagree with the partitioner assignment");
-                }
-            }
+        if merge.iter().any(|path| path.end_time() + 1 != until) {
+            return Err("merge path does not end at the last ingested timestamp");
         }
-        for path in &merge {
-            if Some(path.end_time()) != end {
-                return Err("merge path does not end at the last ingested timestamp");
-            }
-            if path
-                .cluster_ids()
-                .iter()
-                .any(|&id| cdb.cluster(id).is_none())
-            {
-                return Err("merge path references a cluster missing from the database");
-            }
+        if merge.iter().any(|path| !resolves(&history.cdb, path, None)) {
+            return Err("merge path references a cluster missing from the database");
         }
         if cross_in.windows(2).any(|w| w[0] >= w[1]) || cross_out.windows(2).any(|w| w[0] >= w[1]) {
             return Err("cross-edge sets must be sorted and duplicate-free");
         }
-        // Finalized records tolerate ticks evicted by bounded retention
-        // (anything older than the retained window) but must otherwise
-        // resolve — the same leniency the single-engine restore applies.
-        let retained_ok = |crowd: &Crowd| {
-            crowd
-                .cluster_ids()
-                .iter()
-                .all(|&id| cdb.cluster(id).is_some() || domain.is_some_and(|d| id.time < d.start))
-        };
-        for record in &finalized {
-            if !retained_ok(&record.crowd)
-                || record.gatherings.iter().any(|g| !retained_ok(g.crowd()))
-            {
-                return Err("finalized record references a cluster missing from the database");
-            }
+        if !records_resolve(&history.cdb, &finalized, domain.map(|d| d.start)) {
+            return Err("finalized record references a cluster missing from the database");
         }
 
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let per_shard = (threads / shard_count).max(1);
-        let mut clusterer = StreamingClusterer::new(config.clustering).with_threads(threads);
-        if let Some(d) = domain {
-            clusterer.seek(d.end + 1);
+        let mut clusterer = StreamingClusterer::new(config.clustering);
+        if domain.is_some() {
+            clusterer.seek(until);
         }
-        let consumed = shard_engines
-            .iter()
-            .map(|e| e.finalized_records().len())
-            .collect();
-        Ok(ShardedEngine {
+        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let engine = ShardedEngine {
             config,
             strategy,
             variant,
             threads,
             retention: RetentionPolicy::KeepAll,
             partitioner,
-            shards: shard_engines
-                .into_iter()
-                .map(|e| {
-                    e.with_strategy(strategy)
-                        .with_variant(variant)
-                        .with_threads(per_shard)
-                })
-                .collect(),
-            consumed,
+            shards,
             clusterer,
-            cdb,
-            layouts,
+            history,
             cross_in: CrossSet { ids: cross_in },
             cross_out: CrossSet { ids: cross_out },
             merge,
             finalized,
-            counters: Counters::default(),
+            counters: ShardedStats::default(),
             supervision: ShardSupervision::default(),
-            snapshots: None,
+            snapshots: shard_states,
             retained_batches: Vec::new(),
             restarts: vec![0; shard_count],
             pending_faults: vec![None; shard_count],
             workers: WorkerPool::default(),
-        })
+        };
+        Ok(engine.with_threads(threads))
     }
 }
 
@@ -1302,6 +1149,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::partition::GridPartitioner;
+    use gpdt_clustering::SnapshotClusterSet;
     use gpdt_core::{ClusteringParams, CrowdParams, GatheringParams};
     use gpdt_trajectory::{ObjectId, Trajectory};
 
@@ -1464,6 +1312,51 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "MAX_SHARDS")]
+    fn more_shards_than_a_checkpoint_can_claim_are_refused_up_front() {
+        let partitioner = Partitioner::HashByObject;
+        assert_eq!(
+            ShardedEngine::new(config(), MAX_SHARDS, partitioner).shard_count(),
+            MAX_SHARDS
+        );
+        ShardedEngine::new(config(), MAX_SHARDS + 1, partitioner);
+    }
+
+    #[test]
+    fn misplaced_batches_are_refused_before_anything_changes() {
+        let clusters = ClusterDatabase::build(&drifting_db(14), &config().clustering);
+        let sets: Vec<SnapshotClusterSet> = clusters.iter().cloned().collect();
+        let batch =
+            |ticks: std::ops::Range<usize>| ClusterDatabase::from_sets(sets[ticks].to_vec());
+        let partitioner = Partitioner::Grid(GridPartitioner::new(150.0));
+        for retention in [RetentionPolicy::KeepAll, RetentionPolicy::Bounded] {
+            let fresh = || ShardedEngine::new(config(), 3, partitioner).with_retention(retention);
+            let (mut engine, mut undisturbed) = (fresh(), fresh());
+            for ticks in [0..4, 4..8] {
+                engine.ingest_clusters(batch(ticks.clone()));
+                undisturbed.ingest_clusters(batch(ticks));
+            }
+            let before = (engine.stats(), outputs(&engine));
+            let resident = engine.cluster_database().time_domain();
+            // One batch leaves a gap after tick 7, the other overlaps it.
+            for misplaced in [9..12, 6..10] {
+                let refused = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    engine.ingest_clusters(batch(misplaced))
+                }));
+                assert!(refused.is_err(), "{retention:?}");
+                assert_eq!((engine.stats(), outputs(&engine)), before, "{retention:?}");
+                assert_eq!(engine.cluster_database().time_domain(), resident);
+            }
+            assert_eq!(
+                engine.ingest_clusters(batch(8..14)),
+                undisturbed.ingest_clusters(batch(8..14))
+            );
+            assert_eq!(outputs(&engine), outputs(&undisturbed));
+            assert_eq!(engine.finalized_records(), undisturbed.finalized_records());
+        }
+    }
+
+    #[test]
     fn from_parts_roundtrips_and_validates() {
         let db = drifting_db(10);
         let partitioner = Partitioner::Grid(GridPartitioner::new(150.0));
@@ -1471,74 +1364,61 @@ mod tests {
         sharded.ingest_trajectories_until(&db, 6);
         let reference_now = outputs(&sharded);
 
-        // Disassemble through the public accessors, reassemble, compare —
-        // then continue both and compare again.
-        let rebuilt = ShardedEngine::from_parts(
-            *sharded.config(),
-            sharded.strategy(),
-            sharded.variant(),
-            *sharded.partitioner(),
-            sharded
-                .shard_engines()
-                .iter()
-                .map(|e| {
-                    GatheringEngine::from_parts(
-                        *e.config(),
-                        e.strategy(),
-                        e.variant(),
-                        e.cluster_database().clone(),
-                        e.finalized_records().to_vec(),
-                        e.frontier().to_vec(),
-                    )
-                })
-                .collect(),
-            sharded.cluster_database().clone(),
-            sharded.merge_frontier().to_vec(),
-            sharded.cross_edge_heads().to_vec(),
-            sharded.cross_edge_tails().to_vec(),
-            sharded.finalized_records().to_vec(),
-        )
-        .expect("valid parts reassemble");
+        // Disassemble through the public accessors — the shards as their
+        // history-free states — reassemble, compare; then continue both and
+        // compare again.
+        let reassemble = |states: Vec<ShardState>, finalized: Vec<CrowdRecord>| {
+            ShardedEngine::from_parts(
+                *sharded.config(),
+                sharded.strategy(),
+                sharded.variant(),
+                *sharded.partitioner(),
+                states,
+                sharded.cluster_database().clone(),
+                sharded.merge_frontier().to_vec(),
+                sharded.cross_edge_heads().to_vec(),
+                sharded.cross_edge_tails().to_vec(),
+                finalized,
+            )
+        };
+        let states = sharded.shard_states();
+        let rebuilt = reassemble(states.clone(), sharded.finalized_records().to_vec())
+            .expect("valid parts reassemble");
         assert_eq!(outputs(&rebuilt), reference_now);
-
-        let mut rebuilt = rebuilt;
-        rebuilt.ingest_trajectories(&db);
-        sharded.ingest_trajectories(&db);
-        assert_eq!(outputs(&rebuilt), outputs(&sharded));
+        for (derived, live) in rebuilt.shard_engines().iter().zip(sharded.shard_engines()) {
+            assert_eq!(derived.stats(), live.stats());
+            assert!(derived
+                .cluster_database()
+                .iter()
+                .eq(live.cluster_database().iter()));
+        }
 
         // A finalized record referencing a cluster absent from the (non-
         // evicted) database is rejected.
         let mut bogus = sharded.finalized_records().to_vec();
         if let Some(first) = bogus.first_mut() {
             first.crowd = Crowd::new(vec![ClusterId::new(first.crowd.start_time(), 999)]);
-            let err = ShardedEngine::from_parts(
-                *sharded.config(),
-                sharded.strategy(),
-                sharded.variant(),
-                *sharded.partitioner(),
-                sharded
-                    .shard_engines()
-                    .iter()
-                    .map(|e| {
-                        GatheringEngine::from_parts(
-                            *e.config(),
-                            e.strategy(),
-                            e.variant(),
-                            e.cluster_database().clone(),
-                            e.finalized_records().to_vec(),
-                            e.frontier().to_vec(),
-                        )
-                    })
-                    .collect(),
-                sharded.cluster_database().clone(),
-                sharded.merge_frontier().to_vec(),
-                sharded.cross_edge_heads().to_vec(),
-                sharded.cross_edge_tails().to_vec(),
-                bogus,
-            )
-            .unwrap_err();
+            let err = reassemble(states.clone(), bogus).unwrap_err();
             assert!(err.contains("finalized record"), "{err}");
         }
+
+        // Shard sections in the wrong order, one shard section too many, and
+        // a shard that claims history the global database no longer has.
+        let mut swapped = states.clone();
+        swapped.rotate_left(1);
+        assert!(reassemble(swapped, Vec::new()).is_err());
+        let mut extra = states.clone();
+        extra.push(ShardState::default());
+        assert!(reassemble(extra, Vec::new()).is_err());
+        let mut early = states;
+        early[0].first_tick = None;
+        let err = reassemble(early, Vec::new()).unwrap_err();
+        assert!(err.contains("first retained tick"), "{err}");
+
+        let mut rebuilt = rebuilt;
+        rebuilt.ingest_trajectories(&db);
+        sharded.ingest_trajectories(&db);
+        assert_eq!(outputs(&rebuilt), outputs(&sharded));
 
         // A merge path not ending at the domain end is rejected.
         let err = ShardedEngine::from_parts(
@@ -1546,7 +1426,7 @@ mod tests {
             sharded.strategy(),
             sharded.variant(),
             *sharded.partitioner(),
-            vec![GatheringEngine::new(*sharded.config())],
+            vec![ShardState::default()],
             ClusterDatabase::new(),
             vec![Crowd::new(vec![ClusterId::new(3, 0)])],
             Vec::new(),

@@ -26,18 +26,38 @@
 //!   early (globally it extends into the neighbouring shard);
 //! * paths containing a cross-shard edge are discovered by no shard at all.
 //!
-//! The [`ShardedEngine`] merge pass repairs all three deterministically: it
-//! detects every cross-shard edge among the boundary-adjacent clusters,
-//! drops the local results invalidated by one, and runs its own sweep over
-//! the *tainted* paths — splicing shard-recorded boundary prefixes (via the
-//! per-tick observer hook of
-//! [`CrowdDiscovery::run_resumed_observed`](gpdt_core::CrowdDiscovery::run_resumed_observed))
-//! onto cross-edge extensions and carrying them forward against the global
-//! cluster sets.  With the spatial [`GridPartitioner`] only clusters whose
-//! `δ`-inflated bounding box leaks out of their home cell can be incident
-//! to a cross edge, so the merge touches a thin boundary slice; the
-//! [`Partitioner::HashByObject`] fallback treats every cluster as boundary
-//! (correct for arbitrary data, with merge cost approaching a full sweep).
+//! The [`ShardedEngine`] repairs all three deterministically, and finds the
+//! cross edges *first* — before a shard has seen the batch.  The
+//! partitioner's boundary guarantee holds for **either** endpoint of a cross
+//! edge (if `dH(c, d) ≤ δ`, each cluster lies inside the other's
+//! `δ`-inflated bounding box, so neither box stays within cells of one
+//! shard), hence every cross edge between ticks `t − 1` and `t` joins a
+//! boundary cluster of `t − 1` to a boundary cluster of `t`: pairing those
+//! two short lists ([`cross_edges`]: different shards, both with `mc`
+//! members, the MBR bound `dmin ≤ dH` of Lemma 2, then the Hausdorff test)
+//! is exhaustive, with no index over the tick.  Knowing the edges up front,
+//! each shard logs — via the per-tick observer hook of
+//! [`CrowdDiscovery::run_resumed_observed`](gpdt_core::CrowdDiscovery::run_resumed_observed)
+//! — only the candidates that end at the tail of one; the merge replay then
+//! drops the local results an edge invalidates, splices the logged prefixes
+//! onto the edges, and carries the *tainted* paths forward against the
+//! global cluster sets.  With the spatial [`GridPartitioner`] the boundary
+//! lists are a thin slice of a tick; the [`Partitioner::HashByObject`]
+//! fallback treats every cluster as boundary (correct for arbitrary data;
+//! the scan sweeps the heads along x, so it stays near-linear in them, and
+//! the replay approaches a full sweep).
+//!
+//! # One copy of history
+//!
+//! The coordinator's global cluster database, mirrored tick for tick by the
+//! partitioner's [`TickLayout`]s, is the only copy of the cluster history
+//! that is ever copied, serialised or indexed.  A shard's own database is a
+//! view of it through a layout (reference-counted clusters, no point
+//! copied), so what the supervisor snapshots and what a `gpdt-store`
+//! checkpoint writes per shard is a [`ShardState`] — first retained tick,
+//! tick count, finalized records, frontier — and the shard's engine is
+//! rebuilt from that plus its derived database, byte-identical, when a
+//! worker is lost or a checkpoint restored.
 //!
 //! ```
 //! use gpdt_core::{GatheringConfig, GatheringEngine};
@@ -70,9 +90,11 @@
 //! [`GatheringEngine`]: gpdt_core::GatheringEngine
 
 pub mod engine;
+pub mod history;
 pub mod partition;
 
 pub use engine::{
-    ShardFault, ShardLoad, ShardSupervision, ShardedEngine, ShardedStats, ShardedUpdate,
+    ShardFault, ShardLoad, ShardSupervision, ShardedEngine, ShardedStats, ShardedUpdate, MAX_SHARDS,
 };
+pub use history::{cross_edges, CrossEdges, ShardState, TickLayout};
 pub use partition::{GridPartitioner, Partitioner};

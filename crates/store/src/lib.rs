@@ -22,8 +22,9 @@
 //!   region × time-window queries, per-object participation history and
 //!   top-k gatherings by participator count.
 //! * [`sharded`] — checkpoint/restore for the partitioned
-//!   [`ShardedEngine`](gpdt_shard::ShardedEngine): per-shard
-//!   [`EngineCheckpoint`]s composed with the coordinator's merge state.
+//!   [`ShardedEngine`](gpdt_shard::ShardedEngine): the coordinator's global
+//!   cluster database and merge state, plus each shard's history-free
+//!   [`ShardState`](gpdt_shard::ShardState).
 //! * [`service`] — [`MonitorService`], the concurrent façade: one ingestion
 //!   thread feeds the engine (single or sharded, via [`MonitoredEngine`])
 //!   and the store while any number of caller threads run queries (std

@@ -1,15 +1,18 @@
 //! Sharded-engine checkpoints: serialise a [`ShardedEngine`] so a partitioned
 //! stream can resume after a crash at any tick boundary.
 //!
-//! A sharded checkpoint is the composition of the per-shard
-//! [`EngineCheckpoint`]s with the coordinator state the merge pass needs:
-//! the partitioner, the global (retention-bounded) cluster database, the
-//! open merge paths, the cross-edge endpoint sets and the merged finalized
-//! records.  The per-tick partition layouts are *not* stored — the
+//! A sharded checkpoint holds the cluster history once — in the
+//! coordinator's global (retention-bounded) cluster database — next to the
+//! rest of the merge state: the partitioner, the open merge paths, the
+//! cross-edge endpoint sets and the merged finalized records.  Each shard
+//! then adds a [`ShardState`]: its first retained tick, its tick count, its
+//! finalized records and its frontier.  Neither the per-tick partition
+//! layouts nor the shards' own cluster databases are stored — the
 //! partitioner is a deterministic function of the cluster contents, so
-//! [`ShardedEngine::from_parts`] rebuilds them from the stored database and
-//! cross-checks them against the shard engines' own databases, rejecting a
-//! checkpoint whose pieces disagree.
+//! [`ShardedEngine::from_parts`] rebuilds the layouts from the stored
+//! database, derives every shard's database through them, and rejects a
+//! shard section whose frontier is not what a sweep of that database leaves
+//! behind.
 //!
 //! ```
 //! use gpdt_core::GatheringConfig;
@@ -49,10 +52,8 @@
 use std::io::{self, Read, Write};
 
 use gpdt_clustering::{ClusterDatabase, ClusterId};
-use gpdt_core::{
-    Crowd, CrowdRecord, GatheringConfig, GatheringEngine, RangeSearchStrategy, TadVariant,
-};
-use gpdt_shard::{GridPartitioner, Partitioner, ShardedEngine};
+use gpdt_core::{Crowd, CrowdRecord, GatheringConfig, RangeSearchStrategy, TadVariant};
+use gpdt_shard::{GridPartitioner, Partitioner, ShardState, ShardedEngine, MAX_SHARDS};
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::codec::{read_header, write_header, Decode, DecodeError, Encode};
@@ -60,16 +61,15 @@ use crate::codec::{read_header, write_header, Decode, DecodeError, Encode};
 /// Magic string at the start of every sharded checkpoint.
 pub const SHARDED_CHECKPOINT_MAGIC: [u8; 8] = *b"GPDTSHC\0";
 
-/// Current sharded-checkpoint format version.
+/// Current sharded-checkpoint format version, the only one read or written.
 ///
-/// Moves in lockstep with [`crate::CHECKPOINT_VERSION`]: v2 switches the
-/// merged cluster database to the columnar set frames (the embedded per-shard
-/// engine checkpoints carry their own versioned headers).
-pub const SHARDED_CHECKPOINT_VERSION: u16 = 2;
-
-/// An upper bound nobody reasonable exceeds; a corrupt shard count must not
-/// drive a decode loop for billions of engines.
-const MAX_SHARDS: u64 = 1 << 16;
+/// Version history:
+///
+/// * **1**, **2** — every shard section was a whole embedded engine
+///   checkpoint, cluster database included (row-oriented, then columnar).
+/// * **3** — shard sections are [`ShardState`]s; the global cluster database
+///   is the only copy of the history.
+pub const SHARDED_CHECKPOINT_VERSION: u16 = 3;
 
 impl Encode for Partitioner {
     fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
@@ -106,6 +106,26 @@ impl Decode for Partitioner {
     }
 }
 
+impl Encode for ShardState {
+    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        self.first_tick.encode(w)?;
+        self.ticks_ingested.encode(w)?;
+        self.finalized.encode(w)?;
+        self.frontier.encode(w)
+    }
+}
+
+impl Decode for ShardState {
+    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+        Ok(ShardState {
+            first_tick: Option::decode(r)?,
+            ticks_ingested: u64::decode(r)?,
+            finalized: Vec::decode(r)?,
+            frontier: Vec::decode(r)?,
+        })
+    }
+}
+
 impl EngineCheckpoint for ShardedEngine {
     fn checkpoint<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         write_header(w, &SHARDED_CHECKPOINT_MAGIC, SHARDED_CHECKPOINT_VERSION)?;
@@ -118,36 +138,34 @@ impl EngineCheckpoint for ShardedEngine {
         self.cross_edge_heads().encode(w)?;
         self.cross_edge_tails().encode(w)?;
         self.finalized_records().encode(w)?;
-        (self.shard_count() as u64).encode(w)?;
-        for engine in self.shard_engines() {
-            engine.checkpoint(w)?;
-        }
-        Ok(())
+        // The shard count, then a section per shard.
+        self.shard_states().encode(w)
     }
 
     fn restore<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let version = read_header(r, &SHARDED_CHECKPOINT_MAGIC, SHARDED_CHECKPOINT_VERSION)?;
+        let supported = SHARDED_CHECKPOINT_VERSION;
+        let found = read_header(r, &SHARDED_CHECKPOINT_MAGIC, supported)?;
+        if found != supported {
+            return Err(DecodeError::UnsupportedVersion { found, supported });
+        }
         let config = GatheringConfig::decode(r)?;
         let strategy = RangeSearchStrategy::decode(r)?;
         let variant = TadVariant::decode(r)?;
         let partitioner = Partitioner::decode(r)?;
-        let cdb = if version == 1 {
-            crate::model::decode_cluster_database_v1(r)?
-        } else {
-            ClusterDatabase::decode(r)?
-        };
+        let cdb = ClusterDatabase::decode(r)?;
         let merge: Vec<Crowd> = Vec::decode(r)?;
         let cross_in: Vec<ClusterId> = Vec::decode(r)?;
         let cross_out: Vec<ClusterId> = Vec::decode(r)?;
         let finalized: Vec<CrowdRecord> = Vec::decode(r)?;
+        // No engine runs more shards than `MAX_SHARDS`; a count beyond it
+        // must not have its sections read, nor size the per-tick layouts.
         let shard_count = u64::decode(r)?;
-        if shard_count == 0 || shard_count > MAX_SHARDS {
+        if shard_count == 0 || shard_count > MAX_SHARDS as u64 {
             return Err(DecodeError::Corrupt("implausible shard count"));
         }
-        let mut shards = Vec::with_capacity(shard_count as usize);
-        for _ in 0..shard_count {
-            shards.push(GatheringEngine::restore(r)?);
-        }
+        let shards = (0..shard_count)
+            .map(|_| ShardState::decode(r))
+            .collect::<Result<Vec<_>, _>>()?;
         ShardedEngine::from_parts(
             config,
             strategy,
@@ -224,6 +242,45 @@ mod tests {
         Partitioner::Grid(GridPartitioner::new(150.0))
     }
 
+    /// A two-shard engine eight ticks into the drift, and its shard states.
+    fn drifted() -> (ShardedEngine, Vec<ShardState>) {
+        let mut engine = ShardedEngine::new(config(), 2, partitioner());
+        engine.ingest_trajectories(&drifting_db(8));
+        let states = engine.shard_states();
+        (engine, states)
+    }
+
+    /// `engine`'s checkpoint with its shard sections replaced: the header
+    /// says `version`, the count field `count`, and `sections` follow.
+    fn forge(engine: &ShardedEngine, version: u16, count: u64, sections: &[ShardState]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_header(&mut bytes, &SHARDED_CHECKPOINT_MAGIC, version).unwrap();
+        engine.config().encode(&mut bytes).unwrap();
+        engine.strategy().encode(&mut bytes).unwrap();
+        engine.variant().encode(&mut bytes).unwrap();
+        engine.partitioner().encode(&mut bytes).unwrap();
+        engine.cluster_database().encode(&mut bytes).unwrap();
+        engine.merge_frontier().encode(&mut bytes).unwrap();
+        engine.cross_edge_heads().encode(&mut bytes).unwrap();
+        engine.cross_edge_tails().encode(&mut bytes).unwrap();
+        engine.finalized_records().encode(&mut bytes).unwrap();
+        count.encode(&mut bytes).unwrap();
+        for state in sections {
+            state.encode(&mut bytes).unwrap();
+        }
+        bytes
+    }
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        match restore_sharded_from_slice(bytes) {
+            Err(DecodeError::Corrupt(_)) => {}
+            other => panic!(
+                "{what}: expected Corrupt, got {:?}",
+                other.map(|_| "an engine")
+            ),
+        }
+    }
+
     #[test]
     fn partitioner_codec_roundtrips_and_rejects_garbage() {
         for p in [
@@ -270,24 +327,29 @@ mod tests {
         let mut restored = restore_sharded_from_slice(&bytes).unwrap();
         assert_eq!(restored.closed_crowds(), engine.closed_crowds());
         assert_eq!(restored.gatherings(), engine.gatherings());
-        assert_eq!(
-            restored.finalized_records().len(),
-            engine.finalized_records().len()
-        );
+        assert_eq!(restored.finalized_records(), engine.finalized_records());
+        assert_eq!(sharded_checkpoint_to_vec(&restored), bytes);
 
         restored.ingest_trajectories(&db);
         engine.ingest_trajectories(&db);
         assert_eq!(restored.closed_crowds(), engine.closed_crowds());
         assert_eq!(restored.gatherings(), engine.gatherings());
+        assert_eq!(
+            sharded_checkpoint_to_vec(&restored),
+            sharded_checkpoint_to_vec(&engine)
+        );
     }
 
     #[test]
     fn truncations_never_panic() {
-        let db = drifting_db(8);
-        let mut engine = ShardedEngine::new(config(), 2, partitioner());
-        engine.ingest_trajectories(&db);
+        let (engine, states) = drifted();
         let bytes = sharded_checkpoint_to_vec(&engine);
-        for cut in (0..bytes.len()).step_by(7) {
+        assert_eq!(
+            bytes,
+            forge(&engine, SHARDED_CHECKPOINT_VERSION, 2, &states),
+            "the forging helper writes the real layout"
+        );
+        for cut in 0..bytes.len() {
             assert!(
                 restore_sharded_from_slice(&bytes[..cut]).is_err(),
                 "cut at {cut} must fail"
@@ -295,39 +357,135 @@ mod tests {
         }
         let mut trailing = bytes;
         trailing.push(0);
-        assert!(matches!(
-            restore_sharded_from_slice(&trailing),
-            Err(DecodeError::Corrupt(_))
-        ));
+        assert_corrupt(&trailing, "trailing byte");
+    }
+
+    #[test]
+    fn older_versions_are_unsupported() {
+        let (engine, states) = drifted();
+        for version in [1, 2, SHARDED_CHECKPOINT_VERSION + 1] {
+            assert!(matches!(
+                restore_sharded_from_slice(&forge(&engine, version, 2, &states)),
+                Err(DecodeError::UnsupportedVersion { found, supported: SHARDED_CHECKPOINT_VERSION })
+                    if found == version
+            ));
+        }
     }
 
     #[test]
     fn shard_count_mismatch_is_rejected() {
-        // Re-encode a valid checkpoint with one shard engine chopped off:
-        // the declared count no longer matches and decoding must fail
-        // cleanly (either truncation or a corruption error).
-        let db = drifting_db(8);
+        // Seven groups lingering in seven grid cells, so either deal leaves
+        // every shard with several frontier paths.
+        let lingering = TrajectoryDatabase::from_trajectories((0..28u32).map(|i| {
+            let x = f64::from(i / 4) * 1_000.0 + f64::from(i % 4) * 8.0;
+            Trajectory::from_points(
+                ObjectId::new(i),
+                (0..8u32)
+                    .map(|t| (t, (x, f64::from(t))))
+                    .collect::<Vec<_>>(),
+            )
+        }));
         let mut engine = ShardedEngine::new(config(), 2, partitioner());
-        engine.ingest_trajectories(&db);
+        engine.ingest_trajectories(&lingering);
+        let states = engine.shard_states();
+        // One section short of the declared count: the input just ends.
+        assert!(matches!(
+            restore_sharded_from_slice(&forge(
+                &engine,
+                SHARDED_CHECKPOINT_VERSION,
+                2,
+                &states[..1]
+            )),
+            Err(DecodeError::UnexpectedEof)
+        ));
+        // A count the sections agree with but the checkpointed engine did
+        // not have: the partitioner deals the clusters out three ways, and
+        // the two real frontiers no longer fit what they are dealt.
+        let mut three = states.clone();
+        three.push(ShardState {
+            first_tick: states[0].first_tick,
+            ticks_ingested: states[0].ticks_ingested,
+            ..ShardState::default()
+        });
+        assert_corrupt(
+            &forge(&engine, SHARDED_CHECKPOINT_VERSION, 3, &three),
+            "three shards for a two-shard stream",
+        );
+        // Counts no machine has are refused before anything is sized by them.
+        for count in [0, MAX_SHARDS as u64 + 1, u64::MAX] {
+            assert_corrupt(
+                &forge(&engine, SHARDED_CHECKPOINT_VERSION, count, &states),
+                "implausible count",
+            );
+        }
+    }
 
-        let mut bytes = Vec::new();
-        write_header(
-            &mut bytes,
-            &SHARDED_CHECKPOINT_MAGIC,
-            SHARDED_CHECKPOINT_VERSION,
-        )
-        .unwrap();
-        engine.config().encode(&mut bytes).unwrap();
-        engine.strategy().encode(&mut bytes).unwrap();
-        engine.variant().encode(&mut bytes).unwrap();
-        engine.partitioner().encode(&mut bytes).unwrap();
-        engine.cluster_database().encode(&mut bytes).unwrap();
-        engine.merge_frontier().encode(&mut bytes).unwrap();
-        engine.cross_edge_heads().encode(&mut bytes).unwrap();
-        engine.cross_edge_tails().encode(&mut bytes).unwrap();
-        engine.finalized_records().encode(&mut bytes).unwrap();
-        2u64.encode(&mut bytes).unwrap();
-        engine.shard_engines()[0].checkpoint(&mut bytes).unwrap();
-        assert!(restore_sharded_from_slice(&bytes).is_err());
+    #[test]
+    fn hostile_shard_sections_are_corrupt_not_a_panic() {
+        let (engine, states) = drifted();
+        let domain = engine.time_domain().unwrap();
+        let busy = (0..2)
+            .find(|&s| !states[s].frontier.is_empty())
+            .expect("the drift is on some shard's frontier");
+        let forged = |edit: &dyn Fn(&mut Vec<ShardState>)| {
+            let mut sections = states.clone();
+            edit(&mut sections);
+            forge(&engine, SHARDED_CHECKPOINT_VERSION, 2, &sections)
+        };
+
+        assert_corrupt(&forged(&|s| s.swap(0, 1)), "swapped sections");
+        assert_corrupt(
+            &forged(&|s| {
+                let (crowd, _) = &mut s[busy].frontier[0];
+                *crowd = Crowd::new(vec![ClusterId::new(crowd.end_time(), 999)]);
+            }),
+            "frontier id past the shard's last tick",
+        );
+        assert_corrupt(
+            &forged(&|s| {
+                let gathering = gpdt_core::Gathering::from_parts(
+                    Crowd::new(vec![ClusterId::new(domain.end, 999)]),
+                    Vec::new(),
+                );
+                s[busy].frontier[0].1.push(gathering);
+            }),
+            "frontier gathering id that does not resolve",
+        );
+        assert_corrupt(
+            &forged(&|s| {
+                let crowd = Crowd::new(vec![ClusterId::new(domain.end, 999)]);
+                s[busy].finalized.push(CrowdRecord {
+                    crowd,
+                    gatherings: Vec::new(),
+                });
+            }),
+            "finalized id that does not resolve",
+        );
+        assert_corrupt(
+            &forged(&|s| s[busy].frontier.clear()),
+            "frontier missing a cluster",
+        );
+        for first_tick in [None, Some(domain.end + 1), Some(u32::MAX)] {
+            assert_corrupt(
+                &forged(&|s| s[0].first_tick = first_tick),
+                "first retained tick outside the global domain",
+            );
+        }
+        assert_corrupt(
+            &forged(&|s| s[0].ticks_ingested = 0),
+            "fewer ticks ingested than retained",
+        );
+
+        // A forged length is read up to, never allocated for: the section's
+        // frontier claims u64::MAX entries and the input simply runs out.
+        let mut bytes = forge(&engine, SHARDED_CHECKPOINT_VERSION, 2, &states[..1]);
+        states[1].first_tick.encode(&mut bytes).unwrap();
+        states[1].ticks_ingested.encode(&mut bytes).unwrap();
+        states[1].finalized.encode(&mut bytes).unwrap();
+        u64::MAX.encode(&mut bytes).unwrap();
+        assert!(matches!(
+            restore_sharded_from_slice(&bytes),
+            Err(DecodeError::UnexpectedEof)
+        ));
     }
 }

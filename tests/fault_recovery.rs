@@ -11,17 +11,27 @@
 //! * **TailRepair** is exercised on real, current-codec (v2 columnar
 //!   payload) frames — including a torn write landing exactly on a
 //!   segment-rotation boundary — instead of hand-forged v1-era tails.
-//! * The **sharded panic lattice** injects a worker panic into every
-//!   (batch, shard) cell of a multi-batch ingest and requires in-process
-//!   recovery with output byte-identical to a single-engine run.
+//! * The **sharded panic lattice** injects a worker panic, then a deadline
+//!   overrun, into every (batch, shard) cell of a multi-batch ingest and
+//!   requires in-process recovery — from a snapshot without cluster history
+//!   — with outputs and checkpoint bytes identical to an undisturbed run,
+//!   under both retention policies.
+//! * A **bounded sharded checkpoint** taken while the shards' eviction
+//!   horizons differ restores and resumes byte-identically.
 
 use gpdt_bench::fault_sweep::{crash_lattice, sweep_workload, LatticeConfig};
 use gpdt_clustering::ClusterDatabase;
-use gpdt_core::{ClusteringParams, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams};
-use gpdt_shard::{GridPartitioner, Partitioner, ShardFault, ShardedEngine};
-use gpdt_store::{PatternStore, StoreOptions};
+use gpdt_core::{
+    ClusteringParams, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams,
+    RetentionPolicy,
+};
+use gpdt_shard::{GridPartitioner, Partitioner, ShardFault, ShardSupervision, ShardedEngine};
+use gpdt_store::{
+    restore_sharded_from_slice, sharded_checkpoint_to_vec, PatternStore, StoreOptions,
+};
 use gpdt_trajectory::{ObjectId, Trajectory, TrajectoryDatabase};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gpdt-fault-{}-{tag}", std::process::id()));
@@ -242,56 +252,268 @@ fn drifting_db(ticks: u32) -> TrajectoryDatabase {
     }))
 }
 
-#[test]
-fn sharded_panic_lattice_recovers_in_process_byte_identically() {
-    let config = GatheringConfig::builder()
+fn sharded_config() -> GatheringConfig {
+    GatheringConfig::builder()
         .clustering(ClusteringParams::new(60.0, 3))
         .crowd(CrowdParams::new(3, 3, 120.0))
         .gathering(GatheringParams::new(3, 3))
         .build()
-        .unwrap();
-    let db = drifting_db(16);
+        .unwrap()
+}
+
+/// Five objects that gather for four ticks and scatter for three, a cell
+/// further along each time: crowds keep finalizing, so bounded retention has
+/// history to evict between the faults.
+fn cycling_db(ticks: u32) -> TrajectoryDatabase {
+    TrajectoryDatabase::from_trajectories((0..5u32).map(|i| {
+        Trajectory::from_points(
+            ObjectId::new(i),
+            (0..ticks)
+                .map(|t| {
+                    let x = if t % 7 < 4 {
+                        f64::from(t / 7) * 130.0 + f64::from(i) * 9.0
+                    } else {
+                        f64::from(i) * 50_000.0 + f64::from(t) * 11.0
+                    };
+                    (t, (x, 0.0))
+                })
+                .collect::<Vec<_>>(),
+        )
+    }))
+}
+
+#[test]
+fn sharded_panic_lattice_recovers_in_process_byte_identically() {
+    sharded_fault_lattice(&drifting_db(16), RetentionPolicy::KeepAll);
+    sharded_fault_lattice(&drifting_db(16), RetentionPolicy::Bounded);
+    let resident = sharded_fault_lattice(&cycling_db(22), RetentionPolicy::Bounded);
+    assert!(
+        resident < 22,
+        "the cycling lattice must run with evicted history"
+    );
+}
+
+/// Returns the ticks an undisturbed engine still holds at the end.
+fn sharded_fault_lattice(db: &TrajectoryDatabase, retention: RetentionPolicy) -> usize {
+    let config = sharded_config();
     let partitioner = Partitioner::Grid(GridPartitioner::new(150.0));
     let shards = 3usize;
 
     let mut single = GatheringEngine::new(config);
-    single.ingest_trajectories(&db);
+    single.ingest_trajectories(db);
     let reference = (single.closed_crowds(), single.gatherings());
-    assert!(!reference.0.is_empty(), "the drift must form a crowd");
+    assert!(!reference.0.is_empty(), "the workload must form a crowd");
 
-    let mut clean = ShardedEngine::new(config, shards, partitioner);
-    clean.ingest_trajectories(&db);
-    assert_eq!((clean.closed_crowds(), clean.gatherings()), reference);
+    // One fault per (batch, shard) cell of the lattice, each in a fresh
+    // engine: a panic, then a stall past the worker deadline.  Recovery must
+    // happen inside the process (no restart) from a snapshot that holds no
+    // cluster history — the shard's database is derived again from the
+    // coordinator's — and leave the engine byte-identical to an undisturbed
+    // one: outputs, finalized feed and checkpoint, whether history is kept
+    // or evicted.
+    let last = db.time_domain().unwrap().end;
+    let ends: Vec<u32> = (2..last).step_by(2).chain([last]).collect();
+    let deadline = ShardSupervision {
+        worker_deadline: Some(Duration::from_millis(60)),
+        snapshot_interval: 3,
+    };
+    let mut resident = 0;
+    let faults = [
+        (ShardFault::PanicOnce, ShardSupervision::default()),
+        (ShardFault::StallOnce(Duration::from_millis(400)), deadline),
+    ];
+    for (fault, supervision) in faults {
+        let fresh = || {
+            ShardedEngine::new(config, shards, partitioner)
+                .with_retention(retention)
+                .with_supervision(supervision)
+        };
+        let mut clean = fresh();
+        for &end in &ends {
+            clean.ingest_trajectories_until(db, end);
+        }
+        assert_eq!((clean.closed_crowds(), clean.gatherings()), reference);
+        let clean_checkpoint = sharded_checkpoint_to_vec(&clean);
+        resident = clean.cluster_database().len();
 
-    // One panic per (batch, shard) cell of the lattice, each in a fresh
-    // engine: recovery must happen inside the process (no restart), and the
-    // final output must match both the undisturbed sharded run and the
-    // single-engine oracle.
-    let ends = [2u32, 4, 6, 8, 10, 12, 14, db.time_domain().unwrap().end];
-    for batch in 0..ends.len() {
-        for shard in 0..shards {
-            let mut faulty = ShardedEngine::new(config, shards, partitioner);
-            for (b, end) in ends.iter().enumerate() {
-                if b == batch {
-                    faulty.inject_shard_fault(shard, ShardFault::PanicOnce);
+        for batch in 0..ends.len() {
+            for shard in 0..shards {
+                let cell = format!("{retention:?}, {fault:?}, batch {batch}, shard {shard}");
+                let mut faulty = fresh();
+                for (b, &end) in ends.iter().enumerate() {
+                    if b == batch {
+                        faulty.inject_shard_fault(shard, fault);
+                    }
+                    faulty.ingest_trajectories_until(db, end);
                 }
-                faulty.ingest_trajectories_until(&db, *end);
+                assert_eq!(
+                    (faulty.closed_crowds(), faulty.gatherings()),
+                    reference,
+                    "{cell}"
+                );
+                assert_eq!(
+                    faulty.finalized_records(),
+                    clean.finalized_records(),
+                    "{cell}"
+                );
+                assert_eq!(
+                    sharded_checkpoint_to_vec(&faulty),
+                    clean_checkpoint,
+                    "{cell}"
+                );
+                // Exactly the injected worker is rebuilt — unless a busy
+                // host makes a healthy one overrun the deadline too, which
+                // costs a rebuild and nothing else.
+                assert!(faulty.restarts()[shard] >= 1, "{cell}");
+                if supervision.worker_deadline.is_none() {
+                    assert_eq!(faulty.restarts().iter().sum::<u64>(), 1, "{cell}");
+                }
+            }
+        }
+    }
+    resident
+}
+
+#[test]
+fn bounded_sharded_checkpoint_resumes_with_uneven_eviction_horizons() {
+    // One group lingers for the whole stream on one side of the map while
+    // others gather and scatter elsewhere: the lingering group's shard must
+    // keep its history from tick 0, the other shards evict as they go.
+    let lingering = (0..4u32).map(|i| {
+        Trajectory::from_points(
+            ObjectId::new(i),
+            (0..40u32)
+                .map(|t| (t, (f64::from(i) * 9.0, f64::from(t) * 0.5)))
+                .collect::<Vec<_>>(),
+        )
+    });
+    let cycling = (0..4u32).map(|i| {
+        Trajectory::from_points(
+            ObjectId::new(100 + i),
+            (0..40u32)
+                .map(|t| {
+                    let x = if t % 8 < 5 {
+                        3_000.0 + f64::from(t / 8) * 170.0 + f64::from(i) * 9.0
+                    } else {
+                        50_000.0 + f64::from(i) * 5_000.0 + f64::from(t)
+                    };
+                    (t, (x, 40.0))
+                })
+                .collect::<Vec<_>>(),
+        )
+    });
+    let db = TrajectoryDatabase::from_trajectories(lingering.chain(cycling));
+    let config = sharded_config();
+    let partitioner = Partitioner::Grid(GridPartitioner::new(150.0));
+    let fresh =
+        || ShardedEngine::new(config, 4, partitioner).with_retention(RetentionPolicy::Bounded);
+
+    let mut single = GatheringEngine::new(config);
+    single.ingest_trajectories(&db);
+
+    let mut uneven_seen = false;
+    for crash_at in [9u32, 17, 22, 30] {
+        let mut uninterrupted = fresh();
+        let mut engine = fresh();
+        for t in 0..=crash_at {
+            uninterrupted.ingest_trajectories_until(&db, t);
+            engine.ingest_trajectories_until(&db, t);
+        }
+        let horizons: Vec<u32> = engine
+            .shard_engines()
+            .iter()
+            .map(|e| e.time_domain().unwrap().start)
+            .collect();
+        uneven_seen |= horizons.iter().min() != horizons.iter().max();
+        let bytes = sharded_checkpoint_to_vec(&engine);
+        drop(engine); // the "crash"
+
+        let mut resumed = restore_sharded_from_slice(&bytes)
+            .expect("checkpoint restores")
+            .with_retention(RetentionPolicy::Bounded);
+        assert_eq!(
+            sharded_checkpoint_to_vec(&resumed),
+            bytes,
+            "crash at {crash_at}"
+        );
+        for t in crash_at + 1..40 {
+            uninterrupted.ingest_trajectories_until(&db, t);
+            resumed.ingest_trajectories_until(&db, t);
+        }
+        assert_eq!(resumed.closed_crowds(), single.closed_crowds());
+        assert_eq!(resumed.gatherings(), single.gatherings());
+        assert_eq!(
+            resumed.finalized_records(),
+            uninterrupted.finalized_records()
+        );
+        assert_eq!(
+            sharded_checkpoint_to_vec(&resumed),
+            sharded_checkpoint_to_vec(&uninterrupted),
+            "crash at {crash_at}"
+        );
+    }
+    assert!(uneven_seen, "the shards must evict to different horizons");
+}
+
+#[test]
+fn sharded_checkpoint_after_a_manual_eviction_restores_and_resumes() {
+    // `evict_retired_clusters` by hand trims the global database at once and
+    // leaves the shards to follow at their next ingest: a checkpoint taken
+    // in between must start no shard before the history it is derived from.
+    let db = cycling_db(30);
+    let config = sharded_config();
+    let partitioner = Partitioner::Grid(GridPartitioner::new(150.0));
+    let mut single = GatheringEngine::new(config);
+    single.ingest_trajectories(&db);
+
+    for retention in [RetentionPolicy::KeepAll, RetentionPolicy::Bounded] {
+        let fresh = || ShardedEngine::new(config, 3, partitioner).with_retention(retention);
+        let mut evicted_ahead_of_a_shard = false;
+        for crash_at in [9u32, 12, 16, 23] {
+            let mut uninterrupted = fresh();
+            let mut engine = fresh();
+            for t in 0..=crash_at {
+                uninterrupted.ingest_trajectories_until(&db, t);
+                engine.ingest_trajectories_until(&db, t);
+            }
+            engine.evict_retired_clusters();
+            let retained_from = engine.time_domain().unwrap().start;
+            let shard_starts = engine.shard_engines().iter();
+            evicted_ahead_of_a_shard |= shard_starts
+                .map(|e| e.time_domain().unwrap().start)
+                .any(|start| start < retained_from);
+            let bytes = sharded_checkpoint_to_vec(&engine);
+
+            let context = format!("{retention:?}, crash at {crash_at}");
+            let mut resumed = restore_sharded_from_slice(&bytes)
+                .unwrap_or_else(|e| panic!("{context}: {e}"))
+                .with_retention(retention);
+            assert_eq!(sharded_checkpoint_to_vec(&resumed), bytes, "{context}");
+            // The engine that evicted goes on too, losing a shard next batch.
+            engine.inject_shard_fault(crash_at as usize % 3, ShardFault::PanicOnce);
+            for t in crash_at + 1..30 {
+                uninterrupted.ingest_trajectories_until(&db, t);
+                engine.ingest_trajectories_until(&db, t);
+                resumed.ingest_trajectories_until(&db, t);
+            }
+            for survivor in [&engine, &resumed] {
+                assert_eq!(survivor.closed_crowds(), single.closed_crowds());
+                assert_eq!(survivor.gatherings(), single.gatherings());
+                assert_eq!(
+                    survivor.finalized_records(),
+                    uninterrupted.finalized_records(),
+                    "{context}"
+                );
             }
             assert_eq!(
-                (faulty.closed_crowds(), faulty.gatherings()),
-                reference,
-                "batch {batch}, shard {shard}"
-            );
-            assert_eq!(
-                faulty.finalized_records(),
-                clean.finalized_records(),
-                "batch {batch}, shard {shard}"
-            );
-            assert_eq!(
-                faulty.restarts().iter().sum::<u64>(),
-                1,
-                "exactly the injected worker is rebuilt (batch {batch}, shard {shard})"
+                sharded_checkpoint_to_vec(&resumed),
+                sharded_checkpoint_to_vec(&engine),
+                "{context}"
             );
         }
+        assert!(
+            evicted_ahead_of_a_shard,
+            "{retention:?}: the eviction must get ahead of some shard"
+        );
     }
 }

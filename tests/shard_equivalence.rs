@@ -8,12 +8,18 @@
 //! across grid-cell borders, split, approach each other and churn members,
 //! so crowds regularly straddle shard boundaries, seed spuriously on the
 //! far side and branch through cross-shard edges.
+//!
+//! The cross edges themselves — found by pairing boundary clusters before
+//! the shards run — are checked against an all-pairs oracle on families
+//! built to sit exactly on the partitioner's edge cases.
 
+use gpdt_clustering::{ClusterDatabase, ClusterId, SnapshotCluster, SnapshotClusterSet};
 use gpdt_core::{
     ClusteringParams, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams,
     RangeSearchStrategy, RetentionPolicy, TadVariant,
 };
-use gpdt_shard::{GridPartitioner, Partitioner, ShardedEngine};
+use gpdt_geo::Point;
+use gpdt_shard::{cross_edges, GridPartitioner, Partitioner, ShardedEngine, TickLayout};
 use gpdt_trajectory::{ObjectId, Timestamp, Trajectory, TrajectoryDatabase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -254,6 +260,266 @@ fn brute_force_variant_and_strategy_agree_on_a_small_stream() {
             .with_strategy(RangeSearchStrategy::BruteForce)
             .with_variant(TadVariant::BruteForce);
     sharded.ingest_trajectories(&db);
+    assert_eq!(sharded.closed_crowds(), single.closed_crowds());
+    assert_eq!(sharded.gatherings(), single.gatherings());
+}
+
+// ---------------------------------------------------------------------------
+// Cross edges: boundary-pair scan ≡ all-pairs oracle
+// ---------------------------------------------------------------------------
+
+const CELL: f64 = 400.0;
+
+/// A cluster at tick `t` with the given points; `lead` is its smallest
+/// object id (what the hash partitioner goes by).
+fn cluster(t: Timestamp, lead: u32, points: &[(f64, f64)]) -> SnapshotCluster {
+    SnapshotCluster::new(
+        t,
+        (0..points.len() as u32)
+            .map(|i| ObjectId::new(lead + i))
+            .collect(),
+        points.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+    )
+}
+
+/// Four points around `(cx, cy)`, their mean exactly there.
+fn around(cx: f64, cy: f64) -> [(f64, f64); 4] {
+    [
+        (cx - 8.0, cy - 4.0),
+        (cx + 8.0, cy - 4.0),
+        (cx - 4.0, cy + 4.0),
+        (cx + 4.0, cy + 4.0),
+    ]
+}
+
+fn database(ticks: Vec<Vec<SnapshotCluster>>) -> ClusterDatabase {
+    ClusterDatabase::from_sets(
+        ticks
+            .into_iter()
+            .enumerate()
+            .map(|(t, clusters)| SnapshotClusterSet {
+                time: t as Timestamp,
+                clusters,
+            })
+            .collect(),
+    )
+}
+
+/// The adversarial families, each a short cluster stream (δ = 110, `mc` = 3,
+/// 400-unit cells): what the boundary flag, the shard assignment or the
+/// `mc` filter could get wrong if any of them were off by an ulp or a `<`.
+fn families() -> Vec<(&'static str, ClusterDatabase)> {
+    let ticks = 9u32;
+    let stream = |at: &dyn Fn(u32) -> Vec<SnapshotCluster>| database((0..ticks).map(at).collect());
+    vec![
+        // A group whose centroid lands exactly on a cell border (x = 800,
+        // then y = 400) on every other tick and a hair to either side of it
+        // in between: `floor` puts the border itself into the upper cell.
+        (
+            "centroid on a cell border",
+            stream(&|t| {
+                let nudge = [0.0, -1e-9, 0.0, 1e-9][t as usize % 4];
+                vec![
+                    cluster(t, 10 + t % 3, &around(2.0 * CELL + nudge, 90.0)),
+                    cluster(t, 40 + t % 2, &around(1_730.0, CELL + nudge)),
+                ]
+            }),
+        ),
+        // A column of points at x = 690, deep inside its cell but for the
+        // δ-inflated box ending exactly on the border x = 800, alternating
+        // with the same column *on* that border: Hausdorff distance exactly
+        // δ, head centroid exactly on the first cell the inflation reaches.
+        (
+            "inflated box touching a border",
+            stream(&|t| {
+                let x = 2.0 * CELL
+                    - if t % 2 == 0 {
+                        config().crowd.delta
+                    } else {
+                        0.0
+                    };
+                let column: Vec<(f64, f64)> =
+                    (0..4).map(|k| (x, 150.0 + 9.0 * f64::from(k))).collect();
+                vec![
+                    cluster(t, 10 + t % 3, &column),
+                    cluster(t, 70, &around(2_310.0, 2_190.0 + f64::from(t))),
+                ]
+            }),
+        ),
+        // A cluster 18 × 18 cells wide (its inflation overlaps more than 256
+        // cells, so it is boundary without a cell being looked at) drifting
+        // across a border, next to ordinary ones.
+        (
+            "a cluster spanning more than 256 cells",
+            stream(&|t| {
+                let shift = f64::from(t) * 40.0;
+                let wide: Vec<(f64, f64)> = (0..19)
+                    .flat_map(|i| (0..19).map(move |j| (f64::from(i) * CELL, f64::from(j) * CELL)))
+                    .map(|(x, y)| (x + shift - 100.0, y + 55.0))
+                    .collect();
+                vec![
+                    cluster(t, 1_000 + t % 2, &wide),
+                    cluster(t, 10, &around(-650.0 + shift, -300.0)),
+                ]
+            }),
+        ),
+        // Pairs straddling a border: two-member clusters (below `mc`) linked
+        // to each other and to qualifying ones — edges of the δ-graph that
+        // are not edges of the crowd graph.
+        (
+            "sub-mc boundary clusters",
+            stream(&|t| {
+                let side = if t % 2 == 0 { -14.0 } else { 14.0 };
+                vec![
+                    cluster(t, 10, &around(3.0 * CELL + side, 50.0)[..2]),
+                    cluster(t, 20 + t % 2, &around(3.0 * CELL - side, 120.0)),
+                    cluster(t, 30, &around(CELL + side, 3.0 * CELL - side)[..2]),
+                ]
+            }),
+        ),
+    ]
+}
+
+/// Every edge of the crowd graph between consecutive ticks whose endpoints
+/// the partitioner puts on different shards, by testing all pairs.
+fn oracle_edges(
+    cdb: &ClusterDatabase,
+    partitioner: &Partitioner,
+    shards: usize,
+) -> Vec<(ClusterId, ClusterId)> {
+    let crowd = config().crowd;
+    let mut edges = Vec::new();
+    for next in cdb.iter().skip(1) {
+        let prev = cdb.set_at(next.time - 1).unwrap();
+        for (tail_id, tail) in prev.iter_ids() {
+            for (head_id, head) in next.iter_ids() {
+                if tail.len() >= crowd.mc
+                    && head.len() >= crowd.mc
+                    && tail.within_hausdorff(head, crowd.delta)
+                    && partitioner.shard_of(tail, shards) != partitioner.shard_of(head, shards)
+                {
+                    edges.push((tail_id, head_id));
+                }
+            }
+        }
+    }
+    edges
+}
+
+#[test]
+fn boundary_pair_scan_finds_exactly_the_all_pairs_cross_edges() {
+    let mut rng = StdRng::seed_from_u64(0x5AAD_0006);
+    let crowd = config().crowd;
+    let mut streams = families();
+    let walk = random_scenario(&mut rng, 4, 24);
+    streams.push((
+        "random walk",
+        ClusterDatabase::build(&walk, &config().clustering),
+    ));
+
+    for (family, cdb) in &streams {
+        let mut single = GatheringEngine::new(config());
+        single.ingest_clusters(cdb.clone());
+        let mut family_edges = 0;
+        for partitioner in [
+            Partitioner::Grid(GridPartitioner::new(CELL)),
+            Partitioner::HashByObject,
+        ] {
+            for shards in SHARD_COUNTS {
+                let context = format!("{family}, {shards} shards, {partitioner}");
+                let oracle = oracle_edges(cdb, &partitioner, shards);
+                family_edges += oracle.len();
+
+                // The scan itself, tick by tick.
+                let layouts: Vec<TickLayout> = cdb
+                    .iter()
+                    .map(|set| TickLayout::build(set, &partitioner, crowd.delta, shards))
+                    .collect();
+                let (mut pairs_tested, mut hausdorff_tests) = (0, 0);
+                let mut scanned = Vec::new();
+                for (t, next) in cdb.iter().enumerate().skip(1) {
+                    let prev = cdb.set_at(next.time - 1).unwrap();
+                    let found = cross_edges(
+                        (&layouts[t - 1], prev),
+                        (&layouts[t], next),
+                        crowd.mc,
+                        crowd.delta,
+                    );
+                    assert!(found.edges.is_sorted(), "{context}");
+                    pairs_tested += found.pairs_tested;
+                    hausdorff_tests += found.hausdorff_tests;
+                    scanned.extend(found.edges.into_iter().map(|(g, d)| {
+                        (
+                            ClusterId::new(prev.time, g as usize),
+                            ClusterId::new(next.time, d as usize),
+                        )
+                    }));
+                }
+                scanned.sort();
+                assert_eq!(scanned, oracle, "{context}");
+                assert!(hausdorff_tests >= oracle.len() as u64);
+                assert!(pairs_tested >= hausdorff_tests);
+
+                // The engine, under a random slicing: the same edges, and
+                // the single engine's output.
+                let mut sharded = ShardedEngine::new(config(), shards, partitioner);
+                let mut sets = cdb.iter().cloned().collect::<Vec<_>>();
+                while !sets.is_empty() {
+                    let take = rng.gen_range(1usize..5).min(sets.len());
+                    sharded
+                        .ingest_clusters(ClusterDatabase::from_sets(sets.drain(..take).collect()));
+                }
+                let mut tails: Vec<ClusterId> = oracle.iter().map(|e| e.0).collect();
+                let mut heads: Vec<ClusterId> = oracle.iter().map(|e| e.1).collect();
+                tails.sort();
+                tails.dedup();
+                heads.sort();
+                heads.dedup();
+                let stats = sharded.stats();
+                assert_eq!(stats.cross_edges, oracle.len() as u64, "{context}");
+                assert_eq!(sharded.cross_edge_tails(), tails, "{context}");
+                assert_eq!(sharded.cross_edge_heads(), heads, "{context}");
+                assert_eq!(stats.merge_pairs_tested, pairs_tested, "{context}");
+                assert_eq!(sharded.closed_crowds(), single.closed_crowds(), "{context}");
+                assert_eq!(sharded.gatherings(), single.gatherings(), "{context}");
+            }
+        }
+        assert!(
+            family_edges > 0,
+            "{family}: the family never crossed a shard border"
+        );
+    }
+}
+
+#[test]
+fn crowded_merge_replay_indexes_the_tick_and_matches_the_single_engine() {
+    // A thousand groups standing a cell apart, every one a crowd of its own,
+    // their lead object alternating from tick to tick: under the hash
+    // partitioner most of them change shards every tick, so the replay
+    // carries hundreds of tainted paths into ticks of a thousand clusters —
+    // past what it scans, into the index it builds instead.
+    let groups = 1_000u32;
+    let ticks = (0..8u32).map(|t| {
+        let group = |g: u32| {
+            let at = around(f64::from(g % 40) * CELL, f64::from(g / 40) * CELL);
+            cluster(t, 10 * g + t % 2, &at)
+        };
+        (0..groups).map(group).collect()
+    });
+    let cdb = database(ticks.collect());
+    let mut single = GatheringEngine::new(config());
+    single.ingest_clusters(cdb.clone());
+    assert_eq!(single.closed_crowds().len(), groups as usize);
+
+    let mut sharded = ShardedEngine::new(config(), 4, Partitioner::HashByObject);
+    let mut sets = cdb.iter().cloned().collect::<Vec<_>>();
+    for take in [3, 1, 4] {
+        sharded.ingest_clusters(ClusterDatabase::from_sets(sets.drain(..take).collect()));
+    }
+    let stats = sharded.stats();
+    // Three in four groups are tainted from the second tick on; the first
+    // tick has no edge leading in and the second no path open yet.
+    assert_eq!((stats.open_merge_paths, stats.merge_index_builds), (755, 6));
     assert_eq!(sharded.closed_crowds(), single.closed_crowds());
     assert_eq!(sharded.gatherings(), single.gatherings());
 }
