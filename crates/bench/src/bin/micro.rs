@@ -26,6 +26,13 @@
 //!   crosses over), and the supervisor's history-free shard snapshot
 //!   against the engine clone it replaced.
 //!
+//! * **The store and the service above the engine** — a refresh of
+//!   `MonitorService`'s structural recovery point (sixteen one-tick batches
+//!   onto a point of the city day) against the whole-state checkpoint encode
+//!   it replaced, at 100, 1 000 and 1 440 resident ticks; and 30 000
+//!   random-start inserts into the store's interval index against the
+//!   sorted vector it replaced.
+//!
 //! Each kernel additionally runs in both point layouts — structure-of-arrays
 //! columns ([`gpdt_geo::PointColumns`]) and the interleaved `&[Point]` slice
 //! — through the same generic code path, isolating the layout effect.
@@ -35,7 +42,7 @@
 //! Results are printed and serialised to `BENCH_micro.json` (honouring
 //! `GPDT_BENCH_DIR`), with one speedup row per before/after pair.
 
-use criterion::{black_box, Criterion};
+use criterion::{black_box, BatchSize, Criterion};
 use gpdt_bench::report::{BenchReport, Table};
 use gpdt_clustering::dbscan::dbscan_hashgrid;
 use gpdt_clustering::ClusterDatabase;
@@ -44,8 +51,8 @@ use gpdt_clustering::{
     SnapshotClusterSet,
 };
 use gpdt_core::{
-    CrowdOccurrence, CrowdParams, GatheringConfig, GatheringParams, RangeSearchStrategy,
-    SearcherScratch, TickSearcher,
+    CrowdOccurrence, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams,
+    RangeSearchStrategy, SearcherScratch, TickSearcher,
 };
 use gpdt_geo::hausdorff::{hausdorff_within_bruteforce_access, hausdorff_within_bucketed_access};
 use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
@@ -54,7 +61,8 @@ use gpdt_geo::{
     hausdorff_within_views, Point, PointColumns,
 };
 use gpdt_shard::{cross_edges, GridPartitioner, Partitioner, ShardedEngine, TickLayout};
-use gpdt_trajectory::{ObjectId, Timestamp, Trajectory};
+use gpdt_store::{IntervalIndex, MonitoredEngine, RecoveryPoint};
+use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp, Trajectory, TrajectoryDatabase};
 use gpdt_workload::{generate_scenario, ScenarioConfig, Weather};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -350,10 +358,7 @@ fn position_by_binary_search(trajectory: &Trajectory, t: Timestamp) -> Option<Po
 
 /// The three set-up stages around the algorithms of a monitoring tick, on
 /// the `city_stream` day (1 200 taxis, 1 440 ticks, every tick sampled).
-fn bench_tick_stages(c: &mut Criterion) {
-    let day =
-        generate_scenario(&ScenarioConfig::single_day(2013, Weather::Clear).with_taxis(1_200));
-    let db = &day.database;
+fn bench_tick_stages(c: &mut Criterion, db: &TrajectoryDatabase) {
     let ticks = db
         .time_domain()
         .expect("a generated day is not empty")
@@ -600,6 +605,79 @@ fn bench_shard(c: &mut Criterion, rng: &mut StdRng) {
     group.finish();
 }
 
+/// What `MonitorService` does every `checkpoint_interval` = 16 batches, then
+/// and now, on the day `bench_tick_stages` snapshots (the e2e `city_stream`
+/// input): the whole discovery state encoded into a reused buffer, against
+/// the recovery point topped up by the sixteen ticks since.
+fn bench_service_recovery(c: &mut Criterion, db: &TrajectoryDatabase) {
+    const REPLAY: u32 = 16;
+    let config = GatheringConfig::paper_default();
+    let mut group = c.benchmark_group("service_recovery_point");
+    let mut engine = GatheringEngine::new(config).with_threads(1);
+    for resident in [100u32, 1_000, 1_440] {
+        engine.ingest_trajectories_until(db, resident - REPLAY - 1);
+        let before = engine.clone();
+        let replay: Vec<ClusterDatabase> = (resident - REPLAY..resident)
+            .map(|t| {
+                ClusterDatabase::build_interval(db, &config.clustering, TimeInterval::new(t, t))
+            })
+            .collect();
+        for batch in &replay {
+            engine.ingest_clusters(batch.clone());
+        }
+        group.bench_function(format!("structural/{resident}"), |b| {
+            b.iter_batched(
+                || (RecoveryPoint::of(&before), replay.clone()),
+                |(mut point, mut replay)| {
+                    point.top_up(black_box(&engine), &mut replay);
+                    point
+                },
+                BatchSize::PerIteration,
+            )
+        });
+        let mut bytes = Vec::new();
+        group.bench_function(format!("checkpoint_into/{resident}"), |b| {
+            b.iter(|| black_box(&engine).checkpoint_into(&mut bytes))
+        });
+    }
+    group.finish();
+}
+
+/// The store's interval index under the `store_serve` workload's lifespans —
+/// starts in random order over a long axis — against the `(start, record)`
+/// sorted vector it replaced, whose every out-of-order insert shifts half the
+/// entries.
+fn bench_store_interval(c: &mut Criterion, rng: &mut StdRng) {
+    let lifespans: Vec<TimeInterval> = (0..30_000)
+        .map(|_| {
+            let start = rng.gen_range(0u32..100_000);
+            TimeInterval::new(start, start + rng.gen_range(15u32..120))
+        })
+        .collect();
+    let mut group = c.benchmark_group("store_interval_insert");
+    group.bench_function(format!("sorted_vec/{}", lifespans.len()), |b| {
+        b.iter(|| {
+            let mut entries: Vec<(Timestamp, Timestamp, usize)> = Vec::new();
+            for (id, lifespan) in lifespans.iter().enumerate() {
+                let key = (lifespan.start, id);
+                let at = entries.partition_point(|&(s, _, r)| (s, r) < key);
+                entries.insert(at, (lifespan.start, lifespan.end, id));
+            }
+            entries
+        })
+    });
+    group.bench_function(format!("btree/{}", lifespans.len()), |b| {
+        b.iter(|| {
+            let mut index = IntervalIndex::default();
+            for (id, &lifespan) in lifespans.iter().enumerate() {
+                index.insert(lifespan, id);
+            }
+            index
+        })
+    });
+    group.finish();
+}
+
 /// Mean time of the report entry whose name starts with `prefix`, in ns.
 fn mean_ns(c: &Criterion, prefix: &str) -> Option<f64> {
     c.reports()
@@ -763,8 +841,13 @@ fn main() {
     bench_hausdorff(&mut criterion, &mut rng);
     bench_tick_searcher(&mut criterion, &mut rng);
     bench_simd_kernels(&mut criterion, &mut rng);
-    bench_tick_stages(&mut criterion);
+    // The e2e `city_stream` day: 1 200 taxis, 1 440 ticks.
+    let day =
+        generate_scenario(&ScenarioConfig::single_day(2013, Weather::Clear).with_taxis(1_200));
+    bench_tick_stages(&mut criterion, &day.database);
     bench_shard(&mut criterion, &mut rng);
+    bench_service_recovery(&mut criterion, &day.database);
+    bench_store_interval(&mut criterion, &mut rng);
 
     let mut report = BenchReport::new("micro");
     let mut results = Table::new("Microbenchmarks — mean ns per iteration", &["bench", "ns"]);
@@ -836,6 +919,18 @@ fn main() {
             "shard snapshot (1000 resident ticks)",
             "shard_snapshot/history_free/1000",
             "shard_snapshot/engine_clone/1000",
+        ),
+        // Above the engine: the service's recovery point, the store's
+        // interval index.
+        (
+            "service recovery refresh (1440 resident ticks)",
+            "service_recovery_point/structural/1440",
+            "service_recovery_point/checkpoint_into/1440",
+        ),
+        (
+            "store interval index (30000 random-start inserts)",
+            "store_interval_insert/btree/30000",
+            "store_interval_insert/sorted_vec/30000",
         ),
         // The set-up stages of a monitoring tick.
         (

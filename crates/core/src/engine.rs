@@ -259,6 +259,12 @@ impl GatheringEngine {
         self.threads
     }
 
+    /// [`EngineStats::ticks_ingested`] alone — a field read, where
+    /// [`Self::stats`] walks the resident ticks and the finalized records.
+    pub fn ticks_ingested(&self) -> u64 {
+        self.ticks_ingested
+    }
+
     /// A snapshot of the engine's internal load.
     pub fn stats(&self) -> EngineStats {
         EngineStats {

@@ -1,7 +1,8 @@
 //! Process-wide health state for the `/health` endpoint: whether the
 //! service is up or degraded (and since when), how far ingest has advanced,
-//! and per-shard restart counts.  `MonitorService` pushes transitions here;
-//! the telemetry server and the watchdog's degraded-dwell rule read them.
+//! and per-shard restart counts.  `MonitorService` pushes transitions and
+//! progress here, a sharded engine its restart counts when one changes; the
+//! telemetry server and the watchdog's degraded-dwell rule read them.
 
 use std::sync::Mutex;
 
@@ -56,17 +57,19 @@ pub fn set_recovered() {
     s.degraded_reason.clear();
 }
 
-/// Records ingest progress and the current per-shard restart counts after an
-/// applied batch.
-pub fn note_ingest(tick: Option<u32>, shard_restarts: &[u64]) {
+/// Records ingest progress after an applied batch.
+pub fn note_ingest(tick: Option<u32>) {
     let mut s = lock();
     if tick.is_some() {
         s.last_ingest_tick = tick;
     }
     s.batches_applied += 1;
-    if s.shard_restarts.as_slice() != shard_restarts {
-        s.shard_restarts = shard_restarts.to_vec();
-    }
+}
+
+/// Records the per-shard restart counts — called by the sharded engine when
+/// it rebuilds a shard, so a batch without a restart costs nothing here.
+pub fn note_shard_restarts(shard_restarts: &[u64]) {
+    lock().shard_restarts = shard_restarts.to_vec();
 }
 
 /// Epoch-nanos the service has been degraded since, if it is — the
@@ -157,8 +160,9 @@ mod tests {
         assert!(json.contains("\"shard_restarts\":[]"));
         assert!(json.contains("\"watchdog\":[]"));
 
-        note_ingest(Some(41), &[0, 2]);
-        note_ingest(Some(42), &[0, 2]);
+        note_ingest(Some(41));
+        note_shard_restarts(&[0, 2]);
+        note_ingest(Some(42));
         set_degraded(7, "checkpoint failed: \"disk\"");
         let json = render_json(&[], &rec);
         assert!(json.starts_with("{\"status\":\"degraded\",\"degraded_since_batch\":7"));

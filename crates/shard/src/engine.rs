@@ -586,31 +586,37 @@ impl ShardedEngine {
     /// [`cluster database`](Self::cluster_database), all there is to
     /// checkpoint of the shards.
     pub fn shard_states(&self) -> Vec<ShardState> {
-        let retained_from = self.time_domain().map(|d| d.start);
-        let state = |engine: &GatheringEngine| ShardState {
-            first_tick: first_derived_tick(engine, retained_from),
-            ticks_ingested: engine.stats().ticks_ingested,
-            finalized: engine.finalized_records().to_vec(),
-            frontier: engine.frontier().to_vec(),
-        };
-        self.shards.iter().map(state).collect()
+        let mut states = Vec::new();
+        self.top_up_shard_states(&mut states);
+        states
     }
 
-    /// Brings every shard's snapshot up to its engine: the frontier is
-    /// replaced, the finalized records — append-only — are topped up.
-    fn refresh_snapshots(&mut self) {
-        let t0 = Instant::now();
+    /// Brings `states` — one per shard, as an earlier call for this engine
+    /// left them, or empty — up to the shards' engines: first tick and tick
+    /// count are noted, the frontier is replaced, the finalized records —
+    /// append-only — are topped up.  Costs what the shards finalized and hold
+    /// open since `states` was last brought up, not what they retain.
+    pub fn top_up_shard_states(&self, states: &mut Vec<ShardState>) {
+        states.resize_with(self.shards.len(), ShardState::default);
         let retained_from = self.time_domain().map(|d| d.start);
-        for (snapshot, engine) in self.snapshots.iter_mut().zip(&self.shards) {
-            snapshot.first_tick = first_derived_tick(engine, retained_from);
-            snapshot.ticks_ingested = engine.stats().ticks_ingested;
-            let kept = snapshot.finalized.len();
-            snapshot
+        for (state, engine) in states.iter_mut().zip(&self.shards) {
+            state.first_tick = first_derived_tick(engine, retained_from);
+            state.ticks_ingested = engine.ticks_ingested();
+            let kept = state.finalized.len();
+            state
                 .finalized
                 .extend_from_slice(&engine.finalized_records()[kept..]);
-            snapshot.frontier.clear();
-            snapshot.frontier.extend_from_slice(engine.frontier());
+            state.frontier.clear();
+            state.frontier.extend_from_slice(engine.frontier());
         }
+    }
+
+    /// Brings every shard's snapshot up to its engine.
+    fn refresh_snapshots(&mut self) {
+        let t0 = Instant::now();
+        let mut snapshots = std::mem::take(&mut self.snapshots);
+        self.top_up_shard_states(&mut snapshots);
+        self.snapshots = snapshots;
         self.retained_batches.clear();
         self.counters.snapshot_nanos += t0.elapsed().as_nanos() as u64;
     }
@@ -813,6 +819,7 @@ impl ShardedEngine {
                 self.restarts[s] += 1;
                 if gpdt_obs::enabled() {
                     gpdt_obs::counter!("shard.rebuilds").inc();
+                    gpdt_obs::health::note_shard_restarts(&self.restarts);
                     gpdt_obs::record_event(
                         "shard.rebuild",
                         Some(batch_start),

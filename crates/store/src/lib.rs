@@ -52,14 +52,18 @@ pub use checkpoint::{
     checkpoint_to_vec, restore_from_slice, EngineCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use codec::{decode_from_slice, encode_to_vec, Decode, DecodeError, Encode, CODEC_VERSION};
+#[doc(hidden)]
+pub use service::RecoveryPoint;
 pub use service::{
-    EngineLoad, MonitorOutcome, MonitorService, MonitoredEngine, ServiceError, ServiceHandle,
-    ServiceStats, SupervisorPolicy,
+    EngineLoad, EngineOpenState, MonitorOutcome, MonitorService, MonitoredEngine, ServiceError,
+    ServiceHandle, ServiceStats, ShardedOpenState, SupervisorPolicy,
 };
 pub use sharded::{
     restore_sharded_from_slice, sharded_checkpoint_to_vec, SHARDED_CHECKPOINT_MAGIC,
     SHARDED_CHECKPOINT_VERSION,
 };
+#[doc(hidden)]
+pub use store::IntervalIndex;
 pub use store::{
     GatheringHit, PatternRecord, PatternStore, RecordId, StoreError, StoreOptions, StoredGathering,
     TailRepair, SEGMENT_MAGIC, SEGMENT_VERSION,

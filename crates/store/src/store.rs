@@ -38,7 +38,8 @@
 //! [`PatternStore::object_history`] and [`PatternStore::top_k_gatherings`]
 //! serve the per-object and ranking paths.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -363,49 +364,54 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Interval index over record lifespans: entries sorted by start time, so a
-/// window query scans only the prefix of records starting no later than the
-/// window's end.
+/// Interval index over record lifespans: an ordered map from
+/// `(start, record)` to the lifespan's end, beside the longest lifespan seen.
+/// An insert costs `O(log n)` wherever its start falls; a window query walks
+/// only the records that start within `longest` ticks before the window or
+/// inside it, since none that starts earlier can reach it.  Public for the
+/// `micro` bench.
+#[doc(hidden)]
 #[derive(Debug, Default)]
-struct IntervalIndex {
-    /// `(start, end, record)`, sorted by `(start, record)`.
-    entries: Vec<(Timestamp, Timestamp, RecordId)>,
+pub struct IntervalIndex {
+    ends: BTreeMap<(Timestamp, RecordId), Timestamp>,
+    /// `end - start` of the longest lifespan inserted.
+    longest: Timestamp,
 }
 
 impl IntervalIndex {
-    fn insert(&mut self, interval: TimeInterval, id: RecordId) {
-        let key = (interval.start, id);
-        // Crowds mostly finalize in roughly increasing start order, so the
-        // common case is a plain push; the binary-search insert only pays
-        // its O(n) shift for stragglers.
-        if self.entries.last().is_none_or(|&(s, _, r)| (s, r) <= key) {
-            self.entries.push((interval.start, interval.end, id));
-            return;
-        }
-        let pos = self.entries.partition_point(|&(s, _, r)| (s, r) < key);
-        self.entries.insert(pos, (interval.start, interval.end, id));
-    }
-
-    /// Appends without maintaining order; callers must [`Self::sort`] before
-    /// the next query.  Replay uses this to stay `O(n log n)` overall.
-    fn push_unsorted(&mut self, interval: TimeInterval, id: RecordId) {
-        self.entries.push((interval.start, interval.end, id));
-    }
-
-    fn sort(&mut self) {
-        self.entries.sort_unstable_by_key(|&(s, _, r)| (s, r));
+    /// Adds record `id`'s lifespan.
+    pub fn insert(&mut self, interval: TimeInterval, id: RecordId) {
+        let span = interval.end.saturating_sub(interval.start);
+        self.longest = self.longest.max(span);
+        self.ends.insert((interval.start, id), interval.end);
     }
 
     /// Record ids whose interval intersects `window`, ascending.
-    fn stab(&self, window: TimeInterval) -> Vec<RecordId> {
-        let prefix = self.entries.partition_point(|&(s, _, _)| s <= window.end);
-        let mut out: Vec<RecordId> = self.entries[..prefix]
-            .iter()
-            .filter(|&&(_, e, _)| e >= window.start)
-            .map(|&(_, _, id)| id)
+    pub fn stab(&self, window: TimeInterval) -> Vec<RecordId> {
+        let earliest = window.start.saturating_sub(self.longest);
+        let starts = (earliest, RecordId::MIN)..=(window.end, RecordId::MAX);
+        let mut out: Vec<RecordId> = self
+            .ends
+            .range(starts)
+            .filter(|&(_, &end)| end >= window.start)
+            .map(|(&(_, id), _)| id)
             .collect();
         out.sort_unstable();
         out
+    }
+}
+
+/// One pass over lifespans in any order (replay hands them over in record
+/// order): the map is built in bulk from the sorted run.
+impl FromIterator<(TimeInterval, RecordId)> for IntervalIndex {
+    fn from_iter<I: IntoIterator<Item = (TimeInterval, RecordId)>>(lifespans: I) -> Self {
+        let mut longest = 0;
+        let ends = lifespans.into_iter().map(|(interval, id)| {
+            longest = longest.max(interval.end.saturating_sub(interval.start));
+            ((interval.start, id), interval.end)
+        });
+        let ends = ends.collect();
+        IntervalIndex { ends, longest }
     }
 }
 
@@ -573,10 +579,12 @@ impl PatternStore {
             active,
             tail_repair,
         };
+        let mut lifespans = Vec::with_capacity(replayed.len());
         for record in replayed {
-            store.index_record(record, true);
+            lifespans.push(record.interval());
+            store.index_record(record);
         }
-        store.intervals.sort();
+        store.intervals = lifespans.into_iter().zip(0..).collect();
         Ok(store)
     }
 
@@ -730,15 +738,11 @@ impl PatternStore {
         Ok(Some((len, record)))
     }
 
-    /// Adds a record to the in-memory state (replay and append share this;
-    /// replay defers the interval-index sort to one pass at the end).
-    fn index_record(&mut self, record: PatternRecord, bulk: bool) -> RecordId {
+    /// Adds a record to the in-memory state, the interval index apart:
+    /// append inserts the lifespan there, replay builds that index in one
+    /// pass at the end.
+    fn index_record(&mut self, record: PatternRecord) -> RecordId {
         let id = self.records.len();
-        if bulk {
-            self.intervals.push_unsorted(record.interval(), id);
-        } else {
-            self.intervals.insert(record.interval(), id);
-        }
         self.rtree.insert(Entry {
             mbr: record.mbr,
             id,
@@ -808,7 +812,8 @@ impl PatternStore {
             return Err(err.into());
         }
         self.active.bytes += frame.len() as u64;
-        Ok(self.index_record(record, false))
+        self.intervals.insert(record.interval(), self.records.len());
+        Ok(self.index_record(record))
     }
 
     /// Discards a partially written frame after a failed append: reopens the
@@ -1022,22 +1027,25 @@ impl PatternStore {
     /// The `k` stored gatherings with the most participators, largest first;
     /// ties broken by `(record, index)` so the ranking is deterministic.
     pub fn top_k_gatherings(&self, k: usize) -> Vec<GatheringHit> {
-        let mut all: Vec<(usize, RecordId, usize)> = self
-            .records
-            .iter()
-            .enumerate()
-            .flat_map(|(id, record)| {
-                record
-                    .gatherings
-                    .iter()
-                    .enumerate()
-                    .map(move |(index, g)| (g.participators.len(), id, index))
-            })
-            .collect();
-        all.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        all.truncate(k);
-        all.into_iter()
-            .map(|(_, record, index)| GatheringHit {
+        // A heap of the `k` best seen so far, the least of them on top: one
+        // pass, nothing kept between calls, only the winners cloned.  Ranks
+        // order by attendance, then towards the *earlier* `(record, index)`.
+        let mut best = BinaryHeap::with_capacity(k.min(self.records.len()));
+        for (id, record) in self.records.iter().enumerate() {
+            for (index, gathering) in record.gatherings.iter().enumerate() {
+                let rank = (gathering.participators.len(), Reverse((id, index)));
+                if best.len() < k {
+                    best.push(Reverse(rank));
+                } else if best.peek().is_some_and(|least| rank > least.0) {
+                    best.pop();
+                    best.push(Reverse(rank));
+                }
+            }
+        }
+        // Ascending `Reverse(rank)`: best first.
+        best.into_sorted_vec()
+            .into_iter()
+            .map(|Reverse((_, Reverse((record, index))))| GatheringHit {
                 record,
                 index,
                 gathering: self.records[record].gatherings[index].clone(),
@@ -1372,6 +1380,93 @@ mod tests {
         let top3 = store.top_k_gatherings(3);
         assert_eq!(top3.len(), 3);
         assert_eq!(&all[..3], top3.as_slice());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn interval_index_matches_a_scan_inserted_or_built_in_bulk() {
+        let mut rng = StdRng::seed_from_u64(0x1D8);
+        // Short lifespans in random start order, and a few that outlast the
+        // rest by far: a window long after their start must still find them.
+        let lifespans: Vec<TimeInterval> = (0..400)
+            .map(|i| {
+                let start = rng.gen_range(0u32..5_000);
+                let len = if i % 97 == 0 {
+                    3_000
+                } else {
+                    rng.gen_range(0u32..40)
+                };
+                TimeInterval::new(start, start + len)
+            })
+            .collect();
+        let mut inserted = IntervalIndex::default();
+        for (id, &lifespan) in lifespans.iter().enumerate() {
+            inserted.insert(lifespan, id);
+        }
+        let built: IntervalIndex = lifespans.iter().copied().zip(0..).collect();
+        let mut windows: Vec<TimeInterval> = (0..300)
+            .map(|_| {
+                let start = rng.gen_range(0u32..9_000);
+                TimeInterval::new(start, start + rng.gen_range(0u32..500))
+            })
+            .collect();
+        windows.push(TimeInterval::new(0, 0));
+        windows.push(TimeInterval::new(0, u32::MAX));
+        for window in windows {
+            let expected: Vec<RecordId> = (0..lifespans.len())
+                .filter(|&id| {
+                    lifespans[id].start <= window.end && lifespans[id].end >= window.start
+                })
+                .collect();
+            assert_eq!(inserted.stab(window), expected, "{window:?}");
+            assert_eq!(built.stab(window), expected, "{window:?} (bulk)");
+        }
+        assert!(IntervalIndex::default()
+            .stab(TimeInterval::new(0, 9))
+            .is_empty());
+    }
+
+    #[test]
+    fn top_k_is_the_prefix_of_the_full_sort_under_heavy_ties() {
+        let dir = temp_store_dir("topk");
+        let mut rng = StdRng::seed_from_u64(0x70b);
+        let mut store = PatternStore::open(&dir).unwrap();
+        for i in 0..120u32 {
+            // Attendance between 1 and 4 only, and up to three gatherings a
+            // record: nearly every rank is shared.
+            let mut rec = record(i, 6, f64::from(i) * 10.0, &[0]);
+            let template = rec.gatherings[0].clone();
+            rec.gatherings = (0..rng.gen_range(0usize..4))
+                .map(|_| StoredGathering {
+                    participators: (0..rng.gen_range(1u32..5)).map(ObjectId::new).collect(),
+                    ..template.clone()
+                })
+                .collect();
+            store.append(rec).unwrap();
+        }
+        let mut ranking: Vec<(usize, RecordId, usize)> = Vec::new();
+        for (id, rec) in store.records().iter().enumerate() {
+            for (index, g) in rec.gatherings.iter().enumerate() {
+                ranking.push((g.participators.len(), id, index));
+            }
+        }
+        ranking.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let n = ranking.len();
+        assert!(n > 100);
+        for k in [0, 1, 10, n, n + 5, usize::MAX] {
+            let hits = store.top_k_gatherings(k);
+            let got: Vec<(usize, RecordId, usize)> = hits
+                .iter()
+                .map(|h| (h.gathering.participators.len(), h.record, h.index))
+                .collect();
+            assert_eq!(got, ranking[..k.min(n)], "k = {k}");
+            for hit in &hits {
+                assert_eq!(
+                    hit.gathering,
+                    store.records()[hit.record].gatherings[hit.index]
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

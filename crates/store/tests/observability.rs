@@ -9,15 +9,17 @@
 //! flight recorder are process-wide, and a second test thread would race
 //! the counter deltas.
 
+mod common;
+
+use common::PanicOnNth;
 use gpdt_clustering::{ClusterDatabase, ClusteringParams};
 use gpdt_core::{
-    CrowdParams, CrowdRecord, GatheringConfig, GatheringEngine, GatheringParams, GatheringPipeline,
+    CrowdParams, GatheringConfig, GatheringEngine, GatheringParams, GatheringPipeline,
 };
 use gpdt_store::{
-    DecodeError, EngineLoad, FaultPlan, FaultVfs, MonitorService, MonitoredEngine, PatternStore,
-    StoreOptions, SupervisorPolicy,
+    FaultPlan, FaultVfs, MonitorService, PatternStore, StoreOptions, SupervisorPolicy,
 };
-use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp, Trajectory, TrajectoryDatabase};
+use gpdt_trajectory::{ObjectId, TimeInterval, Trajectory, TrajectoryDatabase};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,47 +72,6 @@ fn tick_batches(db: &TrajectoryDatabase) -> Vec<ClusterDatabase> {
         .iter()
         .map(|t| ClusterDatabase::build_interval(db, &config().clustering, TimeInterval::new(t, t)))
         .collect()
-}
-
-/// Panics on the `n`-th ingested batch, once; the restored wrapper is
-/// benign.
-struct PanicOnNth {
-    inner: GatheringEngine,
-    panic_at: Option<u64>,
-    seen: u64,
-}
-
-impl MonitoredEngine for PanicOnNth {
-    fn expected_next_tick(&self) -> Option<Timestamp> {
-        self.inner.expected_next_tick()
-    }
-    fn ingest_batch(&mut self, batch: ClusterDatabase) {
-        self.seen += 1;
-        if self.panic_at == Some(self.seen) {
-            self.panic_at = None;
-            panic!("injected ingest panic");
-        }
-        self.inner.ingest_batch(batch);
-    }
-    fn finalized_feed(&self) -> &[CrowdRecord] {
-        self.inner.finalized_feed()
-    }
-    fn resolve_database(&self) -> &ClusterDatabase {
-        self.inner.resolve_database()
-    }
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        self.inner.checkpoint_into(out);
-    }
-    fn restore_bytes(&self, bytes: &[u8]) -> Result<Self, DecodeError> {
-        Ok(PanicOnNth {
-            inner: self.inner.restore_bytes(bytes)?,
-            panic_at: None,
-            seen: self.seen,
-        })
-    }
-    fn load(&self) -> EngineLoad {
-        self.inner.load()
-    }
 }
 
 /// Sequence number of the first flight event of `kind` at or after `from`.
@@ -272,4 +233,76 @@ fn seeded_fault_run_is_observable_end_to_end() {
     assert!(dumped.contains("service.degraded.enter"), "{dumped}");
     std::env::remove_var("GPDT_OBS_DUMP");
     let _ = std::fs::remove_file(&dump);
+
+    recovery_point_work_is_counted();
+}
+
+/// `(refreshes, ticks copied, records copied)` of the recovery point so far.
+fn recovery_work(snapshot: &gpdt_obs::Snapshot) -> (u64, u64, u64) {
+    (
+        snapshot
+            .histogram("service.recovery.refresh")
+            .map_or(0, |h| h.count),
+        snapshot
+            .counter("service.recovery.ticks_copied")
+            .unwrap_or(0),
+        snapshot
+            .counter("service.recovery.records_copied")
+            .unwrap_or(0),
+    )
+}
+
+/// One undisturbed pass of the scene through a service that refreshes its
+/// recovery point every 4 batches: the recovery work the registry gained
+/// over it, and the service's last stats.
+fn clean_run() -> ((u64, u64, u64), gpdt_store::ServiceStats) {
+    let before = recovery_work(&gpdt_obs::registry().snapshot());
+    let store = PatternStore::open_at(
+        Arc::new(FaultVfs::new(1)),
+        "/clean",
+        StoreOptions::default(),
+    )
+    .unwrap();
+    let engine = GatheringEngine::new(config());
+    let batches = tick_batches(&scene());
+    let outcome = MonitorService::run_with(engine, store, snappy_policy(), |handle| {
+        for batch in batches {
+            handle.ingest(batch);
+        }
+        handle.flush();
+        handle.stats()
+    });
+    assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
+    let after = recovery_work(&gpdt_obs::registry().snapshot());
+    let gained = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+    (gained, outcome.value)
+}
+
+/// The "proportional to change" claim as counts that repeat exactly: what
+/// the recovery point copies is what was ingested and finalized — once, not
+/// once per refresh — the same on every run, and nothing with `GPDT_OBS=off`.
+/// (Called from the one `#[test]`: the registry is process-wide.)
+fn recovery_point_work_is_counted() {
+    let (first, stats) = clean_run();
+    // Twenty one-tick batches, a refresh every fourth.
+    assert_eq!(stats.ticks_ingested, 20);
+    assert_eq!(
+        first,
+        (5, stats.ticks_ingested, stats.finalized_records as u64)
+    );
+    assert!(stats.finalized_records > 0);
+    // The embedded snapshot carries the same series.
+    assert_eq!(
+        recovery_work(&stats.metrics),
+        recovery_work(&gpdt_obs::registry().snapshot())
+    );
+    let (second, _) = clean_run();
+    assert_eq!(second, first, "work counters must repeat exactly");
+
+    gpdt_obs::set_enabled(false);
+    let (silent, stats) = clean_run();
+    gpdt_obs::set_enabled(true);
+    assert_eq!(silent, (0, 0, 0), "GPDT_OBS=off must record nothing");
+    assert_eq!(stats.ticks_ingested, 20);
+    assert_eq!(recovery_work(&stats.metrics), (0, 0, 0));
 }
