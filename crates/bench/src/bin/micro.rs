@@ -3,11 +3,10 @@
 //! Covers the three paths this repository optimises below the engine level:
 //!
 //! * **DBSCAN** — the arena-backed CSR-grid implementation
-//!   ([`gpdt_clustering::dbscan_with`] with a reused scratch) against the
-//!   per-snapshot `HashMap`-grid ablation baseline and the brute-force
-//!   oracle.
-//! * **`hausdorff_within`** — the grid-bucketed threshold test against the
-//!   brute-force pair scan, on cluster pairs near the decision boundary.
+//!   ([`gpdt_clustering::dbscan_with`] with a reused scratch).
+//! * **`hausdorff_within`** — the grid-bucketed threshold test, the
+//!   brute-force pair scan and the calibrated dispatch between them, on
+//!   cluster pairs near the decision boundary.
 //! * **`TickSearcher` construction** — per-tick index build under every
 //!   range-search strategy, with the reusable [`SearcherScratch`] — and one
 //!   tick of **grid range searches**: the previous tick's buckets reused as
@@ -33,10 +32,6 @@
 //!   random-start inserts into the store's interval index against the
 //!   sorted vector it replaced.
 //!
-//! Each kernel additionally runs in both point layouts — structure-of-arrays
-//! columns ([`gpdt_geo::PointColumns`]) and the interleaved `&[Point]` slice
-//! — through the same generic code path, isolating the layout effect.
-//!
 //! Run with `cargo run -q --release -p gpdt-bench --bin micro`; set
 //! `CRITERION_SHIM_ITERS` to raise the per-benchmark iteration count.
 //! Results are printed and serialised to `BENCH_micro.json` (honouring
@@ -44,21 +39,18 @@
 
 use criterion::{black_box, BatchSize, Criterion};
 use gpdt_bench::report::{BenchReport, Table};
-use gpdt_clustering::dbscan::dbscan_hashgrid;
-use gpdt_clustering::ClusterDatabase;
 use gpdt_clustering::{
-    dbscan_columns_with, dbscan_with, ClusteringParams, DbscanScratch, SnapshotCluster,
+    dbscan_with, ClusterDatabase, ClusteringParams, DbscanScratch, SnapshotCluster,
     SnapshotClusterSet,
 };
 use gpdt_core::{
     CrowdOccurrence, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams,
     RangeSearchStrategy, SearcherScratch, TickSearcher,
 };
-use gpdt_geo::hausdorff::{hausdorff_within_bruteforce_access, hausdorff_within_bucketed_access};
 use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
 use gpdt_geo::{
-    bucketed_pair_cutoff, hausdorff_within_bruteforce, hausdorff_within_bucketed,
-    hausdorff_within_views, Point, PointColumns,
+    bucketed_pair_cutoff, hausdorff_within, hausdorff_within_bruteforce, hausdorff_within_bucketed,
+    Point, PointColumns,
 };
 use gpdt_shard::{cross_edges, GridPartitioner, Partitioner, ShardedEngine, TickLayout};
 use gpdt_store::{IntervalIndex, MonitoredEngine, RecoveryPoint};
@@ -100,17 +92,9 @@ fn bench_dbscan(c: &mut Criterion, rng: &mut StdRng) {
     let mut scratch = DbscanScratch::new();
     let mut group = c.benchmark_group("dbscan");
     for &(blobs, per_blob) in &[(12usize, 40usize), (60, 60)] {
-        let points = blob_field(rng, blobs, per_blob, 300.0);
-        let columns = PointColumns::from_points(&points);
-        let n = points.len();
-        group.bench_function(format!("csr_arena/{n}"), |b| {
-            b.iter(|| dbscan_with(black_box(&points), &params, &mut scratch))
-        });
-        group.bench_function(format!("csr_arena_soa/{n}"), |b| {
-            b.iter(|| dbscan_columns_with(black_box(columns.view()), &params, &mut scratch))
-        });
-        group.bench_function(format!("hashgrid/{n}"), |b| {
-            b.iter(|| dbscan_hashgrid(black_box(&points), &params))
+        let columns = PointColumns::from_points(&blob_field(rng, blobs, per_blob, 300.0));
+        group.bench_function(format!("csr_arena/{}", columns.len()), |b| {
+            b.iter(|| dbscan_with(black_box(columns.view()), &params, &mut scratch))
         });
     }
     group.finish();
@@ -142,33 +126,19 @@ fn bench_hausdorff(c: &mut Criterion, rng: &mut StdRng) {
     };
     let mut group = c.benchmark_group("hausdorff_within");
     for &n in &[512usize, 2048] {
-        let p = snake(n, 0.0);
-        let q = snake(n, 100.0);
-        let (pc, qc) = (PointColumns::from_points(&p), PointColumns::from_points(&q));
+        let p = PointColumns::from_points(&snake(n, 0.0));
+        let q = PointColumns::from_points(&snake(n, 100.0));
+        let (p, q) = (p.view(), q.view());
         group.bench_function(format!("bucketed/{n}"), |b| {
-            b.iter(|| hausdorff_within_bucketed(black_box(&p), black_box(&q), delta))
-        });
-        group.bench_function(format!("bucketed_soa/{n}"), |b| {
-            b.iter(|| {
-                hausdorff_within_bucketed_access(black_box(pc.view()), black_box(qc.view()), delta)
-            })
+            b.iter(|| hausdorff_within_bucketed(black_box(p), black_box(q), delta))
         });
         group.bench_function(format!("bruteforce/{n}"), |b| {
-            b.iter(|| hausdorff_within_bruteforce(black_box(&p), black_box(&q), delta))
-        });
-        group.bench_function(format!("bruteforce_soa/{n}"), |b| {
-            b.iter(|| {
-                hausdorff_within_bruteforce_access(
-                    black_box(pc.view()),
-                    black_box(qc.view()),
-                    delta,
-                )
-            })
+            b.iter(|| hausdorff_within_bruteforce(black_box(p), black_box(q), delta))
         });
         // The production entry point: picks bucketed vs brute by the
         // calibrated pair-count cutoff.
-        group.bench_function(format!("dispatched_soa/{n}"), |b| {
-            b.iter(|| hausdorff_within_views(black_box(pc.view()), black_box(qc.view()), delta))
+        group.bench_function(format!("dispatched/{n}"), |b| {
+            b.iter(|| hausdorff_within(black_box(p), black_box(q), delta))
         });
     }
     group.finish();
@@ -256,26 +226,14 @@ fn bench_tick_searcher(c: &mut Criterion, rng: &mut StdRng) {
     group.finish();
 
     // The grid index build from the tick's shared column arena (what
-    // `TickSearcher` feeds it) and from materialised `Vec<Point>` rows, which
-    // convert to columns at the edge — `PointsView` is the index's one input.
+    // `TickSearcher` feeds it).
     let views: Vec<gpdt_geo::PointsView<'_>> = set.clusters.iter().map(|c| c.points()).collect();
-    let rows: Vec<Vec<Point>> = views.iter().map(|v| v.to_points()).collect();
     let geometry = gpdt_geo::GridGeometry::for_delta(delta);
     let mut grid_scratch = gpdt_index::GridBuildScratch::default();
     let mut group = c.benchmark_group("grid_index_build");
     group.bench_function("soa", |b| {
         b.iter(|| {
             gpdt_index::GridClusterIndex::build(geometry, black_box(&views), &mut grid_scratch)
-        })
-    });
-    group.bench_function("aos", |b| {
-        b.iter(|| {
-            let columns: Vec<PointColumns> = black_box(&rows)
-                .iter()
-                .map(|r| PointColumns::from_points(r))
-                .collect();
-            let views: Vec<_> = columns.iter().map(|c| c.view()).collect();
-            gpdt_index::GridClusterIndex::build(geometry, &views, &mut grid_scratch)
         })
     });
     group.finish();
@@ -709,33 +667,25 @@ fn time_dispatch_tracking(rng: &mut StdRng, n: usize) -> (f64, f64, f64) {
         }
         pts
     };
-    let p = snake(0.0);
-    let q = snake(100.0);
-    let (pc, qc) = (PointColumns::from_points(&p), PointColumns::from_points(&q));
+    let p = PointColumns::from_points(&snake(0.0));
+    let q = PointColumns::from_points(&snake(100.0));
+    let (p, q) = (p.view(), q.view());
     let mut best = [u128::MAX; 3];
     // One untimed round to warm caches, the allocator, and the calibration
     // `OnceLock`; then the timed rounds.
     for round in 0..10 {
         let t = Instant::now();
-        black_box(hausdorff_within_bucketed_access(
-            black_box(pc.view()),
-            black_box(qc.view()),
-            delta,
-        ));
+        black_box(hausdorff_within_bucketed(black_box(p), black_box(q), delta));
         let bucketed = t.elapsed().as_nanos();
         let t = Instant::now();
-        black_box(hausdorff_within_bruteforce_access(
-            black_box(pc.view()),
-            black_box(qc.view()),
+        black_box(hausdorff_within_bruteforce(
+            black_box(p),
+            black_box(q),
             delta,
         ));
         let brute = t.elapsed().as_nanos();
         let t = Instant::now();
-        black_box(hausdorff_within_views(
-            black_box(pc.view()),
-            black_box(qc.view()),
-            delta,
-        ));
+        black_box(hausdorff_within(black_box(p), black_box(q), delta));
         let dispatched = t.elapsed().as_nanos();
         if round > 0 {
             best[0] = best[0].min(bucketed);
@@ -756,11 +706,10 @@ fn time_obs_ablation(rng: &mut StdRng) -> (f64, f64) {
     use std::time::Instant;
     let params = ClusteringParams::new(200.0, 5);
     let mut scratch = DbscanScratch::new();
-    let points = blob_field(rng, 60, 60, 300.0);
-    let columns = PointColumns::from_points(&points);
+    let columns = PointColumns::from_points(&blob_field(rng, 60, 60, 300.0));
     let mut stage = || {
         let _span = gpdt_obs::span!("micro.obs_probe");
-        black_box(dbscan_columns_with(
+        black_box(dbscan_with(
             black_box(columns.view()),
             &params,
             &mut scratch,
@@ -861,31 +810,6 @@ fn main() {
         &["path", "speedup"],
     );
     for (path, fast, slow) in [
-        (
-            "dbscan (small)",
-            "dbscan/csr_arena/480",
-            "dbscan/hashgrid/480",
-        ),
-        (
-            "dbscan (large)",
-            "dbscan/csr_arena/3600",
-            "dbscan/hashgrid/3600",
-        ),
-        // The production entry point (calibrated dispatch over the SIMD
-        // kernels) against the scalar AoS pair scan it replaces.  The old
-        // `bucketed vs bruteforce` pair regressed to 0.84x at n=512 once the
-        // brute scan was vectorised; the dispatched path cannot, because the
-        // calibration picks whichever kernel is faster here.
-        (
-            "hausdorff_within (512)",
-            "hausdorff_within/dispatched_soa/512",
-            "hausdorff_within/bruteforce/512",
-        ),
-        (
-            "hausdorff_within (2048)",
-            "hausdorff_within/dispatched_soa/2048",
-            "hausdorff_within/bruteforce/2048",
-        ),
         // One tick of GRID range searches: the previous tick's buckets
         // reused as the queries against re-bucketing each query, and against
         // SR on the same sets.
@@ -960,45 +884,6 @@ fn main() {
     }
     report.print_and_add(speedups);
 
-    // Layout ablation: the same generic kernel fed columns vs interleaved
-    // points.  >1.00x means the columnar layout is faster.
-    let mut layout = Table::new(
-        "SoA vs AoS layout delta (aos ns / soa ns)",
-        &["kernel", "delta"],
-    );
-    for (kernel, soa, aos) in [
-        (
-            "dbscan (small)",
-            "dbscan/csr_arena_soa/480",
-            "dbscan/csr_arena/480",
-        ),
-        (
-            "dbscan (large)",
-            "dbscan/csr_arena_soa/3600",
-            "dbscan/csr_arena/3600",
-        ),
-        (
-            "hausdorff_within (512)",
-            "hausdorff_within/bucketed_soa/512",
-            "hausdorff_within/bucketed/512",
-        ),
-        (
-            "hausdorff_within (2048)",
-            "hausdorff_within/bucketed_soa/2048",
-            "hausdorff_within/bucketed/2048",
-        ),
-        (
-            "grid index build",
-            "grid_index_build/soa",
-            "grid_index_build/aos",
-        ),
-    ] {
-        if let (Some(s), Some(a)) = (mean_ns(&criterion, soa), mean_ns(&criterion, aos)) {
-            layout.add_row(vec![kernel.to_string(), format!("{:.2}x", a / s)]);
-        }
-    }
-    report.print_and_add(layout);
-
     // Kernel-level SIMD ablation: the same columns through the scalar table
     // and the best detected level's table.  >1.00x means SIMD is faster.
     let best = best_level().label();
@@ -1060,8 +945,8 @@ fn main() {
     // The calibration probe curve recorded by `gpdt_geo::hausdorff` when the
     // cutoff is resolved by timing (one gauge per probed size, brute and
     // bucketed): makes the decision data inspectable from BENCH_micro.json
-    // instead of requiring a rerun under a debugger.  Empty when the cutoff
-    // was pinned via `GPDT_HAUSDORFF_CUTOFF` or observability is off.
+    // instead of requiring a rerun under a debugger.  Empty when
+    // observability is off.
     let mut probes = Table::new(
         "Hausdorff calibration probes (registry gauges)",
         &["gauge", "value"],

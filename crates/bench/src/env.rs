@@ -1,24 +1,18 @@
-//! The single home of every `GPDT_*` environment variable the benchmark
-//! harness honours.
+//! The `GPDT_*` environment variables, in one table.
 //!
-//! Before this module existed each binary read its own ad-hoc variables and
-//! scratch-directory conventions; everything now routes through here so the
-//! full knob surface is discoverable in one place:
+//! The six the benchmark harness reads are parsed here and nowhere else.  The
+//! other ten belong to `gpdt-geo` (one) and `gpdt-obs` (nine), which read them
+//! where they act on them; this module only documents those.
 //!
 //! | Variable | Read by | Meaning |
 //! |---|---|---|
-//! | `GPDT_SCALE` | [`scale`] | global size multiplier for scenario presets (positive float, default 1.0) |
-//! | `GPDT_BENCH_RUNS` | [`runs`] | timed repetitions per measurement, best-of-N (default 1) |
-//! | `GPDT_BENCH_WARMUP` | [`warmup`] | `1`/`true` forces a warmup run (default: on when `runs > 1`) |
+//! | `GPDT_SCALE` | [`scale`] | global size multiplier for scenario presets (a float in `(0, 100]`, default 1.0) |
+//! | `GPDT_BENCH_RUNS` | [`runs`] | timed repetitions per measurement, best-of-N, after one warmup run when N > 1 (default 1) |
 //! | `GPDT_BENCH_DIR` | [`report_dir`] | directory receiving the `BENCH_*.json` reports (default: cwd) |
 //! | `GPDT_SCRATCH_DIR` | [`scratch_dir`] | parent for throwaway on-disk state (stores, checkpoints); default: the system temp dir |
 //! | `GPDT_MEM_BUDGET` | [`mem_budget`] | cluster-arena byte budget for out-of-core ingest, with optional `k`/`m`/`g` suffix (default: a conservative share of the machine's memory) |
-//! | `GPDT_SIMD` | `gpdt_geo::simd::dispatch` | pins the geometry kernel level: `off`/`scalar`, `sse2`, `avx2`, or `auto` (default: best level the CPU supports; every level is bit-identical, so this only affects speed) |
-//! | `GPDT_HAUSDORFF_CUTOFF` | `gpdt_geo::bucketed_pair_cutoff` | pins the brute→bucketed `hausdorff_within` crossover as a pair count (`0` = always bucketed; default: a one-shot timing probe on first use) |
 //! | `GPDT_FAULT_SEED` | [`fault_seed`] | arms the fault-injection VFS in binaries that support it (`fig5`, `fault`) with this deterministic seed; unset = real filesystem, no faults |
-//! | `GPDT_BACKOFF_BASE_MS` | `gpdt_store::SupervisorPolicy::from_env` | base retry backoff for transient store faults, in milliseconds (default 1) |
-//! | `GPDT_BACKOFF_MAX_MS` | `gpdt_store::SupervisorPolicy::from_env` | backoff ceiling for transient store faults, in milliseconds (default 50) |
-//! | `GPDT_BACKOFF_RETRIES` | `gpdt_store::SupervisorPolicy::from_env` | transient-fault retries before the monitor service degrades (default 4) |
+//! | `GPDT_SIMD` | `gpdt_geo::simd::dispatch` | pins the geometry kernel level: `off`/`scalar`, `sse2`, `avx2`, or `auto` (default: best level the CPU supports; every level is bit-identical, so this only affects speed) |
 //! | `GPDT_OBS` | `gpdt_obs::enabled` | observability gate: `off`/`0`/`false` disables the metrics registry, stage spans and flight recorder (default: on; telemetry never changes results — the fig5 byte-compare CI step holds the stack to that) |
 //! | `GPDT_OBS_DUMP` | `gpdt_obs::dump_path` | destination of flight-recorder JSON dumps, written on panic, on degraded-mode entry and at the end of fault-injection runs (default: `gpdt-flightrec.json` under the system temp dir) |
 //! | `GPDT_OBS_EVENTS` | `gpdt_obs::flight` | capacity of the global flight-recorder ring (default 1024); evictions are reported as `dropped` in every dump and on `/flightrec` |
@@ -31,13 +25,23 @@
 
 use std::path::PathBuf;
 
+/// The largest `GPDT_SCALE` accepted: ten times the largest any script uses,
+/// and small enough that no preset count overflows when multiplied by it.
+const MAX_SCALE: f64 = 100.0;
+
 /// The global scale factor read from `GPDT_SCALE` (default 1.0).
 pub fn scale() -> f64 {
     std::env::var("GPDT_SCALE")
         .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
+        .and_then(|v| parse_scale(&v))
         .unwrap_or(1.0)
+}
+
+/// A scale factor in `(0, MAX_SCALE]`; `None` for anything else (`inf` and
+/// `NaN` parse as floats, so the range check is what rejects them).
+fn parse_scale(s: &str) -> Option<f64> {
+    let v = s.trim().parse::<f64>().ok()?;
+    (v > 0.0 && v <= MAX_SCALE).then_some(v)
 }
 
 /// Timed repetitions per measurement from `GPDT_BENCH_RUNS` (default 1).
@@ -47,14 +51,6 @@ pub fn runs() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&r| r >= 1)
         .unwrap_or(1)
-}
-
-/// Warmup policy from `GPDT_BENCH_WARMUP` (default: warm up iff more than
-/// one timed run is requested).
-pub fn warmup(runs: usize) -> bool {
-    std::env::var("GPDT_BENCH_WARMUP")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(runs > 1)
 }
 
 /// The directory `BENCH_*.json` reports are written to: `GPDT_BENCH_DIR`,
@@ -151,11 +147,20 @@ mod tests {
         // The test environment sets none of the variables.
         assert!(scale() > 0.0);
         assert!(runs() >= 1);
-        assert!(warmup(2));
-        assert!(!warmup(1));
         assert!(report_dir().as_os_str().is_empty() || report_dir().is_dir());
         assert!(mem_budget() >= 64 << 20);
         assert_eq!(fault_seed(), None);
+    }
+
+    #[test]
+    fn scale_must_be_positive_finite_and_bounded() {
+        for garbage in ["inf", "-inf", "NaN", "1e300", "0", "-1", "", "ten"] {
+            assert_eq!(parse_scale(garbage), None, "{garbage:?}");
+        }
+        assert_eq!(parse_scale("  0.05 "), Some(0.05));
+        assert_eq!(parse_scale("10"), Some(10.0));
+        assert_eq!(parse_scale("100"), Some(MAX_SCALE));
+        assert_eq!(parse_scale("100.5"), None);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! | Fig 7a/7b/7c | `fig7` | gathering-detection runtime for brute-force/TAD/TAD\* vs `mp`, `kp`, `Cr.τ` |
 //! | Fig 8a/8b | `fig8` | incremental vs re-computation runtimes |
 //!
-//! Criterion micro-benchmarks for the underlying kernels live in `benches/`.
+//! Kernel-level microbenchmarks are the `micro` binary; the crash lattice is
+//! `fault`.
 //!
-//! The library part of this crate holds the pieces the binaries and benches
-//! share: deterministic synthetic-crowd construction ([`synth`]), scaled-down
+//! The library part of this crate holds the pieces the binaries share:
+//! deterministic synthetic-crowd construction ([`synth`]), scaled-down
 //! scenario presets ([`scenarios`]) and measurement/table helpers
 //! ([`report`]).
 

@@ -17,7 +17,7 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (value, start.elapsed())
 }
 
-/// Measurement policy: an optional warmup run plus best-of-N timing.
+/// Measurement policy: best-of-N timing, after a warmup run when N > 1.
 ///
 /// A single cold run is noisy at the scaled-down sizes CI uses; a warmup run
 /// populates caches/branch predictors and the minimum over `runs` repetitions
@@ -26,37 +26,29 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 pub struct MeasureOpts {
     /// Number of timed runs; the fastest is reported.  Must be at least 1.
     pub runs: usize,
-    /// Whether to run once, untimed, before the timed runs.
-    pub warmup: bool,
 }
 
 impl Default for MeasureOpts {
     fn default() -> Self {
-        MeasureOpts {
-            runs: 1,
-            warmup: false,
-        }
+        MeasureOpts { runs: 1 }
     }
 }
 
 impl MeasureOpts {
-    /// Reads the policy from the environment: `GPDT_BENCH_RUNS` (default 1)
-    /// and `GPDT_BENCH_WARMUP` (`1`/`true`; defaults to on when more than one
-    /// run is requested).  See [`crate::env`] for the full knob surface.
+    /// Reads the policy from the environment: `GPDT_BENCH_RUNS` (default 1).
     pub fn from_env() -> Self {
-        let runs = crate::env::runs();
         MeasureOpts {
-            runs,
-            warmup: crate::env::warmup(runs),
+            runs: crate::env::runs(),
         }
     }
 }
 
 /// Runs `f` under the given policy and returns the last run's result together
-/// with the *fastest* observed wall time.
+/// with the *fastest* observed wall time.  More than one timed run is
+/// preceded by one untimed warmup run.
 pub fn measure_with<T>(opts: MeasureOpts, mut f: impl FnMut() -> T) -> (T, Duration) {
     assert!(opts.runs >= 1, "at least one timed run is required");
-    if opts.warmup {
+    if opts.runs > 1 {
         let _ = f();
     }
     let (mut value, mut best) = measure(&mut f);
@@ -313,11 +305,7 @@ mod tests {
     #[test]
     fn measure_with_runs_warmup_and_reports_best() {
         let mut calls = 0usize;
-        let opts = MeasureOpts {
-            runs: 3,
-            warmup: true,
-        };
-        let (value, best) = measure_with(opts, || {
+        let (value, best) = measure_with(MeasureOpts { runs: 3 }, || {
             calls += 1;
             calls
         });
@@ -331,7 +319,6 @@ mod tests {
     fn measure_opts_default_is_single_cold_run() {
         let opts = MeasureOpts::default();
         assert_eq!(opts.runs, 1);
-        assert!(!opts.warmup);
         let mut calls = 0usize;
         let _ = measure_with(opts, || calls += 1);
         assert_eq!(calls, 1);
@@ -340,13 +327,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one timed run")]
     fn measure_with_rejects_zero_runs() {
-        let _ = measure_with(
-            MeasureOpts {
-                runs: 0,
-                warmup: false,
-            },
-            || (),
-        );
+        let _ = measure_with(MeasureOpts { runs: 0 }, || ());
     }
 
     #[test]

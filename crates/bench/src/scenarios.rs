@@ -1,11 +1,10 @@
-//! Scaled-down scenario presets shared by the figure binaries and the
-//! Criterion benches.
+//! Scaled-down scenario presets shared by the figure binaries.
 //!
 //! The paper's efficiency experiments use 10 000–30 000 taxis over a full day
 //! (1 440 minutes).  Re-running at that scale is unnecessary to reproduce the
 //! *shape* of the figures, so the presets here default to a few hundred taxis
 //! over a few hours and honour the `GPDT_SCALE` environment variable (a
-//! positive float) for users who want to push the sizes up or down.
+//! float in `(0, 100]`) for users who want to push the sizes up or down.
 
 use gpdt_clustering::{ClusterDatabase, ClusteringParams};
 use gpdt_workload::{generate_scenario, ScenarioConfig, Weather};

@@ -29,7 +29,7 @@
 
 use gpdt_geo::bvs::BitVector;
 use gpdt_geo::grid::clamped_cell_index;
-use gpdt_geo::{Point, PointAccess, PointsView};
+use gpdt_geo::{Point, PointsView};
 
 use crate::params::ClusteringParams;
 
@@ -186,7 +186,7 @@ impl DbscanScratch {
     /// by their integer keys.  Public for the `micro` benchmark, which times
     /// this stage on its own.
     #[doc(hidden)]
-    pub fn build_grid<P: PointAccess>(&mut self, points: P, eps: f64) {
+    pub fn build_grid(&mut self, points: PointsView<'_>, eps: f64) {
         let n = points.len();
         if n == 0 {
             self.cell_count = 0;
@@ -194,7 +194,9 @@ impl DbscanScratch {
         }
         self.keys.clear();
         self.keys.extend(
-            (0..n).map(|i| pack_cell(axis_cell(points.x(i), eps), axis_cell(points.y(i), eps))),
+            points
+                .iter()
+                .map(|p| pack_cell(axis_cell(p.x, eps), axis_cell(p.y, eps))),
         );
         self.bxs.resize(n, 0.0);
         self.bys.resize(n, 0.0);
@@ -223,9 +225,9 @@ impl DbscanScratch {
     /// The grid of a box small enough for a table: count the points of each
     /// slot, prefix-sum the counts into bucket offsets, scatter, and read
     /// every point's neighbour ranges off the offsets.
-    fn tabulate<P: PointAccess>(
+    fn tabulate(
         &mut self,
-        points: P,
+        points: PointsView<'_>,
         (min_col, min_row): (u32, u32),
         height: usize,
         slots: usize,
@@ -254,8 +256,8 @@ impl DbscanScratch {
             let cursor = &mut table[slot_of(key) + 1];
             let pos = *cursor as usize;
             *cursor += 1;
-            self.bxs[pos] = points.x(i);
-            self.bys[pos] = points.y(i);
+            self.bxs[pos] = points.xs()[i];
+            self.bys[pos] = points.ys()[i];
             self.bidx[pos] = i as u32;
         }
         // A column's slots are consecutive, so rows `r-1..=r+1` of each of
@@ -272,7 +274,7 @@ impl DbscanScratch {
     /// The grid of a sparse box: sort the points by cell key (through an
     /// index, the keys stay plain integers), cut the sorted run into cells,
     /// and find each cell's neighbour ranges with forward cursors.
-    fn sort_into_cells<P: PointAccess>(&mut self, points: P) {
+    fn sort_into_cells(&mut self, points: PointsView<'_>) {
         let keys = &self.keys;
         self.order.clear();
         self.order.extend(0..keys.len() as u32);
@@ -285,8 +287,8 @@ impl DbscanScratch {
                 self.cells.push(key);
                 self.starts.push(pos as u32);
             }
-            self.bxs[pos] = points.x(i as usize);
-            self.bys[pos] = points.y(i as usize);
+            self.bxs[pos] = points.xs()[i as usize];
+            self.bys[pos] = points.ys()[i as usize];
             self.bidx[pos] = i;
         }
         self.starts.push(keys.len() as u32);
@@ -317,14 +319,13 @@ impl DbscanScratch {
 
     /// Writes the indices of all points within `eps` of `points[idx]`
     /// (including `idx` itself) into the `neighbors` buffer.
-    fn find_neighbors<P: PointAccess>(&mut self, points: P, idx: usize, eps: f64) {
-        let (px, py) = (points.x(idx), points.y(idx));
+    fn find_neighbors(&mut self, points: PointsView<'_>, idx: usize, eps: f64) {
+        let (px, py) = (points.xs()[idx], points.ys()[idx]);
         let eps_sq = eps * eps;
         self.neighbors.clear();
-        // The bucketed copies are columnar regardless of the input layout,
-        // so the ε-scan always runs on the dispatched SIMD kernel.  It
-        // pushes matches in bucket order with an exact comparison, so the
-        // neighbour list is identical to a scalar scan at every level.
+        // The ε-scan runs on the dispatched SIMD kernel.  It pushes matches
+        // in bucket order with an exact comparison, so the neighbour list is
+        // identical to a scalar scan at every level.
         let d = gpdt_geo::simd::dispatch();
         for &(lo, hi) in &self.neighbor_ranges[idx] {
             let (lo, hi) = (lo as usize, hi as usize);
@@ -348,44 +349,14 @@ impl DbscanScratch {
 ///
 /// Allocates a fresh scratch arena per call; snapshot-per-snapshot callers
 /// should hold a [`DbscanScratch`] and use [`dbscan_with`] instead.
-pub fn dbscan(points: &[Point], params: &ClusteringParams) -> DbscanResult {
+pub fn dbscan(points: PointsView<'_>, params: &ClusteringParams) -> DbscanResult {
     dbscan_with(points, params, &mut DbscanScratch::new())
 }
 
 /// Runs DBSCAN over `points`, reusing `scratch` for every intermediate
 /// buffer.  Produces exactly the same result as [`dbscan`].
 pub fn dbscan_with(
-    points: &[Point],
-    params: &ClusteringParams,
-    scratch: &mut DbscanScratch,
-) -> DbscanResult {
-    dbscan_access(points, params, scratch)
-}
-
-/// Runs DBSCAN over a columnar point set ([`PointsView`]).
-///
-/// Allocates a fresh scratch arena; repeated callers should use
-/// [`dbscan_columns_with`].
-pub fn dbscan_columns(points: PointsView<'_>, params: &ClusteringParams) -> DbscanResult {
-    dbscan_access(points, params, &mut DbscanScratch::new())
-}
-
-/// Runs DBSCAN over a columnar point set, reusing `scratch`.
-///
-/// Index-for-index identical to [`dbscan_with`] on the same point sequence:
-/// the shared sweep is monomorphised over the layout and performs the same
-/// float comparisons in the same order.
-pub fn dbscan_columns_with(
     points: PointsView<'_>,
-    params: &ClusteringParams,
-    scratch: &mut DbscanScratch,
-) -> DbscanResult {
-    dbscan_access(points, params, scratch)
-}
-
-/// The DBSCAN sweep, generic over the point layout.
-pub fn dbscan_access<P: PointAccess>(
-    points: P,
     params: &ClusteringParams,
     scratch: &mut DbscanScratch,
 ) -> DbscanResult {
@@ -458,48 +429,6 @@ pub fn dbscan_access<P: PointAccess>(
     result
 }
 
-/// The cell of `p` as signed indices, for the oracle's `HashMap` grid.
-#[inline]
-fn cell_of(p: &Point, eps: f64) -> (i64, i64) {
-    (
-        i64::from(clamped_cell_index(p.x / eps)),
-        i64::from(clamped_cell_index(p.y / eps)),
-    )
-}
-
-/// The previous hash-grid implementation, kept as the ablation baseline for
-/// the `micro` benchmark (CSR arena vs per-snapshot `HashMap` grid) and as a
-/// second oracle for the equivalence tests.
-#[doc(hidden)]
-pub fn dbscan_hashgrid(points: &[Point], params: &ClusteringParams) -> DbscanResult {
-    use std::collections::HashMap;
-
-    let eps = params.eps;
-    let mut cells: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
-    for (idx, p) in points.iter().enumerate() {
-        cells.entry(cell_of(p, eps)).or_default().push(idx);
-    }
-    let neighbors_of = |idx: usize| -> Vec<usize> {
-        let p = &points[idx];
-        let (cx, cy) = cell_of(p, eps);
-        let eps_sq = eps * eps;
-        let mut out = Vec::new();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(bucket) = cells.get(&(cx + dx, cy + dy)) {
-                    for &other in bucket {
-                        if points[other].distance_sq(p) <= eps_sq {
-                            out.push(other);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    };
-    run_with_neighbors(points, params, neighbors_of)
-}
-
 /// Brute-force DBSCAN used as a test oracle: identical semantics, O(n²)
 /// neighbour search.
 #[doc(hidden)]
@@ -512,16 +441,6 @@ pub fn dbscan_bruteforce(points: &[Point], params: &ClusteringParams) -> DbscanR
             .filter_map(|(j, q)| (points[idx].distance_sq(q) <= eps_sq).then_some(j))
             .collect()
     };
-    run_with_neighbors(points, params, neighbors_of)
-}
-
-/// The reference DBSCAN sweep shared by the two oracle implementations,
-/// parameterised by an allocating neighbour query.
-fn run_with_neighbors(
-    points: &[Point],
-    params: &ClusteringParams,
-    neighbors_of: impl Fn(usize) -> Vec<usize>,
-) -> DbscanResult {
     let mut labels = vec![UNVISITED; points.len()];
     let mut cluster_count: u32 = 0;
     for start in 0..points.len() {
@@ -558,6 +477,12 @@ fn run_with_neighbors(
     DbscanResult::from_labels(cluster_count as usize, &labels)
 }
 
+/// [`dbscan`] over rows, as the oracle takes them.
+#[cfg(test)]
+fn dbscan_rows(points: &[Point], params: &ClusteringParams) -> DbscanResult {
+    dbscan(gpdt_geo::PointColumns::from_points(points).view(), params)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,7 +493,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let r = dbscan(&[], &ClusteringParams::new(1.0, 2));
+        let r = dbscan_rows(&[], &ClusteringParams::new(1.0, 2));
         assert!(r.clusters.is_empty());
         assert!(r.noise().is_empty());
     }
@@ -576,11 +501,11 @@ mod tests {
     #[test]
     fn single_point_is_noise_unless_min_pts_one() {
         let p = pts(&[(0.0, 0.0)]);
-        let r = dbscan(&p, &ClusteringParams::new(1.0, 2));
+        let r = dbscan_rows(&p, &ClusteringParams::new(1.0, 2));
         assert!(r.clusters.is_empty());
         assert_eq!(r.noise(), vec![0]);
 
-        let r1 = dbscan(&p, &ClusteringParams::new(1.0, 1));
+        let r1 = dbscan_rows(&p, &ClusteringParams::new(1.0, 1));
         assert_eq!(r1.clusters, vec![vec![0]]);
         assert!(r1.noise().is_empty());
     }
@@ -595,7 +520,7 @@ mod tests {
             coords.push((100.0 + i as f64 * 0.5, 0.0));
         }
         let p = pts(&coords);
-        let r = dbscan(&p, &ClusteringParams::new(1.0, 3));
+        let r = dbscan_rows(&p, &ClusteringParams::new(1.0, 3));
         assert_eq!(r.clusters.len(), 2);
         assert_eq!(r.clusters[0], vec![0, 1, 2, 3, 4]);
         assert_eq!(r.clusters[1], vec![5, 6, 7, 8]);
@@ -611,7 +536,7 @@ mod tests {
             (0.5, 0.5),
             (500.0, 500.0),
         ]);
-        let r = dbscan(&p, &ClusteringParams::new(1.0, 3));
+        let r = dbscan_rows(&p, &ClusteringParams::new(1.0, 3));
         assert_eq!(r.clusters.len(), 1);
         assert_eq!(r.noise(), vec![4]);
         assert_eq!(r.label_of(0), Some(0));
@@ -623,7 +548,7 @@ mod tests {
         // A chain of points each within eps of the next: all of them are
         // density-reachable from the ends through core points.
         let p: Vec<Point> = (0..10).map(|i| Point::new(i as f64 * 0.9, 0.0)).collect();
-        let r = dbscan(&p, &ClusteringParams::new(1.0, 2));
+        let r = dbscan_rows(&p, &ClusteringParams::new(1.0, 2));
         assert_eq!(r.clusters.len(), 1);
         assert_eq!(r.clusters[0].len(), 10);
     }
@@ -641,7 +566,7 @@ mod tests {
             coords.push((2.8 + i as f64 * 0.4, 0.0)); // right blob: 5..9
         }
         let p = pts(&coords);
-        let r = dbscan(&p, &ClusteringParams::new(0.9, 3));
+        let r = dbscan_rows(&p, &ClusteringParams::new(0.9, 3));
         let total: usize = r.clusters.iter().map(Vec::len).sum();
         assert_eq!(total + r.noise().len(), p.len());
         let appearing: usize = r
@@ -660,7 +585,7 @@ mod tests {
         let p: Vec<Point> = (0..50)
             .map(|i| Point::new((i % 7) as f64 * 3.0, (i / 7) as f64 * 3.0))
             .collect();
-        let r = dbscan(&p, &ClusteringParams::new(3.5, 4));
+        let r = dbscan_rows(&p, &ClusteringParams::new(3.5, 4));
         let mut all: Vec<usize> = r.clusters.iter().flatten().copied().collect();
         all.extend(r.noise());
         all.sort_unstable();
@@ -672,7 +597,7 @@ mod tests {
         let p: Vec<Point> = (0..60)
             .map(|i| Point::new((i % 9) as f64 * 2.5, (i / 9) as f64 * 2.5))
             .collect();
-        let r = dbscan(&p, &ClusteringParams::new(3.0, 3));
+        let r = dbscan_rows(&p, &ClusteringParams::new(3.0, 3));
         for (ci, members) in r.clusters.iter().enumerate() {
             for &m in members {
                 assert_eq!(r.label_of(m), Some(ci));
@@ -695,7 +620,7 @@ mod tests {
         let p = pts(&coords);
         for (eps, m) in [(3.0, 2), (6.0, 3), (10.0, 4), (25.0, 5)] {
             let params = ClusteringParams::new(eps, m);
-            let fast = dbscan(&p, &params);
+            let fast = dbscan_rows(&p, &params);
             let slow = dbscan_bruteforce(&p, &params);
             assert_eq!(fast.clusters, slow.clusters, "eps={eps} m={m}");
             assert_eq!(fast.noise(), slow.noise(), "eps={eps} m={m}");
@@ -708,6 +633,7 @@ mod tests {
 // so these use the vendored `rand` shim instead of `proptest`).
 mod proptests {
     use super::*;
+    use gpdt_geo::PointColumns;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -730,15 +656,14 @@ mod proptests {
         for _ in 0..128 {
             let points = random_points(&mut rng);
             let params = random_params(&mut rng);
-            let fast = dbscan(&points, &params);
+            let fast = dbscan_rows(&points, &params);
             let slow = dbscan_bruteforce(&points, &params);
             assert_eq!(fast, slow);
         }
     }
 
     /// A scratch arena reused across many differently-sized snapshots gives
-    /// exactly the same result as a fresh run, the hash-grid ablation
-    /// baseline and the brute-force oracle.
+    /// exactly the same result as a fresh run and the brute-force oracle.
     #[test]
     fn reused_scratch_equals_fresh_and_oracles() {
         let mut rng = StdRng::seed_from_u64(0xd5);
@@ -746,9 +671,9 @@ mod proptests {
         for _ in 0..128 {
             let points = random_points(&mut rng);
             let params = random_params(&mut rng);
-            let reused = dbscan_with(&points, &params, &mut scratch);
-            assert_eq!(reused, dbscan(&points, &params));
-            assert_eq!(reused, dbscan_hashgrid(&points, &params));
+            let columns = PointColumns::from_points(&points);
+            let reused = dbscan_with(columns.view(), &params, &mut scratch);
+            assert_eq!(reused, dbscan_rows(&points, &params));
             assert_eq!(reused, dbscan_bruteforce(&points, &params));
         }
     }
@@ -764,7 +689,8 @@ mod proptests {
         let mut check = |label: &str, points: &[Point], eps: f64| {
             for min_pts in [1, 2, 4] {
                 let params = ClusteringParams::new(eps, min_pts);
-                let fast = dbscan_with(points, &params, &mut scratch);
+                let columns = PointColumns::from_points(points);
+                let fast = dbscan_with(columns.view(), &params, &mut scratch);
                 let slow = dbscan_bruteforce(points, &params);
                 assert_eq!(fast, slow, "{label}, eps={eps} min_pts={min_pts}");
             }
@@ -859,25 +785,6 @@ mod proptests {
         );
     }
 
-    /// The columnar (SoA) entry points agree exactly with the slice (AoS)
-    /// path — same clusters, same noise, same labels — across random scenes
-    /// and a scratch arena shared between the two layouts.
-    #[test]
-    fn columns_equal_slices() {
-        use gpdt_geo::PointColumns;
-        let mut rng = StdRng::seed_from_u64(0xd6);
-        let mut scratch = DbscanScratch::new();
-        for _ in 0..128 {
-            let points = random_points(&mut rng);
-            let params = random_params(&mut rng);
-            let cols = PointColumns::from_points(&points);
-            let aos = dbscan_with(&points, &params, &mut scratch);
-            let soa = dbscan_columns_with(cols.view(), &params, &mut scratch);
-            assert_eq!(aos, soa);
-            assert_eq!(soa, dbscan_columns(cols.view(), &params));
-        }
-    }
-
     /// Clusters and noise together partition the input exactly.
     #[test]
     fn output_is_partition() {
@@ -885,7 +792,7 @@ mod proptests {
         for _ in 0..128 {
             let points = random_points(&mut rng);
             let params = random_params(&mut rng);
-            let r = dbscan(&points, &params);
+            let r = dbscan_rows(&points, &params);
             let mut all: Vec<usize> = r.clusters.iter().flatten().copied().collect();
             all.extend(r.noise());
             all.sort_unstable();
@@ -901,7 +808,7 @@ mod proptests {
         for _ in 0..128 {
             let points = random_points(&mut rng);
             let params = random_params(&mut rng);
-            let r = dbscan(&points, &params);
+            let r = dbscan_rows(&points, &params);
             let eps_sq = params.eps * params.eps;
             for c in &r.clusters {
                 assert!(!c.is_empty());
@@ -925,7 +832,7 @@ mod proptests {
         for _ in 0..128 {
             let points = random_points(&mut rng);
             let params = random_params(&mut rng);
-            let r = dbscan(&points, &params);
+            let r = dbscan_rows(&points, &params);
             let eps_sq = params.eps * params.eps;
             for i in r.noise() {
                 let degree = points

@@ -22,9 +22,7 @@ pub mod prefilter;
 pub mod snapshot;
 pub mod stream;
 
-pub use dbscan::{
-    dbscan, dbscan_columns, dbscan_columns_with, dbscan_with, DbscanResult, DbscanScratch,
-};
+pub use dbscan::{dbscan, dbscan_with, DbscanResult, DbscanScratch};
 pub use params::ClusteringParams;
 pub use prefilter::segment_prefilter;
 pub use snapshot::{

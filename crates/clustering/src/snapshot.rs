@@ -10,13 +10,10 @@
 
 use std::sync::Arc;
 
-use gpdt_geo::{
-    hausdorff_distance_views, hausdorff_within_views, Mbr, Point, PointAccess, PointColumns,
-    PointsView,
-};
+use gpdt_geo::{hausdorff_distance, hausdorff_within, Mbr, Point, PointColumns, PointsView};
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp, TrajectoryDatabase};
 
-use crate::dbscan::{dbscan_columns_with, DbscanScratch};
+use crate::dbscan::{dbscan_with, DbscanScratch};
 use crate::params::ClusteringParams;
 
 /// A snapshot cluster (Definition 1): a maximal group of objects whose
@@ -56,7 +53,10 @@ impl SnapshotCluster {
             "members and points must be parallel"
         );
         let mut builder = SnapshotClusterSetBuilder::new(time);
-        builder.push_cluster(&members, points.as_slice());
+        for (&id, p) in members.iter().zip(&points) {
+            builder.push_member(id, p.x, p.y);
+        }
+        builder.end_cluster();
         builder.finish().clusters.pop().expect("one cluster")
     }
 
@@ -103,7 +103,7 @@ impl SnapshotCluster {
 
     /// Exact Hausdorff distance to another cluster.
     pub fn hausdorff_to(&self, other: &SnapshotCluster) -> f64 {
-        hausdorff_distance_views(self.points(), other.points())
+        hausdorff_distance(self.points(), other.points())
     }
 
     /// Threshold test `dH(self, other) ≤ delta` with early exit.
@@ -115,7 +115,7 @@ impl SnapshotCluster {
         if self.mbr.min_distance(other.mbr()) > delta {
             return false;
         }
-        hausdorff_within_views(self.points(), other.points(), delta)
+        hausdorff_within(self.points(), other.points(), delta)
     }
 }
 
@@ -134,11 +134,11 @@ impl PartialEq for SnapshotCluster {
 /// Incrementally builds one tick's [`SnapshotClusterSet`] with all clusters
 /// sharing a single column arena.
 ///
-/// Feed clusters either whole ([`Self::push_cluster`]) or member by member
-/// ([`Self::push_member`] / [`Self::end_cluster`]); members go straight into
-/// the arena columns and a cluster is re-ordered only if it was not fed in
-/// object-id order.  `finish()` freezes the arenas behind `Arc`s and
-/// computes each cluster's cached MBR and centroid from its column range.
+/// Feed clusters member by member ([`Self::push_member`]) and seal each with
+/// [`Self::end_cluster`]; members go straight into the arena columns and a
+/// cluster is re-ordered only if it was not fed in object-id order.
+/// `finish()` freezes the arenas behind `Arc`s and computes each cluster's
+/// cached MBR and centroid from its column range.
 #[derive(Debug)]
 pub struct SnapshotClusterSetBuilder {
     time: Timestamp,
@@ -194,23 +194,6 @@ impl SnapshotClusterSetBuilder {
             }
         }
         self.ranges.push((start as u32, self.ids.len() as u32));
-    }
-
-    /// Appends a whole cluster from parallel member/point sequences.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequences are empty or have different lengths.
-    pub fn push_cluster<P: PointAccess>(&mut self, members: &[ObjectId], points: P) {
-        assert_eq!(
-            members.len(),
-            points.len(),
-            "members and points must be parallel"
-        );
-        for (k, &id) in members.iter().enumerate() {
-            self.push_member(id, points.x(k), points.y(k));
-        }
-        self.end_cluster();
     }
 
     /// Freezes the arenas and returns the finished set.
@@ -408,7 +391,7 @@ impl ClusterDatabase {
         let (ids, cols) = db.snapshot_columns(t);
         let result = {
             let _span = gpdt_obs::span!("dbscan.snapshot");
-            dbscan_columns_with(cols.view(), params, scratch)
+            dbscan_with(cols.view(), params, scratch)
         };
         let mut builder = SnapshotClusterSetBuilder::new(t);
         for member_indices in &result.clusters {
@@ -741,10 +724,9 @@ mod tests {
         b.push_member(ObjectId::new(3), 3.0, 0.0);
         b.push_member(ObjectId::new(1), 1.0, 0.0);
         b.end_cluster();
-        b.push_cluster(
-            &[ObjectId::new(7), ObjectId::new(5)],
-            [Point::new(7.0, 0.0), Point::new(5.0, 0.0)].as_slice(),
-        );
+        b.push_member(ObjectId::new(7), 7.0, 0.0);
+        b.push_member(ObjectId::new(5), 5.0, 0.0);
+        b.end_cluster();
         let set = b.finish();
         assert_eq!(set.len(), 2);
         // Members are sorted within each cluster, points stay parallel.

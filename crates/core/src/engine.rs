@@ -3,12 +3,9 @@
 //! [`GatheringEngine`] is the single implementation of gathering discovery in
 //! this crate: it ingests trajectory or snapshot-cluster data tick-by-tick
 //! (or in arbitrary batches) and maintains the set of closed crowds and
-//! closed gatherings incrementally.  Both public façades are thin wrappers
-//! over it — [`GatheringPipeline`](crate::pipeline::GatheringPipeline) feeds
-//! the engine one big batch, while
-//! [`IncrementalDiscovery`](crate::incremental::IncrementalDiscovery) exposes
-//! the batch-by-batch surface directly — so Algorithm 1 resumption (Lemma 4)
-//! and the Theorem 2 gathering update exist exactly once.
+//! closed gatherings incrementally.  A batch run is one big ingest followed
+//! by [`GatheringEngine::finish`], so Algorithm 1 resumption (Lemma 4) and
+//! the Theorem 2 gathering update exist exactly once.
 //!
 //! Per tick, the engine:
 //!
@@ -64,7 +61,6 @@ use crate::gathering::{detect_with_occurrence, CrowdOccurrence, Gathering, TadVa
 use crate::incremental::update_gatherings_with;
 use crate::par::{default_threads, par_map};
 use crate::params::GatheringConfig;
-use crate::pipeline::DiscoveryResult;
 use crate::range_search::RangeSearchStrategy;
 
 /// Gathering detection of one ingest step stays on the calling thread when
@@ -93,6 +89,29 @@ pub struct EngineUpdate {
     pub extended_from_frontier: usize,
     /// Gatherings detected in the newly closed crowds.
     pub new_gatherings: usize,
+}
+
+/// The full output of one discovery run (see [`GatheringEngine::finish`]).
+#[derive(Debug, Clone)]
+pub struct DiscoveryResult {
+    /// The snapshot-cluster database produced by the clustering phase.
+    pub clusters: ClusterDatabase,
+    /// All closed crowds.
+    pub crowds: Vec<Crowd>,
+    /// All closed gatherings, across all crowds, ordered by start time.
+    pub gatherings: Vec<Gathering>,
+}
+
+impl DiscoveryResult {
+    /// Number of closed crowds.
+    pub fn crowd_count(&self) -> usize {
+        self.crowds.len()
+    }
+
+    /// Number of closed gatherings.
+    pub fn gathering_count(&self) -> usize {
+        self.gatherings.len()
+    }
 }
 
 impl EngineUpdate {
@@ -683,7 +702,7 @@ impl GatheringEngine {
     }
 
     /// Consumes the engine and packages its current state as a
-    /// [`DiscoveryResult`] (the batch-pipeline output type).
+    /// [`DiscoveryResult`].
     ///
     /// Equivalent to collecting [`Self::closed_crowds`] and
     /// [`Self::gatherings`], but drains the engine state instead of cloning
@@ -932,5 +951,84 @@ mod tests {
         assert_eq!(result.crowds, crowds);
         assert_eq!(result.gatherings, gatherings);
         assert_eq!(result.clusters.len(), 8);
+    }
+
+    /// Ten objects linger around a venue for 12 ticks while five other
+    /// objects drive through without stopping.
+    fn venue_scene() -> TrajectoryDatabase {
+        let mut trajectories = Vec::new();
+        for i in 0..10u32 {
+            let x = 100.0 + (i % 5) as f64 * 8.0;
+            let y = 200.0 + (i / 5) as f64 * 8.0;
+            let samples: Vec<(u32, (f64, f64))> =
+                (0..12u32).map(|t| (t, (x + (t as f64 * 0.5), y))).collect();
+            trajectories.push(Trajectory::from_points(ObjectId::new(i), samples));
+        }
+        // Pass-through traffic: fast movers that never linger.
+        for i in 10..15u32 {
+            let samples: Vec<(u32, (f64, f64))> = (0..12u32)
+                .map(|t| (t, (t as f64 * 400.0, 3_000.0 + i as f64 * 500.0)))
+                .collect();
+            trajectories.push(Trajectory::from_points(ObjectId::new(i), samples));
+        }
+        TrajectoryDatabase::from_trajectories(trajectories)
+    }
+
+    fn venue_config() -> GatheringConfig {
+        GatheringConfig::builder()
+            .clustering(ClusteringParams::new(30.0, 4))
+            .crowd(CrowdParams::new(5, 6, 60.0))
+            .gathering(GatheringParams::new(5, 6))
+            .build()
+            .unwrap()
+    }
+
+    fn discover(mut engine: GatheringEngine, db: &TrajectoryDatabase) -> DiscoveryResult {
+        engine.ingest_trajectories(db);
+        engine.finish()
+    }
+
+    #[test]
+    fn finds_the_planted_gathering() {
+        let result = discover(GatheringEngine::new(venue_config()), &venue_scene());
+        assert_eq!(result.crowd_count(), 1);
+        assert_eq!(result.gathering_count(), 1);
+        let g = &result.gatherings[0];
+        assert_eq!(g.lifetime(), 12);
+        assert_eq!(g.participators().len(), 10);
+        // Pass-through objects never participate.
+        for i in 10..15u32 {
+            assert!(!g.participators().contains(&ObjectId::new(i)));
+        }
+    }
+
+    #[test]
+    fn strategy_and_variant_choices_do_not_change_results() {
+        let db = venue_scene();
+        let reference = discover(GatheringEngine::new(venue_config()), &db);
+        for strategy in RangeSearchStrategy::ALL {
+            for variant in TadVariant::ALL {
+                let engine = GatheringEngine::new(venue_config())
+                    .with_strategy(strategy)
+                    .with_variant(variant);
+                let result = discover(engine, &db);
+                assert_eq!(result.crowds, reference.crowds, "{strategy}/{variant}");
+                assert_eq!(
+                    result.gatherings, reference.gatherings,
+                    "{strategy}/{variant}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_database_yields_empty_result() {
+        let result = discover(
+            GatheringEngine::new(venue_config()),
+            &TrajectoryDatabase::new(),
+        );
+        assert_eq!(result.crowd_count(), 0);
+        assert_eq!(result.gathering_count(), 0);
+        assert!(result.clusters.is_empty());
     }
 }

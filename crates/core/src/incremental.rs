@@ -15,21 +15,15 @@
 //!   unchanged; only the region to its right needs a fresh Test-and-Divide.
 //!
 //! Both are packaged into the streaming
-//! [`GatheringEngine`]; this module keeps
+//! [`GatheringEngine`](crate::engine::GatheringEngine); this module keeps
 //! [`update_gatherings`], the Theorem 2 primitive the engine (and the
-//! Figure 8b benchmark) builds on, and [`IncrementalDiscovery`], a thin
-//! stateful façade over the engine preserved for callers that only ingest
-//! pre-clustered batches.
+//! Figure 8b benchmark) builds on.
 
-use gpdt_clustering::{ClusterDatabase, ClusteringParams};
+use gpdt_clustering::ClusterDatabase;
 
 use crate::crowd::Crowd;
-use crate::engine::GatheringEngine;
 use crate::gathering::{detect_with_occurrence, CrowdOccurrence, Gathering, TadVariant};
-use crate::params::{CrowdParams, GatheringConfig, GatheringParams};
-use crate::range_search::RangeSearchStrategy;
-
-pub use crate::engine::{CrowdRecord, EngineUpdate as IncrementalUpdate};
+use crate::params::GatheringParams;
 
 /// Re-detects the closed gatherings of an *extended* crowd, reusing the
 /// gatherings already known for its old prefix (Theorem 2).
@@ -127,75 +121,14 @@ pub(crate) fn update_gatherings_with(
     result
 }
 
-/// Stateful incremental discovery over an ever-growing cluster database.
-///
-/// A thin façade over [`GatheringEngine`] for callers that ingest
-/// pre-clustered batches: there is no separate incremental implementation —
-/// the engine *is* the incremental path, and the batch pipeline is the
-/// one-big-batch special case of it.
-#[derive(Debug)]
-pub struct IncrementalDiscovery {
-    engine: GatheringEngine,
-}
-
-impl IncrementalDiscovery {
-    /// Creates an empty incremental pipeline.
-    pub fn new(
-        crowd_params: CrowdParams,
-        gathering_params: GatheringParams,
-        strategy: RangeSearchStrategy,
-        variant: TadVariant,
-    ) -> Self {
-        // The clustering parameters are irrelevant here: this façade only
-        // ever ingests pre-clustered batches.
-        let config = GatheringConfig {
-            clustering: ClusteringParams::paper_default(),
-            crowd: crowd_params,
-            gathering: gathering_params,
-        };
-        IncrementalDiscovery {
-            engine: GatheringEngine::new(config)
-                .with_strategy(strategy)
-                .with_variant(variant),
-        }
-    }
-
-    /// The underlying streaming engine.
-    pub fn engine(&self) -> &GatheringEngine {
-        &self.engine
-    }
-
-    /// The accumulated cluster database.
-    pub fn cluster_database(&self) -> &ClusterDatabase {
-        self.engine.cluster_database()
-    }
-
-    /// All currently known closed crowds (finalized ones plus frontier
-    /// sequences that are long enough and cannot yet be ruled closed or
-    /// extended — they are closed *with respect to the data seen so far*).
-    pub fn closed_crowds(&self) -> Vec<Crowd> {
-        self.engine.closed_crowds()
-    }
-
-    /// All currently known closed gatherings.
-    pub fn gatherings(&self) -> Vec<Gathering> {
-        self.engine.gatherings()
-    }
-
-    /// Ingests the next batch of snapshot clusters.
-    ///
-    /// The batch must start exactly one tick after the data ingested so far
-    /// (or may be the first batch).  Returns a summary of what changed.
-    pub fn ingest(&mut self, batch: ClusterDatabase) -> IncrementalUpdate {
-        self.engine.ingest_clusters(batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::crowd::CrowdDiscovery;
-    use gpdt_clustering::{ClusterId, SnapshotCluster, SnapshotClusterSet};
+    use crate::engine::GatheringEngine;
+    use crate::params::{CrowdParams, GatheringConfig};
+    use crate::range_search::RangeSearchStrategy;
+    use gpdt_clustering::{ClusterId, ClusteringParams, SnapshotCluster, SnapshotClusterSet};
     use gpdt_geo::Point;
     use gpdt_trajectory::{ObjectId, Timestamp};
 
@@ -222,6 +155,15 @@ mod tests {
             })
             .collect();
         ClusterDatabase::from_sets(sets)
+    }
+
+    /// An engine over pre-clustered batches with `mc = kc = mp = kp = 3`.
+    fn engine() -> GatheringEngine {
+        GatheringEngine::new(GatheringConfig {
+            clustering: ClusteringParams::paper_default(),
+            crowd: CrowdParams::new(3, 3, 100.0),
+            gathering: GatheringParams::new(3, 3),
+        })
     }
 
     fn single_cluster_crowd(start: Timestamp, len: usize) -> Crowd {
@@ -338,8 +280,8 @@ mod tests {
     }
 
     fn incremental_equals_batch(memberships: &[&[u32]], split: usize) {
-        let crowd_params = CrowdParams::new(3, 3, 100.0);
-        let gathering_params = GatheringParams::new(3, 3);
+        let mut inc = engine();
+        let (crowd_params, gathering_params) = (inc.config().crowd, inc.config().gathering);
 
         // Batch run over everything at once.
         let full_cdb = membership_cdb(0, memberships);
@@ -360,14 +302,8 @@ mod tests {
         batch_gatherings.sort_by_key(|g| (g.crowd().start_time(), g.crowd().end_time()));
 
         // Incremental run: first `split` ticks, then the rest.
-        let mut inc = IncrementalDiscovery::new(
-            crowd_params,
-            gathering_params,
-            RangeSearchStrategy::Grid,
-            TadVariant::TadStar,
-        );
-        inc.ingest(membership_cdb(0, &memberships[..split]));
-        inc.ingest(membership_cdb(split as u32, &memberships[split..]));
+        inc.ingest_clusters(membership_cdb(0, &memberships[..split]));
+        inc.ingest_clusters(membership_cdb(split as u32, &memberships[split..]));
 
         let mut inc_crowds = inc.closed_crowds();
         let mut expected_crowds = batch_crowds;
@@ -406,16 +342,9 @@ mod tests {
 
     #[test]
     fn ingest_summary_counts_extensions() {
-        let crowd_params = CrowdParams::new(3, 3, 100.0);
-        let gathering_params = GatheringParams::new(3, 3);
-        let mut inc = IncrementalDiscovery::new(
-            crowd_params,
-            gathering_params,
-            RangeSearchStrategy::Grid,
-            TadVariant::TadStar,
-        );
+        let mut inc = engine();
         let first: Vec<&[u32]> = vec![&[1, 2, 3]; 4];
-        let update1 = inc.ingest(membership_cdb(0, &first));
+        let update1 = inc.ingest_clusters(membership_cdb(0, &first));
         // The single stable crowd ends at the frontier, so it is reported as
         // closed-so-far but stays extendable.
         assert_eq!(update1.new_closed_crowds, 1);
@@ -423,7 +352,7 @@ mod tests {
         assert_eq!(inc.gatherings().len(), 1);
 
         let second: Vec<&[u32]> = vec![&[1, 2, 3]; 3];
-        let update2 = inc.ingest(membership_cdb(4, &second));
+        let update2 = inc.ingest_clusters(membership_cdb(4, &second));
         assert_eq!(update2.new_closed_crowds, 1);
         assert_eq!(update2.extended_from_frontier, 1);
         let crowds = inc.closed_crowds();
@@ -436,13 +365,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let mut inc = IncrementalDiscovery::new(
-            CrowdParams::new(3, 3, 100.0),
-            GatheringParams::new(3, 3),
-            RangeSearchStrategy::Grid,
-            TadVariant::TadStar,
-        );
-        let update = inc.ingest(ClusterDatabase::new());
+        let mut inc = engine();
+        let update = inc.ingest_clusters(ClusterDatabase::new());
         assert_eq!(update.new_closed_crowds, 0);
         assert!(inc.closed_crowds().is_empty());
     }

@@ -21,17 +21,15 @@
 //!   gatherings incrementally, parallelising snapshot clustering, per-tick
 //!   index construction and per-crowd gathering detection.
 //! * [`incremental`] — the Theorem 2 gathering-update primitive
-//!   ([`update_gatherings`](incremental::update_gatherings)) and a stateful
-//!   batch-ingestion façade over the engine.
-//! * [`pipeline`] — the batch façade: one-big-batch streaming, i.e. snapshot
-//!   clustering, crowd discovery and gathering detection in one call.
+//!   ([`update_gatherings`](incremental::update_gatherings)).
 //!
-//! The typical batch entry point is [`GatheringPipeline`]; for continuously
-//! arriving data use [`GatheringEngine`] directly:
+//! [`GatheringEngine`] is the one entry point: a batch run ingests the whole
+//! database once and calls [`GatheringEngine::finish`]; continuously
+//! arriving data is ingested slice by slice into the same engine.
 //!
 //! ```
-//! use gpdt_core::{ClusteringParams, CrowdParams, GatheringConfig, GatheringParams,
-//!                 GatheringPipeline};
+//! use gpdt_core::{ClusteringParams, CrowdParams, GatheringConfig, GatheringEngine,
+//!                 GatheringParams};
 //! use gpdt_trajectory::{ObjectId, Trajectory, TrajectoryDatabase};
 //!
 //! // Five objects stay together for six ticks: one crowd, one gathering.
@@ -49,8 +47,9 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let result = GatheringPipeline::new(config).discover(&db);
-//! assert_eq!(result.gatherings.len(), 1);
+//! let mut engine = GatheringEngine::new(config);
+//! engine.ingest_trajectories(&db);
+//! assert_eq!(engine.finish().gatherings.len(), 1);
 //! ```
 
 pub mod crowd;
@@ -59,22 +58,19 @@ pub mod gathering;
 pub mod incremental;
 pub mod par;
 pub mod params;
-pub mod pipeline;
 pub mod range_search;
 
 pub use crowd::{discover_closed_crowds, Crowd, CrowdDiscovery, CrowdDiscoveryResult};
 pub use engine::{
-    canonical_crowd_order, canonical_gathering_order, CrowdRecord, EngineStats, EngineUpdate,
-    GatheringEngine, RetentionPolicy,
+    canonical_crowd_order, canonical_gathering_order, CrowdRecord, DiscoveryResult, EngineStats,
+    EngineUpdate, GatheringEngine, RetentionPolicy,
 };
 pub use gathering::{detect_closed_gatherings, CrowdOccurrence, Gathering, TadVariant};
 pub use gpdt_geo::bvs;
 pub use gpdt_geo::bvs::BitVector;
-pub use incremental::{IncrementalDiscovery, IncrementalUpdate};
 pub use params::{
     ConfigError, CrowdParams, GatheringConfig, GatheringConfigBuilder, GatheringParams,
 };
-pub use pipeline::{DiscoveryResult, GatheringPipeline};
 pub use range_search::{RangeSearchStrategy, SearcherScratch, TickSearcher};
 
 // Re-export the parameter type of the clustering phase so downstream users

@@ -21,63 +21,31 @@
 //! the brute-force scan and the bucketed test by input size, so callers keep
 //! a single entry point.
 
+use crate::grid::clamped_cell_index;
 use crate::point::Point;
 use crate::simd::dispatch;
-use crate::soa::{PointAccess, PointsView};
+use crate::soa::PointsView;
 use std::sync::OnceLock;
 
 /// Directed Hausdorff distance `h(P → Q) = max_{p∈P} min_{q∈Q} d(p, q)`.
 ///
 /// Returns `0.0` when `from` is empty (there is nothing to be far away) and
 /// `f64::INFINITY` when `from` is non-empty but `to` is empty.
-pub fn directed_hausdorff(from: &[Point], to: &[Point]) -> f64 {
-    directed_hausdorff_access(from, to)
-}
-
-/// [`directed_hausdorff`] generic over the point layout.
-///
-/// Monomorphised per layout: the same early-exit kernel serves `&[Point]`
-/// (AoS) and [`PointsView`] (SoA).
-pub fn directed_hausdorff_access<P: PointAccess, Q: PointAccess>(from: P, to: Q) -> f64 {
+pub fn directed_hausdorff(from: PointsView<'_>, to: PointsView<'_>) -> f64 {
     if from.is_empty() {
         return 0.0;
     }
     if to.is_empty() {
         return f64::INFINITY;
     }
+    // The inner min-reduction stops early once it is at or below the current
+    // worst: such a minimum cannot raise the directed distance and is
+    // discarded below, so the early exit — which may differ across SIMD
+    // levels — never shows in the result.
+    let d = dispatch();
     let mut worst_sq: f64 = 0.0;
-    if let Some((txs, tys)) = to.columns() {
-        // Columnar target: the inner min-reduction runs on the SIMD kernel.
-        // An early-exited minimum may differ across levels but is always
-        // ≤ `worst_sq`, in which case it is discarded below — exactly like
-        // the scalar loop's `break` — so the returned distance is
-        // bit-identical to the generic path.
-        let d = dispatch();
-        for i in 0..from.len() {
-            let best_sq = d.min_dist_sq_bounded(txs, tys, from.x(i), from.y(i), worst_sq);
-            if best_sq > worst_sq {
-                worst_sq = best_sq;
-            }
-        }
-        return worst_sq.sqrt();
-    }
-    for i in 0..from.len() {
-        let (px, py) = (from.x(i), from.y(i));
-        let mut best_sq = f64::INFINITY;
-        for j in 0..to.len() {
-            let dx = to.x(j) - px;
-            let dy = to.y(j) - py;
-            let d = dx * dx + dy * dy;
-            if d < best_sq {
-                best_sq = d;
-                // The minimum for this `p` can only shrink further; if it is
-                // already below the current worst it cannot raise the
-                // directed distance, so stop scanning `to`.
-                if best_sq <= worst_sq {
-                    break;
-                }
-            }
-        }
+    for p in from.iter() {
+        let best_sq = d.min_dist_sq_bounded(to.xs(), to.ys(), p.x, p.y, worst_sq);
         if best_sq > worst_sq {
             worst_sq = best_sq;
         }
@@ -89,13 +57,8 @@ pub fn directed_hausdorff_access<P: PointAccess, Q: PointAccess>(from: P, to: Q)
 ///
 /// If both sets are empty the distance is `0.0`; if exactly one is empty it
 /// is `f64::INFINITY`.
-pub fn hausdorff_distance(p: &[Point], q: &[Point]) -> f64 {
+pub fn hausdorff_distance(p: PointsView<'_>, q: PointsView<'_>) -> f64 {
     directed_hausdorff(p, q).max(directed_hausdorff(q, p))
-}
-
-/// [`hausdorff_distance`] over columnar point sets.
-pub fn hausdorff_distance_views(p: PointsView<'_>, q: PointsView<'_>) -> f64 {
-    directed_hausdorff_access(p, q).max(directed_hausdorff_access(q, p))
 }
 
 /// Pair-count ceiling used when the calibration probe never sees the
@@ -110,30 +73,15 @@ const MAX_PAIR_CUTOFF_FALLBACK: usize = 2 * 4096 * 4096;
 /// the probe has to look there to find it.
 const CALIBRATION_SIZES: [usize; 6] = [128, 256, 512, 1024, 2048, 4096];
 
-/// The pair-count cutoff above which [`hausdorff_within_access`] switches
-/// from the brute-force scan to the grid-bucketed test.
+/// The pair-count cutoff above which [`hausdorff_within`] switches from the
+/// brute-force scan to the grid-bucketed test.
 ///
-/// Resolved once per process: the `GPDT_HAUSDORFF_CUTOFF` environment
-/// variable pins it (an integer number of point *pairs*; `0` forces
-/// always-bucketed); otherwise a one-shot calibration probe measures both
-/// kernels on this machine and picks the crossover.  Both kernels are
+/// Resolved once per process by a one-shot calibration probe that measures
+/// both kernels on this machine and picks the crossover.  Both kernels are
 /// exact, so the cutoff affects speed only — never answers.
 pub fn bucketed_pair_cutoff() -> usize {
     static CUTOFF: OnceLock<usize> = OnceLock::new();
-    *CUTOFF.get_or_init(|| {
-        if let Some(pinned) = std::env::var("GPDT_HAUSDORFF_CUTOFF")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            if gpdt_obs::enabled() {
-                gpdt_obs::registry()
-                    .gauge("hausdorff.cutoff_pairs")
-                    .set(pinned as u64);
-            }
-            return pinned;
-        }
-        calibrate_pair_cutoff()
-    })
+    *CUTOFF.get_or_init(calibrate_pair_cutoff)
 }
 
 /// One-shot calibration: times the brute-force and bucketed threshold tests
@@ -157,11 +105,11 @@ fn calibrate_pair_cutoff() -> usize {
         let (mut brute_best, mut bucketed_best) = (u64::MAX, u64::MAX);
         for _ in 0..5 {
             let (_, brute) = gpdt_obs::time_nanos(|| {
-                std::hint::black_box(hausdorff_within_bruteforce_access(p, q, delta))
+                std::hint::black_box(hausdorff_within_bruteforce(p, q, delta))
             });
             brute_best = brute_best.min(brute);
             let (_, bucketed) = gpdt_obs::time_nanos(|| {
-                std::hint::black_box(hausdorff_within_bucketed_access(p, q, delta))
+                std::hint::black_box(hausdorff_within_bucketed(p, q, delta))
             });
             bucketed_best = bucketed_best.min(bucketed);
         }
@@ -237,36 +185,17 @@ fn calibration_snake(n: usize, seed: u64, delta: f64, y0: f64) -> (Vec<f64>, Vec
 /// ([`hausdorff_within_bucketed`]); small ones by the direct scan
 /// ([`hausdorff_within_bruteforce`]).  Both are exact — the choice never
 /// changes the answer.
-pub fn hausdorff_within(p: &[Point], q: &[Point], threshold: f64) -> bool {
-    hausdorff_within_access(p, q, threshold)
-}
-
-/// [`hausdorff_within`] over columnar point sets.
-pub fn hausdorff_within_views(p: PointsView<'_>, q: PointsView<'_>, threshold: f64) -> bool {
-    hausdorff_within_access(p, q, threshold)
-}
-
-/// [`hausdorff_within`] generic over the point layout.
-pub fn hausdorff_within_access<P: PointAccess, Q: PointAccess>(p: P, q: Q, threshold: f64) -> bool {
+pub fn hausdorff_within(p: PointsView<'_>, q: PointsView<'_>, threshold: f64) -> bool {
     if p.len().saturating_mul(q.len()) >= bucketed_pair_cutoff() {
-        hausdorff_within_bucketed_access(p, q, threshold)
+        hausdorff_within_bucketed(p, q, threshold)
     } else {
-        hausdorff_within_bruteforce_access(p, q, threshold)
+        hausdorff_within_bruteforce(p, q, threshold)
     }
 }
 
 /// Threshold test by direct scan over all point pairs (with early exit).
-pub fn hausdorff_within_bruteforce(p: &[Point], q: &[Point], threshold: f64) -> bool {
-    hausdorff_within_bruteforce_access(p, q, threshold)
-}
-
-/// [`hausdorff_within_bruteforce`] generic over the point layout.
-pub fn hausdorff_within_bruteforce_access<P: PointAccess, Q: PointAccess>(
-    p: P,
-    q: Q,
-    threshold: f64,
-) -> bool {
-    directed_within_access(p, q, threshold) && directed_within_access(q, p, threshold)
+pub fn hausdorff_within_bruteforce(p: PointsView<'_>, q: PointsView<'_>, threshold: f64) -> bool {
+    directed_within(p, q, threshold) && directed_within(q, p, threshold)
 }
 
 /// Threshold test with each side bucketed into a uniform grid of cell side
@@ -274,19 +203,10 @@ pub fn hausdorff_within_bruteforce_access<P: PointAccess, Q: PointAccess>(
 /// block around it, so each probe touches only the points of that block.
 ///
 /// Exact — agrees with [`hausdorff_within_bruteforce`] on every input.
-pub fn hausdorff_within_bucketed(p: &[Point], q: &[Point], threshold: f64) -> bool {
-    hausdorff_within_bucketed_access(p, q, threshold)
-}
-
-/// [`hausdorff_within_bucketed`] generic over the point layout.
-pub fn hausdorff_within_bucketed_access<P: PointAccess, Q: PointAccess>(
-    p: P,
-    q: Q,
-    threshold: f64,
-) -> bool {
+pub fn hausdorff_within_bucketed(p: PointsView<'_>, q: PointsView<'_>, threshold: f64) -> bool {
     if !(threshold.is_finite() && threshold > 0.0) {
         // Degenerate thresholds cannot define a grid; the scan handles them.
-        return hausdorff_within_bruteforce_access(p, q, threshold);
+        return hausdorff_within_bruteforce(p, q, threshold);
     }
     if p.is_empty() || q.is_empty() {
         return p.is_empty() && q.is_empty();
@@ -300,16 +220,7 @@ pub fn hausdorff_within_bucketed_access<P: PointAccess, Q: PointAccess>(
 }
 
 /// Directed threshold test: is `h(from → to) ≤ threshold`?
-pub fn directed_within(from: &[Point], to: &[Point], threshold: f64) -> bool {
-    directed_within_access(from, to, threshold)
-}
-
-/// [`directed_within`] generic over the point layout.
-pub fn directed_within_access<P: PointAccess, Q: PointAccess>(
-    from: P,
-    to: Q,
-    threshold: f64,
-) -> bool {
+fn directed_within(from: PointsView<'_>, to: PointsView<'_>, threshold: f64) -> bool {
     if from.is_empty() {
         return true;
     }
@@ -317,37 +228,14 @@ pub fn directed_within_access<P: PointAccess, Q: PointAccess>(
         return false;
     }
     let thr_sq = threshold * threshold;
-    if let Some((txs, tys)) = to.columns() {
-        // Columnar target: the "has a neighbour within δ" scan runs on the
-        // SIMD kernel.  The comparison is exact at every level, so the
-        // boolean cannot diverge from the generic loop below.
-        let d = dispatch();
-        for i in 0..from.len() {
-            if !d.any_within(txs, tys, from.x(i), from.y(i), thr_sq) {
-                return false;
-            }
-        }
-        return true;
-    }
-    'outer: for i in 0..from.len() {
-        let (px, py) = (from.x(i), from.y(i));
-        for j in 0..to.len() {
-            let dx = to.x(j) - px;
-            let dy = to.y(j) - py;
-            if dx * dx + dy * dy <= thr_sq {
-                continue 'outer;
-            }
-        }
-        return false;
-    }
-    true
+    let d = dispatch();
+    from.iter()
+        .all(|p| d.any_within(to.xs(), to.ys(), p.x, p.y, thr_sq))
 }
 
 /// One side of the bucketed threshold test: the points copied into cell
 /// order (CSR-style — contiguous per-cell slices under sorted unique cell
-/// keys), so every probe is a straight-line scan.  The copy is columnar
-/// (`xs`/`ys`), so probes stream two dense coordinate arrays regardless of
-/// the caller's layout.
+/// keys), so every probe is a straight-line scan of two dense columns.
 struct CellBuckets {
     threshold: f64,
     thr_sq: f64,
@@ -355,56 +243,56 @@ struct CellBuckets {
     xs: Vec<f64>,
     ys: Vec<f64>,
     /// Sorted unique cell keys, parallel to `starts`.
-    cells: Vec<(i64, i64)>,
+    cells: Vec<(i32, i32)>,
     /// Offsets into `xs`/`ys` (one trailing sentinel).
     starts: Vec<u32>,
 }
 
 impl CellBuckets {
-    fn build<P: PointAccess>(input: P, threshold: f64) -> Self {
-        // Cell keys are cached up front: computing them inside the sort
-        // comparator would redo the float division O(n log n) times.
-        let keys: Vec<(i64, i64)> = (0..input.len())
-            .map(|i| {
-                (
-                    (input.x(i) / threshold).floor() as i64,
-                    (input.y(i) / threshold).floor() as i64,
-                )
-            })
-            .collect();
-        let mut order: Vec<u32> = (0..input.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| keys[i as usize]);
-        let mut xs: Vec<f64> = Vec::with_capacity(input.len());
-        let mut ys: Vec<f64> = Vec::with_capacity(input.len());
-        let mut cells: Vec<(i64, i64)> = Vec::new();
-        let mut starts: Vec<u32> = Vec::new();
-        for &i in &order {
-            let k = keys[i as usize];
-            if cells.last() != Some(&k) {
-                cells.push(k);
-                starts.push(xs.len() as u32);
-            }
-            xs.push(input.x(i as usize));
-            ys.push(input.y(i as usize));
-        }
-        starts.push(input.len() as u32);
-        CellBuckets {
+    /// The cell of a point: clamped, so that no coordinate, however far or
+    /// non-finite, overflows the neighbour arithmetic of [`Self::covers`].
+    #[inline]
+    fn cell_of(&self, x: f64, y: f64) -> (i32, i32) {
+        (
+            clamped_cell_index(x / self.threshold),
+            clamped_cell_index(y / self.threshold),
+        )
+    }
+
+    fn build(input: PointsView<'_>, threshold: f64) -> Self {
+        let mut buckets = CellBuckets {
             threshold,
             thr_sq: threshold * threshold,
-            xs,
-            ys,
-            cells,
-            starts,
+            xs: Vec::with_capacity(input.len()),
+            ys: Vec::with_capacity(input.len()),
+            cells: Vec::new(),
+            starts: Vec::new(),
+        };
+        // Cell keys are cached up front: computing them inside the sort
+        // comparator would redo the float division O(n log n) times.
+        let keys: Vec<(i32, i32)> = input.iter().map(|p| buckets.cell_of(p.x, p.y)).collect();
+        let mut order: Vec<u32> = (0..input.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| keys[i as usize]);
+        for &i in &order {
+            let k = keys[i as usize];
+            if buckets.cells.last() != Some(&k) {
+                buckets.cells.push(k);
+                buckets.starts.push(buckets.xs.len() as u32);
+            }
+            buckets.xs.push(input.xs()[i as usize]);
+            buckets.ys.push(input.ys()[i as usize]);
         }
+        buckets.starts.push(input.len() as u32);
+        buckets
     }
 
     /// `true` if every point of `from` has a bucketed point within the
     /// threshold, i.e. the directed test `h(from → bucketed) ≤ threshold`.
-    fn covers<P: PointAccess>(&self, from: P) -> bool {
+    fn covers(&self, from: PointsView<'_>) -> bool {
         // Probe the point's own cell first: when the sets overlap, the
         // nearest neighbour is usually right there, and the ring cells hold
         // mostly too-far points.
-        const PROBES: [(i64, i64); 9] = [
+        const PROBES: [(i32, i32); 9] = [
             (0, 0),
             (-1, -1),
             (-1, 0),
@@ -415,13 +303,9 @@ impl CellBuckets {
             (1, 0),
             (1, 1),
         ];
-        // The per-cell slices are columnar by construction, so every probe
-        // runs on the SIMD kernel (exact comparison — level-independent).
         let d = dispatch();
-        'outer: for i in 0..from.len() {
-            let (px, py) = (from.x(i), from.y(i));
-            let cx = (px / self.threshold).floor() as i64;
-            let cy = (py / self.threshold).floor() as i64;
+        'outer: for Point { x: px, y: py } in from.iter() {
+            let (cx, cy) = self.cell_of(px, py);
             for (dx, dy) in PROBES {
                 let Ok(cell) = self.cells.binary_search(&(cx + dx, cy + dy)) else {
                     continue;
@@ -440,25 +324,27 @@ impl CellBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::PointColumns;
 
-    fn pts(coords: &[(f64, f64)]) -> Vec<Point> {
-        coords.iter().map(|&(x, y)| Point::new(x, y)).collect()
+    fn pts(coords: &[(f64, f64)]) -> PointColumns {
+        let (xs, ys) = coords.iter().copied().unzip();
+        PointColumns::from_vecs(xs, ys)
     }
 
     #[test]
     fn identical_sets_have_zero_distance() {
         let p = pts(&[(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]);
-        assert_eq!(hausdorff_distance(&p, &p), 0.0);
-        assert!(hausdorff_within(&p, &p, 0.0));
+        assert_eq!(hausdorff_distance(p.view(), p.view()), 0.0);
+        assert!(hausdorff_within(p.view(), p.view(), 0.0));
     }
 
     #[test]
     fn singleton_sets() {
         let p = pts(&[(0.0, 0.0)]);
         let q = pts(&[(3.0, 4.0)]);
-        assert_eq!(hausdorff_distance(&p, &q), 5.0);
-        assert!(hausdorff_within(&p, &q, 5.0));
-        assert!(!hausdorff_within(&p, &q, 4.999));
+        assert_eq!(hausdorff_distance(p.view(), q.view()), 5.0);
+        assert!(hausdorff_within(p.view(), q.view(), 5.0));
+        assert!(!hausdorff_within(p.view(), q.view(), 4.999));
     }
 
     #[test]
@@ -467,47 +353,50 @@ mod tests {
         // far outlier, so the directed distances differ.
         let p = pts(&[(0.0, 0.0), (1.0, 0.0)]);
         let q = pts(&[(0.0, 0.0), (1.0, 0.0), (10.0, 0.0)]);
-        assert_eq!(directed_hausdorff(&p, &q), 0.0);
-        assert_eq!(directed_hausdorff(&q, &p), 9.0);
-        assert_eq!(hausdorff_distance(&p, &q), 9.0);
+        assert_eq!(directed_hausdorff(p.view(), q.view()), 0.0);
+        assert_eq!(directed_hausdorff(q.view(), p.view()), 9.0);
+        assert_eq!(hausdorff_distance(p.view(), q.view()), 9.0);
     }
 
     #[test]
     fn symmetric_in_arguments() {
         let p = pts(&[(0.0, 0.0), (5.0, 5.0), (2.0, 8.0)]);
         let q = pts(&[(1.0, 1.0), (6.0, 4.0)]);
-        assert_eq!(hausdorff_distance(&p, &q), hausdorff_distance(&q, &p));
+        assert_eq!(
+            hausdorff_distance(p.view(), q.view()),
+            hausdorff_distance(q.view(), p.view())
+        );
     }
 
     #[test]
     fn empty_set_conventions() {
         let p = pts(&[(0.0, 0.0)]);
-        let empty: Vec<Point> = vec![];
-        assert_eq!(directed_hausdorff(&empty, &p), 0.0);
-        assert_eq!(directed_hausdorff(&p, &empty), f64::INFINITY);
-        assert_eq!(hausdorff_distance(&empty, &empty), 0.0);
-        assert_eq!(hausdorff_distance(&p, &empty), f64::INFINITY);
-        assert!(hausdorff_within(&empty, &empty, 0.0));
-        assert!(!hausdorff_within(&p, &empty, 1e12));
+        let (p, empty) = (p.view(), PointsView::empty());
+        assert_eq!(directed_hausdorff(empty, p), 0.0);
+        assert_eq!(directed_hausdorff(p, empty), f64::INFINITY);
+        assert_eq!(hausdorff_distance(empty, empty), 0.0);
+        assert_eq!(hausdorff_distance(p, empty), f64::INFINITY);
+        assert!(hausdorff_within(empty, empty, 0.0));
+        assert!(!hausdorff_within(p, empty, 1e12));
     }
 
     #[test]
     fn within_agrees_with_exact_distance() {
         let p = pts(&[(0.0, 0.0), (2.0, 1.0), (4.0, 0.0)]);
         let q = pts(&[(0.5, 0.5), (3.5, 0.5), (4.0, 3.0)]);
-        let d = hausdorff_distance(&p, &q);
-        assert!(hausdorff_within(&p, &q, d));
-        assert!(hausdorff_within(&p, &q, d + 1e-9));
-        assert!(!hausdorff_within(&p, &q, d - 1e-9));
+        let d = hausdorff_distance(p.view(), q.view());
+        assert!(hausdorff_within(p.view(), q.view(), d));
+        assert!(hausdorff_within(p.view(), q.view(), d + 1e-9));
+        assert!(!hausdorff_within(p.view(), q.view(), d - 1e-9));
     }
 
     #[test]
     fn translation_shifts_distance_for_singletons() {
         let p = pts(&[(0.0, 0.0), (1.0, 0.0)]);
-        let q: Vec<Point> = p.iter().map(|pt| Point::new(pt.x + 7.0, pt.y)).collect();
+        let q = pts(&[(7.0, 0.0), (8.0, 0.0)]);
         // A pure translation of a set by (7, 0): each point's nearest
         // neighbour is at most 7 away and the extremes are exactly 7.
-        assert_eq!(hausdorff_distance(&p, &q), 7.0);
+        assert_eq!(hausdorff_distance(p.view(), q.view()), 7.0);
     }
 }
 
@@ -516,20 +405,20 @@ mod tests {
 // so these use the vendored `rand` shim instead of `proptest`).
 mod proptests {
     use super::*;
-    use crate::mbr::Mbr;
+    use crate::soa::PointColumns;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_points(rng: &mut StdRng, max: usize) -> Vec<Point> {
+    fn random_points(rng: &mut StdRng, max: usize) -> PointColumns {
         let n = rng.gen_range(1..max);
-        (0..n)
-            .map(|_| {
-                Point::new(
-                    rng.gen_range(-1000.0..1000.0),
-                    rng.gen_range(-1000.0..1000.0),
-                )
-            })
-            .collect()
+        let mut cols = PointColumns::with_capacity(n);
+        for _ in 0..n {
+            cols.push_xy(
+                rng.gen_range(-1000.0..1000.0),
+                rng.gen_range(-1000.0..1000.0),
+            );
+        }
+        cols
     }
 
     /// dH is symmetric.
@@ -539,8 +428,8 @@ mod proptests {
         for _ in 0..256 {
             let p = random_points(&mut rng, 12);
             let q = random_points(&mut rng, 12);
-            let d1 = hausdorff_distance(&p, &q);
-            let d2 = hausdorff_distance(&q, &p);
+            let d1 = hausdorff_distance(p.view(), q.view());
+            let d2 = hausdorff_distance(q.view(), p.view());
             assert!((d1 - d2).abs() < 1e-9);
         }
     }
@@ -551,7 +440,7 @@ mod proptests {
         let mut rng = StdRng::seed_from_u64(0x72);
         for _ in 0..256 {
             let p = random_points(&mut rng, 12);
-            assert_eq!(hausdorff_distance(&p, &p), 0.0);
+            assert_eq!(hausdorff_distance(p.view(), p.view()), 0.0);
         }
     }
 
@@ -563,9 +452,9 @@ mod proptests {
             let p = random_points(&mut rng, 8);
             let q = random_points(&mut rng, 8);
             let r = random_points(&mut rng, 8);
-            let pq = hausdorff_distance(&p, &q);
-            let qr = hausdorff_distance(&q, &r);
-            let pr = hausdorff_distance(&p, &r);
+            let pq = hausdorff_distance(p.view(), q.view());
+            let qr = hausdorff_distance(q.view(), r.view());
+            let pr = hausdorff_distance(p.view(), r.view());
             assert!(pr <= pq + qr + 1e-9);
         }
     }
@@ -578,8 +467,8 @@ mod proptests {
             let p = random_points(&mut rng, 10);
             let q = random_points(&mut rng, 10);
             let thr = rng.gen_range(0.0..2000.0);
-            let d = hausdorff_distance(&p, &q);
-            assert_eq!(hausdorff_within(&p, &q, thr), d <= thr);
+            let d = hausdorff_distance(p.view(), q.view());
+            assert_eq!(hausdorff_within(p.view(), q.view(), thr), d <= thr);
         }
     }
 
@@ -592,17 +481,18 @@ mod proptests {
         for round in 0..512 {
             let p = random_points(&mut rng, 40);
             let q = random_points(&mut rng, 40);
+            let (p, q) = (p.view(), q.view());
             // Mix thresholds around the typical inter-set distances so both
             // outcomes are exercised, including near-tie values.
             let thr = match round % 3 {
                 0 => rng.gen_range(1.0..100.0),
                 1 => rng.gen_range(100.0..3000.0),
-                _ => hausdorff_distance(&p, &q),
+                _ => hausdorff_distance(p, q),
             };
-            let brute = hausdorff_within_bruteforce(&p, &q, thr);
-            let bucketed = hausdorff_within_bucketed(&p, &q, thr);
+            let brute = hausdorff_within_bruteforce(p, q, thr);
+            let bucketed = hausdorff_within_bucketed(p, q, thr);
             assert_eq!(bucketed, brute, "round {round} thr {thr}");
-            assert_eq!(hausdorff_within(&p, &q, thr), brute, "round {round}");
+            assert_eq!(hausdorff_within(p, q, thr), brute, "round {round}");
         }
     }
 
@@ -610,63 +500,16 @@ mod proptests {
     /// the same conventions as the scan.
     #[test]
     fn bucketed_edge_cases() {
-        let p = vec![Point::new(0.0, 0.0)];
-        let empty: Vec<Point> = vec![];
-        assert!(hausdorff_within_bucketed(&empty, &empty, 10.0));
-        assert!(!hausdorff_within_bucketed(&p, &empty, 10.0));
-        assert!(!hausdorff_within_bucketed(&empty, &p, 10.0));
-        assert!(hausdorff_within_bucketed(&p, &p, 0.0));
-        assert!(!hausdorff_within_bucketed(
-            &p,
-            &[Point::new(3.0, 4.0)],
-            f64::NAN
-        ));
-    }
-
-    /// The SoA (columnar) entry points agree with the AoS slice kernels on
-    /// arbitrary inputs and thresholds — exact equality, not tolerance: the
-    /// monomorphised kernels perform the identical float operations in the
-    /// identical order.
-    #[test]
-    fn columnar_views_match_slices() {
-        use crate::soa::PointColumns;
-        let mut rng = StdRng::seed_from_u64(0x77);
-        for round in 0..512 {
-            let p = random_points(&mut rng, 24);
-            let q = random_points(&mut rng, 24);
-            let pc = PointColumns::from_points(&p);
-            let qc = PointColumns::from_points(&q);
-            let (pv, qv) = (pc.view(), qc.view());
-            assert_eq!(
-                hausdorff_distance_views(pv, qv),
-                hausdorff_distance(&p, &q),
-                "round {round}"
-            );
-            assert_eq!(
-                directed_hausdorff_access(pv, qv),
-                directed_hausdorff(&p, &q)
-            );
-            let thr = match round % 3 {
-                0 => rng.gen_range(1.0..100.0),
-                1 => rng.gen_range(100.0..3000.0),
-                _ => hausdorff_distance(&p, &q),
-            };
-            assert_eq!(
-                hausdorff_within_views(pv, qv, thr),
-                hausdorff_within(&p, &q, thr),
-                "round {round} thr {thr}"
-            );
-            assert_eq!(
-                hausdorff_within_bucketed_access(pv, qv, thr),
-                hausdorff_within_bucketed(&p, &q, thr),
-                "round {round} thr {thr}"
-            );
-            // Mixed layouts also agree: AoS on one side, SoA on the other.
-            assert_eq!(
-                hausdorff_within_bruteforce_access(p.as_slice(), qv, thr),
-                hausdorff_within_bruteforce(&p, &q, thr)
-            );
-        }
+        let (origin, far) = (
+            PointColumns::from_vecs(vec![0.0], vec![0.0]),
+            PointColumns::from_vecs(vec![3.0], vec![4.0]),
+        );
+        let (p, empty) = (origin.view(), PointsView::empty());
+        assert!(hausdorff_within_bucketed(empty, empty, 10.0));
+        assert!(!hausdorff_within_bucketed(p, empty, 10.0));
+        assert!(!hausdorff_within_bucketed(empty, p, 10.0));
+        assert!(hausdorff_within_bucketed(p, p, 0.0));
+        assert!(!hausdorff_within_bucketed(p, far.view(), f64::NAN));
     }
 
     /// Lemma 2 and Lemma 3: dmin ≤ dside ≤ dH for the sets' MBRs.
@@ -676,9 +519,9 @@ mod proptests {
         for _ in 0..256 {
             let p = random_points(&mut rng, 12);
             let q = random_points(&mut rng, 12);
-            let mp = Mbr::from_points(&p).unwrap();
-            let mq = Mbr::from_points(&q).unwrap();
-            let dh = hausdorff_distance(&p, &q);
+            let mp = p.view().mbr().unwrap();
+            let mq = q.view().mbr().unwrap();
+            let dh = hausdorff_distance(p.view(), q.view());
             let dmin = mp.min_distance(&mq);
             let dside = mp.side_distance(&mq).max(mq.side_distance(&mp));
             assert!(dmin <= dside + 1e-9);

@@ -14,9 +14,8 @@
 //!   *affect region* of a cell (Definition 5),
 //! * [`bvs`] — bit-vector signatures with word-parallel population count and
 //!   set operations, shared by TAD\* and the swarm miner,
-//! * [`soa`] — structure-of-arrays point storage ([`PointColumns`] /
-//!   [`PointsView`]) and the [`PointAccess`] trait the hot kernels are
-//!   generic over,
+//! * [`soa`] — structure-of-arrays point storage: [`PointColumns`] and the
+//!   borrowed [`PointsView`], the one input of the hot kernels,
 //! * [`simd`] — runtime-dispatched AVX2/SSE2/scalar kernels for the hot
 //!   column loops (ε-neighbourhood filtering, nearest-point reductions,
 //!   min/max/sum column folds), bit-identical across levels and pinnable
@@ -37,11 +36,10 @@ pub mod soa;
 pub use bvs::BitVector;
 pub use grid::{CellCoord, GridGeometry};
 pub use hausdorff::{
-    bucketed_pair_cutoff, directed_hausdorff, hausdorff_distance, hausdorff_distance_views,
-    hausdorff_within, hausdorff_within_bruteforce, hausdorff_within_bucketed,
-    hausdorff_within_views,
+    bucketed_pair_cutoff, directed_hausdorff, hausdorff_distance, hausdorff_within,
+    hausdorff_within_bruteforce, hausdorff_within_bucketed,
 };
 pub use mbr::Mbr;
 pub use point::Point;
 pub use simd::{available_levels, dispatch, KernelDispatch, SimdLevel};
-pub use soa::{PointAccess, PointColumns, PointsView};
+pub use soa::{PointColumns, PointsView};

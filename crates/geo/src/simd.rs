@@ -556,7 +556,10 @@ mod x86 {
                 let dx = _mm_sub_pd(_mm_loadu_pd(xs.as_ptr().add(i)), vpx);
                 let dy = _mm_sub_pd(_mm_loadu_pd(ys.as_ptr().add(i)), vpy);
                 let d = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-                vbest = _mm_min_pd(vbest, d);
+                // `MINPD` returns its second operand when either is NaN: in this
+                // order a NaN distance leaves the running minimum alone, as the
+                // scalar `d < best` does.
+                vbest = _mm_min_pd(d, vbest);
                 if _mm_movemask_pd(_mm_cmple_pd(vbest, vstop)) != 0 {
                     return hmin_sd(vbest);
                 }
@@ -765,7 +768,8 @@ mod x86 {
                 )
             };
             let d = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-            vbest = _mm256_min_pd(vbest, d);
+            // Operand order as in the SSE2 kernel: a NaN distance is skipped.
+            vbest = _mm256_min_pd(d, vbest);
             if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(vbest, vstop)) != 0 {
                 return hmin256(vbest);
             }

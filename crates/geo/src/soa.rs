@@ -7,89 +7,24 @@
 //! coordinates of the axis being scanned instead of four) and lets the
 //! compiler vectorise the min/max/sum reductions.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`PointColumns`] — an owning pair of `Vec<f64>` columns.  A whole tick's
 //!   clusters share one `PointColumns` arena with per-cluster ranges (see
 //!   `gpdt-clustering`'s snapshot storage).
-//! * [`PointsView`] — a borrowed slice of both columns, the columnar analogue
-//!   of `&[Point]`.  `Copy`, cheap to re-slice.
-//! * [`PointAccess`] — the trait the hot kernels are generic over, so one
-//!   monomorphised body serves both the legacy `&[Point]` (AoS) layout and
-//!   `PointsView` (SoA).  Keeping the AoS impl alive is what lets the micro
-//!   benchmarks measure the layout delta on the *same* kernel code.
+//! * [`PointsView`] — a borrowed slice of both columns, `Copy` and cheap to
+//!   re-slice: the one input of every geometry and clustering kernel.  A
+//!   caller holding `&[Point]` converts once with
+//!   [`PointColumns::from_points`].
 
 use crate::mbr::Mbr;
 use crate::point::Point;
 use std::ops::Range;
 
-/// Uniform read access to a sequence of 2-D points.
-///
-/// Implemented for `&[Point]` (array-of-structs) and [`PointsView`]
-/// (structure-of-arrays).  Kernels written against this trait are
-/// monomorphised per layout, so the abstraction costs nothing at runtime.
-pub trait PointAccess: Copy {
-    /// Number of points.
-    fn len(&self) -> usize;
-
-    /// X coordinate of point `i`.
-    fn x(&self, i: usize) -> f64;
-
-    /// Y coordinate of point `i`.
-    fn y(&self, i: usize) -> f64;
-
-    /// Returns `true` if there are no points.
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialises point `i`.
-    #[inline]
-    fn point(&self, i: usize) -> Point {
-        Point::new(self.x(i), self.y(i))
-    }
-
-    /// The underlying coordinate columns, when this layout has them.
-    ///
-    /// [`PointsView`] returns its parallel slices; the AoS layout returns
-    /// `None`.  Kernels use this to route columnar inputs through the SIMD
-    /// dispatch table ([`crate::simd::dispatch`]) while keeping a scalar
-    /// generic body for interleaved layouts — the results are bit-identical
-    /// either way, so the specialisation is invisible to callers.
-    #[inline]
-    fn columns(&self) -> Option<(&[f64], &[f64])> {
-        None
-    }
-}
-
-impl PointAccess for &[Point] {
-    #[inline]
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    #[inline]
-    fn x(&self, i: usize) -> f64 {
-        self[i].x
-    }
-
-    #[inline]
-    fn y(&self, i: usize) -> f64 {
-        self[i].y
-    }
-
-    #[inline]
-    fn point(&self, i: usize) -> Point {
-        self[i]
-    }
-}
-
 /// A borrowed columnar point sequence: parallel `xs`/`ys` slices.
 ///
-/// The SoA analogue of `&[Point]`.  Obtained from
-/// [`PointColumns::view`]/[`PointColumns::slice`] or built directly from two
-/// equal-length slices with [`PointsView::new`].
+/// Obtained from [`PointColumns::view`]/[`PointColumns::slice`] or built
+/// directly from two equal-length slices with [`PointsView::new`].
 #[derive(Debug, Clone, Copy)]
 pub struct PointsView<'a> {
     xs: &'a [f64],
@@ -178,28 +113,6 @@ impl<'a> PointsView<'a> {
     /// Centroid of the view, `None` when empty.
     pub fn centroid(&self) -> Option<Point> {
         Point::centroid_columns(self.xs, self.ys)
-    }
-}
-
-impl PointAccess for PointsView<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    #[inline]
-    fn x(&self, i: usize) -> f64 {
-        self.xs[i]
-    }
-
-    #[inline]
-    fn y(&self, i: usize) -> f64 {
-        self.ys[i]
-    }
-
-    #[inline]
-    fn columns(&self) -> Option<(&[f64], &[f64])> {
-        Some((self.xs, self.ys))
     }
 }
 
@@ -369,20 +282,6 @@ mod tests {
         let re = mid.slice(1..2);
         assert_eq!(re.to_points(), &pts[2..3]);
         assert!(cols.slice(1..1).is_empty());
-    }
-
-    #[test]
-    fn point_access_agrees_across_layouts() {
-        let pts = pts();
-        let cols = PointColumns::from_points(&pts);
-        let aos: &[Point] = &pts;
-        let soa = cols.view();
-        assert_eq!(PointAccess::len(&aos), PointAccess::len(&soa));
-        for i in 0..pts.len() {
-            assert_eq!(aos.x(i), soa.x(i));
-            assert_eq!(aos.y(i), soa.y(i));
-            assert_eq!(PointAccess::point(&aos, i), PointAccess::point(&soa, i));
-        }
     }
 
     #[test]

@@ -758,8 +758,10 @@ mod tests {
     }
 
     fn exact(clusters: &[Vec<Point>], query: &[Point], delta: f64) -> Vec<usize> {
-        (0..clusters.len())
-            .filter(|&i| hausdorff_within(query, &clusters[i], delta))
+        let query = PointColumns::from_points(query);
+        (columns(clusters).iter().enumerate())
+            .filter(|(_, c)| hausdorff_within(query.view(), c.view(), delta))
+            .map(|(i, _)| i)
             .collect()
     }
 
@@ -938,9 +940,8 @@ mod proptests {
     }
 
     fn exact(clusters: &[PointColumns], query: &PointColumns, delta: f64) -> Vec<usize> {
-        let query = query.view().to_points();
         (0..clusters.len())
-            .filter(|&i| hausdorff_within(&query, &clusters[i].view().to_points(), delta))
+            .filter(|&i| hausdorff_within(query.view(), clusters[i].view(), delta))
             .collect()
     }
 

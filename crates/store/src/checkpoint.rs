@@ -62,15 +62,10 @@ use crate::codec::{read_header, write_header, Decode, DecodeError, Encode};
 /// Magic string at the start of every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"GPDTCKP\0";
 
-/// Current checkpoint format version.
-///
-/// Version history:
-///
-/// * **1** — row-oriented cluster frames (one header per cluster, points as
-///   interleaved x/y pairs).
-/// * **2** — columnar cluster-set frames: each tick writes per-cluster
-///   lengths followed by flat member-id, x and y columns, mirroring the
-///   in-memory shared-arena layout.  v1 checkpoints are still restorable.
+/// The checkpoint format version, the only one [`EngineCheckpoint::restore`]
+/// reads: columnar cluster-set frames — each tick writes per-cluster lengths
+/// followed by flat member-id, x and y columns, mirroring the in-memory
+/// shared-arena layout.  (Version 1 had one row-oriented frame per cluster.)
 pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Checkpoint/restore hooks for the discovery engine.
@@ -113,17 +108,11 @@ impl EngineCheckpoint for GatheringEngine {
     }
 
     fn restore<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let version = read_header(r, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+        read_header(r, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
         let config = GatheringConfig::decode(r)?;
         let strategy = RangeSearchStrategy::decode(r)?;
         let variant = TadVariant::decode(r)?;
-        // The cluster database is the only section whose layout changed
-        // across versions; everything around it decodes identically.
-        let cdb = if version == 1 {
-            crate::model::decode_cluster_database_v1(r)?
-        } else {
-            ClusterDatabase::decode(r)?
-        };
+        let cdb = ClusterDatabase::decode(r)?;
         let finalized: Vec<CrowdRecord> = Vec::decode(r)?;
         let frontier: Vec<(Crowd, Vec<Gathering>)> = Vec::decode(r)?;
 
@@ -425,39 +414,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_restore() {
+    fn older_versions_are_unsupported() {
         let db = lingering_db(5, 12);
         let mut engine = GatheringEngine::new(config());
         engine.ingest_trajectories_until(&db, 7);
-        assert!(!engine.cluster_database().is_empty());
-
-        // Forge the same state in the v1 layout: header version 1 with the
-        // row-oriented per-cluster frames.
-        let mut v1 = Vec::new();
-        write_header(&mut v1, &CHECKPOINT_MAGIC, 1).unwrap();
-        engine.config().encode(&mut v1).unwrap();
-        engine.strategy().encode(&mut v1).unwrap();
-        engine.variant().encode(&mut v1).unwrap();
-        crate::model::encode_cluster_database_v1(engine.cluster_database(), &mut v1).unwrap();
-        engine.finalized_records().encode(&mut v1).unwrap();
-        engine.frontier().encode(&mut v1).unwrap();
-
-        let back = restore_from_slice(&v1).unwrap();
-        assert_eq!(back.time_domain(), engine.time_domain());
-        assert_eq!(back.closed_crowds(), engine.closed_crowds());
-        assert_eq!(back.gatherings(), engine.gatherings());
-        assert_eq!(
-            checkpoint_to_vec(&back),
-            checkpoint_to_vec(&engine),
-            "state restored from v1 must re-checkpoint identically to native v2"
-        );
-
-        // Truncated v1 inputs fail cleanly through the legacy decoder too.
-        for cut in 0..v1.len() {
-            assert!(
-                restore_from_slice(&v1[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
+        let bytes = checkpoint_to_vec(&engine);
+        for version in [0, 1, CHECKPOINT_VERSION + 1, u16::MAX] {
+            // The version is the little-endian u16 right after the magic.
+            let mut forged = bytes.clone();
+            forged[8..10].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                restore_from_slice(&forged),
+                Err(DecodeError::UnsupportedVersion { found, supported: CHECKPOINT_VERSION })
+                    if found == version
+            ));
         }
     }
 }

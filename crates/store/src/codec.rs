@@ -38,12 +38,11 @@ pub enum DecodeError {
         /// The bytes actually found.
         found: [u8; 8],
     },
-    /// The file's format version is newer than this reader supports (or
-    /// zero, which no writer ever produces).
+    /// The file's format version is not the one this reader understands.
     UnsupportedVersion {
         /// The version found in the file.
         found: u16,
-        /// The newest version this reader understands.
+        /// The version this reader understands.
         supported: u16,
     },
     /// A record's stored checksum does not match its payload.
@@ -66,7 +65,7 @@ impl std::fmt::Display for DecodeError {
             ),
             DecodeError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported format version {found} (this reader supports up to {supported})"
+                "unsupported format version {found} (this reader supports {supported})"
             ),
             DecodeError::ChecksumMismatch => write!(f, "record checksum mismatch"),
             DecodeError::Corrupt(what) => write!(f, "corrupt value: {what}"),
@@ -156,8 +155,8 @@ pub fn write_header<W: Write + ?Sized>(w: &mut W, magic: &[u8; 8], version: u16)
     version.encode(w)
 }
 
-/// Reads and checks a file header written by [`write_header`]; returns the
-/// version found (which is `1..=supported`).
+/// Reads and checks a file header written by [`write_header`]: the magic
+/// and the one version the reader understands.
 ///
 /// # Errors
 ///
@@ -167,7 +166,7 @@ pub fn read_header<R: Read + ?Sized>(
     r: &mut R,
     magic: &[u8; 8],
     supported: u16,
-) -> Result<u16, DecodeError> {
+) -> Result<(), DecodeError> {
     let found: [u8; 8] = read_array(r)?;
     if &found != magic {
         return Err(DecodeError::BadMagic {
@@ -175,14 +174,11 @@ pub fn read_header<R: Read + ?Sized>(
             found,
         });
     }
-    let version = u16::decode(r)?;
-    if version == 0 || version > supported {
-        return Err(DecodeError::UnsupportedVersion {
-            found: version,
-            supported,
-        });
+    let found = u16::decode(r)?;
+    if found != supported {
+        return Err(DecodeError::UnsupportedVersion { found, supported });
     }
-    Ok(version)
+    Ok(())
 }
 
 /// FNV-1a 64-bit hash, used as the per-record checksum of the segment log.
@@ -418,7 +414,7 @@ mod tests {
         const MAGIC: [u8; 8] = *b"GPDTTEST";
         let mut bytes = Vec::new();
         write_header(&mut bytes, &MAGIC, 1).unwrap();
-        assert_eq!(read_header(&mut bytes.as_slice(), &MAGIC, 1).unwrap(), 1);
+        read_header(&mut bytes.as_slice(), &MAGIC, 1).unwrap();
 
         // Wrong magic.
         let err = read_header(&mut bytes.as_slice(), b"GPDTELSE", 1).unwrap_err();
@@ -436,11 +432,15 @@ mod tests {
             }
         ));
 
-        // Version zero is never written and always rejected.
-        let mut zero = Vec::new();
-        write_header(&mut zero, &MAGIC, 0).unwrap();
-        let err = read_header(&mut zero.as_slice(), &MAGIC, 1).unwrap_err();
-        assert!(matches!(err, DecodeError::UnsupportedVersion { .. }));
+        // So is an older one: a reader understands exactly one version.
+        let err = read_header(&mut bytes.as_slice(), &MAGIC, 2).unwrap_err();
+        assert!(matches!(
+            err,
+            DecodeError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            }
+        ));
     }
 
     #[test]

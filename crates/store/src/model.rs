@@ -13,9 +13,7 @@
 
 use std::io::{self, Read, Write};
 
-use gpdt_clustering::{
-    ClusterDatabase, ClusterId, SnapshotCluster, SnapshotClusterSet, SnapshotClusterSetBuilder,
-};
+use gpdt_clustering::{ClusterDatabase, ClusterId, SnapshotClusterSet, SnapshotClusterSetBuilder};
 use gpdt_core::{
     Crowd, CrowdParams, CrowdRecord, Gathering, GatheringConfig, GatheringParams,
     RangeSearchStrategy, TadVariant,
@@ -286,44 +284,11 @@ impl Decode for ClusterId {
     }
 }
 
-impl Encode for SnapshotCluster {
-    /// Standalone (row-oriented) cluster frame: time, member list, point
-    /// list.  Cluster *sets* use the columnar frame below instead; this frame
-    /// remains for values encoded outside a set and matches the v1 layout.
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.time().encode(w)?;
-        self.members().encode(w)?;
-        let points = self.points();
-        points.len().encode(w)?;
-        for i in 0..points.len() {
-            points.point(i).encode(w)?;
-        }
-        Ok(())
-    }
-}
-
-impl Decode for SnapshotCluster {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let time = u32::decode(r)?;
-        let members: Vec<ObjectId> = Vec::decode(r)?;
-        let points: Vec<Point> = Vec::decode(r)?;
-        if members.is_empty() {
-            return Err(DecodeError::Corrupt("empty snapshot cluster"));
-        }
-        if members.len() != points.len() {
-            return Err(DecodeError::Corrupt(
-                "cluster member and point lists differ in length",
-            ));
-        }
-        Ok(SnapshotCluster::new(time, members, points))
-    }
-}
-
 impl Encode for SnapshotClusterSet {
-    /// Columnar set frame (checkpoint v2): timestamp, cluster count,
-    /// per-cluster lengths, then the tick's shared arenas as flat columns —
-    /// all member ids, all x coordinates, all y coordinates.  One length
-    /// prefix and three homogeneous streams instead of a header per cluster.
+    /// Columnar set frame: timestamp, cluster count, per-cluster lengths,
+    /// then the tick's shared arenas as flat columns — all member ids, all x
+    /// coordinates, all y coordinates.  One length prefix and three
+    /// homogeneous streams instead of a header per cluster.
     fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         self.time.encode(w)?;
         self.clusters.len().encode(w)?;
@@ -420,54 +385,6 @@ impl Decode for ClusterDatabase {
     }
 }
 
-/// Decodes a v1 (row-oriented) cluster-set frame: timestamp followed by a
-/// `Vec` of standalone cluster frames.  Kept so checkpoints written before
-/// the columnar format remain restorable.
-pub(crate) fn decode_cluster_set_v1<R: Read + ?Sized>(
-    r: &mut R,
-) -> Result<SnapshotClusterSet, DecodeError> {
-    let time = u32::decode(r)?;
-    let clusters: Vec<SnapshotCluster> = Vec::decode(r)?;
-    if clusters.iter().any(|c| c.time() != time) {
-        return Err(DecodeError::Corrupt(
-            "cluster timestamp differs from its set's timestamp",
-        ));
-    }
-    Ok(SnapshotClusterSet { time, clusters })
-}
-
-/// Decodes a v1 cluster database: length prefix followed by v1 set frames.
-pub(crate) fn decode_cluster_database_v1<R: Read + ?Sized>(
-    r: &mut R,
-) -> Result<ClusterDatabase, DecodeError> {
-    let len = usize::decode(r)?;
-    let mut sets = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        sets.push(decode_cluster_set_v1(r)?);
-    }
-    if sets.windows(2).any(|w| w[1].time != w[0].time + 1) {
-        return Err(DecodeError::Corrupt(
-            "cluster sets do not cover contiguous timestamps",
-        ));
-    }
-    Ok(ClusterDatabase::from_sets(sets))
-}
-
-/// Encodes a cluster database in the v1 layout.  Only used by tests to forge
-/// old-format checkpoints; production code always writes the current format.
-#[cfg(test)]
-pub(crate) fn encode_cluster_database_v1<W: Write + ?Sized>(
-    cdb: &ClusterDatabase,
-    w: &mut W,
-) -> io::Result<()> {
-    cdb.len().encode(w)?;
-    for set in cdb.iter() {
-        set.time.encode(w)?;
-        set.clusters.encode(w)?;
-    }
-    Ok(())
-}
-
 impl Encode for Crowd {
     fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         self.cluster_ids().encode(w)
@@ -523,6 +440,7 @@ impl Decode for CrowdRecord {
 mod tests {
     use super::*;
     use crate::codec::{decode_from_slice, encode_to_vec};
+    use gpdt_clustering::SnapshotCluster;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -649,8 +567,6 @@ mod tests {
     fn cluster_roundtrips() {
         let mut rng = StdRng::seed_from_u64(0xA3);
         for _ in 0..64 {
-            let time = rng.gen_range(0u32..100);
-            roundtrip(&random_cluster(&mut rng, time));
             let cdb = random_cdb(&mut rng);
             let bytes = encode_to_vec(&cdb);
             let back: ClusterDatabase = decode_from_slice(&bytes).unwrap();
@@ -697,7 +613,6 @@ mod tests {
     #[test]
     fn truncated_domain_values_fail_cleanly() {
         let mut rng = StdRng::seed_from_u64(0xA5);
-        assert_truncations_fail(&random_cluster(&mut rng, 7));
         assert_truncations_fail(&random_crowd(&mut rng));
         assert_truncations_fail(&random_gathering(&mut rng));
         assert_truncations_fail(&random_trajectory(&mut rng));
@@ -737,18 +652,6 @@ mod tests {
         ));
         assert!(matches!(
             decode_from_slice::<TadVariant>(&[9]),
-            Err(DecodeError::Corrupt(_))
-        ));
-
-        // Cluster member/point length mismatch.
-        let mut bytes = Vec::new();
-        0u32.encode(&mut bytes).unwrap();
-        vec![ObjectId::new(1), ObjectId::new(2)]
-            .encode(&mut bytes)
-            .unwrap();
-        vec![Point::new(0.0, 0.0)].encode(&mut bytes).unwrap();
-        assert!(matches!(
-            decode_from_slice::<SnapshotCluster>(&bytes),
             Err(DecodeError::Corrupt(_))
         ));
 
@@ -807,28 +710,6 @@ mod tests {
             let (a, b) = (pair[0].points(), pair[1].points());
             assert_eq!(a.xs().as_ptr_range().end, b.xs().as_ptr_range().start);
             assert_eq!(a.ys().as_ptr_range().end, b.ys().as_ptr_range().start);
-        }
-    }
-
-    #[test]
-    fn v1_cluster_frames_decode_to_the_same_database() {
-        let mut rng = StdRng::seed_from_u64(0xA8);
-        for _ in 0..32 {
-            let cdb = random_cdb(&mut rng);
-            let mut v1 = Vec::new();
-            encode_cluster_database_v1(&cdb, &mut v1).unwrap();
-            let back = decode_cluster_database_v1(&mut v1.as_slice()).unwrap();
-            assert_eq!(back.time_domain(), cdb.time_domain());
-            for (a, b) in back.iter().zip(cdb.iter()) {
-                assert_eq!(a, b);
-            }
-            // And the legacy bytes really differ from the columnar frame
-            // whenever the database holds a multi-point cluster (the layouts
-            // only coincide on trivial content).
-            let v2 = encode_to_vec(&cdb);
-            if cdb.iter().any(|s| s.clusters.len() > 1) {
-                assert_ne!(v1, v2);
-            }
         }
     }
 

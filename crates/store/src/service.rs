@@ -551,28 +551,6 @@ impl Default for SupervisorPolicy {
     }
 }
 
-impl SupervisorPolicy {
-    /// Builds a policy from the environment: `GPDT_BACKOFF_BASE_MS`,
-    /// `GPDT_BACKOFF_MAX_MS` and `GPDT_BACKOFF_RETRIES` override the
-    /// defaults (unset or unparsable values keep them).
-    pub fn from_env() -> Self {
-        fn parse(key: &str) -> Option<u64> {
-            std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
-        }
-        let mut policy = SupervisorPolicy::default();
-        if let Some(ms) = parse("GPDT_BACKOFF_BASE_MS") {
-            policy.base_backoff = Duration::from_millis(ms);
-        }
-        if let Some(ms) = parse("GPDT_BACKOFF_MAX_MS") {
-            policy.max_backoff = Duration::from_millis(ms);
-        }
-        if let Some(n) = parse("GPDT_BACKOFF_RETRIES") {
-            policy.max_retries = n.min(u64::from(u32::MAX)) as u32;
-        }
-        policy
-    }
-}
-
 /// Everything [`MonitorService::run`] hands back: the engine and store (for
 /// continued use, checkpointing or clean shutdown) plus the closure's result
 /// and any ingestion errors.
@@ -1519,7 +1497,7 @@ mod tests {
     use crate::store::StoreOptions;
     use crate::vfs::{FaultPlan, FaultVfs};
     use gpdt_core::{
-        ClusteringParams, CrowdParams, GatheringConfig, GatheringParams, GatheringPipeline,
+        ClusteringParams, CrowdParams, DiscoveryResult, GatheringConfig, GatheringParams,
     };
     use gpdt_trajectory::{ObjectId, Trajectory, TrajectoryDatabase};
     use std::path::PathBuf;
@@ -1576,6 +1554,13 @@ mod tests {
         TrajectoryDatabase::from_trajectories(trajectories)
     }
 
+    /// The uninterrupted one-batch run the service's output is held to.
+    fn offline_run(db: &TrajectoryDatabase) -> DiscoveryResult {
+        let mut engine = GatheringEngine::new(config());
+        engine.ingest_trajectories(db);
+        engine.finish()
+    }
+
     fn tick_batches(db: &TrajectoryDatabase) -> Vec<ClusterDatabase> {
         let domain = db.time_domain().unwrap();
         domain
@@ -1589,7 +1574,7 @@ mod tests {
     #[test]
     fn service_matches_offline_run_and_serves_queries() {
         let db = scene();
-        let reference = GatheringPipeline::new(config()).discover(&db);
+        let reference = offline_run(&db);
         assert!(reference.crowd_count() >= 2);
 
         let dir = temp_dir("match");
@@ -1890,7 +1875,7 @@ mod tests {
     #[test]
     fn transient_store_faults_are_retried_invisibly() {
         let db = long_scene();
-        let reference = GatheringPipeline::new(config()).discover(&db);
+        let reference = offline_run(&db);
         assert!(reference.crowd_count() >= 4);
 
         // Tiny segments force a rotation (flush + sync + create, all VFS
@@ -1944,7 +1929,7 @@ mod tests {
     fn persistent_faults_degrade_and_recovery_drains_the_queue() {
         let db = scene();
         let batches = tick_batches(&db);
-        let reference = GatheringPipeline::new(config()).discover(&db);
+        let reference = offline_run(&db);
 
         let vfs = FaultVfs::new(0xD1CE);
         let store = PatternStore::open_at(
@@ -2072,7 +2057,7 @@ mod tests {
     #[test]
     fn ingest_panic_is_recovered_with_identical_output() {
         let db = scene();
-        let reference = GatheringPipeline::new(config()).discover(&db);
+        let reference = offline_run(&db);
 
         let dir = temp_dir("panic");
         let store = PatternStore::open(&dir).unwrap();

@@ -143,11 +143,7 @@ impl EngineCheckpoint for ShardedEngine {
     }
 
     fn restore<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let supported = SHARDED_CHECKPOINT_VERSION;
-        let found = read_header(r, &SHARDED_CHECKPOINT_MAGIC, supported)?;
-        if found != supported {
-            return Err(DecodeError::UnsupportedVersion { found, supported });
-        }
+        read_header(r, &SHARDED_CHECKPOINT_MAGIC, SHARDED_CHECKPOINT_VERSION)?;
         let config = GatheringConfig::decode(r)?;
         let strategy = RangeSearchStrategy::decode(r)?;
         let variant = TadVariant::decode(r)?;

@@ -13,9 +13,7 @@ mod common;
 
 use common::PanicOnNth;
 use gpdt_clustering::{ClusterDatabase, ClusteringParams};
-use gpdt_core::{
-    CrowdParams, GatheringConfig, GatheringEngine, GatheringParams, GatheringPipeline,
-};
+use gpdt_core::{CrowdParams, GatheringConfig, GatheringEngine, GatheringParams};
 use gpdt_store::{
     FaultPlan, FaultVfs, MonitorService, PatternStore, StoreOptions, SupervisorPolicy,
 };
@@ -104,7 +102,9 @@ fn seeded_fault_run_is_observable_end_to_end() {
 
     let db = scene();
     let batches = tick_batches(&db);
-    let reference = GatheringPipeline::new(config()).discover(&db);
+    let mut reference = GatheringEngine::new(config());
+    reference.ingest_trajectories(&db);
+    let reference = reference.finish();
 
     // A seeded fault VFS under tiny segments, so every append rotates and
     // the transient write/fsync faults actually bite.

@@ -65,7 +65,9 @@ fn main() {
     );
 
     // Cross-check against a from-scratch batch run over the full history.
-    let batch_run = GatheringPipeline::new(discovery_config).discover(&scenario.database);
+    let mut batch_run = GatheringEngine::new(discovery_config);
+    batch_run.ingest_trajectories(&scenario.database);
+    let batch_run = batch_run.finish();
     println!(
         "from-scratch run finds {} closed crowds — incremental and batch results {}",
         batch_run.crowds.len(),

@@ -104,7 +104,9 @@ fn analyse(name: &str, db: &TrajectoryDatabase) {
         .gathering(GatheringParams::new(6, 8))
         .build()
         .expect("consistent parameters");
-    let result = GatheringPipeline::new(config).discover(db);
+    let mut engine = GatheringEngine::new(config);
+    engine.ingest_trajectories(db);
+    let result = engine.finish();
 
     let convoys = discover_convoys(db, &ConvoyParams::new(8, 10, clustering));
     let swarms = discover_closed_swarms(db, &SwarmParams::new(8, 10, clustering));

@@ -29,8 +29,10 @@ fn main() {
         .expect("consistent parameters");
 
     // 3. Run snapshot clustering, closed-crowd discovery and closed-gathering
-    //    detection in one call.
-    let result = GatheringPipeline::new(config).discover(&scenario.database);
+    //    detection over the whole database.
+    let mut engine = GatheringEngine::new(config);
+    engine.ingest_trajectories(&scenario.database);
+    let result = engine.finish();
 
     println!(
         "snapshot clusters: {}, closed crowds: {}, closed gatherings: {}",

@@ -40,7 +40,9 @@ fn main() {
         .gathering(GatheringParams::new(10, 12))
         .build()
         .expect("consistent parameters");
-    let result = GatheringPipeline::new(pipeline_config).discover(&scenario.database);
+    let mut engine = GatheringEngine::new(pipeline_config);
+    engine.ingest_trajectories(&scenario.database);
+    let result = engine.finish();
     println!(
         "discovered {} closed crowds and {} closed gatherings",
         result.crowd_count(),

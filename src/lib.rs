@@ -28,7 +28,7 @@
 //! let scenario = ScenarioConfig::small_demo(42);
 //! let dataset = generate_scenario(&scenario);
 //!
-//! // Configure the discovery pipeline.
+//! // Configure the discovery engine.
 //! let config = GatheringConfig::builder()
 //!     .clustering(ClusteringParams::new(60.0, 3))
 //!     .crowd(CrowdParams::new(3, 3, 120.0))
@@ -36,9 +36,9 @@
 //!     .build()
 //!     .expect("valid parameters");
 //!
-//! let pipeline = GatheringPipeline::new(config);
-//! let result = pipeline.discover(&dataset.database);
-//! println!("found {} gatherings", result.gatherings.len());
+//! let mut engine = GatheringEngine::new(config);
+//! engine.ingest_trajectories(&dataset.database);
+//! println!("found {} gatherings", engine.finish().gatherings.len());
 //! ```
 
 pub use gpdt_baselines as baselines;
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use gpdt_clustering::{ClusterDatabase, ClusteringParams, SnapshotCluster};
     pub use gpdt_core::{
         Crowd, CrowdParams, EngineUpdate, Gathering, GatheringConfig, GatheringEngine,
-        GatheringParams, GatheringPipeline, RangeSearchStrategy, TadVariant,
+        GatheringParams, RangeSearchStrategy, TadVariant,
     };
     pub use gpdt_geo::{Mbr, Point};
     pub use gpdt_obs::{ServeContext, TelemetryServer};

@@ -74,7 +74,9 @@ fn every_gathering_is_explained_by_a_planted_committed_group() {
         .gathering(gpdt_core::GatheringParams::new(10, 12))
         .build()
         .unwrap();
-    let result = GatheringPipeline::new(config).discover(&scenario.database);
+    let mut engine = GatheringEngine::new(config);
+    engine.ingest_trajectories(&scenario.database);
+    let result = engine.finish();
     let committed_events: Vec<_> = scenario
         .events
         .iter()

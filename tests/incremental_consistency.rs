@@ -6,7 +6,6 @@
 
 use gathering_patterns::prelude::*;
 use gpdt_clustering::ClusterDatabase as CDB;
-use gpdt_core::incremental::IncrementalDiscovery;
 use gpdt_trajectory::TimeInterval;
 use gpdt_workload::EventRates;
 
@@ -28,27 +27,21 @@ fn incremental_ingestion_matches_batch_run_for_several_slicings() {
     let duration = 120u32;
     let scenario = scenario(99, duration);
     let clustering = ClusteringParams::new(200.0, 5);
-    let crowd_params = CrowdParams::new(12, 15, 300.0);
-    let gathering_params = GatheringParams::new(8, 10);
 
     // Batch reference: the one-big-batch special case of the engine.
     let config = GatheringConfig::builder()
         .clustering(clustering)
-        .crowd(crowd_params)
-        .gathering(gathering_params)
+        .crowd(CrowdParams::new(12, 15, 300.0))
+        .gathering(GatheringParams::new(8, 10))
         .build()
         .unwrap();
-    let full = CDB::build(&scenario.database, &clustering);
-    let batch_result = GatheringPipeline::new(config).discover_from_clusters(full);
+    let mut batch = GatheringEngine::new(config);
+    batch.ingest_clusters(CDB::build(&scenario.database, &clustering));
+    let batch_result = batch.finish();
     assert!(!batch_result.crowds.is_empty());
 
     for batch_minutes in [20u32, 40, 60] {
-        let mut incremental = IncrementalDiscovery::new(
-            crowd_params,
-            gathering_params,
-            RangeSearchStrategy::Grid,
-            TadVariant::TadStar,
-        );
+        let mut incremental = GatheringEngine::new(config);
         let mut start = 0u32;
         while start < duration {
             let end = (start + batch_minutes - 1).min(duration - 1);
@@ -57,7 +50,7 @@ fn incremental_ingestion_matches_batch_run_for_several_slicings() {
                 &clustering,
                 TimeInterval::new(start, end),
             );
-            incremental.ingest(batch);
+            incremental.ingest_clusters(batch);
             start = end + 1;
         }
         assert_eq!(

@@ -20,6 +20,12 @@ fn scenario() -> gpdt_workload::GeneratedScenario {
     generate_scenario(&config)
 }
 
+fn discover(scenario: &gpdt_workload::GeneratedScenario) -> gpdt_core::DiscoveryResult {
+    let mut engine = GatheringEngine::new(pipeline_config());
+    engine.ingest_trajectories(&scenario.database);
+    engine.finish()
+}
+
 fn pipeline_config() -> GatheringConfig {
     GatheringConfig::builder()
         .clustering(ClusteringParams::new(200.0, 5))
@@ -35,7 +41,7 @@ fn planted_jams_are_recovered_as_gatherings() {
     let jams = scenario.events_of_kind(EventKind::TrafficJam);
     assert!(!jams.is_empty(), "the scenario must plant at least one jam");
 
-    let result = GatheringPipeline::new(pipeline_config()).discover(&scenario.database);
+    let result = discover(&scenario);
     assert!(result.crowd_count() > 0);
     assert!(result.gathering_count() > 0);
 
@@ -71,7 +77,7 @@ fn venue_churn_does_not_produce_gatherings_of_transients() {
     let scenario = scenario();
     let venues = scenario.events_of_kind(EventKind::Venue);
     assert!(!venues.is_empty());
-    let result = GatheringPipeline::new(pipeline_config()).discover(&scenario.database);
+    let result = discover(&scenario);
 
     // No gathering should list five or more of a venue's transient visitors
     // as participators: they never stay `kp` minutes at the venue.  (A taxi
@@ -103,7 +109,7 @@ fn venue_churn_does_not_produce_gatherings_of_transients() {
 fn gatherings_respect_configured_thresholds() {
     let scenario = scenario();
     let config = pipeline_config();
-    let result = GatheringPipeline::new(config).discover(&scenario.database);
+    let result = discover(&scenario);
     for gathering in &result.gatherings {
         assert!(gathering.lifetime() >= config.crowd.kc);
         assert!(gathering.participators().len() >= config.gathering.mp);

@@ -8,18 +8,23 @@
 //!   [`SimdLevel`], asserting bit-equal outputs against the scalar table.
 //! * Entry-point level: the public geometry functions that route through the
 //!   global dispatch table return bit-identical results whichever level is
-//!   forced.
+//!   forced — and the Hausdorff entry points return, at every level, what a
+//!   naive double loop over the paper's definition returns.
 //! * Engine level: a fig5-slice run with the kernels pinned to scalar
 //!   (`GPDT_SIMD=off`) produces a byte-identical checkpoint to a run on the
 //!   auto-selected level.
 
 use gpdt_bench::scenarios::clustered_scenario;
-use gpdt_clustering::{dbscan, dbscan_columns, ClusterDatabase, ClusteringParams};
+use gpdt_clustering::dbscan::dbscan_bruteforce;
+use gpdt_clustering::{dbscan, ClusterDatabase, ClusteringParams};
 use gpdt_core::{
     CrowdParams, GatheringConfig, GatheringEngine, GatheringParams, RangeSearchStrategy,
 };
 use gpdt_geo::simd::{available_levels, force_dispatch_level, KernelDispatch, SimdLevel};
-use gpdt_geo::{hausdorff_distance_views, Mbr, Point, PointColumns, PointsView};
+use gpdt_geo::{
+    directed_hausdorff, hausdorff_distance, hausdorff_within, hausdorff_within_bruteforce,
+    hausdorff_within_bucketed, Mbr, Point, PointColumns, PointsView,
+};
 use gpdt_store::checkpoint_to_vec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,10 +205,10 @@ fn public_entry_points_level_independent() {
                 let p = PointsView::new(pxs, pys);
                 let q = PointsView::new(qxs, qys);
                 (
-                    hausdorff_distance_views(p, q).to_bits(),
+                    hausdorff_distance(p, q).to_bits(),
                     Mbr::from_columns(pxs, pys),
                     Point::centroid_columns(pxs, pys),
-                    dbscan_columns(p, &params),
+                    dbscan(p, &params),
                 )
             })
             .collect()
@@ -218,15 +223,145 @@ fn public_entry_points_level_independent() {
                     let p = PointsView::new(pxs, pys);
                     let q = PointsView::new(qxs, qys);
                     (
-                        hausdorff_distance_views(p, q).to_bits(),
+                        hausdorff_distance(p, q).to_bits(),
                         Mbr::from_columns(pxs, pys),
                         Point::centroid_columns(pxs, pys),
-                        dbscan_columns(p, &params),
+                        dbscan(p, &params),
                     )
                 })
                 .collect()
         });
         assert_eq!(got, reference, "{level:?} diverged from scalar");
+    }
+}
+
+/// `max_{p∈P} min_{q∈Q} d²(p, q)`, squared, by the definition: a double loop
+/// with no early exit and no vector unit.  A distance that is NaN is never a
+/// minimum, so a point with nothing to compare against is infinitely far.
+fn naive_directed_sq(from: PointsView<'_>, to: PointsView<'_>) -> f64 {
+    let mut worst = 0.0;
+    for p in from.iter() {
+        let mut best = f64::INFINITY;
+        for q in to.iter() {
+            let d = p.distance_sq(&q);
+            if d < best {
+                best = d;
+            }
+        }
+        if best > worst {
+            worst = best;
+        }
+    }
+    worst
+}
+
+/// `dH(P, Q) ≤ threshold` by the definition: every point of either set has a
+/// point of the other within the threshold.
+fn naive_within(p: PointsView<'_>, q: PointsView<'_>, threshold: f64) -> bool {
+    let covered = |from: PointsView<'_>, to: PointsView<'_>| {
+        from.iter().all(|a| {
+            to.iter()
+                .any(|b| a.distance_sq(&b) <= threshold * threshold)
+        })
+    };
+    covered(p, q) && covered(q, p)
+}
+
+/// The Hausdorff entry points against the definition, at every dispatch
+/// level: sizes on both sides of the inline-scalar bypass (8) and of the 2-
+/// and 4-lane block boundaries, duplicated points, one set repeating the
+/// other, non-finite coordinates, and thresholds at the exact distance and
+/// one ulp either side of it.
+#[test]
+fn hausdorff_entry_points_match_the_naive_definition_at_every_level() {
+    struct Case {
+        p: PointColumns,
+        q: PointColumns,
+        directed: (f64, f64),
+        within: Vec<(f64, bool)>,
+    }
+    let mut rng = StdRng::seed_from_u64(0x51D7);
+    let mut cases = Vec::new();
+    for &n in &EDGE_LENGTHS {
+        for &m in &EDGE_LENGTHS {
+            for shape in 0..3 {
+                let (pxs, pys) = random_columns(&mut rng, n, 500.0);
+                let (mut qxs, mut qys) = random_columns(&mut rng, m, 500.0);
+                let shared = n.min(m);
+                match shape {
+                    // Q repeats P as far as both go: distances of exactly 0.
+                    1 => {
+                        qxs[..shared].copy_from_slice(&pxs[..shared]);
+                        qys[..shared].copy_from_slice(&pys[..shared]);
+                    }
+                    // Non-finite coordinates in Q; every kernel below runs
+                    // both ways round, so they are met as `from` and as `to`.
+                    2 => {
+                        let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+                        for k in (0..m).step_by(3) {
+                            qxs[k] = hostile[rng.gen_range(0..hostile.len())];
+                            qys[k] = hostile[rng.gen_range(0..hostile.len())];
+                        }
+                    }
+                    _ => {}
+                }
+                let p = PointColumns::from_vecs(pxs, pys);
+                let q = PointColumns::from_vecs(qxs, qys);
+                let directed = (
+                    naive_directed_sq(p.view(), q.view()).sqrt(),
+                    naive_directed_sq(q.view(), p.view()).sqrt(),
+                );
+                // Around each directed distance — the larger one is dH —
+                // exactly at it and one ulp either side.
+                let mut thresholds = vec![0.0, f64::INFINITY, f64::NAN];
+                for d in [directed.0, directed.1] {
+                    thresholds.extend([d / 2.0, d, d * 2.0]);
+                    if d > 0.0 && d.is_finite() {
+                        let (below, above) = (d.to_bits() - 1, d.to_bits() + 1);
+                        thresholds.extend([f64::from_bits(below), f64::from_bits(above)]);
+                    }
+                }
+                let within = thresholds
+                    .into_iter()
+                    .map(|t| (t, naive_within(p.view(), q.view(), t)))
+                    .collect();
+                cases.push(Case {
+                    p,
+                    q,
+                    directed,
+                    within,
+                });
+            }
+        }
+    }
+
+    type Within = fn(PointsView<'_>, PointsView<'_>, f64) -> bool;
+    let kernels: [(&str, Within); 3] = [
+        ("dispatched", hausdorff_within),
+        ("bruteforce", hausdorff_within_bruteforce),
+        ("bucketed", hausdorff_within_bucketed),
+    ];
+    for &level in available_levels() {
+        with_forced(Some(level), || {
+            for (i, case) in cases.iter().enumerate() {
+                let (p, q) = (case.p.view(), case.q.view());
+                let at = format!("{level:?} case {i} ({} x {} points)", p.len(), q.len());
+                let (pq, qp) = case.directed;
+                assert_eq!(directed_hausdorff(p, q).to_bits(), pq.to_bits(), "{at}");
+                assert_eq!(directed_hausdorff(q, p).to_bits(), qp.to_bits(), "{at}");
+                assert_eq!(
+                    hausdorff_distance(p, q).to_bits(),
+                    pq.max(qp).to_bits(),
+                    "{at}"
+                );
+                for &(threshold, want) in &case.within {
+                    for (name, kernel) in kernels {
+                        assert_eq!(kernel(p, q, threshold), want, "{at} {name} at {threshold}");
+                        assert_eq!(kernel(q, p, threshold), want, "{at} {name} at {threshold}");
+                    }
+                }
+            }
+        });
     }
 }
 
@@ -310,7 +445,8 @@ fn engine_checkpoints_byte_identical_scalar_vs_auto() {
 }
 
 /// Sanity on the kernel scan itself at engine scale: DBSCAN over a clustered
-/// snapshot is identical on AoS scalar input and columnar SIMD input.
+/// snapshot's columns equals, at every level, the brute-force oracle over the
+/// same points as rows.
 #[test]
 fn dbscan_layout_and_level_blind_on_clustered_data() {
     let mut rng = StdRng::seed_from_u64(0x51D6);
@@ -331,9 +467,9 @@ fn dbscan_layout_and_level_blind_on_clustered_data() {
         }
         let cols = PointColumns::from_points(&points);
         let params = ClusteringParams::new(100.0, 4);
-        let want = dbscan(&points, &params);
+        let want = dbscan_bruteforce(&points, &params);
         for &level in available_levels() {
-            let got = with_forced(Some(level), || dbscan_columns(cols.view(), &params));
+            let got = with_forced(Some(level), || dbscan(cols.view(), &params));
             assert_eq!(got, want, "{level:?}");
         }
     }

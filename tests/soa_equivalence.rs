@@ -1,72 +1,17 @@
-//! SoA ≡ AoS equivalence: the columnar point layout must be observationally
-//! identical to the interleaved `&[Point]` layout at every level.
-//!
-//! * The kernels — DBSCAN grid scan, Hausdorff distance and threshold test —
-//!   return bit-identical results whether fed slices or column views.
-//! * The full engine produces **byte-identical checkpoints** for every
-//!   range-search strategy, no matter how the ingest stream is sliced: the
-//!   columnar arenas, the canonical orders and the columnar codec frames
-//!   leave no layout fingerprint in the output.
+//! The columnar cluster arenas leave no fingerprint in the output: the full
+//! engine produces **byte-identical checkpoints** for every range-search
+//! strategy, no matter how the ingest stream is sliced — the shared per-tick
+//! arenas, the canonical orders and the columnar codec frames see only the
+//! data, never how it arrived.
 
 use gpdt_bench::scenarios::clustered_scenario;
-use gpdt_clustering::{dbscan, dbscan_columns, ClusterDatabase, ClusteringParams};
+use gpdt_clustering::{ClusterDatabase, ClusteringParams};
 use gpdt_core::{
     CrowdParams, GatheringConfig, GatheringEngine, GatheringParams, RangeSearchStrategy,
-};
-use gpdt_geo::{
-    hausdorff_distance, hausdorff_distance_views, hausdorff_within, hausdorff_within_views, Point,
-    PointColumns,
 };
 use gpdt_store::checkpoint_to_vec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn random_points(rng: &mut StdRng, n: usize, extent: f64) -> Vec<Point> {
-    (0..n)
-        .map(|_| {
-            Point::new(
-                rng.gen_range(-extent..extent),
-                rng.gen_range(-extent..extent),
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn kernels_are_layout_blind_on_random_inputs() {
-    let mut rng = StdRng::seed_from_u64(0x50A);
-    for round in 0..40 {
-        let n = rng.gen_range(1..200usize);
-        let extent = if round % 2 == 0 { 500.0 } else { 5_000.0 };
-        let m = rng.gen_range(1..200usize);
-        let p = random_points(&mut rng, n, extent);
-        let q = random_points(&mut rng, m, extent);
-        let pc = PointColumns::from_points(&p);
-        let qc = PointColumns::from_points(&q);
-
-        let params = ClusteringParams::new(rng.gen_range(50.0..400.0), rng.gen_range(2..6usize));
-        assert_eq!(
-            dbscan(&p, &params),
-            dbscan_columns(pc.view(), &params),
-            "round {round}: dbscan must not see the layout"
-        );
-
-        let d_rows = hausdorff_distance(&p, &q);
-        let d_cols = hausdorff_distance_views(pc.view(), qc.view());
-        assert_eq!(
-            d_rows.to_bits(),
-            d_cols.to_bits(),
-            "round {round}: Hausdorff distance must be bit-identical"
-        );
-        for threshold in [d_rows * 0.5, d_rows, d_rows * 1.5] {
-            assert_eq!(
-                hausdorff_within(&p, &q, threshold),
-                hausdorff_within_views(pc.view(), qc.view(), threshold),
-                "round {round}: threshold test must not see the layout"
-            );
-        }
-    }
-}
 
 fn config() -> GatheringConfig {
     GatheringConfig::builder()

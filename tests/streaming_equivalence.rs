@@ -1,5 +1,5 @@
 //! Streaming/batch equivalence: the `GatheringEngine` must produce exactly
-//! the crowds and gatherings of `GatheringPipeline::discover`, no matter how
+//! the crowds and gatherings of one whole-database ingest, no matter how
 //! the input stream is sliced — one tick at a time, ragged random chunks or
 //! one big batch — for every range-search strategy × detection variant
 //! combination.
@@ -75,17 +75,19 @@ fn engine_matches_pipeline_for_all_slicings_strategies_and_variants() {
 
     for strategy in RangeSearchStrategy::ALL {
         for variant in TadVariant::ALL {
-            let pipeline = GatheringPipeline::new(config)
+            let fresh = GatheringEngine::new(config)
                 .with_strategy(strategy)
                 .with_variant(variant);
-            let reference = pipeline.discover(&scenario.database);
+            let mut whole = fresh.clone();
+            whole.ingest_trajectories(&scenario.database);
+            let reference = whole.finish();
             assert!(
                 reference.crowd_count() > 0,
                 "the scenario must produce crowds for the test to be meaningful"
             );
 
-            // Anchor the reference outside the engine: the pipeline (which
-            // routes through the engine) must match the direct composition of
+            // Anchor the reference outside the engine: the whole-database
+            // ingest must match the direct composition of
             // Algorithm 1 and Test-and-Divide, so an engine bug cannot slip
             // through by altering reference and streamed results alike.
             let independent_crowds = canonical_crowds(discover_closed_crowds(
@@ -117,7 +119,7 @@ fn engine_matches_pipeline_for_all_slicings_strategies_and_variants() {
             );
 
             // Slicing 1: one big batch of pre-built clusters.
-            let mut engine = pipeline.engine();
+            let mut engine = fresh.clone();
             engine.ingest_clusters(full_clusters.clone());
             assert_eq!(
                 engine.closed_crowds(),
@@ -132,7 +134,7 @@ fn engine_matches_pipeline_for_all_slicings_strategies_and_variants() {
 
             // Slicing 2: one tick at a time, streamed from the trajectories
             // (the engine clusters each new tick on demand).
-            let mut engine = pipeline.engine();
+            let mut engine = fresh.clone();
             for t in 0..duration {
                 engine.ingest_trajectories_until(&scenario.database, t);
             }
@@ -149,7 +151,7 @@ fn engine_matches_pipeline_for_all_slicings_strategies_and_variants() {
 
             // Slicing 3: ragged random cluster batches.
             let widths = ragged_splits(&mut rng, duration);
-            let mut engine = pipeline.engine();
+            let mut engine = fresh.clone();
             let mut start = 0u32;
             for w in &widths {
                 let interval = TimeInterval::new(start, start + w - 1);
@@ -180,11 +182,13 @@ fn interleaving_trajectory_and_cluster_ingestion_is_consistent() {
     let duration = 50u32;
     let scenario = scenario(99, duration);
     let config = config();
-    let pipeline = GatheringPipeline::new(config);
-    let reference = pipeline.discover(&scenario.database);
+    let fresh = GatheringEngine::new(config);
+    let mut whole = fresh.clone();
+    whole.ingest_trajectories(&scenario.database);
+    let reference = whole.finish();
 
     // First half streamed from trajectories, second half as cluster batches.
-    let mut engine = pipeline.engine();
+    let mut engine = fresh.clone();
     engine.ingest_trajectories_until(&scenario.database, duration / 2 - 1);
     let rest = ClusterDatabase::build_interval(
         &scenario.database,
@@ -197,7 +201,7 @@ fn interleaving_trajectory_and_cluster_ingestion_is_consistent() {
 
     // And the other way round: clusters first, trajectories afterwards (the
     // engine re-aligns its clustering cursor).
-    let mut engine = pipeline.engine();
+    let mut engine = fresh.clone();
     let head = ClusterDatabase::build_interval(
         &scenario.database,
         &config.clustering,

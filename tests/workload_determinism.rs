@@ -55,7 +55,9 @@ fn quickstart_flow_runs_end_to_end() {
         .build()
         .expect("consistent parameters");
 
-    let result = GatheringPipeline::new(config).discover(&scenario.database);
+    let mut engine = GatheringEngine::new(config);
+    engine.ingest_trajectories(&scenario.database);
+    let result = engine.finish();
 
     // The pipeline must produce a cluster database covering the scenario and
     // internally consistent pattern counts; gatherings are always derived
