@@ -25,6 +25,12 @@
 //!   crosses over), and the supervisor's history-free shard snapshot
 //!   against the engine clone it replaced.
 //!
+//! * **The sweep's edge phase on its own** (`tick_pair_edges`) — every
+//!   strategy finding the δ-edges of two hours of an event-dense day, one
+//!   tick pair at a time, at about 46, 180 and 380 clusters a tick (1 500,
+//!   6 000 and 12 000 taxis at one density, scaled by `GPDT_SCALE`), the edge
+//!   sets asserted equal before anything is timed.
+//!
 //! * **The store and the service above the engine** — a refresh of
 //!   `MonitorService`'s structural recovery point (sixteen one-tick batches
 //!   onto a point of the city day) against the whole-state checkpoint encode
@@ -55,7 +61,7 @@ use gpdt_geo::{
 use gpdt_shard::{cross_edges, GridPartitioner, Partitioner, ShardedEngine, TickLayout};
 use gpdt_store::{IntervalIndex, MonitoredEngine, RecoveryPoint};
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp, Trajectory, TrajectoryDatabase};
-use gpdt_workload::{generate_scenario, ScenarioConfig, Weather};
+use gpdt_workload::{generate_scenario, EventRates, ScenarioConfig, Weather};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -297,6 +303,82 @@ fn bench_tick_searcher(c: &mut Criterion, rng: &mut StdRng) {
     group.finish();
 }
 
+/// The δ-edges of every tick pair of `sets` between clusters with `mc`
+/// members, as `(head tick, tail, head)`: one searcher a tick, one query a
+/// qualifying tail — the sweep's edge phase through the public searcher (so
+/// GRID buckets each query afresh; group `grid_index_search` has what reusing
+/// the previous tick's buckets saves it inside the engine).
+fn tick_pair_edges(
+    strategy: RangeSearchStrategy,
+    sets: &[&SnapshotClusterSet],
+    (mc, delta): (usize, f64),
+    scratch: &mut SearcherScratch,
+) -> Vec<(Timestamp, usize, usize)> {
+    let (mut edges, mut near) = (Vec::new(), Vec::new());
+    for pair in sets.windows(2) {
+        let searcher = TickSearcher::build_with(strategy, pair[1], delta, scratch);
+        for (g, tail) in pair[0].clusters.iter().enumerate() {
+            if tail.len() >= mc {
+                searcher.search_into(tail, &mut near);
+                let heads = near.iter().filter(|&&h| pair[1].clusters[h].len() >= mc);
+                edges.extend(heads.map(|&h| (pair[1].time, g, h)));
+            }
+        }
+    }
+    edges
+}
+
+/// Two evening hours of the e2e archive's kind of day (snow, eight times the
+/// city's event rates, 23 taxis a km²) at three fleet sizes; returns the
+/// table of ms per pass, strategy by density.
+fn bench_tick_pair_edges(c: &mut Criterion) -> Table {
+    let params = (8, 200.0);
+    let city = EventRates::city_default();
+    let rates = EventRates {
+        jams_per_hour: city.jams_per_hour.map(|r| r * 8.0),
+        venues_per_hour: city.venues_per_hour.map(|r| r * 8.0),
+        convoys_per_hour: city.convoys_per_hour.map(|r| r * 8.0),
+    };
+    let fleets = [(1_500, 8_000.0), (6_000, 16_000.0), (12_000, 32_000.0)];
+    let mut columns = vec!["strategy".to_string()];
+    let mut group = c.benchmark_group("tick_pair_edges");
+    for (taxis, area_size) in fleets {
+        let day = generate_scenario(&ScenarioConfig {
+            num_taxis: gpdt_bench::scenarios::scaled(taxis),
+            duration: 120,
+            start_minute_of_day: 17 * 60,
+            area_size,
+            event_rates: rates,
+            ..ScenarioConfig::single_day(2013, Weather::Snowy)
+        });
+        let clusters = ClusterDatabase::build(&day.database, &ClusteringParams::paper_default());
+        let sets: Vec<&SnapshotClusterSet> = clusters.iter().collect();
+        let mut scratch = SearcherScratch::new();
+        let brute = RangeSearchStrategy::BruteForce;
+        let expected = tick_pair_edges(brute, &sets, params, &mut scratch);
+        let a_tick = clusters.total_clusters() / sets.len();
+        columns.push(format!("{a_tick} clusters a tick"));
+        for strategy in RangeSearchStrategy::ALL {
+            let found = tick_pair_edges(strategy, &sets, params, &mut scratch);
+            assert_eq!(found, expected, "{strategy} at {taxis} taxis");
+            group.bench_function(format!("{strategy}/{taxis}"), |b| {
+                b.iter(|| tick_pair_edges(strategy, black_box(&sets), params, &mut scratch).len())
+            });
+        }
+    }
+    group.finish();
+    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let mut table = Table::new("Tick-pair edges — ms per 120 ticks", &columns);
+    for strategy in RangeSearchStrategy::ALL {
+        let ms = fleets.iter().map(|(taxis, _)| {
+            let ns = mean_ns(c, &format!("tick_pair_edges/{strategy}/{taxis}"));
+            format!("{:.2}", ns.expect("measured above") / 1e6)
+        });
+        table.add_row(std::iter::once(strategy.to_string()).chain(ms).collect());
+    }
+    table
+}
+
 /// `Trajectory::position_at` as it was before it probed: a binary search of
 /// the whole sample buffer, bounds read from its two ends.
 fn position_by_binary_search(trajectory: &Trajectory, t: Timestamp) -> Option<Point> {
@@ -502,7 +584,7 @@ fn bench_shard(c: &mut Criterion, rng: &mut StdRng) {
         let (lasts, tick) = consecutive_ticks(rng, count, delta);
         for (label, strategy) in [
             ("scan", RangeSearchStrategy::BruteForce),
-            ("index", RangeSearchStrategy::Grid),
+            ("index", RangeSearchStrategy::default()),
         ] {
             group.bench_function(format!("{label}/{count}x{paths}"), |b| {
                 b.iter(|| {
@@ -797,6 +879,7 @@ fn main() {
     bench_shard(&mut criterion, &mut rng);
     bench_service_recovery(&mut criterion, &day.database);
     bench_store_interval(&mut criterion, &mut rng);
+    let edge_table = bench_tick_pair_edges(&mut criterion);
 
     let mut report = BenchReport::new("micro");
     let mut results = Table::new("Microbenchmarks — mean ns per iteration", &["bench", "ns"]);
@@ -883,6 +966,7 @@ fn main() {
         }
     }
     report.print_and_add(speedups);
+    report.print_and_add(edge_table);
 
     // Kernel-level SIMD ablation: the same columns through the scalar table
     // and the best detected level's table.  >1.00x means SIMD is faster.

@@ -3,7 +3,7 @@
 use gpdt_clustering::{ClusterDatabase, ClusterId};
 use gpdt_trajectory::{TimeInterval, Timestamp};
 
-use crate::par::{default_threads, par_map_with};
+use crate::par::{default_threads, par_map_with, FAN_OUT_MIN_CLUSTERS};
 use crate::params::CrowdParams;
 use crate::range_search::{RangeSearchStrategy, SearcherScratch, TickSearcher};
 
@@ -185,15 +185,41 @@ impl CrowdDiscoveryResult {
     }
 }
 
+/// The δ-edges leading into one tick, tail by tail, and what finding them
+/// cost.
+#[derive(Default)]
+struct PairEdges {
+    /// `heads[offsets[g]..offsets[g + 1]]` are the clusters of the tick, by
+    /// ascending index, that have `mc` members and lie within `δ` of cluster
+    /// `g` of the tick before.
+    offsets: Vec<u32>,
+    heads: Vec<u32>,
+    /// Range searches issued, bounds they compared, exact Hausdorff checks.
+    work: [u64; 3],
+}
+
+impl PairEdges {
+    fn heads_of(&self, tail: usize) -> &[u32] {
+        &self.heads[self.offsets[tail] as usize..self.offsets[tail + 1] as usize]
+    }
+}
+
+/// What an edge-phase worker keeps from one tick pair to the next: reusable
+/// buffers, and the searcher it built last — its heads are the next pair's
+/// tails, which GRID queries by their buckets.
+type EdgeWorker<'a> = (SearcherScratch, Option<TickSearcher<'a>>, Vec<usize>);
+
 /// Closed-crowd discovery (Algorithm 1), parameterised by the range-search
 /// strategy.
 ///
-/// The sweep itself is inherently sequential (candidates at tick `t` depend
-/// on the candidates at `t - 1`), but the per-tick search structures are
-/// independent of each other, so they are built in parallel up front and the
-/// sweep then consumes them in time order; each [`TickSearcher`] is built
-/// exactly once per tick and shared by every crowd candidate probing that
-/// tick.
+/// Which clusters at `t` are within `δ` of a cluster at `t − 1` depends on
+/// the two cluster sets only, never on the candidates, so the run has two
+/// phases.  The **edge phase** finds each tick pair's edges once — only
+/// clusters with `mc` members are indexed or queried, one query per tail
+/// however many candidates end there — in parallel across pairs.  The
+/// **sweep phase**, inherently sequential (candidates at tick `t` depend on
+/// the candidates at `t − 1`), extends, seeds and closes candidates along
+/// those edges without a range search of its own.
 #[derive(Debug, Clone, Copy)]
 pub struct CrowdDiscovery {
     params: CrowdParams,
@@ -203,7 +229,7 @@ pub struct CrowdDiscovery {
 
 impl CrowdDiscovery {
     /// Creates a discovery sweep with the given parameters and range-search
-    /// strategy, using all available cores for index construction.
+    /// strategy, using all available cores for the edge phase.
     pub fn new(params: CrowdParams, strategy: RangeSearchStrategy) -> Self {
         CrowdDiscovery {
             params,
@@ -212,9 +238,8 @@ impl CrowdDiscovery {
         }
     }
 
-    /// Overrides the number of worker threads used to build the per-tick
-    /// search structures (clamped to at least 1; results do not depend on
-    /// the thread count).
+    /// Overrides the number of worker threads of the edge phase (clamped to
+    /// at least 1; results do not depend on the thread count).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -249,6 +274,53 @@ impl CrowdDiscovery {
         self.run_resumed_observed(cdb, start_time, seed, None)
     }
 
+    /// The edges from tick `t − 1` into tick `t`.  The tails are the
+    /// clusters of `t − 1` with `mc` members — each is the last cluster of a
+    /// candidate: it extended one or seeded one — or, where `t` is the first
+    /// tick of a resumed run, the last clusters of its seeds, `seed_tails`.
+    fn pair_edges<'a>(
+        &self,
+        cdb: &'a ClusterDatabase,
+        t: Timestamp,
+        seed_tails: Option<&[usize]>,
+        (scratch, carried, near): &mut EdgeWorker<'a>,
+    ) -> PairEdges {
+        let previous = carried.take();
+        if seed_tails.is_some_and(<[usize]>::is_empty) {
+            // Nothing ends before the first tick of a fresh run.
+            return PairEdges::default();
+        }
+        let heads = cdb
+            .set_at(t)
+            .expect("contiguous cluster database covers every tick of its domain");
+        let tails = cdb
+            .set_at(t - 1)
+            .expect("candidate clusters exist in the database");
+        let (mc, delta) = (self.params.mc, self.params.delta);
+        let searcher = TickSearcher::build_qualifying(self.strategy, heads, delta, mc, scratch);
+        let previous = previous.filter(|p| p.cluster_set().time == tails.time);
+        let mut edges = PairEdges::default();
+        edges.offsets.reserve(tails.len() + 1);
+        edges.offsets.push(0);
+        for (g, tail) in tails.clusters.iter().enumerate() {
+            let queried = match seed_tails {
+                Some(seeds) => seeds.binary_search(&g).is_ok(),
+                None => tail.len() >= mc,
+            };
+            if queried {
+                let prev = previous.as_ref().map(|p| (p, g));
+                let (tested, stats) = searcher.search_from(prev, tail, near);
+                edges.heads.extend(near.iter().map(|&h| h as u32));
+                for (sum, n) in edges.work.iter_mut().zip([1, tested, stats.candidates]) {
+                    *sum += n as u64;
+                }
+            }
+            edges.offsets.push(edges.heads.len() as u32);
+        }
+        *carried = Some(searcher);
+        edges
+    }
+
     /// Like [`CrowdDiscovery::run_resumed`], additionally invoking `observer`
     /// after every processed tick `t` with the complete candidate set ending
     /// at `t` (the paper's per-tick `V`).
@@ -277,113 +349,92 @@ impl CrowdDiscovery {
             seed.iter().all(|c| c.end_time() + 1 == start_time),
             "seed sequences must end right before the resume point"
         );
-
-        let mut closed: Vec<Crowd> = Vec::new();
-        // V: the current crowd candidates, all ending at the previously
-        // processed timestamp.
-        let mut candidates: Vec<Crowd> = seed;
-
-        // Build the per-tick search structures in parallel, a bounded window
-        // at a time: each index is independent of the others and of the sweep
-        // state, but holding one for every tick of a large domain at once
-        // would double peak memory, so the look-ahead is capped.  Each worker
-        // keeps one `SearcherScratch` for its whole chunk, so repeated index
-        // construction reuses its buffers across ticks.
         let ticks: Vec<Timestamp> = (start_time.max(domain.start)..=domain.end).collect();
-        let window = (self.threads * 8).max(32);
-        // Reused sweep buffers: the range-search output, the qualifying
-        // extension ids of the current candidate and the per-tick absorbed
-        // flags.
-        let mut near: Vec<usize> = Vec::new();
-        let mut qualifying: Vec<usize> = Vec::new();
-        let mut absorbed: Vec<bool> = Vec::new();
+
+        // Edge phase: one list per tick, each independent of the others and
+        // of the sweep state.  A worker keeps its buffers (and the previous
+        // pair's searcher) for its whole chunk of consecutive ticks.
+        let mut seed_tails: Vec<usize> = seed.iter().map(|c| c.last().index).collect();
+        seed_tails.sort_unstable();
+        seed_tails.dedup();
+        let clusters: usize = ticks
+            .iter()
+            .filter_map(|&t| cdb.set_at(t))
+            .map(|s| s.len())
+            .sum();
+        let threads = if clusters < FAN_OUT_MIN_CLUSTERS {
+            1
+        } else {
+            self.threads
+        };
+        let edges: Vec<PairEdges> =
+            par_map_with(&ticks, threads, EdgeWorker::default, |worker, &t| {
+                let seed_tails = (t == ticks[0]).then_some(seed_tails.as_slice());
+                self.pair_edges(cdb, t, seed_tails, worker)
+            });
+        if gpdt_obs::enabled() {
+            let sum = |k: usize| edges.iter().map(|e| e.work[k]).sum::<u64>();
+            gpdt_obs::counter!("engine.edges.queries").add(sum(0));
+            gpdt_obs::counter!("engine.edges.bounds_tested").add(sum(1));
+            gpdt_obs::counter!("engine.edges.hausdorff_tests").add(sum(2));
+            gpdt_obs::counter!("engine.edges.found")
+                .add(edges.iter().map(|e| e.heads.len() as u64).sum());
+        }
+
+        // Sweep phase.  V: the current crowd candidates, all ending at the
+        // previously processed timestamp.
+        let mut closed: Vec<Crowd> = Vec::new();
+        let mut candidates: Vec<Crowd> = seed;
         let mut next_candidates: Vec<Crowd> = Vec::new();
-        // The searcher of the tick before the current window (one extra
-        // index alive): every candidate ends at the previous tick, so its
-        // last cluster is queried through that tick's searcher, which under
-        // GRID already holds it bucketed.
-        let mut carried: Option<TickSearcher<'_>> = None;
-        for tick_window in ticks.chunks(window) {
-            let mut searchers: Vec<TickSearcher<'_>> = par_map_with(
-                tick_window,
-                self.threads,
-                SearcherScratch::new,
-                |scratch, &t| {
-                    let set = cdb
-                        .set_at(t)
-                        .expect("contiguous cluster database covers every tick of its domain");
-                    TickSearcher::build_with(self.strategy, set, self.params.delta, scratch)
-                },
-            );
+        let mut absorbed: Vec<bool> = Vec::new();
+        for (&t, edges) in ticks.iter().zip(&edges) {
+            let set = cdb
+                .set_at(t)
+                .expect("contiguous cluster database covers every tick of its domain");
+            // Indices of clusters at `t` that extended at least one
+            // candidate; they must not seed new candidates (they are already
+            // covered by a longer sequence).
+            absorbed.clear();
+            absorbed.resize(set.clusters.len(), false);
 
-            for (i, searcher) in searchers.iter().enumerate() {
-                let set = searcher.cluster_set();
-                let t = set.time;
-                let previous = match i {
-                    0 => carried.as_ref(),
-                    _ => Some(&searchers[i - 1]),
-                };
-
-                // Indices of clusters at `t` that extended at least one
-                // candidate; they must not seed new candidates (they are
-                // already covered by a longer sequence).
-                absorbed.clear();
-                absorbed.resize(set.clusters.len(), false);
-                next_candidates.clear();
-
-                for candidate in candidates.drain(..) {
-                    let last = candidate.last();
-                    match previous.filter(|p| p.cluster_set().time == last.time) {
-                        Some(previous) => searcher.search_from(previous, last.index, &mut near),
-                        // A seed of a resumed run: its tick has no searcher.
-                        None => searcher.search_into(
-                            cdb.cluster(last)
-                                .expect("candidate clusters exist in the database"),
-                            &mut near,
-                        ),
-                    };
-                    qualifying.clear();
-                    for &idx in &near {
-                        if set.clusters[idx].len() < self.params.mc {
-                            continue;
+            for candidate in candidates.drain(..) {
+                let heads = edges.heads_of(candidate.last().index);
+                for &idx in heads {
+                    absorbed[idx as usize] = true;
+                }
+                match heads.split_last() {
+                    None => {
+                        if candidate.lifetime() >= self.params.kc {
+                            // Lemma 1: a crowd that cannot be extended by any
+                            // qualifying cluster at the next timestamp is
+                            // closed.
+                            closed.push(candidate);
                         }
-                        absorbed[idx] = true;
-                        qualifying.push(idx);
                     }
-                    match qualifying.split_last() {
-                        None => {
-                            if candidate.lifetime() >= self.params.kc {
-                                // Lemma 1: a crowd that cannot be extended by
-                                // any qualifying cluster at the next
-                                // timestamp is closed.
-                                closed.push(candidate);
-                            }
-                        }
-                        Some((&last_idx, rest)) => {
-                            for &idx in rest {
-                                next_candidates.push(candidate.extended(ClusterId::new(t, idx)));
-                            }
-                            // The final extension consumes the candidate,
-                            // reusing its id-sequence allocation.
+                    Some((&last_idx, rest)) => {
+                        for &idx in rest {
                             next_candidates
-                                .push(candidate.into_extended(ClusterId::new(t, last_idx)));
+                                .push(candidate.extended(ClusterId::new(t, idx as usize)));
                         }
+                        // The final extension consumes the candidate, reusing
+                        // its id-sequence allocation.
+                        next_candidates
+                            .push(candidate.into_extended(ClusterId::new(t, last_idx as usize)));
                     }
-                }
-
-                // Clusters that extended nothing become fresh single-cluster
-                // candidates (provided they meet the support threshold).
-                for (idx, cluster) in set.clusters.iter().enumerate() {
-                    if !absorbed[idx] && cluster.len() >= self.params.mc {
-                        next_candidates.push(Crowd::single(ClusterId::new(t, idx)));
-                    }
-                }
-                std::mem::swap(&mut candidates, &mut next_candidates);
-                if let Some(observer) = observer.as_deref_mut() {
-                    observer(t, &candidates);
                 }
             }
-            carried = searchers.pop();
+
+            // Clusters that extended nothing become fresh single-cluster
+            // candidates (provided they meet the support threshold).
+            for (idx, cluster) in set.clusters.iter().enumerate() {
+                if !absorbed[idx] && cluster.len() >= self.params.mc {
+                    next_candidates.push(Crowd::single(ClusterId::new(t, idx)));
+                }
+            }
+            std::mem::swap(&mut candidates, &mut next_candidates);
+            if let Some(observer) = observer.as_deref_mut() {
+                observer(t, &candidates);
+            }
         }
 
         // End of the time domain: candidates long enough are closed crowds

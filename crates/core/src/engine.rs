@@ -12,9 +12,9 @@
 //! 1. clusters newly appended snapshots on demand (when fed trajectories)
 //!    with a [`StreamingClusterer`], in parallel across timestamps;
 //! 2. resumes Algorithm 1 from the saved frontier (Lemma 4: only cluster
-//!    sequences ending at the previous last timestamp can be extended), with
-//!    the per-tick [`TickSearcher`](crate::range_search::TickSearcher)s built
-//!    once per tick, in parallel, and shared across all crowd candidates;
+//!    sequences ending at the previous last timestamp can be extended): the
+//!    δ-edges of every tick pair are found first, each once and in parallel
+//!    across pairs, and the candidates are then extended along them;
 //! 3. detects the closed gatherings of every newly closed crowd in parallel,
 //!    reusing the gatherings of an extended crowd's old prefix (Theorem 2)
 //!    instead of re-running Test-and-Divide from scratch.
@@ -59,15 +59,9 @@ use gpdt_trajectory::{TimeInterval, Timestamp, TrajectoryDatabase};
 use crate::crowd::{Crowd, CrowdDiscovery};
 use crate::gathering::{detect_with_occurrence, CrowdOccurrence, Gathering, TadVariant};
 use crate::incremental::update_gatherings_with;
-use crate::par::{default_threads, par_map};
+use crate::par::{default_threads, par_map, FAN_OUT_MIN_CLUSTERS};
 use crate::params::GatheringConfig;
 use crate::range_search::RangeSearchStrategy;
-
-/// Gathering detection of one ingest step stays on the calling thread when
-/// its crowds have fewer clusters than this between them.  Detecting a crowd
-/// costs some tens of nanoseconds per cluster, starting a worker thread some
-/// tens of microseconds.
-const FAN_OUT_MIN_CLUSTERS: usize = 4096;
 
 /// One closed crowd together with its closed gatherings.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,12 +210,12 @@ pub struct GatheringEngine {
 
 impl GatheringEngine {
     /// Creates an empty engine with the default (fastest) algorithm choices:
-    /// grid-index range search, TAD\* detection, all available cores.
+    /// the sorted-bounds join, TAD\* detection, all available cores.
     pub fn new(config: GatheringConfig) -> Self {
         let threads = default_threads();
         GatheringEngine {
             config,
-            strategy: RangeSearchStrategy::Grid,
+            strategy: RangeSearchStrategy::default(),
             variant: TadVariant::TadStar,
             threads,
             retention: RetentionPolicy::KeepAll,

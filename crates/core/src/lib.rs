@@ -71,7 +71,7 @@ pub use gpdt_geo::bvs::BitVector;
 pub use params::{
     ConfigError, CrowdParams, GatheringConfig, GatheringConfigBuilder, GatheringParams,
 };
-pub use range_search::{RangeSearchStrategy, SearcherScratch, TickSearcher};
+pub use range_search::{RangeSearchStrategy, SearcherScratch, SortedBounds, TickSearcher};
 
 // Re-export the parameter type of the clustering phase so downstream users
 // only need this crate for configuration.

@@ -1,13 +1,20 @@
 //! Minimal scoped-thread fan-out used by the engine's hot paths (and by the
 //! `gpdt-shard` merge's gathering-detection stage).
 //!
-//! The discovery engine parallelises two embarrassingly parallel loops:
-//! per-tick [`TickSearcher`](crate::range_search::TickSearcher) construction
-//! and per-crowd gathering detection.  Both need an order-preserving parallel
-//! map over a slice; `std::thread::scope` keeps this dependency-free, in the
-//! same style as `ClusterDatabase::build_parallel`.
+//! The discovery engine parallelises two embarrassingly parallel loops: the
+//! δ-edges of each tick pair and per-crowd gathering detection.  Both need an
+//! order-preserving parallel map over a slice; `std::thread::scope` keeps
+//! this dependency-free, in the same style as
+//! `ClusterDatabase::build_parallel`.
 
 use std::num::NonZeroUsize;
+
+/// A stage of one ingest step stays on the calling thread when it has fewer
+/// clusters than this to visit — the batch's, for the edge phase; those of
+/// the crowds to detect gatherings in.  A cluster costs tens of nanoseconds
+/// to some microseconds there, starting a worker thread some tens of
+/// microseconds.
+pub(crate) const FAN_OUT_MIN_CLUSTERS: usize = 4096;
 
 /// The default worker count: the machine's available parallelism.
 pub(crate) fn default_threads() -> usize {

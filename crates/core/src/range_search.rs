@@ -1,9 +1,10 @@
 //! Range-search strategies for crowd discovery.
 //!
-//! Algorithm 1 repeatedly asks, for the last cluster of each crowd candidate,
-//! which clusters at the *next* timestamp lie within Hausdorff distance `δ`.
-//! The paper evaluates three ways of answering this (§III-A); all of them are
-//! available here behind [`RangeSearchStrategy`], plus a brute-force baseline:
+//! Algorithm 1 asks, for every cluster that can be the last of a crowd
+//! candidate, which clusters at the *next* timestamp lie within Hausdorff
+//! distance `δ`.  The paper evaluates three ways of answering this (§III-A);
+//! all of them are available here behind [`RangeSearchStrategy`], plus a
+//! brute-force baseline and the join the sweep uses by default:
 //!
 //! * [`RangeSearchStrategy::BruteForce`] — test every cluster with the
 //!   early-exit Hausdorff threshold check.
@@ -15,14 +16,19 @@
 //! * [`RangeSearchStrategy::Grid`] (**GRID**) — the shared-geometry grid
 //!   index whose pruning/refinement decides `dH ≤ δ` without exact Hausdorff
 //!   computations (§III-A.2).
+//! * [`RangeSearchStrategy::Join`] (**JOIN**) — the tick's bounds sorted
+//!   along x ([`SortedBounds`]): two binary searches open a window, three
+//!   comparisons prune inside it, survivors are refined.
 //!
 //! A [`TickSearcher`] is built once per timestamp from that timestamp's
-//! cluster set and then queried once per crowd candidate.
+//! cluster set and then queried once per cluster of the timestamp before:
+//! the answers depend on the two cluster sets only, so the discovery sweep
+//! finds every tick pair's edges before it extends a candidate.
 
 use std::cell::RefCell;
 
 use gpdt_clustering::{SnapshotCluster, SnapshotClusterSet};
-use gpdt_geo::{GridGeometry, PointsView};
+use gpdt_geo::{GridGeometry, Mbr, PointsView};
 use gpdt_index::{
     rtree::Entry, BucketedQuery, GridBuildScratch, GridClusterIndex, GridSearchScratch, RTree,
 };
@@ -37,21 +43,28 @@ pub enum RangeSearchStrategy {
     /// R-tree pruning with the `dside` lower bound (the paper's **IR**).
     RTreeDside,
     /// Grid index with affect-region pruning and grid refinement (the
-    /// paper's **GRID**).  The default: all timestamps share one geometry, so
-    /// the sweep buckets each cluster once and reuses tick `t − 1`'s buckets
-    /// as the queries against tick `t`.  README "Performance" has the
-    /// measured per-strategy sweep times.
-    #[default]
+    /// paper's **GRID**).  All timestamps share one geometry, so the sweep
+    /// buckets each cluster once and reuses tick `t − 1`'s buckets as the
+    /// queries against tick `t`.
     Grid,
+    /// Sorted-bounds join ([`SortedBounds`]).  The default: a tick's
+    /// structure is built once and queried about once per cluster, so what
+    /// an index costs to build is never earned back; a sort is the cheapest
+    /// build there is.  README "Range-search strategies" has the measured
+    /// per-strategy times.
+    #[default]
+    Join,
 }
 
 impl RangeSearchStrategy {
-    /// All strategies, in the order the paper's figures list them.
-    pub const ALL: [RangeSearchStrategy; 4] = [
+    /// All strategies: the paper's, in the order its figures list them,
+    /// then the join.
+    pub const ALL: [RangeSearchStrategy; 5] = [
         RangeSearchStrategy::BruteForce,
         RangeSearchStrategy::RTreeDmin,
         RangeSearchStrategy::RTreeDside,
         RangeSearchStrategy::Grid,
+        RangeSearchStrategy::Join,
     ];
 
     /// Short label used in benchmark output (matches the paper's legend).
@@ -61,6 +74,7 @@ impl RangeSearchStrategy {
             RangeSearchStrategy::RTreeDmin => "SR",
             RangeSearchStrategy::RTreeDside => "IR",
             RangeSearchStrategy::Grid => "GRID",
+            RangeSearchStrategy::Join => "JOIN",
         }
     }
 }
@@ -94,10 +108,96 @@ impl gpdt_obs::MetricSource for SearchStats {
     }
 }
 
+/// The bounds of some of a tick's clusters as columns sorted by `min_x`: the
+/// index of [`RangeSearchStrategy::Join`], and the one kernel behind every
+/// "which of these clusters are within `δ` of that one" scan that brings its
+/// own choice of clusters and of pairs (`gpdt-shard`'s cross edges).
+///
+/// Every side of a cluster's bounding box holds one of its points (the
+/// premise of Lemma 3), and within Hausdorff distance `δ` that point has a
+/// partner in the other cluster: `dH ≤ δ` puts the two left sides within `δ`
+/// of each other, and so the right, bottom and top ones.  A query therefore
+/// meets only the boxes whose left side is within `δ` of its own — two
+/// binary searches — and refines those whose other three sides are too:
+/// near-linear in the two ticks where they spread out along x, all pairs at
+/// worst.
+#[derive(Debug, Clone, Default)]
+pub struct SortedBounds {
+    ids: Vec<u32>,
+    min_x: Vec<f64>,
+    min_y: Vec<f64>,
+    max_x: Vec<f64>,
+    max_y: Vec<f64>,
+}
+
+impl SortedBounds {
+    /// Sorts the bounds of the clusters `ids` picks out of `clusters`.  A box
+    /// without an x extent (every coordinate NaN) is left out: it is within
+    /// `δ` of nothing.
+    pub fn build(clusters: &[SnapshotCluster], ids: impl IntoIterator<Item = usize>) -> Self {
+        let mbr = |id: u32| clusters[id as usize].mbr();
+        let order = ids.into_iter().map(|id| (mbr(id as u32).min_x, id as u32));
+        let mut order: Vec<(f64, u32)> = order.filter(|o| !o.0.is_nan()).collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let column = |side: fn(&Mbr) -> f64| order.iter().map(|o| side(mbr(o.1))).collect();
+        SortedBounds {
+            ids: order.iter().map(|o| o.1).collect(),
+            min_x: column(|m| m.min_x),
+            min_y: column(|m| m.min_y),
+            max_x: column(|m| m.max_x),
+            max_y: column(|m| m.max_y),
+        }
+    }
+
+    /// Writes into `out`, ascending, the indexed clusters within Hausdorff
+    /// distance `delta` of `query` among those `pair` admits; `clusters` is
+    /// the slice the index was built over.  Returns how many admitted boxes
+    /// of the window were compared with the query's and how many of them
+    /// went on to the exact check (which begins with `dmin`, Lemma 2).
+    pub fn search(
+        &self,
+        clusters: &[SnapshotCluster],
+        query: &SnapshotCluster,
+        delta: f64,
+        mut pair: impl FnMut(usize) -> bool,
+        out: &mut Vec<usize>,
+    ) -> (usize, usize) {
+        out.clear();
+        let q = query.mbr();
+        // The very subtractions the point kernels make, which round
+        // monotonically: a pair left out here has a leftmost point more than
+        // δ along x from every point of the other cluster.
+        let from = self.min_x.partition_point(|&x| q.min_x - x > delta);
+        let len = self.min_x[from..].partition_point(|&x| x - q.min_x <= delta);
+        let (mut tested, mut refined) = (0, 0);
+        for i in from..from + len {
+            let id = self.ids[i] as usize;
+            if !pair(id) {
+                continue;
+            }
+            tested += 1;
+            // NaN (an unbounded box against another) is within δ of nothing.
+            let near = |a: f64, b: f64| (a - b).abs() <= delta;
+            if near(self.max_x[i], q.max_x)
+                & near(self.min_y[i], q.min_y)
+                & near(self.max_y[i], q.max_y)
+            {
+                refined += 1;
+                if query.within_hausdorff(&clusters[id], delta) {
+                    out.push(id);
+                }
+            }
+        }
+        out.sort_unstable();
+        (tested, refined)
+    }
+}
+
 enum TickIndex {
     Brute,
     RTree { tree: RTree, use_dside: bool },
     Grid(GridClusterIndex),
+    Join(SortedBounds),
 }
 
 /// Reusable buffers for [`TickSearcher::build_with`]: the R-tree entry list
@@ -137,6 +237,8 @@ impl SearcherScratch {
 pub struct TickSearcher<'a> {
     set: &'a SnapshotClusterSet,
     delta: f64,
+    /// Clusters with fewer members are never reported.
+    min_len: usize,
     index: TickIndex,
 }
 
@@ -154,16 +256,28 @@ impl<'a> TickSearcher<'a> {
         delta: f64,
         scratch: &mut SearcherScratch,
     ) -> Self {
+        Self::build_qualifying(strategy, set, delta, 0, scratch)
+    }
+
+    /// [`TickSearcher::build_with`] over the clusters that can be crowd
+    /// members — those with at least `min_len` objects; the others are
+    /// neither indexed (SR, IR, JOIN) nor refined.
+    pub(crate) fn build_qualifying(
+        strategy: RangeSearchStrategy,
+        set: &'a SnapshotClusterSet,
+        delta: f64,
+        min_len: usize,
+        scratch: &mut SearcherScratch,
+    ) -> Self {
+        let qualifying = || (0..set.clusters.len()).filter(|&id| set.clusters[id].len() >= min_len);
         let index = match strategy {
             RangeSearchStrategy::BruteForce => TickIndex::Brute,
             RangeSearchStrategy::RTreeDmin | RangeSearchStrategy::RTreeDside => {
                 scratch.entries.clear();
-                scratch.entries.extend(
-                    set.clusters
-                        .iter()
-                        .enumerate()
-                        .map(|(id, c)| Entry { id, mbr: *c.mbr() }),
-                );
+                scratch.entries.extend(qualifying().map(|id| Entry {
+                    id,
+                    mbr: *set.clusters[id].mbr(),
+                }));
                 TickIndex::RTree {
                     tree: RTree::bulk_load_slice(&mut scratch.entries),
                     use_dside: strategy == RangeSearchStrategy::RTreeDside,
@@ -181,8 +295,16 @@ impl<'a> TickSearcher<'a> {
                     &mut scratch.grid,
                 ))
             }
+            RangeSearchStrategy::Join => {
+                TickIndex::Join(SortedBounds::build(&set.clusters, qualifying()))
+            }
         };
-        TickSearcher { set, delta, index }
+        TickSearcher {
+            set,
+            delta,
+            min_len,
+            index,
+        }
     }
 
     /// The timestamp's cluster set this searcher covers.
@@ -201,18 +323,32 @@ impl<'a> TickSearcher<'a> {
     /// Like [`Self::search`], writing the result into a reusable buffer and
     /// returning the pruning statistics.
     pub fn search_into(&self, query: &SnapshotCluster, out: &mut Vec<usize>) -> SearchStats {
+        self.search_from(None, query, out).1
+    }
+
+    /// [`Self::search_into`] for the edge phase of the sweep, where `query`
+    /// is cluster `idx` of the tick before; also returns how many bounds the
+    /// strategy compared with the query's one by one (JOIN's window — the
+    /// others report what their pruning handed on).  Under GRID, with
+    /// `prev` the searcher of that tick, the query's cells and points are
+    /// read straight out of `prev`'s index (the geometry is shared by all
+    /// timestamps) instead of being bucketed again.
+    pub(crate) fn search_from(
+        &self,
+        prev: Option<(&TickSearcher<'_>, usize)>,
+        query: &SnapshotCluster,
+        out: &mut Vec<usize>,
+    ) -> (usize, SearchStats) {
         out.clear();
-        let candidates = match &self.index {
+        let clusters = &self.set.clusters;
+        let qualifies = |id: usize| clusters[id].len() >= self.min_len;
+        let (tested, candidates) = match &self.index {
             TickIndex::Brute => {
-                out.extend(
-                    self.set
-                        .clusters
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| query.within_hausdorff(c, self.delta))
-                        .map(|(i, _)| i),
-                );
-                self.set.clusters.len()
+                let ids = (0..clusters.len()).filter(|&id| qualifies(id));
+                let within = |&id: &usize| query.within_hausdorff(&clusters[id], self.delta);
+                out.extend(ids.clone().filter(within));
+                let all = ids.count();
+                (all, all)
             }
             TickIndex::RTree { tree, use_dside } => {
                 let ids = if *use_dside {
@@ -223,48 +359,35 @@ impl<'a> TickSearcher<'a> {
                 let candidates = ids.len();
                 out.extend(
                     ids.into_iter()
-                        .filter(|&i| query.within_hausdorff(&self.set.clusters[i], self.delta)),
+                        .filter(|&i| query.within_hausdorff(&clusters[i], self.delta)),
                 );
-                candidates
+                (candidates, candidates)
             }
-            // An external query: bucket it (into the thread's reusable
-            // buffers), then prune and refine.
             TickIndex::Grid(index) => GRID_QUERY.with(|state| {
                 let state = &mut *state.borrow_mut();
-                let bucketed = index.bucket(query.points(), &mut state.query);
-                index.search(bucketed, self.delta, &mut state.search, out)
+                let bucketed = match prev {
+                    Some((
+                        TickSearcher {
+                            index: TickIndex::Grid(prev),
+                            ..
+                        },
+                        idx,
+                    )) if prev.geometry() == index.geometry() => prev.cluster(idx),
+                    // An external query: bucket it (into the thread's
+                    // reusable buffers), then prune and refine.
+                    _ => index.bucket(query.points(), &mut state.query),
+                };
+                let candidates = index.search(bucketed, self.delta, &mut state.search, out);
+                out.retain(|&id| qualifies(id));
+                (candidates, candidates)
             }),
+            TickIndex::Join(bounds) => bounds.search(clusters, query, self.delta, |_| true, out),
         };
-        SearchStats {
+        let stats = SearchStats {
             candidates,
             results: out.len(),
-        }
-    }
-
-    /// [`Self::search_into`] for cluster `idx` of the set `prev` covers — the
-    /// sweep's query, the last cluster of a candidate ending one tick
-    /// earlier.  Under GRID the query's cells and points are read straight
-    /// out of `prev`'s index (the geometry is shared by all timestamps)
-    /// instead of being bucketed again.
-    pub(crate) fn search_from(
-        &self,
-        prev: &TickSearcher<'_>,
-        idx: usize,
-        out: &mut Vec<usize>,
-    ) -> SearchStats {
-        if let (TickIndex::Grid(index), TickIndex::Grid(prev_index)) = (&self.index, &prev.index) {
-            if index.geometry() == prev_index.geometry() {
-                let candidates = GRID_QUERY.with(|state| {
-                    let search = &mut state.borrow_mut().search;
-                    index.search(prev_index.cluster(idx), self.delta, search, out)
-                });
-                return SearchStats {
-                    candidates,
-                    results: out.len(),
-                };
-            }
-        }
-        self.search_into(&prev.set.clusters[idx], out)
+        };
+        (tested, stats)
     }
 
     /// Like [`Self::search`] but also reports pruning statistics.
@@ -315,11 +438,7 @@ mod tests {
         let expected = brute.search(&query);
         assert!(!expected.is_empty());
 
-        for strategy in [
-            RangeSearchStrategy::RTreeDmin,
-            RangeSearchStrategy::RTreeDside,
-            RangeSearchStrategy::Grid,
-        ] {
+        for strategy in RangeSearchStrategy::ALL {
             let searcher = TickSearcher::build(strategy, &set, delta);
             assert_eq!(searcher.search(&query), expected, "strategy {strategy}");
         }
@@ -344,11 +463,7 @@ mod tests {
         let brute = TickSearcher::build(RangeSearchStrategy::BruteForce, &set, delta);
         let (expected, brute_stats) = brute.search_with_stats(&query);
         assert_eq!(brute_stats.candidates, set.clusters.len());
-        for strategy in [
-            RangeSearchStrategy::RTreeDmin,
-            RangeSearchStrategy::RTreeDside,
-            RangeSearchStrategy::Grid,
-        ] {
+        for strategy in RangeSearchStrategy::ALL {
             let searcher = TickSearcher::build(strategy, &set, delta);
             let (results, stats) = searcher.search_with_stats(&query);
             assert_eq!(results, expected);
@@ -376,7 +491,8 @@ mod tests {
         assert_eq!(RangeSearchStrategy::RTreeDmin.to_string(), "SR");
         assert_eq!(RangeSearchStrategy::RTreeDside.to_string(), "IR");
         assert_eq!(RangeSearchStrategy::Grid.to_string(), "GRID");
-        assert_eq!(RangeSearchStrategy::default(), RangeSearchStrategy::Grid);
+        assert_eq!(RangeSearchStrategy::Join.to_string(), "JOIN");
+        assert_eq!(RangeSearchStrategy::default(), RangeSearchStrategy::Join);
     }
 
     #[test]

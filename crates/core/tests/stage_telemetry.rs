@@ -1,23 +1,29 @@
 //! The telemetry that explains a tick of the monitoring path — snapshot,
-//! DBSCAN grid, occurrence-table upkeep — pinned on a fixed seeded scene, so
-//! a stage that starts doing different work shows without a timer.
+//! DBSCAN grid, the edge phase's range searches, occurrence-table upkeep —
+//! pinned on a fixed seeded scene, so a stage that starts doing different
+//! work shows without a timer.
 //!
 //! A test binary of its own: the registry is process-wide, and a sibling
 //! test clustering on another thread would move the counters.
 
-use gpdt_clustering::ClusteringParams;
+use gpdt_clustering::{ClusterDatabase, ClusteringParams, SnapshotCluster, SnapshotClusterSet};
 use gpdt_core::{CrowdParams, GatheringConfig, GatheringEngine, GatheringParams};
+use gpdt_geo::Point;
 use gpdt_trajectory::{ObjectId, Trajectory, TrajectoryDatabase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const TICKS: u32 = 40;
 
-const COUNTERS: [&str; 4] = [
+const COUNTERS: [&str; 8] = [
     "dbscan.grid.cells",
     "dbscan.points.noise",
     "engine.occurrence.extended",
     "engine.occurrence.rebuilt",
+    "engine.edges.queries",
+    "engine.edges.bounds_tested",
+    "engine.edges.hausdorff_tests",
+    "engine.edges.found",
 ];
 const SPANS: [&str; 3] = ["trajectory.snapshot", "dbscan.grid", "dbscan.snapshot"];
 
@@ -99,6 +105,44 @@ fn stage_counters_and_spans_are_pinned_on_a_seeded_scene_and_silent_when_off() {
     // crowds has its table built once, on the tick it reaches `kc` clusters;
     // every later tick extends it, and where a crowd forks both branches
     // extend the parent's table — nothing is built a second time.
+    // The edge phase: one query for each cluster of the groups but the last
+    // tick's (the loners never cluster), the bounds in JOIN's windows, those
+    // it sent on to the exact check, the edges found.
     assert_eq!(gatherings, 4);
-    assert_eq!(moved(&after.0, &before.0), vec![1_532, 30 * 40, 121, 2]);
+    assert_eq!(
+        moved(&after.0, &before.0),
+        vec![1_532, 30 * 40, 121, 2, 127, 227, 129, 129]
+    );
+
+    // Twelve ticks of two clusters further than ε and nearer than δ apart:
+    // every cluster leads to both of the next tick, 2¹² crowds by the end —
+    // and two range searches a tick pair, not one per candidate, in one
+    // batch and tick by tick, where the seeds share their last clusters.
+    let cluster = |t: u32, y: f64| {
+        let members = (0..4).map(ObjectId::new).collect();
+        let points = (0..4).map(|k| Point::new(f64::from(k) * 10.0, y)).collect();
+        SnapshotCluster::new(t, members, points)
+    };
+    let chain: Vec<SnapshotClusterSet> = (0..12)
+        .map(|time| SnapshotClusterSet {
+            time,
+            clusters: vec![cluster(time, 0.0), cluster(time, 250.0)],
+        })
+        .collect();
+    let config = GatheringConfig {
+        clustering: ClusteringParams::new(200.0, 4),
+        crowd: CrowdParams::new(4, 12, 300.0),
+        gathering: GatheringParams::new(4, 12),
+    };
+    for batch_ticks in [12, 1] {
+        let before = readings().0;
+        let mut engine = GatheringEngine::new(config).with_threads(1);
+        for batch in chain.chunks(batch_ticks) {
+            engine.ingest_clusters(ClusterDatabase::from_sets(batch.to_vec()));
+        }
+        assert_eq!(engine.closed_crowds().len(), 1 << 12);
+        let edges = moved(&readings().0, &before)[4..].to_vec();
+        assert_eq!(edges, vec![22, 44, 44, 44], "{batch_ticks}-tick batches");
+        assert!(edges[0] <= engine.stats().resident_clusters as u64);
+    }
 }

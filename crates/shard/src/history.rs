@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use gpdt_clustering::{ClusterDatabase, ClusterId, SnapshotClusterSet};
 use gpdt_core::{
     Crowd, CrowdRecord, Gathering, GatheringConfig, GatheringEngine, RangeSearchStrategy,
-    TadVariant,
+    SortedBounds, TadVariant,
 };
 use gpdt_trajectory::Timestamp;
 
@@ -86,58 +86,31 @@ pub struct CrossEdges {
 /// distance `δ`.  Only boundary clusters are paired — the partitioner's
 /// boundary guarantee holds for either endpoint of a cross edge, so the scan
 /// is exhaustive (under [`Partitioner::HashByObject`] every cluster is
-/// boundary).  The heads are swept in the order their boxes start along x,
-/// so a tail meets only the heads whose box can come within `δ` of its own
-/// along that axis: near-linear in the boundary lists where the clusters are
-/// small against the extent of the tick, all pairs at worst.
+/// boundary).  The scan itself is the single engine's [`SortedBounds`] over
+/// the eligible heads, admitting the pairs of different shards.
 pub fn cross_edges(
     (tail_layout, tail_set): (&TickLayout, &SnapshotClusterSet),
     (head_layout, head_set): (&TickLayout, &SnapshotClusterSet),
     mc: usize,
     delta: f64,
 ) -> CrossEdges {
+    let eligible = |layout: &TickLayout, set: &SnapshotClusterSet| -> Vec<usize> {
+        let boundary = layout.boundary.iter().map(|&g| g as usize);
+        boundary.filter(|&g| set.clusters[g].len() >= mc).collect()
+    };
+    let heads = SortedBounds::build(&head_set.clusters, eligible(head_layout, head_set));
     let mut found = CrossEdges::default();
-    // Where each eligible head's box starts, ascending, and the widest box.
-    let mut heads: Vec<(f64, u32)> = Vec::new();
-    let mut widest = 0.0f64;
-    for &d in &head_layout.boundary {
-        let head = &head_set.clusters[d as usize];
-        if head.len() >= mc {
-            heads.push((head.mbr().min_x, d));
-            widest = widest.max(head.mbr().width());
-        }
-    }
-    heads.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-    for &g in &tail_layout.boundary {
-        let tail = &tail_set.clusters[g as usize];
-        if tail.len() < mc {
-            continue;
-        }
-        // A head's box that starts further left than this ends more than δ
-        // short of the tail's.  The bound is rounded outwards, generously —
-        // it only opens the sweep; the MBR test below decides.
-        let reach = delta + widest;
-        let leftmost = tail.mbr().min_x - reach - 1e-9 * (reach + tail.mbr().min_x.abs());
-        let from = heads.partition_point(|&(min_x, _)| min_x < leftmost);
-        let first = found.edges.len();
-        // ... and one that starts more than δ right of the tail's end is out,
-        // like all after it (the same subtraction the MBR test makes).
-        let in_reach = |&&(min_x, _): &&(f64, u32)| min_x - tail.mbr().max_x <= delta;
-        for &(_, d) in heads[from..].iter().take_while(in_reach) {
-            if head_layout.shard[d as usize] == tail_layout.shard[g as usize] {
-                continue;
-            }
-            let head = &head_set.clusters[d as usize];
-            found.pairs_tested += 1;
-            if tail.mbr().min_distance(head.mbr()) > delta {
-                continue;
-            }
-            found.hausdorff_tests += 1;
-            if tail.within_hausdorff(head, delta) {
-                found.edges.push((g, d));
-            }
-        }
-        found.edges[first..].sort_unstable();
+    let mut near: Vec<usize> = Vec::new();
+    for g in eligible(tail_layout, tail_set) {
+        let other_shard = |d: usize| head_layout.shard[d] != tail_layout.shard[g];
+        let tail = &tail_set.clusters[g];
+        let (tested, refined) =
+            heads.search(&head_set.clusters, tail, delta, other_shard, &mut near);
+        found.pairs_tested += tested as u64;
+        found.hausdorff_tests += refined as u64;
+        found
+            .edges
+            .extend(near.iter().map(|&d| (g as u32, d as u32)));
     }
     found
 }

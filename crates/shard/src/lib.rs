@@ -34,8 +34,9 @@
 //! shard), hence every cross edge between ticks `t − 1` and `t` joins a
 //! boundary cluster of `t − 1` to a boundary cluster of `t`: pairing those
 //! two short lists ([`cross_edges`]: different shards, both with `mc`
-//! members, the MBR bound `dmin ≤ dH` of Lemma 2, then the Hausdorff test)
-//! is exhaustive, with no index over the tick.  Knowing the edges up front,
+//! members, through the single engine's sorted-bounds kernel — like sides of
+//! the two boxes within `δ`, then the Hausdorff test) is exhaustive, with no
+//! index over the tick.  Knowing the edges up front,
 //! each shard logs — via the per-tick observer hook of
 //! [`CrowdDiscovery::run_resumed_observed`](gpdt_core::CrowdDiscovery::run_resumed_observed)
 //! — only the candidates that end at the tail of one; the merge replay then

@@ -230,6 +230,7 @@ impl Encode for RangeSearchStrategy {
             RangeSearchStrategy::RTreeDmin => 1,
             RangeSearchStrategy::RTreeDside => 2,
             RangeSearchStrategy::Grid => 3,
+            RangeSearchStrategy::Join => 4,
         };
         tag.encode(w)
     }
@@ -242,6 +243,7 @@ impl Decode for RangeSearchStrategy {
             1 => Ok(RangeSearchStrategy::RTreeDmin),
             2 => Ok(RangeSearchStrategy::RTreeDside),
             3 => Ok(RangeSearchStrategy::Grid),
+            4 => Ok(RangeSearchStrategy::Join),
             _ => Err(DecodeError::Corrupt("unknown range-search strategy tag")),
         }
     }

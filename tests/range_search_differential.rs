@@ -1,19 +1,25 @@
 //! Seeded differential suite for the range search: on adversarial cluster
-//! families GRID ≡ SR ≡ IR ≡ `BruteForce`, query by query through
-//! [`TickSearcher`] (the external-query path) and tick by tick through
+//! families JOIN ≡ GRID ≡ SR ≡ IR ≡ `BruteForce`, query by query through
+//! [`TickSearcher`] (the external-query path), tick by tick through
 //! [`CrowdDiscovery`] (where GRID reuses the previous tick's buckets as the
-//! queries).
+//! queries), and tick pair by tick pair against the edge list the definition
+//! gives.
 //!
 //! The families aim at what a bucketing index gets wrong first: points
 //! exactly on cell borders and at negative coordinates, cluster pairs at
 //! exactly δ, single-point clusters, hundreds of clusters in one cell, an
 //! empty tick between populated ones, a thousand clusters in a tick, and one
-//! scratch reused across ticks of very different sizes.  Far-away and
-//! non-finite coordinates are held to GRID ≡ `BruteForce` only: the R-tree
-//! bulk load refuses non-finite MBRs.
+//! scratch reused across ticks of very different sizes — and at what a scan
+//! along x does: bounds exactly δ and one ulp either side of it apart, one
+//! very wide cluster among narrow ones, a whole tick sharing one `min_x`.
+//! Far-away and non-finite coordinates are held to GRID ≡ JOIN ≡
+//! `BruteForce` only: the R-tree bulk load refuses non-finite MBRs.
 
 use gpdt_clustering::{ClusterDatabase, SnapshotCluster, SnapshotClusterSet};
-use gpdt_core::{CrowdDiscovery, CrowdParams, RangeSearchStrategy, SearcherScratch, TickSearcher};
+use gpdt_core::{
+    ClusteringParams, CrowdDiscovery, CrowdParams, GatheringConfig, GatheringEngine,
+    GatheringParams, RangeSearchStrategy, RetentionPolicy, SearcherScratch, TickSearcher,
+};
 use gpdt_geo::{GridGeometry, Point};
 use gpdt_trajectory::ObjectId;
 use rand::rngs::StdRng;
@@ -105,9 +111,19 @@ fn shifted_by_exactly_delta(rng: &mut StdRng, base: &[Vec<Point>]) -> Vec<Vec<Po
         .collect()
 }
 
+/// One tick per family, from tick `first` on.
+fn ticks_of(first: u32, families: Vec<Vec<Vec<Point>>>) -> Vec<SnapshotClusterSet> {
+    let timed = families.into_iter().zip(first..);
+    timed.map(|(clusters, t)| tick(t, clusters)).collect()
+}
+
 /// The adversarial day: consecutive ticks of very different shapes and
 /// sizes, each family next to one it can match.
 fn adversarial_ticks(seed: u64) -> Vec<SnapshotClusterSet> {
+    ticks_of(0, adversarial_families(seed))
+}
+
+fn adversarial_families(seed: u64) -> Vec<Vec<Vec<Point>>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let rng = &mut rng;
     let borders = on_cell_borders(rng, 40);
@@ -152,7 +168,7 @@ fn adversarial_ticks(seed: u64) -> Vec<SnapshotClusterSet> {
                 .collect()
         })
         .collect();
-    let families = vec![
+    vec![
         scattered(rng, 3, 200.0),
         borders,
         at_delta,
@@ -167,12 +183,56 @@ fn adversarial_ticks(seed: u64) -> Vec<SnapshotClusterSet> {
         sprawling.clone(),
         sprawling,
         scattered(rng, 40, 400.0),
+    ]
+}
+
+/// What a scan along x gets wrong first.  Three-point columns (so `max_x` is
+/// `min_x`) next to copies moved along x by exactly δ and by one ulp less and
+/// more, both ways, and two-column clusters those copies start δ right of or
+/// reach both columns of from the left; one cluster a hundred times as wide
+/// as the blobs strung along it, then all of them nudged; forty clusters
+/// that all start at `x = 0`, then the same again a little further up.
+fn sort_axis_families(seed: u64) -> Vec<Vec<Vec<Point>>> {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let columns = |xs: &[f64], y: f64| -> Vec<Point> {
+        let column = |&x| (0..3).map(move |k| Point::new(x, y + 20.0 * f64::from(k)));
+        xs.iter().flat_map(column).collect()
+    };
+    let ulp = DELTA * f64::EPSILON;
+    let steps = [
+        DELTA,
+        DELTA - ulp,
+        DELTA + ulp,
+        -DELTA,
+        ulp - DELTA,
+        -DELTA - ulp,
     ];
-    families
-        .into_iter()
-        .enumerate()
-        .map(|(t, clusters)| tick(t as u32, clusters))
-        .collect()
+    let rows = || {
+        steps
+            .iter()
+            .zip(0u8..)
+            .map(|(&step, row)| (step, 500.0 * f64::from(row)))
+    };
+    let tails = rows().flat_map(|(_, y)| [columns(&[0.0], y), columns(&[-40.0, 0.0], y + 1e4)]);
+    let heads = rows().flat_map(|(step, y)| [columns(&[step], y), columns(&[step], y + 1e4)]);
+    let along = |rng: &mut StdRng, y: f64| -> Vec<Vec<Point>> {
+        let snake = (0..90).map(|i| Point::new(f64::from(i) * 45.0 - 2_000.0, y));
+        let blobs = (0..30).map(|i| blob(rng, f64::from(i) * 130.0 - 1_950.0, y + 60.0, 4, 20.0));
+        std::iter::once(snake.collect()).chain(blobs).collect()
+    };
+    let flush = |rng: &mut StdRng, dy: f64| -> Vec<Vec<Point>> {
+        let rows = (0..40).map(|i| f64::from(i) * 70.0 + dy);
+        rows.map(|y| [blob(rng, 60.0, y, 3, 50.0), vec![Point::new(0.0, y)]].concat())
+            .collect()
+    };
+    vec![
+        tails.collect(),
+        heads.collect(),
+        along(rng, 0.0),
+        along(rng, 35.0),
+        flush(rng, 0.0),
+        flush(rng, 40.0),
+    ]
 }
 
 #[test]
@@ -216,9 +276,115 @@ fn every_strategy_answers_every_query_like_bruteforce() {
     );
 }
 
+/// The edge list of a tick pair by the definition: both clusters with `mc`
+/// members, every point of either with a point of the other within δ.
+fn edges_by_definition(
+    tails: &SnapshotClusterSet,
+    heads: &SnapshotClusterSet,
+    mc: usize,
+) -> Vec<(usize, usize)> {
+    let covered = |from: &SnapshotCluster, to: &SnapshotCluster| {
+        let mut points = from.points().iter();
+        points.all(|a| {
+            to.points()
+                .iter()
+                .any(|b| a.distance_sq(&b) <= DELTA * DELTA)
+        })
+    };
+    let mut edges = Vec::new();
+    for (g, tail) in tails.clusters.iter().enumerate() {
+        for (h, head) in heads.clusters.iter().enumerate() {
+            if tail.len() >= mc && head.len() >= mc && covered(tail, head) && covered(head, tail) {
+                edges.push((g, h));
+            }
+        }
+    }
+    edges
+}
+
+/// The edge list the discovery works from, read off an engine's output: with
+/// `kc = 1` the closed crowds of two clusters are the edges.  Streamed in one
+/// batch, the pair is an ordinary one; a tick at a time under bounded
+/// retention, the engine resumes at the second tick with the first as the
+/// oldest it retains (the empty tick before it is evicted on the way).
+fn edges_of_an_engine(
+    strategy: RangeSearchStrategy,
+    pair: &[SnapshotClusterSet],
+    mc: usize,
+    batch_ticks: usize,
+) -> Vec<(usize, usize)> {
+    let config = GatheringConfig::builder()
+        .clustering(ClusteringParams::new(DELTA, 1))
+        .crowd(CrowdParams::new(mc, 1, DELTA))
+        .gathering(GatheringParams::new(1, 1))
+        .build()
+        .unwrap();
+    let mut engine = GatheringEngine::new(config)
+        .with_strategy(strategy)
+        .with_retention(RetentionPolicy::Bounded);
+    let ticks = [
+        tick(pair[0].time - 1, Vec::new()),
+        pair[0].clone(),
+        pair[1].clone(),
+    ];
+    for batch in ticks.chunks(batch_ticks) {
+        engine.ingest_clusters(ClusterDatabase::from_sets(batch.to_vec()));
+    }
+    let first = engine.time_domain().unwrap().start;
+    assert_eq!(
+        first + 1 == pair[1].time,
+        batch_ticks == 1,
+        "retained from {first}"
+    );
+    let crowds = engine.closed_crowds();
+    let edges = crowds.iter().filter(|c| c.len() == 2);
+    edges
+        .map(|c| (c.cluster_ids()[0].index, c.last().index))
+        .collect()
+}
+
+#[test]
+fn every_strategy_works_from_the_edge_list_of_the_definition() {
+    let mut families = adversarial_families(0x140);
+    families.extend(sort_axis_families(0x141));
+    let ticks = ticks_of(1, families);
+    // Every third cluster or so of the scattered families has fewer than
+    // three points; the single-point families have nothing else.
+    let mc = 3;
+    let mut found = 0;
+    for pair in ticks.windows(2) {
+        let expected = edges_by_definition(&pair[0], &pair[1], mc);
+        found += expected.len();
+        for strategy in RangeSearchStrategy::ALL {
+            for batch_ticks in [3, 1] {
+                let found = edges_of_an_engine(strategy, pair, mc, batch_ticks);
+                let t = pair[1].time;
+                assert_eq!(
+                    found, expected,
+                    "{strategy} into tick {t}, {batch_ticks} a batch"
+                );
+            }
+        }
+    }
+    assert!(found > 1_000, "only {found} edges: the day is vacuous");
+    // The columns a step of at most δ away, either way; the two-column
+    // clusters a step of at most δ to the left of.
+    let columns = &ticks[adversarial_families(0x140).len()..];
+    assert_eq!(
+        edges_by_definition(&columns[0], &columns[1], mc),
+        [(0, 0), (2, 2), (6, 6), (7, 7), (8, 8), (9, 9)]
+    );
+}
+
 #[test]
 fn every_strategy_sweeps_the_adversarial_day_alike() {
-    let cdb = ClusterDatabase::from_sets(adversarial_ticks(0x13e));
+    // Two days and the sort-axis families on end: enough clusters in one
+    // batch for the edge phase to fan out on the two-thread runs.
+    let mut families = adversarial_families(0x13e);
+    families.extend(adversarial_families(0x13d));
+    families.extend(sort_axis_families(0x13c));
+    let cdb = ClusterDatabase::from_sets(ticks_of(0, families));
+    assert!(cdb.total_clusters() >= 4_096, "below the fan-out threshold");
     let params = CrowdParams::new(1, 2, DELTA);
     let reference = CrowdDiscovery::new(params, RangeSearchStrategy::BruteForce)
         .with_threads(1)
@@ -263,9 +429,11 @@ fn grid_matches_bruteforce_on_far_and_non_finite_clusters() {
     let ticks = far_and_non_finite_ticks();
     let brute = TickSearcher::build(RangeSearchStrategy::BruteForce, &ticks[1], DELTA);
     let grid = TickSearcher::build(RangeSearchStrategy::Grid, &ticks[1], DELTA);
+    let join = TickSearcher::build(RangeSearchStrategy::Join, &ticks[1], DELTA);
     for (q, query) in ticks[0].clusters.iter().enumerate() {
         let expected = brute.search(query);
         assert_eq!(grid.search(query), expected, "query {q}");
+        assert_eq!(join.search(query), expected, "query {q}");
         // The far clusters match their own copies only; the non-finite ones
         // nothing.
         match q {
@@ -277,7 +445,9 @@ fn grid_matches_bruteforce_on_far_and_non_finite_clusters() {
     let cdb = ClusterDatabase::from_sets(ticks);
     let params = CrowdParams::new(1, 2, DELTA);
     let reference = CrowdDiscovery::new(params, RangeSearchStrategy::BruteForce).run(&cdb);
-    let swept = CrowdDiscovery::new(params, RangeSearchStrategy::Grid).run(&cdb);
-    assert_eq!(swept.closed_crowds, reference.closed_crowds);
-    assert_eq!(swept.frontier, reference.frontier);
+    for strategy in [RangeSearchStrategy::Grid, RangeSearchStrategy::Join] {
+        let swept = CrowdDiscovery::new(params, strategy).run(&cdb);
+        assert_eq!(swept.closed_crowds, reference.closed_crowds, "{strategy}");
+        assert_eq!(swept.frontier, reference.frontier, "{strategy}");
+    }
 }

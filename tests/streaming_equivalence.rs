@@ -2,7 +2,8 @@
 //! the crowds and gatherings of one whole-database ingest, no matter how
 //! the input stream is sliced — one tick at a time, ragged random chunks or
 //! one big batch — for every range-search strategy × detection variant
-//! combination.
+//! combination.  And as many crowds as there are paths to count in the
+//! cluster graph.
 
 use gathering_patterns::prelude::*;
 use gpdt_clustering::ClusterDatabase;
@@ -53,6 +54,54 @@ fn canonical_gatherings(mut gatherings: Vec<Gathering>) -> Vec<Gathering> {
     gatherings
 }
 
+/// How many closed crowds there must be, without enumerating one: the edges
+/// between consecutive ticks (both clusters with `mc` members, within δ) make
+/// a DAG, a closed crowd is a path of at least `kc` clusters from a cluster
+/// nothing leads into to one nothing leads out of, and paths are counted by
+/// the tick they start at — linear in the edges where the crowds themselves
+/// can be exponentially many.
+fn closed_crowd_count(cdb: &ClusterDatabase, params: &CrowdParams) -> u64 {
+    let sets: Vec<_> = cdb.iter().collect();
+    let kc = params.kc as usize;
+    // `open[g][s]`: paths from a source of tick `s` to cluster `g` of the
+    // tick before the current one.
+    let mut open: Vec<Vec<u64>> = Vec::new();
+    let mut closed = 0u64;
+    let long_enough = |starts: &[u64], end: usize| -> u64 {
+        starts.iter().take((end + 2).saturating_sub(kc)).sum()
+    };
+    for (t, set) in sets.iter().enumerate() {
+        let mut next = vec![vec![0u64; sets.len()]; set.len()];
+        let mut extended = vec![false; open.len()];
+        for (h, head) in set.clusters.iter().enumerate() {
+            if head.len() < params.mc {
+                continue;
+            }
+            for (g, starts) in open.iter().enumerate() {
+                let tail = &sets[t - 1].clusters[g];
+                if tail.len() >= params.mc && tail.within_hausdorff(head, params.delta) {
+                    extended[g] = true;
+                    for (sum, n) in next[h].iter_mut().zip(starts) {
+                        *sum += n;
+                    }
+                }
+            }
+            if next[h].iter().all(|&n| n == 0) {
+                next[h][t] = 1;
+            }
+        }
+        for (starts, _) in open.iter().zip(extended).filter(|(_, e)| !e) {
+            closed += long_enough(starts, t - 1);
+        }
+        open = next;
+    }
+    closed
+        + open
+            .iter()
+            .map(|s| long_enough(s, sets.len() - 1))
+            .sum::<u64>()
+}
+
 /// Splits `0..duration` into ragged chunk widths drawn from `rng`.
 fn ragged_splits(rng: &mut StdRng, duration: u32) -> Vec<u32> {
     let mut widths = Vec::new();
@@ -71,6 +120,7 @@ fn engine_matches_pipeline_for_all_slicings_strategies_and_variants() {
     let scenario = scenario(4242, duration);
     let config = config();
     let full_clusters = ClusterDatabase::build(&scenario.database, &config.clustering);
+    let crowds_to_find = closed_crowd_count(&full_clusters, &config.crowd);
     let mut rng = StdRng::seed_from_u64(7);
 
     for strategy in RangeSearchStrategy::ALL {
@@ -84,6 +134,12 @@ fn engine_matches_pipeline_for_all_slicings_strategies_and_variants() {
             assert!(
                 reference.crowd_count() > 0,
                 "the scenario must produce crowds for the test to be meaningful"
+            );
+            // Every slicing below is held to these crowds, so to this count.
+            assert_eq!(
+                reference.crowd_count() as u64,
+                crowds_to_find,
+                "{strategy}/{variant} crowds against the path count"
             );
 
             // Anchor the reference outside the engine: the whole-database
@@ -213,12 +269,14 @@ fn interleaving_trajectory_and_cluster_ingestion_is_consistent() {
     assert_eq!(engine.gatherings(), reference.gatherings);
 }
 
-/// GRID sweeps query tick `t` with the buckets of tick `t − 1`'s index; that
-/// hand-over must survive the sweep's look-ahead window boundary (32 ticks
-/// on one thread) and an engine resume, where the previous tick has no index
-/// and the seeds are bucketed afresh.  A 100-tick run sliced into 1-, 7- and
+/// GRID's edge phase queries tick `t` with the buckets of tick `t − 1`'s
+/// index; that hand-over must survive the start of a worker's chunk of ticks
+/// and an engine resume, where the previous tick has no index and the seeds
+/// are bucketed afresh.  A 100-tick run sliced into 1-, 7- and
 /// 60-tick batches, on one and two threads, must give the crowds, gatherings
-/// and per-tick observer callbacks of the one-batch run — and of IR.
+/// and per-tick observer callbacks of the one-batch run — and of IR.  JOIN,
+/// whose resumed runs query the seeds' last clusters once each, is held to
+/// the same.
 #[test]
 fn grid_bucket_reuse_survives_window_boundaries_and_resumes() {
     let duration = 100u32;
@@ -251,24 +309,22 @@ fn grid_bucket_reuse_survives_window_boundaries_and_resumes() {
     let reference = run(RangeSearchStrategy::RTreeDside, 1, duration);
     assert!(reference.0.len() > 5 && !reference.1.is_empty());
     assert_eq!(
+        reference.0.len() as u64,
+        closed_crowd_count(&full, &config.crowd)
+    );
+    assert_eq!(
         reference.2.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
         (0..duration).collect::<Vec<_>>()
     );
-    for threads in [1, 2] {
-        for width in [duration, 1, 7, 60] {
-            let got = run(RangeSearchStrategy::Grid, threads, width);
-            assert_eq!(
-                got.0, reference.0,
-                "crowds: {threads} threads, {width}-tick batches"
-            );
-            assert_eq!(
-                got.1, reference.1,
-                "gatherings: {threads} threads, {width}-tick batches"
-            );
-            assert_eq!(
-                got.2, reference.2,
-                "observer: {threads} threads, {width}-tick batches"
-            );
+    for strategy in [RangeSearchStrategy::Grid, RangeSearchStrategy::Join] {
+        for threads in [1, 2] {
+            for width in [duration, 1, 7, 60] {
+                let got = run(strategy, threads, width);
+                let context = format!("{strategy}, {threads} threads, {width}-tick batches");
+                assert_eq!(got.0, reference.0, "crowds: {context}");
+                assert_eq!(got.1, reference.1, "gatherings: {context}");
+                assert_eq!(got.2, reference.2, "observer: {context}");
+            }
         }
     }
 }
