@@ -34,32 +34,45 @@
 //! * **The store and the service above the engine** — a refresh of
 //!   `MonitorService`'s structural recovery point (sixteen one-tick batches
 //!   onto a point of the city day) against the whole-state checkpoint encode
-//!   it replaced, at 100, 1 000 and 1 440 resident ticks; and 30 000
+//!   it replaced, at 100, 1 000 and 1 440 resident ticks; 30 000
 //!   random-start inserts into the store's interval index against the
-//!   sorted vector it replaced.
+//!   sorted vector it replaced; and what reopening a 30 000-record log
+//!   re-derives (`store_reopen`): the frame checksum (FNV-1a vs XXH64), the
+//!   R-tree (one insert a record vs an STR bulk load) and the participation
+//!   index (SipHash with 16-byte postings vs a keyed fold with 8-byte ones).
 //!
 //! Run with `cargo run -q --release -p gpdt-bench --bin micro`; set
 //! `CRITERION_SHIM_ITERS` to raise the per-benchmark iteration count.
 //! Results are printed and serialised to `BENCH_micro.json` (honouring
 //! `GPDT_BENCH_DIR`), with one speedup row per before/after pair.
 
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+
 use criterion::{black_box, BatchSize, Criterion};
 use gpdt_bench::report::{BenchReport, Table};
 use gpdt_clustering::{
-    dbscan_with, ClusterDatabase, ClusteringParams, DbscanScratch, SnapshotCluster,
+    dbscan_with, ClusterDatabase, ClusterId, ClusteringParams, DbscanScratch, SnapshotCluster,
     SnapshotClusterSet,
 };
 use gpdt_core::{
-    CrowdOccurrence, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams,
+    Crowd, CrowdOccurrence, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams,
     RangeSearchStrategy, SearcherScratch, TickSearcher,
 };
 use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
 use gpdt_geo::{
     bucketed_pair_cutoff, hausdorff_within, hausdorff_within_bruteforce, hausdorff_within_bucketed,
-    Point, PointColumns,
+    Mbr, Point, PointColumns,
 };
+use gpdt_index::rtree::Entry;
+use gpdt_index::RTree;
 use gpdt_shard::{cross_edges, GridPartitioner, Partitioner, ShardedEngine, TickLayout};
-use gpdt_store::{IntervalIndex, MonitoredEngine, RecoveryPoint};
+use gpdt_store::codec::{fnv1a, xxh64};
+use gpdt_store::{
+    encode_to_vec, FoldHasher, IntervalIndex, MonitoredEngine, PatternRecord, RecoveryPoint,
+    StoredGathering,
+};
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp, Trajectory, TrajectoryDatabase};
 use gpdt_workload::{generate_scenario, EventRates, ScenarioConfig, Weather};
 use rand::rngs::StdRng;
@@ -718,6 +731,152 @@ fn bench_store_interval(c: &mut Criterion, rng: &mut StdRng) {
     group.finish();
 }
 
+/// `n` records shaped like the e2e `store_serve` log: one gathering each,
+/// clustered around 256 venues over a long time axis.
+fn store_records(rng: &mut StdRng, n: usize) -> Vec<PatternRecord> {
+    let venues: Vec<(f64, f64)> = (0..256)
+        .map(|_| (rng.gen_range(-5e4..5e4), rng.gen_range(-5e4..5e4)))
+        .collect();
+    (0..n)
+        .map(|_| {
+            let (vx, vy) = venues[rng.gen_range(0..venues.len())];
+            let (x, y) = (
+                vx + rng.gen_range(-400.0..400.0),
+                vy + rng.gen_range(-400.0..400.0),
+            );
+            let (w, h) = (rng.gen_range(50.0..600.0), rng.gen_range(50.0..600.0));
+            let start = rng.gen_range(0u32..100_000);
+            let ids = (start..start + rng.gen_range(15u32..120))
+                .map(|t| ClusterId::new(t, rng.gen_range(0usize..4)))
+                .collect();
+            let crowd = Crowd::new(ids);
+            let mut participators: Vec<ObjectId> = (0..rng.gen_range(10usize..40))
+                .map(|_| ObjectId::new(rng.gen_range(0u32..30_000)))
+                .collect();
+            participators.sort_unstable();
+            participators.dedup();
+            PatternRecord {
+                gatherings: vec![StoredGathering {
+                    interval: crowd.interval(),
+                    mbr: Mbr::new(x, y, x + w * 0.8, y + h * 0.8),
+                    participators,
+                }],
+                crowd,
+                mbr: Mbr::new(x, y, x + w, y + h),
+            }
+        })
+        .collect()
+}
+
+/// Every record's postings in a map of `S`, one posting per distinct
+/// participator — the loop `PatternStore` runs over a replayed log.
+fn participation<S: BuildHasher + Default, P>(
+    records: &[PatternRecord],
+    posting: impl Fn(usize, usize) -> P,
+) -> HashMap<ObjectId, Vec<P>, S> {
+    let mut map: HashMap<ObjectId, Vec<P>, S> = HashMap::default();
+    for (id, record) in records.iter().enumerate() {
+        for (g, gathering) in record.gatherings.iter().enumerate() {
+            let mut previous = None;
+            for &object in &gathering.participators {
+                if previous != Some(object) {
+                    previous = Some(object);
+                    map.entry(object).or_default().push(posting(id, g));
+                }
+            }
+        }
+    }
+    map
+}
+
+/// The three costs `PatternStore::open` used to re-derive one entry at a
+/// time, before and after, over a 30 000-record log: the frame checksum
+/// (FNV-1a vs XXH64, per payload), the R-tree (30 000 quadratic-split
+/// inserts vs one STR bulk load), and the participation index (SipHash with
+/// 16-byte postings vs the keyed fold with 8-byte ones).
+fn bench_store_reopen(c: &mut Criterion, rng: &mut StdRng) -> Table {
+    const RECORDS: usize = 30_000;
+    let records = store_records(rng, RECORDS);
+    let payloads: Vec<Vec<u8>> = records.iter().map(encode_to_vec).collect();
+    let log_bytes: usize = payloads.iter().map(Vec::len).sum();
+    let entries: Vec<Entry> = records
+        .iter()
+        .enumerate()
+        .map(|(id, r)| Entry { mbr: r.mbr, id })
+        .collect();
+    let mut group = c.benchmark_group("store_reopen");
+    group.bench_function("checksum/fnv1a", |b| {
+        b.iter(|| payloads.iter().fold(0, |acc, p| acc ^ fnv1a(black_box(p))))
+    });
+    group.bench_function("checksum/xxh64", |b| {
+        b.iter(|| {
+            payloads
+                .iter()
+                .fold(0, |acc, p| acc ^ xxh64(black_box(p), 0))
+        })
+    });
+    group.bench_function("rtree/insert", |b| {
+        b.iter(|| {
+            let mut tree = RTree::new();
+            for &entry in black_box(&entries) {
+                tree.insert(entry);
+            }
+            tree
+        })
+    });
+    group.bench_function("rtree/bulk_load", |b| {
+        b.iter_batched(
+            || entries.clone(),
+            RTree::bulk_load,
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("postings/sip16", |b| {
+        b.iter(|| participation::<RandomState, _>(black_box(&records), |id, g| (id, g)))
+    });
+    group.bench_function("postings/fold8", |b| {
+        b.iter(|| {
+            participation::<FoldHasher, _>(black_box(&records), |id, g| (id as u32, g as u32))
+        })
+    });
+    group.finish();
+
+    let ns = |name: &str| mean_ns(c, &format!("store_reopen/{name}")).expect("measured above");
+    let title = format!(
+        "Store reopen — {RECORDS} records, {} MB",
+        log_bytes / 1_000_000
+    );
+    let mut table = Table::new(title, &["stage", "before", "after", "speedup"]);
+    for (stage, before, after) in [
+        (
+            "checksum MB/s: FNV-1a → XXH64",
+            "checksum/fnv1a",
+            "checksum/xxh64",
+        ),
+        (
+            "R-tree ms: 30000 inserts → STR load",
+            "rtree/insert",
+            "rtree/bulk_load",
+        ),
+        (
+            "participation ms: SipHash 16 B → fold 8 B",
+            "postings/sip16",
+            "postings/fold8",
+        ),
+    ] {
+        let show = |name: &str| {
+            if before.starts_with("checksum") {
+                format!("{:.0}", log_bytes as f64 / ns(name) * 1e3)
+            } else {
+                format!("{:.2}", ns(name) / 1e6)
+            }
+        };
+        let speedup = format!("{:.2}x", ns(before) / ns(after));
+        table.add_row(vec![stage.to_string(), show(before), show(after), speedup]);
+    }
+    table
+}
+
 /// Mean time of the report entry whose name starts with `prefix`, in ns.
 fn mean_ns(c: &Criterion, prefix: &str) -> Option<f64> {
     c.reports()
@@ -879,6 +1038,7 @@ fn main() {
     bench_shard(&mut criterion, &mut rng);
     bench_service_recovery(&mut criterion, &day.database);
     bench_store_interval(&mut criterion, &mut rng);
+    let reopen_table = bench_store_reopen(&mut criterion, &mut rng);
     let edge_table = bench_tick_pair_edges(&mut criterion);
 
     let mut report = BenchReport::new("micro");
@@ -966,6 +1126,7 @@ fn main() {
         }
     }
     report.print_and_add(speedups);
+    report.print_and_add(reopen_table);
     report.print_and_add(edge_table);
 
     // Kernel-level SIMD ablation: the same columns through the scalar table

@@ -63,7 +63,7 @@ pub use sharded::{
     SHARDED_CHECKPOINT_VERSION,
 };
 #[doc(hidden)]
-pub use store::IntervalIndex;
+pub use store::{FoldHasher, IntervalIndex};
 pub use store::{
     GatheringHit, PatternRecord, PatternStore, RecordId, StoreError, StoreOptions, StoredGathering,
     TailRepair, SEGMENT_MAGIC, SEGMENT_VERSION,

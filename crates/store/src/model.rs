@@ -51,17 +51,31 @@ impl Encode for Mbr {
     }
 }
 
+/// [`Mbr`] decoding's rule, which `PatternRecord::validate` shares: finite
+/// corners, minimum ≤ maximum (`Mbr::new` asserts only the order).
+pub(crate) fn mbr_is_valid(mbr: &Mbr) -> bool {
+    let corners = [mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y];
+    corners.iter().all(|v| v.is_finite()) && mbr.min_x <= mbr.max_x && mbr.min_y <= mbr.max_y
+}
+
+/// [`Crowd`] decoding's rule: each cluster one tick after the last, no wrap.
+pub(crate) fn ticks_are_consecutive(ids: &[ClusterId]) -> bool {
+    ids.windows(2)
+        .all(|w| w[0].time.checked_add(1) == Some(w[1].time))
+}
+
 impl Decode for Mbr {
     fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let min_x = f64::decode(r)?;
-        let min_y = f64::decode(r)?;
-        let max_x = f64::decode(r)?;
-        let max_y = f64::decode(r)?;
-        let finite = [min_x, min_y, max_x, max_y].iter().all(|v| v.is_finite());
-        if !finite || min_x > max_x || min_y > max_y {
+        let mbr = Mbr {
+            min_x: f64::decode(r)?,
+            min_y: f64::decode(r)?,
+            max_x: f64::decode(r)?,
+            max_y: f64::decode(r)?,
+        };
+        if !mbr_is_valid(&mbr) {
             return Err(DecodeError::Corrupt("invalid MBR corners"));
         }
-        Ok(Mbr::new(min_x, min_y, max_x, max_y))
+        Ok(mbr)
     }
 }
 
@@ -399,7 +413,7 @@ impl Decode for Crowd {
         if ids.is_empty() {
             return Err(DecodeError::Corrupt("crowd without clusters"));
         }
-        if ids.windows(2).any(|w| w[1].time != w[0].time + 1) {
+        if !ticks_are_consecutive(&ids) {
             return Err(DecodeError::Corrupt(
                 "crowd clusters are not at consecutive timestamps",
             ));
@@ -640,12 +654,14 @@ mod tests {
             Err(DecodeError::Corrupt(_))
         ));
 
-        // Crowd with a time gap.
-        let bytes = encode_to_vec(&vec![ClusterId::new(0, 0), ClusterId::new(2, 0)]);
-        assert!(matches!(
-            decode_from_slice::<Crowd>(&bytes),
-            Err(DecodeError::Corrupt(_))
-        ));
+        // Crowd with a time gap, and one that wraps past the last tick.
+        for ids in [[0, 2], [u32::MAX, 0]] {
+            let bytes = encode_to_vec(&ids.map(|t| ClusterId::new(t, 0)).to_vec());
+            assert!(matches!(
+                decode_from_slice::<Crowd>(&bytes),
+                Err(DecodeError::Corrupt(_))
+            ));
+        }
 
         // Unknown enum tags.
         assert!(matches!(

@@ -10,28 +10,29 @@
 //!
 //! ```text
 //! ┌─────────────┬───────────────────┬──────────────────┐
-//! │ u32 length  │ payload (length)  │ u64 FNV-1a sum   │
+//! │ u32 length  │ payload (length)  │ u64 XXH64 sum    │
 //! └─────────────┴───────────────────┴──────────────────┘
 //! ```
 //!
-//! The payload is one [`PatternRecord`] in the [`crate::codec`] format.  The
-//! log is append-only: records are never rewritten, and a new segment is
-//! started once the active one exceeds
+//! The payload is one [`PatternRecord`] in the [`crate::codec`] format, sealed
+//! with [`xxh64`] at seed 0.  The log is append-only: records are never
+//! rewritten, and a new segment is started once the active one exceeds
 //! [`StoreOptions::max_segment_bytes`].  On [`PatternStore::open`] every
-//! segment is replayed to rebuild the in-memory state; a torn tail in the
-//! *last* segment (the crash-during-append case) is truncated away, while
-//! damage anywhere else is reported as an error.
+//! segment is replayed in one pass — frames parsed in place, each record held
+//! to [`PatternRecord::validate`] as `append` holds it, the indexes built in
+//! bulk; a torn tail in the *last* segment (the crash-during-append case) is
+//! truncated away, while damage anywhere else is reported as an error.
 //!
 //! # Query indexes
 //!
-//! Replay (and every append) maintains three in-memory indexes:
+//! Replay builds, and every append maintains, three in-memory indexes:
 //!
 //! * an **interval index** over crowd lifespans, answering "which records
 //!   were active during `[t1, t2]`";
 //! * an **R-tree** (reusing [`gpdt_index::RTree`]) over crowd MBRs, answering
 //!   "which records touched region `R`";
 //! * a **participation index** mapping each object to the gatherings it
-//!   participated in.
+//!   participated in, as 8-byte `(record, gathering)` postings.
 //!
 //! [`PatternStore::query_gatherings`] combines the first two for the
 //! region × time-window query of the ROADMAP's monitoring story;
@@ -39,7 +40,9 @@
 //! serve the per-object and ranking paths.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -52,18 +55,23 @@ use gpdt_index::RTree;
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp};
 
 use crate::codec::{
-    decode_from_slice, encode_to_vec, fnv1a, read_header, write_header, Decode, DecodeError, Encode,
+    decode_from_slice, encode_to_vec, read_header, write_header, xxh64, Decode, DecodeError, Encode,
 };
+use crate::model::{mbr_is_valid, ticks_are_consecutive};
 use crate::vfs::{RealVfs, Vfs, VfsFile};
 
 /// Magic string at the start of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"GPDTSEG\0";
 
-/// Current segment format version.
-pub const SEGMENT_VERSION: u16 = 1;
+/// Current segment format version (2: frames sealed with XXH64).
+pub const SEGMENT_VERSION: u16 = 2;
 
 /// Number of bytes of a segment header.
 const SEGMENT_HEADER_BYTES: u64 = 10;
+
+/// Largest frame payload either side accepts: no writer comes near it, so a
+/// longer length prefix means the bytes at the cursor are not a frame.
+const FRAME_CAP: usize = 1 << 30;
 
 /// Identifier of a record within a store: its zero-based append position.
 pub type RecordId = usize;
@@ -129,9 +137,11 @@ impl PatternRecord {
         self.crowd.interval()
     }
 
-    /// Checks the containment invariant the store's query indexes rely on:
-    /// every gathering's MBR lies within the record's MBR, every gathering's
-    /// lifespan lies within the crowd's, and participator lists are sorted.
+    /// Checks what replay holds every decoded record to: the codec's field
+    /// rules (consecutive crowd ticks, finite and ordered MBRs, forward
+    /// lifespans) and the containment invariant the query indexes rely on —
+    /// every gathering's MBR and lifespan lie within the record's, and
+    /// participator lists are sorted.
     ///
     /// Records produced by [`PatternRecord::from_crowd_record`] satisfy this
     /// by construction (a gathering is a sub-crowd); hand-built records are
@@ -143,8 +153,20 @@ impl PatternRecord {
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), &'static str> {
+        if !ticks_are_consecutive(self.crowd.cluster_ids()) {
+            return Err("crowd clusters are not at consecutive timestamps");
+        }
+        if !mbr_is_valid(&self.mbr) {
+            return Err("record MBR corners are not finite and ordered");
+        }
         let interval = self.crowd.interval();
         for gathering in &self.gatherings {
+            if gathering.interval.start > gathering.interval.end {
+                return Err("gathering lifespan is reversed");
+            }
+            if !mbr_is_valid(&gathering.mbr) {
+                return Err("gathering MBR corners are not finite and ordered");
+            }
             if !self.mbr.contains_mbr(&gathering.mbr) {
                 return Err("gathering MBR extends outside the record MBR");
             }
@@ -270,10 +292,10 @@ pub enum StoreError {
         /// What was wrong with it.
         source: DecodeError,
     },
-    /// An appended record violates the containment invariant (see
-    /// [`PatternRecord::validate`]) or exceeds the frame-size cap.  Always
-    /// fatal for *this record* — retrying cannot help — but the store itself
-    /// stays healthy.
+    /// An appended record fails [`PatternRecord::validate`], exceeds the
+    /// frame-size cap, or would get a record id past `u32::MAX` (the
+    /// participation index's posting width).  Always fatal for *this record*
+    /// — retrying cannot help — but the store itself stays healthy.
     InvalidRecord(&'static str),
     /// Segment files exist but replay salvaged zero records while dropping a
     /// torn tail: indistinguishable from opening the wrong directory or from
@@ -415,6 +437,82 @@ impl FromIterator<(TimeInterval, RecordId)> for IntervalIndex {
     }
 }
 
+/// The participation index's hasher, the folded multiply of hashbrown's
+/// default `foldhash`: state ^ word times an odd key, the 128-bit product's
+/// halves folded.  Both keys come from std's `RandomState` once per map, so
+/// crafted object ids cannot choose buckets.  Public for the `micro` bench.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct FoldHasher {
+    seed: u64,
+    multiplier: u64,
+    state: u64,
+}
+
+impl Default for FoldHasher {
+    fn default() -> Self {
+        let keys = RandomState::new();
+        FoldHasher {
+            seed: keys.hash_one(0u64),
+            multiplier: keys.hash_one(1u64) | 1,
+            state: 0,
+        }
+    }
+}
+
+impl BuildHasher for FoldHasher {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            state: self.seed,
+            ..*self
+        }
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.state ^ n) * u128::from(self.multiplier);
+        self.state = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// Each object's `(record, gathering index)` postings, 8 bytes apiece.
+type Participation = HashMap<ObjectId, Vec<(u32, u32)>, FoldHasher>;
+
+/// Posts record `id`'s participators; a gathering index fits a `u32`, as a
+/// frame holds at most [`FRAME_CAP`] bytes.
+fn post_participators(participation: &mut Participation, id: u32, record: &PatternRecord) {
+    for (g_idx, gathering) in record.gatherings.iter().enumerate() {
+        // Participator lists are sorted; skip adjacent duplicates so a
+        // sloppily built record cannot double-count a hit.
+        let mut previous: Option<ObjectId> = None;
+        for &object in &gathering.participators {
+            if previous == Some(object) {
+                continue;
+            }
+            previous = Some(object);
+            participation
+                .entry(object)
+                .or_default()
+                .push((id, g_idx as u32));
+        }
+    }
+}
+
 /// The open write handle of the active (last) segment.
 #[derive(Debug)]
 struct ActiveSegment {
@@ -452,7 +550,7 @@ pub struct PatternStore {
     records: Vec<PatternRecord>,
     intervals: IntervalIndex,
     rtree: RTree,
-    participation: HashMap<ObjectId, Vec<(RecordId, usize)>>,
+    participation: Participation,
     active: ActiveSegment,
     tail_repair: Option<TailRepair>,
 }
@@ -508,8 +606,14 @@ impl PatternStore {
                 for &index in &segments {
                     let path = segment_path(&dir, index);
                     let is_last = index == last;
+                    let before = replayed.len();
                     let valid_len =
                         Self::replay_segment(vfs.as_ref(), &path, is_last, &mut replayed)?;
+                    if gpdt_obs::enabled() {
+                        let frames = (replayed.len() - before) as u64;
+                        gpdt_obs::counter!("store.replay.frames").add(frames);
+                        gpdt_obs::counter!("store.replay.bytes").add(valid_len);
+                    }
                     if is_last {
                         // Reopen the tail segment for appending, dropping any
                         // torn bytes past the last intact record — and report
@@ -568,24 +672,27 @@ impl PatternStore {
             }
         };
 
-        let mut store = PatternStore {
+        // Record ids fit a `u32`: `replay_segment` refuses any past it.
+        let mut participation = Participation::default();
+        for (id, record) in replayed.iter().enumerate() {
+            post_participators(&mut participation, id as u32, record);
+        }
+        let entries = replayed
+            .iter()
+            .zip(0..)
+            .map(|(r, id)| Entry { mbr: r.mbr, id });
+        let lifespans = replayed.iter().map(PatternRecord::interval).zip(0..);
+        Ok(PatternStore {
             vfs,
             dir,
             options,
-            records: Vec::new(),
-            intervals: IntervalIndex::default(),
-            rtree: RTree::new(),
-            participation: HashMap::new(),
+            intervals: lifespans.collect(),
+            rtree: RTree::bulk_load(entries.collect()),
+            records: replayed,
+            participation,
             active,
             tail_repair,
-        };
-        let mut lifespans = Vec::with_capacity(replayed.len());
-        for record in replayed {
-            lifespans.push(record.interval());
-            store.index_record(record);
-        }
-        store.intervals = lifespans.into_iter().zip(0..).collect();
-        Ok(store)
+        })
     }
 
     /// Lists the segment indices present in `dir` and verifies they form a
@@ -671,99 +778,33 @@ impl PatternStore {
             source,
         };
         let data = vfs.read_file(path)?;
-        let mut file = io::Cursor::new(data.as_slice());
-        if let Err(err) = read_header(&mut file, &SEGMENT_MAGIC, SEGMENT_VERSION) {
+        if let Err(err) = read_header(&mut data.as_slice(), &SEGMENT_MAGIC, SEGMENT_VERSION) {
             if tolerate_tail && matches!(err, DecodeError::UnexpectedEof) {
                 return Ok(0);
             }
             return Err(damaged(err));
         }
-        let mut offset = SEGMENT_HEADER_BYTES;
-        loop {
-            match Self::read_framed(&mut file) {
-                Ok(None) => return Ok(offset),
-                Ok(Some((payload_len, record))) => {
+        let mut offset = SEGMENT_HEADER_BYTES as usize;
+        while offset < data.len() {
+            match parse_frame(&data[offset..]) {
+                Ok((record, frame_len)) if u32::try_from(out.len()).is_ok() => {
                     out.push(record);
-                    // frame = length prefix + payload + checksum
-                    offset += 4 + u64::from(payload_len) + 8;
+                    offset += frame_len;
                 }
+                Ok(_) => return Err(damaged(DecodeError::Corrupt("record id past u32::MAX"))),
                 Err(err) => {
                     let torn = matches!(
                         err,
                         DecodeError::UnexpectedEof | DecodeError::ChecksumMismatch
                     );
                     if tolerate_tail && torn {
-                        return Ok(offset);
+                        break;
                     }
                     return Err(damaged(err));
                 }
             }
         }
-    }
-
-    /// Reads one framed record; `Ok(None)` at a clean end of the segment.
-    fn read_framed<R: Read>(r: &mut R) -> Result<Option<(u32, PatternRecord)>, DecodeError> {
-        let mut len_bytes = [0u8; 4];
-        match r.read(&mut len_bytes)? {
-            0 => return Ok(None),
-            4 => {}
-            mut n => {
-                // Partial length prefix: keep reading to distinguish a torn
-                // tail from a short read.
-                while n < 4 {
-                    let got = r.read(&mut len_bytes[n..])?;
-                    if got == 0 {
-                        return Err(DecodeError::UnexpectedEof);
-                    }
-                    n += got;
-                }
-            }
-        }
-        let len = u32::from_le_bytes(len_bytes);
-        // Refuse absurd lengths before allocating: no writer produces frames
-        // anywhere near this size, so such a prefix means the bytes at the
-        // cursor are not a frame.  Reported as truncation so a garbage tail
-        // after a crash is repaired rather than fatal.
-        if len > (1 << 30) {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        let mut sum_bytes = [0u8; 8];
-        r.read_exact(&mut sum_bytes)?;
-        if u64::from_le_bytes(sum_bytes) != fnv1a(&payload) {
-            return Err(DecodeError::ChecksumMismatch);
-        }
-        let record: PatternRecord = decode_from_slice(&payload)?;
-        Ok(Some((len, record)))
-    }
-
-    /// Adds a record to the in-memory state, the interval index apart:
-    /// append inserts the lifespan there, replay builds that index in one
-    /// pass at the end.
-    fn index_record(&mut self, record: PatternRecord) -> RecordId {
-        let id = self.records.len();
-        self.rtree.insert(Entry {
-            mbr: record.mbr,
-            id,
-        });
-        for (g_idx, gathering) in record.gatherings.iter().enumerate() {
-            // Participator lists are sorted; skip adjacent duplicates so a
-            // sloppily built record cannot double-count a hit.
-            let mut previous: Option<ObjectId> = None;
-            for &object in &gathering.participators {
-                if previous == Some(object) {
-                    continue;
-                }
-                previous = Some(object);
-                self.participation
-                    .entry(object)
-                    .or_default()
-                    .push((id, g_idx));
-            }
-        }
-        self.records.push(record);
-        id
+        Ok(offset as u64)
     }
 
     /// Appends a record to the log and indexes it.
@@ -773,22 +814,25 @@ impl PatternStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::InvalidRecord`] if the record violates the
-    /// containment invariant (see [`PatternRecord::validate`]) and
-    /// propagates I/O errors otherwise — classify with
-    /// [`StoreError::is_transient`] before retrying.  Every frame is written
-    /// *and flushed* before the append is acknowledged, so `active.bytes`
-    /// always equals the on-disk length of the segment at append boundaries;
-    /// on an I/O error the partial frame is rolled back, the log stays
-    /// intact, and the append can simply be retried.  The in-memory state is
-    /// only updated on success.
+    /// Returns [`StoreError::InvalidRecord`] if the record fails
+    /// [`PatternRecord::validate`], is too large for a frame or would get an
+    /// id past `u32::MAX`, and propagates I/O errors otherwise — classify
+    /// with [`StoreError::is_transient`] before retrying.  Every frame is
+    /// written *and flushed* before the append is acknowledged, so
+    /// `active.bytes` always equals the on-disk length of the segment at
+    /// append boundaries; on an I/O error the partial frame is rolled back,
+    /// the log stays intact, and the append can simply be retried.  The
+    /// in-memory state is only updated on success.
     pub fn append(&mut self, record: PatternRecord) -> Result<RecordId, StoreError> {
         let _span = gpdt_obs::span!("store.append");
         record.validate().map_err(StoreError::InvalidRecord)?;
+        let Ok(posting_id) = u32::try_from(self.records.len()) else {
+            return Err(StoreError::InvalidRecord("record id past u32::MAX"));
+        };
         let payload = encode_to_vec(&record);
-        // Mirror the reader's frame-size cap (`read_framed`): a frame the
-        // replay path would refuse must never be written in the first place.
-        if payload.len() as u64 > (1 << 30) {
+        // Mirror the reader's frame-size cap: a frame replay would refuse
+        // must never be written in the first place.
+        if payload.len() > FRAME_CAP {
             return Err(StoreError::InvalidRecord(
                 "record payload exceeds the 1 GiB frame cap",
             ));
@@ -796,7 +840,7 @@ impl PatternStore {
         let mut frame = Vec::with_capacity(payload.len() + 12);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        frame.extend_from_slice(&xxh64(&payload, 0).to_le_bytes());
         if self.active.bytes + frame.len() as u64 > self.options.max_segment_bytes
             && self.active.bytes > SEGMENT_HEADER_BYTES
         {
@@ -812,8 +856,15 @@ impl PatternStore {
             return Err(err.into());
         }
         self.active.bytes += frame.len() as u64;
-        self.intervals.insert(record.interval(), self.records.len());
-        Ok(self.index_record(record))
+        let id = self.records.len();
+        self.intervals.insert(record.interval(), id);
+        self.rtree.insert(Entry {
+            mbr: record.mbr,
+            id,
+        });
+        post_participators(&mut self.participation, posting_id, &record);
+        self.records.push(record);
+        Ok(id)
     }
 
     /// Discards a partially written frame after a failed append: reopens the
@@ -1016,10 +1067,13 @@ impl PatternStore {
         };
         entries
             .iter()
-            .map(|&(record, index)| GatheringHit {
-                record,
-                index,
-                gathering: self.records[record].gatherings[index].clone(),
+            .map(|&(record, index)| {
+                let (record, index) = (record as RecordId, index as usize);
+                GatheringHit {
+                    record,
+                    index,
+                    gathering: self.records[record].gatherings[index].clone(),
+                }
             })
             .collect()
     }
@@ -1058,6 +1112,29 @@ impl Drop for PatternStore {
     fn drop(&mut self) {
         let _ = self.active.writer.flush();
     }
+}
+
+/// Parses the frame at the start of `bytes` in place: the validated record
+/// and the frame's length.  A length past [`FRAME_CAP`] reads as truncation,
+/// so a garbage tail after a crash is repaired rather than fatal.
+fn parse_frame(bytes: &[u8]) -> Result<(PatternRecord, usize), DecodeError> {
+    let (len, rest) = bytes
+        .split_first_chunk::<4>()
+        .ok_or(DecodeError::UnexpectedEof)?;
+    let len = u32::from_le_bytes(*len) as usize;
+    if len > FRAME_CAP {
+        return Err(DecodeError::UnexpectedEof);
+    }
+    let (payload, rest) = rest
+        .split_at_checked(len)
+        .ok_or(DecodeError::UnexpectedEof)?;
+    let sum = rest.first_chunk::<8>().ok_or(DecodeError::UnexpectedEof)?;
+    if u64::from_le_bytes(*sum) != xxh64(payload, 0) {
+        return Err(DecodeError::ChecksumMismatch);
+    }
+    let record: PatternRecord = decode_from_slice(payload)?;
+    record.validate().map_err(DecodeError::Corrupt)?;
+    Ok((record, 4 + len + 8))
 }
 
 /// Path of segment `index` inside `dir`.
@@ -1284,15 +1361,24 @@ mod tests {
             store.sync().unwrap();
         }
         let path = segment_path(&dir, 1);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] = 0xFF;
-        bytes[9] = 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        match PatternStore::open(&dir) {
-            Err(StoreError::Segment { source, .. }) => {
-                assert!(matches!(source, DecodeError::UnsupportedVersion { .. }));
+        let pristine = std::fs::read(&path).unwrap();
+        // A future version, and version 1 exactly: the FNV-1a-sealed layout
+        // this reader no longer understands.
+        for found in [0xFFFF, 1] {
+            let mut bytes = pristine.clone();
+            bytes[8..10].copy_from_slice(&u16::to_le_bytes(found));
+            std::fs::write(&path, &bytes).unwrap();
+            match PatternStore::open(&dir) {
+                Err(StoreError::Segment { source, .. }) => assert!(
+                    matches!(
+                        source,
+                        DecodeError::UnsupportedVersion { found: f, supported: SEGMENT_VERSION }
+                            if f == found
+                    ),
+                    "{source:?}"
+                ),
+                other => panic!("expected a version error, got {other:?}"),
             }
-            other => panic!("expected a version error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1500,6 +1586,92 @@ mod tests {
         assert_eq!(store.len(), 1);
         drop(store);
         assert_eq!(PatternStore::open(&dir).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every record replay would refuse is refused by `append` first: a store
+    /// that acknowledged it could never be opened again.
+    #[test]
+    fn append_refuses_exactly_what_replay_refuses() {
+        let dir = temp_store_dir("replayable");
+        let mut store = PatternStore::open(&dir).unwrap();
+        store.append(record(0, 4, 0.0, &[1, 2])).unwrap();
+        store.sync().unwrap();
+
+        let inf = Mbr::new(0.0, 0.0, f64::INFINITY, 1.0);
+        let nan = Mbr {
+            min_x: f64::NAN,
+            ..Mbr::new(0.0, 0.0, 1.0, 1.0)
+        };
+        let inverted = Mbr {
+            min_y: 5.0,
+            ..Mbr::new(0.0, 0.0, 1.0, 1.0)
+        };
+        let mut refused: Vec<PatternRecord> = Vec::new();
+        for mbr in [inf, nan, inverted] {
+            // On the record itself, with no gathering to be contained.
+            let mut bad = record(10, 4, 0.0, &[1]);
+            bad.mbr = mbr;
+            bad.gatherings.clear();
+            refused.push(bad);
+            // On a gathering inside an everything-covering record MBR.
+            let mut bad = record(10, 4, 0.0, &[1]);
+            bad.mbr = Mbr::new(-f64::MAX, -f64::MAX, f64::MAX, f64::MAX);
+            bad.gatherings[0].mbr = mbr;
+            refused.push(bad);
+        }
+        // A reversed gathering lifespan inside the crowd's.
+        let mut bad = record(10, 4, 0.0, &[1]);
+        bad.gatherings[0].interval = TimeInterval { start: 12, end: 11 };
+        refused.push(bad);
+
+        for bad in refused {
+            // Exactly what replay does with the frame: decode, then validate.
+            let replayed = decode_from_slice::<PatternRecord>(&encode_to_vec(&bad))
+                .map_err(|_| ())
+                .and_then(|r| r.validate().map_err(|_| ()));
+            assert!(replayed.is_err(), "replay accepts {bad:?}");
+            let err = store.append(bad.clone()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::InvalidRecord(_)),
+                "{bad:?}: {err}"
+            );
+        }
+        store.append(record(20, 4, 0.0, &[3])).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        let reopened = PatternStore::open(&dir).unwrap();
+        assert_eq!(reopened.len(), 2);
+        assert!(reopened.tail_repair().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A frame whose checksum holds but whose record breaks containment —
+    /// something only a forger writes — is damage, never indexed.
+    #[test]
+    fn replay_validates_frames_that_decode() {
+        let dir = temp_store_dir("forged");
+        {
+            let mut store = PatternStore::open(&dir).unwrap();
+            store.append(record(0, 4, 0.0, &[1, 2])).unwrap();
+            store.sync().unwrap();
+        }
+        let mut forged = record(5, 4, 0.0, &[1]);
+        forged.gatherings[0].mbr = Mbr::new(500.0, 0.0, 600.0, 50.0);
+        let payload = encode_to_vec(&forged);
+        let path = segment_path(&dir, 1);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&xxh64(&payload, 0).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match PatternStore::open(&dir) {
+            Err(StoreError::Segment {
+                source: DecodeError::Corrupt(why),
+                ..
+            }) => assert!(why.contains("gathering MBR"), "{why}"),
+            other => panic!("expected a corrupt segment, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

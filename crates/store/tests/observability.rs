@@ -15,7 +15,7 @@ use common::PanicOnNth;
 use gpdt_clustering::{ClusterDatabase, ClusteringParams};
 use gpdt_core::{CrowdParams, GatheringConfig, GatheringEngine, GatheringParams};
 use gpdt_store::{
-    FaultPlan, FaultVfs, MonitorService, PatternStore, StoreOptions, SupervisorPolicy,
+    FaultPlan, FaultVfs, MonitorService, PatternStore, StoreOptions, SupervisorPolicy, Vfs,
 };
 use gpdt_trajectory::{ObjectId, TimeInterval, Trajectory, TrajectoryDatabase};
 use std::sync::Arc;
@@ -235,6 +235,69 @@ fn seeded_fault_run_is_observable_end_to_end() {
     let _ = std::fs::remove_file(&dump);
 
     recovery_point_work_is_counted();
+    replay_work_is_counted();
+}
+
+/// `(frames, bytes)` replayed so far.
+fn replay_work(snapshot: &gpdt_obs::Snapshot) -> (u64, u64) {
+    (
+        snapshot.counter("store.replay.frames").unwrap_or(0),
+        snapshot.counter("store.replay.bytes").unwrap_or(0),
+    )
+}
+
+/// What one `PatternStore::open` of `vfs`'s store adds to the replay
+/// counters, and the number of records it replayed.
+fn reopen(vfs: &FaultVfs, options: StoreOptions) -> ((u64, u64), usize) {
+    let before = replay_work(&gpdt_obs::registry().snapshot());
+    let store = PatternStore::open_at(Arc::new(vfs.clone()), "/replay", options).unwrap();
+    let after = replay_work(&gpdt_obs::registry().snapshot());
+    ((after.0 - before.0, after.1 - before.1), store.len())
+}
+
+/// Replay's work is the log itself: one frame per stored record and every
+/// byte of every segment, the same on each reopen, nothing with
+/// `GPDT_OBS=off`.  (Called from the one `#[test]`: the registry is
+/// process-wide.)
+fn replay_work_is_counted() {
+    let options = StoreOptions {
+        max_segment_bytes: 256,
+        ..StoreOptions::default()
+    };
+    let vfs = FaultVfs::new(3);
+    let mut engine = GatheringEngine::new(config());
+    engine.ingest_trajectories(&scene());
+    let mut store = PatternStore::open_at(Arc::new(vfs.clone()), "/replay", options).unwrap();
+    for _ in 0..4 {
+        for record in engine.finalized_records() {
+            store
+                .append_crowd_record(record, engine.cluster_database())
+                .unwrap();
+        }
+        store.archive_closed_frontier(&engine).unwrap();
+    }
+    store.sync().unwrap();
+    let (stored, segments) = (store.len() as u64, store.segment_count());
+    assert!(segments >= 3, "{segments} segments");
+    drop(store);
+    let on_disk: u64 = (1..=segments)
+        .map(|i| {
+            vfs.file_len(format!("/replay/seg-{i:08}.gpdt").as_ref())
+                .unwrap()
+        })
+        .sum();
+
+    let (first, len) = reopen(&vfs, options);
+    assert_eq!(len as u64, stored);
+    assert_eq!(first, (stored, on_disk));
+    let (second, _) = reopen(&vfs, options);
+    assert_eq!(second, first, "replay counters must repeat exactly");
+
+    gpdt_obs::set_enabled(false);
+    let (silent, len) = reopen(&vfs, options);
+    gpdt_obs::set_enabled(true);
+    assert_eq!(silent, (0, 0), "GPDT_OBS=off must record nothing");
+    assert_eq!(len as u64, stored);
 }
 
 /// `(refreshes, ticks copied, records copied)` of the recovery point so far.
