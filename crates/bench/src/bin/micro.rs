@@ -1,79 +1,48 @@
-//! Microbenchmarks of the hot-path kernels, with before/after ablations.
-//!
-//! Covers the three paths this repository optimises below the engine level:
+//! Microbenchmarks of the hot-path kernels, and of the choices the product
+//! makes between live paths.
 //!
 //! * **DBSCAN** — the arena-backed CSR-grid implementation
-//!   ([`gpdt_clustering::dbscan_with`] with a reused scratch).
+//!   ([`gpdt_clustering::dbscan_with`] with a reused scratch), and its ε-grid
+//!   build on its own on a dense snapshot (a cell table) and a sparse one
+//!   (points sorted by cell key).
 //! * **`hausdorff_within`** — the grid-bucketed threshold test, the
 //!   brute-force pair scan and the calibrated dispatch between them, on
-//!   cluster pairs near the decision boundary.
+//!   cluster pairs near the decision boundary; and the SIMD kernels at the
+//!   scalar and the best detected level.
 //! * **`TickSearcher` construction** — per-tick index build under every
 //!   range-search strategy, with the reusable [`SearcherScratch`] — and one
 //!   tick of **grid range searches**: the previous tick's buckets reused as
 //!   the queries, the same queries bucketed again, and SR.
-//!
-//! * **The monitoring tick's set-up stages** — the interpolated snapshot of
-//!   a dense day in tick order (index probe vs the binary search it
-//!   replaced), the DBSCAN ε-grid build on its own (table vs the sparse-box
-//!   sort), and an occurrence table extended by one cluster vs rebuilt.
-//!
-//! * **The sharded engine's per-tick extras** — the cross-edge scan over
-//!   boundary pairs against the whole-tick index and searches it replaced
-//!   (at 50 and at 2 000 clusters a tick, and with every cluster boundary
-//!   under the hash partitioner, so the far end is on record), one tick of
-//!   the merge replay's open paths by scan and by index (where its choice
-//!   crosses over), and the supervisor's history-free shard snapshot
-//!   against the engine clone it replaced.
-//!
+//! * **The sharded merge replay's probe** — one tick of open paths by the
+//!   early-exit scan and by an index, where the replay's choice crosses over.
 //! * **The sweep's edge phase on its own** (`tick_pair_edges`) — every
 //!   strategy finding the δ-edges of two hours of an event-dense day, one
 //!   tick pair at a time, at about 46, 180 and 380 clusters a tick (1 500,
 //!   6 000 and 12 000 taxis at one density, scaled by `GPDT_SCALE`), the edge
 //!   sets asserted equal before anything is timed.
 //!
-//! * **The store and the service above the engine** — a refresh of
-//!   `MonitorService`'s structural recovery point (sixteen one-tick batches
-//!   onto a point of the city day) against the whole-state checkpoint encode
-//!   it replaced, at 100, 1 000 and 1 440 resident ticks; 30 000
-//!   random-start inserts into the store's interval index against the
-//!   sorted vector it replaced; and what reopening a 30 000-record log
-//!   re-derives (`store_reopen`): the frame checksum (FNV-1a vs XXH64), the
-//!   R-tree (one insert a record vs an STR bulk load) and the participation
-//!   index (SipHash with 16-byte postings vs a keyed fold with 8-byte ones).
+//! A group measures something the product runs.  A before/after group whose
+//! "before" lives only in this file is deleted once its numbers are recorded
+//! in `CHANGES.md`.
 //!
 //! Run with `cargo run -q --release -p gpdt-bench --bin micro`; set
 //! `CRITERION_SHIM_ITERS` to raise the per-benchmark iteration count.
 //! Results are printed and serialised to `BENCH_micro.json` (honouring
-//! `GPDT_BENCH_DIR`), with one speedup row per before/after pair.
+//! `GPDT_BENCH_DIR`), with one speedup row per pair of live paths.
 
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::BuildHasher;
-
-use criterion::{black_box, BatchSize, Criterion};
+use criterion::{black_box, Criterion};
 use gpdt_bench::report::{BenchReport, Table};
 use gpdt_clustering::{
-    dbscan_with, ClusterDatabase, ClusterId, ClusteringParams, DbscanScratch, SnapshotCluster,
+    dbscan_with, ClusterDatabase, ClusteringParams, DbscanScratch, SnapshotCluster,
     SnapshotClusterSet,
 };
-use gpdt_core::{
-    Crowd, CrowdOccurrence, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams,
-    RangeSearchStrategy, SearcherScratch, TickSearcher,
-};
+use gpdt_core::{RangeSearchStrategy, SearcherScratch, TickSearcher};
 use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
 use gpdt_geo::{
     bucketed_pair_cutoff, hausdorff_within, hausdorff_within_bruteforce, hausdorff_within_bucketed,
-    Mbr, Point, PointColumns,
+    Point, PointColumns,
 };
-use gpdt_index::rtree::Entry;
-use gpdt_index::RTree;
-use gpdt_shard::{cross_edges, GridPartitioner, Partitioner, ShardedEngine, TickLayout};
-use gpdt_store::codec::{fnv1a, xxh64};
-use gpdt_store::{
-    encode_to_vec, FoldHasher, IntervalIndex, MonitoredEngine, PatternRecord, RecoveryPoint,
-    StoredGathering,
-};
-use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp, Trajectory, TrajectoryDatabase};
+use gpdt_trajectory::{ObjectId, Timestamp, TrajectoryDatabase};
 use gpdt_workload::{generate_scenario, EventRates, ScenarioConfig, Weather};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -392,60 +361,15 @@ fn bench_tick_pair_edges(c: &mut Criterion) -> Table {
     table
 }
 
-/// `Trajectory::position_at` as it was before it probed: a binary search of
-/// the whole sample buffer, bounds read from its two ends.
-fn position_by_binary_search(trajectory: &Trajectory, t: Timestamp) -> Option<Point> {
-    let samples = trajectory.samples();
-    if t < samples[0].time || t > samples[samples.len() - 1].time {
-        return None;
-    }
-    Some(match samples.binary_search_by_key(&t, |s| s.time) {
-        Ok(idx) => samples[idx].position,
-        Err(idx) => {
-            let (before, after) = (&samples[idx - 1], &samples[idx]);
-            let frac = (t - before.time) as f64 / (after.time - before.time) as f64;
-            before.position.lerp(&after.position, frac)
-        }
-    })
-}
-
-/// The three set-up stages around the algorithms of a monitoring tick, on
-/// the `city_stream` day (1 200 taxis, 1 440 ticks, every tick sampled).
-fn bench_tick_stages(c: &mut Criterion, db: &TrajectoryDatabase) {
+/// The DBSCAN ε-grid alone, on the `city_stream` day (1 200 taxis): the
+/// midday snapshot (its cells' box gets a table), and the same taxis on a map
+/// forty times as wide, which is too sparse for one (the points are sorted by
+/// cell key instead).
+fn bench_dbscan_grid(c: &mut Criterion, db: &TrajectoryDatabase) {
     let ticks = db
         .time_domain()
         .expect("a generated day is not empty")
         .len();
-
-    // One tick's snapshot per iteration, in tick order like a stream.
-    let mut group = c.benchmark_group("snapshot_tick");
-    let mut t = 0;
-    group.bench_function("probe/1200", |b| {
-        b.iter(|| {
-            t = (t + 1) % ticks;
-            db.snapshot_columns(black_box(t))
-        })
-    });
-    let mut t = 0;
-    group.bench_function("binary_search/1200", |b| {
-        b.iter(|| {
-            t = (t + 1) % ticks;
-            let mut ids = Vec::with_capacity(db.len());
-            let mut cols = PointColumns::with_capacity(db.len());
-            for trajectory in db.iter() {
-                if let Some(p) = position_by_binary_search(trajectory, black_box(t)) {
-                    ids.push(trajectory.id());
-                    cols.push(p);
-                }
-            }
-            (ids, cols)
-        })
-    });
-    group.finish();
-
-    // The ε-grid alone: the midday snapshot (its cells' box gets a table),
-    // and the same taxis on a map forty times as wide, which is too sparse
-    // for one (the points are sorted by cell key instead).
     let eps = 200.0;
     let (_, midday) = db.snapshot_columns(ticks / 2);
     let spread = PointColumns::from_vecs(
@@ -457,27 +381,6 @@ fn bench_tick_stages(c: &mut Criterion, db: &TrajectoryDatabase) {
     for (label, columns) in [("table", &midday), ("sorted", &spread)] {
         group.bench_function(format!("{label}/{}", columns.len()), |b| {
             b.iter(|| scratch.build_grid(black_box(columns.view()), eps))
-        });
-    }
-    group.finish();
-
-    // A crowd one cluster longer: its predecessor's table cloned and
-    // extended (what the engine does where a crowd branches; the last heir
-    // skips the clone) against the table rebuilt from the first cluster.
-    let mut group = c.benchmark_group("occurrence_extend_vs_build");
-    for length in [30usize, 240] {
-        let spec = gpdt_bench::SyntheticCrowdSpec::jam_like(2013, length);
-        let (cdb, crowd) = gpdt_bench::synthetic_crowd(&spec);
-        let carried = CrowdOccurrence::build(&crowd.sub_crowd(0, length - 1), &cdb);
-        group.bench_function(format!("extend/{length}"), |b| {
-            b.iter(|| {
-                let mut table = black_box(&carried).clone();
-                table.extend(&crowd, &cdb);
-                table
-            })
-        });
-        group.bench_function(format!("build/{length}"), |b| {
-            b.iter(|| CrowdOccurrence::build(black_box(&crowd), &cdb))
         });
     }
     group.finish();
@@ -519,73 +422,12 @@ fn consecutive_ticks(
     )
 }
 
-/// What sharding adds to a tick and to a batch: finding the cross-shard
-/// edges, and keeping something to rebuild a lost shard from.
-fn bench_shard(c: &mut Criterion, rng: &mut StdRng) {
-    let (mc, delta, shards) = (8, 200.0, 2);
-    let mut group = c.benchmark_group("shard_cross_edges");
-    for (label, partitioner, count) in [
-        ("grid", Partitioner::Grid(GridPartitioner::new(1_500.0)), 50),
-        (
-            "grid",
-            Partitioner::Grid(GridPartitioner::new(1_500.0)),
-            2_000,
-        ),
-        ("hash", Partitioner::HashByObject, 2_000),
-    ] {
-        let (tails, heads) = consecutive_ticks(rng, count, delta);
-        let tail_layout = TickLayout::build(&tails, &partitioner, delta, shards);
-        let head_layout = TickLayout::build(&heads, &partitioner, delta, shards);
-        group.bench_function(format!("boundary_pairs/{label}/{count}"), |b| {
-            b.iter(|| {
-                cross_edges(
-                    (&tail_layout, black_box(&tails)),
-                    (&head_layout, black_box(&heads)),
-                    mc,
-                    delta,
-                )
-            })
-        });
-        // What the merge replay did before: index the whole tick, search it
-        // from every boundary tail, keep the results on another shard.
-        let boundary: Vec<(usize, usize)> = (0..count)
-            .filter(|&g| partitioner.is_boundary(&tails.clusters[g], delta, shards))
-            .map(|g| (g, partitioner.shard_of(&tails.clusters[g], shards)))
-            .collect();
-        let head_shards: Vec<usize> = heads
-            .clusters
-            .iter()
-            .map(|c| partitioner.shard_of(c, shards))
-            .collect();
-        let mut scratch = SearcherScratch::new();
-        let mut near = Vec::new();
-        group.bench_function(format!("index_and_search/{label}/{count}"), |b| {
-            b.iter(|| {
-                let searcher = TickSearcher::build_with(
-                    RangeSearchStrategy::Grid,
-                    black_box(&heads),
-                    delta,
-                    &mut scratch,
-                );
-                let mut edges = Vec::new();
-                for &(g, shard) in &boundary {
-                    searcher.search_into(&tails.clusters[g], &mut near);
-                    edges.extend(
-                        near.iter()
-                            .filter(|&&d| head_shards[d] != shard)
-                            .map(|&d| (g, d)),
-                    );
-                }
-                edges
-            })
-        });
-    }
-    group.finish();
-
-    // One tick of the merge replay: every open tainted path probes the tick
-    // for its continuations, with the early-exit scan (an MBR test per path
-    // and cluster) or through an index built over the tick first — where
-    // the replay's choice between the two crosses over.
+/// One tick of the sharded merge replay: every open tainted path probes the
+/// tick for its continuations, with the early-exit scan (an MBR test per path
+/// and cluster) or through an index built over the tick first — where the
+/// replay's choice between the two crosses over.
+fn bench_shard_merge(c: &mut Criterion, rng: &mut StdRng) {
+    let delta = 200.0;
     let (mut scratch, mut near) = (SearcherScratch::new(), Vec::new());
     let mut group = c.benchmark_group("shard_merge_advance");
     for (count, paths) in [
@@ -614,267 +456,6 @@ fn bench_shard(c: &mut Criterion, rng: &mut StdRng) {
         }
     }
     group.finish();
-
-    // A shard engine with 100 and with 1 000 resident ticks of 48 lingering
-    // blobs (a kilometre apart, so each is one long crowd): the state a
-    // snapshot keeps now, and the clone it used to be.
-    let config = GatheringConfig::builder()
-        .clustering(ClusteringParams::paper_default())
-        .crowd(CrowdParams::new(mc, 10, delta))
-        .gathering(GatheringParams::new(5, 6))
-        .build()
-        .expect("valid thresholds");
-    let blobs: Vec<Vec<Point>> = (0..48)
-        .map(|i| {
-            blob(
-                rng,
-                f64::from(i % 8) * 1_000.0,
-                f64::from(i / 8) * 1_000.0,
-                30,
-                120.0,
-            )
-        })
-        .collect();
-    let mut group = c.benchmark_group("shard_snapshot");
-    for resident in [100u32, 1_000] {
-        let sets = (0..resident).map(|t| SnapshotClusterSet {
-            time: t,
-            clusters: (0..48u32)
-                .map(|i| {
-                    let members = (0..30).map(|k| ObjectId::new(i * 100 + k)).collect();
-                    SnapshotCluster::new(t, members, blobs[i as usize].clone())
-                })
-                .collect(),
-        });
-        let mut engine = ShardedEngine::new(config, 1, Partitioner::HashByObject);
-        engine.ingest_clusters(ClusterDatabase::from_sets(sets.collect()));
-        group.bench_function(format!("history_free/{resident}"), |b| {
-            b.iter(|| black_box(&engine).shard_states())
-        });
-        group.bench_function(format!("engine_clone/{resident}"), |b| {
-            b.iter(|| black_box(&engine).shard_engines().to_vec())
-        });
-    }
-    group.finish();
-}
-
-/// What `MonitorService` does every `checkpoint_interval` = 16 batches, then
-/// and now, on the day `bench_tick_stages` snapshots (the e2e `city_stream`
-/// input): the whole discovery state encoded into a reused buffer, against
-/// the recovery point topped up by the sixteen ticks since.
-fn bench_service_recovery(c: &mut Criterion, db: &TrajectoryDatabase) {
-    const REPLAY: u32 = 16;
-    let config = GatheringConfig::paper_default();
-    let mut group = c.benchmark_group("service_recovery_point");
-    let mut engine = GatheringEngine::new(config).with_threads(1);
-    for resident in [100u32, 1_000, 1_440] {
-        engine.ingest_trajectories_until(db, resident - REPLAY - 1);
-        let before = engine.clone();
-        let replay: Vec<ClusterDatabase> = (resident - REPLAY..resident)
-            .map(|t| {
-                ClusterDatabase::build_interval(db, &config.clustering, TimeInterval::new(t, t))
-            })
-            .collect();
-        for batch in &replay {
-            engine.ingest_clusters(batch.clone());
-        }
-        group.bench_function(format!("structural/{resident}"), |b| {
-            b.iter_batched(
-                || (RecoveryPoint::of(&before), replay.clone()),
-                |(mut point, mut replay)| {
-                    point.top_up(black_box(&engine), &mut replay);
-                    point
-                },
-                BatchSize::PerIteration,
-            )
-        });
-        let mut bytes = Vec::new();
-        group.bench_function(format!("checkpoint_into/{resident}"), |b| {
-            b.iter(|| black_box(&engine).checkpoint_into(&mut bytes))
-        });
-    }
-    group.finish();
-}
-
-/// The store's interval index under the `store_serve` workload's lifespans —
-/// starts in random order over a long axis — against the `(start, record)`
-/// sorted vector it replaced, whose every out-of-order insert shifts half the
-/// entries.
-fn bench_store_interval(c: &mut Criterion, rng: &mut StdRng) {
-    let lifespans: Vec<TimeInterval> = (0..30_000)
-        .map(|_| {
-            let start = rng.gen_range(0u32..100_000);
-            TimeInterval::new(start, start + rng.gen_range(15u32..120))
-        })
-        .collect();
-    let mut group = c.benchmark_group("store_interval_insert");
-    group.bench_function(format!("sorted_vec/{}", lifespans.len()), |b| {
-        b.iter(|| {
-            let mut entries: Vec<(Timestamp, Timestamp, usize)> = Vec::new();
-            for (id, lifespan) in lifespans.iter().enumerate() {
-                let key = (lifespan.start, id);
-                let at = entries.partition_point(|&(s, _, r)| (s, r) < key);
-                entries.insert(at, (lifespan.start, lifespan.end, id));
-            }
-            entries
-        })
-    });
-    group.bench_function(format!("btree/{}", lifespans.len()), |b| {
-        b.iter(|| {
-            let mut index = IntervalIndex::default();
-            for (id, &lifespan) in lifespans.iter().enumerate() {
-                index.insert(lifespan, id);
-            }
-            index
-        })
-    });
-    group.finish();
-}
-
-/// `n` records shaped like the e2e `store_serve` log: one gathering each,
-/// clustered around 256 venues over a long time axis.
-fn store_records(rng: &mut StdRng, n: usize) -> Vec<PatternRecord> {
-    let venues: Vec<(f64, f64)> = (0..256)
-        .map(|_| (rng.gen_range(-5e4..5e4), rng.gen_range(-5e4..5e4)))
-        .collect();
-    (0..n)
-        .map(|_| {
-            let (vx, vy) = venues[rng.gen_range(0..venues.len())];
-            let (x, y) = (
-                vx + rng.gen_range(-400.0..400.0),
-                vy + rng.gen_range(-400.0..400.0),
-            );
-            let (w, h) = (rng.gen_range(50.0..600.0), rng.gen_range(50.0..600.0));
-            let start = rng.gen_range(0u32..100_000);
-            let ids = (start..start + rng.gen_range(15u32..120))
-                .map(|t| ClusterId::new(t, rng.gen_range(0usize..4)))
-                .collect();
-            let crowd = Crowd::new(ids);
-            let mut participators: Vec<ObjectId> = (0..rng.gen_range(10usize..40))
-                .map(|_| ObjectId::new(rng.gen_range(0u32..30_000)))
-                .collect();
-            participators.sort_unstable();
-            participators.dedup();
-            PatternRecord {
-                gatherings: vec![StoredGathering {
-                    interval: crowd.interval(),
-                    mbr: Mbr::new(x, y, x + w * 0.8, y + h * 0.8),
-                    participators,
-                }],
-                crowd,
-                mbr: Mbr::new(x, y, x + w, y + h),
-            }
-        })
-        .collect()
-}
-
-/// Every record's postings in a map of `S`, one posting per distinct
-/// participator — the loop `PatternStore` runs over a replayed log.
-fn participation<S: BuildHasher + Default, P>(
-    records: &[PatternRecord],
-    posting: impl Fn(usize, usize) -> P,
-) -> HashMap<ObjectId, Vec<P>, S> {
-    let mut map: HashMap<ObjectId, Vec<P>, S> = HashMap::default();
-    for (id, record) in records.iter().enumerate() {
-        for (g, gathering) in record.gatherings.iter().enumerate() {
-            let mut previous = None;
-            for &object in &gathering.participators {
-                if previous != Some(object) {
-                    previous = Some(object);
-                    map.entry(object).or_default().push(posting(id, g));
-                }
-            }
-        }
-    }
-    map
-}
-
-/// The three costs `PatternStore::open` used to re-derive one entry at a
-/// time, before and after, over a 30 000-record log: the frame checksum
-/// (FNV-1a vs XXH64, per payload), the R-tree (30 000 quadratic-split
-/// inserts vs one STR bulk load), and the participation index (SipHash with
-/// 16-byte postings vs the keyed fold with 8-byte ones).
-fn bench_store_reopen(c: &mut Criterion, rng: &mut StdRng) -> Table {
-    const RECORDS: usize = 30_000;
-    let records = store_records(rng, RECORDS);
-    let payloads: Vec<Vec<u8>> = records.iter().map(encode_to_vec).collect();
-    let log_bytes: usize = payloads.iter().map(Vec::len).sum();
-    let entries: Vec<Entry> = records
-        .iter()
-        .enumerate()
-        .map(|(id, r)| Entry { mbr: r.mbr, id })
-        .collect();
-    let mut group = c.benchmark_group("store_reopen");
-    group.bench_function("checksum/fnv1a", |b| {
-        b.iter(|| payloads.iter().fold(0, |acc, p| acc ^ fnv1a(black_box(p))))
-    });
-    group.bench_function("checksum/xxh64", |b| {
-        b.iter(|| {
-            payloads
-                .iter()
-                .fold(0, |acc, p| acc ^ xxh64(black_box(p), 0))
-        })
-    });
-    group.bench_function("rtree/insert", |b| {
-        b.iter(|| {
-            let mut tree = RTree::new();
-            for &entry in black_box(&entries) {
-                tree.insert(entry);
-            }
-            tree
-        })
-    });
-    group.bench_function("rtree/bulk_load", |b| {
-        b.iter_batched(
-            || entries.clone(),
-            RTree::bulk_load,
-            BatchSize::PerIteration,
-        )
-    });
-    group.bench_function("postings/sip16", |b| {
-        b.iter(|| participation::<RandomState, _>(black_box(&records), |id, g| (id, g)))
-    });
-    group.bench_function("postings/fold8", |b| {
-        b.iter(|| {
-            participation::<FoldHasher, _>(black_box(&records), |id, g| (id as u32, g as u32))
-        })
-    });
-    group.finish();
-
-    let ns = |name: &str| mean_ns(c, &format!("store_reopen/{name}")).expect("measured above");
-    let title = format!(
-        "Store reopen — {RECORDS} records, {} MB",
-        log_bytes / 1_000_000
-    );
-    let mut table = Table::new(title, &["stage", "before", "after", "speedup"]);
-    for (stage, before, after) in [
-        (
-            "checksum MB/s: FNV-1a → XXH64",
-            "checksum/fnv1a",
-            "checksum/xxh64",
-        ),
-        (
-            "R-tree ms: 30000 inserts → STR load",
-            "rtree/insert",
-            "rtree/bulk_load",
-        ),
-        (
-            "participation ms: SipHash 16 B → fold 8 B",
-            "postings/sip16",
-            "postings/fold8",
-        ),
-    ] {
-        let show = |name: &str| {
-            if before.starts_with("checksum") {
-                format!("{:.0}", log_bytes as f64 / ns(name) * 1e3)
-            } else {
-                format!("{:.2}", ns(name) / 1e6)
-            }
-        };
-        let speedup = format!("{:.2}x", ns(before) / ns(after));
-        table.add_row(vec![stage.to_string(), show(before), show(after), speedup]);
-    }
-    table
 }
 
 /// Mean time of the report entry whose name starts with `prefix`, in ns.
@@ -1034,11 +615,8 @@ fn main() {
     // The e2e `city_stream` day: 1 200 taxis, 1 440 ticks.
     let day =
         generate_scenario(&ScenarioConfig::single_day(2013, Weather::Clear).with_taxis(1_200));
-    bench_tick_stages(&mut criterion, &day.database);
-    bench_shard(&mut criterion, &mut rng);
-    bench_service_recovery(&mut criterion, &day.database);
-    bench_store_interval(&mut criterion, &mut rng);
-    let reopen_table = bench_store_reopen(&mut criterion, &mut rng);
+    bench_dbscan_grid(&mut criterion, &day.database);
+    bench_shard_merge(&mut criterion, &mut rng);
     let edge_table = bench_tick_pair_edges(&mut criterion);
 
     let mut report = BenchReport::new("micro");
@@ -1048,10 +626,7 @@ fn main() {
     }
     report.print_and_add(results);
 
-    let mut speedups = Table::new(
-        "Targeted-path speedups (baseline / optimised)",
-        &["path", "speedup"],
-    );
+    let mut speedups = Table::new("Live-path speedups (slower / faster)", &["path", "speedup"]);
     for (path, fast, slow) in [
         // One tick of GRID range searches: the previous tick's buckets
         // reused as the queries against re-bucketing each query, and against
@@ -1066,59 +641,11 @@ fn main() {
             "grid_index_search/bucket_reuse",
             "grid_index_search/sr",
         ),
-        // The sharded engine's cross-edge scan and supervision snapshot.
-        (
-            "shard cross edges (grid, 50 clusters a tick)",
-            "shard_cross_edges/boundary_pairs/grid/50",
-            "shard_cross_edges/index_and_search/grid/50",
-        ),
-        (
-            "shard cross edges (grid, 2000 clusters a tick)",
-            "shard_cross_edges/boundary_pairs/grid/2000",
-            "shard_cross_edges/index_and_search/grid/2000",
-        ),
-        (
-            "shard cross edges (hash, 2000 clusters a tick)",
-            "shard_cross_edges/boundary_pairs/hash/2000",
-            "shard_cross_edges/index_and_search/hash/2000",
-        ),
-        (
-            "shard snapshot (1000 resident ticks)",
-            "shard_snapshot/history_free/1000",
-            "shard_snapshot/engine_clone/1000",
-        ),
-        // Above the engine: the service's recovery point, the store's
-        // interval index.
-        (
-            "service recovery refresh (1440 resident ticks)",
-            "service_recovery_point/structural/1440",
-            "service_recovery_point/checkpoint_into/1440",
-        ),
-        (
-            "store interval index (30000 random-start inserts)",
-            "store_interval_insert/btree/30000",
-            "store_interval_insert/sorted_vec/30000",
-        ),
-        // The set-up stages of a monitoring tick.
-        (
-            "snapshot tick (probe vs binary search)",
-            "snapshot_tick/probe/1200",
-            "snapshot_tick/binary_search/1200",
-        ),
+        // The DBSCAN ε-grid's two layouts.
         (
             "dbscan grid build (table vs sorted, 1200 pts)",
             "dbscan_grid_build/table/1200",
             "dbscan_grid_build/sorted/1200",
-        ),
-        (
-            "occurrence table (extend vs build, 30 clusters)",
-            "occurrence_extend_vs_build/extend/30",
-            "occurrence_extend_vs_build/build/30",
-        ),
-        (
-            "occurrence table (extend vs build, 240 clusters)",
-            "occurrence_extend_vs_build/extend/240",
-            "occurrence_extend_vs_build/build/240",
         ),
     ] {
         if let (Some(f), Some(s)) = (mean_ns(&criterion, fast), mean_ns(&criterion, slow)) {
@@ -1126,7 +653,6 @@ fn main() {
         }
     }
     report.print_and_add(speedups);
-    report.print_and_add(reopen_table);
     report.print_and_add(edge_table);
 
     // Kernel-level SIMD ablation: the same columns through the scalar table

@@ -1,7 +1,7 @@
 //! The `GPDT_*` environment variables, in one table.
 //!
 //! The six the benchmark harness reads are parsed here and nowhere else.  The
-//! other ten belong to `gpdt-geo` (one) and `gpdt-obs` (nine), which read them
+//! other six belong to `gpdt-geo` (one) and `gpdt-obs` (five), which read them
 //! where they act on them; this module only documents those.
 //!
 //! | Variable | Read by | Meaning |
@@ -15,13 +15,9 @@
 //! | `GPDT_SIMD` | `gpdt_geo::simd::dispatch` | pins the geometry kernel level: `off`/`scalar`, `sse2`, `avx2`, or `auto` (default: best level the CPU supports; every level is bit-identical, so this only affects speed) |
 //! | `GPDT_OBS` | `gpdt_obs::enabled` | observability gate: `off`/`0`/`false` disables the metrics registry, stage spans and flight recorder (default: on; telemetry never changes results — the fig5 byte-compare CI step holds the stack to that) |
 //! | `GPDT_OBS_DUMP` | `gpdt_obs::dump_path` | destination of flight-recorder JSON dumps, written on panic, on degraded-mode entry and at the end of fault-injection runs (default: `gpdt-flightrec.json` under the system temp dir) |
-//! | `GPDT_OBS_EVENTS` | `gpdt_obs::flight` | capacity of the global flight-recorder ring (default 1024); evictions are reported as `dropped` in every dump and on `/flightrec` |
 //! | `GPDT_METRICS_ADDR` | `gpdt_obs::telemetry_from_env` | binds the live telemetry endpoint (`/metrics` Prometheus exposition, `/health` JSON, `/flightrec`) on `host:port` (port `0` = OS-assigned) and implies the sampler; unset = no listener (the default) |
 //! | `GPDT_OBS_SAMPLE_MS` | `gpdt_obs::sample_interval_from_env` | cadence of the windowed time-series sampler in milliseconds (default 250); setting it starts the sampler + SLO watchdog even without an endpoint |
 //! | `GPDT_TRACE` | `gpdt_obs::trace` | writes every `span!` as a Chrome trace-event (`chrome://tracing` / Perfetto) to this path at the end of fig-bin runs; unset = no capture |
-//! | `GPDT_SLO_STALL_MS` | `gpdt_obs::Watchdog::from_env` | ingest-stall watchdog threshold: fires when `service.batches` stops moving for this long (default 30000; `0` disables) |
-//! | `GPDT_SLO_FSYNC_P99_MS` | `gpdt_obs::Watchdog::from_env` | fsync-latency watchdog threshold: fires when `vfs.fsync.nanos` p99 over the last 10s exceeds this (default 2000; `0` disables) |
-//! | `GPDT_SLO_DEGRADED_MS` | `gpdt_obs::Watchdog::from_env` | degraded-dwell watchdog threshold: fires when the service sits degraded longer than this (default 10000; `0` disables) |
 
 use std::path::PathBuf;
 

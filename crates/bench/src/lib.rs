@@ -29,4 +29,3 @@ pub use fault_sweep::{crash_lattice, LatticeConfig, LatticeOutcome};
 pub use out_of_core::{ingest_bounded, ingest_resilient, OutOfCoreReport, ResilientCursor};
 pub use report::{measure, measure_with, BenchReport, MeasureOpts, Table};
 pub use scenarios::{clustered_scenario, ClusteredScenario};
-pub use synth::{synthetic_crowd, SyntheticCrowdSpec};

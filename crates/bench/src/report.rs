@@ -89,11 +89,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -124,7 +119,7 @@ impl Table {
     }
 
     /// Prints the table to standard output.
-    pub fn print(&self) {
+    fn print(&self) {
         println!("{}", self.render());
     }
 
@@ -335,7 +330,6 @@ mod tests {
         let mut t = Table::new("demo", &["x", "runtime (s)"]);
         t.add_row(vec!["5".into(), "0.123".into()]);
         t.add_row(vec!["100".into(), "1.5".into()]);
-        assert_eq!(t.row_count(), 2);
         let text = t.render();
         assert!(text.contains("== demo =="));
         assert!(text.contains("runtime (s)"));

@@ -10,21 +10,16 @@
 //!   paper).
 //! * [`snapshot`] — [`SnapshotCluster`], the per-timestamp cluster sets and
 //!   the [`ClusterDatabase`] consumed by crowd discovery.
-//! * [`prefilter`] — an optional CuTS-style pre-partitioning step that uses
-//!   simplified trajectories to split the object population into independent
-//!   groups before clustering each time window.
 //! * [`stream`] — [`StreamingClusterer`], which clusters newly appended
 //!   snapshots on demand for the streaming discovery engine.
 
 pub mod dbscan;
 pub mod params;
-pub mod prefilter;
 pub mod snapshot;
 pub mod stream;
 
 pub use dbscan::{dbscan, dbscan_with, DbscanResult, DbscanScratch};
 pub use params::ClusteringParams;
-pub use prefilter::segment_prefilter;
 pub use snapshot::{
     ClusterDatabase, ClusterId, SnapshotCluster, SnapshotClusterSet, SnapshotClusterSetBuilder,
 };

@@ -175,16 +175,6 @@ pub struct CrowdDiscoveryResult {
     pub frontier: Vec<Crowd>,
 }
 
-impl CrowdDiscoveryResult {
-    /// Closed crowds whose last cluster is at `t` (used by tests).
-    pub fn closed_ending_at(&self, t: Timestamp) -> Vec<&Crowd> {
-        self.closed_crowds
-            .iter()
-            .filter(|c| c.end_time() == t)
-            .collect()
-    }
-}
-
 /// The δ-edges leading into one tick, tail by tail, and what finding them
 /// cost.
 #[derive(Default)]

@@ -235,7 +235,7 @@ impl CrowdOccurrence {
     /// # Panics
     ///
     /// Panics if `idx` or `pos` is out of range.
-    pub fn occurs(&self, idx: usize, pos: usize) -> bool {
+    fn occurs(&self, idx: usize, pos: usize) -> bool {
         assert!(pos < self.crowd_len(), "cluster position out of range");
         (self.signature(idx)[pos / 64] >> (pos % 64)) & 1 == 1
     }

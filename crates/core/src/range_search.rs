@@ -391,7 +391,8 @@ impl<'a> TickSearcher<'a> {
     }
 
     /// Like [`Self::search`] but also reports pruning statistics.
-    pub fn search_with_stats(&self, query: &SnapshotCluster) -> (Vec<usize>, SearchStats) {
+    #[cfg(test)]
+    fn search_with_stats(&self, query: &SnapshotCluster) -> (Vec<usize>, SearchStats) {
         let mut out = Vec::new();
         let stats = self.search_into(query, &mut out);
         (out, stats)

@@ -120,7 +120,7 @@ impl Mbr {
     }
 
     /// Grows the rectangle so it also covers `p`.
-    pub fn expand_to_point(&mut self, p: Point) {
+    fn expand_to_point(&mut self, p: Point) {
         self.min_x = self.min_x.min(p.x);
         self.min_y = self.min_y.min(p.y);
         self.max_x = self.max_x.max(p.x);

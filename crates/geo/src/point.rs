@@ -109,8 +109,7 @@ impl Point {
     /// Perpendicular distance from `self` to the segment `a`–`b`.
     ///
     /// If the projection of `self` falls outside the segment the distance to
-    /// the nearest endpoint is returned.  This is the distance used by the
-    /// Douglas–Peucker simplification in the trajectory crate.
+    /// the nearest endpoint is returned.
     pub fn distance_to_segment(&self, a: &Point, b: &Point) -> f64 {
         let abx = b.x - a.x;
         let aby = b.y - a.y;

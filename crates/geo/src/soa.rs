@@ -188,7 +188,7 @@ impl PointColumns {
     }
 
     /// Appends every point of an AoS slice.
-    pub fn extend_from_points(&mut self, points: &[Point]) {
+    fn extend_from_points(&mut self, points: &[Point]) {
         self.xs.reserve(points.len());
         self.ys.reserve(points.len());
         for p in points {

@@ -64,7 +64,7 @@ fn push_help(out: &mut String, fam: &str, source: &str, kind: &str) {
 }
 
 /// Maps a dotted metric name onto the Prometheus grammar.
-pub fn sanitize(name: &str) -> String {
+fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
     out.push_str("gpdt_");
     for c in name.chars() {

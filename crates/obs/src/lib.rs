@@ -37,8 +37,7 @@
 //! that even while it is being scraped under load.
 //!
 //! `GPDT_OBS_DUMP` sets where flight-recorder dumps land (default
-//! `gpdt-flightrec.json` under the system temp directory);
-//! `GPDT_OBS_EVENTS` sizes the global flight-recorder ring.
+//! `gpdt-flightrec.json` under the system temp directory).
 
 pub mod expo;
 pub mod health;
@@ -148,7 +147,7 @@ pub fn telemetry_from_env() {
     if addr.is_none() && !sample_requested {
         return;
     }
-    let watchdog = Arc::new(Watchdog::from_env());
+    let watchdog = Arc::new(Watchdog::standard());
     let sampler = Sampler::start(
         sample_interval_from_env(),
         registry(),

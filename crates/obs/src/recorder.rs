@@ -15,15 +15,6 @@ use crate::registry::json_string;
 /// growing, small enough to be free to keep around.
 const DEFAULT_CAPACITY: usize = 1024;
 
-/// Ring capacity for the [global recorder](flight): `GPDT_OBS_EVENTS`
-/// (clamped to at least 1), defaulting to [`DEFAULT_CAPACITY`].
-fn capacity_from_env() -> usize {
-    std::env::var("GPDT_OBS_EVENTS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_CAPACITY)
-}
-
 /// One recorded supervision event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
@@ -169,11 +160,10 @@ impl FlightRecorder {
     }
 }
 
-/// The global flight recorder.  Its capacity comes from `GPDT_OBS_EVENTS`
-/// (default 1024), read once on first use.
+/// The global flight recorder, holding the last 1024 events.
 pub fn flight() -> &'static FlightRecorder {
     static FLIGHT: OnceLock<FlightRecorder> = OnceLock::new();
-    FLIGHT.get_or_init(|| FlightRecorder::with_capacity(capacity_from_env()))
+    FLIGHT.get_or_init(FlightRecorder::default)
 }
 
 /// Records into the [global recorder](flight) — the one-line call sites use.

@@ -46,12 +46,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Raises the value to `v` if it is larger (high-water marks).
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -205,9 +199,8 @@ impl HistogramSnapshot {
 ///
 /// `EngineStats`, `SearchStats`, `ShardedStats` and the service's load
 /// snapshot all implement this, so every layer's numbers can be merged into
-/// a [`Snapshot`] (or recorded as registry gauges via
-/// [`Registry::record_source`]) under `prefix.name` keys instead of each
-/// layer inventing its own reporting shape.
+/// a [`Snapshot`] under `prefix.name` keys instead of each layer inventing
+/// its own reporting shape.
 pub trait MetricSource {
     /// Key prefix, e.g. `"engine"`.
     fn metric_prefix(&self) -> &'static str;
@@ -273,16 +266,6 @@ impl Registry {
         let h: &'static Histogram = Box::leak(Box::default());
         names.histograms.insert(name.to_string(), h);
         h
-    }
-
-    /// Sets one gauge per `(name, value)` pair of `source`, keyed
-    /// `prefix.name` — the bridge from per-layer stats structs into the
-    /// registry vocabulary.
-    pub fn record_source(&self, source: &dyn MetricSource) {
-        let prefix = source.metric_prefix();
-        for (name, value) in source.metric_values() {
-            self.gauge(&format!("{prefix}.{name}")).set(value);
-        }
     }
 
     /// A point-in-time copy of every registered metric, taken without
@@ -467,10 +450,7 @@ mod tests {
         assert_eq!(r.counter("t.count").get(), 5, "same name, same handle");
 
         let g = r.gauge("t.gauge");
-        g.set(7);
-        g.set_max(3);
-        assert_eq!(g.get(), 7);
-        g.set_max(11);
+        g.set(11);
         assert_eq!(g.get(), 11);
 
         let h = r.histogram("t.hist");
@@ -555,10 +535,6 @@ mod tests {
         assert_eq!(snap.gauge("fake.a"), Some(1));
         assert_eq!(snap.gauge("fake.b"), Some(2));
         assert!(snap.gauges.windows(2).all(|w| w[0].0 < w[1].0));
-
-        let r = Registry::default();
-        r.record_source(&Fake);
-        assert_eq!(r.snapshot().gauge("fake.a"), Some(1));
     }
 
     #[test]

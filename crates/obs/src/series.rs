@@ -20,10 +20,10 @@ use crate::watchdog::Watchdog;
 
 /// Default ring bound: at the default 250ms cadence this retains ~4 minutes
 /// of windows per metric.
-pub const DEFAULT_WINDOWS: usize = 1024;
+const DEFAULT_WINDOWS: usize = 1024;
 
 /// Default sampling cadence when `GPDT_OBS_SAMPLE_MS` is unset.
-pub const DEFAULT_SAMPLE_MS: u64 = 250;
+const DEFAULT_SAMPLE_MS: u64 = 250;
 
 /// One sampling window: the half-open time range and the delta observed in
 /// it.

@@ -56,7 +56,7 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 /// Whether span capture is on — resolved once from `GPDT_TRACE` (set and
 /// non-empty means on) and cached, so the steady-state cost on every span
 /// drop is one relaxed atomic load.
-pub fn capture_enabled() -> bool {
+fn capture_enabled() -> bool {
     match TRACE_GATE.load(Ordering::Relaxed) {
         0 => {
             let on = trace_path().is_some();
@@ -67,14 +67,14 @@ pub fn capture_enabled() -> bool {
     }
 }
 
-/// Overrides the `GPDT_TRACE` capture gate for this process (tests and the
-/// worst-case overhead ablation; regular code leaves it to the environment).
-pub fn set_capture_for_tests(on: bool) {
+/// Overrides the `GPDT_TRACE` capture gate for this process.
+#[cfg(test)]
+fn set_capture_for_tests(on: bool) {
     TRACE_GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
 /// The trace output path from `GPDT_TRACE`, if set and non-empty.
-pub fn trace_path() -> Option<PathBuf> {
+fn trace_path() -> Option<PathBuf> {
     match std::env::var_os("GPDT_TRACE") {
         Some(v) if !v.is_empty() => Some(PathBuf::from(v)),
         _ => None,
@@ -124,7 +124,7 @@ pub(crate) fn record_span(name: &'static str, start: Instant, dur_nanos: u64) {
 }
 
 /// Total events captured so far across all threads (tests, progress lines).
-pub fn captured_events() -> u64 {
+fn captured_events() -> u64 {
     lock(buffers())
         .iter()
         .map(|b| lock(b).events.len() as u64)

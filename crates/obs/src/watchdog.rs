@@ -3,16 +3,17 @@
 //! `watchdog.cleared` events into the flight recorder, so "the service got
 //! slow at 14:02" is on the record even if nobody was scraping.
 //!
-//! Three rule families ship by default, each env-tunable and disableable
-//! with `0`:
+//! [`Watchdog::standard`] holds the three rules the live telemetry plane
+//! runs:
 //!
-//! | rule            | fires when                                              | knob                  | default |
-//! |-----------------|---------------------------------------------------------|-----------------------|---------|
-//! | `ingest_stall`  | `service.batches` has moved before but not recently      | `GPDT_SLO_STALL_MS`   | 30000   |
-//! | `fsync_p99`     | `vfs.fsync.nanos` p99 over the lookback above threshold | `GPDT_SLO_FSYNC_P99_MS` | 2000  |
-//! | `degraded_dwell`| the service has sat degraded too long                   | `GPDT_SLO_DEGRADED_MS`| 10000   |
+//! | rule            | fires when                                              | threshold |
+//! |-----------------|---------------------------------------------------------|-----------|
+//! | `ingest_stall`  | `service.batches` has moved before but not recently      | 30 s      |
+//! | `fsync_p99`     | `vfs.fsync.nanos` p99 over the lookback above threshold | 2 s       |
+//! | `degraded_dwell`| the service has sat degraded too long                   | 10 s      |
 //!
-//! The sampler thread calls [`Watchdog::evaluate`] after every sample; tests
+//! Other thresholds are another rule set passed to [`Watchdog::new`].  The
+//! sampler thread calls [`Watchdog::evaluate`] after every sample; tests
 //! drive it directly with an injected clock.
 
 use std::sync::Mutex;
@@ -89,13 +90,6 @@ pub struct Watchdog {
     state: Mutex<Vec<RuleState>>,
 }
 
-fn env_ms(name: &str, default_ms: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default_ms)
-}
-
 impl Watchdog {
     /// A watchdog over an explicit rule set.
     pub fn new(rules: Vec<Rule>) -> Watchdog {
@@ -106,41 +100,32 @@ impl Watchdog {
         }
     }
 
-    /// The default rule set with `GPDT_SLO_*` thresholds (milliseconds; `0`
-    /// disables a rule).
-    pub fn from_env() -> Watchdog {
-        let mut rules = Vec::new();
-        let stall_ms = env_ms("GPDT_SLO_STALL_MS", 30_000);
-        if stall_ms > 0 {
-            rules.push(Rule {
+    /// The standard rule set of the [module docs](self).
+    pub fn standard() -> Watchdog {
+        const MS: u64 = 1_000_000;
+        Watchdog::new(vec![
+            Rule {
                 name: "ingest_stall",
                 kind: RuleKind::Stall {
                     metric: "service.batches",
-                    max_age_nanos: stall_ms * 1_000_000,
+                    max_age_nanos: 30_000 * MS,
                 },
-            });
-        }
-        let fsync_ms = env_ms("GPDT_SLO_FSYNC_P99_MS", 2_000);
-        if fsync_ms > 0 {
-            rules.push(Rule {
+            },
+            Rule {
                 name: "fsync_p99",
                 kind: RuleKind::QuantileAbove {
                     metric: "vfs.fsync.nanos",
                     q: 0.99,
-                    threshold_nanos: fsync_ms * 1_000_000,
+                    threshold_nanos: 2_000 * MS,
                 },
-            });
-        }
-        let degraded_ms = env_ms("GPDT_SLO_DEGRADED_MS", 10_000);
-        if degraded_ms > 0 {
-            rules.push(Rule {
+            },
+            Rule {
                 name: "degraded_dwell",
                 kind: RuleKind::DegradedDwell {
-                    max_nanos: degraded_ms * 1_000_000,
+                    max_nanos: 10_000 * MS,
                 },
-            });
-        }
-        Watchdog::new(rules)
+            },
+        ])
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<RuleState>> {
@@ -358,8 +343,8 @@ mod tests {
     }
 
     #[test]
-    fn from_env_builds_the_default_rule_set() {
-        let wd = Watchdog::from_env();
+    fn standard_builds_the_default_rule_set() {
+        let wd = Watchdog::standard();
         let names: Vec<&str> = wd.rules.iter().map(|r| r.name).collect();
         assert_eq!(names, ["ingest_stall", "fsync_p99", "degraded_dwell"]);
     }

@@ -62,8 +62,6 @@ pub use sharded::{
     restore_sharded_from_slice, sharded_checkpoint_to_vec, SHARDED_CHECKPOINT_MAGIC,
     SHARDED_CHECKPOINT_VERSION,
 };
-#[doc(hidden)]
-pub use store::{FoldHasher, IntervalIndex};
 pub use store::{
     GatheringHit, PatternRecord, PatternStore, RecordId, StoreError, StoreOptions, StoredGathering,
     TailRepair, SEGMENT_MAGIC, SEGMENT_VERSION,

@@ -390,11 +390,9 @@ impl From<io::Error> for StoreError {
 /// `(start, record)` to the lifespan's end, beside the longest lifespan seen.
 /// An insert costs `O(log n)` wherever its start falls; a window query walks
 /// only the records that start within `longest` ticks before the window or
-/// inside it, since none that starts earlier can reach it.  Public for the
-/// `micro` bench.
-#[doc(hidden)]
+/// inside it, since none that starts earlier can reach it.
 #[derive(Debug, Default)]
-pub struct IntervalIndex {
+struct IntervalIndex {
     ends: BTreeMap<(Timestamp, RecordId), Timestamp>,
     /// `end - start` of the longest lifespan inserted.
     longest: Timestamp,
@@ -402,14 +400,14 @@ pub struct IntervalIndex {
 
 impl IntervalIndex {
     /// Adds record `id`'s lifespan.
-    pub fn insert(&mut self, interval: TimeInterval, id: RecordId) {
+    fn insert(&mut self, interval: TimeInterval, id: RecordId) {
         let span = interval.end.saturating_sub(interval.start);
         self.longest = self.longest.max(span);
         self.ends.insert((interval.start, id), interval.end);
     }
 
     /// Record ids whose interval intersects `window`, ascending.
-    pub fn stab(&self, window: TimeInterval) -> Vec<RecordId> {
+    fn stab(&self, window: TimeInterval) -> Vec<RecordId> {
         let earliest = window.start.saturating_sub(self.longest);
         let starts = (earliest, RecordId::MIN)..=(window.end, RecordId::MAX);
         let mut out: Vec<RecordId> = self
@@ -440,10 +438,9 @@ impl FromIterator<(TimeInterval, RecordId)> for IntervalIndex {
 /// The participation index's hasher, the folded multiply of hashbrown's
 /// default `foldhash`: state ^ word times an odd key, the 128-bit product's
 /// halves folded.  Both keys come from std's `RandomState` once per map, so
-/// crafted object ids cannot choose buckets.  Public for the `micro` bench.
-#[doc(hidden)]
+/// crafted object ids cannot choose buckets.
 #[derive(Debug, Clone, Copy)]
-pub struct FoldHasher {
+struct FoldHasher {
     seed: u64,
     multiplier: u64,
     state: u64,
@@ -1021,11 +1018,6 @@ impl PatternStore {
     /// Record ids of crowds whose lifespan intersects `window`, ascending.
     pub fn crowds_in_window(&self, window: TimeInterval) -> Vec<RecordId> {
         self.intervals.stab(window)
-    }
-
-    /// Record ids of crowds whose MBR intersects `region`, ascending.
-    pub fn crowds_in_region(&self, region: &Mbr) -> Vec<RecordId> {
-        self.rtree.window_query(region)
     }
 
     /// The region × time-window query: all stored gatherings whose MBR

@@ -106,11 +106,6 @@ impl TrajectoryDatabase {
         self.trajectories.values()
     }
 
-    /// All object ids, ordered.
-    pub fn object_ids(&self) -> Vec<ObjectId> {
-        self.trajectories.keys().copied().collect()
-    }
-
     /// The time domain `TDB`: the interval spanned by all lifespans, or
     /// `None` for an empty database.
     pub fn time_domain(&self) -> Option<TimeInterval> {
@@ -151,9 +146,6 @@ impl TrajectoryDatabase {
     }
 
     /// Restricts the database to trajectories of the given objects.
-    ///
-    /// Used by the `|ODB|` scalability sweeps, which sample random subsets of
-    /// the object population.
     pub fn filter_objects(&self, ids: &[ObjectId]) -> TrajectoryDatabase {
         let wanted: std::collections::BTreeSet<ObjectId> = ids.iter().copied().collect();
         TrajectoryDatabase::from_trajectories(
@@ -206,11 +198,6 @@ impl DatabaseBuilder {
             .or_default()
             .push(Sample::new(time, position));
         self
-    }
-
-    /// Number of observations recorded so far.
-    pub fn sample_count(&self) -> usize {
-        self.samples.values().map(Vec::len).sum()
     }
 
     /// Builds the database; objects with no observations are absent.
@@ -364,7 +351,6 @@ mod tests {
         b.push(ObjectId::new(1), 2, Point::new(1.0, 1.0));
         b.push(ObjectId::new(2), 0, Point::new(0.0, 0.0));
         b.push(ObjectId::new(1), 0, Point::new(0.0, 0.0));
-        assert_eq!(b.sample_count(), 3);
         let db = b.build();
         assert_eq!(db.len(), 2);
         assert_eq!(db.get(ObjectId::new(1)).unwrap().len(), 2);
@@ -381,6 +367,5 @@ mod tests {
         assert_eq!(db.len(), 0);
         assert_eq!(db.total_samples(), 0);
         assert!(db.snapshot(0).is_empty());
-        assert!(db.object_ids().is_empty());
     }
 }

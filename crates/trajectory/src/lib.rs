@@ -10,8 +10,6 @@
 //!   positions at a time point, creating **virtual points by linear
 //!   interpolation** for objects whose samples are not synchronised with the
 //!   time domain,
-//! * [`simplify`] provides the Douglas–Peucker polyline simplification used
-//!   by the CuTS-style pre-clustering of the snapshot-clustering phase,
 //! * [`io`] provides a small line-oriented text format for persisting and
 //!   reloading trajectory datasets (object id, timestamp, x, y per line).
 //!
@@ -21,11 +19,9 @@
 
 pub mod database;
 pub mod io;
-pub mod simplify;
 pub mod trajectory;
 pub mod types;
 
 pub use database::{DatabaseBuilder, Snapshot, TrajectoryDatabase};
-pub use simplify::douglas_peucker;
 pub use trajectory::{Sample, Trajectory};
 pub use types::{ObjectId, TimeInterval, Timestamp};

@@ -228,12 +228,6 @@ impl ScenarioConfig {
         self.num_taxis = num_taxis;
         self
     }
-
-    /// Returns a copy with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for ScenarioConfig {
@@ -289,7 +283,6 @@ mod tests {
         let a = ScenarioConfig::small_demo(7);
         let b = ScenarioConfig::small_demo(7);
         assert_eq!(a, b);
-        assert_eq!(a.with_seed(9).seed, 9);
         assert_eq!(a.with_taxis(500).num_taxis, 500);
         let day = ScenarioConfig::single_day(1, Weather::Snowy);
         assert_eq!(day.duration, 1_440);
