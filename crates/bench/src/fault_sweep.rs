@@ -304,11 +304,13 @@ pub fn mine_under_faults(
     let vfs = FaultVfs::with_plan(
         seed,
         FaultPlan {
-            // Early enough to land mid-run on any non-trivial workload;
-            // the re-armed kill is generous so even a huge batch (whose
-            // appends + sync + cursor write all count) can finish between
-            // crashes instead of livelocking.
-            kill_at: Some(50),
+            // Early enough to land mid-run on any non-trivial workload:
+            // opening the store takes four operations and each batch six
+            // (its group write and fsync, the cursor's create, write, fsync
+            // and rename), so the kill lands in the second batch.  The
+            // re-armed kill is generous so even a huge batch can finish
+            // between crashes instead of livelocking.
+            kill_at: Some(12),
             kill_every: Some(20_000),
             transient_write_one_in: Some(101),
             transient_sync_one_in: Some(97),

@@ -63,10 +63,15 @@ pub struct OutOfCoreReport {
 /// *not* archived — call [`PatternStore::archive_closed_frontier`] after the
 /// stream ends if the store should become a complete archive.
 ///
+/// Each batch's spill ends with the store's write barrier
+/// ([`PatternStore::flush`]), so its records reach the segment file
+/// together and a write error surfaces here rather than at the store's
+/// drop.  They are crash-durable only after [`PatternStore::sync`].
+///
 /// # Errors
 ///
-/// Propagates store errors; records appended before a failure stay
-/// appended.
+/// Propagates store errors, the barrier's included; records acknowledged
+/// before a failure stay in the store, queued for its next barrier.
 pub fn ingest_bounded<I>(
     engine: &mut GatheringEngine,
     sets: I,
@@ -107,7 +112,8 @@ fn batch_budget(budget_bytes: usize) -> usize {
     (budget_bytes / 4).max(1)
 }
 
-/// Ingests one pending batch, spills what it finalized, then evicts.
+/// Ingests one pending batch, spills what it finalized and writes it out,
+/// then evicts.
 fn flush(
     engine: &mut GatheringEngine,
     store: &mut PatternStore,
@@ -128,6 +134,7 @@ fn flush(
         store.append_crowd_record(&record, engine.cluster_database())?;
         report.spilled_records += 1;
     }
+    store.flush()?;
     // The spilled records no longer pin history; reclaim eagerly instead of
     // waiting for the next ingest's deferred eviction.
     engine.evict_retired_clusters();

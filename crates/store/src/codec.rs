@@ -195,9 +195,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// XXH64 of `bytes` under `seed`: the 64-bit checksum zstd frames carry, and
-/// the segment log's frame checksum at seed 0.  Four independent lanes over
-/// 32-byte stripes run at memory speed, where [`fnv1a`] waits on a multiply
-/// per byte.
+/// the segment log's frame checksum, seeded with the record id.  Four
+/// independent lanes over 32-byte stripes run at memory speed, where
+/// [`fnv1a`] waits on a multiply per byte.
 pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
     const P1: u64 = 0x9E37_79B1_85EB_CA87;
     const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;

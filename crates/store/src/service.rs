@@ -737,6 +737,9 @@ struct IngestWorker<'a, E: MonitoredEngine> {
     /// Engine-finalized records accounted for in the store, as a prefix:
     /// either appended by us or verified equal to a pre-existing record.
     accounted: usize,
+    /// Records appended since the last successful store flush: the write
+    /// barrier is still owed.
+    unflushed: bool,
     /// `false` once a fatal fault halted durable storage for the session.
     storing: bool,
     /// Batches queued while degraded, drained in order on recovery.
@@ -775,6 +778,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
             policy,
             rng,
             accounted: 0,
+            unflushed: false,
             storing: true,
             queue: VecDeque::new(),
             recovery,
@@ -1139,13 +1143,17 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
     /// records — crash recovery backfills `finalized[store.len()..]`, so
     /// skipping a failed record would leave a permanent hole and duplicate
     /// its successors.  On a transient fault the cursor therefore stops at
-    /// the failed record (a failed append rolls the log back, so that is
-    /// safe).  A fatal fault (invalid record, divergent store) halts
+    /// the failed record (a failed append takes its frame back out, so that
+    /// is safe).  A fatal fault (invalid record, divergent store) halts
     /// durable storage entirely — discovery keeps running — instead of
     /// livelocking.
+    ///
+    /// The pass ends with the store's write barrier, so a batch's records
+    /// reach the segment file together; a failed barrier write is retried
+    /// like a failed append, even by a pass with nothing left to append.
     fn sync_store(&mut self) -> Result<(), SyncFailure> {
         let records = self.engine.finalized_feed();
-        if self.accounted >= records.len() {
+        if self.accounted >= records.len() && !self.unflushed {
             return Ok(());
         }
         let cdb = self.engine.resolve_database();
@@ -1192,7 +1200,10 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                 break;
             }
             match store.append_crowd_record(record, cdb) {
-                Ok(_) => self.accounted += 1,
+                Ok(_) => {
+                    self.accounted += 1;
+                    self.unflushed = true;
+                }
                 Err(err) if err.is_transient() => {
                     transient = Some(err);
                     break;
@@ -1204,6 +1215,19 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                         self.accounted
                     ));
                     break;
+                }
+            }
+        }
+        if self.unflushed && halted.is_none() && transient.is_none() {
+            match store.flush() {
+                Ok(()) => self.unflushed = false,
+                Err(err) if err.is_transient() => transient = Some(err),
+                Err(err) => {
+                    halted = Some(format!(
+                        "the store failed to write finalized records up to #{} ({err}); \
+                         halting durable storage, discovery continues",
+                        self.accounted
+                    ));
                 }
             }
         }

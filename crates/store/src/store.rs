@@ -15,13 +15,28 @@
 //! ```
 //!
 //! The payload is one [`PatternRecord`] in the [`crate::codec`] format, sealed
-//! with [`xxh64`] at seed 0.  The log is append-only: records are never
-//! rewritten, and a new segment is started once the active one exceeds
-//! [`StoreOptions::max_segment_bytes`].  On [`PatternStore::open`] every
-//! segment is replayed in one pass — frames parsed in place, each record held
-//! to [`PatternRecord::validate`] as `append` holds it, the indexes built in
-//! bulk; a torn tail in the *last* segment (the crash-during-append case) is
-//! truncated away, while damage anywhere else is reported as an error.
+//! with [`xxh64`] seeded with the record's id, so the checksum seals where a
+//! frame sits in the log as well as what it holds: a frame moved to another
+//! position fails it.  The log is append-only: records are never rewritten,
+//! and a new segment is started once the active one exceeds
+//! [`StoreOptions::max_segment_bytes`].
+//!
+//! # Group commit
+//!
+//! [`PatternStore::append`] encodes each frame in place at the end of one
+//! group buffer; the buffer reaches the segment file with a single `write`
+//! once it holds 256 KiB, or at a barrier — [`PatternStore::flush`],
+//! [`PatternStore::sync`], a segment rotation or drop.  A failed group write
+//! truncates the file back to its last whole frame and keeps the group
+//! queued for the next barrier, so the log never holds a torn frame.
+//!
+//! # Replay
+//!
+//! On [`PatternStore::open`] every segment is replayed in one pass — frames
+//! parsed in place, each record held to [`PatternRecord::validate`] as
+//! `append` holds it, the indexes built in bulk; a torn tail in the *last*
+//! segment (the crash-during-write case) is truncated away, while damage
+//! anywhere else is reported as an error.
 //!
 //! # Query indexes
 //!
@@ -43,7 +58,7 @@ use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::{BuildHasher, Hasher};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -55,7 +70,7 @@ use gpdt_index::RTree;
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp};
 
 use crate::codec::{
-    decode_from_slice, encode_to_vec, read_header, write_header, xxh64, Decode, DecodeError, Encode,
+    decode_from_slice, read_header, write_header, xxh64, Decode, DecodeError, Encode,
 };
 use crate::model::{mbr_is_valid, ticks_are_consecutive};
 use crate::vfs::{RealVfs, Vfs, VfsFile};
@@ -63,8 +78,9 @@ use crate::vfs::{RealVfs, Vfs, VfsFile};
 /// Magic string at the start of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"GPDTSEG\0";
 
-/// Current segment format version (2: frames sealed with XXH64).
-pub const SEGMENT_VERSION: u16 = 2;
+/// Current segment format version (3: frames sealed with XXH64 seeded with
+/// the record id).
+pub const SEGMENT_VERSION: u16 = 3;
 
 /// Number of bytes of a segment header.
 const SEGMENT_HEADER_BYTES: u64 = 10;
@@ -72,6 +88,10 @@ const SEGMENT_HEADER_BYTES: u64 = 10;
 /// Largest frame payload either side accepts: no writer comes near it, so a
 /// longer length prefix means the bytes at the cursor are not a frame.
 const FRAME_CAP: usize = 1 << 30;
+
+/// Bytes of queued frames that make the active group full: the append that
+/// reaches it writes the group out.
+const GROUP_BYTES: usize = 256 * 1024;
 
 /// Identifier of a record within a store: its zero-based append position.
 pub type RecordId = usize;
@@ -510,13 +530,31 @@ fn post_participators(participation: &mut Participation, id: u32, record: &Patte
     }
 }
 
-/// The open write handle of the active (last) segment.
+/// The open write handle of the active (last) segment and its group of
+/// queued frames.
 #[derive(Debug)]
 struct ActiveSegment {
     index: u32,
-    writer: BufWriter<Box<dyn VfsFile>>,
-    /// Current size of the segment in bytes (header included).
+    file: Box<dyn VfsFile>,
+    /// Bytes of the segment written to the file (header included).
     bytes: u64,
+    /// Whole frames appended but not yet written, in append order.
+    pending: Vec<u8>,
+    /// A failed write may have left bytes past `bytes` in the file that its
+    /// truncation could not remove: cut them before the next write.
+    torn: bool,
+}
+
+impl ActiveSegment {
+    fn new(index: u32, file: Box<dyn VfsFile>, bytes: u64) -> Self {
+        ActiveSegment {
+            index,
+            file,
+            bytes,
+            pending: Vec::new(),
+            torn: false,
+        }
+    }
 }
 
 /// Report of a torn-tail repair performed while opening a store: bytes past
@@ -648,21 +686,16 @@ impl PatternStore {
                             }
                             vfs.truncate(&path, valid_len)?;
                         }
-                        let mut writer = BufWriter::new(vfs.open_append(&path)?);
+                        let mut file = vfs.open_append(&path)?;
                         let mut bytes = valid_len;
                         if valid_len < SEGMENT_HEADER_BYTES {
                             // Not even the header survived (crash during
                             // rotation): rewrite it so the segment is whole
                             // again.
-                            write_header(&mut writer, &SEGMENT_MAGIC, SEGMENT_VERSION)?;
-                            writer.flush()?;
+                            write_segment_header(&mut *file)?;
                             bytes = SEGMENT_HEADER_BYTES;
                         }
-                        active = Some(ActiveSegment {
-                            index,
-                            writer,
-                            bytes,
-                        });
+                        active = Some(ActiveSegment::new(index, file, bytes));
                     }
                 }
                 active.expect("the last segment produced the active handle")
@@ -738,23 +771,16 @@ impl PatternStore {
     /// turn the retry's `create_new` into a spurious `AlreadyExists`.
     fn create_segment(vfs: &dyn Vfs, dir: &Path, index: u32) -> Result<ActiveSegment, StoreError> {
         let path = segment_path(dir, index);
-        let mut writer = BufWriter::new(vfs.create_new(&path)?);
-        let written = write_header(&mut writer, &SEGMENT_MAGIC, SEGMENT_VERSION)
-            .and_then(|()| writer.flush())
-            .and_then(|()| writer.get_mut().sync());
+        let mut file = vfs.create_new(&path)?;
+        let written = write_segment_header(&mut *file).and_then(|()| file.sync());
         if let Err(err) = written {
-            // Drop the buffered header instead of flushing it on drop, then
-            // clean up (best-effort: a failure here only re-creates the
-            // crash-during-rotation case replay already repairs).
-            let _ = writer.into_parts();
+            drop(file);
+            // Best-effort: a failure here only re-creates the
+            // crash-during-rotation case replay already repairs.
             let _ = vfs.remove_file(&path);
             return Err(err.into());
         }
-        Ok(ActiveSegment {
-            index,
-            writer,
-            bytes: SEGMENT_HEADER_BYTES,
-        })
+        Ok(ActiveSegment::new(index, file, SEGMENT_HEADER_BYTES))
     }
 
     /// Replays one segment, pushing its records onto `out`; returns the byte
@@ -783,7 +809,7 @@ impl PatternStore {
         }
         let mut offset = SEGMENT_HEADER_BYTES as usize;
         while offset < data.len() {
-            match parse_frame(&data[offset..]) {
+            match parse_frame(&data[offset..], out.len() as u64) {
                 Ok((record, frame_len)) if u32::try_from(out.len()).is_ok() => {
                     out.push(record);
                     offset += frame_len;
@@ -806,53 +832,37 @@ impl PatternStore {
 
     /// Appends a record to the log and indexes it.
     ///
-    /// The record is written through a buffered writer; call
-    /// [`PatternStore::sync`] to force it to stable storage.
+    /// An acknowledged record is indexed at once and its frame queued in the
+    /// active group.  The frame reaches the segment file when the group
+    /// fills (256 KiB), at [`PatternStore::flush`], [`PatternStore::sync`],
+    /// a segment rotation or drop; it is crash-durable after the next
+    /// [`PatternStore::sync`].
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::InvalidRecord`] if the record fails
     /// [`PatternRecord::validate`], is too large for a frame or would get an
-    /// id past `u32::MAX`, and propagates I/O errors otherwise — classify
-    /// with [`StoreError::is_transient`] before retrying.  Every frame is
-    /// written *and flushed* before the append is acknowledged, so
-    /// `active.bytes` always equals the on-disk length of the segment at
-    /// append boundaries; on an I/O error the partial frame is rolled back,
-    /// the log stays intact, and the append can simply be retried.  The
-    /// in-memory state is only updated on success.
+    /// id past `u32::MAX`, and propagates I/O errors of the group write or
+    /// rotation this append triggers — classify with
+    /// [`StoreError::is_transient`] before retrying.  On an error the
+    /// record's own frame is taken back out and nothing is indexed; frames
+    /// acknowledged before it stay queued for the next barrier, and the
+    /// segment file never holds a torn frame, so the append can simply be
+    /// retried.
     pub fn append(&mut self, record: PatternRecord) -> Result<RecordId, StoreError> {
         let _span = gpdt_obs::span!("store.append");
         record.validate().map_err(StoreError::InvalidRecord)?;
         let Ok(posting_id) = u32::try_from(self.records.len()) else {
             return Err(StoreError::InvalidRecord("record id past u32::MAX"));
         };
-        let payload = encode_to_vec(&record);
-        // Mirror the reader's frame-size cap: a frame replay would refuse
-        // must never be written in the first place.
-        if payload.len() > FRAME_CAP {
-            return Err(StoreError::InvalidRecord(
-                "record payload exceeds the 1 GiB frame cap",
-            ));
+        let frame_len = queue_frame(&mut self.active.pending, &record, posting_id)?;
+        if let Err(err) = self.commit_frame(frame_len) {
+            // The frame is still the last thing queued: only bytes before
+            // it are ever written or moved.
+            let pending = &mut self.active.pending;
+            pending.truncate(pending.len() - frame_len);
+            return Err(err);
         }
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&xxh64(&payload, 0).to_le_bytes());
-        if self.active.bytes + frame.len() as u64 > self.options.max_segment_bytes
-            && self.active.bytes > SEGMENT_HEADER_BYTES
-        {
-            self.rotate()?;
-        }
-        let writer = &mut self.active.writer;
-        let written = writer.write_all(&frame).and_then(|()| writer.flush());
-        if let Err(err) = written {
-            // A torn frame in the stream would make replay drop every later
-            // record as a "torn tail"; reopen the segment at its last good
-            // offset so the failed append leaves no trace.
-            self.rollback_active();
-            return Err(err.into());
-        }
-        self.active.bytes += frame.len() as u64;
         let id = self.records.len();
         self.intervals.insert(record.interval(), id);
         self.rtree.insert(Entry {
@@ -864,27 +874,46 @@ impl PatternStore {
         Ok(id)
     }
 
-    /// Discards a partially written frame after a failed append: reopens the
-    /// active segment truncated to its last known-good length and replaces
-    /// the writer, dropping the old writer's buffer without flushing it.
-    ///
-    /// Sound because every acknowledged append was flushed, so the on-disk
-    /// length is never *behind* `active.bytes` — truncation can only remove
-    /// partial-frame bytes, never create a hole over buffered good data.
-    /// Best-effort — if the reopen itself fails the old writer stays (and
-    /// will keep failing loudly).
-    fn rollback_active(&mut self) {
-        let path = segment_path(&self.dir, self.active.index);
-        if self.vfs.truncate(&path, self.active.bytes).is_err() {
-            return;
+    /// Places the frame just queued: seals the active segment first when the
+    /// frame would overflow it (the frame opens the next one), then writes
+    /// the group out once it is full.
+    fn commit_frame(&mut self, frame_len: usize) -> Result<(), StoreError> {
+        let before = self.active.pending.len() - frame_len;
+        let segment_bytes = self.active.bytes + before as u64;
+        if segment_bytes + frame_len as u64 > self.options.max_segment_bytes
+            && segment_bytes > SEGMENT_HEADER_BYTES
+        {
+            self.rotate(before)?;
         }
-        let Ok(file) = self.vfs.open_append(&path) else {
-            return;
-        };
-        let torn = std::mem::replace(&mut self.active.writer, BufWriter::new(file));
-        // `into_parts` hands the buffered bytes back instead of flushing
-        // them on drop, which would re-append the torn frame.
-        let _ = torn.into_parts();
+        if self.active.pending.len() >= GROUP_BYTES {
+            self.write_pending(self.active.pending.len())?;
+        }
+        Ok(())
+    }
+
+    /// Writes the first `len` queued bytes — whole frames — to the active
+    /// segment with one `write_all`.
+    ///
+    /// On failure the file is truncated back to its written length, so it
+    /// never holds a torn frame, and the bytes stay queued for the next
+    /// barrier to retry.
+    fn write_pending(&mut self, len: usize) -> io::Result<()> {
+        if len == 0 {
+            return Ok(());
+        }
+        let active = &mut self.active;
+        let path = || segment_path(&self.dir, active.index);
+        if active.torn {
+            self.vfs.truncate(&path(), active.bytes)?;
+            active.torn = false;
+        }
+        if let Err(err) = active.file.write_all(&active.pending[..len]) {
+            active.torn = self.vfs.truncate(&path(), active.bytes).is_err();
+            return Err(err);
+        }
+        active.bytes += len as u64;
+        active.pending.drain(..len);
+        Ok(())
     }
 
     /// Converts and appends one engine [`CrowdRecord`] (see
@@ -911,10 +940,16 @@ impl PatternStore {
     /// [`MonitorService`](crate::service::MonitorService) with it (the
     /// service detects the mismatch and refuses to append).
     ///
+    /// Ends with the write barrier ([`PatternStore::flush`]), so the
+    /// archived records are in the segment file — crash-durable after
+    /// [`PatternStore::sync`] — and a write error surfaces here rather than
+    /// at drop.
+    ///
     /// # Errors
     ///
-    /// Propagates errors of [`PatternStore::append`]; records appended
-    /// before the failure stay appended.
+    /// Propagates errors of [`PatternStore::append`] and of the barrier.
+    /// Records acknowledged before the failure stay in the store, queued
+    /// for the next barrier.
     pub fn archive_closed_frontier(
         &mut self,
         engine: &GatheringEngine,
@@ -931,11 +966,14 @@ impl PatternStore {
                 appended += 1;
             }
         }
+        self.flush()?;
         Ok(appended)
     }
 
-    /// Seals the active segment durably and starts the next one.
-    fn rotate(&mut self) -> Result<(), StoreError> {
+    /// Seals the active segment durably — its first `sealed` queued bytes
+    /// written and fsynced — and starts the next one, which takes over the
+    /// rest of the group.
+    fn rotate(&mut self, sealed: usize) -> Result<(), StoreError> {
         let _span = gpdt_obs::span!("store.rotate");
         if gpdt_obs::enabled() {
             gpdt_obs::counter!("store.rotations").inc();
@@ -944,32 +982,34 @@ impl PatternStore {
         // must hit stable storage now — otherwise a later `sync()` would
         // claim durability for records living only in the page cache of a
         // file nobody syncs.
-        self.active.writer.flush()?;
-        self.active.writer.get_mut().sync()?;
-        let next = self.active.index + 1;
-        self.active = Self::create_segment(self.vfs.as_ref(), &self.dir, next)?;
+        self.write_pending(sealed)?;
+        self.active.file.sync()?;
+        let mut next = Self::create_segment(self.vfs.as_ref(), &self.dir, self.active.index + 1)?;
+        next.pending = std::mem::take(&mut self.active.pending);
+        self.active = next;
         Ok(())
     }
 
-    /// Flushes buffered appends to the operating system.
+    /// The write barrier: writes every queued frame to the active segment.
     ///
     /// # Errors
     ///
-    /// Propagates writer I/O errors.
+    /// Propagates the write's I/O error; the frames stay queued, and the
+    /// file holds none of them.
     pub fn flush(&mut self) -> Result<(), StoreError> {
-        self.active.writer.flush()?;
+        self.write_pending(self.active.pending.len())?;
         Ok(())
     }
 
-    /// Flushes and fsyncs the active segment, making all appended records
-    /// crash-durable.
+    /// Writes every queued frame and fsyncs the active segment, making all
+    /// appended records crash-durable.
     ///
     /// # Errors
     ///
-    /// Propagates writer I/O errors.
+    /// Propagates write and fsync I/O errors.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.active.writer.flush()?;
-        self.active.writer.get_mut().sync()?;
+        self.flush()?;
+        self.active.file.sync()?;
         Ok(())
     }
 
@@ -1101,15 +1141,70 @@ impl PatternStore {
 }
 
 impl Drop for PatternStore {
+    /// Writes the queued group out.  Drop cannot return the write's error:
+    /// frames it fails to write are lost, so it is counted
+    /// (`store.drop.unwritten_bytes`) and journalled in the flight
+    /// recorder.  Callers that must see the error end with
+    /// [`PatternStore::flush`] or [`PatternStore::sync`].
     fn drop(&mut self) {
-        let _ = self.active.writer.flush();
+        let unwritten = self.active.pending.len();
+        if let Err(err) = self.flush() {
+            if gpdt_obs::enabled() {
+                gpdt_obs::counter!("store.drop.unwritten_bytes").add(unwritten as u64);
+                gpdt_obs::record_event(
+                    "store.drop.write_failed",
+                    None,
+                    format!(
+                        "{unwritten} queued bytes never reached segment {}: {err}",
+                        self.active.index
+                    ),
+                );
+            }
+        }
     }
 }
 
-/// Parses the frame at the start of `bytes` in place: the validated record
-/// and the frame's length.  A length past [`FRAME_CAP`] reads as truncation,
-/// so a garbage tail after a crash is repaired rather than fatal.
-fn parse_frame(bytes: &[u8]) -> Result<(PatternRecord, usize), DecodeError> {
+/// Writes a segment header with one `write`, so it never lands in two
+/// pieces.
+fn write_segment_header(file: &mut dyn VfsFile) -> io::Result<()> {
+    let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
+    write_header(&mut header, &SEGMENT_MAGIC, SEGMENT_VERSION)
+        .expect("writing to a Vec never fails");
+    file.write_all(&header)
+}
+
+/// Encodes record `id`'s frame in place at the end of `pending`: a length
+/// placeholder, the payload straight after it, the length patched in and
+/// the XXH64 sealed under the id.  Returns the frame's length; a payload
+/// past [`FRAME_CAP`] — which replay would refuse — is taken back out.
+fn queue_frame(
+    pending: &mut Vec<u8>,
+    record: &PatternRecord,
+    id: u32,
+) -> Result<usize, StoreError> {
+    let start = pending.len();
+    pending.extend_from_slice(&[0; 4]);
+    record
+        .encode(pending)
+        .expect("writing to a Vec never fails");
+    let len = pending.len() - start - 4;
+    if len > FRAME_CAP {
+        pending.truncate(start);
+        return Err(StoreError::InvalidRecord(
+            "record payload exceeds the 1 GiB frame cap",
+        ));
+    }
+    pending[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = xxh64(&pending[start + 4..], u64::from(id));
+    pending.extend_from_slice(&sum.to_le_bytes());
+    Ok(pending.len() - start)
+}
+
+/// Parses the frame of record `id` at the start of `bytes` in place: the
+/// validated record and the frame's length.  A length past [`FRAME_CAP`]
+/// reads as truncation, so a garbage tail after a crash is repaired rather
+/// than fatal; a frame sealed under another id fails its checksum.
+fn parse_frame(bytes: &[u8], id: u64) -> Result<(PatternRecord, usize), DecodeError> {
     let (len, rest) = bytes
         .split_first_chunk::<4>()
         .ok_or(DecodeError::UnexpectedEof)?;
@@ -1121,7 +1216,7 @@ fn parse_frame(bytes: &[u8]) -> Result<(PatternRecord, usize), DecodeError> {
         .split_at_checked(len)
         .ok_or(DecodeError::UnexpectedEof)?;
     let sum = rest.first_chunk::<8>().ok_or(DecodeError::UnexpectedEof)?;
-    if u64::from_le_bytes(*sum) != xxh64(payload, 0) {
+    if u64::from_le_bytes(*sum) != xxh64(payload, id) {
         return Err(DecodeError::ChecksumMismatch);
     }
     let record: PatternRecord = decode_from_slice(payload)?;
@@ -1137,7 +1232,8 @@ fn segment_path(dir: &Path, index: u32) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::FaultVfs;
+    use crate::codec::encode_to_vec;
+    use crate::vfs::{FaultPlan, FaultVfs};
     use gpdt_clustering::ClusterId;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1354,9 +1450,10 @@ mod tests {
         }
         let path = segment_path(&dir, 1);
         let pristine = std::fs::read(&path).unwrap();
-        // A future version, and version 1 exactly: the FNV-1a-sealed layout
+        // A future version, version 1 exactly (the FNV-1a-sealed layout) and
+        // version 2 (XXH64 at seed 0, blind to a frame's position): layouts
         // this reader no longer understands.
-        for found in [0xFFFF, 1] {
+        for found in [0xFFFF, 1, 2] {
             let mut bytes = pristine.clone();
             bytes[8..10].copy_from_slice(&u16::to_le_bytes(found));
             std::fs::write(&path, &bytes).unwrap();
@@ -1655,7 +1752,8 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&xxh64(&payload, 0).to_le_bytes());
+        // Sealed as record 1, the position it is forged into.
+        bytes.extend_from_slice(&xxh64(&payload, 1).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         match PatternStore::open(&dir) {
             Err(StoreError::Segment {
@@ -1739,7 +1837,8 @@ mod tests {
         assert!(store.segment_count() > 1, "rotation must happen");
         store.sync().unwrap();
         let synced = store.len();
-        // More appends that are flushed but never synced, then a crash.
+        // More appends that are written at drop but never synced, then a
+        // crash.
         for i in 12..16u32 {
             store.append(record(i, 3, f64::from(i), &[i])).unwrap();
         }
@@ -1754,6 +1853,86 @@ mod tests {
         for (i, rec) in store.records().iter().enumerate() {
             assert_eq!(rec.interval().start, i as u32, "prefix must be intact");
         }
+    }
+
+    /// The records of the whole frames in the first segment's bytes, and
+    /// whether those frames run exactly to its end.
+    fn whole_frames(bytes: &[u8]) -> (Vec<PatternRecord>, bool) {
+        let mut records = Vec::new();
+        let mut offset = SEGMENT_HEADER_BYTES as usize;
+        while let Ok((record, len)) = parse_frame(&bytes[offset..], records.len() as u64) {
+            records.push(record);
+            offset += len;
+        }
+        (records, offset == bytes.len())
+    }
+
+    #[test]
+    fn failed_group_writes_leave_no_torn_frame_and_the_next_sync_retries() {
+        let vfs = Arc::new(FaultVfs::new(0x6C0));
+        let dir = PathBuf::from("/group");
+        let path = segment_path(&dir, 1);
+        let mut store = PatternStore::open_at(vfs.clone(), &dir, StoreOptions::default()).unwrap();
+        vfs.set_plan(FaultPlan {
+            transient_write_one_in: Some(2),
+            ..FaultPlan::default()
+        });
+        // Frames of about 4 KiB: a group fills every 64 appends or so.
+        let participators: Vec<u32> = (0..1_000).collect();
+        let (mut failed, mut written) = (0, 0);
+        for i in 0..400u32 {
+            let before = vfs.file_len(&path).unwrap();
+            match store.append(record(i, 2, 0.0, &participators)) {
+                Ok(_) => {}
+                Err(err) => {
+                    assert!(err.is_transient(), "{err}");
+                    assert_eq!(vfs.file_len(&path).unwrap(), before, "append {i}");
+                    failed += 1;
+                }
+            }
+            // The file holds whole frames of acknowledged records only.
+            let (on_disk, whole) = whole_frames(&vfs.read_file(&path).unwrap());
+            assert!(whole, "append {i}: a torn frame on disk");
+            assert_eq!(on_disk, store.records()[..on_disk.len()], "append {i}");
+            written = on_disk.len();
+        }
+        assert!(
+            failed > 0,
+            "one-in-two write faults must fail a group write"
+        );
+        assert!(written > 0, "some group writes must succeed mid-run");
+        assert_eq!(store.len(), 400 - failed);
+        assert!(written < store.len(), "acknowledged records stay queued");
+
+        // The next barrier retries the queued group until a write succeeds.
+        let mut attempts = 0;
+        while let Err(err) = store.sync() {
+            assert!(err.is_transient(), "{err}");
+            attempts += 1;
+            assert!(attempts < 64, "sync never succeeded");
+        }
+        let (on_disk, whole) = whole_frames(&vfs.read_file(&path).unwrap());
+        assert!(whole);
+        assert_eq!(on_disk, store.records());
+
+        // A group write that runs out of space part-way is cut back.
+        let full = vfs.file_len(&path).unwrap();
+        vfs.set_plan(FaultPlan {
+            capacity: Some(full as usize + 1_000),
+            ..FaultPlan::default()
+        });
+        let err = (400..500u32)
+            .find_map(|i| store.append(record(i, 2, 0.0, &participators)).err())
+            .expect("a full group must hit the capacity");
+        assert!(!err.is_transient(), "ENOSPC is fatal: {err}");
+        assert_eq!(vfs.file_len(&path).unwrap(), full);
+        vfs.clear_faults();
+        store.sync().unwrap();
+        let acknowledged = store.records().to_vec();
+        drop(store);
+        let reopened = PatternStore::open_at(vfs, &dir, StoreOptions::default()).unwrap();
+        assert_eq!(reopened.records(), acknowledged.as_slice());
+        assert!(reopened.tail_repair().is_none());
     }
 
     #[test]

@@ -153,8 +153,10 @@ impl Vfs for RealVfs {
     }
 
     fn create_new(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        // Append mode, as the trait promises: after a truncation the next
+        // write lands at the new end, not at the old offset past it.
         let file = std::fs::OpenOptions::new()
-            .write(true)
+            .append(true)
             .create_new(true)
             .open(path)?;
         Ok(Box::new(RealFile(file)))

@@ -12,12 +12,15 @@
 mod common;
 
 use common::PanicOnNth;
-use gpdt_clustering::{ClusterDatabase, ClusteringParams};
-use gpdt_core::{CrowdParams, GatheringConfig, GatheringEngine, GatheringParams};
+use gpdt_clustering::{ClusterDatabase, ClusterId, ClusteringParams};
+use gpdt_core::{Crowd, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams};
+use gpdt_geo::Mbr;
 use gpdt_store::{
-    FaultPlan, FaultVfs, MonitorService, PatternStore, StoreOptions, SupervisorPolicy, Vfs,
+    FaultPlan, FaultVfs, MonitorService, PatternRecord, PatternStore, StoreOptions,
+    SupervisorPolicy, Vfs,
 };
 use gpdt_trajectory::{ObjectId, TimeInterval, Trajectory, TrajectoryDatabase};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -236,6 +239,76 @@ fn seeded_fault_run_is_observable_end_to_end() {
 
     recovery_point_work_is_counted();
     replay_work_is_counted();
+    group_commit_writes_are_counted();
+}
+
+/// Group commit as counts that repeat exactly: appends only queue their
+/// frames, a `sync` writes the whole group with one `write`, and a group
+/// that fills writes itself out, once per 256 KiB — so a regression to a
+/// write per record fails a count, not a timer.  (Called from the one
+/// `#[test]`: the registry is process-wide.)
+fn group_commit_writes_are_counted() {
+    const GROUP_BYTES: u64 = 256 * 1024;
+    const HEADER: u64 = 10;
+    let writes = || {
+        gpdt_obs::registry()
+            .snapshot()
+            .counter("vfs.write")
+            .unwrap_or(0)
+    };
+    let vfs = FaultVfs::new(11);
+    let segment = Path::new("/group/seg-00000001.gpdt");
+    let mut store =
+        PatternStore::open_at(Arc::new(vfs.clone()), "/group", StoreOptions::default()).unwrap();
+    // One record over and over: every frame has the same length.
+    let record = PatternRecord {
+        crowd: Crowd::new(vec![ClusterId::new(3, 0), ClusterId::new(4, 1)]),
+        mbr: Mbr::new(0.0, 0.0, 10.0, 10.0),
+        gatherings: Vec::new(),
+    };
+
+    let before = writes();
+    for _ in 0..100 {
+        store.append(record.clone()).unwrap();
+    }
+    assert_eq!(writes() - before, 0, "appends only queue their frames");
+    store.sync().unwrap();
+    assert_eq!(writes() - before, 1, "one write for the whole group");
+    let frame = (vfs.file_len(segment).unwrap() - HEADER) / 100;
+
+    // The append that fills a group writes it: four full groups, then the
+    // remainder at the barrier.
+    let per_group = GROUP_BYTES.div_ceil(frame);
+    let before = writes();
+    for _ in 0..4 * per_group + 3 {
+        store.append(record.clone()).unwrap();
+    }
+    assert_eq!(writes() - before, 4, "one write per full group");
+    store.sync().unwrap();
+    assert_eq!(writes() - before, 5);
+    assert_eq!(
+        vfs.file_len(segment).unwrap(),
+        HEADER + (100 + 4 * per_group + 3) * frame
+    );
+
+    // Drop cannot return a failed write: the frames it loses are counted
+    // and journalled instead of vanishing without a trace.
+    let full = vfs.file_len(segment).unwrap();
+    vfs.set_plan(FaultPlan {
+        capacity: Some(full as usize),
+        ..FaultPlan::default()
+    });
+    store.append(record.clone()).unwrap();
+    store.append(record).unwrap();
+    let lost = |s: &gpdt_obs::Snapshot| s.counter("store.drop.unwritten_bytes").unwrap_or(0);
+    let before = lost(&gpdt_obs::registry().snapshot());
+    let seq = gpdt_obs::flight().recorded();
+    drop(store);
+    vfs.clear_faults();
+    assert_eq!(lost(&gpdt_obs::registry().snapshot()) - before, 2 * frame);
+    let events = gpdt_obs::flight().events();
+    assert!(first_seq(&events, "store.drop.write_failed", seq).is_some());
+    assert_eq!(vfs.file_len(segment).unwrap(), full, "no torn frame");
 }
 
 /// `(frames, bytes)` replayed so far.

@@ -3,7 +3,7 @@
 //! A small store of three segments is written once; every case then mutates
 //! a copy of its bytes where the frame layout says it hurts — torn tails,
 //! flipped bytes, forged length prefixes, resealed hostile payloads, swapped
-//! frames, a version-1 header — and reopens it.  Every reopen must end in a
+//! frames, a version-2 header — and reopens it.  Every reopen must end in a
 //! typed error or in records the writer wrote, with any dropped tail reported
 //! as a [`TailRepair`](gpdt_store::TailRepair); none may panic, keep a record
 //! whose checksum fails, or allocate beyond what the file's length explains.
@@ -238,15 +238,17 @@ fn mutated_segments_reopen_typed_or_repaired() {
     }
 
     // Hostile payloads under a valid checksum: a byte of the last segment's
-    // first frames flipped and the frame resealed, so the codec and the
-    // record checks see it.  Whatever comes back was validated.
+    // first frames flipped and the frame resealed under its record id, so
+    // the codec and the record checks see it.  Whatever comes back was
+    // validated.
     let frames = p.frames(last);
     for frame in 0..3 {
         let (start, end) = (frames[frame] + 4, frames[frame + 1] - 8);
+        let id = (p.records_before(last) + frame) as u64;
         for at in start..end {
             let mut bytes = p.segments[last].clone();
             bytes[at] ^= rng.gen_range(1u8..=255);
-            let sum = xxh64(&bytes[start..end], 0);
+            let sum = xxh64(&bytes[start..end], id);
             bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
             let label = format!("last segment frame {frame}: resealed flip at {at}");
             match reopen(&label, &with(last, bytes)) {
@@ -265,8 +267,9 @@ fn mutated_segments_reopen_typed_or_repaired() {
         }
     }
 
-    // Two whole frames swapped: each still carries its own checksum, so the
-    // log reopens with both records — frame order is not authenticated.
+    // Two whole frames swapped: each checksum is seeded with its record id,
+    // so the first frame out of place fails — damage in a sealed segment, a
+    // reported repair in the last — and the swapped ids never reopen.
     for s in [1, last] {
         let f = p.frames(s);
         let bytes = &p.segments[s];
@@ -275,24 +278,20 @@ fn mutated_segments_reopen_typed_or_repaired() {
         swapped.extend_from_slice(&bytes[f[0]..f[1]]);
         swapped.extend_from_slice(&bytes[f[2]..]);
         let label = format!("segment {s}: frames 0 and 1 swapped");
-        let store = reopen(&label, &with(s, swapped)).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let mut expected = p.records.clone();
-        expected.swap(p.records_before(s), p.records_before(s) + 1);
-        assert_eq!(store.records(), expected.as_slice(), "{label}");
-        assert!(store.tail_repair().is_none(), "{label}");
+        expect_damage(&p, &label, s, 0, reopen(&label, &with(s, swapped)));
     }
 
-    // A version-1 header, sealed or last: the one version is 2.
+    // A version-2 header, sealed or last: the one version is 3.
     for s in [0, last] {
         let mut bytes = p.segments[s].clone();
-        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let label = format!("segment {s}: version 1");
+        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+        let label = format!("segment {s}: version 2");
         match reopen(&label, &with(s, bytes)) {
             Err(StoreError::Segment {
                 path,
                 source:
                     DecodeError::UnsupportedVersion {
-                        found: 1,
+                        found: 2,
                         supported,
                     },
             }) => {
