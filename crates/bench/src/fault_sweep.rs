@@ -279,11 +279,12 @@ pub fn reference_run(
     (segment_bytes(&vfs), vfs.ops())
 }
 
-/// Mines `sets` to completion under a rolling fault schedule: an early
-/// guaranteed kill, a repeating kill every `kill_every` operations after
-/// each recovery, and a sprinkle of transient short writes and fsync
-/// failures — then archives the surviving engine's closed frontier exactly
-/// like a healthy shutdown would.
+/// Mines `sets` to completion under a rolling fault schedule: a guaranteed
+/// kill half-way through a fault-free run's mutating operations, a
+/// repeating kill every `kill_every` operations after each recovery, and a
+/// sprinkle of transient short writes and fsync failures — then archives
+/// the surviving engine's closed frontier exactly like a healthy shutdown
+/// would.
 ///
 /// Returns the final records plus `(incarnations, transient_restarts)` so
 /// callers can log how rough the ride was.  Because every recovery is
@@ -301,23 +302,24 @@ pub fn mine_under_faults(
     sets: &[SnapshotClusterSet],
     budget_bytes: usize,
 ) -> (Vec<gpdt_store::PatternRecord>, usize, usize) {
+    const MAX_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
+    // The kill point comes from the workload's own operation count, as the
+    // crash lattice's do, so it lands mid-run however few batches the
+    // budget makes of the input (a one-batch day included).
+    let (_, total_ops) = reference_run(config, sets, budget_bytes, MAX_SEGMENT_BYTES);
     let vfs = FaultVfs::with_plan(
         seed,
         FaultPlan {
-            // Early enough to land mid-run on any non-trivial workload:
-            // opening the store takes four operations and each batch six
-            // (its group write and fsync, the cursor's create, write, fsync
-            // and rename), so the kill lands in the second batch.  The
-            // re-armed kill is generous so even a huge batch can finish
+            // The re-armed kill is generous so even a huge batch can finish
             // between crashes instead of livelocking.
-            kill_at: Some(12),
+            kill_at: Some((total_ops / 2).max(1)),
             kill_every: Some(20_000),
             transient_write_one_in: Some(101),
             transient_sync_one_in: Some(97),
             capacity: None,
         },
     );
-    let done = run_to_completion(&vfs, config, sets, budget_bytes, 4 * 1024 * 1024)
+    let done = run_to_completion(&vfs, config, sets, budget_bytes, MAX_SEGMENT_BYTES)
         .expect("fault-injected mining must recover to completion");
     let CompletedRun {
         engine,
@@ -441,7 +443,7 @@ mod tests {
         assert!(!want.is_empty());
 
         let (got, incarnations, _) = mine_under_faults(0xFA_017, &config, &sets, 2 << 10);
-        assert!(incarnations > 1, "the early kill must fire");
+        assert!(incarnations > 1, "the mid-run kill must fire");
         assert_eq!(got, want);
     }
 }

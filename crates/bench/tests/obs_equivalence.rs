@@ -46,8 +46,9 @@ fn mine(tag: &str, sets: Vec<SnapshotClusterSet>, config: &GatheringConfig) -> S
 
 #[test]
 fn mining_output_is_identical_with_observability_on_and_off() {
-    // Big enough that mining crosses the fault plan's 12-op kill point
-    // (every group write, fsync, segment rotation and cursor write counts).
+    // The fault plan kills the backend half-way through a fault-free run's
+    // mutating operations (every group write, fsync, segment rotation and
+    // cursor write counts), so mining crosses it whatever the day's size.
     let day = clustered_day(2013, Weather::Snowy, 140, 240);
     let config = config(day.clustering);
     let sets = day.clusters.into_sets();

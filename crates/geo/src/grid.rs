@@ -54,8 +54,10 @@ impl CellCoord {
     }
 
     /// Chebyshev-style membership test for the affect region of `self`
-    /// relative to `other` (Definition 5 of the paper).
-    pub fn in_affect_region_of(&self, other: &CellCoord) -> bool {
+    /// relative to `other` (Definition 5 of the paper): the definition
+    /// [`GridGeometry::AFFECT_OFFSETS`] is checked against.
+    #[cfg(test)]
+    fn in_affect_region_of(&self, other: &CellCoord) -> bool {
         let dc = (self.col - other.col).abs();
         let dr = (self.row - other.row).abs();
         dc <= 2 && dr <= 2 && dc + dr < 4
@@ -131,7 +133,8 @@ impl GridGeometry {
     }
 
     /// The lower-left corner of a cell.
-    pub fn cell_min_corner(&self, cell: &CellCoord) -> Point {
+    #[cfg(test)]
+    fn cell_min_corner(&self, cell: &CellCoord) -> Point {
         Point::new(
             self.origin.x + cell.col as f64 * self.cell_size,
             self.origin.y + cell.row as f64 * self.cell_size,
@@ -139,15 +142,15 @@ impl GridGeometry {
     }
 
     /// The centre point of a cell.
-    pub fn cell_center(&self, cell: &CellCoord) -> Point {
+    #[cfg(test)]
+    fn cell_center(&self, cell: &CellCoord) -> Point {
         let min = self.cell_min_corner(cell);
         Point::new(min.x + self.cell_size / 2.0, min.y + self.cell_size / 2.0)
     }
 
     /// The 21 cell offsets of an affect region (Definition 5): the 5×5 block
-    /// minus its four corners, in the same (column-major) order as
-    /// [`GridGeometry::affect_region`].  A `const` table so hot loops can
-    /// walk a cell's affect region without allocating.
+    /// minus its four corners, in column-major order.  A `const` table so hot
+    /// loops can walk a cell's affect region without allocating.
     pub const AFFECT_OFFSETS: [(i64, i64); 21] = [
         (-2, -1),
         (-2, 0),
@@ -177,7 +180,8 @@ impl GridGeometry {
     ///
     /// The region is the 5×5 block centred on `cell` minus its four corners —
     /// 21 cells in total.
-    pub fn affect_region(&self, cell: &CellCoord) -> Vec<CellCoord> {
+    #[cfg(test)]
+    fn affect_region(&self, cell: &CellCoord) -> Vec<CellCoord> {
         Self::AFFECT_OFFSETS
             .iter()
             .map(|&(dc, dr)| CellCoord::new(cell.col + dc, cell.row + dr))
@@ -185,7 +189,8 @@ impl GridGeometry {
     }
 
     /// Minimum distance between two cells (between their closed extents).
-    pub fn cell_min_distance(&self, a: &CellCoord, b: &CellCoord) -> f64 {
+    #[cfg(test)]
+    fn cell_min_distance(&self, a: &CellCoord, b: &CellCoord) -> f64 {
         let gap = |d: i64| -> f64 {
             if d.abs() <= 1 {
                 0.0

@@ -174,24 +174,9 @@ impl Mbr {
             && self.max_y >= other.max_y
     }
 
-    /// Returns `true` if the point lies inside (or on the boundary of) the
-    /// rectangle.
-    #[inline]
-    pub fn contains_point(&self, p: &Point) -> bool {
-        self.min_x <= p.x && p.x <= self.max_x && self.min_y <= p.y && p.y <= self.max_y
-    }
-
     /// Area growth needed to also cover `other` (R-tree insertion heuristic).
     pub fn enlargement(&self, other: &Mbr) -> f64 {
         self.union(other).area() - self.area()
-    }
-
-    /// Minimum distance between a point and the rectangle; zero if the point
-    /// is inside.
-    pub fn min_distance_point(&self, p: &Point) -> f64 {
-        let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);
-        let dy = (self.min_y - p.y).max(0.0).max(p.y - self.max_y);
-        (dx * dx + dy * dy).sqrt()
     }
 
     /// `dmin`: minimum distance between two rectangles; zero if they
@@ -262,7 +247,7 @@ mod tests {
         let m = Mbr::from_points(&pts).unwrap();
         assert_eq!(m, Mbr::new(-2.0, -1.0, 4.0, 5.0));
         for p in &pts {
-            assert!(m.contains_point(p));
+            assert!(m.contains_mbr(&Mbr::new(p.x, p.y, p.x, p.y)));
         }
         assert!(Mbr::from_points(&[]).is_none());
     }
@@ -307,13 +292,6 @@ mod tests {
     fn enlarged_grows_every_side() {
         let e = unit().enlarged(2.0);
         assert_eq!(e, Mbr::new(-2.0, -2.0, 3.0, 3.0));
-    }
-
-    #[test]
-    fn min_distance_point_inside_is_zero() {
-        let m = unit();
-        assert_eq!(m.min_distance_point(&Point::new(0.5, 0.5)), 0.0);
-        assert_eq!(m.min_distance_point(&Point::new(4.0, 5.0)), 5.0);
     }
 
     #[test]

@@ -106,23 +106,6 @@ impl Point {
         Some(Point::new(sx / n, sy / n))
     }
 
-    /// Perpendicular distance from `self` to the segment `a`–`b`.
-    ///
-    /// If the projection of `self` falls outside the segment the distance to
-    /// the nearest endpoint is returned.
-    pub fn distance_to_segment(&self, a: &Point, b: &Point) -> f64 {
-        let abx = b.x - a.x;
-        let aby = b.y - a.y;
-        let len_sq = abx * abx + aby * aby;
-        if len_sq == 0.0 {
-            return self.distance(a);
-        }
-        let t = ((self.x - a.x) * abx + (self.y - a.y) * aby) / len_sq;
-        let t = t.clamp(0.0, 1.0);
-        let proj = Point::new(a.x + t * abx, a.y + t * aby);
-        self.distance(&proj)
-    }
-
     /// Returns `true` if both coordinates are finite.
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -230,29 +213,6 @@ mod tests {
         ];
         assert_eq!(Point::centroid(&pts), Some(Point::new(1.0, 1.0)));
         assert_eq!(Point::centroid(&[]), None);
-    }
-
-    #[test]
-    fn segment_distance_projection_inside() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 0.0);
-        let p = Point::new(5.0, 3.0);
-        assert!((p.distance_to_segment(&a, &b) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segment_distance_projection_outside_uses_endpoint() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 0.0);
-        let p = Point::new(14.0, 3.0);
-        assert!((p.distance_to_segment(&a, &b) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segment_distance_degenerate_segment() {
-        let a = Point::new(1.0, 1.0);
-        let p = Point::new(4.0, 5.0);
-        assert_eq!(p.distance_to_segment(&a, &a), 5.0);
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //!
 //! On top of the primitives sits the **live telemetry plane**
 //! ([`telemetry_from_env`]): a background [`Sampler`] diffing registry
-//! snapshots into windowed [`TimeSeries`] rings (rates/sec, "fsync p99 over
-//! the last 10s"), a dependency-free HTTP responder ([`TelemetryServer`])
-//! serving `/metrics` (Prometheus text exposition, [`expo`]), `/health`
-//! ([`health`]) and `/flightrec`, an SLO [`Watchdog`] journalling
-//! `watchdog.fired`/`watchdog.cleared` transitions, and a Chrome-trace span
-//! capture ([`trace`], `GPDT_TRACE=<path>`) loadable in Perfetto.
+//! snapshots into windowed [`TimeSeries`] rings (the age of a counter's last
+//! change, "fsync p99 over the last 10s"), a dependency-free HTTP responder
+//! ([`TelemetryServer`]) serving `/metrics` (Prometheus text exposition,
+//! [`expo`]), `/health` ([`health`]) and `/flightrec`, an SLO [`Watchdog`]
+//! journalling `watchdog.fired`/`watchdog.cleared` transitions, and a
+//! Chrome-trace span capture ([`trace`], `GPDT_TRACE=<path>`) loadable in
+//! Perfetto.
 //!
 //! Everything is gated by the `GPDT_OBS` environment variable (`on` by
 //! default; `off`/`0`/`false` disables).  Disabled call sites reduce to one
@@ -54,7 +55,7 @@ pub use recorder::{flight, install_panic_hook, record_event, FlightEvent, Flight
 pub use registry::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricSource, Registry, Snapshot,
 };
-pub use series::{sample_interval_from_env, Sampler, TimeSeries, Window};
+pub use series::{sample_interval_from_env, Sampler, TimeSeries};
 pub use span::{time_nanos, Span};
 pub use watchdog::{Rule, RuleKind, Verdict, Watchdog};
 

@@ -1,7 +1,7 @@
 //! Windowed time-series over registry snapshots: a sampler thread (or an
 //! injected clock, in tests) diffs consecutive [`Snapshot`]s into bounded
 //! rings of per-window deltas, turning lifetime aggregates into live
-//! queries — "ingest rate over the last second", "fsync p99 over the last
+//! queries — "how long since ingest last moved", "fsync p99 over the last
 //! ten seconds" — without ever touching the hot-path atomics beyond the
 //! reads a snapshot already does.
 //!
@@ -28,13 +28,13 @@ const DEFAULT_SAMPLE_MS: u64 = 250;
 /// One sampling window: the half-open time range and the delta observed in
 /// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Window<T> {
+struct Window<T> {
     /// Window start, nanoseconds since the process epoch.
-    pub start_nanos: u64,
+    start_nanos: u64,
     /// Window end (the sample instant), nanoseconds since the process epoch.
-    pub end_nanos: u64,
+    end_nanos: u64,
     /// What changed inside the window.
-    pub delta: T,
+    delta: T,
 }
 
 #[derive(Debug, Default)]
@@ -129,7 +129,8 @@ impl TimeSeries {
     }
 
     /// The retained windows of a counter, oldest first.
-    pub fn counter_windows(&self, name: &str) -> Vec<Window<u64>> {
+    #[cfg(test)]
+    fn counter_windows(&self, name: &str) -> Vec<Window<u64>> {
         self.counters
             .get(name)
             .map(|s| s.windows.iter().cloned().collect())
@@ -138,7 +139,8 @@ impl TimeSeries {
 
     /// Sum of the retained window deltas of a counter — equals the counter's
     /// lifetime total as long as the ring has not evicted.
-    pub fn counter_total(&self, name: &str) -> u64 {
+    #[cfg(test)]
+    fn counter_total(&self, name: &str) -> u64 {
         self.counters
             .get(name)
             .map(|s| s.windows.iter().map(|w| w.delta).sum())
@@ -148,7 +150,8 @@ impl TimeSeries {
     /// The counter's rate per second over the windows whose end falls in
     /// `(now - lookback, now]`: total delta divided by the time those
     /// windows actually cover.  `None` when no window qualifies.
-    pub fn rate_per_sec(&self, name: &str, lookback: Duration, now_nanos: u64) -> Option<f64> {
+    #[cfg(test)]
+    fn rate_per_sec(&self, name: &str, lookback: Duration, now_nanos: u64) -> Option<f64> {
         let series = self.counters.get(name)?;
         let cutoff = now_nanos.saturating_sub(lookback.as_nanos() as u64);
         let mut delta = 0u64;

@@ -467,11 +467,6 @@ impl ShardedEngine {
         self.retention
     }
 
-    /// The configured worker supervision policy.
-    pub fn supervision(&self) -> ShardSupervision {
-        self.supervision
-    }
-
     /// Per-shard worker rebuild counts (panics caught + deadline overruns),
     /// indexed by shard.
     pub fn restarts(&self) -> &[u64] {
@@ -596,7 +591,7 @@ impl ShardedEngine {
     /// count are noted, the frontier is replaced, the finalized records —
     /// append-only — are topped up.  Costs what the shards finalized and hold
     /// open since `states` was last brought up, not what they retain.
-    pub fn top_up_shard_states(&self, states: &mut Vec<ShardState>) {
+    fn top_up_shard_states(&self, states: &mut Vec<ShardState>) {
         states.resize_with(self.shards.len(), ShardState::default);
         let retained_from = self.time_domain().map(|d| d.start);
         for (state, engine) in states.iter_mut().zip(&self.shards) {

@@ -3,8 +3,7 @@
 //! The discovery engine of `gpdt-core` is memory-only: a crash loses the
 //! Lemma 4 frontier and every finalized crowd, and once discovery has moved
 //! on there is no way to ask *"which gatherings were active in region `R`
-//! during `[t1, t2]`?"*.  This crate adds the missing persistence layer, in
-//! three pieces:
+//! during `[t1, t2]`?"*.  This crate adds the missing persistence layer:
 //!
 //! * [`codec`] + [`model`] — a hand-rolled, versioned binary codec (the build
 //!   container has no crates.io access, so no `serde`): [`Encode`]/[`Decode`]
@@ -22,15 +21,15 @@
 //!   region × time-window queries, per-object participation history and
 //!   top-k gatherings by participator count.
 //! * [`sharded`] — checkpoint/restore for the partitioned
-//!   [`ShardedEngine`](gpdt_shard::ShardedEngine): the coordinator's global
-//!   cluster database and merge state, plus each shard's history-free
-//!   [`ShardState`](gpdt_shard::ShardState).
+//!   [`ShardedEngine`](gpdt_shard::ShardedEngine), a batch path beside the
+//!   service: the coordinator's global cluster database and merge state,
+//!   plus each shard's history-free [`ShardState`](gpdt_shard::ShardState).
 //! * [`service`] — [`MonitorService`], the concurrent façade: one ingestion
-//!   thread feeds the engine (single or sharded, via [`MonitoredEngine`])
-//!   and the store while any number of caller threads run queries (std
-//!   scoped threads + channels, no runtime), with a [`ServiceStats`]
-//!   observability snapshot, retry/backoff on transient store faults, and
-//!   a degraded mode that queues ingest while storage is down.
+//!   thread feeds a [`GatheringEngine`](gpdt_core::GatheringEngine) and the
+//!   store while any number of caller threads run queries (std scoped
+//!   threads + channels, no runtime), with a [`ServiceStats`] observability
+//!   snapshot, retry/backoff on transient store faults, and a degraded mode
+//!   that queues ingest while storage is down.
 //! * [`vfs`] — the pluggable storage backend: [`RealVfs`] maps to `std::fs`,
 //!   the seeded [`FaultVfs`] injects short writes, torn frames, fsync
 //!   failures, `ENOSPC` and crash points deterministically, so every
@@ -55,8 +54,8 @@ pub use codec::{decode_from_slice, encode_to_vec, Decode, DecodeError, Encode, C
 #[doc(hidden)]
 pub use service::RecoveryPoint;
 pub use service::{
-    EngineLoad, EngineOpenState, MonitorOutcome, MonitorService, MonitoredEngine, ServiceError,
-    ServiceHandle, ServiceStats, ShardedOpenState, SupervisorPolicy,
+    MonitorOutcome, MonitorService, MonitoredEngine, ServiceError, ServiceHandle, ServiceStats,
+    SupervisorPolicy,
 };
 pub use sharded::{
     restore_sharded_from_slice, sharded_checkpoint_to_vec, SHARDED_CHECKPOINT_MAGIC,

@@ -50,20 +50,17 @@
 //!   per-tick arenas are reference-counted and shared with the engine's, so
 //!   a tick is copied once, when it arrives),
 //! * the finalized feed, append-only and so only ever topped up,
-//! * what the engine holds open besides ([`MonitoredEngine::OpenState`]:
-//!   the Lemma 4 frontier and the tick count for a [`GatheringEngine`]; the
-//!   per-shard [`gpdt_shard::ShardState`]s, the open merge paths and the
-//!   cross-edge endpoint sets for a [`ShardedEngine`]).
+//! * the Lemma 4 frontier and the tick count.
 //!
 //! A refresh *moves* the batches ingested since the last one onto the spine,
 //! lets go of the ticks the engine has retired, tops the feed up and
-//! replaces the open state: its cost follows what changed, not what the
+//! replaces the frontier: its cost follows what changed, not what the
 //! engine retains.  The point shares no mutable state with the engine —
 //! the spine and both vectors are its own, and the shared arenas are
 //! immutable — and it is only written after a batch has been ingested
 //! whole, so an engine a panic left half-mutated cannot reach it.  Recovery
-//! goes through the engines' checked doors ([`GatheringEngine::from_parts`],
-//! [`ShardedEngine::from_parts`]), never around them.
+//! goes through the engine's checked door, [`GatheringEngine::from_parts`],
+//! never around it.
 //!
 //! A store *ahead* of its engine (the engine restarted from an older
 //! checkpoint) is resumed by verification: each re-finalized record is
@@ -127,10 +124,9 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use gpdt_clustering::{ClusterDatabase, ClusterId};
-use gpdt_core::{Crowd, CrowdRecord, Gathering, GatheringEngine};
+use gpdt_clustering::ClusterDatabase;
+use gpdt_core::{Crowd, CrowdRecord, EngineStats, Gathering, GatheringEngine};
 use gpdt_geo::Mbr;
-use gpdt_shard::{ShardState, ShardedEngine};
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp};
 
 use crate::store::{GatheringHit, PatternRecord, PatternStore, RecordId, StoreError};
@@ -186,217 +182,36 @@ fn has_second_core() -> bool {
         .get_or_init(|| std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1))
 }
 
-/// The engine kinds [`MonitorService::run`] can drive: the single
-/// [`GatheringEngine`] and the partitioned
-/// [`ShardedEngine`].  The service only needs the
-/// streaming surface they share — batch ingestion, the append-only
-/// finalized-record feed, the database those records resolve against (whose
-/// end is where the next batch must start), checkpoint serialisation, the
-/// two halves of a [recovery point](self#the-recovery-point) that are the
-/// engine's own, and a load snapshot.
+/// What [`MonitorService::run`] drives: a [`GatheringEngine`], or a wrapper
+/// around one.  The worker reads everything it needs — the finalized feed,
+/// the cluster database those records resolve against, checkpoints, stats —
+/// off [`MonitoredEngine::engine`]; only ingestion and the rebuild after a
+/// panic go through the wrapper, which is the seam the service's panic tests
+/// inject through.
 pub trait MonitoredEngine: Send {
-    /// What the engine holds open besides its cluster history and its
-    /// finalized feed — the part of a recovery point the service cannot
-    /// keep by itself.  `Default` is the state of an engine before its
-    /// first batch.
-    type OpenState: Default + Send;
-
+    /// The engine behind this value.
+    fn engine(&self) -> &GatheringEngine;
     /// Ingests one cluster batch (adjacency already validated).
     fn ingest_batch(&mut self, batch: ClusterDatabase);
-    /// The append-only finalized-record feed mirrored into the store.
-    fn finalized_feed(&self) -> &[CrowdRecord];
-    /// The cluster database the finalized records resolve against.  The
-    /// next batch must start one tick after its end (anywhere while it is
-    /// empty).
-    fn resolve_database(&self) -> &ClusterDatabase;
-    /// Serialises a checkpoint of the complete discovery state into `out`,
-    /// replacing its contents and reusing its allocation.
-    fn checkpoint_into(&self, out: &mut Vec<u8>);
-    /// Brings `open` — as an earlier call left it, or `Default` — up to this
-    /// engine, at a cost that follows what changed since.
-    fn note_open_state(&self, open: &mut Self::OpenState);
-    /// The engine a recovery point describes: `history`, `finalized` and
-    /// `open` as they were noted together, under `self`'s configuration and
-    /// host-side knobs (threads, retention) — which no ingest touches, so
-    /// they are good to read even off an engine a panic left half-mutated.
-    fn reassemble(
-        &self,
-        history: ClusterDatabase,
-        finalized: Vec<CrowdRecord>,
-        open: &Self::OpenState,
-    ) -> Self
+    /// This value around `engine`, the engine a
+    /// [recovery point](self#the-recovery-point) rebuilt.
+    fn rebuilt(&self, engine: GatheringEngine) -> Self
     where
         Self: Sized;
-    /// Engine-side load numbers for [`ServiceStats`].
-    fn load(&self) -> EngineLoad;
-}
-
-/// The [`MonitoredEngine::OpenState`] of a [`GatheringEngine`].
-#[derive(Debug, Clone, Default)]
-pub struct EngineOpenState {
-    frontier: Vec<(Crowd, Vec<Gathering>)>,
-    ticks_ingested: u64,
 }
 
 impl MonitoredEngine for GatheringEngine {
-    type OpenState = EngineOpenState;
+    fn engine(&self) -> &GatheringEngine {
+        self
+    }
 
     fn ingest_batch(&mut self, batch: ClusterDatabase) {
         self.ingest_clusters(batch);
     }
 
-    fn finalized_feed(&self) -> &[CrowdRecord] {
-        self.finalized_records()
+    fn rebuilt(&self, engine: GatheringEngine) -> Self {
+        engine
     }
-
-    fn resolve_database(&self) -> &ClusterDatabase {
-        self.cluster_database()
-    }
-
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        crate::checkpoint::checkpoint_into_vec(self, out);
-    }
-
-    fn note_open_state(&self, open: &mut EngineOpenState) {
-        open.frontier.clear();
-        open.frontier.extend_from_slice(self.frontier());
-        open.ticks_ingested = self.ticks_ingested();
-    }
-
-    fn reassemble(
-        &self,
-        history: ClusterDatabase,
-        finalized: Vec<CrowdRecord>,
-        open: &EngineOpenState,
-    ) -> Self {
-        GatheringEngine::from_parts(
-            *self.config(),
-            self.strategy(),
-            self.variant(),
-            history,
-            finalized,
-            open.frontier.clone(),
-        )
-        .with_ticks_ingested(open.ticks_ingested)
-        .with_threads(self.threads())
-        .with_retention(self.retention())
-    }
-
-    fn load(&self) -> EngineLoad {
-        EngineLoad {
-            open_sequences: self.frontier().len(),
-            resident_ticks: self.cluster_database().len(),
-            per_shard_clusters: Vec::new(),
-            per_shard_restarts: Vec::new(),
-        }
-    }
-}
-
-/// The [`MonitoredEngine::OpenState`] of a [`ShardedEngine`]: what its
-/// checkpoint holds besides the global cluster database and the merged
-/// finalized records.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedOpenState {
-    shards: Vec<ShardState>,
-    merge: Vec<Crowd>,
-    cross_in: Vec<ClusterId>,
-    cross_out: Vec<ClusterId>,
-}
-
-impl MonitoredEngine for ShardedEngine {
-    type OpenState = ShardedOpenState;
-
-    fn ingest_batch(&mut self, batch: ClusterDatabase) {
-        self.ingest_clusters(batch);
-    }
-
-    fn finalized_feed(&self) -> &[CrowdRecord] {
-        self.finalized_records()
-    }
-
-    fn resolve_database(&self) -> &ClusterDatabase {
-        self.cluster_database()
-    }
-
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        crate::sharded::sharded_checkpoint_into_vec(self, out);
-    }
-
-    fn note_open_state(&self, open: &mut ShardedOpenState) {
-        self.top_up_shard_states(&mut open.shards);
-        // The open merge paths and the cross-edge endpoints (sixteen bytes
-        // each, pruned by retention) are replaced, like a frontier.
-        open.merge.clear();
-        open.merge.extend_from_slice(self.merge_frontier());
-        open.cross_in.clear();
-        open.cross_in.extend_from_slice(self.cross_edge_heads());
-        open.cross_out.clear();
-        open.cross_out.extend_from_slice(self.cross_edge_tails());
-    }
-
-    fn reassemble(
-        &self,
-        history: ClusterDatabase,
-        finalized: Vec<CrowdRecord>,
-        open: &ShardedOpenState,
-    ) -> Self {
-        ShardedEngine::from_parts(
-            *self.config(),
-            self.strategy(),
-            self.variant(),
-            *self.partitioner(),
-            open.shards.clone(),
-            history,
-            open.merge.clone(),
-            open.cross_in.clone(),
-            open.cross_out.clone(),
-            finalized,
-        )
-        .expect("a recovery point is the state of an engine that ran")
-        .with_threads(self.threads())
-        .with_retention(self.retention())
-        .with_supervision(self.supervision())
-    }
-
-    fn load(&self) -> EngineLoad {
-        let stats = self.stats();
-        EngineLoad {
-            open_sequences: stats
-                .per_shard
-                .iter()
-                .map(|s| s.open_sequences)
-                .sum::<usize>()
-                + stats.open_merge_paths,
-            resident_ticks: stats
-                .per_shard
-                .iter()
-                .map(|s| s.resident_ticks)
-                .max()
-                .unwrap_or(0),
-            per_shard_clusters: stats
-                .per_shard
-                .iter()
-                .map(|s| s.resident_clusters)
-                .collect(),
-            per_shard_restarts: stats.per_shard.iter().map(|s| s.restarts).collect(),
-        }
-    }
-}
-
-/// Engine-side load numbers surfaced through [`ServiceStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineLoad {
-    /// Open crowd candidates (for a sharded engine: across all shards plus
-    /// the merge sweep).
-    pub open_sequences: usize,
-    /// Resident cluster-database ticks (for a sharded engine: the maximum
-    /// over the shards).
-    pub resident_ticks: usize,
-    /// Per-shard resident cluster counts; empty for a single engine.
-    pub per_shard_clusters: Vec<usize>,
-    /// Per-shard worker restart counts (see
-    /// [`gpdt_shard::ShardLoad::restarts`]); empty for a single engine.
-    pub per_shard_restarts: Vec<u64>,
 }
 
 /// A consistent snapshot of the service's ingestion counters and the
@@ -423,8 +238,8 @@ pub struct ServiceStats {
     pub degraded_since: Option<u64>,
     /// Batches queued while degraded.
     pub queued_batches: usize,
-    /// Engine-side load.
-    pub engine: EngineLoad,
+    /// The engine's load ([`GatheringEngine::stats`]).
+    pub engine: EngineStats,
     /// A point-in-time copy of the process-wide metrics registry (stage
     /// latencies, VFS counters, supervision counts), merged with the
     /// service- and engine-level numbers above under the shared
@@ -447,23 +262,6 @@ impl gpdt_obs::MetricSource for ServiceStats {
             ("panics_recovered", self.panics_recovered),
             ("degraded", u64::from(self.degraded_since.is_some())),
             ("queued_batches", self.queued_batches as u64),
-        ]
-    }
-}
-
-impl gpdt_obs::MetricSource for EngineLoad {
-    fn metric_prefix(&self) -> &'static str {
-        "engine_load"
-    }
-    fn metric_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("open_sequences", self.open_sequences as u64),
-            ("resident_ticks", self.resident_ticks as u64),
-            (
-                "resident_clusters",
-                self.per_shard_clusters.iter().map(|&c| c as u64).sum(),
-            ),
-            ("restarts", self.per_shard_restarts.iter().sum()),
         ]
     }
 }
@@ -585,12 +383,6 @@ impl MonitorService {
     /// [`MonitorOutcome::errors`]); such an archive is an end state for
     /// queries, not a resumable companion.
     ///
-    /// Sharded mode is the same call with a
-    /// [`ShardedEngine`]: the engine fans every
-    /// batch out across its shards and merges, the worker mirrors the merged
-    /// finalized records into the store, and queries aggregate over the
-    /// merged history exactly as in single-engine mode.
-    ///
     /// # Panics
     ///
     /// Panics if the ingest worker itself panicked (panics raised *inside*
@@ -663,39 +455,44 @@ enum SyncFailure {
 
 /// The discovery state as of the last refresh, held structurally: what
 /// panic recovery rebuilds the engine from (see the
-/// [module docs](self#the-recovery-point)).  Public for the `micro` bench and
-/// the panic lattice, which drive a point without a service around it.
+/// [module docs](self#the-recovery-point)).  Public for the panic lattice,
+/// which drives a point without a service around it.
 #[doc(hidden)]
-pub struct RecoveryPoint<E: MonitoredEngine> {
+pub struct RecoveryPoint {
     /// The point's own spine of the cluster history: the engine's database
     /// as of the refresh, tick arenas shared with it.
     history: ClusterDatabase,
     /// The finalized feed as of the refresh.
     finalized: Vec<CrowdRecord>,
-    /// Everything else the engine held then.
-    open: E::OpenState,
+    /// The Lemma 4 frontier as of the refresh.
+    frontier: Vec<(Crowd, Vec<Gathering>)>,
+    /// The engine's tick count as of the refresh.
+    ticks_ingested: u64,
 }
 
-impl<E: MonitoredEngine> RecoveryPoint<E> {
+impl RecoveryPoint {
     /// The point of an engine as the service is handed it — fresh, or
     /// restored with a history, whose spine is cloned this once.
-    pub fn of(engine: &E) -> Self {
-        let mut open = E::OpenState::default();
-        engine.note_open_state(&mut open);
+    pub fn of(engine: &GatheringEngine) -> Self {
         RecoveryPoint {
-            history: engine.resolve_database().clone(),
-            finalized: engine.finalized_feed().to_vec(),
-            open,
+            history: engine.cluster_database().clone(),
+            finalized: engine.finalized_records().to_vec(),
+            frontier: engine.frontier().to_vec(),
+            ticks_ingested: engine.ticks_ingested(),
         }
     }
 
     /// Brings the point up to `engine`, which has ingested exactly `replay`
     /// since the last refresh: the batches are moved onto the spine, the
     /// ticks the engine has retired meanwhile are let go, the finalized feed
-    /// is topped up and the open state replaced.  Returns the ticks and the
+    /// is topped up and the frontier replaced.  Returns the ticks and the
     /// finalized records the point took on — over a run, what the engine
     /// ingested and finalized.
-    pub fn top_up(&mut self, engine: &E, replay: &mut Vec<ClusterDatabase>) -> (u64, u64) {
+    pub fn top_up(
+        &mut self,
+        engine: &GatheringEngine,
+        replay: &mut Vec<ClusterDatabase>,
+    ) -> (u64, u64) {
         let mut ticks = 0;
         for batch in replay.drain(..) {
             ticks += batch.len() as u64;
@@ -705,21 +502,35 @@ impl<E: MonitoredEngine> RecoveryPoint<E> {
                 self.history.append(batch);
             }
         }
-        let resident = engine.resolve_database().time_domain();
+        let resident = engine.cluster_database().time_domain();
         if let Some(resident) = resident {
             self.history.evict_before(resident.start);
         }
         debug_assert_eq!(self.history.time_domain(), resident);
-        let fresh = &engine.finalized_feed()[self.finalized.len()..];
+        let fresh = &engine.finalized_records()[self.finalized.len()..];
         self.finalized.extend_from_slice(fresh);
-        engine.note_open_state(&mut self.open);
+        self.frontier.clear();
+        self.frontier.extend_from_slice(engine.frontier());
+        self.ticks_ingested = engine.ticks_ingested();
         (ticks, fresh.len() as u64)
     }
 
     /// The engine as of the last refresh, rebuilt under `engine`'s
-    /// configuration and host-side knobs.
-    pub fn restore(&self, engine: &E) -> E {
-        engine.reassemble(self.history.clone(), self.finalized.clone(), &self.open)
+    /// configuration and host-side knobs (threads, retention) — which no
+    /// ingest touches, so they are good to read even off an engine a panic
+    /// left half-mutated.
+    pub fn restore(&self, engine: &GatheringEngine) -> GatheringEngine {
+        GatheringEngine::from_parts(
+            *engine.config(),
+            engine.strategy(),
+            engine.variant(),
+            self.history.clone(),
+            self.finalized.clone(),
+            self.frontier.clone(),
+        )
+        .with_ticks_ingested(self.ticks_ingested)
+        .with_threads(engine.threads())
+        .with_retention(engine.retention())
     }
 }
 
@@ -745,7 +556,7 @@ struct IngestWorker<'a, E: MonitoredEngine> {
     /// Batches queued while degraded, drained in order on recovery.
     queue: VecDeque<ClusterDatabase>,
     /// What panic recovery rebuilds the engine from.
-    recovery: RecoveryPoint<E>,
+    recovery: RecoveryPoint,
     /// Batches ingested since `recovery` was last refreshed, for replay.
     replay: Vec<ClusterDatabase>,
     /// Length of the last durable checkpoint, which sizes the next one's
@@ -768,7 +579,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         degraded: &'a RwLock<Option<(u64, String)>>,
         policy: SupervisorPolicy,
     ) -> Self {
-        let recovery = RecoveryPoint::of(&engine);
+        let recovery = RecoveryPoint::of(engine.engine());
         let rng = policy.jitter_seed | 1;
         IngestWorker {
             engine,
@@ -799,7 +610,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         // engine restored from an *older* checkpoint — the overlap will be
         // verified record by record as the engine re-finalizes it).
         let stored = self.store_len();
-        let finalized = self.engine.finalized_feed().len();
+        let finalized = self.engine.engine().finalized_records().len();
         self.accounted = stored.min(finalized);
         if stored < finalized {
             if let Err(reason) = self.catch_up() {
@@ -965,7 +776,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         // `ingest_clusters` treats a non-adjacent batch as a programmer
         // error and panics; a long-running service rejects it instead and
         // keeps serving.
-        if let Some(resident) = self.engine.resolve_database().time_domain() {
+        if let Some(resident) = self.engine.engine().cluster_database().time_domain() {
             let expected = resident.end + 1;
             if batch_domain.start != expected {
                 self.report(format!(
@@ -984,8 +795,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         self.last_tick = Some(batch_domain.end);
         if gpdt_obs::enabled() {
             // `service.batches` feeds the watchdog's ingest-stall rule; the
-            // health surface tracks tick progress (a sharded engine reports
-            // its restarts there itself, when it has one).
+            // health surface tracks tick progress.
             gpdt_obs::counter!("service.batches").inc();
             gpdt_obs::health::note_ingest(self.last_tick);
         }
@@ -1053,7 +863,9 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
     }
 
     fn restore_and_replay(&mut self) {
-        self.engine = self.recovery.restore(&self.engine);
+        self.engine = self
+            .engine
+            .rebuilt(self.recovery.restore(self.engine.engine()));
         for past in &self.replay {
             self.engine.ingest_batch(past.clone());
         }
@@ -1064,7 +876,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
     /// [`RecoveryPoint::top_up`]).
     fn refresh_recovery_point(&mut self) {
         let _span = gpdt_obs::span!("service.recovery.refresh");
-        let (ticks, records) = self.recovery.top_up(&self.engine, &mut self.replay);
+        let (ticks, records) = self.recovery.top_up(self.engine.engine(), &mut self.replay);
         if gpdt_obs::enabled() {
             gpdt_obs::counter!("service.recovery.ticks_copied").add(ticks);
             gpdt_obs::counter!("service.recovery.records_copied").add(records);
@@ -1152,11 +964,12 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
     /// reach the segment file together; a failed barrier write is retried
     /// like a failed append, even by a pass with nothing left to append.
     fn sync_store(&mut self) -> Result<(), SyncFailure> {
-        let records = self.engine.finalized_feed();
+        let engine = self.engine.engine();
+        let records = engine.finalized_records();
         if self.accounted >= records.len() && !self.unflushed {
             return Ok(());
         }
-        let cdb = self.engine.resolve_database();
+        let cdb = engine.cluster_database();
         let mut store = self.store.write().expect("store lock is never poisoned");
         let mut halted: Option<String> = None;
         let mut transient: Option<StoreError> = None;
@@ -1279,7 +1092,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                     .to_string(),
             ));
         }
-        if self.accounted < self.engine.finalized_feed().len() {
+        if self.accounted < self.engine.engine().finalized_records().len() {
             return Err(ServiceError::Refused(
                 "store is lagging the engine's finalized records; checkpoint refused".to_string(),
             ));
@@ -1308,7 +1121,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         // (Its pages are fresh, which costs the encode ~0.2 µs a KB here; a
         // buffer kept warm between calls is what the recovery refresh was.)
         let mut bytes = Vec::with_capacity(self.checkpoint_len + self.checkpoint_len / 8);
-        self.engine.checkpoint_into(&mut bytes);
+        crate::checkpoint::checkpoint_into_vec(self.engine.engine(), &mut bytes);
         self.checkpoint_len = bytes.len();
         // A consistent (checkpoint, store) pair is also the freshest
         // possible panic-recovery point.
@@ -1317,11 +1130,12 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
     }
 
     fn snapshot(&self) -> ServiceStats {
+        let engine = self.engine.engine().stats();
         let mut stats = ServiceStats {
             batches_ingested: self.batches_ingested,
             batches_rejected: self.batches_rejected,
             ticks_ingested: self.ticks_ingested,
-            finalized_records: self.engine.finalized_feed().len(),
+            finalized_records: engine.finalized_records,
             stored_records: self.store_len(),
             retries: self.retries,
             panics_recovered: self.panics_recovered,
@@ -1332,13 +1146,13 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                 .as_ref()
                 .map(|(since, _)| *since),
             queued_batches: self.queue.len(),
-            engine: self.engine.load(),
+            engine,
             metrics: gpdt_obs::Snapshot::default(),
         };
         if gpdt_obs::enabled() {
             // One snapshot vocabulary: the process-wide registry, plus the
-            // service counters and engine load merged in as `prefix.name`
-            // gauges.
+            // service counters and the engine's stats merged in as
+            // `prefix.name` gauges.
             let mut metrics = gpdt_obs::registry().snapshot();
             metrics.merge_source(&stats);
             metrics.merge_source(&stats.engine);
@@ -1758,97 +1572,11 @@ mod tests {
         assert_eq!(mid.panics_recovered, 0);
         assert_eq!(mid.degraded_since, None);
         assert_eq!(mid.queued_batches, 0);
+        assert_eq!(mid.engine, outcome.engine.stats());
         assert!(mid.engine.resident_ticks > 0);
-        assert!(mid.engine.per_shard_clusters.is_empty());
-        assert!(mid.engine.per_shard_restarts.is_empty());
+        assert!(mid.engine.resident_clusters > 0);
         assert_eq!(end.batches_rejected, 1);
         assert_eq!(end.ticks_ingested, total_ticks);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_mode_matches_single_mode_and_serves_queries() {
-        use gpdt_shard::{GridPartitioner, Partitioner};
-
-        let db = scene();
-        let batches = tick_batches(&db);
-
-        // Reference: single-engine service over the same stream.
-        let single_dir = temp_dir("sharded-ref");
-        let single = MonitorService::run(
-            GatheringEngine::new(config()),
-            PatternStore::open(&single_dir).unwrap(),
-            |handle| {
-                for batch in batches.iter().cloned() {
-                    handle.ingest(batch);
-                }
-                handle.flush();
-                handle.stored()
-            },
-        );
-        assert!(single.errors.is_empty(), "{:?}", single.errors);
-
-        let dir = temp_dir("sharded");
-        let store = PatternStore::open(&dir).unwrap();
-        let engine =
-            ShardedEngine::new(config(), 3, Partitioner::Grid(GridPartitioner::new(300.0)));
-        let outcome = MonitorService::run(engine, store, |handle| {
-            for batch in batches.iter().cloned() {
-                handle.ingest(batch);
-            }
-            handle.flush();
-            let stats = handle.stats();
-            (handle.stored(), handle.top_k(10).unwrap(), stats)
-        });
-        assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
-        let (stored, top, stats) = outcome.value;
-
-        // The sharded engine's canonical output and durable feed match the
-        // single engine's.
-        assert_eq!(
-            outcome.engine.closed_crowds(),
-            single.engine.closed_crowds()
-        );
-        assert_eq!(outcome.engine.gatherings(), single.engine.gatherings());
-        assert_eq!(stored, single.value);
-        assert!(!top.is_empty());
-        assert_eq!(stats.engine.per_shard_clusters.len(), 3);
-        assert_eq!(stats.engine.per_shard_restarts, vec![0, 0, 0]);
-        assert_eq!(stats.stored_records, stored);
-        assert_eq!(stats.finalized_records, stored);
-
-        // The checkpoint taken through the service restores to an engine
-        // that continues identically.
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&single_dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_checkpoint_through_the_service_is_restorable() {
-        use gpdt_shard::{GridPartitioner, Partitioner};
-
-        let db = scene();
-        let batches = tick_batches(&db);
-        let dir = temp_dir("sharded-checkpoint");
-        let store = PatternStore::open(&dir).unwrap();
-        let engine =
-            ShardedEngine::new(config(), 2, Partitioner::Grid(GridPartitioner::new(300.0)));
-        let outcome = MonitorService::run(engine, store, |handle| {
-            for batch in batches.iter().take(12).cloned() {
-                handle.ingest(batch);
-            }
-            handle.checkpoint().unwrap()
-        });
-        assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
-
-        let mut restored = crate::sharded::restore_sharded_from_slice(&outcome.value).unwrap();
-        let mut uninterrupted = outcome.engine;
-        for batch in batches.iter().skip(12) {
-            restored.ingest_clusters(batch.clone());
-            uninterrupted.ingest_clusters(batch.clone());
-        }
-        assert_eq!(restored.closed_crowds(), uninterrupted.closed_crowds());
-        assert_eq!(restored.gatherings(), uninterrupted.gatherings());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2039,42 +1767,23 @@ mod tests {
     }
 
     impl MonitoredEngine for PanicOnNth {
-        type OpenState = EngineOpenState;
-
+        fn engine(&self) -> &GatheringEngine {
+            &self.inner
+        }
         fn ingest_batch(&mut self, batch: ClusterDatabase) {
             self.seen += 1;
             if self.panic_at == Some(self.seen) {
                 self.panic_at = None;
                 panic!("injected ingest panic");
             }
-            self.inner.ingest_batch(batch);
+            self.inner.ingest_clusters(batch);
         }
-        fn finalized_feed(&self) -> &[CrowdRecord] {
-            self.inner.finalized_feed()
-        }
-        fn resolve_database(&self) -> &ClusterDatabase {
-            self.inner.resolve_database()
-        }
-        fn checkpoint_into(&self, out: &mut Vec<u8>) {
-            self.inner.checkpoint_into(out);
-        }
-        fn note_open_state(&self, open: &mut EngineOpenState) {
-            self.inner.note_open_state(open);
-        }
-        fn reassemble(
-            &self,
-            history: ClusterDatabase,
-            finalized: Vec<CrowdRecord>,
-            open: &EngineOpenState,
-        ) -> Self {
+        fn rebuilt(&self, engine: GatheringEngine) -> Self {
             PanicOnNth {
-                inner: self.inner.reassemble(history, finalized, open),
+                inner: engine,
                 panic_at: None,
                 seen: self.seen,
             }
-        }
-        fn load(&self) -> EngineLoad {
-            self.inner.load()
         }
     }
 

@@ -1,53 +1,34 @@
 //! Shared by the integration tests of this crate.
 
 use gpdt_clustering::ClusterDatabase;
-use gpdt_core::CrowdRecord;
-use gpdt_store::{EngineLoad, MonitoredEngine};
+use gpdt_core::GatheringEngine;
+use gpdt_store::MonitoredEngine;
 
 /// Panics on the `n`-th ingested batch, once; the wrapper rebuilt from a
 /// recovery point is benign.
-pub struct PanicOnNth<E> {
-    pub inner: E,
+pub struct PanicOnNth {
+    pub inner: GatheringEngine,
     pub panic_at: Option<u64>,
     pub seen: u64,
 }
 
-impl<E: MonitoredEngine> MonitoredEngine for PanicOnNth<E> {
-    type OpenState = E::OpenState;
-
+impl MonitoredEngine for PanicOnNth {
+    fn engine(&self) -> &GatheringEngine {
+        &self.inner
+    }
     fn ingest_batch(&mut self, batch: ClusterDatabase) {
         self.seen += 1;
         if self.panic_at == Some(self.seen) {
             self.panic_at = None;
             panic!("injected ingest panic");
         }
-        self.inner.ingest_batch(batch);
+        self.inner.ingest_clusters(batch);
     }
-    fn finalized_feed(&self) -> &[CrowdRecord] {
-        self.inner.finalized_feed()
-    }
-    fn resolve_database(&self) -> &ClusterDatabase {
-        self.inner.resolve_database()
-    }
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        self.inner.checkpoint_into(out);
-    }
-    fn note_open_state(&self, open: &mut E::OpenState) {
-        self.inner.note_open_state(open);
-    }
-    fn reassemble(
-        &self,
-        history: ClusterDatabase,
-        finalized: Vec<CrowdRecord>,
-        open: &E::OpenState,
-    ) -> Self {
+    fn rebuilt(&self, engine: GatheringEngine) -> Self {
         PanicOnNth {
-            inner: self.inner.reassemble(history, finalized, open),
+            inner: engine,
             panic_at: None,
             seen: self.seen,
         }
-    }
-    fn load(&self) -> EngineLoad {
-        self.inner.load()
     }
 }

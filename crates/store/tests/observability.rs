@@ -199,13 +199,16 @@ fn seeded_fault_run_is_observable_end_to_end() {
     assert_eq!(delta("service.degraded.entries", degraded0), 1);
 
     // The embedded snapshot speaks the same vocabulary: registry counters
-    // plus the `service.*` / `engine_load.*` gauges merged from the stats.
+    // plus the `service.*` / `engine.*` gauges merged from the stats.
     assert_eq!(
         stats.metrics.counter("service.panics_recovered"),
         Some(after.counter("service.panics_recovered").unwrap())
     );
     assert_eq!(stats.metrics.gauge("service.retries"), Some(stats.retries));
-    assert!(stats.metrics.gauge("engine_load.resident_ticks").is_some());
+    assert_eq!(
+        stats.metrics.gauge("engine.resident_ticks"),
+        Some(stats.engine.resident_ticks as u64)
+    );
 
     // The flight recorder holds the causal sequence: a retry, then the
     // worker panic and its recovery, then degraded enter before exit.
@@ -238,6 +241,7 @@ fn seeded_fault_run_is_observable_end_to_end() {
     let _ = std::fs::remove_file(&dump);
 
     recovery_point_work_is_counted();
+    engine_gauges_are_the_engine_stats();
     replay_work_is_counted();
     group_commit_writes_are_counted();
 }
@@ -441,4 +445,45 @@ fn recovery_point_work_is_counted() {
     assert_eq!(silent, (0, 0, 0), "GPDT_OBS=off must record nothing");
     assert_eq!(stats.ticks_ingested, 20);
     assert_eq!(recovery_work(&stats.metrics), (0, 0, 0));
+}
+
+/// The engine's numbers reach the snapshot under one name each: every
+/// `engine.*` gauge is the matching [`gpdt_core::EngineStats`] field of the
+/// served engine, with true values, and no second vocabulary beside it.
+/// (Called from the one `#[test]`: the registry is process-wide.)
+fn engine_gauges_are_the_engine_stats() {
+    let (_, stats) = clean_run();
+    let engine = &stats.engine;
+    let expected = [
+        (
+            "engine.finalized_gatherings",
+            engine.finalized_gatherings as u64,
+        ),
+        ("engine.finalized_records", engine.finalized_records as u64),
+        ("engine.open_sequences", engine.open_sequences as u64),
+        ("engine.resident_clusters", engine.resident_clusters as u64),
+        ("engine.resident_ticks", engine.resident_ticks as u64),
+        ("engine.ticks_ingested", engine.ticks_ingested),
+    ];
+    let merged: Vec<(&str, u64)> = stats
+        .metrics
+        .gauges
+        .iter()
+        .filter(|(name, _)| name.starts_with("engine."))
+        .map(|(name, value)| (name.as_str(), *value))
+        .collect();
+    assert_eq!(merged, expected);
+    assert!(engine.resident_clusters > 0, "{engine:?}");
+    assert_eq!(engine.ticks_ingested, stats.ticks_ingested);
+    assert_eq!(engine.finalized_records, stats.finalized_records);
+    let names = stats
+        .metrics
+        .counters
+        .iter()
+        .map(|(name, _)| name)
+        .chain(stats.metrics.gauges.iter().map(|(name, _)| name))
+        .chain(stats.metrics.histograms.iter().map(|(name, _)| name));
+    for name in names {
+        assert!(!name.starts_with("engine_load."), "{name}");
+    }
 }

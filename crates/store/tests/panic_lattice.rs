@@ -1,6 +1,6 @@
 //! The service's panic lattice: an ingest panic injected at *every* batch of
-//! a stream — for both engine kinds, both retention policies and three
-//! recovery-point cadences — must leave no trace in the discovery output,
+//! a stream — for both retention policies and three recovery-point
+//! cadences — must leave no trace in the discovery output,
 //! the durable history or the bytes of a checkpoint taken at the end.
 //!
 //! Beside it, the two-tier check on the recovery point itself: what the
@@ -21,9 +21,8 @@ use gpdt_core::{
     Crowd, CrowdParams, Gathering, GatheringConfig, GatheringEngine, GatheringParams,
     RetentionPolicy,
 };
-use gpdt_shard::{GridPartitioner, Partitioner, ShardedEngine};
 use gpdt_store::{
-    FaultVfs, MonitorService, MonitoredEngine, PatternRecord, PatternStore, RecoveryPoint,
+    checkpoint_to_vec, FaultVfs, MonitorService, PatternRecord, PatternStore, RecoveryPoint,
     StoreOptions, SupervisorPolicy,
 };
 use gpdt_trajectory::{ObjectId, TimeInterval, Trajectory, TrajectoryDatabase};
@@ -41,8 +40,8 @@ fn config() -> GatheringConfig {
 }
 
 /// Five objects that gather for four ticks and scatter for three, at a venue
-/// that moves on every cycle, beside five that drift together across shard
-/// borders for five ticks and scatter for two, out of phase with the first
+/// that moves on every cycle, beside five that drift together for five
+/// ticks and scatter for two, out of phase with the first
 /// group: some crowd is always open, and none for long — bounded retention
 /// evicts all along the stream.
 fn batches() -> Vec<ClusterDatabase> {
@@ -77,29 +76,12 @@ fn batches() -> Vec<ClusterDatabase> {
         .collect()
 }
 
-/// What the lattice needs of an engine kind beyond [`MonitoredEngine`].
-trait Discovery: MonitoredEngine {
-    fn fresh(retention: RetentionPolicy) -> Self;
-    fn outputs(&self) -> (Vec<Crowd>, Vec<Gathering>);
+fn fresh(retention: RetentionPolicy) -> GatheringEngine {
+    GatheringEngine::new(config()).with_retention(retention)
 }
 
-impl Discovery for GatheringEngine {
-    fn fresh(retention: RetentionPolicy) -> Self {
-        GatheringEngine::new(config()).with_retention(retention)
-    }
-    fn outputs(&self) -> (Vec<Crowd>, Vec<Gathering>) {
-        (self.closed_crowds(), self.gatherings())
-    }
-}
-
-impl Discovery for ShardedEngine {
-    fn fresh(retention: RetentionPolicy) -> Self {
-        let partitioner = Partitioner::Grid(GridPartitioner::new(150.0));
-        ShardedEngine::new(config(), 2, partitioner).with_retention(retention)
-    }
-    fn outputs(&self) -> (Vec<Crowd>, Vec<Gathering>) {
-        (self.closed_crowds(), self.gatherings())
-    }
+fn outputs(engine: &GatheringEngine) -> (Vec<Crowd>, Vec<Gathering>) {
+    (engine.closed_crowds(), engine.gatherings())
 }
 
 /// Everything a run leaves behind that a panic must not change.
@@ -113,16 +95,16 @@ struct Trail {
 
 /// Streams `batches` through a service whose engine panics at batch
 /// `panic_at`; returns the trail, the panics recovered and the engine.
-fn run<E: Discovery>(
+fn run(
     batches: &[ClusterDatabase],
     retention: RetentionPolicy,
     panic_at: Option<u64>,
     checkpoint_interval: u64,
-) -> (Trail, u64, E) {
+) -> (Trail, u64, GatheringEngine) {
     let vfs = Arc::new(FaultVfs::new(16));
     let store = PatternStore::open_at(vfs, "/lattice", StoreOptions::default()).unwrap();
     let engine = PanicOnNth {
-        inner: E::fresh(retention),
+        inner: fresh(retention),
         panic_at,
         seen: 0,
     };
@@ -146,7 +128,7 @@ fn run<E: Discovery>(
         "{:?}",
         outcome.errors
     );
-    let (crowds, gatherings) = outcome.engine.inner.outputs();
+    let (crowds, gatherings) = outputs(&outcome.engine.inner);
     let trail = Trail {
         crowds,
         gatherings,
@@ -156,14 +138,15 @@ fn run<E: Discovery>(
     (trail, stats.panics_recovered, outcome.engine.inner)
 }
 
-fn lattice<E: Discovery>(kind: &str) {
+#[test]
+fn a_panic_at_any_batch_leaves_no_trace_single_engine() {
     let batches = batches();
     for retention in [RetentionPolicy::KeepAll, RetentionPolicy::Bounded] {
-        let (reference, panics, engine) = run::<E>(&batches, retention, None, 16);
+        let (reference, panics, engine) = run(&batches, retention, None, 16);
         assert_eq!(panics, 0);
         assert!(reference.gatherings.len() >= CYCLES as usize);
         assert!(reference.records.len() >= CYCLES as usize);
-        let resident = engine.resolve_database().len();
+        let resident = engine.cluster_database().len();
         match retention {
             RetentionPolicy::KeepAll => assert_eq!(resident, TICKS as usize),
             // Bounded retention must really evict, and between two refreshes
@@ -173,10 +156,9 @@ fn lattice<E: Discovery>(kind: &str) {
         for checkpoint_interval in [1, 4, 16] {
             for panic_at in 1..=batches.len() as u64 {
                 let (trail, panics, _) =
-                    run::<E>(&batches, retention, Some(panic_at), checkpoint_interval);
+                    run(&batches, retention, Some(panic_at), checkpoint_interval);
                 let cell = format!(
-                    "{kind}, {retention:?}, refresh every {checkpoint_interval}, panic at batch \
-                     {panic_at}"
+                    "{retention:?}, refresh every {checkpoint_interval}, panic at batch {panic_at}"
                 );
                 assert_eq!(panics, 1, "{cell}");
                 assert!(trail == reference, "{cell}: the panic left a trace");
@@ -185,39 +167,17 @@ fn lattice<E: Discovery>(kind: &str) {
     }
 }
 
-#[test]
-fn a_panic_at_any_batch_leaves_no_trace_single_engine() {
-    lattice::<GatheringEngine>("single engine");
-}
-
-#[test]
-fn a_panic_at_any_batch_leaves_no_trace_two_shards() {
-    // The drifters must actually tie the shards together.
-    let mut engine = ShardedEngine::fresh(RetentionPolicy::KeepAll);
-    for batch in batches() {
-        engine.ingest_clusters(batch);
-    }
-    assert!(engine.stats().cross_edges > 0);
-    lattice::<ShardedEngine>("two shards");
-}
-
-fn checkpoint_bytes<E: MonitoredEngine>(engine: &E) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    engine.checkpoint_into(&mut bytes);
-    bytes
-}
-
 /// The worker's refresh loop by hand: after every refresh the engine rebuilt
 /// from the point must serialise to the live engine's checkpoint, and the
 /// counts the refreshes report must add up to what was ingested and
 /// finalized.
-fn point_tracks_engine<E: Discovery>(retention: RetentionPolicy, interval: usize) {
-    let mut engine = E::fresh(retention);
+fn point_tracks_engine(retention: RetentionPolicy, interval: usize) {
+    let mut engine = fresh(retention);
     let mut point = RecoveryPoint::of(&engine);
     let mut replay = Vec::new();
     let (mut ticks, mut records) = (0, 0);
     for batch in batches() {
-        engine.ingest_batch(batch.clone());
+        engine.ingest_clusters(batch.clone());
         replay.push(batch);
         if replay.len() == interval {
             let (more_ticks, more_records) = point.top_up(&engine, &mut replay);
@@ -225,14 +185,14 @@ fn point_tracks_engine<E: Discovery>(retention: RetentionPolicy, interval: usize
             ticks += more_ticks;
             records += more_records;
             let rebuilt = point.restore(&engine);
-            assert_eq!(checkpoint_bytes(&rebuilt), checkpoint_bytes(&engine));
-            assert_eq!(rebuilt.outputs(), engine.outputs());
+            assert_eq!(checkpoint_to_vec(&rebuilt), checkpoint_to_vec(&engine));
+            assert_eq!(outputs(&rebuilt), outputs(&engine));
         }
     }
     let topped_up = u64::from(TICKS) - replay.len() as u64;
     assert_eq!(ticks, topped_up);
     if replay.is_empty() {
-        assert_eq!(records, engine.finalized_feed().len() as u64);
+        assert_eq!(records, engine.finalized_records().len() as u64);
     }
 }
 
@@ -240,8 +200,7 @@ fn point_tracks_engine<E: Discovery>(retention: RetentionPolicy, interval: usize
 fn the_rebuilt_engine_serialises_like_the_live_one_after_every_refresh() {
     for retention in [RetentionPolicy::KeepAll, RetentionPolicy::Bounded] {
         for interval in [1, 3, 7] {
-            point_tracks_engine::<GatheringEngine>(retention, interval);
-            point_tracks_engine::<ShardedEngine>(retention, interval);
+            point_tracks_engine(retention, interval);
         }
     }
 }
@@ -249,38 +208,33 @@ fn the_rebuilt_engine_serialises_like_the_live_one_after_every_refresh() {
 /// A point taken mid-gathering, then a live engine that scatters and evicts
 /// the very ticks the point's frontier stands on: the point owns its spine,
 /// so the rebuild and the replay end where the live engine is.
-fn point_outlives_eviction<E: Discovery>() {
+#[test]
+fn a_point_survives_the_eviction_of_the_ticks_it_holds() {
     let batches = batches();
-    let mut engine = E::fresh(RetentionPolicy::Bounded);
+    let mut engine = fresh(RetentionPolicy::Bounded);
     let (taken_after, panic_after) = (10, 23);
     for batch in &batches[..taken_after] {
-        engine.ingest_batch(batch.clone());
+        engine.ingest_clusters(batch.clone());
     }
     let point = RecoveryPoint::of(&engine);
-    let held_from = engine.resolve_database().time_domain().unwrap().start;
+    let held_from = engine.cluster_database().time_domain().unwrap().start;
     for batch in &batches[taken_after..panic_after] {
-        engine.ingest_batch(batch.clone());
+        engine.ingest_clusters(batch.clone());
     }
-    let live_from = engine.resolve_database().time_domain().unwrap().start;
+    let live_from = engine.cluster_database().time_domain().unwrap().start;
     assert!(
         live_from > held_from + 5,
         "the live engine still holds what the point does ({held_from} → {live_from})"
     );
     let mut rebuilt = point.restore(&engine);
     for batch in &batches[taken_after..panic_after] {
-        rebuilt.ingest_batch(batch.clone());
+        rebuilt.ingest_clusters(batch.clone());
     }
-    assert_eq!(checkpoint_bytes(&rebuilt), checkpoint_bytes(&engine));
+    assert_eq!(checkpoint_to_vec(&rebuilt), checkpoint_to_vec(&engine));
     for batch in &batches[panic_after..] {
-        engine.ingest_batch(batch.clone());
-        rebuilt.ingest_batch(batch.clone());
+        engine.ingest_clusters(batch.clone());
+        rebuilt.ingest_clusters(batch.clone());
     }
-    assert_eq!(checkpoint_bytes(&rebuilt), checkpoint_bytes(&engine));
-    assert_eq!(rebuilt.outputs(), engine.outputs());
-}
-
-#[test]
-fn a_point_survives_the_eviction_of_the_ticks_it_holds() {
-    point_outlives_eviction::<GatheringEngine>();
-    point_outlives_eviction::<ShardedEngine>();
+    assert_eq!(checkpoint_to_vec(&rebuilt), checkpoint_to_vec(&engine));
+    assert_eq!(outputs(&rebuilt), outputs(&engine));
 }

@@ -145,31 +145,6 @@ impl TrajectoryDatabase {
             .filter_map(move |traj| traj.position_at(t).map(|p| (traj.id(), p)))
     }
 
-    /// Restricts the database to trajectories of the given objects.
-    pub fn filter_objects(&self, ids: &[ObjectId]) -> TrajectoryDatabase {
-        let wanted: std::collections::BTreeSet<ObjectId> = ids.iter().copied().collect();
-        TrajectoryDatabase::from_trajectories(
-            self.iter().filter(|t| wanted.contains(&t.id())).cloned(),
-        )
-    }
-
-    /// Appends a batch of new trajectory data (the incremental-update
-    /// scenario of §III-C).
-    ///
-    /// Samples of existing objects are merged into their trajectories; new
-    /// objects are added.
-    pub fn append_batch(&mut self, batch: impl IntoIterator<Item = Trajectory>) {
-        for t in batch {
-            self.insert(t);
-        }
-    }
-
-    /// Restricts the database to the given time interval, dropping objects
-    /// with no samples inside it.
-    pub fn slice_time(&self, interval: TimeInterval) -> TrajectoryDatabase {
-        TrajectoryDatabase::from_trajectories(self.iter().filter_map(|t| t.slice(interval)))
-    }
-
     /// Total number of stored samples across all trajectories.
     pub fn total_samples(&self) -> usize {
         self.trajectories.values().map(|t| t.len()).sum()
@@ -312,37 +287,11 @@ mod tests {
         for (id, samples) in inserted {
             assert_eq!(db.get(id), Some(&Trajectory::new(id, samples)));
         }
-        let filtered = db.filter_objects(&[ObjectId::new(1), ObjectId::new(4)]);
-        assert_eq!(filtered.time_domain(), recomputed_domain(&filtered));
-        let sliced = db.slice_time(TimeInterval::new(100, 220));
+        let sliced = TrajectoryDatabase::from_trajectories(
+            db.iter()
+                .filter_map(|t| t.slice(TimeInterval::new(100, 220))),
+        );
         assert_eq!(sliced.time_domain(), recomputed_domain(&sliced));
-    }
-
-    #[test]
-    fn filter_objects_keeps_only_requested() {
-        let db = db();
-        let filtered = db.filter_objects(&[ObjectId::new(1), ObjectId::new(3), ObjectId::new(9)]);
-        assert_eq!(filtered.len(), 2);
-        assert!(filtered.get(ObjectId::new(2)).is_none());
-    }
-
-    #[test]
-    fn append_batch_extends_time_domain() {
-        let mut db = db();
-        db.append_batch(vec![Trajectory::from_points(
-            ObjectId::new(2),
-            vec![(25, (0.0, 25.0))],
-        )]);
-        assert_eq!(db.time_domain(), Some(TimeInterval::new(0, 25)));
-        assert_eq!(db.get(ObjectId::new(2)).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn slice_time_drops_objects_outside_interval() {
-        let db = db();
-        let sliced = db.slice_time(TimeInterval::new(0, 10));
-        assert_eq!(sliced.len(), 2);
-        assert!(sliced.get(ObjectId::new(3)).is_none());
     }
 
     #[test]

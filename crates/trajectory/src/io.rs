@@ -122,11 +122,6 @@ pub fn from_str(text: &str) -> Result<TrajectoryDatabase, ParseError> {
     Ok(builder.build())
 }
 
-/// Writes a database to a file in the text format.
-pub fn write_file(db: &TrajectoryDatabase, path: impl AsRef<Path>) -> io::Result<()> {
-    fs::write(path, to_string(db))
-}
-
 /// Reads a database from a file in the text format.
 pub fn read_file(path: impl AsRef<Path>) -> Result<TrajectoryDatabase, ParseError> {
     let text = fs::read_to_string(path)?;
@@ -166,7 +161,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.traj");
         let db = sample_db();
-        write_file(&db, &path).unwrap();
+        std::fs::write(&path, to_string(&db)).unwrap();
         let parsed = read_file(&path).unwrap();
         assert_eq!(parsed.total_samples(), db.total_samples());
         std::fs::remove_file(&path).unwrap();

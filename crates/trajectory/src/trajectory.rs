@@ -132,12 +132,6 @@ impl Trajectory {
         Some(before.position.lerp(&after.position, frac))
     }
 
-    /// The exact sample at tick `t`, without interpolation.
-    pub fn sample_at(&self, t: Timestamp) -> Option<&Sample> {
-        let sample = &self.samples[self.floor_index(t)?];
-        (sample.time == t).then_some(sample)
-    }
-
     /// Index of the last sample at or before `t`, or `None` if `t` lies
     /// outside the lifespan: the probe-then-search of [`Self::position_at`].
     fn floor_index(&self, t: Timestamp) -> Option<usize> {
@@ -201,14 +195,6 @@ impl Trajectory {
             samples.extend_from_slice(&other.samples);
             *self = Trajectory::new(self.id, samples);
         }
-    }
-
-    /// Total polyline length in metres (sum of inter-sample distances).
-    pub fn path_length(&self) -> f64 {
-        self.samples
-            .windows(2)
-            .map(|w| w[0].position.distance(&w[1].position))
-            .sum()
     }
 
     /// The sub-trajectory restricted to `interval`, if any samples fall
@@ -321,13 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_at_only_returns_exact_samples() {
-        let t = traj();
-        assert!(t.sample_at(10).is_some());
-        assert!(t.sample_at(5).is_none());
-    }
-
-    #[test]
     fn append_advancing_sample() {
         let mut t = traj();
         assert!(t.append(Sample::new(25, Point::new(0.0, 0.0))).is_ok());
@@ -341,13 +320,6 @@ mod tests {
         assert_eq!(err.last, 20);
         assert_eq!(err.attempted, 20);
         assert!(err.to_string().contains("does not advance"));
-    }
-
-    #[test]
-    fn path_length_sums_segments() {
-        assert_eq!(traj().path_length(), 200.0);
-        let single = Trajectory::from_points(ObjectId::new(3), vec![(0, (1.0, 1.0))]);
-        assert_eq!(single.path_length(), 0.0);
     }
 
     #[test]
@@ -377,7 +349,7 @@ mod tests {
         }
     }
 
-    /// Checks `position_at` and `sample_at` against the reference at every
+    /// Checks `position_at` against the reference at every
     /// tick of the lifespan (`probes` of them when it is huge), its two ends
     /// and the ticks just outside.
     fn assert_matches_reference(traj: &Trajectory, probes: u32) {
@@ -405,8 +377,6 @@ mod tests {
                 "object {} at t={t}",
                 traj.id()
             );
-            let sampled = traj.samples().iter().find(|s| s.time == t);
-            assert_eq!(traj.sample_at(t), sampled, "sample_at t={t}");
         }
     }
 
