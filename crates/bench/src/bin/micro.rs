@@ -2,7 +2,9 @@
 //! makes between live paths.
 //!
 //! * **DBSCAN** — the arena-backed CSR-grid implementation
-//!   ([`gpdt_clustering::dbscan_with`] with a reused scratch), and its ε-grid
+//!   ([`gpdt_clustering::dbscan_with`] with a reused scratch) on dense blob
+//!   fields and on a city-sparse snapshot (most blocks too thin for a core
+//!   point, so most ε-scans are skipped), and its ε-grid
 //!   build on its own on a dense snapshot (a cell table) and a sparse one
 //!   (points sorted by cell key).
 //! * **`hausdorff_within`** — the grid-bucketed threshold test, the
@@ -75,6 +77,27 @@ fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize, spread: f64) -> Vec<Point>
         .collect()
 }
 
+/// A city snapshot's density: 1 200 taxis over a 20 km square, 216 of them
+/// (18 %) gathered at twelve venues and the rest cruising alone — the
+/// points whose block holds fewer than `min_pts` and so are never scanned.
+fn city_sparse(rng: &mut StdRng) -> Vec<Point> {
+    let mut points = Vec::with_capacity(1_200);
+    for _ in 0..12 {
+        let (cx, cy) = (
+            rng.gen_range(-9_000.0..9_000.0),
+            rng.gen_range(-9_000.0..9_000.0),
+        );
+        points.extend(blob(rng, cx, cy, 18, 150.0));
+    }
+    while points.len() < 1_200 {
+        points.push(Point::new(
+            rng.gen_range(-10_000.0..10_000.0),
+            rng.gen_range(-10_000.0..10_000.0),
+        ));
+    }
+    points
+}
+
 fn bench_dbscan(c: &mut Criterion, rng: &mut StdRng) {
     let params = ClusteringParams::new(200.0, 5);
     let mut scratch = DbscanScratch::new();
@@ -85,6 +108,10 @@ fn bench_dbscan(c: &mut Criterion, rng: &mut StdRng) {
             b.iter(|| dbscan_with(black_box(columns.view()), &params, &mut scratch))
         });
     }
+    let columns = PointColumns::from_points(&city_sparse(rng));
+    group.bench_function(format!("city_sparse/{}", columns.len()), |b| {
+        b.iter(|| dbscan_with(black_box(columns.view()), &params, &mut scratch))
+    });
     group.finish();
 }
 

@@ -12,15 +12,26 @@
 //! point instead of the whole snapshot.  The grid is a flat bucket (CSR)
 //! structure inside a reusable [`DbscanScratch`] arena, built in time linear
 //! in the snapshot: one pass turns every point into a packed integer cell
-//! key, a table with one slot per cell of the cells' bounding box is counted
-//! and prefix-summed into bucket offsets, the points are scattered into
-//! their buckets, and each point's three 3×1 neighbour ranges are read
-//! straight off the table.  Only a snapshot whose box is too sparse for a
-//! table (a few points, far apart) sorts its points by key instead.  Callers
-//! that cluster many snapshots (the cluster database builders, the streaming
-//! clusterer) keep one scratch alive and pass it to [`dbscan_with`], making
-//! the per-snapshot hot path free of heap allocation apart from the output
-//! itself.
+//! key and folds the cells' bounding box, a table with one slot per cell of
+//! that box is counted and prefix-summed into bucket offsets, the points are
+//! scattered into their buckets, and each point's block is three runs of
+//! cells, one per column.  Only a snapshot whose box is too sparse for a
+//! table (a few points, far apart) sorts its points by key instead.
+//!
+//! The grid's counts decide which ε-scans run at all.  A point's
+//! ε-neighbourhood is a subset of its block, so a block holding fewer than
+//! `min_pts` points proves the point is not core without a scan: a start
+//! point becomes noise, a frontier point joins as a border point.  And a
+//! frontier point whose block holds no point that is not yet enqueued
+//! cannot add to the frontier, core or not, so it is not scanned either; a
+//! per-cell count of the points not yet enqueued answers that in at most
+//! nine reads.  Both skips are exact, so the result equals a scan of every
+//! point (`dbscan_bruteforce` is the oracle the tests hold it to).
+//!
+//! Callers that cluster many snapshots (the cluster database builders, the
+//! streaming clusterer) keep one scratch alive and pass it to
+//! [`dbscan_with`], making the per-snapshot hot path free of heap allocation
+//! apart from the output itself.
 //!
 //! The result is canonical — clusters numbered by their lowest seed index, a
 //! border point in the earliest-discovered cluster that reaches it, members
@@ -29,68 +40,66 @@
 
 use gpdt_geo::bvs::BitVector;
 use gpdt_geo::grid::clamped_cell_index;
-use gpdt_geo::{Point, PointsView};
+use gpdt_geo::{Point, PointColumns, PointsView};
+use gpdt_trajectory::ObjectId;
 
 use crate::params::ClusteringParams;
 
 const UNVISITED: u32 = u32::MAX;
 const NOISE: u32 = u32::MAX - 1;
 
-/// Result of running DBSCAN on a set of points.
+/// Result of running DBSCAN on a set of points: the clusters' member
+/// indices (into the input) in one flat array, cluster after cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbscanResult {
-    /// For each cluster, the indices (into the input slice) of its members,
-    /// sorted in increasing order.
-    pub clusters: Vec<Vec<usize>>,
-    /// Number of input points (the indices `clusters` does not name are
-    /// noise).
-    len: usize,
+    /// Member indices, each cluster's run sorted in increasing order.
+    members: Vec<u32>,
+    /// Cluster `c` is `members[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
 }
 
 impl DbscanResult {
-    /// Groups the final per-point labels into member lists by counting:
-    /// each list is allocated at its exact size and filled in index order,
-    /// so it comes out sorted.
+    /// Groups the final per-point labels into member runs by counting: the
+    /// members are allocated at their exact size and filled in index order,
+    /// so each run comes out sorted.
     fn from_labels(cluster_count: usize, labels: &[u32]) -> Self {
-        let mut sizes = vec![0usize; cluster_count];
+        // Counts go in two slots up, as in the grid's table: after the
+        // prefix sum `offsets[c + 1]` is where cluster `c` starts, the
+        // scatter advances it to where `c` ends, and the last slot (the
+        // total, never advanced) is dropped.
+        let mut offsets = vec![0u32; cluster_count + 2];
         for &label in labels {
             if label != NOISE {
-                sizes[label as usize] += 1;
+                offsets[label as usize + 2] += 1;
             }
         }
-        let mut clusters: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for c in 2..offsets.len() {
+            offsets[c] += offsets[c - 1];
+        }
+        let mut members = vec![0u32; offsets[cluster_count + 1] as usize];
         for (idx, &label) in labels.iter().enumerate() {
             if label != NOISE {
-                clusters[label as usize].push(idx);
+                let cursor = &mut offsets[label as usize + 1];
+                members[*cursor as usize] = idx as u32;
+                *cursor += 1;
             }
         }
-        DbscanResult {
-            clusters,
-            len: labels.len(),
-        }
+        offsets.pop();
+        DbscanResult { members, offsets }
     }
 
-    /// Indices of the points assigned to no cluster, in increasing order.
-    pub fn noise(&self) -> Vec<usize> {
-        let mut clustered = vec![false; self.len];
-        for &idx in self.clusters.iter().flatten() {
-            clustered[idx] = true;
-        }
-        (0..self.len).filter(|&idx| !clustered[idx]).collect()
+    /// Every clustered point's index, cluster after cluster; the points it
+    /// does not name are noise.
+    pub fn members(&self) -> &[u32] {
+        &self.members
     }
 
-    /// Cluster label of point `idx`: `Some(cluster_index)` or `None` for
-    /// noise.  Searches the member lists; a caller labelling every point
-    /// should walk [`Self::clusters`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not an index into the clustered point slice.
-    pub fn label_of(&self, idx: usize) -> Option<usize> {
-        assert!(idx < self.len, "point index {idx} out of range");
-        self.clusters
-            .iter()
-            .position(|members| members.binary_search(&idx).is_ok())
+    /// The clusters in order of discovery, each as its sorted member
+    /// indices.
+    pub fn clusters(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
     }
 }
 
@@ -130,25 +139,24 @@ fn row_of(key: u64) -> u32 {
 /// it has at most this many cells per point.
 const TABLED_BOX_CELLS_PER_POINT: u64 = 16;
 
-/// Reusable scratch arena for [`dbscan_with`]: the CSR grid buffers and the
-/// per-point working state.  Create one (cheap, all-empty) and reuse it
-/// across snapshots; every buffer is resized in place, so steady-state
-/// clustering performs no heap allocation beyond the returned result.
+/// Reusable scratch arena for [`dbscan_with`]: the CSR grid buffers, the
+/// per-point working state, and the snapshot columns the cluster database
+/// builders cluster.  Create one (cheap, all-empty) and reuse it across
+/// snapshots; every buffer is resized in place, so steady-state clustering
+/// performs no heap allocation beyond the returned result.
 #[derive(Debug, Clone, Default)]
 pub struct DbscanScratch {
     /// Packed cell key of each point.
     keys: Vec<u64>,
-    /// Bucket offsets over the cells' bounding box, one slot per cell
-    /// (column by column, a border of empty cells all around): the bucket of
-    /// slot `s` is `box_starts[s]..box_starts[s + 1]`.  Unused when the box
-    /// is too sparse for a table.
-    box_starts: Vec<u32>,
-    /// The sparse box's stand-ins for the table: the point indices sorted by
-    /// cell key, the occupied cells' keys in ascending order and their
-    /// bucket offsets (one trailing sentinel).
+    /// Bucket offsets by cell id: the bucket of cell `c` is
+    /// `starts[c]..starts[c + 1]`.  A tabulated box numbers its cells by
+    /// slot (column by column, a border of empty cells all around); a
+    /// sorted one numbers its occupied cells in key order.
+    starts: Vec<u32>,
+    /// The sparse box's sort: the point indices ordered by cell key, and the
+    /// occupied cells' keys in ascending order.
     order: Vec<u32>,
     cells: Vec<u64>,
-    starts: Vec<u32>,
     /// Number of occupied cells.
     cell_count: usize,
     /// The bucket payload, cell by cell in key order, as three parallel
@@ -158,20 +166,32 @@ pub struct DbscanScratch {
     bxs: Vec<f64>,
     bys: Vec<f64>,
     bidx: Vec<u32>,
-    /// Per point: the three contiguous bucket ranges covering the 3×3
-    /// neighbourhood of its cell (buckets are in (col, row) order, so for
-    /// each of the three columns the rows `r-1..=r+1` form one contiguous
-    /// run).  The ε-query walks these precomputed ranges without any lookup.
-    neighbor_ranges: Vec<[(u32, u32); 3]>,
+    /// Per point: its cell id.
+    cell_of: Vec<u32>,
+    /// Per point: its 3×3 block as three half-open runs of cell ids, one per
+    /// column (cells are numbered by (column, row), so the rows `r-1..=r+1`
+    /// of a column are consecutive ids, and their buckets one contiguous
+    /// run of the payload).
+    blocks: Vec<[(u32, u32); 3]>,
+    /// Per cell id: how many of its points no frontier has taken yet.
+    pending: Vec<u32>,
     /// Per-point cluster label during the sweep.
     labels: Vec<u32>,
-    /// BFS expansion frontier of the cluster under construction.
+    /// The clusters' BFS frontiers, one after the other.  A point is
+    /// enqueued at most once, by the cluster it joins, so a finished
+    /// cluster's run is exactly its members; it is sorted in place and
+    /// `offsets` marks where it ends.
     frontier: Vec<u32>,
+    offsets: Vec<u32>,
     /// ε-neighbourhood query output buffer.
     neighbors: Vec<u32>,
     /// Points already pushed onto some cluster's frontier (enqueueing a
     /// point twice is a no-op, so the bit lets us skip the duplicate push).
     enqueued: BitVector,
+    /// The snapshot the cluster database builders fill and cluster: object
+    /// ids and their positions.
+    pub(crate) snapshot_ids: Vec<ObjectId>,
+    pub(crate) snapshot_cols: PointColumns,
 }
 
 impl DbscanScratch {
@@ -192,25 +212,25 @@ impl DbscanScratch {
             self.cell_count = 0;
             return;
         }
+        // One pass keys the points and folds the cells' bounding box.
+        let (mut min_col, mut max_col) = (u32::MAX, 0);
+        let (mut min_row, mut max_row) = (u32::MAX, 0);
         self.keys.clear();
-        self.keys.extend(
-            points
-                .iter()
-                .map(|p| pack_cell(axis_cell(p.x, eps), axis_cell(p.y, eps))),
-        );
+        self.keys
+            .extend(points.xs().iter().zip(points.ys()).map(|(&x, &y)| {
+                let (col, row) = (axis_cell(x, eps), axis_cell(y, eps));
+                min_col = min_col.min(col);
+                max_col = max_col.max(col);
+                min_row = min_row.min(row);
+                max_row = max_row.max(row);
+                pack_cell(col, row)
+            }));
         self.bxs.resize(n, 0.0);
         self.bys.resize(n, 0.0);
         self.bidx.resize(n, 0);
-        self.neighbor_ranges.resize(n, [(0, 0); 3]);
+        self.cell_of.resize(n, 0);
+        self.blocks.resize(n, [(0, 0); 3]);
 
-        let bounds = |axis: fn(u64) -> u32| {
-            let cells = self.keys.iter().map(|&key| axis(key));
-            cells.fold((u32::MAX, 0), |(min, max), cell| {
-                (min.min(cell), max.max(cell))
-            })
-        };
-        let (min_col, max_col) = bounds(column_of);
-        let (min_row, max_row) = bounds(row_of);
         // The box with its border: no neighbour of an occupied cell falls
         // outside, so reading a neighbourhood needs no edge case.
         let height = u64::from(max_row - min_row) + 3;
@@ -224,7 +244,7 @@ impl DbscanScratch {
 
     /// The grid of a box small enough for a table: count the points of each
     /// slot, prefix-sum the counts into bucket offsets, scatter, and read
-    /// every point's neighbour ranges off the offsets.
+    /// every point's block straight off its slot.
     fn tabulate(
         &mut self,
         points: PointsView<'_>,
@@ -239,21 +259,25 @@ impl DbscanScratch {
         // where slot `s` starts, the scatter advances it to where the slot
         // ends — which is where slot `s + 1` starts, so afterwards
         // `table[s]..table[s + 1]` is the bucket of slot `s`.
-        let table = &mut self.box_starts;
+        let table = &mut self.starts;
         table.clear();
         table.resize(slots + 2, 0);
-        for &key in &self.keys {
-            table[slot_of(key) + 2] += 1;
-        }
         self.cell_count = 0;
+        for (cell, &key) in self.cell_of.iter_mut().zip(&self.keys) {
+            let slot = slot_of(key);
+            *cell = slot as u32;
+            self.cell_count += usize::from(table[slot + 2] == 0);
+            table[slot + 2] += 1;
+        }
+        self.pending.clear();
+        self.pending.extend_from_slice(&table[2..]);
         let mut running = 0;
         for count in table.iter_mut() {
-            self.cell_count += usize::from(*count != 0);
             running += *count;
             *count = running;
         }
-        for (i, &key) in self.keys.iter().enumerate() {
-            let cursor = &mut table[slot_of(key) + 1];
+        for (i, &slot) in self.cell_of.iter().enumerate() {
+            let cursor = &mut table[slot as usize + 1];
             let pos = *cursor as usize;
             *cursor += 1;
             self.bxs[pos] = points.xs()[i];
@@ -261,19 +285,20 @@ impl DbscanScratch {
             self.bidx[pos] = i as u32;
         }
         // A column's slots are consecutive, so rows `r-1..=r+1` of each of
-        // the three columns around a cell are one run of the bucket payload.
-        for (ranges, &key) in self.neighbor_ranges.iter_mut().zip(&self.keys) {
-            let left = slot_of(key) - height;
-            for (k, range) in ranges.iter_mut().enumerate() {
-                let same_row = left + k * height;
-                *range = (table[same_row - 1], table[same_row + 2]);
+        // the three columns around a cell are one run of slots.
+        let height = height as u32;
+        for (block, &slot) in self.blocks.iter_mut().zip(&self.cell_of) {
+            let left = slot - height;
+            for (k, run) in block.iter_mut().enumerate() {
+                let same_row = left + k as u32 * height;
+                *run = (same_row - 1, same_row + 2);
             }
         }
     }
 
     /// The grid of a sparse box: sort the points by cell key (through an
     /// index, the keys stay plain integers), cut the sorted run into cells,
-    /// and find each cell's neighbour ranges with forward cursors.
+    /// and find each cell's block with forward cursors.
     fn sort_into_cells(&mut self, points: PointsView<'_>) {
         let keys = &self.keys;
         self.order.clear();
@@ -281,12 +306,16 @@ impl DbscanScratch {
         self.order.sort_unstable_by_key(|&i| keys[i as usize]);
         self.cells.clear();
         self.starts.clear();
+        self.pending.clear();
         for (pos, &i) in self.order.iter().enumerate() {
             let key = keys[i as usize];
             if self.cells.last() != Some(&key) {
                 self.cells.push(key);
                 self.starts.push(pos as u32);
+                self.pending.push(0);
             }
+            *self.pending.last_mut().expect("a cell was pushed") += 1;
+            self.cell_of[i as usize] = self.cells.len() as u32 - 1;
             self.bxs[pos] = points.xs()[i as usize];
             self.bys[pos] = points.ys()[i as usize];
             self.bidx[pos] = i;
@@ -300,8 +329,8 @@ impl DbscanScratch {
         // each crossing `cells` once.
         let (mut lo, mut hi) = ([0usize; 3], [0usize; 3]);
         for (cell, &key) in self.cells.iter().enumerate() {
-            let mut ranges = [(0u32, 0u32); 3];
-            for (k, range) in ranges.iter_mut().enumerate() {
+            let mut block = [(0u32, 0u32); 3];
+            for (k, run) in block.iter_mut().enumerate() {
                 let same_row = key - COLUMN + k as u64 * COLUMN;
                 while lo[k] < self.cell_count && self.cells[lo[k]] < same_row - 1 {
                     lo[k] += 1;
@@ -309,11 +338,48 @@ impl DbscanScratch {
                 while hi[k] < self.cell_count && self.cells[hi[k]] <= same_row + 1 {
                     hi[k] += 1;
                 }
-                *range = (self.starts[lo[k]], self.starts[hi[k]]);
+                *run = (lo[k] as u32, hi[k] as u32);
             }
             for pos in self.starts[cell]..self.starts[cell + 1] {
-                self.neighbor_ranges[self.bidx[pos as usize] as usize] = ranges;
+                self.blocks[self.bidx[pos as usize] as usize] = block;
             }
+        }
+    }
+
+    /// Number of points in the 3×3 block of `idx`'s cell: an upper bound on
+    /// the size of its ε-neighbourhood.
+    #[inline]
+    fn block_len(&self, idx: usize) -> usize {
+        self.blocks[idx]
+            .iter()
+            .map(|&(lo, hi)| (self.starts[hi as usize] - self.starts[lo as usize]) as usize)
+            .sum()
+    }
+
+    /// Whether every point in the block of `idx`'s cell is already enqueued.
+    #[inline]
+    fn block_taken(&self, idx: usize) -> bool {
+        self.blocks[idx].iter().all(|&(lo, hi)| {
+            self.pending[lo as usize..hi as usize]
+                .iter()
+                .all(|&p| p == 0)
+        })
+    }
+
+    /// Pushes `q` onto the frontier unless some frontier has taken it.
+    #[inline]
+    fn enqueue(&mut self, q: u32) {
+        if !self.enqueued.get(q as usize) {
+            self.enqueued.set(q as usize, true);
+            self.pending[self.cell_of[q as usize] as usize] -= 1;
+            self.frontier.push(q);
+        }
+    }
+
+    /// [`Self::enqueue`]s every point of the `neighbors` buffer.
+    fn enqueue_neighbors(&mut self) {
+        for i in 0..self.neighbors.len() {
+            self.enqueue(self.neighbors[i]);
         }
     }
 
@@ -327,8 +393,11 @@ impl DbscanScratch {
         // in bucket order with an exact comparison, so the neighbour list is
         // identical to a scalar scan at every level.
         let d = gpdt_geo::simd::dispatch();
-        for &(lo, hi) in &self.neighbor_ranges[idx] {
-            let (lo, hi) = (lo as usize, hi as usize);
+        for &(lo, hi) in &self.blocks[idx] {
+            let (lo, hi) = (
+                self.starts[lo as usize] as usize,
+                self.starts[hi as usize] as usize,
+            );
             d.filter_within(
                 &self.bxs[lo..hi],
                 &self.bys[lo..hi],
@@ -367,12 +436,22 @@ pub fn dbscan_with(
     scratch.labels.clear();
     scratch.labels.resize(points.len(), UNVISITED);
     scratch.enqueued.reset(points.len());
+    scratch.frontier.clear();
+    scratch.offsets.clear();
+    scratch.offsets.push(0);
     let mut cluster_count: u32 = 0;
+    let (mut scans, mut pruned) = (0u64, 0u64);
 
     for start in 0..points.len() {
         if scratch.labels[start] != UNVISITED {
             continue;
         }
+        if scratch.block_len(start) < params.min_pts {
+            pruned += 1;
+            scratch.labels[start] = NOISE;
+            continue;
+        }
+        scans += 1;
         scratch.find_neighbors(points, start, params.eps);
         if scratch.neighbors.len() < params.min_pts {
             scratch.labels[start] = NOISE;
@@ -383,15 +462,12 @@ pub fn dbscan_with(
         cluster_count += 1;
         scratch.labels[start] = cluster_id;
 
-        scratch.frontier.clear();
-        for i in 0..scratch.neighbors.len() {
-            let q = scratch.neighbors[i];
-            if !scratch.enqueued.get(q as usize) {
-                scratch.enqueued.set(q as usize, true);
-                scratch.frontier.push(q);
-            }
-        }
-        let mut cursor = 0;
+        // The start goes first: its own ε-ball may not hold it (non-finite
+        // coordinates), but its cluster's run must.
+        let first = scratch.frontier.len();
+        scratch.enqueue(start as u32);
+        scratch.enqueue_neighbors();
+        let mut cursor = first;
         while cursor < scratch.frontier.len() {
             let q = scratch.frontier[cursor] as usize;
             cursor += 1;
@@ -404,27 +480,35 @@ pub fn dbscan_with(
                 continue;
             }
             scratch.labels[q] = cluster_id;
+            // Too few points around `q` for it to be core, or none left for
+            // it to enqueue: either way its scan would add nothing.
+            if scratch.block_len(q) < params.min_pts || scratch.block_taken(q) {
+                pruned += 1;
+                continue;
+            }
+            scans += 1;
             scratch.find_neighbors(points, q, params.eps);
             if scratch.neighbors.len() >= params.min_pts {
                 // `q` is itself a core point: its neighbourhood joins the
                 // expansion frontier (each point at most once — a duplicate
                 // enqueue would be skipped by the label check anyway).
-                for i in 0..scratch.neighbors.len() {
-                    let r = scratch.neighbors[i];
-                    if !scratch.enqueued.get(r as usize) {
-                        scratch.enqueued.set(r as usize, true);
-                        scratch.frontier.push(r);
-                    }
-                }
+                scratch.enqueue_neighbors();
             }
         }
+        scratch.frontier[first..].sort_unstable();
+        scratch.offsets.push(scratch.frontier.len() as u32);
     }
 
-    let result = DbscanResult::from_labels(cluster_count as usize, &scratch.labels);
+    // Exact-size copies: the result keeps no slack.
+    let result = DbscanResult {
+        members: scratch.frontier.to_vec(),
+        offsets: scratch.offsets.to_vec(),
+    };
     if gpdt_obs::enabled() {
-        let clustered: usize = result.clusters.iter().map(Vec::len).sum();
         gpdt_obs::counter!("dbscan.grid.cells").add(scratch.cell_count as u64);
-        gpdt_obs::counter!("dbscan.points.noise").add((points.len() - clustered) as u64);
+        gpdt_obs::counter!("dbscan.points.noise").add((points.len() - result.members.len()) as u64);
+        gpdt_obs::counter!("dbscan.scans").add(scans);
+        gpdt_obs::counter!("dbscan.scans_pruned").add(pruned);
     }
     result
 }
@@ -477,10 +561,97 @@ pub fn dbscan_bruteforce(points: &[Point], params: &ClusteringParams) -> DbscanR
     DbscanResult::from_labels(cluster_count as usize, &labels)
 }
 
+/// Point families at the edges of the block-count bound and the enqueued
+/// skip, laid out for the ε returned beside them and for `min_pts` from 1 to
+/// 5: blocks of exactly one to six points (in one cell, and spread over
+/// three), blocks full of points whose ε-balls hold fewer, pairs exactly ε
+/// apart across a cell border, and duplicate points.  Coordinates are
+/// integers, so every "exactly ε" is exact.  A test fixture, shared by the
+/// unit tests and the SIMD equivalence suite.
+#[doc(hidden)]
+pub fn bound_edge_families() -> (f64, Vec<(&'static str, Vec<Point>)>) {
+    let p = |x: i32, y: i32| Point::new(f64::from(x), f64::from(y));
+    // Groups of k points, 60 apart: each group's block holds exactly k.
+    let mut in_one_cell = Vec::new();
+    let mut over_three_cells = Vec::new();
+    for k in 1..=6 {
+        let x0 = 60 * k;
+        for j in 0..k {
+            in_one_cell.push(p(x0 + 1 + j, 2 + j));
+            // The same k spread evenly over 19 units: from the group's
+            // first cell into its third.
+            over_three_cells.push(p(x0 + 1 + j * 19 / (k - 1).max(1), 500));
+        }
+    }
+    // A centre with eight points 14 away along the axes and diagonals:
+    // all in its 3×3 block, none within ε.  Then the same with three and
+    // with four of them 9 away, so the centre's ball holds four and five.
+    let ring = |cx: i32, cy: i32, near: usize| {
+        let mut points = vec![p(cx, cy)];
+        let dirs = [
+            (1, 0),
+            (0, 1),
+            (-1, 0),
+            (0, -1),
+            (1, 1),
+            (-1, 1),
+            (1, -1),
+            (-1, -1),
+        ];
+        for (i, &(dx, dy)) in dirs.iter().enumerate() {
+            let r = if i < near { 9 } else { 14 };
+            points.push(p(cx + dx * r, cy + dy * r));
+        }
+        points
+    };
+    let mut sparse_balls = ring(5, 5, 0);
+    sparse_balls.extend(ring(105, 5, 3));
+    sparse_balls.extend(ring(205, 5, 4));
+    // Pairs exactly ε apart across a vertical, a horizontal and a corner
+    // border (a 6-8-10 triangle), and a chain of them.
+    let mut exactly_eps = vec![p(-3, 5), p(7, 5), p(45, -4), p(45, 6)];
+    exactly_eps.extend([p(97, 96), p(103, 104)]);
+    exactly_eps.extend((0..6).map(|i| p(200 + 10 * i, 200)));
+    // Copies of one point: 3 alone, 5 alone, 4 beside a single point, and
+    // copies on a cell corner.
+    let mut duplicates = Vec::new();
+    duplicates.extend([p(0, 0); 3]);
+    duplicates.extend([p(100, 3); 5]);
+    duplicates.extend([p(200, 200); 4]);
+    duplicates.push(p(209, 200));
+    duplicates.extend([p(300, 300); 2]);
+    duplicates.extend([p(305, 300), p(305, 300)]);
+    let families = vec![
+        ("blocks of k points in one cell", in_one_cell),
+        ("blocks of k points over three cells", over_three_cells),
+        ("full blocks, sparse balls", sparse_balls),
+        ("pairs exactly eps apart across a border", exactly_eps),
+        ("duplicate points", duplicates),
+    ];
+    (10.0, families)
+}
+
 /// [`dbscan`] over rows, as the oracle takes them.
 #[cfg(test)]
 fn dbscan_rows(points: &[Point], params: &ClusteringParams) -> DbscanResult {
     dbscan(gpdt_geo::PointColumns::from_points(points).view(), params)
+}
+
+/// Indices of the `n` input points no cluster names, in increasing order.
+#[cfg(test)]
+fn noise(r: &DbscanResult, n: usize) -> Vec<usize> {
+    let mut clustered = vec![false; n];
+    for &idx in r.members() {
+        clustered[idx as usize] = true;
+    }
+    (0..n).filter(|&idx| !clustered[idx]).collect()
+}
+
+/// Cluster label of point `idx`: `Some(cluster_index)` or `None` for noise.
+#[cfg(test)]
+fn label_of(r: &DbscanResult, idx: usize) -> Option<usize> {
+    r.clusters()
+        .position(|members| members.binary_search(&(idx as u32)).is_ok())
 }
 
 #[cfg(test)]
@@ -491,23 +662,30 @@ mod tests {
         coords.iter().map(|&(x, y)| Point::new(x, y)).collect()
     }
 
+    /// The clusters as member lists, to compare against literals.
+    fn groups(r: &DbscanResult) -> Vec<Vec<usize>> {
+        r.clusters()
+            .map(|c| c.iter().map(|&i| i as usize).collect())
+            .collect()
+    }
+
     #[test]
     fn empty_input() {
         let r = dbscan_rows(&[], &ClusteringParams::new(1.0, 2));
-        assert!(r.clusters.is_empty());
-        assert!(r.noise().is_empty());
+        assert_eq!(r.clusters().len(), 0);
+        assert!(noise(&r, 0).is_empty());
     }
 
     #[test]
     fn single_point_is_noise_unless_min_pts_one() {
         let p = pts(&[(0.0, 0.0)]);
         let r = dbscan_rows(&p, &ClusteringParams::new(1.0, 2));
-        assert!(r.clusters.is_empty());
-        assert_eq!(r.noise(), vec![0]);
+        assert_eq!(r.clusters().len(), 0);
+        assert_eq!(noise(&r, p.len()), vec![0]);
 
         let r1 = dbscan_rows(&p, &ClusteringParams::new(1.0, 1));
-        assert_eq!(r1.clusters, vec![vec![0]]);
-        assert!(r1.noise().is_empty());
+        assert_eq!(groups(&r1), vec![vec![0]]);
+        assert!(noise(&r1, 1).is_empty());
     }
 
     #[test]
@@ -521,10 +699,10 @@ mod tests {
         }
         let p = pts(&coords);
         let r = dbscan_rows(&p, &ClusteringParams::new(1.0, 3));
-        assert_eq!(r.clusters.len(), 2);
-        assert_eq!(r.clusters[0], vec![0, 1, 2, 3, 4]);
-        assert_eq!(r.clusters[1], vec![5, 6, 7, 8]);
-        assert!(r.noise().is_empty());
+        assert_eq!(r.clusters().len(), 2);
+        assert_eq!(groups(&r)[0], vec![0, 1, 2, 3, 4]);
+        assert_eq!(groups(&r)[1], vec![5, 6, 7, 8]);
+        assert!(noise(&r, p.len()).is_empty());
     }
 
     #[test]
@@ -537,10 +715,10 @@ mod tests {
             (500.0, 500.0),
         ]);
         let r = dbscan_rows(&p, &ClusteringParams::new(1.0, 3));
-        assert_eq!(r.clusters.len(), 1);
-        assert_eq!(r.noise(), vec![4]);
-        assert_eq!(r.label_of(0), Some(0));
-        assert_eq!(r.label_of(4), None);
+        assert_eq!(r.clusters().len(), 1);
+        assert_eq!(noise(&r, p.len()), vec![4]);
+        assert_eq!(label_of(&r, 0), Some(0));
+        assert_eq!(label_of(&r, 4), None);
     }
 
     #[test]
@@ -549,8 +727,8 @@ mod tests {
         // density-reachable from the ends through core points.
         let p: Vec<Point> = (0..10).map(|i| Point::new(i as f64 * 0.9, 0.0)).collect();
         let r = dbscan_rows(&p, &ClusteringParams::new(1.0, 2));
-        assert_eq!(r.clusters.len(), 1);
-        assert_eq!(r.clusters[0].len(), 10);
+        assert_eq!(r.clusters().len(), 1);
+        assert_eq!(groups(&r)[0].len(), 10);
     }
 
     #[test]
@@ -567,13 +745,9 @@ mod tests {
         }
         let p = pts(&coords);
         let r = dbscan_rows(&p, &ClusteringParams::new(0.9, 3));
-        let total: usize = r.clusters.iter().map(Vec::len).sum();
-        assert_eq!(total + r.noise().len(), p.len());
-        let appearing: usize = r
-            .clusters
-            .iter()
-            .map(|c| c.iter().filter(|&&i| i == 4).count())
-            .sum();
+        let total = r.members().len();
+        assert_eq!(total + noise(&r, p.len()).len(), p.len());
+        let appearing = r.members().iter().filter(|&&i| i == 4).count();
         assert_eq!(
             appearing, 1,
             "border point must belong to exactly one cluster"
@@ -586,8 +760,8 @@ mod tests {
             .map(|i| Point::new((i % 7) as f64 * 3.0, (i / 7) as f64 * 3.0))
             .collect();
         let r = dbscan_rows(&p, &ClusteringParams::new(3.5, 4));
-        let mut all: Vec<usize> = r.clusters.iter().flatten().copied().collect();
-        all.extend(r.noise());
+        let mut all: Vec<usize> = r.members().iter().map(|&i| i as usize).collect();
+        all.extend(noise(&r, p.len()));
         all.sort_unstable();
         assert_eq!(all, (0..50).collect::<Vec<_>>());
     }
@@ -598,13 +772,13 @@ mod tests {
             .map(|i| Point::new((i % 9) as f64 * 2.5, (i / 9) as f64 * 2.5))
             .collect();
         let r = dbscan_rows(&p, &ClusteringParams::new(3.0, 3));
-        for (ci, members) in r.clusters.iter().enumerate() {
+        for (ci, members) in r.clusters().enumerate() {
             for &m in members {
-                assert_eq!(r.label_of(m), Some(ci));
+                assert_eq!(label_of(&r, m as usize), Some(ci));
             }
         }
-        for m in r.noise() {
-            assert_eq!(r.label_of(m), None);
+        for m in noise(&r, p.len()) {
+            assert_eq!(label_of(&r, m), None);
         }
     }
 
@@ -622,8 +796,7 @@ mod tests {
             let params = ClusteringParams::new(eps, m);
             let fast = dbscan_rows(&p, &params);
             let slow = dbscan_bruteforce(&p, &params);
-            assert_eq!(fast.clusters, slow.clusters, "eps={eps} m={m}");
-            assert_eq!(fast.noise(), slow.noise(), "eps={eps} m={m}");
+            assert_eq!(fast, slow, "eps={eps} m={m}");
         }
     }
 }
@@ -687,7 +860,7 @@ mod proptests {
         let mut rng = StdRng::seed_from_u64(0xd7);
         let mut scratch = DbscanScratch::new();
         let mut check = |label: &str, points: &[Point], eps: f64| {
-            for min_pts in [1, 2, 4] {
+            for min_pts in 1..=5 {
                 let params = ClusteringParams::new(eps, min_pts);
                 let columns = PointColumns::from_points(points);
                 let fast = dbscan_with(columns.view(), &params, &mut scratch);
@@ -710,6 +883,11 @@ mod proptests {
         // A large dense snapshot first, so every buffer is bigger than what
         // follows needs.
         check("dense", &jitter(&mut rng, 2_000, 0.0, 0.0, 300.0), eps);
+        // The edges of the block-count bound and the enqueued skip.
+        let (edge_eps, families) = bound_edge_families();
+        for (label, points) in families {
+            check(label, &points, edge_eps);
+        }
         check(
             "negative quadrant",
             &jitter(&mut rng, 300, -5_000.0, -7_000.0, 80.0),
@@ -793,8 +971,8 @@ mod proptests {
             let points = random_points(&mut rng);
             let params = random_params(&mut rng);
             let r = dbscan_rows(&points, &params);
-            let mut all: Vec<usize> = r.clusters.iter().flatten().copied().collect();
-            all.extend(r.noise());
+            let mut all: Vec<usize> = r.members().iter().map(|&i| i as usize).collect();
+            all.extend(noise(&r, points.len()));
             all.sort_unstable();
             assert_eq!(all, (0..points.len()).collect::<Vec<_>>());
         }
@@ -810,12 +988,12 @@ mod proptests {
             let params = random_params(&mut rng);
             let r = dbscan_rows(&points, &params);
             let eps_sq = params.eps * params.eps;
-            for c in &r.clusters {
+            for c in r.clusters() {
                 assert!(!c.is_empty());
                 let has_core = c.iter().any(|&i| {
                     points
                         .iter()
-                        .filter(|q| points[i].distance_sq(q) <= eps_sq)
+                        .filter(|q| points[i as usize].distance_sq(q) <= eps_sq)
                         .count()
                         >= params.min_pts
                 });
@@ -834,7 +1012,7 @@ mod proptests {
             let params = random_params(&mut rng);
             let r = dbscan_rows(&points, &params);
             let eps_sq = params.eps * params.eps;
-            for i in r.noise() {
+            for i in noise(&r, points.len()) {
                 let degree = points
                     .iter()
                     .filter(|q| points[i].distance_sq(q) <= eps_sq)

@@ -151,12 +151,18 @@ pub struct SnapshotClusterSetBuilder {
 impl SnapshotClusterSetBuilder {
     /// Starts a builder for timestamp `time`.
     pub fn new(time: Timestamp) -> Self {
+        Self::with_capacity(time, 0, 0)
+    }
+
+    /// A builder whose arena holds exactly `members` members in `clusters`
+    /// clusters without growing, so the finished set keeps no slack.
+    fn with_capacity(time: Timestamp, members: usize, clusters: usize) -> Self {
         SnapshotClusterSetBuilder {
             time,
-            ids: Vec::new(),
-            xs: Vec::new(),
-            ys: Vec::new(),
-            ranges: Vec::new(),
+            ids: Vec::with_capacity(members),
+            xs: Vec::with_capacity(members),
+            ys: Vec::with_capacity(members),
+            ranges: Vec::with_capacity(clusters),
         }
     }
 
@@ -335,7 +341,7 @@ impl ClusterDatabase {
     /// Like [`ClusterDatabase::build_interval`] but clusters through a
     /// caller-provided scratch arena, so repeated builds (e.g. the streaming
     /// clusterer's tick-by-tick batches) reuse their buffers across calls.
-    pub fn build_interval_with(
+    pub(crate) fn build_interval_with(
         db: &TrajectoryDatabase,
         params: &ClusteringParams,
         interval: TimeInterval,
@@ -385,21 +391,31 @@ impl ClusterDatabase {
         t: Timestamp,
         scratch: &mut DbscanScratch,
     ) -> SnapshotClusterSet {
-        // The snapshot arrives as the columns DBSCAN scans; the clusters'
-        // shared arena is gathered from them.  Ids ascend along the snapshot
-        // and member indices along each cluster, so members arrive sorted.
-        let (ids, cols) = db.snapshot_columns(t);
+        // The snapshot arrives as the columns DBSCAN scans, in the scratch's
+        // reused buffers; the clusters' shared arena is gathered from them at
+        // its exact size.  Ids ascend along the snapshot and member indices
+        // along each cluster, so members arrive sorted.
+        let mut ids = std::mem::take(&mut scratch.snapshot_ids);
+        let mut cols = std::mem::take(&mut scratch.snapshot_cols);
+        db.snapshot_columns_into(t, &mut ids, &mut cols);
         let result = {
             let _span = gpdt_obs::span!("dbscan.snapshot");
             dbscan_with(cols.view(), params, scratch)
         };
-        let mut builder = SnapshotClusterSetBuilder::new(t);
-        for member_indices in &result.clusters {
-            for &i in member_indices {
+        let mut builder = SnapshotClusterSetBuilder::with_capacity(
+            t,
+            result.members().len(),
+            result.clusters().len(),
+        );
+        for members in result.clusters() {
+            for &i in members {
+                let i = i as usize;
                 builder.push_member(ids[i], cols.xs()[i], cols.ys()[i]);
             }
             builder.end_cluster();
         }
+        scratch.snapshot_ids = ids;
+        scratch.snapshot_cols = cols;
         builder.finish()
     }
 

@@ -25,7 +25,11 @@ use crate::snapshot::ClusterDatabase;
 pub struct StreamingClusterer {
     params: ClusteringParams,
     threads: usize,
-    next: Option<Timestamp>,
+    /// The first tick the next advance clusters: `None` before the first
+    /// advance or seek (the database's first tick then), and past
+    /// `Timestamp::MAX` once that last representable tick is clustered, so
+    /// the cursor never wraps.
+    next: Option<u64>,
     /// DBSCAN scratch arena reused across `advance` calls on the
     /// single-threaded path, so tick-by-tick streaming stays allocation-free
     /// in steady state.
@@ -61,14 +65,21 @@ impl StreamingClusterer {
 
     /// The first timestamp the next [`advance`](StreamingClusterer::advance)
     /// will cluster, or `None` if nothing has been clustered yet (the cursor
-    /// then starts at the database's first timestamp).
+    /// then starts at the database's first timestamp) or the cursor is past
+    /// `Timestamp::MAX` (every later advance is empty).
     pub fn next_time(&self) -> Option<Timestamp> {
-        self.next
+        self.next.and_then(|next| Timestamp::try_from(next).ok())
     }
 
     /// Moves the cursor so the next advance starts at `t`.
     pub fn seek(&mut self, t: Timestamp) {
-        self.next = Some(t);
+        self.next = Some(u64::from(t));
+    }
+
+    /// Moves the cursor just past `t`: the next advance starts at `t + 1`,
+    /// and clusters nothing if `t` is `Timestamp::MAX`.
+    pub fn seek_past(&mut self, t: Timestamp) {
+        self.next = Some(u64::from(t) + 1);
     }
 
     /// Clusters every not-yet-clustered snapshot of `db` (cursor through the
@@ -88,13 +99,13 @@ impl StreamingClusterer {
         let Some(domain) = db.time_domain() else {
             return ClusterDatabase::new();
         };
-        let start = self.next.unwrap_or(domain.start);
+        let start = self.next.unwrap_or(u64::from(domain.start));
         let end = end.min(domain.end);
-        if start > end {
+        if start > u64::from(end) {
             return ClusterDatabase::new();
         }
-        self.next = Some(end + 1);
-        let interval = TimeInterval::new(start, end);
+        self.next = Some(u64::from(end) + 1);
+        let interval = TimeInterval::new(start as Timestamp, end);
         // Small batches (the tick-by-tick streaming steady state) are not
         // worth a thread spawn; run them through the long-lived scratch
         // arena instead.  Results never depend on the path taken.
@@ -172,6 +183,34 @@ mod tests {
         let batch = clusterer.advance(&db);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.time_domain().unwrap().start, 6);
+    }
+
+    /// A cursor past the last representable tick is exhausted: every later
+    /// advance is empty.
+    #[test]
+    fn cursor_saturates_at_the_last_representable_tick() {
+        let max = Timestamp::MAX;
+        let db = TrajectoryDatabase::from_trajectories((0..4u32).map(|i| {
+            let x = f64::from(i) * 10.0;
+            Trajectory::from_points(ObjectId::new(i), [(max - 1, (x, 0.0)), (max, (x, 5.0))])
+        }));
+        let mut clusterer = StreamingClusterer::new(ClusteringParams::new(80.0, 3));
+        let first = clusterer.advance(&db);
+        assert_eq!(first.len(), 2);
+        assert_eq!(first.total_clusters(), 2);
+        assert_eq!(
+            clusterer.next_time(),
+            None,
+            "no tick follows Timestamp::MAX"
+        );
+        assert!(clusterer.advance(&db).is_empty());
+        assert!(clusterer.advance_until(&db, max).is_empty());
+
+        clusterer.seek_past(max - 1);
+        assert_eq!(clusterer.next_time(), Some(max));
+        assert_eq!(clusterer.advance(&db).len(), 1);
+        clusterer.seek_past(max);
+        assert!(clusterer.advance(&db).is_empty());
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl GatheringEngine {
         };
         // `kc >= 1` (validated), so the horizon never passes the last tick
         // and the database never empties from under the frontier.
-        let horizon = (domain.end + 1).saturating_sub(self.config.crowd.kc);
+        let horizon = domain.end.saturating_sub(self.config.crowd.kc - 1);
         let keep_from = self
             .frontier
             .iter()
@@ -387,7 +387,7 @@ impl GatheringEngine {
         let threads = default_threads();
         let mut clusterer = StreamingClusterer::new(config.clustering).with_threads(threads);
         if let Some(domain) = cdb.time_domain() {
-            clusterer.seek(domain.end + 1);
+            clusterer.seek_past(domain.end);
         }
         debug_assert!(
             frontier
@@ -449,7 +449,7 @@ impl GatheringEngine {
         // Keep the clustering cursor aligned with the ingested history even
         // if the caller interleaved direct cluster batches.
         if let Some(domain) = self.cdb.time_domain() {
-            self.clusterer.seek(domain.end + 1);
+            self.clusterer.seek_past(domain.end);
         }
         let batch = {
             let _span = gpdt_obs::span!("engine.dbscan");
@@ -793,6 +793,28 @@ mod tests {
             })
             .collect();
         ClusterDatabase::from_sets(sets)
+    }
+
+    /// Four taxis sampled at the last two representable ticks: the first
+    /// ingest takes both, the second is an empty no-op.
+    #[test]
+    fn ingest_at_the_last_representable_tick_does_not_wrap() {
+        let max = Timestamp::MAX;
+        let db = TrajectoryDatabase::from_trajectories((0..4u32).map(|i| {
+            let x = f64::from(i) * 10.0;
+            Trajectory::from_points(ObjectId::new(i), [(max - 1, (x, 0.0)), (max, (x, 5.0))])
+        }));
+        for retention in [RetentionPolicy::KeepAll, RetentionPolicy::Bounded] {
+            let mut engine = GatheringEngine::new(config(2)).with_retention(retention);
+            engine.ingest_trajectories(&db);
+            let before = engine.stats();
+            assert_eq!(before.ticks_ingested, 2);
+            assert_eq!(engine.time_domain(), Some(TimeInterval::new(max - 1, max)));
+            let update = engine.ingest_trajectories(&db);
+            assert_eq!(update.new_closed_crowds, 0);
+            assert_eq!(engine.stats(), before, "{retention:?}");
+            assert_eq!(engine.evict_retired_clusters(), 0);
+        }
     }
 
     #[test]

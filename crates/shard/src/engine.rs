@@ -571,7 +571,7 @@ impl ShardedEngine {
         end: Timestamp,
     ) -> ShardedUpdate {
         if let Some(domain) = self.time_domain() {
-            self.clusterer.seek(domain.end + 1);
+            self.clusterer.seek_past(domain.end);
         }
         let batch = self.clusterer.advance_until(db, end);
         self.ingest_clusters(batch)
@@ -1041,7 +1041,7 @@ impl ShardedEngine {
         };
         let frontiers = self.shards.iter().flat_map(|e| e.frontier());
         let open = frontiers.map(|(crowd, _)| crowd).chain(&self.merge);
-        let horizon = (domain.end + 1).saturating_sub(self.config.crowd.kc);
+        let horizon = domain.end.saturating_sub(self.config.crowd.kc - 1);
         let keep_from = open.map(Crowd::start_time).fold(horizon, Timestamp::min);
         let evicted = self.history.cdb.evict_before(keep_from);
         self.history.layouts.drain(..evicted);

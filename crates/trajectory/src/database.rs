@@ -129,14 +129,28 @@ impl TrajectoryDatabase {
     /// and their locations — the layout snapshot clustering scans and
     /// publishes, so nothing is converted on the way.
     pub fn snapshot_columns(&self, t: Timestamp) -> (Vec<ObjectId>, PointColumns) {
-        let _span = gpdt_obs::span!("trajectory.snapshot");
         let mut ids = Vec::with_capacity(self.len());
         let mut cols = PointColumns::with_capacity(self.len());
+        self.snapshot_columns_into(t, &mut ids, &mut cols);
+        (ids, cols)
+    }
+
+    /// [`Self::snapshot_columns`] into caller-owned buffers: both are
+    /// cleared and refilled, so a caller that keeps them across ticks
+    /// allocates only while a snapshot outgrows every earlier one.
+    pub fn snapshot_columns_into(
+        &self,
+        t: Timestamp,
+        ids: &mut Vec<ObjectId>,
+        cols: &mut PointColumns,
+    ) {
+        let _span = gpdt_obs::span!("trajectory.snapshot");
+        ids.clear();
+        cols.clear();
         for (id, position) in self.positions_at(t) {
             ids.push(id);
             cols.push(position);
         }
-        (ids, cols)
     }
 
     fn positions_at(&self, t: Timestamp) -> impl Iterator<Item = (ObjectId, Point)> + '_ {
@@ -233,6 +247,36 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted);
+    }
+
+    /// One pair of buffers refilled tick after tick, through snapshots that
+    /// grow, shrink to nothing and grow again, always equals a fresh
+    /// `snapshot_columns`.
+    #[test]
+    fn snapshot_columns_into_reused_buffers_equals_snapshot_columns() {
+        // Object `i` lives over ticks `i..=3 * i + 2`, so the snapshot
+        // grows and then shrinks; tick 200 lies past every lifespan.
+        let db = TrajectoryDatabase::from_trajectories((0..40u32).map(|i| {
+            Trajectory::from_points(
+                ObjectId::new(i),
+                (i..=3 * i + 2)
+                    .step_by(2)
+                    .map(|t| (t, (f64::from(i), f64::from(t)))),
+            )
+        }));
+        let (mut ids, mut cols) = (Vec::new(), PointColumns::new());
+        let mut sizes = Vec::new();
+        for t in [60, 0, 1, 200, 30, 119, 45, 200, 3, 90, 60] {
+            db.snapshot_columns_into(t, &mut ids, &mut cols);
+            assert_eq!(
+                (ids.clone(), cols.clone()),
+                db.snapshot_columns(t),
+                "tick {t}"
+            );
+            sizes.push(ids.len());
+        }
+        assert_eq!(sizes[3], 0);
+        assert!(sizes[0] > sizes[1] && sizes[4] > sizes[3] && sizes[9] < sizes[0]);
     }
 
     #[test]

@@ -115,9 +115,10 @@ impl Trajectory {
     /// if `t` lies outside the lifespan (the object is not being tracked).
     ///
     /// The lookup first probes the interpolated index
-    /// `(t − t₀)·(n − 1)/(tₙ − t₀)`: on a regularly sampled trajectory (a GPS
-    /// feed) that is the sample at or just before `t`, so the call reads two
-    /// samples, O(1), and keeps no cursor between calls.  A miss falls back
+    /// `(t − t₀)·(n − 1)/(tₙ − t₀)` — just `t − t₀` when every tick is
+    /// sampled: on a regularly sampled trajectory (a GPS feed) that is the
+    /// sample at or just before `t`, so the call reads two samples, O(1), and
+    /// keeps no cursor between calls.  A miss falls back
     /// to a binary search of the side of the probe `t` lies on.
     pub fn position_at(&self, t: Timestamp) -> Option<Point> {
         let idx = self.floor_index(t)?;
@@ -144,9 +145,16 @@ impl Trajectory {
         if last == 0 {
             return Some(0);
         }
-        // `last ≤ tn − t0 < 2³²` (timestamps are strictly increasing), so the
-        // product fits in 64 bits and the quotient is at most `last`.
-        let probe = (u64::from(t - t0) * last as u64 / u64::from(tn - t0)) as usize;
+        // A trajectory sampled every tick (`last == tn − t0`) holds `t` at
+        // `t − t0`, no division needed.  Otherwise `last < tn − t0 < 2³²`
+        // (timestamps are strictly increasing), so the product fits in 64
+        // bits and the quotient is at most `last`.
+        let offset = t - t0;
+        let probe = if last as u64 == u64::from(tn - t0) {
+            offset as usize
+        } else {
+            (u64::from(offset) * last as u64 / u64::from(tn - t0)) as usize
+        };
         let at_or_before = |s: &Sample| s.time <= t;
         Some(if samples[probe].time > t {
             // `samples[0].time ≤ t`, so the partition point is at least 1.
@@ -448,6 +456,12 @@ mod tests {
         let late = Trajectory::from_points(id, (max - 300..=max).map(|t| (t, wobbly(t))));
         assert_matches_reference(&late, u32::MAX);
         assert_eq!(late.position_at(max - 301), None);
+        // One and two samples at the limit, every tick sampled (the probe is
+        // `t − t₀`, no division) or not.
+        for ticks in [vec![max], vec![max - 1, max], vec![max - 9, max]] {
+            let short = Trajectory::from_points(id, ticks.into_iter().map(|t| (t, wobbly(t))));
+            assert_matches_reference(&short, u32::MAX);
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   auto-selected level.
 
 use gpdt_bench::scenarios::clustered_scenario;
-use gpdt_clustering::dbscan::dbscan_bruteforce;
-use gpdt_clustering::{dbscan, ClusterDatabase, ClusteringParams};
+use gpdt_clustering::dbscan::{bound_edge_families, dbscan_bruteforce};
+use gpdt_clustering::{dbscan, dbscan_with, ClusterDatabase, ClusteringParams, DbscanScratch};
 use gpdt_core::{
     CrowdParams, GatheringConfig, GatheringEngine, GatheringParams, RangeSearchStrategy,
 };
@@ -471,6 +471,30 @@ fn dbscan_layout_and_level_blind_on_clustered_data() {
         for &level in available_levels() {
             let got = with_forced(Some(level), || dbscan(cols.view(), &params));
             assert_eq!(got, want, "{level:?}");
+        }
+    }
+}
+
+/// The edges of DBSCAN's block-count bound and enqueued skip — blocks of
+/// exactly `min_pts − 1` and `min_pts` points, full blocks with sparse
+/// ε-balls, pairs exactly ε apart across a cell border, duplicate points,
+/// `min_pts = 1` — equal the brute-force oracle at every level, through one
+/// reused scratch.
+#[test]
+fn dbscan_bound_edges_level_blind() {
+    let mut scratch = DbscanScratch::new();
+    let (eps, families) = bound_edge_families();
+    for (label, points) in families {
+        let cols = PointColumns::from_points(&points);
+        for min_pts in 1..=5 {
+            let params = ClusteringParams::new(eps, min_pts);
+            let want = dbscan_bruteforce(&points, &params);
+            for &level in available_levels() {
+                let got = with_forced(Some(level), || {
+                    dbscan_with(cols.view(), &params, &mut scratch)
+                });
+                assert_eq!(got, want, "{label}, min_pts={min_pts}, {level:?}");
+            }
         }
     }
 }
