@@ -71,7 +71,7 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 /// The cluster-arena memory budget from `GPDT_MEM_BUDGET` (bytes, optional
 /// case-insensitive `k`/`m`/`g` binary suffix; e.g. `256m`).
 ///
-/// Unset or unparsable values fall back to [`default_mem_budget`], matching
+/// Unset or unparsable values fall back to `default_mem_budget`, matching
 /// the other variables' parse-failure behaviour.
 pub fn mem_budget() -> usize {
     std::env::var("GPDT_MEM_BUDGET")
@@ -112,7 +112,7 @@ fn parse_bytes(s: &str) -> Option<usize> {
 ///
 /// The budget covers the dominant allocation — the per-tick cluster arenas —
 /// not the whole process, hence the conservative quarter.
-pub fn default_mem_budget() -> usize {
+fn default_mem_budget() -> usize {
     const MIN: usize = 64 << 20;
     const MAX: usize = 4 << 30;
     const FALLBACK: usize = 512 << 20;

@@ -7,7 +7,7 @@
 //! (`tests/fault_recovery.rs`) and as a CI job (`cargo run -p gpdt-bench
 //! --bin fault`):
 //!
-//! 1. [`reference_run`] executes the workload on a fault-free
+//! 1. A reference run executes the workload on a fault-free
 //!    [`FaultVfs`] and snapshots every segment file plus the total count of
 //!    mutating VFS operations — the size of the kill lattice.
 //! 2. [`crash_lattice`] replays the same workload once per kill point.
@@ -267,7 +267,7 @@ fn segment_bytes(vfs: &FaultVfs) -> Vec<(String, Vec<u8>)> {
 /// snapshot (the byte-identical target) and the total number of mutating
 /// VFS operations (the kill-lattice extent).
 #[must_use]
-pub fn reference_run(
+fn reference_run(
     config: &GatheringConfig,
     sets: &[SnapshotClusterSet],
     budget_bytes: usize,

@@ -27,7 +27,7 @@
 //! with finite crowd lifetimes (any realistic one) stay near the budget.
 //!
 //! [`ingest_resilient`] is the crash-safe variant: it slices against
-//! *precomputed* batch boundaries ([`batch_boundaries`]) so every
+//! *precomputed* batch boundaries (`batch_boundaries`) so every
 //! incarnation of a run cuts the stream identically, fsyncs the store at
 //! each boundary, and hands the caller a serializable [`ResilientCursor`]
 //! (engine checkpoint + progress counters) after every batch.  A process
@@ -149,7 +149,7 @@ fn flush(
 /// incarnation of a resilient run — including one resumed after a crash —
 /// cuts the stream at exactly the same ticks, which is what makes engine
 /// checkpoints taken at boundaries interchangeable across incarnations.
-pub fn batch_boundaries(sets: &[SnapshotClusterSet], budget_bytes: usize) -> Vec<usize> {
+fn batch_boundaries(sets: &[SnapshotClusterSet], budget_bytes: usize) -> Vec<usize> {
     let batch_budget = batch_budget(budget_bytes);
     let mut bounds = Vec::new();
     let mut batch_bytes = 0usize;
@@ -176,7 +176,7 @@ pub fn batch_boundaries(sets: &[SnapshotClusterSet], budget_bytes: usize) -> Vec
 /// `next_batch`/`produced`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResilientCursor {
-    /// Index (into [`batch_boundaries`]) of the next batch to ingest.
+    /// Index of the next batch to ingest, in the precomputed slicing.
     pub next_batch: u64,
     /// Engine-finalized records accounted for so far (verified or
     /// appended).  The store may be *ahead* of this after a crash — the

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use gpdt_geo::{hausdorff_distance, hausdorff_within, Mbr, Point, PointColumns, PointsView};
+use gpdt_geo::{hausdorff_within, Mbr, Point, PointColumns, PointsView};
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp, TrajectoryDatabase};
 
 use crate::dbscan::{dbscan_with, DbscanScratch};
@@ -99,11 +99,6 @@ impl SnapshotCluster {
     /// Returns `true` if the object is a member.
     pub fn contains(&self, id: ObjectId) -> bool {
         self.members().binary_search(&id).is_ok()
-    }
-
-    /// Exact Hausdorff distance to another cluster.
-    pub fn hausdorff_to(&self, other: &SnapshotCluster) -> f64 {
-        hausdorff_distance(self.points(), other.points())
     }
 
     /// Threshold test `dH(self, other) ≤ delta` with early exit.
@@ -547,6 +542,7 @@ impl ClusterDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpdt_geo::hausdorff_distance;
     use gpdt_trajectory::Trajectory;
 
     fn cluster(time: Timestamp, ids: &[u32], pts: &[(f64, f64)]) -> SnapshotCluster {
@@ -591,7 +587,7 @@ mod tests {
     fn hausdorff_between_clusters() {
         let a = cluster(0, &[1, 2], &[(0.0, 0.0), (1.0, 0.0)]);
         let b = cluster(1, &[1, 2], &[(0.0, 3.0), (1.0, 3.0)]);
-        assert_eq!(a.hausdorff_to(&b), 3.0);
+        assert_eq!(hausdorff_distance(a.points(), b.points()), 3.0);
         assert!(a.within_hausdorff(&b, 3.0));
         assert!(!a.within_hausdorff(&b, 2.9));
     }

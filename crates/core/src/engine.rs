@@ -161,22 +161,6 @@ pub struct EngineStats {
     pub finalized_gatherings: usize,
 }
 
-impl gpdt_obs::MetricSource for EngineStats {
-    fn metric_prefix(&self) -> &'static str {
-        "engine"
-    }
-    fn metric_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("ticks_ingested", self.ticks_ingested),
-            ("resident_ticks", self.resident_ticks as u64),
-            ("resident_clusters", self.resident_clusters as u64),
-            ("open_sequences", self.open_sequences as u64),
-            ("finalized_records", self.finalized_records as u64),
-            ("finalized_gatherings", self.finalized_gatherings as u64),
-        ]
-    }
-}
-
 /// Streaming discovery engine maintaining closed crowds and gatherings over
 /// an ever-growing trajectory/cluster history.
 ///

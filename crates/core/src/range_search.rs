@@ -96,18 +96,6 @@ pub struct SearchStats {
     pub results: usize,
 }
 
-impl gpdt_obs::MetricSource for SearchStats {
-    fn metric_prefix(&self) -> &'static str {
-        "search"
-    }
-    fn metric_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("candidates", self.candidates as u64),
-            ("results", self.results as u64),
-        ]
-    }
-}
-
 /// The bounds of some of a tick's clusters as columns sorted by `min_x`: the
 /// index of [`RangeSearchStrategy::Join`], and the one kernel behind every
 /// "which of these clusters are within `δ` of that one" scan that brings its

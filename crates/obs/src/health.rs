@@ -3,6 +3,8 @@
 //! and per-shard restart counts.  `MonitorService` pushes transitions and
 //! progress here, a sharded engine its restart counts when one changes; the
 //! telemetry server and the watchdog's degraded-dwell rule read them.
+//! `/health`'s count of applied batches is the registry's `service.batches`
+//! counter, which the service bumps per batch.
 
 use std::sync::Mutex;
 
@@ -19,8 +21,6 @@ pub struct HealthInfo {
     pub degraded_reason: String,
     /// Latest engine tick the service applied.
     pub last_ingest_tick: Option<u32>,
-    /// Batches the service has applied.
-    pub batches_applied: u64,
     /// Per-shard worker restart counts (empty for a single-engine service).
     pub shard_restarts: Vec<u64>,
 }
@@ -30,7 +30,6 @@ fn state() -> &'static Mutex<HealthInfo> {
         degraded_since: None,
         degraded_reason: String::new(),
         last_ingest_tick: None,
-        batches_applied: 0,
         shard_restarts: Vec::new(),
     });
     &STATE
@@ -57,13 +56,15 @@ pub fn set_recovered() {
     s.degraded_reason.clear();
 }
 
+/// The counter of batches the service has applied: `/health`'s
+/// `batches_applied` and the watchdog's ingest-stall input.
+pub(crate) const BATCHES_COUNTER: &str = "service.batches";
+
 /// Records ingest progress after an applied batch.
 pub fn note_ingest(tick: Option<u32>) {
-    let mut s = lock();
     if tick.is_some() {
-        s.last_ingest_tick = tick;
+        lock().last_ingest_tick = tick;
     }
-    s.batches_applied += 1;
 }
 
 /// Records the per-shard restart counts — called by the sharded engine when
@@ -118,7 +119,8 @@ pub fn render_json(verdicts: &[Verdict], recorder: &FlightRecorder) -> String {
         Some(t) => out.push_str(&t.to_string()),
         None => out.push_str("null"),
     }
-    out.push_str(&format!(",\"batches_applied\":{}", info.batches_applied));
+    let batches = crate::registry().counter_value(BATCHES_COUNTER);
+    out.push_str(&format!(",\"batches_applied\":{}", batches.unwrap_or(0)));
     out.push_str(",\"shard_restarts\":[");
     for (i, n) in info.shard_restarts.iter().enumerate() {
         if i > 0 {
@@ -160,15 +162,19 @@ mod tests {
         assert!(json.contains("\"shard_restarts\":[]"));
         assert!(json.contains("\"watchdog\":[]"));
 
+        let batches = crate::registry().counter(BATCHES_COUNTER);
+        let applied = batches.get() + 2;
         note_ingest(Some(41));
+        batches.inc();
         note_shard_restarts(&[0, 2]);
         note_ingest(Some(42));
+        batches.inc();
         set_degraded(7, "checkpoint failed: \"disk\"");
         let json = render_json(&[], &rec);
         assert!(json.starts_with("{\"status\":\"degraded\",\"degraded_since_batch\":7"));
         assert!(json.contains("\"degraded_reason\":\"checkpoint failed: \\\"disk\\\"\""));
         assert!(json.contains("\"last_ingest_tick\":42"));
-        assert!(json.contains("\"batches_applied\":2"));
+        assert!(json.contains(&format!("\"batches_applied\":{applied},")));
         assert!(json.contains("\"shard_restarts\":[0,2]"));
         assert!(degraded_since_nanos().is_some());
 

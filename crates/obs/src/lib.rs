@@ -52,9 +52,7 @@ pub mod watchdog;
 
 pub use http::{ServeContext, TelemetryServer};
 pub use recorder::{flight, install_panic_hook, record_event, FlightEvent, FlightRecorder};
-pub use registry::{
-    registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricSource, Registry, Snapshot,
-};
+pub use registry::{registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use series::{sample_interval_from_env, Sampler, TimeSeries};
 pub use span::{time_nanos, Span};
 pub use watchdog::{Rule, RuleKind, Verdict, Watchdog};

@@ -194,20 +194,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Everything a stats struct needs to expose to join the one snapshot
-/// vocabulary: a prefix and its `(name, value)` pairs.
-///
-/// `EngineStats`, `SearchStats`, `ShardedStats` and the service's load
-/// snapshot all implement this, so every layer's numbers can be merged into
-/// a [`Snapshot`] under `prefix.name` keys instead of each layer inventing
-/// its own reporting shape.
-pub trait MetricSource {
-    /// Key prefix, e.g. `"engine"`.
-    fn metric_prefix(&self) -> &'static str;
-    /// The `(name, value)` pairs, e.g. `("ticks_ingested", 42)`.
-    fn metric_values(&self) -> Vec<(&'static str, u64)>;
-}
-
 #[derive(Default)]
 struct Names {
     counters: BTreeMap<String, &'static Counter>,
@@ -268,6 +254,12 @@ impl Registry {
         h
     }
 
+    /// The value of the counter registered under `name`, if one is;
+    /// unlike [`Registry::counter`] it registers nothing.
+    pub(crate) fn counter_value(&self, name: &str) -> Option<u64> {
+        self.lock().counters.get(name).map(|c| c.get())
+    }
+
     /// A point-in-time copy of every registered metric, taken without
     /// stopping writers.  Names come out sorted.
     pub fn snapshot(&self) -> Snapshot {
@@ -292,8 +284,7 @@ impl Registry {
     }
 }
 
-/// A point-in-time copy of the whole registry (or any merged set of
-/// [`MetricSource`]s) — the one stats shape every layer reports through.
+/// A point-in-time copy of the whole registry.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     /// `(name, value)` counter pairs, sorted by name.
@@ -305,19 +296,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Merges a stats struct into the snapshot as `prefix.name` gauges
-    /// (replacing same-named entries), keeping the gauge list sorted.
-    pub fn merge_source(&mut self, source: &dyn MetricSource) {
-        let prefix = source.metric_prefix();
-        for (name, value) in source.metric_values() {
-            let key = format!("{prefix}.{name}");
-            match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(&key)) {
-                Ok(i) => self.gauges[i].1 = value,
-                Err(i) => self.gauges.insert(i, (key, value)),
-            }
-        }
-    }
-
     /// The value of a counter, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -517,24 +495,6 @@ mod tests {
              \"histograms\":{\"h\":{\"count\":1,\"sum\":3,\"min\":3,\"max\":3,\
              \"mean\":3,\"p50\":3,\"p95\":3,\"p99\":3}}}"
         );
-    }
-
-    #[test]
-    fn merge_source_joins_the_snapshot_vocabulary() {
-        struct Fake;
-        impl MetricSource for Fake {
-            fn metric_prefix(&self) -> &'static str {
-                "fake"
-            }
-            fn metric_values(&self) -> Vec<(&'static str, u64)> {
-                vec![("b", 2), ("a", 1)]
-            }
-        }
-        let mut snap = Snapshot::default();
-        snap.merge_source(&Fake);
-        assert_eq!(snap.gauge("fake.a"), Some(1));
-        assert_eq!(snap.gauge("fake.b"), Some(2));
-        assert!(snap.gauges.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub struct TimeSeries {
     capacity: usize,
     counters: BTreeMap<String, CounterSeries>,
     hists: BTreeMap<String, HistSeries>,
-    samples_taken: u64,
 }
 
 impl Default for TimeSeries {
@@ -76,13 +75,7 @@ impl TimeSeries {
             capacity: capacity.max(1),
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
-            samples_taken: 0,
         }
-    }
-
-    /// Number of samples ingested.
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
     }
 
     /// Ingests one snapshot taken at `now_nanos`, recording one delta window
@@ -94,7 +87,6 @@ impl TimeSeries {
     /// Gauges are last-value-wins and already live in the snapshot, so they
     /// are not windowed here.
     pub fn sample(&mut self, now_nanos: u64, snap: &Snapshot) {
-        self.samples_taken += 1;
         for (name, value) in &snap.counters {
             let series = self.counters.entry(name.clone()).or_default();
             let start = series.windows.back().map(|w| w.end_nanos).unwrap_or(0);
@@ -477,7 +469,7 @@ mod tests {
             .unwrap();
         assert_eq!(whole.count, WRITERS as u64 * PER_WRITER);
         assert_eq!(whole.buckets.iter().sum::<u64>(), whole.count);
-        assert!(series.samples_taken() >= 2);
+        assert!(series.counter_windows("sc.shared").len() >= 2);
     }
 
     #[test]
@@ -491,7 +483,8 @@ mod tests {
         let series = sampler.series();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
-            if lock(&series).samples_taken() >= 3 {
+            // One window of the counter per sample taken.
+            if lock(&series).counter_windows("st.ticks").len() >= 3 {
                 break;
             }
             assert!(

@@ -107,7 +107,7 @@ impl Watchdog {
             Rule {
                 name: "ingest_stall",
                 kind: RuleKind::Stall {
-                    metric: "service.batches",
+                    metric: crate::health::BATCHES_COUNTER,
                     max_age_nanos: 30_000 * MS,
                 },
             },

@@ -179,30 +179,11 @@ pub struct ShardLoad {
     pub restarts: u64,
 }
 
-/// Supervision policy for the per-shard ingest workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSupervision {
-    /// Wall-clock budget for one batch's parallel shard ingestion.  A worker
-    /// that has not reported back when it expires is abandoned and its shard
-    /// rebuilt from the retained snapshot; `None` (the default) waits
-    /// indefinitely, so the coordinator ingests one shard itself instead of
-    /// idling — panics are still caught and recovered either way.
-    pub worker_deadline: Option<Duration>,
-    /// Snapshots of the shard states are refreshed after this many batches;
-    /// a rebuilt shard replays the batches since the last snapshot out of
-    /// the global database, at most this many.  (Bounded retention also
-    /// refreshes them whenever it evicts a tick a snapshot starts at.)
-    pub snapshot_interval: u64,
-}
-
-impl Default for ShardSupervision {
-    fn default() -> Self {
-        ShardSupervision {
-            worker_deadline: None,
-            snapshot_interval: 16,
-        }
-    }
-}
+/// Snapshots of the shard states are refreshed after this many batches; a
+/// rebuilt shard replays the batches since the last snapshot out of the
+/// global database, at most this many.  (Bounded retention also refreshes
+/// them whenever it evicts a tick a snapshot starts at.)
+const SNAPSHOT_INTERVAL: usize = 16;
 
 /// A fault injected into one shard's next ingest worker (chaos testing —
 /// see [`ShardedEngine::inject_shard_fault`]).  Fires mid-ingest, at the
@@ -213,7 +194,7 @@ pub enum ShardFault {
     /// Panic once inside the worker.
     PanicOnce,
     /// Stall the worker for this long before continuing normally (pair with
-    /// a shorter [`ShardSupervision::worker_deadline`] to exercise the
+    /// a shorter [`ShardedEngine::with_worker_deadline`] to exercise the
     /// abandon-and-rebuild path).
     StallOnce(Duration),
 }
@@ -260,29 +241,6 @@ pub struct ShardedStats {
     pub merge_nanos: u64,
     /// Per-shard load.
     pub per_shard: Vec<ShardLoad>,
-}
-
-impl gpdt_obs::MetricSource for ShardedStats {
-    fn metric_prefix(&self) -> &'static str {
-        "shard"
-    }
-    fn metric_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("shard_count", self.shard_count as u64),
-            ("ticks_ingested", self.ticks_ingested),
-            ("finalized_records", self.finalized_records as u64),
-            ("open_merge_paths", self.open_merge_paths as u64),
-            ("cross_edges", self.cross_edges),
-            ("imported_paths", self.imported_paths),
-            ("merge_finalized", self.merge_finalized),
-            ("dropped_records", self.dropped_records),
-            ("partition_nanos", self.partition_nanos),
-            ("shard_ingest_nanos", self.shard_ingest_nanos),
-            ("snapshot_nanos", self.snapshot_nanos),
-            ("merge_nanos", self.merge_nanos),
-            ("restarts", self.per_shard.iter().map(|l| l.restarts).sum()),
-        ]
-    }
 }
 
 type Job = Box<dyn FnOnce() + Send>;
@@ -349,7 +307,9 @@ pub struct ShardedEngine {
     /// The cumulative fields of [`ShardedStats`]; [`Self::stats`] adds the
     /// instantaneous ones.
     counters: ShardedStats,
-    supervision: ShardSupervision,
+    /// Wall-clock budget for one batch's parallel shard ingestion (see
+    /// [`Self::with_worker_deadline`]); `None` waits indefinitely.
+    worker_deadline: Option<Duration>,
     /// Per-shard state as of the last snapshot point (construction, restore
     /// or refresh): what a lost shard is rebuilt from.
     snapshots: Vec<ShardState>,
@@ -430,10 +390,14 @@ impl ShardedEngine {
         self.map_shards(|e| e.with_retention(retention))
     }
 
-    /// Overrides the worker supervision policy (see [`ShardSupervision`]).
-    /// Like the thread budget, a host choice: it never changes results.
-    pub fn with_supervision(mut self, supervision: ShardSupervision) -> Self {
-        self.supervision = supervision;
+    /// Sets a wall-clock budget for one batch's parallel shard ingestion.
+    /// A worker that has not reported back when it expires is abandoned and
+    /// its shard rebuilt from the retained snapshot.  Without one (the
+    /// default) the coordinator waits indefinitely, so it ingests one shard
+    /// itself instead of idling; panics are caught and recovered either
+    /// way.  Like the thread budget, a host choice: it never changes results.
+    pub fn with_worker_deadline(mut self, deadline: Duration) -> Self {
+        self.worker_deadline = Some(deadline);
         self
     }
 
@@ -620,12 +584,12 @@ impl ShardedEngine {
     /// snapshot over its derived database, then the batches since replayed.
     fn rebuild_shard(&self, s: usize, batch_start: Timestamp) -> GatheringEngine {
         let replayed = self.retained_batches.first();
-        let until = replayed.map_or(batch_start, |d| d.start);
+        let snapshot_end = replayed.map_or(batch_start, |d| d.start).checked_sub(1);
         let snapshot = self.snapshots[s].clone();
         let restored = self.history.restore_shard(
             s,
             snapshot,
-            until,
+            snapshot_end,
             self.config,
             self.strategy,
             self.variant,
@@ -635,7 +599,7 @@ impl ShardedEngine {
             .with_threads(self.threads_per_shard())
             .with_retention(self.retention);
         for past in &self.retained_batches {
-            engine.ingest_clusters(self.history.shard_database(s, past.start, past.end + 1));
+            engine.ingest_clusters(self.history.shard_database(s, *past));
         }
         engine
     }
@@ -654,11 +618,11 @@ impl ShardedEngine {
         };
         let prev_end = self.time_domain().map(|d| d.end);
         assert!(
-            prev_end.is_none_or(|end| batch_domain.start == end + 1),
+            prev_end.is_none_or(|end| end.checked_add(1) == Some(batch_domain.start)),
             "a batch must start right after the ingested time domain"
         );
         let before = self.counters.clone();
-        let (batch_start, batch_until) = (batch_domain.start, batch_domain.end + 1);
+        let batch_start = batch_domain.start;
         let batch_len = batch_domain.len() as usize;
         let shard_count = self.shards.len();
 
@@ -685,7 +649,7 @@ impl ShardedEngine {
         }
         self.counters.ticks_ingested += batch_len as u64;
         let mut inputs: Vec<Option<ClusterDatabase>> = (0..shard_count)
-            .map(|s| Some(self.history.shard_database(s, batch_start, batch_until)))
+            .map(|s| Some(self.history.shard_database(s, batch_domain)))
             .collect();
         let partition_nanos = t0.elapsed().as_nanos() as u64;
         self.counters.partition_nanos += partition_nanos;
@@ -751,7 +715,7 @@ impl ShardedEngine {
         // the other shards' threads passes while it is busy rather than while
         // it waits.  With a deadline every shard goes to a thread, because
         // only a thread can be abandoned.
-        let deadline = self.supervision.worker_deadline;
+        let deadline = self.worker_deadline;
         let size = |s: &usize| {
             inputs[*s]
                 .as_ref()
@@ -808,7 +772,7 @@ impl ShardedEngine {
                 // rebuild, then run the current batch inline — with its
                 // cross-tail log, which the merge replay still needs.
                 let mut engine = self.rebuild_shard(s, batch_start);
-                let input = self.history.shard_database(s, batch_start, batch_until);
+                let input = self.history.shard_database(s, batch_domain);
                 let tails = &tails[s][1..];
                 let log = ingest_logging_cross_tails(&mut engine, input, tails, batch_start, None);
                 self.restarts[s] += 1;
@@ -831,7 +795,7 @@ impl ShardedEngine {
             logs[s].extend(log);
         }
         self.retained_batches.push(batch_domain);
-        if self.retained_batches.len() as u64 >= self.supervision.snapshot_interval.max(1) {
+        if self.retained_batches.len() >= SNAPSHOT_INTERVAL {
             self.refresh_snapshots();
         }
         let logged = logs.iter().flatten().map(|(_, prefixes)| prefixes.len());
@@ -1093,9 +1057,9 @@ impl ShardedEngine {
         let layout = |set| TickLayout::build(set, &partitioner, config.crowd.delta, shard_count);
         let layouts = cdb.iter().map(layout).collect();
         let history = History { cdb, layouts };
-        let until = domain.map_or(0, |d| d.end + 1);
+        let last = domain.map(|d| d.end);
         let restore = |(s, state): (usize, &ShardState)| {
-            history.restore_shard(s, state.clone(), until, config, strategy, variant)
+            history.restore_shard(s, state.clone(), last, config, strategy, variant)
         };
         let shards: Vec<GatheringEngine> = shard_states
             .iter()
@@ -1103,7 +1067,7 @@ impl ShardedEngine {
             .map(restore)
             .collect::<Result<_, _>>()?;
 
-        if merge.iter().any(|path| path.end_time() + 1 != until) {
+        if merge.iter().any(|path| Some(path.end_time()) != last) {
             return Err("merge path does not end at the last ingested timestamp");
         }
         if merge.iter().any(|path| !resolves(&history.cdb, path, None)) {
@@ -1117,8 +1081,8 @@ impl ShardedEngine {
         }
 
         let mut clusterer = StreamingClusterer::new(config.clustering);
-        if domain.is_some() {
-            clusterer.seek(until);
+        if let Some(last) = last {
+            clusterer.seek_past(last);
         }
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let engine = ShardedEngine {
@@ -1136,7 +1100,7 @@ impl ShardedEngine {
             merge,
             finalized,
             counters: ShardedStats::default(),
-            supervision: ShardSupervision::default(),
+            worker_deadline: None,
             snapshots: shard_states,
             retained_batches: Vec::new(),
             restarts: vec![0; shard_count],
@@ -1473,12 +1437,8 @@ mod tests {
         let mut clean = ShardedEngine::new(config(), 2, partitioner);
         clean.ingest_trajectories(&db);
 
-        let supervision = ShardSupervision {
-            worker_deadline: Some(Duration::from_millis(40)),
-            snapshot_interval: 2,
-        };
-        let mut stalled =
-            ShardedEngine::new(config(), 2, partitioner).with_supervision(supervision);
+        let mut stalled = ShardedEngine::new(config(), 2, partitioner)
+            .with_worker_deadline(Duration::from_millis(40));
         let domain = db.time_domain().unwrap();
         let mut fired = false;
         for end in [2u32, 5, 8, domain.end] {
@@ -1494,26 +1454,23 @@ mod tests {
 
     #[test]
     fn snapshot_interval_refresh_keeps_rebuilds_exact() {
-        // A tiny snapshot interval forces several snapshot refreshes across
-        // the batches, and a late fault exercises the replay-from-refresh
-        // path rather than replay-from-genesis.
-        let db = drifting_db(16);
+        // One-tick batches past the snapshot interval force a refresh, and a
+        // late fault exercises the replay-from-refresh path rather than
+        // replay-from-genesis.
+        let db = drifting_db(24);
         let partitioner = Partitioner::Grid(GridPartitioner::new(150.0));
         let mut clean = ShardedEngine::new(config(), 3, partitioner);
         clean.ingest_trajectories(&db);
 
-        let supervision = ShardSupervision {
-            worker_deadline: None,
-            snapshot_interval: 1,
-        };
-        let mut faulty = ShardedEngine::new(config(), 3, partitioner).with_supervision(supervision);
-        let domain = db.time_domain().unwrap();
-        let ends = [1u32, 3, 5, 7, 9, 11, 13, domain.end];
-        for (batch, end) in ends.into_iter().enumerate() {
-            if batch == 6 {
+        let mut faulty = ShardedEngine::new(config(), 3, partitioner);
+        let fault_at = SNAPSHOT_INTERVAL as u32 + 3;
+        for t in db.time_domain().unwrap().iter() {
+            if t == fault_at {
+                // Refreshed after tick 15: the rebuild replays ticks 16–18.
+                assert_eq!(faulty.retained_batches.len(), 3);
                 faulty.inject_shard_fault(1, ShardFault::PanicOnce);
             }
-            faulty.ingest_trajectories_until(&db, end);
+            faulty.ingest_trajectories_until(&db, t);
         }
         assert_eq!(outputs(&faulty), outputs(&clean));
         assert_eq!(faulty.finalized_records(), clean.finalized_records());

@@ -16,7 +16,7 @@ use gpdt_core::{
     Crowd, CrowdRecord, Gathering, GatheringConfig, GatheringEngine, RangeSearchStrategy,
     SortedBounds, TadVariant,
 };
-use gpdt_trajectory::Timestamp;
+use gpdt_trajectory::{TimeInterval, Timestamp};
 
 use crate::partition::Partitioner;
 
@@ -186,19 +186,18 @@ impl History {
         Gathering::from_parts(crowd, gathering.participators().to_vec())
     }
 
-    /// Shard `shard`'s cluster database over the ticks `from..until`, through
-    /// the layouts: clusters are shared with the global database, never
-    /// copied.
-    pub(crate) fn shard_database(
-        &self,
-        shard: usize,
-        from: Timestamp,
-        until: Timestamp,
-    ) -> ClusterDatabase {
-        let first = self.layouts.front().map_or(from, |layout| layout.time);
-        let ticks = self.cdb.iter().zip(&self.layouts);
-        let ticks = ticks.skip((from - first) as usize);
-        let sets = ticks.take(until.saturating_sub(from) as usize);
+    /// Shard `shard`'s cluster database over `ticks` (retained), through the
+    /// layouts: clusters are shared with the global database, never copied.
+    /// The range is closed, so it reaches `Timestamp::MAX` without a bound
+    /// past it.
+    pub(crate) fn shard_database(&self, shard: usize, ticks: TimeInterval) -> ClusterDatabase {
+        let first = self
+            .layouts
+            .front()
+            .map_or(ticks.start, |layout| layout.time);
+        let sets = self.cdb.iter().zip(&self.layouts);
+        let sets = sets.skip((ticks.start - first) as usize);
+        let sets = sets.take((ticks.end - ticks.start) as usize + 1);
         ClusterDatabase::from_sets(
             sets.map(|(set, layout)| SnapshotClusterSet {
                 time: set.time,
@@ -212,9 +211,9 @@ impl History {
     }
 
     /// Shard `shard`'s engine as `state` describes it at the end of tick
-    /// `until - 1`, over its database derived from `state.first_tick` on:
-    /// the one way back from a [`ShardState`], for the supervisor's rebuild
-    /// and for checkpoint restore.
+    /// `last` (`None`: before the first tick), over its database derived
+    /// from `state.first_tick` on: the one way back from a [`ShardState`],
+    /// for the supervisor's rebuild and for checkpoint restore.
     ///
     /// # Errors
     ///
@@ -225,20 +224,23 @@ impl History {
         &self,
         shard: usize,
         state: ShardState,
-        until: Timestamp,
+        last: Option<Timestamp>,
         config: GatheringConfig,
         strategy: RangeSearchStrategy,
         variant: TadVariant,
     ) -> Result<GatheringEngine, &'static str> {
         let retained_from = self.cdb.time_domain().map(|d| d.start);
-        let reaches_until = match state.first_tick {
-            Some(first) => retained_from.is_some_and(|r| r <= first) && first < until,
-            None => retained_from.is_none_or(|r| until <= r),
+        let local = match (state.first_tick, last) {
+            (Some(first), Some(last))
+                if retained_from.is_some_and(|r| r <= first) && first <= last =>
+            {
+                self.shard_database(shard, TimeInterval::new(first, last))
+            }
+            (None, _) if retained_from.is_none_or(|r| last.is_none_or(|last| last < r)) => {
+                ClusterDatabase::new()
+            }
+            _ => return Err("shard's first retained tick lies outside the global database"),
         };
-        if !reaches_until {
-            return Err("shard's first retained tick lies outside the global database");
-        }
-        let local = self.shard_database(shard, state.first_tick.unwrap_or(until), until);
         if state.ticks_ingested < local.len() as u64 {
             return Err("shard retains more ticks than it ingested");
         }

@@ -94,8 +94,6 @@ pub mod engine;
 pub mod history;
 pub mod partition;
 
-pub use engine::{
-    ShardFault, ShardLoad, ShardSupervision, ShardedEngine, ShardedStats, ShardedUpdate, MAX_SHARDS,
-};
+pub use engine::{ShardFault, ShardLoad, ShardedEngine, ShardedStats, ShardedUpdate, MAX_SHARDS};
 pub use history::{cross_edges, CrossEdges, ShardState, TickLayout};
 pub use partition::{GridPartitioner, Partitioner};

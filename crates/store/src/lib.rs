@@ -27,9 +27,12 @@
 //! * [`service`] — [`MonitorService`], the concurrent façade: one ingestion
 //!   thread feeds a [`GatheringEngine`](gpdt_core::GatheringEngine) and the
 //!   store while any number of caller threads run queries (std scoped
-//!   threads + channels, no runtime), with a [`ServiceStats`] observability
-//!   snapshot, retry/backoff on transient store faults, and a degraded mode
-//!   that queues ingest while storage is down.
+//!   threads + channels, no runtime), with a [`ServiceStats`] snapshot of
+//!   its counters and the engine's load, retry/backoff on transient store
+//!   faults, and a degraded mode that queues ingest while storage is down.
+//!   Its supervision settings (retry budget, backoff, recovery-point
+//!   cadence, queue bound) are fixed constants, listed in the
+//!   [`service`] module docs.
 //! * [`vfs`] — the pluggable storage backend: [`RealVfs`] maps to `std::fs`,
 //!   the seeded [`FaultVfs`] injects short writes, torn frames, fsync
 //!   failures, `ENOSPC` and crash points deterministically, so every
@@ -55,7 +58,6 @@ pub use codec::{decode_from_slice, encode_to_vec, Decode, DecodeError, Encode, C
 pub use service::RecoveryPoint;
 pub use service::{
     MonitorOutcome, MonitorService, MonitoredEngine, ServiceError, ServiceHandle, ServiceStats,
-    SupervisorPolicy,
 };
 pub use sharded::{
     restore_sharded_from_slice, sharded_checkpoint_to_vec, SHARDED_CHECKPOINT_MAGIC,

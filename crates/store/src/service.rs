@@ -23,21 +23,22 @@
 //! [`StoreError::is_transient`] and reacts accordingly:
 //!
 //! * **Transient faults** (interrupted writes, racing I/O) are retried in
-//!   place with bounded exponential backoff and seeded jitter, governed by
-//!   the [`SupervisorPolicy`].  Successful retries are invisible except for
+//!   place, up to 4 times, with exponential backoff from 1 ms to at most
+//!   50 ms and seeded jitter.  Successful retries are invisible except for
 //!   the [`ServiceStats::retries`] counter.
 //! * **Exhausted retries** flip the service into *degraded mode*: ingest is
-//!   queued (up to [`SupervisorPolicy::max_queued_batches`]), queries and
-//!   checkpoints are rejected with [`ServiceError::Degraded`], and the next
-//!   batch or an explicit [`ServiceHandle::try_recover`] re-probes the
-//!   store.  On recovery the queue drains in order, so the engine and store
-//!   end up exactly where an undisturbed run would.
+//!   queued (up to 4 096 batches; a batch beyond that is dropped and
+//!   reported), queries and checkpoints are rejected with
+//!   [`ServiceError::Degraded`], and the next batch or an explicit
+//!   [`ServiceHandle::try_recover`] re-probes the store.  On recovery the
+//!   queue drains in order, so the engine and store end up exactly where an
+//!   undisturbed run would.
 //! * **Fatal faults** (invalid records, a store that diverges from the
 //!   engine's finalized feed) halt durable storage for the session while
 //!   discovery continues — retrying could never succeed.
 //! * **Worker panics** during ingestion are caught: the engine is rebuilt
 //!   from the worker's *recovery point*, the batches since are replayed
-//!   (at most [`SupervisorPolicy::checkpoint_interval`] of them), and the
+//!   (at most 16: the point is refreshed every 16 batches), and the
 //!   offending batch is retried once.  The output is byte-identical to a
 //!   run without the panic.
 //!
@@ -240,30 +241,6 @@ pub struct ServiceStats {
     pub queued_batches: usize,
     /// The engine's load ([`GatheringEngine::stats`]).
     pub engine: EngineStats,
-    /// A point-in-time copy of the process-wide metrics registry (stage
-    /// latencies, VFS counters, supervision counts), merged with the
-    /// service- and engine-level numbers above under the shared
-    /// [`gpdt_obs::MetricSource`] vocabulary.  Empty when `GPDT_OBS=off`.
-    pub metrics: gpdt_obs::Snapshot,
-}
-
-impl gpdt_obs::MetricSource for ServiceStats {
-    fn metric_prefix(&self) -> &'static str {
-        "service"
-    }
-    fn metric_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("batches_ingested", self.batches_ingested),
-            ("batches_rejected", self.batches_rejected),
-            ("ticks_ingested", self.ticks_ingested),
-            ("finalized_records", self.finalized_records as u64),
-            ("stored_records", self.stored_records as u64),
-            ("retries", self.retries),
-            ("panics_recovered", self.panics_recovered),
-            ("degraded", u64::from(self.degraded_since.is_some())),
-            ("queued_batches", self.queued_batches as u64),
-        ]
-    }
 }
 
 /// Typed rejections surfaced by [`ServiceHandle`] queries and checkpoints.
@@ -313,41 +290,22 @@ impl From<StoreError> for ServiceError {
     }
 }
 
-/// How the ingest worker reacts to faults: retry budget and backoff curve
-/// for transient store errors, the recovery-point cadence for panic
-/// recovery, and the ingest-queue bound for degraded mode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupervisorPolicy {
-    /// Transient-fault retries before entering degraded mode.
-    pub max_retries: u32,
-    /// First retry delay; attempt `n` waits up to `base * 2^(n-1)`.
-    pub base_backoff: Duration,
-    /// Ceiling on any single backoff delay.
-    pub max_backoff: Duration,
-    /// Seed for the backoff jitter (each delay is drawn from 50–100% of the
-    /// exponential ceiling, so colliding retries de-synchronise).
-    pub jitter_seed: u64,
-    /// Batches between refreshes of the in-memory recovery point: the most
-    /// a panic recovery replays.  A refresh costs what those batches added,
-    /// whatever the interval.
-    pub checkpoint_interval: u64,
-    /// Most batches queued while degraded; beyond this, batches are dropped
-    /// (and reported) rather than exhausting memory.
-    pub max_queued_batches: usize,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            max_retries: 4,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-            jitter_seed: 0x9E37_79B9_7F4A_7C15,
-            checkpoint_interval: 16,
-            max_queued_batches: 4096,
-        }
-    }
-}
+/// Transient-fault retries before the service enters degraded mode.
+const MAX_RETRIES: u32 = 4;
+/// First retry delay; attempt `n` waits up to `BASE_BACKOFF * 2^(n-1)`.
+const BASE_BACKOFF: Duration = Duration::from_millis(1);
+/// Ceiling on any single backoff delay.
+const MAX_BACKOFF: Duration = Duration::from_millis(50);
+/// Seed for the backoff jitter (each delay is drawn from 50–100% of the
+/// exponential ceiling, so colliding retries de-synchronise).
+const JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Batches between refreshes of the in-memory recovery point: the most a
+/// panic recovery replays.  A refresh costs what those batches added,
+/// whatever the interval.
+const RECOVERY_INTERVAL: usize = 16;
+/// Most batches queued while degraded; beyond this, batches are dropped
+/// (and reported) rather than exhausting memory.
+const MAX_QUEUED_BATCHES: usize = 4096;
 
 /// Everything [`MonitorService::run`] hands back: the engine and store (for
 /// continued use, checkpointing or clean shutdown) plus the closure's result
@@ -371,8 +329,7 @@ pub struct MonitorOutcome<T, E = GatheringEngine> {
 pub struct MonitorService;
 
 impl MonitorService {
-    /// Runs the service for the duration of `f` with the default
-    /// [`SupervisorPolicy`].
+    /// Runs the service for the duration of `f`.
     ///
     /// The engine must be the producer of the store's existing records: a
     /// freshly restored checkpoint next to its store (even an *older*
@@ -393,20 +350,6 @@ impl MonitorService {
         E: MonitoredEngine,
         F: FnOnce(&ServiceHandle<'_>) -> T,
     {
-        Self::run_with(engine, store, SupervisorPolicy::default(), f)
-    }
-
-    /// [`MonitorService::run`] with an explicit [`SupervisorPolicy`].
-    pub fn run_with<E, T, F>(
-        engine: E,
-        store: PatternStore,
-        policy: SupervisorPolicy,
-        f: F,
-    ) -> MonitorOutcome<T, E>
-    where
-        E: MonitoredEngine,
-        F: FnOnce(&ServiceHandle<'_>) -> T,
-    {
         // Bring up the live telemetry plane (sampler, SLO watchdog, and the
         // /metrics + /health + /flightrec endpoint) if the environment asks
         // for it; a no-op otherwise, and idempotent across nested services.
@@ -421,7 +364,7 @@ impl MonitorService {
             let errors_ref = &errors;
             let degraded_ref = &degraded;
             let worker = scope.spawn(move || {
-                IngestWorker::new(engine, store_ref, errors_ref, degraded_ref, policy).run(rx)
+                IngestWorker::new(engine, store_ref, errors_ref, degraded_ref).run(rx)
             });
             let handle = ServiceHandle {
                 tx: &tx,
@@ -542,7 +485,6 @@ struct IngestWorker<'a, E: MonitoredEngine> {
     store: &'a RwLock<PatternStore>,
     errors: &'a Mutex<Vec<String>>,
     degraded: &'a RwLock<Option<(u64, String)>>,
-    policy: SupervisorPolicy,
     /// Jitter rng state (xorshift64; never zero).
     rng: u64,
     /// Engine-finalized records accounted for in the store, as a prefix:
@@ -577,17 +519,14 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         store: &'a RwLock<PatternStore>,
         errors: &'a Mutex<Vec<String>>,
         degraded: &'a RwLock<Option<(u64, String)>>,
-        policy: SupervisorPolicy,
     ) -> Self {
         let recovery = RecoveryPoint::of(engine.engine());
-        let rng = policy.jitter_seed | 1;
         IngestWorker {
             engine,
             store,
             errors,
             degraded,
-            policy,
-            rng,
+            rng: JITTER_SEED | 1,
             accounted: 0,
             unflushed: false,
             storing: true,
@@ -713,7 +652,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
     }
 
     fn enqueue(&mut self, batch: ClusterDatabase) {
-        if self.queue.len() >= self.policy.max_queued_batches {
+        if self.queue.len() >= MAX_QUEUED_BATCHES {
             self.report(format!(
                 "degraded ingest queue full ({} batches); dropping incoming batch",
                 self.queue.len()
@@ -794,13 +733,14 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         self.ticks_ingested += u64::from(batch_domain.len());
         self.last_tick = Some(batch_domain.end);
         if gpdt_obs::enabled() {
-            // `service.batches` feeds the watchdog's ingest-stall rule; the
-            // health surface tracks tick progress.
+            // `service.batches` feeds the watchdog's ingest-stall rule and
+            // `/health`'s `batches_applied`; the health surface tracks the
+            // last tick.
             gpdt_obs::counter!("service.batches").inc();
             gpdt_obs::health::note_ingest(self.last_tick);
         }
         self.replay.push(batch);
-        if self.replay.len() as u64 >= self.policy.checkpoint_interval.max(1) {
+        if self.replay.len() >= RECOVERY_INTERVAL {
             self.refresh_recovery_point();
         }
         if self.storing {
@@ -894,7 +834,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                 Ok(()) => return Ok(()),
                 Err(SyncFailure::Halted) => return Ok(()),
                 Err(SyncFailure::Transient(err)) => {
-                    if attempt >= self.policy.max_retries {
+                    if attempt >= MAX_RETRIES {
                         return Err(err.to_string());
                     }
                     attempt += 1;
@@ -908,11 +848,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
 
     fn backoff_delay(&mut self, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(1).min(20);
-        let ceiling = self
-            .policy
-            .base_backoff
-            .saturating_mul(1u32 << exp)
-            .min(self.policy.max_backoff);
+        let ceiling = BASE_BACKOFF.saturating_mul(1u32 << exp).min(MAX_BACKOFF);
         let nanos = ceiling.as_nanos().min(u128::from(u64::MAX)) as u64;
         // Jitter: a seeded draw from 50–100% of the exponential ceiling.
         let jittered = nanos / 2 + self.next_rand() % (nanos / 2 + 1);
@@ -1106,7 +1042,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                 .sync();
             match result {
                 Ok(()) => break,
-                Err(err) if err.is_transient() && attempt < self.policy.max_retries => {
+                Err(err) if err.is_transient() && attempt < MAX_RETRIES => {
                     attempt += 1;
                     self.retries += 1;
                     self.note_retry("checkpoint_sync", attempt, &err.to_string());
@@ -1131,7 +1067,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
 
     fn snapshot(&self) -> ServiceStats {
         let engine = self.engine.engine().stats();
-        let mut stats = ServiceStats {
+        ServiceStats {
             batches_ingested: self.batches_ingested,
             batches_rejected: self.batches_rejected,
             ticks_ingested: self.ticks_ingested,
@@ -1147,18 +1083,7 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                 .map(|(since, _)| *since),
             queued_batches: self.queue.len(),
             engine,
-            metrics: gpdt_obs::Snapshot::default(),
-        };
-        if gpdt_obs::enabled() {
-            // One snapshot vocabulary: the process-wide registry, plus the
-            // service counters and the engine's stats merged in as
-            // `prefix.name` gauges.
-            let mut metrics = gpdt_obs::registry().snapshot();
-            metrics.merge_source(&stats);
-            metrics.merge_source(&stats.engine);
-            stats.metrics = metrics;
         }
-        stats
     }
 }
 
@@ -1355,18 +1280,6 @@ mod tests {
             .gathering(GatheringParams::new(3, 3))
             .build()
             .unwrap()
-    }
-
-    /// A fast-retry policy so fault tests do not sleep for real.
-    fn snappy_policy() -> SupervisorPolicy {
-        SupervisorPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_micros(50),
-            max_backoff: Duration::from_micros(500),
-            jitter_seed: 7,
-            checkpoint_interval: 4,
-            max_queued_batches: 64,
-        }
     }
 
     /// Two separate lingering blobs, one after the other, so at least two
@@ -1631,8 +1544,10 @@ mod tests {
         assert!(reference.crowd_count() >= 4);
 
         // Tiny segments force a rotation (flush + sync + create, all VFS
-        // traffic) on nearly every append, so the one-in-two transient
-        // write and fsync faults actually bite.
+        // traffic) on nearly every append, so the one-in-three transient
+        // write and fsync faults actually bite.  On this seed no sync pass
+        // fails five times running, which would exhaust the budget of four
+        // retries and degrade.
         let vfs = FaultVfs::new(0xBEEF);
         let store = PatternStore::open_at(
             Arc::new(vfs.clone()),
@@ -1644,27 +1559,22 @@ mod tests {
         )
         .unwrap();
         vfs.set_plan(FaultPlan {
-            transient_write_one_in: Some(2),
-            transient_sync_one_in: Some(2),
+            transient_write_one_in: Some(3),
+            transient_sync_one_in: Some(3),
             ..FaultPlan::default()
         });
-        let policy = SupervisorPolicy {
-            max_retries: 10,
-            ..snappy_policy()
-        };
-        let outcome =
-            MonitorService::run_with(GatheringEngine::new(config()), store, policy, |handle| {
-                let domain = db.time_domain().unwrap();
-                for t in domain.iter() {
-                    handle.ingest(ClusterDatabase::build_interval(
-                        &db,
-                        &config().clustering,
-                        TimeInterval::new(t, t),
-                    ));
-                }
-                handle.flush();
-                (handle.stored(), handle.stats())
-            });
+        let outcome = MonitorService::run(GatheringEngine::new(config()), store, |handle| {
+            let domain = db.time_domain().unwrap();
+            for t in domain.iter() {
+                handle.ingest(ClusterDatabase::build_interval(
+                    &db,
+                    &config().clustering,
+                    TimeInterval::new(t, t),
+                ));
+            }
+            handle.flush();
+            (handle.stored(), handle.stats())
+        });
         let (stored, stats) = outcome.value;
         assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
         assert_eq!(outcome.engine.closed_crowds(), reference.crowds);
@@ -1679,9 +1589,21 @@ mod tests {
 
     #[test]
     fn persistent_faults_degrade_and_recovery_drains_the_queue() {
+        // The scene, then empty ticks: the first crowd's record fails at
+        // t=8, and the 4 097 one-tick batches after it — one more than the
+        // degraded queue holds — arrive while the store keeps failing.
         let db = scene();
-        let batches = tick_batches(&db);
-        let reference = offline_run(&db);
+        let last = 8 + MAX_QUEUED_BATCHES as Timestamp + 1;
+        let batches: Vec<ClusterDatabase> = (0..=last)
+            .map(|t| {
+                ClusterDatabase::build_interval(&db, &config().clustering, TimeInterval::new(t, t))
+            })
+            .collect();
+        let scene_ticks = db.time_domain().unwrap().len() as usize;
+        let mut undisturbed = GatheringEngine::new(config());
+        for batch in batches.iter().cloned() {
+            undisturbed.ingest_clusters(batch);
+        }
 
         let vfs = FaultVfs::new(0xD1CE);
         let store = PatternStore::open_at(
@@ -1693,58 +1615,79 @@ mod tests {
             },
         )
         .unwrap();
-        let outcome = MonitorService::run_with(
-            GatheringEngine::new(config()),
-            store,
-            snappy_policy(),
-            |handle| {
-                // The first batches land healthily — before any crowd
-                // finalizes (the first blob's crowd closes at t=8).
-                for batch in batches.iter().take(6).cloned() {
-                    handle.ingest(batch);
-                }
-                handle.flush();
-                assert_eq!(handle.stats().degraded_since, None);
+        let outcome = MonitorService::run(GatheringEngine::new(config()), store, |handle| {
+            // The first batches land healthily — before any crowd
+            // finalizes (the first blob's crowd closes at t=8).
+            for batch in batches.iter().take(6).cloned() {
+                handle.ingest(batch);
+            }
+            handle.flush();
+            assert_eq!(handle.stats().degraded_since, None);
 
-                // Now every write fails: the first crowd's record cannot be
-                // stored, the retry budget runs out, the service degrades.
-                vfs.set_plan(FaultPlan {
-                    transient_write_one_in: Some(1),
-                    ..FaultPlan::default()
-                });
-                for batch in batches.iter().skip(6).cloned() {
-                    handle.ingest(batch);
-                }
-                handle.flush();
-                let degraded = handle.stats();
-                assert!(degraded.degraded_since.is_some(), "{degraded:?}");
-                assert!(degraded.queued_batches > 0, "{degraded:?}");
-                assert!(matches!(
-                    handle.top_k(3),
-                    Err(ServiceError::Degraded { .. })
-                ));
-                assert!(matches!(
-                    handle.checkpoint(),
-                    Err(ServiceError::Degraded { .. })
-                ));
-                assert!(!handle.try_recover(), "the store is still failing");
+            // Now every write fails: the first crowd's record cannot be
+            // stored, the retry budget runs out, the service degrades.
+            vfs.set_plan(FaultPlan {
+                transient_write_one_in: Some(1),
+                ..FaultPlan::default()
+            });
+            for batch in batches[6..scene_ticks].iter().cloned() {
+                handle.ingest(batch);
+            }
+            handle.flush();
+            let degraded = handle.stats();
+            assert_eq!(degraded.degraded_since, Some(9), "{degraded:?}");
+            assert_eq!(degraded.queued_batches, scene_ticks - 9, "{degraded:?}");
+            assert!(matches!(
+                handle.top_k(3),
+                Err(ServiceError::Degraded { .. })
+            ));
+            assert!(matches!(
+                handle.checkpoint(),
+                Err(ServiceError::Degraded { .. })
+            ));
+            assert!(!handle.try_recover(), "the store is still failing");
 
-                // The weather clears: recovery drains the queue in order.
-                vfs.clear_faults();
-                assert!(handle.try_recover());
-                handle.flush();
-                let healthy = handle.stats();
-                assert_eq!(healthy.degraded_since, None);
-                assert_eq!(healthy.queued_batches, 0);
-                (handle.stored(), healthy)
-            },
-        );
+            // Still failing, the queue fills: the batch past its bound is
+            // dropped and reported, not queued.
+            for batch in batches[scene_ticks..].iter().cloned() {
+                handle.ingest(batch);
+            }
+            handle.flush();
+            let full = handle.stats();
+            assert_eq!(full.queued_batches, MAX_QUEUED_BATCHES, "{full:?}");
+            assert_eq!(full.batches_rejected, 1, "{full:?}");
+
+            // The weather clears: recovery drains the queue in order, and
+            // the caller sends the dropped batch again.
+            vfs.clear_faults();
+            assert!(handle.try_recover());
+            handle.ingest(batches[last as usize].clone());
+            handle.flush();
+            let healthy = handle.stats();
+            assert_eq!(healthy.degraded_since, None);
+            assert_eq!(healthy.queued_batches, 0);
+            assert_eq!(healthy.batches_ingested, batches.len() as u64);
+            (handle.stored(), healthy)
+        });
         let (stored, healthy) = outcome.value;
-        // The degradation and recovery were reported...
+        // The degradation, the one dropped batch and the recovery were
+        // reported...
         assert!(
-            outcome.errors.iter().any(|e| e.contains("degraded")),
+            outcome
+                .errors
+                .iter()
+                .any(|e| e.contains("degraded after batch 9")),
             "{:?}",
             outcome.errors
+        );
+        let dropped: Vec<&String> = outcome
+            .errors
+            .iter()
+            .filter(|e| e.contains("queue full"))
+            .collect();
+        assert_eq!(
+            dropped,
+            ["degraded ingest queue full (4096 batches); dropping incoming batch"]
         );
         assert!(
             outcome.errors.iter().any(|e| e.contains("recovered")),
@@ -1752,8 +1695,13 @@ mod tests {
             outcome.errors
         );
         // ...and the end state is exactly what an undisturbed run produces.
-        assert_eq!(outcome.engine.closed_crowds(), reference.crowds);
-        assert_eq!(outcome.engine.gatherings(), reference.gatherings);
+        assert_eq!(outcome.engine.closed_crowds(), undisturbed.closed_crowds());
+        assert_eq!(outcome.engine.gatherings(), undisturbed.gatherings());
+        assert_eq!(
+            outcome.engine.finalized_records(),
+            undisturbed.finalized_records()
+        );
+        assert!(!undisturbed.finalized_records().is_empty());
         assert_eq!(stored, outcome.engine.finalized_records().len());
         assert!(healthy.retries > 0);
     }
@@ -1799,7 +1747,7 @@ mod tests {
             panic_at: Some(13),
             seen: 0,
         };
-        let outcome = MonitorService::run_with(engine, store, snappy_policy(), |handle| {
+        let outcome = MonitorService::run(engine, store, |handle| {
             for batch in tick_batches(&db) {
                 handle.ingest(batch);
             }

@@ -211,8 +211,11 @@ pub fn restore_sharded_from_slice(mut bytes: &[u8]) -> Result<ShardedEngine, Dec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpdt_core::{ClusteringParams, CrowdParams, GatheringParams};
-    use gpdt_trajectory::{ObjectId, Trajectory, TrajectoryDatabase};
+    use gpdt_core::{
+        ClusteringParams, CrowdParams, GatheringEngine, GatheringParams, RetentionPolicy,
+    };
+    use gpdt_shard::ShardedUpdate;
+    use gpdt_trajectory::{ObjectId, Timestamp, Trajectory, TrajectoryDatabase};
 
     fn config() -> GatheringConfig {
         GatheringConfig::builder()
@@ -334,6 +337,55 @@ mod tests {
             sharded_checkpoint_to_vec(&restored),
             sharded_checkpoint_to_vec(&engine)
         );
+    }
+
+    /// Four taxis sampled at the last two representable ticks, crossing a
+    /// cell border between them: two shards find what one engine does, a
+    /// second ingest is a no-op, and a checkpoint taken there restores
+    /// equal — under both retention policies.
+    #[test]
+    fn the_last_representable_tick_does_not_wrap() {
+        let max = Timestamp::MAX;
+        let config = GatheringConfig::builder()
+            .clustering(ClusteringParams::new(60.0, 3))
+            .crowd(CrowdParams::new(3, 2, 120.0))
+            .gathering(GatheringParams::new(3, 2))
+            .build()
+            .unwrap();
+        let db = TrajectoryDatabase::from_trajectories((0..4u32).map(|i| {
+            let x = 100.0 + f64::from(i) * 10.0;
+            Trajectory::from_points(
+                ObjectId::new(i),
+                [(max - 1, (x, 0.0)), (max, (x + 60.0, 0.0))],
+            )
+        }));
+        for retention in [RetentionPolicy::KeepAll, RetentionPolicy::Bounded] {
+            let mut single = GatheringEngine::new(config).with_retention(retention);
+            single.ingest_trajectories(&db);
+            let mut sharded =
+                ShardedEngine::new(config, 2, partitioner()).with_retention(retention);
+            sharded.ingest_trajectories(&db);
+            assert_eq!(sharded.time_domain(), single.time_domain());
+            assert_eq!(sharded.stats().cross_edges, 1, "{retention:?}");
+            assert_eq!(sharded.closed_crowds(), single.closed_crowds());
+            assert_eq!(sharded.gatherings(), single.gatherings());
+            assert_eq!(sharded.gatherings().len(), 1, "{retention:?}");
+            assert_eq!(sharded.finalized_records(), single.finalized_records());
+
+            let bytes = sharded_checkpoint_to_vec(&sharded);
+            assert_eq!(sharded.ingest_trajectories(&db), ShardedUpdate::default());
+            assert_eq!(sharded_checkpoint_to_vec(&sharded), bytes);
+
+            let mut restored = restore_sharded_from_slice(&bytes)
+                .unwrap()
+                .with_retention(retention);
+            assert_eq!(restored.time_domain(), sharded.time_domain());
+            assert_eq!(restored.closed_crowds(), sharded.closed_crowds());
+            assert_eq!(restored.gatherings(), sharded.gatherings());
+            assert_eq!(restored.finalized_records(), sharded.finalized_records());
+            assert_eq!(restored.ingest_trajectories(&db), ShardedUpdate::default());
+            assert_eq!(sharded_checkpoint_to_vec(&restored), bytes);
+        }
     }
 
     #[test]

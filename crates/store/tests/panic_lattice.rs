@@ -1,18 +1,18 @@
 //! The service's panic lattice: an ingest panic injected at *every* batch of
-//! a stream — for both retention policies and three recovery-point
-//! cadences — must leave no trace in the discovery output,
-//! the durable history or the bytes of a checkpoint taken at the end.
+//! a stream — for both retention policies, across the service's
+//! recovery-point refreshes (every 16 batches) — must leave no trace in the
+//! discovery output, the durable history or the bytes of a checkpoint taken
+//! at the end.
 //!
-//! Beside it, the two-tier check on the recovery point itself: what the
-//! service keeps by topping up (cheap, structural) is validated against the
-//! exact figure (the live engine's serialised checkpoint) after every
-//! refresh, and a point must survive the live engine evicting ticks the
-//! point still holds.
+//! Beside it, the two-tier check on the recovery point itself, at several
+//! cadences: what the service keeps by topping up (cheap, structural) is
+//! validated against the exact figure (the live engine's serialised
+//! checkpoint) after every refresh, and a point must survive the live engine
+//! evicting ticks the point still holds.
 
 mod common;
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use common::PanicOnNth;
 
@@ -23,7 +23,7 @@ use gpdt_core::{
 };
 use gpdt_store::{
     checkpoint_to_vec, FaultVfs, MonitorService, PatternRecord, PatternStore, RecoveryPoint,
-    StoreOptions, SupervisorPolicy,
+    StoreOptions,
 };
 use gpdt_trajectory::{ObjectId, TimeInterval, Trajectory, TrajectoryDatabase};
 
@@ -99,7 +99,6 @@ fn run(
     batches: &[ClusterDatabase],
     retention: RetentionPolicy,
     panic_at: Option<u64>,
-    checkpoint_interval: u64,
 ) -> (Trail, u64, GatheringEngine) {
     let vfs = Arc::new(FaultVfs::new(16));
     let store = PatternStore::open_at(vfs, "/lattice", StoreOptions::default()).unwrap();
@@ -108,12 +107,7 @@ fn run(
         panic_at,
         seen: 0,
     };
-    let policy = SupervisorPolicy {
-        base_backoff: Duration::from_micros(50),
-        checkpoint_interval,
-        ..SupervisorPolicy::default()
-    };
-    let outcome = MonitorService::run_with(engine, store, policy, |handle| {
+    let outcome = MonitorService::run(engine, store, |handle| {
         for batch in batches {
             handle.ingest(batch.clone());
         }
@@ -142,27 +136,22 @@ fn run(
 fn a_panic_at_any_batch_leaves_no_trace_single_engine() {
     let batches = batches();
     for retention in [RetentionPolicy::KeepAll, RetentionPolicy::Bounded] {
-        let (reference, panics, engine) = run(&batches, retention, None, 16);
+        let (reference, panics, engine) = run(&batches, retention, None);
         assert_eq!(panics, 0);
         assert!(reference.gatherings.len() >= CYCLES as usize);
         assert!(reference.records.len() >= CYCLES as usize);
         let resident = engine.cluster_database().len();
         match retention {
             RetentionPolicy::KeepAll => assert_eq!(resident, TICKS as usize),
-            // Bounded retention must really evict, and between two refreshes
-            // of even the shortest cadence above 1: well under 4 ticks stay.
+            // Bounded retention must really evict: at most 10 of the 42
+            // ticks stay.
             RetentionPolicy::Bounded => assert!(resident <= 10, "{resident} ticks resident"),
         }
-        for checkpoint_interval in [1, 4, 16] {
-            for panic_at in 1..=batches.len() as u64 {
-                let (trail, panics, _) =
-                    run(&batches, retention, Some(panic_at), checkpoint_interval);
-                let cell = format!(
-                    "{retention:?}, refresh every {checkpoint_interval}, panic at batch {panic_at}"
-                );
-                assert_eq!(panics, 1, "{cell}");
-                assert!(trail == reference, "{cell}: the panic left a trace");
-            }
+        for panic_at in 1..=batches.len() as u64 {
+            let (trail, panics, _) = run(&batches, retention, Some(panic_at));
+            let cell = format!("{retention:?}, panic at batch {panic_at}");
+            assert_eq!(panics, 1, "{cell}");
+            assert!(trail == reference, "{cell}: the panic left a trace");
         }
     }
 }

@@ -29,14 +29,6 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
     }
-
-    /// Location of `id` at this tick, if the object is present.
-    pub fn position_of(&self, id: ObjectId) -> Option<Point> {
-        self.positions
-            .binary_search_by_key(&id, |(oid, _)| *oid)
-            .ok()
-            .map(|idx| self.positions[idx].1)
-    }
 }
 
 /// A database of moving-object trajectories over a discretised time domain.
@@ -217,25 +209,40 @@ mod tests {
         assert_eq!(TrajectoryDatabase::new().time_domain(), None);
     }
 
+    /// Location of `id` in `snapshot`, if the object is present.
+    fn position_of(snapshot: &Snapshot, id: ObjectId) -> Option<Point> {
+        let found = snapshot.positions.iter().find(|(oid, _)| *oid == id);
+        found.map(|&(_, point)| point)
+    }
+
     #[test]
     fn snapshot_contains_only_live_objects() {
         let db = db();
         let s0 = db.snapshot(0);
         assert_eq!(s0.len(), 1);
-        assert_eq!(s0.position_of(ObjectId::new(1)), Some(Point::new(0.0, 0.0)));
+        assert_eq!(
+            position_of(&s0, ObjectId::new(1)),
+            Some(Point::new(0.0, 0.0))
+        );
 
         let s7 = db.snapshot(7);
         assert_eq!(s7.len(), 2);
         // Object 1 interpolated at t=7 -> (7, 0); object 2 at t=7 -> (0, 7).
-        assert_eq!(s7.position_of(ObjectId::new(1)), Some(Point::new(7.0, 0.0)));
-        assert_eq!(s7.position_of(ObjectId::new(2)), Some(Point::new(0.0, 7.0)));
-        assert_eq!(s7.position_of(ObjectId::new(3)), None);
+        assert_eq!(
+            position_of(&s7, ObjectId::new(1)),
+            Some(Point::new(7.0, 0.0))
+        );
+        assert_eq!(
+            position_of(&s7, ObjectId::new(2)),
+            Some(Point::new(0.0, 7.0))
+        );
+        assert_eq!(position_of(&s7, ObjectId::new(3)), None);
 
         let s20 = db.snapshot(20);
         assert_eq!(s20.len(), 1);
         assert!(!s20.is_empty());
         assert_eq!(
-            s20.position_of(ObjectId::new(3)),
+            position_of(&s20, ObjectId::new(3)),
             Some(Point::new(1.0, 1.0))
         );
     }

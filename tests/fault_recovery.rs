@@ -25,7 +25,7 @@ use gpdt_core::{
     ClusteringParams, CrowdParams, GatheringConfig, GatheringEngine, GatheringParams,
     RetentionPolicy,
 };
-use gpdt_shard::{GridPartitioner, Partitioner, ShardFault, ShardSupervision, ShardedEngine};
+use gpdt_shard::{GridPartitioner, Partitioner, ShardFault, ShardedEngine};
 use gpdt_store::{
     restore_sharded_from_slice, sharded_checkpoint_to_vec, PatternStore, StoreOptions,
 };
@@ -313,20 +313,21 @@ fn sharded_fault_lattice(db: &TrajectoryDatabase, retention: RetentionPolicy) ->
     // or evicted.
     let last = db.time_domain().unwrap().end;
     let ends: Vec<u32> = (2..last).step_by(2).chain([last]).collect();
-    let deadline = ShardSupervision {
-        worker_deadline: Some(Duration::from_millis(60)),
-        snapshot_interval: 3,
-    };
     let mut resident = 0;
     let faults = [
-        (ShardFault::PanicOnce, ShardSupervision::default()),
-        (ShardFault::StallOnce(Duration::from_millis(400)), deadline),
+        (ShardFault::PanicOnce, None),
+        (
+            ShardFault::StallOnce(Duration::from_millis(400)),
+            Some(Duration::from_millis(60)),
+        ),
     ];
-    for (fault, supervision) in faults {
+    for (fault, deadline) in faults {
         let fresh = || {
-            ShardedEngine::new(config, shards, partitioner)
-                .with_retention(retention)
-                .with_supervision(supervision)
+            let engine = ShardedEngine::new(config, shards, partitioner).with_retention(retention);
+            match deadline {
+                Some(deadline) => engine.with_worker_deadline(deadline),
+                None => engine,
+            }
         };
         let mut clean = fresh();
         for &end in &ends {
@@ -365,7 +366,7 @@ fn sharded_fault_lattice(db: &TrajectoryDatabase, retention: RetentionPolicy) ->
                 // host makes a healthy one overrun the deadline too, which
                 // costs a rebuild and nothing else.
                 assert!(faulty.restarts()[shard] >= 1, "{cell}");
-                if supervision.worker_deadline.is_none() {
+                if deadline.is_none() {
                     assert_eq!(faulty.restarts().iter().sum::<u64>(), 1, "{cell}");
                 }
             }
