@@ -15,7 +15,7 @@ use gpdt_baselines::{
 };
 use gpdt_bench::env;
 use gpdt_bench::fault_sweep::mine_under_faults;
-use gpdt_bench::out_of_core::ingest_bounded;
+use gpdt_bench::out_of_core::ingest_resilient;
 use gpdt_bench::report::{BenchReport, Table};
 use gpdt_bench::scenarios::{clustered_day, scaled};
 use gpdt_clustering::ClusteringParams;
@@ -47,6 +47,7 @@ fn thresholds() -> Thresholds {
     }
 }
 
+#[derive(Default)]
 struct Counts {
     crowds: usize,
     gatherings: usize,
@@ -90,9 +91,10 @@ fn count_by_regime(seed: u64, weather: Weather, start_of_day: u32) -> [Counts; 3
         crowd: th.crowd,
         gathering: th.gathering,
     };
+    let sets = cs.clusters.into_sets();
     let records = if let Some(fault_seed) = env::fault_seed() {
         let (records, incarnations, transient_restarts) =
-            mine_under_faults(fault_seed ^ seed, &config, &cs.clusters.into_sets(), budget);
+            mine_under_faults(fault_seed ^ seed, &config, &sets, budget);
         eprintln!(
             "[fig5] mined one {weather:?} day ({num_taxis} taxis) in {:.1?} under injected \
              faults ({incarnations} incarnations, {transient_restarts} transient restarts, \
@@ -105,8 +107,10 @@ fn count_by_regime(seed: u64, weather: Weather, start_of_day: u32) -> [Counts; 3
         let mut engine = GatheringEngine::new(config).with_retention(RetentionPolicy::Bounded);
         let store_dir = env::scratch_dir(&format!("fig5-{seed}"));
         let mut store = PatternStore::open(&store_dir).expect("open scratch pattern store");
-        let ooc = ingest_bounded(&mut engine, cs.clusters.into_sets(), budget, &mut store)
-            .expect("spill finalized patterns");
+        let ooc = ingest_resilient(&mut engine, &sets, budget, &mut store, 0, 0, |_, _, _| {
+            Ok(())
+        })
+        .expect("spill finalized patterns");
         store
             .archive_closed_frontier(&engine)
             .expect("archive frontier");
@@ -126,60 +130,27 @@ fn count_by_regime(seed: u64, weather: Weather, start_of_day: u32) -> [Counts; 3
         );
         records
     };
-    let crowds: Vec<TimeInterval> = records.iter().map(|r| r.interval()).collect();
-    let gatherings: Vec<(TimeInterval, usize)> = records
-        .iter()
-        .flat_map(|r| {
-            r.gatherings
-                .iter()
-                .map(|g| (g.interval, g.participators.len()))
-        })
-        .collect();
 
-    let regime_of_interval = |interval: &TimeInterval| -> Regime {
-        let mid = start_of_day + (interval.start + interval.end) / 2;
-        Regime::for_minute_of_day(mid)
-    };
-    let mut out = [
-        Counts {
-            crowds: 0,
-            gatherings: 0,
-            swarms: 0,
-            convoys: 0,
-        },
-        Counts {
-            crowds: 0,
-            gatherings: 0,
-            swarms: 0,
-            convoys: 0,
-        },
-        Counts {
-            crowds: 0,
-            gatherings: 0,
-            swarms: 0,
-            convoys: 0,
-        },
-    ];
-    let idx = |r: Regime| match r {
+    // The slot of the regime an interval's midpoint falls in.
+    let slot = |interval: TimeInterval| match Regime::for_minute_of_day(
+        start_of_day + (interval.start + interval.end) / 2,
+    ) {
         Regime::Peak => 0,
         Regime::Work => 1,
         Regime::Casual => 2,
     };
-    for interval in &crowds {
-        out[idx(regime_of_interval(interval))].crowds += 1;
-    }
-    for (interval, _) in &gatherings {
-        out[idx(regime_of_interval(interval))].gatherings += 1;
-    }
-    for s in &swarms {
-        if let Some(interval) = s.interval() {
-            out[idx(regime_of_interval(&interval))].swarms += 1;
+    let mut out: [Counts; 3] = Default::default();
+    for record in &records {
+        out[slot(record.interval())].crowds += 1;
+        for gathering in &record.gatherings {
+            out[slot(gathering.interval)].gatherings += 1;
         }
     }
-    for c in &convoys {
-        if let Some(interval) = c.interval() {
-            out[idx(regime_of_interval(&interval))].convoys += 1;
-        }
+    for interval in swarms.iter().filter_map(|s| s.interval()) {
+        out[slot(interval)].swarms += 1;
+    }
+    for interval in convoys.iter().filter_map(|c| c.interval()) {
+        out[slot(interval)].convoys += 1;
     }
     out
 }

@@ -13,9 +13,14 @@
 //! 2. [`crash_lattice`] replays the same workload once per kill point.
 //!    Each point arms `kill_at = k`, drives incarnations of
 //!    [`ingest_resilient`] in a loop —
-//!    crash, [`FaultVfs::crash_recover`], restore the persisted
-//!    [`ResilientCursor`], resume — until one incarnation completes, then
+//!    crash, [`FaultVfs::crash_recover`], restore the resume cursor the
+//!    driver's per-batch hook persisted (progress counters plus an engine
+//!    checkpoint), resume — until one incarnation completes, then
 //!    compares the surviving segment bytes against the reference.
+//!
+//! The driver writes the store only through
+//! [`PatternStore::spill`](gpdt_store::PatternStore::spill), the spill the
+//! monitoring service runs too, so the kills land inside it.
 //!
 //! Transient faults (short writes, failed fsyncs) can be layered on top;
 //! the incarnation loop treats a transient error like a supervised process
@@ -33,17 +38,46 @@ use gpdt_core::{
     RetentionPolicy,
 };
 use gpdt_store::{
-    read_file_opt, restore_from_slice, write_file_atomic, FaultPlan, FaultVfs, PatternStore,
-    StoreError, StoreOptions, Vfs,
+    checkpoint_to_vec, read_file_opt, restore_from_slice, write_file_atomic, FaultPlan, FaultVfs,
+    PatternStore, StoreError, StoreOptions, Vfs,
 };
 use gpdt_trajectory::{ObjectId, Trajectory, TrajectoryDatabase};
 
-use crate::out_of_core::{ingest_resilient, ResilientCursor};
+use crate::out_of_core::ingest_resilient;
 
 /// Virtual store directory inside the fault VFS.
 const STORE_DIR: &str = "/lattice/store";
 /// Virtual path of the persisted resume cursor.
 const CURSOR_PATH: &str = "/lattice/cursor.ckpt";
+
+/// The resume point an incarnation persists after every batch of
+/// [`ingest_resilient`]: the driver's two progress counters, then an engine
+/// checkpoint (which carries a magic and a version, but no checksum — the
+/// file is written atomically instead).  The store is fsynced before the
+/// cursor is written, so it is never behind `produced`.
+struct ResilientCursor {
+    next_batch: u64,
+    produced: u64,
+    engine: Vec<u8>,
+}
+
+impl ResilientCursor {
+    fn to_vec(&self) -> Vec<u8> {
+        let counters = [self.next_batch, self.produced].map(u64::to_le_bytes);
+        [&counters[0][..], &counters[1], &self.engine].concat()
+    }
+
+    /// `None` if the buffer is too short to hold the counters.
+    fn from_slice(bytes: &[u8]) -> Option<Self> {
+        let (next_batch, rest) = bytes.split_first_chunk::<8>()?;
+        let (produced, engine) = rest.split_first_chunk::<8>()?;
+        Some(Self {
+            next_batch: u64::from_le_bytes(*next_batch),
+            produced: u64::from_le_bytes(*produced),
+            engine: engine.to_vec(),
+        })
+    }
+}
 
 /// Shape of one crash-lattice sweep.
 #[derive(Debug, Clone, Copy)]
@@ -240,8 +274,13 @@ fn run_incarnation(
         &mut store,
         start_batch,
         produced,
-        |c| {
-            write_file_atomic(vfs, Path::new(CURSOR_PATH), &c.to_vec())?;
+        |engine, next_batch, produced| {
+            let cursor = ResilientCursor {
+                next_batch: next_batch as u64,
+                produced: produced as u64,
+                engine: checkpoint_to_vec(engine),
+            };
+            write_file_atomic(vfs, Path::new(CURSOR_PATH), &cursor.to_vec())?;
             Ok(())
         },
     )?;
@@ -328,9 +367,10 @@ pub fn mine_under_faults(
         transient_restarts,
     } = done;
     // The stream is over; archive the frontier the way a clean shutdown
-    // does.  The weather clears first: the archive loop appends without a
-    // verify-and-skip overlap check, so restarting it mid-way would
-    // duplicate records — faults stop at the resilient-ingest boundary.
+    // does.  The weather clears first: the archive spills at the store's
+    // end, with no resume point of its own to verify against, so
+    // restarting it mid-way would append its records twice — faults stop
+    // at the ingest boundary.
     vfs.clear_faults();
     store
         .archive_closed_frontier(&engine)

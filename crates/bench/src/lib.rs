@@ -26,6 +26,6 @@ pub mod scenarios;
 pub mod synth;
 
 pub use fault_sweep::{crash_lattice, LatticeConfig, LatticeOutcome};
-pub use out_of_core::{ingest_bounded, ingest_resilient, OutOfCoreReport, ResilientCursor};
+pub use out_of_core::{ingest_resilient, OutOfCoreReport};
 pub use report::{measure, measure_with, BenchReport, MeasureOpts, Table};
 pub use scenarios::{clustered_scenario, ClusteredScenario};

@@ -7,7 +7,7 @@
 //! One `#[test]`: the gate is process-wide state.
 
 use gpdt_bench::fault_sweep::mine_under_faults;
-use gpdt_bench::out_of_core::ingest_bounded;
+use gpdt_bench::out_of_core::ingest_resilient;
 use gpdt_bench::scenarios::clustered_day;
 use gpdt_clustering::SnapshotClusterSet;
 use gpdt_core::{CrowdParams, GatheringConfig, GatheringEngine, GatheringParams, RetentionPolicy};
@@ -24,12 +24,15 @@ fn config(clustering: gpdt_clustering::ClusteringParams) -> GatheringConfig {
 
 /// The fig5 healthy path at toy scale, summarised as a `Debug` string (a
 /// byte-compare proxy covering records, crowds and gatherings).
-fn mine(tag: &str, sets: Vec<SnapshotClusterSet>, config: &GatheringConfig) -> String {
+fn mine(tag: &str, sets: &[SnapshotClusterSet], config: &GatheringConfig) -> String {
     let mut engine = GatheringEngine::new(*config).with_retention(RetentionPolicy::Bounded);
     let dir = gpdt_bench::env::scratch_dir(tag);
     let mut store = PatternStore::open(&dir).expect("open scratch store");
     // A tiny budget forces many batches through the spill path.
-    ingest_bounded(&mut engine, sets, 1 << 20, &mut store).expect("spill records");
+    ingest_resilient(&mut engine, sets, 1 << 20, &mut store, 0, 0, |_, _, _| {
+        Ok(())
+    })
+    .expect("spill records");
     store
         .archive_closed_frontier(&engine)
         .expect("archive frontier");
@@ -54,12 +57,12 @@ fn mining_output_is_identical_with_observability_on_and_off() {
     let sets = day.clusters.into_sets();
 
     gpdt_obs::set_enabled(true);
-    let healthy_on = mine("obs-eq-on", sets.clone(), &config);
+    let healthy_on = mine("obs-eq-on", &sets, &config);
     let (faulty_on, incarnations_on, restarts_on) =
         mine_under_faults(0xF00D, &config, &sets, 1 << 20);
 
     gpdt_obs::set_enabled(false);
-    let healthy_off = mine("obs-eq-off", sets.clone(), &config);
+    let healthy_off = mine("obs-eq-off", &sets, &config);
     let (faulty_off, incarnations_off, restarts_off) =
         mine_under_faults(0xF00D, &config, &sets, 1 << 20);
     gpdt_obs::set_enabled(true);

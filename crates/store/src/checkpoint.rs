@@ -203,7 +203,7 @@ pub fn restore_from_slice(mut bytes: &[u8]) -> Result<GatheringEngine, DecodeErr
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gpdt_core::{ClusteringParams, CrowdParams, GatheringParams};
     use gpdt_trajectory::{ObjectId, Trajectory, TrajectoryDatabase};
@@ -260,47 +260,61 @@ mod tests {
         assert_eq!(back.gatherings(), engine.gatherings());
     }
 
-    #[test]
-    fn truncations_never_panic() {
-        let db = lingering_db(4, 6);
-        let mut engine = GatheringEngine::new(config());
-        engine.ingest_trajectories(&db);
-        let bytes = checkpoint_to_vec(&engine);
-        for cut in 0..bytes.len() {
-            assert!(
-                restore_from_slice(&bytes[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
+    /// `engine`'s checkpoint with its cluster database and frontier swapped
+    /// for `cdb` and `frontier`: state no engine holds.
+    fn forged(
+        engine: &GatheringEngine,
+        cdb: &ClusterDatabase,
+        frontier: &Vec<(Crowd, Vec<Gathering>)>,
+    ) -> Result<GatheringEngine, DecodeError> {
+        let mut bytes = Vec::new();
+        write_header(&mut bytes, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
+        engine.config().encode(&mut bytes).unwrap();
+        engine.strategy().encode(&mut bytes).unwrap();
+        engine.variant().encode(&mut bytes).unwrap();
+        cdb.encode(&mut bytes).unwrap();
+        engine.finalized_records().encode(&mut bytes).unwrap();
+        frontier.encode(&mut bytes).unwrap();
+        restore_from_slice(&bytes)
+    }
+
+    /// An engine fed `ticks` ticks of five objects that gather for six
+    /// ticks and scatter for three, repeatedly, one tick at a time: crowds
+    /// keep finalizing mid-stream, and under bounded retention each ingest
+    /// evicts the ticks no open crowd still references.
+    pub(crate) fn gather_scatter_engine(
+        ticks: u32,
+        retention: gpdt_core::RetentionPolicy,
+    ) -> GatheringEngine {
+        let db = TrajectoryDatabase::from_trajectories((0..5u32).map(|i| {
+            let at = |t: u32| match t % 9 < 6 {
+                true => f64::from(i) * 10.0 + f64::from(t / 9) * 700.0,
+                false => f64::from(i) * 50_000.0 + f64::from(t),
+            };
+            Trajectory::from_points(
+                ObjectId::new(i),
+                (0..ticks).map(|t| (t, (at(t), 0.0))).collect::<Vec<_>>(),
+            )
+        }));
+        let mut engine = GatheringEngine::new(config()).with_retention(retention);
+        for t in 0..ticks {
+            engine.ingest_trajectories_until(&db, t);
         }
+        engine
+    }
+
+    /// Legitimate bounded-retention state: finalized records whose leading
+    /// ticks were evicted, beside an open frontier.
+    fn evicted_engine() -> GatheringEngine {
+        let mut engine = gather_scatter_engine(24, gpdt_core::RetentionPolicy::Bounded);
+        engine.evict_retired_clusters();
+        engine
     }
 
     #[test]
     fn evicted_history_is_tolerated_but_empty_database_is_not() {
-        use gpdt_core::RetentionPolicy;
-
-        // Legitimate bounded-retention state: finalized records whose
-        // leading ticks were evicted still restore.  Gather-scatter cycles
-        // make crowds finalize so eviction has something to reclaim.
-        let db = TrajectoryDatabase::from_trajectories((0..5u32).map(|i| {
-            Trajectory::from_points(
-                ObjectId::new(i),
-                (0..24u32)
-                    .map(|t| {
-                        let x = if t % 8 < 5 {
-                            f64::from(i) * 10.0 + f64::from(t / 8) * 500.0
-                        } else {
-                            f64::from(i) * 50_000.0 + f64::from(t)
-                        };
-                        (t, (x, 0.0))
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        }));
-        let mut engine = GatheringEngine::new(config()).with_retention(RetentionPolicy::Bounded);
-        for t in 0..24 {
-            engine.ingest_trajectories_until(&db, t);
-        }
-        engine.evict_retired_clusters();
+        // Finalized records whose leading ticks were evicted still restore.
+        let engine = evicted_engine();
         assert!(!engine.finalized_records().is_empty());
         let first_retained = engine.cluster_database().time_domain().unwrap().start;
         assert!(
@@ -313,19 +327,35 @@ mod tests {
 
         // Corrupt state: an empty cluster database alongside finalized
         // records (no eviction schedule can produce this) is rejected.
-        let mut forged = Vec::new();
-        write_header(&mut forged, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
-        engine.config().encode(&mut forged).unwrap();
-        engine.strategy().encode(&mut forged).unwrap();
-        engine.variant().encode(&mut forged).unwrap();
-        ClusterDatabase::new().encode(&mut forged).unwrap();
-        engine.finalized_records().encode(&mut forged).unwrap();
-        let empty_frontier: Vec<(Crowd, Vec<Gathering>)> = Vec::new();
-        empty_frontier.encode(&mut forged).unwrap();
         assert!(matches!(
-            restore_from_slice(&forged),
+            forged(&engine, &ClusterDatabase::new(), &Vec::new()),
             Err(DecodeError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn truncated_or_mutated_checkpoints_fail_typed_or_restore_a_working_engine() {
+        // Every truncation fails.  The checkpoint carries a magic and a
+        // version but no checksum, so a byte mutation may decode: it must
+        // then restore an engine that checkpoints and finishes.  Nothing
+        // may panic.
+        let engine = evicted_engine();
+        let bytes = checkpoint_to_vec(&engine);
+        assert!(!engine.finalized_records().is_empty() && !engine.frontier().is_empty());
+        for (at, &b) in bytes.iter().enumerate() {
+            assert!(restore_from_slice(&bytes[..at]).is_err(), "cut at {at}");
+            for byte in [b ^ 0x01, b ^ 0x80, 0x00, 0xFF, b.wrapping_add(1)] {
+                let mut mutant = bytes.clone();
+                mutant[at] = byte;
+                let run = std::panic::catch_unwind(|| {
+                    if let Ok(engine) = restore_from_slice(&mutant) {
+                        checkpoint_to_vec(&engine);
+                        engine.finish();
+                    }
+                });
+                assert!(run.is_ok(), "byte {at} set to {byte:#04x} panicked");
+            }
+        }
     }
 
     #[test]
@@ -365,20 +395,12 @@ mod tests {
 
         // Hand-craft a checkpoint whose frontier crowd ends too early: encode
         // the same engine but with a frontier shifted out of its database.
-        let mut bytes = Vec::new();
-        write_header(&mut bytes, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
-        engine.config().encode(&mut bytes).unwrap();
-        engine.strategy().encode(&mut bytes).unwrap();
-        engine.variant().encode(&mut bytes).unwrap();
-        engine.cluster_database().encode(&mut bytes).unwrap();
-        engine.finalized_records().encode(&mut bytes).unwrap();
-        let bogus_frontier: Vec<(Crowd, Vec<Gathering>)> = vec![(
+        let bogus_frontier = vec![(
             Crowd::new(vec![gpdt_clustering::ClusterId::new(0, 0)]),
             Vec::new(),
         )];
-        bogus_frontier.encode(&mut bytes).unwrap();
         assert!(matches!(
-            restore_from_slice(&bytes),
+            forged(&engine, engine.cluster_database(), &bogus_frontier),
             Err(DecodeError::Corrupt(_))
         ));
     }
@@ -393,22 +415,14 @@ mod tests {
         // Re-encode the engine with a frontier gathering whose crowd points
         // at a cluster index that does not exist: the record's own crowd is
         // fine, so only the per-gathering cross-check can catch it.
-        let mut bytes = Vec::new();
-        write_header(&mut bytes, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
-        engine.config().encode(&mut bytes).unwrap();
-        engine.strategy().encode(&mut bytes).unwrap();
-        engine.variant().encode(&mut bytes).unwrap();
-        engine.cluster_database().encode(&mut bytes).unwrap();
-        engine.finalized_records().encode(&mut bytes).unwrap();
         let (crowd, _) = engine.frontier()[0].clone();
         let bogus_gathering = Gathering::from_parts(
             Crowd::new(vec![gpdt_clustering::ClusterId::new(crowd.end_time(), 999)]),
             Vec::new(),
         );
-        let frontier: Vec<(Crowd, Vec<Gathering>)> = vec![(crowd, vec![bogus_gathering])];
-        frontier.encode(&mut bytes).unwrap();
+        let frontier = vec![(crowd, vec![bogus_gathering])];
         assert!(matches!(
-            restore_from_slice(&bytes),
+            forged(&engine, engine.cluster_database(), &frontier),
             Err(DecodeError::Corrupt(_))
         ));
     }

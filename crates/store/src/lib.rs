@@ -19,7 +19,10 @@
 //!   finalized crowd records with an in-memory interval index over lifespans
 //!   and an R-tree (reusing `gpdt-index`) over crowd MBRs, answering
 //!   region × time-window queries, per-object participation history and
-//!   top-k gatherings by participator count.
+//!   top-k gatherings by participator count.  Finalized records enter it
+//!   through [`PatternStore::spill`], which verifies what the store already
+//!   holds, appends the rest and reports where and why it stopped; the
+//!   service, the out-of-core driver and the frontier archive all use it.
 //! * [`sharded`] — checkpoint/restore for the partitioned
 //!   [`ShardedEngine`](gpdt_shard::ShardedEngine), a batch path beside the
 //!   service: the coordinator's global cluster database and merge state,
@@ -64,7 +67,7 @@ pub use sharded::{
     SHARDED_CHECKPOINT_VERSION,
 };
 pub use store::{
-    GatheringHit, PatternRecord, PatternStore, RecordId, StoreError, StoreOptions, StoredGathering,
-    TailRepair, SEGMENT_MAGIC, SEGMENT_VERSION,
+    GatheringHit, PatternRecord, PatternStore, RecordId, Spill, SpillStop, StoreError,
+    StoreOptions, StoredGathering, TailRepair, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 pub use vfs::{read_file_opt, write_file_atomic, FaultPlan, FaultVfs, RealVfs, Vfs, VfsFile};

@@ -63,11 +63,13 @@
 //! goes through the engine's checked door, [`GatheringEngine::from_parts`],
 //! never around it.
 //!
-//! A store *ahead* of its engine (the engine restarted from an older
-//! checkpoint) is resumed by verification: each re-finalized record is
-//! compared against the stored record at the same index and skipped when
-//! they match, so recovery never duplicates records; a mismatch halts
-//! durable storage (that store is not this engine's history).
+//! Records reach the store through [`PatternStore::spill`], the one loop
+//! from an engine to the log; the worker only maps its outcome onto retry,
+//! degrade or halt.  A store *ahead* of its engine (the engine restarted
+//! from an older checkpoint) is resumed by verification: the spill skips
+//! each re-finalized record that equals the stored record at its index, so
+//! recovery never duplicates records; a mismatch halts durable storage
+//! (that store is not this engine's history).
 //!
 //! ```
 //! use gpdt_clustering::ClusterDatabase;
@@ -130,7 +132,7 @@ use gpdt_core::{Crowd, CrowdRecord, EngineStats, Gathering, GatheringEngine};
 use gpdt_geo::Mbr;
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp};
 
-use crate::store::{GatheringHit, PatternRecord, PatternStore, RecordId, StoreError};
+use crate::store::{GatheringHit, PatternStore, RecordId, SpillStop, StoreError};
 
 /// Commands processed by the ingest worker, in FIFO order.
 enum Command {
@@ -388,14 +390,6 @@ impl MonitorService {
     }
 }
 
-/// Why one store-sync pass could not complete.
-enum SyncFailure {
-    /// Fatal: durable storage halted for the session (already reported).
-    Halted,
-    /// Transient: the cursor stopped at the failed record; retry later.
-    Transient(StoreError),
-}
-
 /// The discovery state as of the last refresh, held structurally: what
 /// panic recovery rebuilds the engine from (see the
 /// [module docs](self#the-recovery-point)).  Public for the panic lattice,
@@ -490,8 +484,8 @@ struct IngestWorker<'a, E: MonitoredEngine> {
     /// Engine-finalized records accounted for in the store, as a prefix:
     /// either appended by us or verified equal to a pre-existing record.
     accounted: usize,
-    /// Records appended since the last successful store flush: the write
-    /// barrier is still owed.
+    /// The last spill stopped on a store error, so frames may still be
+    /// queued: the write barrier is still owed.
     unflushed: bool,
     /// `false` once a fatal fault halted durable storage for the session.
     storing: bool,
@@ -560,16 +554,12 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         while let Ok(command) = recv_soon(&rx) {
             match command {
                 Command::Clusters(batch) => {
-                    if self.is_degraded() {
-                        // Each incoming batch re-probes the store once (no
-                        // backoff — the channel must keep draining).
-                        if self.probe_recovery(false) {
-                            self.apply_batch(batch);
-                        } else {
-                            self.enqueue(batch);
-                        }
-                    } else {
+                    // While degraded, each incoming batch re-probes the store
+                    // once (no backoff — the channel must keep draining).
+                    if !self.is_degraded() || self.probe_recovery(false) {
                         self.apply_batch(batch);
+                    } else {
+                        self.enqueue(batch);
                     }
                 }
                 Command::Flush(ack) => {
@@ -670,39 +660,33 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         if !self.is_degraded() {
             return self.storing;
         }
-        let outcome = if patient {
-            self.catch_up()
+        let probed = if patient {
+            self.catch_up().is_ok()
         } else {
-            match self.sync_store() {
-                Ok(()) => Ok(()),
-                Err(SyncFailure::Halted) => Ok(()),
-                Err(SyncFailure::Transient(err)) => Err(err.to_string()),
-            }
+            self.sync_store().is_ok()
         };
-        match outcome {
-            Ok(()) => {
-                self.exit_degraded();
-                let drained = self.queue.len();
-                if self.storing {
-                    self.report(format!(
-                        "durable storage recovered; draining {drained} queued batches"
-                    ));
-                } else {
-                    self.report(format!(
-                        "durable storage halted permanently; draining {drained} queued \
-                         batches into the engine only"
-                    ));
-                }
-                while let Some(batch) = self.queue.pop_front() {
-                    self.apply_batch(batch);
-                    if self.is_degraded() {
-                        break; // the store failed again; keep the rest queued
-                    }
-                }
-                self.storing && !self.is_degraded()
-            }
-            Err(_) => false,
+        if !probed {
+            return false;
         }
+        self.exit_degraded();
+        let drained = self.queue.len();
+        if self.storing {
+            self.report(format!(
+                "durable storage recovered; draining {drained} queued batches"
+            ));
+        } else {
+            self.report(format!(
+                "durable storage halted permanently; draining {drained} queued batches into the \
+                 engine only"
+            ));
+        }
+        while let Some(batch) = self.queue.pop_front() {
+            self.apply_batch(batch);
+            if self.is_degraded() {
+                break; // the store failed again; keep the rest queued
+            }
+        }
+        self.storing && !self.is_degraded()
     }
 
     /// The normal-path ingestion of one batch: adjacency check, panic-safe
@@ -828,20 +812,27 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
     /// retry budget is exhausted; fatal faults halt storage and return
     /// `Ok` (there is nothing left to retry).
     fn catch_up(&mut self) -> Result<(), String> {
+        self.retrying("catch_up", Self::sync_store)
+            .map_err(|err| err.to_string())
+    }
+
+    /// Runs `op` until it succeeds or fails for good, retrying a transient
+    /// store fault up to `MAX_RETRIES` times with backoff.
+    fn retrying(
+        &mut self,
+        site: &str,
+        mut op: impl FnMut(&mut Self) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
         let mut attempt: u32 = 0;
         loop {
-            match self.sync_store() {
-                Ok(()) => return Ok(()),
-                Err(SyncFailure::Halted) => return Ok(()),
-                Err(SyncFailure::Transient(err)) => {
-                    if attempt >= MAX_RETRIES {
-                        return Err(err.to_string());
-                    }
+            match op(self) {
+                Err(err) if err.is_transient() && attempt < MAX_RETRIES => {
                     attempt += 1;
                     self.retries += 1;
-                    self.note_retry("catch_up", attempt, &err.to_string());
+                    self.note_retry(site, attempt, &err.to_string());
                     std::thread::sleep(self.backoff_delay(attempt));
                 }
+                result => return result,
             }
         }
     }
@@ -883,116 +874,68 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
         x
     }
 
-    /// One pass over the engine's unaccounted finalized records: verify
-    /// records the store already holds (the engine is replaying past its
-    /// last checkpoint), append the rest.
-    ///
-    /// The store must always hold a *prefix* of the engine's finalized
-    /// records — crash recovery backfills `finalized[store.len()..]`, so
-    /// skipping a failed record would leave a permanent hole and duplicate
-    /// its successors.  On a transient fault the cursor therefore stops at
-    /// the failed record (a failed append takes its frame back out, so that
-    /// is safe).  A fatal fault (invalid record, divergent store) halts
-    /// durable storage entirely — discovery keeps running — instead of
-    /// livelocking.
-    ///
-    /// The pass ends with the store's write barrier, so a batch's records
-    /// reach the segment file together; a failed barrier write is retried
-    /// like a failed append, even by a pass with nothing left to append.
-    fn sync_store(&mut self) -> Result<(), SyncFailure> {
+    /// One [`PatternStore::spill`] of the engine's unaccounted finalized
+    /// records, mapped onto the supervision policy.  `Err` is a transient
+    /// fault, retried from where the spill stopped — a barrier write it
+    /// could not finish is owed even by a pass with nothing left to append.
+    /// A fatal fault (invalid record, divergent store) halts durable storage
+    /// — discovery keeps running — and returns `Ok`: retrying could never
+    /// succeed, so it must not livelock.
+    fn sync_store(&mut self) -> Result<(), StoreError> {
         let engine = self.engine.engine();
         let records = engine.finalized_records();
         if self.accounted >= records.len() && !self.unflushed {
             return Ok(());
         }
-        let cdb = engine.cluster_database();
-        let mut store = self.store.write().expect("store lock is never poisoned");
-        let mut halted: Option<String> = None;
-        let mut transient: Option<StoreError> = None;
-        for record in &records[self.accounted..] {
+        let first = self.accounted;
+        let spill = self
+            .store
+            .write()
+            .expect("store lock is never poisoned")
+            .spill(&records[first..], first, engine.cluster_database());
+        self.accounted += spill.accounted;
+        let at = self.accounted;
+        self.unflushed = matches!(spill.stop, Some(SpillStop::Store(_)));
+        let reason = match spill.stop {
+            None => return Ok(()),
+            Some(SpillStop::Store(err)) if err.is_transient() => return Err(err),
+            Some(SpillStop::Behind) => {
+                format!("the store holds fewer than the {at} records accounted for")
+            }
             // Under bounded retention a record can only outlive its clusters
-            // if the store lagged across an eviction (a halted or
-            // chronically failing store); converting it would panic, so halt
-            // explicitly.
-            let resolvable = record
-                .crowd
-                .cluster_ids()
-                .iter()
-                .chain(
-                    record
-                        .gatherings
-                        .iter()
-                        .flat_map(|g| g.crowd().cluster_ids()),
-                )
-                .all(|&id| cdb.cluster(id).is_some());
-            if !resolvable {
-                halted = Some(format!(
-                    "finalized record #{} references evicted clusters (store lagged across a \
-                     retention eviction); halting durable storage, discovery continues",
-                    self.accounted
-                ));
-                break;
+            // if the store lagged across an eviction (a halted or chronically
+            // failing store).
+            Some(SpillStop::Unresolvable) => format!(
+                "finalized record #{at} references evicted clusters (store lagged across a \
+                 retention eviction)"
+            ),
+            Some(SpillStop::Diverged) => format!(
+                "stored record #{at} diverges from what this engine finalizes — not this \
+                 engine's history"
+            ),
+            Some(SpillStop::Store(err)) if at == records.len() => {
+                format!("the store failed to write finalized records up to #{at} ({err})")
             }
-            if self.accounted < store.len() {
-                // The store is ahead: the engine is re-finalizing records a
-                // previous run already persisted.  Verify instead of append.
-                let fresh = PatternRecord::from_crowd_record(record, cdb);
-                if store.records()[self.accounted] == fresh {
-                    self.accounted += 1;
-                    continue;
-                }
-                halted = Some(format!(
-                    "stored record #{} diverges from what this engine finalizes — not this \
-                     engine's history; halting durable storage, discovery continues",
-                    self.accounted
-                ));
-                break;
+            Some(SpillStop::Store(err)) => {
+                format!("finalized record #{at} was refused by the store ({err})")
             }
-            match store.append_crowd_record(record, cdb) {
-                Ok(_) => {
-                    self.accounted += 1;
-                    self.unflushed = true;
-                }
-                Err(err) if err.is_transient() => {
-                    transient = Some(err);
-                    break;
-                }
-                Err(err) => {
-                    halted = Some(format!(
-                        "finalized record #{} was refused by the store ({err}); halting \
-                         durable storage, discovery continues",
-                        self.accounted
-                    ));
-                    break;
-                }
-            }
-        }
-        if self.unflushed && halted.is_none() && transient.is_none() {
-            match store.flush() {
-                Ok(()) => self.unflushed = false,
-                Err(err) if err.is_transient() => transient = Some(err),
-                Err(err) => {
-                    halted = Some(format!(
-                        "the store failed to write finalized records up to #{} ({err}); \
-                         halting durable storage, discovery continues",
-                        self.accounted
-                    ));
-                }
-            }
-        }
-        drop(store);
-        if let Some(message) = halted {
-            self.report(message);
-            self.storing = false;
-            return Err(SyncFailure::Halted);
-        }
-        if let Some(err) = transient {
-            return Err(SyncFailure::Transient(err));
-        }
+        };
+        self.report(format!(
+            "{reason}; halting durable storage, discovery continues"
+        ));
+        self.storing = false;
         Ok(())
     }
 
     fn handle_checkpoint(&mut self) -> Result<Vec<u8>, ServiceError> {
+        // The advertised contract is a *consistent* (checkpoint, store)
+        // pair: retry any backfill a transient error left pending, and
+        // refuse the checkpoint if the store still lags the engine.
+        if self.storing && !self.is_degraded() {
+            if let Err(reason) = self.catch_up() {
+                self.enter_degraded(reason);
+            }
+        }
         if let Some((since_batch, reason)) = self
             .degraded
             .read()
@@ -1003,24 +946,6 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                 since_batch,
                 reason,
             });
-        }
-        // The advertised contract is a *consistent* (checkpoint, store)
-        // pair: retry any backfill a transient error left pending, and
-        // refuse the checkpoint if the store still lags the engine.
-        if self.storing {
-            if let Err(reason) = self.catch_up() {
-                self.enter_degraded(reason.clone());
-                let (since_batch, _) = self
-                    .degraded
-                    .read()
-                    .expect("degraded flag lock is never poisoned")
-                    .clone()
-                    .expect("degraded mode was just entered");
-                return Err(ServiceError::Degraded {
-                    since_batch,
-                    reason,
-                });
-            }
         }
         if !self.storing {
             return Err(ServiceError::Refused(
@@ -1033,25 +958,13 @@ impl<'a, E: MonitoredEngine> IngestWorker<'a, E> {
                 "store is lagging the engine's finalized records; checkpoint refused".to_string(),
             ));
         }
-        let mut attempt: u32 = 0;
-        loop {
-            let result = self
+        self.retrying("checkpoint_sync", |worker| {
+            worker
                 .store
                 .write()
                 .expect("store lock is never poisoned")
-                .sync();
-            match result {
-                Ok(()) => break,
-                Err(err) if err.is_transient() && attempt < MAX_RETRIES => {
-                    attempt += 1;
-                    self.retries += 1;
-                    self.note_retry("checkpoint_sync", attempt, &err.to_string());
-                    let delay = self.backoff_delay(attempt);
-                    std::thread::sleep(delay);
-                }
-                Err(err) => return Err(ServiceError::Store(err)),
-            }
-        }
+                .sync()
+        })?;
         // The one place the service serialises the engine: once, into a
         // buffer sized by the previous durable checkpoint, handed over as is.
         // (Its pages are fresh, which costs the encode ~0.2 µs a KB here; a

@@ -25,8 +25,9 @@
 //!
 //! [`PatternStore::append`] encodes each frame in place at the end of one
 //! group buffer; the buffer reaches the segment file with a single `write`
-//! once it holds 256 KiB, or at a barrier — [`PatternStore::flush`],
-//! [`PatternStore::sync`], a segment rotation or drop.  A failed group write
+//! once it holds 256 KiB, or at a barrier — the end of a
+//! [`PatternStore::spill`], [`PatternStore::sync`], a segment rotation or
+//! drop.  A failed group write
 //! truncates the file back to its last whole frame and keeps the group
 //! queued for the next barrier, so the log never holds a torn frame.
 //!
@@ -572,6 +573,45 @@ pub struct TailRepair {
     pub dropped_bytes: u64,
 }
 
+/// How far one [`PatternStore::spill`] got.
+#[derive(Debug)]
+#[must_use = "a spill that stopped early says why, and may carry a store error"]
+pub struct Spill {
+    /// Records accounted for, verified or appended: `records[..accounted]`
+    /// now sit at archive positions `first..first + accounted`.
+    pub accounted: usize,
+    /// Why the pass stopped at `records[accounted]` (or at the barrier),
+    /// `None` if it accounted for every record.
+    pub stop: Option<SpillStop>,
+}
+
+/// Why a [`PatternStore::spill`] stopped early.
+#[derive(Debug)]
+pub enum SpillStop {
+    /// The store holds fewer records than `first`: the records before the
+    /// feed are missing, and appending it would misplace every record.
+    Behind,
+    /// The record differs from the one stored at its position: the store
+    /// holds another run's history.
+    Diverged,
+    /// The record references clusters the database no longer holds.
+    Unresolvable,
+    /// Its append, or the closing barrier, failed; classify with
+    /// [`StoreError::is_transient`].
+    Store(StoreError),
+}
+
+impl From<SpillStop> for StoreError {
+    fn from(stop: SpillStop) -> Self {
+        StoreError::InvalidRecord(match stop {
+            SpillStop::Behind => "the store is behind the resume point",
+            SpillStop::Diverged => "resumed ingest diverges from the stored records",
+            SpillStop::Unresolvable => "record references clusters no longer resident",
+            SpillStop::Store(err) => return err,
+        })
+    }
+}
+
 /// An append-only, durable store of finalized [`PatternRecord`]s with
 /// region × time, per-object and top-k query paths.
 ///
@@ -834,9 +874,9 @@ impl PatternStore {
     ///
     /// An acknowledged record is indexed at once and its frame queued in the
     /// active group.  The frame reaches the segment file when the group
-    /// fills (256 KiB), at [`PatternStore::flush`], [`PatternStore::sync`],
-    /// a segment rotation or drop; it is crash-durable after the next
-    /// [`PatternStore::sync`].
+    /// fills (256 KiB), at a barrier — the end of a [`PatternStore::spill`],
+    /// [`PatternStore::sync`], a segment rotation or drop; it is
+    /// crash-durable after the next [`PatternStore::sync`].
     ///
     /// # Errors
     ///
@@ -930,6 +970,51 @@ impl PatternStore {
         self.append(PatternRecord::from_crowd_record(record, cdb))
     }
 
+    /// Brings the store up to a feed of finalized records — the one path
+    /// from an engine to the log.  `records[0]` belongs at archive position
+    /// `first`: records the store already holds are verified, the rest
+    /// appended, and the pass ends with the write barrier.
+    ///
+    /// The store must hold a *prefix* of the feed, so the pass stops at the
+    /// first record it cannot account for, and [`Spill::accounted`] is where
+    /// the next pass resumes: a failed append takes its frame back, so a
+    /// retry from there neither skips nor duplicates a record.  Each record
+    /// is resolved against `cdb` first: under bounded retention one that
+    /// lagged across an eviction no longer can be.  A barrier error is
+    /// reported when nothing stopped the pass earlier.
+    pub fn spill(&mut self, records: &[CrowdRecord], first: usize, cdb: &ClusterDatabase) -> Spill {
+        let resolves = |c: &Crowd| c.cluster_ids().iter().all(|&id| cdb.cluster(id).is_some());
+        let mut spill = Spill {
+            accounted: 0,
+            stop: None,
+        };
+        if self.records.len() < first {
+            spill.stop = Some(SpillStop::Behind);
+            return spill;
+        }
+        for record in records {
+            let at = first + spill.accounted;
+            if !resolves(&record.crowd) || !record.gatherings.iter().all(|g| resolves(g.crowd())) {
+                spill.stop = Some(SpillStop::Unresolvable);
+                break;
+            }
+            if at < self.records.len() {
+                if self.records[at] != PatternRecord::from_crowd_record(record, cdb) {
+                    spill.stop = Some(SpillStop::Diverged);
+                    break;
+                }
+            } else if let Err(err) = self.append_crowd_record(record, cdb) {
+                spill.stop = Some(SpillStop::Store(err));
+                return spill;
+            }
+            spill.accounted += 1;
+        }
+        if let Err(err) = self.flush() {
+            spill.stop.get_or_insert(SpillStop::Store(err));
+        }
+        spill
+    }
+
     /// Archives the engine's frontier crowds that are already long enough to
     /// count as closed (the engine's own `closed_crowds` rule), returning
     /// how many records were appended.
@@ -940,10 +1025,10 @@ impl PatternStore {
     /// [`MonitorService`](crate::service::MonitorService) with it (the
     /// service detects the mismatch and refuses to append).
     ///
-    /// Ends with the write barrier ([`PatternStore::flush`]), so the
-    /// archived records are in the segment file — crash-durable after
-    /// [`PatternStore::sync`] — and a write error surfaces here rather than
-    /// at drop.
+    /// The records go through [`PatternStore::spill`] at the store's end,
+    /// so the archived records are in the segment file — crash-durable
+    /// after [`PatternStore::sync`] — and a write error surfaces here
+    /// rather than at drop.
     ///
     /// # Errors
     ///
@@ -955,19 +1040,19 @@ impl PatternStore {
         engine: &GatheringEngine,
     ) -> Result<usize, StoreError> {
         let kc = engine.config().crowd.kc;
-        let mut appended = 0;
-        for (crowd, gatherings) in engine.frontier() {
-            if crowd.lifetime() >= kc {
-                let record = CrowdRecord {
-                    crowd: crowd.clone(),
-                    gatherings: gatherings.clone(),
-                };
-                self.append_crowd_record(&record, engine.cluster_database())?;
-                appended += 1;
-            }
-        }
-        self.flush()?;
-        Ok(appended)
+        let closed: Vec<CrowdRecord> = engine
+            .frontier()
+            .iter()
+            .filter(|(crowd, _)| crowd.lifetime() >= kc)
+            .map(|(crowd, gatherings)| CrowdRecord {
+                crowd: crowd.clone(),
+                gatherings: gatherings.clone(),
+            })
+            .collect();
+        let spill = self.spill(&closed, self.len(), engine.cluster_database());
+        spill
+            .stop
+            .map_or(Ok(spill.accounted), |stop| Err(stop.into()))
     }
 
     /// Seals the active segment durably — its first `sealed` queued bytes
@@ -996,7 +1081,7 @@ impl PatternStore {
     ///
     /// Propagates the write's I/O error; the frames stay queued, and the
     /// file holds none of them.
-    pub fn flush(&mut self) -> Result<(), StoreError> {
+    fn flush(&mut self) -> Result<(), StoreError> {
         self.write_pending(self.active.pending.len())?;
         Ok(())
     }
@@ -1144,8 +1229,8 @@ impl Drop for PatternStore {
     /// Writes the queued group out.  Drop cannot return the write's error:
     /// frames it fails to write are lost, so it is counted
     /// (`store.drop.unwritten_bytes`) and journalled in the flight
-    /// recorder.  Callers that must see the error end with
-    /// [`PatternStore::flush`] or [`PatternStore::sync`].
+    /// recorder.  Callers that must see the error end with a
+    /// [`PatternStore::spill`] or [`PatternStore::sync`].
     fn drop(&mut self) {
         let unwritten = self.active.pending.len();
         if let Err(err) = self.flush() {
@@ -1232,6 +1317,7 @@ fn segment_path(dir: &Path, index: u32) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::gather_scatter_engine;
     use crate::codec::encode_to_vec;
     use crate::vfs::{FaultPlan, FaultVfs};
     use gpdt_clustering::ClusterId;
@@ -1855,12 +1941,12 @@ mod tests {
         }
     }
 
-    /// The records of the whole frames in the first segment's bytes, and
-    /// whether those frames run exactly to its end.
-    fn whole_frames(bytes: &[u8]) -> (Vec<PatternRecord>, bool) {
+    /// The records of the whole frames in a segment's bytes, the first with
+    /// id `first`, and whether those frames run exactly to its end.
+    fn whole_frames(bytes: &[u8], first: u64) -> (Vec<PatternRecord>, bool) {
         let mut records = Vec::new();
         let mut offset = SEGMENT_HEADER_BYTES as usize;
-        while let Ok((record, len)) = parse_frame(&bytes[offset..], records.len() as u64) {
+        while let Ok((record, len)) = parse_frame(&bytes[offset..], first + records.len() as u64) {
             records.push(record);
             offset += len;
         }
@@ -1891,7 +1977,7 @@ mod tests {
                 }
             }
             // The file holds whole frames of acknowledged records only.
-            let (on_disk, whole) = whole_frames(&vfs.read_file(&path).unwrap());
+            let (on_disk, whole) = whole_frames(&vfs.read_file(&path).unwrap(), 0);
             assert!(whole, "append {i}: a torn frame on disk");
             assert_eq!(on_disk, store.records()[..on_disk.len()], "append {i}");
             written = on_disk.len();
@@ -1911,7 +1997,7 @@ mod tests {
             attempts += 1;
             assert!(attempts < 64, "sync never succeeded");
         }
-        let (on_disk, whole) = whole_frames(&vfs.read_file(&path).unwrap());
+        let (on_disk, whole) = whole_frames(&vfs.read_file(&path).unwrap(), 0);
         assert!(whole);
         assert_eq!(on_disk, store.records());
 
@@ -1933,6 +2019,141 @@ mod tests {
         let reopened = PatternStore::open_at(vfs, &dir, StoreOptions::default()).unwrap();
         assert_eq!(reopened.records(), acknowledged.as_slice());
         assert!(reopened.tail_repair().is_none());
+    }
+
+    /// Every segment's bytes, in order.
+    fn segments(store: &PatternStore) -> Vec<Vec<u8>> {
+        (1..=store.segment_count())
+            .map(|i| store.vfs.read_file(&segment_path(&store.dir, i)).unwrap())
+            .collect()
+    }
+
+    /// A store on a fresh in-memory backend.
+    fn mem_store(max_segment_bytes: u64) -> PatternStore {
+        let options = StoreOptions {
+            max_segment_bytes,
+            ..StoreOptions::default()
+        };
+        PatternStore::open_at(Arc::new(FaultVfs::new(0)), Path::new("/s"), options).unwrap()
+    }
+
+    /// How far a spill got, and the name of what stopped it.
+    fn outcome(spill: &Spill) -> (usize, &'static str) {
+        let stop = match &spill.stop {
+            None => "done",
+            Some(SpillStop::Behind) => "behind",
+            Some(SpillStop::Diverged) => "diverged",
+            Some(SpillStop::Unresolvable) => "unresolvable",
+            Some(SpillStop::Store(_)) => "store",
+        };
+        (spill.accounted, stop)
+    }
+
+    #[test]
+    fn spill_verifies_the_overlap_then_appends_the_rest() {
+        let engine = gather_scatter_engine(45, gpdt_core::RetentionPolicy::KeepAll);
+        let (records, cdb) = (engine.finalized_records(), engine.cluster_database());
+        assert!(records.len() >= 3, "scenario must finalize crowds");
+        let mut store = mem_store(8 << 20);
+        assert_eq!(outcome(&store.spill(&records[..2], 0, cdb)), (2, "done"));
+        // The store is two records ahead of the feed's start: those two are
+        // verified, the rest appended, and the barrier writes them out.
+        assert_eq!(
+            outcome(&store.spill(records, 0, cdb)),
+            (records.len(), "done")
+        );
+        let want: Vec<PatternRecord> = records
+            .iter()
+            .map(|r| PatternRecord::from_crowd_record(r, cdb))
+            .collect();
+        assert_eq!(store.records(), want.as_slice());
+        let (vfs, options) = (store.vfs(), store.options);
+        drop(store);
+        let reopened = PatternStore::open_at(vfs, Path::new("/s"), options).unwrap();
+        assert_eq!(reopened.records(), want.as_slice());
+    }
+
+    #[test]
+    fn spill_stops_where_the_store_diverges_or_is_behind_and_leaves_the_file_alone() {
+        let engine = gather_scatter_engine(45, gpdt_core::RetentionPolicy::KeepAll);
+        let (records, cdb) = (engine.finalized_records(), engine.cluster_database());
+        let mut store = mem_store(8 << 20);
+        store.append_crowd_record(&records[0], cdb).unwrap();
+        store.append_crowd_record(&records[2], cdb).unwrap();
+        store.sync().unwrap();
+        let before = segments(&store);
+        assert_eq!(outcome(&store.spill(records, 0, cdb)), (1, "diverged"));
+        // A feed that starts past the store's end would misplace its records.
+        assert_eq!(outcome(&store.spill(&records[3..], 3, cdb)), (0, "behind"));
+        assert_eq!(store.len(), 2);
+        assert_eq!(segments(&store), before);
+    }
+
+    #[test]
+    fn spill_stops_at_a_record_whose_clusters_were_evicted() {
+        // The store spills what closed by tick 15, then lags while the engine
+        // runs on and bounded retention evicts the ticks of what it
+        // finalized since.
+        let early = gather_scatter_engine(15, gpdt_core::RetentionPolicy::KeepAll);
+        let mut engine = gather_scatter_engine(45, gpdt_core::RetentionPolicy::Bounded);
+        engine.evict_retired_clusters();
+        let (spilled, records) = (early.finalized_records().len(), engine.finalized_records());
+        assert_eq!(records[..spilled], early.finalized_records()[..]);
+        assert!(
+            records.len() > spilled + 1,
+            "records must close after the lag"
+        );
+        let mut store = mem_store(8 << 20);
+        let spill = store.spill(early.finalized_records(), 0, early.cluster_database());
+        assert_eq!(outcome(&spill), (spilled, "done"));
+        let spill = store.spill(&records[spilled..], spilled, engine.cluster_database());
+        assert_eq!(outcome(&spill), (0, "unresolvable"));
+        assert_eq!(store.len(), spilled);
+    }
+
+    #[test]
+    fn a_spill_cut_by_a_transient_write_resumes_where_it_stopped() {
+        let engine = gather_scatter_engine(90, gpdt_core::RetentionPolicy::KeepAll);
+        let (records, cdb) = (engine.finalized_records(), engine.cluster_database());
+        // Small segments: every few appends rotate, which writes and fsyncs
+        // mid-spill.
+        let mut want = mem_store(256);
+        assert_eq!(
+            outcome(&want.spill(records, 0, cdb)),
+            (records.len(), "done")
+        );
+        let vfs = Arc::new(FaultVfs::new(0x5911));
+        let mut store = PatternStore::open_at(vfs.clone(), Path::new("/s"), want.options).unwrap();
+        vfs.set_plan(FaultPlan {
+            transient_write_one_in: Some(3),
+            ..FaultPlan::default()
+        });
+        let spill = store.spill(records, 0, cdb);
+        let Some(SpillStop::Store(err)) = &spill.stop else {
+            panic!("a one-in-three write fault must cut the spill: {spill:?}");
+        };
+        assert!(err.is_transient(), "{err}");
+        assert!(
+            spill.accounted < records.len(),
+            "the cut must fall mid-spill"
+        );
+        assert_eq!(store.len(), spill.accounted);
+        // Only whole frames of acknowledged records are on disk.
+        let mut on_disk = Vec::new();
+        for bytes in segments(&store) {
+            let (frames, whole) = whole_frames(&bytes, on_disk.len() as u64);
+            assert!(whole, "a torn frame on disk");
+            on_disk.extend(frames);
+        }
+        assert_eq!(on_disk, store.records()[..on_disk.len()]);
+
+        vfs.clear_faults();
+        let rest = store.spill(&records[spill.accounted..], spill.accounted, cdb);
+        assert_eq!(outcome(&rest), (records.len() - spill.accounted, "done"));
+        store.sync().unwrap();
+        want.sync().unwrap();
+        assert_eq!(store.records(), want.records());
+        assert_eq!(segments(&store), segments(&want));
     }
 
     #[test]

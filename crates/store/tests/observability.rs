@@ -328,11 +328,9 @@ fn replay_work_is_counted() {
     engine.ingest_trajectories(&scene());
     let mut store = PatternStore::open_at(Arc::new(vfs.clone()), "/replay", options).unwrap();
     for _ in 0..4 {
-        for record in engine.finalized_records() {
-            store
-                .append_crowd_record(record, engine.cluster_database())
-                .unwrap();
-        }
+        let at = store.len();
+        let spill = store.spill(engine.finalized_records(), at, engine.cluster_database());
+        assert!(spill.stop.is_none(), "{spill:?}");
         store.archive_closed_frontier(&engine).unwrap();
     }
     store.sync().unwrap();

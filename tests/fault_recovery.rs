@@ -101,14 +101,16 @@ fn small_segments() -> StoreOptions {
     }
 }
 
-/// Appends records `0..n` to a fresh store in `dir`, syncing each one.
+/// Spills records `0..n` into a fresh store in `dir` and syncs it.
 fn build_store(dir: &PathBuf, engine: &GatheringEngine, n: usize) -> PatternStore {
     let mut store = PatternStore::open_with(dir, small_segments()).unwrap();
-    let cdb = engine.cluster_database();
-    for record in &engine.finalized_records()[..n] {
-        store.append_crowd_record(record, cdb).unwrap();
-        store.sync().unwrap();
-    }
+    let spill = store.spill(
+        &engine.finalized_records()[..n],
+        0,
+        engine.cluster_database(),
+    );
+    assert!(spill.stop.is_none(), "{spill:?}");
+    store.sync().unwrap();
     store
 }
 
@@ -161,12 +163,12 @@ fn torn_v2_frame_mid_segment_is_repaired_and_rewritten_identically() {
 
     // Re-appending the lost record must reproduce the reference store byte
     // for byte — the repair truncated to a frame boundary, nothing else.
-    store
-        .append_crowd_record(
-            &engine.finalized_records()[n - 1],
-            engine.cluster_database(),
-        )
-        .unwrap();
+    let spill = store.spill(
+        &engine.finalized_records()[n - 1..],
+        n - 1,
+        engine.cluster_database(),
+    );
+    assert!(spill.stop.is_none(), "{spill:?}");
     store.sync().unwrap();
     drop(store);
     assert_eq!(segment_files(&dir), segment_files(&ref_dir));
@@ -224,10 +226,9 @@ fn torn_frame_exactly_on_rotation_boundary_is_repaired() {
 
     // Resume the interrupted append stream; the result must equal a store
     // that never crashed.
-    for record in &engine.finalized_records()[k..n] {
-        store.append_crowd_record(record, cdb).unwrap();
-        store.sync().unwrap();
-    }
+    let spill = store.spill(&engine.finalized_records()[k..n], k, cdb);
+    assert!(spill.stop.is_none(), "{spill:?}");
+    store.sync().unwrap();
     drop(store);
     assert_eq!(segment_files(&dir), segment_files(&ref_dir));
 

@@ -60,10 +60,8 @@ fn populated_store(dir: &PathBuf) -> PatternStore {
         },
     )
     .unwrap();
-    let cdb = engine.cluster_database().clone();
-    for record in engine.finalized_records() {
-        store.append_crowd_record(record, &cdb).unwrap();
-    }
+    let spill = store.spill(engine.finalized_records(), 0, engine.cluster_database());
+    assert!(spill.stop.is_none(), "{spill:?}");
     // Frontier crowds long enough to be closed *so far* are patterns too;
     // store them the way a monitor shutting down cleanly would.
     store.archive_closed_frontier(&engine).unwrap();
@@ -228,11 +226,8 @@ fn service_produces_the_same_store_as_offline_appends() {
     let mut engine = GatheringEngine::new(config);
     engine.ingest_trajectories(&scenario.database);
     let mut offline = PatternStore::open(&offline_dir).unwrap();
-    for record in engine.finalized_records() {
-        offline
-            .append_crowd_record(record, engine.cluster_database())
-            .unwrap();
-    }
+    let spill = offline.spill(engine.finalized_records(), 0, engine.cluster_database());
+    assert!(spill.stop.is_none(), "{spill:?}");
 
     // Online: the same stream through the concurrent service, with queries
     // racing the ingestion.
