@@ -22,6 +22,9 @@
 //!   tick pair at a time, at about 46, 180 and 380 clusters a tick (1 500,
 //!   6 000 and 12 000 taxis at one density, scaled by `GPDT_SCALE`), the edge
 //!   sets asserted equal before anything is timed.
+//! * **One engine ingest's fixed cost** (`engine_ingest`) — a one-tick batch
+//!   with no cluster large enough to seed a crowd, beside one uncached probe
+//!   of the host's thread count for scale.
 //!
 //! A group measures something the product runs.  A before/after group whose
 //! "before" lives only in this file is deleted once its numbers are recorded
@@ -32,13 +35,15 @@
 //! Results are printed and serialised to `BENCH_micro.json` (honouring
 //! `GPDT_BENCH_DIR`), with one speedup row per pair of live paths.
 
-use criterion::{black_box, Criterion};
+use criterion::{black_box, BatchSize, Criterion};
 use gpdt_bench::report::{BenchReport, Table};
 use gpdt_clustering::{
     dbscan_with, ClusterDatabase, ClusteringParams, DbscanScratch, SnapshotCluster,
     SnapshotClusterSet,
 };
-use gpdt_core::{RangeSearchStrategy, SearcherScratch, TickSearcher};
+use gpdt_core::{
+    GatheringConfig, GatheringEngine, RangeSearchStrategy, SearcherScratch, TickSearcher,
+};
 use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
 use gpdt_geo::{
     bucketed_pair_cutoff, hausdorff_within, hausdorff_within_bruteforce, hausdorff_within_bucketed,
@@ -485,6 +490,32 @@ fn bench_shard_merge(c: &mut Criterion, rng: &mut StdRng) {
     group.finish();
 }
 
+/// The fixed cost of one engine ingest: a one-tick batch whose only cluster
+/// is too small to seed a crowd, so neither phase of the sweep nor gathering
+/// detection has work to do.  Beside it, for scale, one uncached ask of the
+/// OS for the host's thread count, which the engine reads from a cache.
+fn bench_engine_ingest(c: &mut Criterion) {
+    let mut engine = GatheringEngine::new(GatheringConfig::paper_default());
+    let mut next_tick: Timestamp = 0;
+    let mut group = c.benchmark_group("engine_ingest");
+    group.bench_function("one_tick", |b| {
+        b.iter_batched(
+            || {
+                let time = next_tick;
+                next_tick += 1;
+                let members = (0..3).map(ObjectId::new).collect();
+                let points = (0..3).map(|k| Point::new(f64::from(k), 0.0)).collect();
+                let clusters = vec![SnapshotCluster::new(time, members, points)];
+                ClusterDatabase::from_sets(vec![SnapshotClusterSet { time, clusters }])
+            },
+            |batch| engine.ingest_clusters(batch),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("host_probe", |b| b.iter(gpdt_obs::probe_host_threads));
+    group.finish();
+}
+
 /// Mean time of the report entry whose name starts with `prefix`, in ns.
 fn mean_ns(c: &Criterion, prefix: &str) -> Option<f64> {
     c.reports()
@@ -645,6 +676,7 @@ fn main() {
     bench_dbscan_grid(&mut criterion, &day.database);
     bench_shard_merge(&mut criterion, &mut rng);
     let edge_table = bench_tick_pair_edges(&mut criterion);
+    bench_engine_ingest(&mut criterion);
 
     let mut report = BenchReport::new("micro");
     let mut results = Table::new("Microbenchmarks — mean ns per iteration", &["bench", "ns"]);

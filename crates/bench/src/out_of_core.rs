@@ -29,7 +29,7 @@
 
 use gpdt_clustering::{ClusterDatabase, SnapshotClusterSet};
 use gpdt_core::GatheringEngine;
-use gpdt_store::{PatternStore, StoreError};
+use gpdt_store::{PatternStore, SpillStop, StoreError};
 
 /// What one [`ingest_resilient`] run did, for logging and regression tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,6 +106,11 @@ pub fn ingest_resilient<F>(
 where
     F: FnMut(&GatheringEngine, usize, usize) -> Result<(), StoreError>,
 {
+    // `spill` checks this too, but only while a batch remains: a resume
+    // from the final boundary would otherwise accept a short store.
+    if store.len() < produced {
+        return Err(SpillStop::Behind.into());
+    }
     let bounds = batch_boundaries(sets, budget_bytes);
     let mut report = OutOfCoreReport::default();
     for (b, &end) in bounds.iter().enumerate().skip(start_batch) {
@@ -325,6 +330,34 @@ mod tests {
         assert!(matches!(err, StoreError::InvalidRecord(_)), "{err}");
         assert!(store.is_empty(), "no record may be appended out of place");
         drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&fresh);
+    }
+
+    #[test]
+    fn resuming_at_the_last_boundary_over_a_short_store_is_refused() {
+        // The final resume point leaves no batch to ingest, so no spill
+        // runs; the store's length must still be checked against it.
+        let (config, sets) = sweep_workload(5, 45);
+        let dir = crate::env::scratch_dir("ooc-res-last-src");
+        let mut store = PatternStore::open(&dir).unwrap();
+        let mut last = None;
+        let hook = |e: &GatheringEngine, next, produced| {
+            last = Some((gpdt_store::checkpoint_to_vec(e), next, produced));
+            Ok(())
+        };
+        ingest_resilient(&mut bounded(config), &sets, 4 << 10, &mut store, 0, 0, hook).unwrap();
+        let point = last.unwrap();
+        assert_eq!(point.1, batch_boundaries(&sets, 4 << 10).len());
+        assert!(point.2 > 0, "the run must have spilled records");
+
+        let fresh = crate::env::scratch_dir("ooc-res-last");
+        let mut empty = PatternStore::open(&fresh).unwrap();
+        let err = resume(&mut empty, &point).unwrap_err();
+        assert!(matches!(err, StoreError::InvalidRecord(_)), "{err}");
+        // Over the full store the same resume point is a no-op.
+        resume(&mut store, &point).unwrap();
+        drop((store, empty));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&fresh);
     }

@@ -38,14 +38,13 @@ pub struct StreamingClusterer {
 
 impl StreamingClusterer {
     /// Creates a clusterer with its cursor at the start of the (future)
-    /// database, using all available cores.
+    /// database, using all available cores.  The core count is resolved once
+    /// per process ([`gpdt_obs::host_threads`]), so a clusterer is free to
+    /// build.
     pub fn new(params: ClusteringParams) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
         StreamingClusterer {
             params,
-            threads,
+            threads: gpdt_obs::host_threads(),
             next: None,
             scratch: DbscanScratch::new(),
         }

@@ -3,7 +3,7 @@
 use gpdt_clustering::{ClusterDatabase, ClusterId};
 use gpdt_trajectory::{TimeInterval, Timestamp};
 
-use crate::par::{default_threads, par_map_with, FAN_OUT_MIN_CLUSTERS};
+use crate::par::{default_threads, fan_out_threads, par_map_with};
 use crate::params::CrowdParams;
 use crate::range_search::{RangeSearchStrategy, SearcherScratch, TickSearcher};
 
@@ -219,7 +219,8 @@ pub struct CrowdDiscovery {
 
 impl CrowdDiscovery {
     /// Creates a discovery sweep with the given parameters and range-search
-    /// strategy, using all available cores for the edge phase.
+    /// strategy, using all available cores for the edge phase (the count is
+    /// resolved once per process, so a sweep is free to build).
     pub fn new(params: CrowdParams, strategy: RangeSearchStrategy) -> Self {
         CrowdDiscovery {
             params,
@@ -352,11 +353,7 @@ impl CrowdDiscovery {
             .filter_map(|&t| cdb.set_at(t))
             .map(|s| s.len())
             .sum();
-        let threads = if clusters < FAN_OUT_MIN_CLUSTERS {
-            1
-        } else {
-            self.threads
-        };
+        let threads = fan_out_threads(clusters, self.threads);
         let edges: Vec<PairEdges> =
             par_map_with(&ticks, threads, EdgeWorker::default, |worker, &t| {
                 let seed_tails = (t == ticks[0]).then_some(seed_tails.as_slice());

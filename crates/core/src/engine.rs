@@ -59,7 +59,7 @@ use gpdt_trajectory::{TimeInterval, Timestamp, TrajectoryDatabase};
 use crate::crowd::{Crowd, CrowdDiscovery};
 use crate::gathering::{detect_with_occurrence, CrowdOccurrence, Gathering, TadVariant};
 use crate::incremental::update_gatherings_with;
-use crate::par::{default_threads, par_map, FAN_OUT_MIN_CLUSTERS};
+use crate::par::{default_threads, fan_out_threads, par_map};
 use crate::params::GatheringConfig;
 use crate::range_search::RangeSearchStrategy;
 
@@ -549,11 +549,7 @@ impl GatheringEngine {
         // the Theorem 2 update; a crowd without an inherited table builds
         // its own here, in parallel.
         let clusters_to_visit: usize = closed.iter().map(Crowd::len).sum();
-        let threads = if clusters_to_visit < FAN_OUT_MIN_CLUSTERS {
-            1
-        } else {
-            self.threads
-        };
+        let threads = fan_out_threads(clusters_to_visit, self.threads);
         let jobs: Vec<usize> = (0..closed.len()).collect();
         let detected: Vec<(Vec<Gathering>, Option<CrowdOccurrence>)> =
             par_map(&jobs, threads, |&i| {

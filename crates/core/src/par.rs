@@ -7,21 +7,29 @@
 //! this dependency-free, in the same style as
 //! `ClusterDatabase::build_parallel`.
 
-use std::num::NonZeroUsize;
-
 /// A stage of one ingest step stays on the calling thread when it has fewer
 /// clusters than this to visit — the batch's, for the edge phase; those of
 /// the crowds to detect gatherings in.  A cluster costs tens of nanoseconds
 /// to some microseconds there, starting a worker thread some tens of
 /// microseconds.
-pub(crate) const FAN_OUT_MIN_CLUSTERS: usize = 4096;
+const FAN_OUT_MIN_CLUSTERS: usize = 4096;
 
-/// The default worker count: the machine's available parallelism.
-pub(crate) fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+/// The worker count for a stage that visits `clusters` clusters on a budget
+/// of `threads`: the budget once there are 4 096 clusters to visit, the
+/// calling thread alone below that.  The edge phase, the engine's gathering
+/// detection and the sharded merge's all fan out by this one rule.
+pub fn fan_out_threads(clusters: usize, threads: usize) -> usize {
+    if clusters < FAN_OUT_MIN_CLUSTERS {
+        1
+    } else {
+        threads
+    }
 }
+
+/// The default worker count: the host's available parallelism, resolved
+/// once per process (see [`gpdt_obs::host_threads`]), so building an engine
+/// or a discovery sweep never asks the OS.
+pub(crate) use gpdt_obs::host_threads as default_threads;
 
 /// Order-preserving parallel map: `out[i] = f(&items[i])`.
 ///

@@ -59,7 +59,7 @@ pub use watchdog::{Rule, RuleKind, Verdict, Watchdog};
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Gate state: 0 = unresolved, 1 = off, 2 = on.
 static GATE: AtomicU8 = AtomicU8::new(0);
@@ -99,6 +99,26 @@ fn resolve_gate() -> bool {
 /// to the environment.
 pub fn set_enabled(on: bool) {
     GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+}
+
+/// How many threads this process may run at once: the host's available
+/// parallelism, at least 1.
+///
+/// Resolved once per process and cached, so that no engine, clusterer or
+/// service start asks the OS again: every thread budget in the workspace
+/// defaults to this value.
+pub fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(probe_host_threads)
+}
+
+/// Asks the OS what [`host_threads`] caches.  The answer reads the
+/// scheduler's affinity mask and the cgroup's CPU quota, some tens of
+/// microseconds; `clippy.toml` disallows the direct call everywhere but
+/// here.  Uncached: for timing the probe itself (`--bin micro`).
+#[allow(clippy::disallowed_methods)]
+pub fn probe_host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Where flight-recorder dumps are written: `GPDT_OBS_DUMP`, defaulting to

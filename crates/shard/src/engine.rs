@@ -39,7 +39,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use gpdt_clustering::{ClusterDatabase, ClusterId, StreamingClusterer};
-use gpdt_core::par::par_map;
+use gpdt_core::par::{fan_out_threads, par_map};
 use gpdt_core::{
     canonical_crowd_order, canonical_gathering_order, detect_closed_gatherings, Crowd, CrowdRecord,
     Gathering, GatheringConfig, GatheringEngine, RangeSearchStrategy, RetentionPolicy,
@@ -880,10 +880,13 @@ impl ShardedEngine {
         counters.merge_nanos += merge_nanos;
 
         // Gathering detection for the merged crowds (no shard computed them),
-        // fanned out across the thread budget.
+        // fanned out across the thread budget by the engine's own rule: a
+        // batch's few merged crowds stay on this thread.
         counters.merge_finalized += merge_closed.len() as u64;
         let (gathering, variant) = (&self.config.gathering, self.variant);
-        let mut pending: Vec<CrowdRecord> = par_map(&merge_closed, self.threads, |crowd| {
+        let clusters_to_visit: usize = merge_closed.iter().map(Crowd::len).sum();
+        let threads = fan_out_threads(clusters_to_visit, self.threads);
+        let mut pending: Vec<CrowdRecord> = par_map(&merge_closed, threads, |crowd| {
             let gatherings = detect_closed_gatherings(crowd, &history.cdb, gathering, kc, variant);
             CrowdRecord {
                 crowd: crowd.clone(),
@@ -1084,7 +1087,7 @@ impl ShardedEngine {
         if let Some(last) = last {
             clusterer.seek_past(last);
         }
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let threads = gpdt_obs::host_threads();
         let engine = ShardedEngine {
             config,
             strategy,

@@ -124,7 +124,7 @@
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use gpdt_clustering::ClusterDatabase;
@@ -162,9 +162,10 @@ enum Command {
 const HANDOFF_POLL: Duration = Duration::from_micros(200);
 
 /// `rx.recv()`, after polling for up to [`HANDOFF_POLL`] — on a machine with
-/// a second core for the sender to run on meanwhile.
+/// a second core for the sender to run on meanwhile (the core count is
+/// asked of the OS once per process: [`gpdt_obs::host_threads`]).
 fn recv_soon<T>(rx: &Receiver<T>) -> Result<T, mpsc::RecvError> {
-    if has_second_core() {
+    if gpdt_obs::host_threads() > 1 {
         let start = Instant::now();
         while start.elapsed() < HANDOFF_POLL {
             match rx.try_recv() {
@@ -175,14 +176,6 @@ fn recv_soon<T>(rx: &Receiver<T>) -> Result<T, mpsc::RecvError> {
         }
     }
     rx.recv()
-}
-
-/// Whether this process may run on more than one core (asked once: the
-/// answer reads the scheduler's and the cgroup's limits).
-fn has_second_core() -> bool {
-    static SECOND_CORE: OnceLock<bool> = OnceLock::new();
-    *SECOND_CORE
-        .get_or_init(|| std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1))
 }
 
 /// What [`MonitorService::run`] drives: a [`GatheringEngine`], or a wrapper
