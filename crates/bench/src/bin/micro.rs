@@ -25,6 +25,9 @@
 //! * **One engine ingest's fixed cost** (`engine_ingest`) — a one-tick batch
 //!   with no cluster large enough to seed a crowd, beside one uncached probe
 //!   of the host's thread count for scale.
+//! * **The checkpoint codec** (`codec`) — on the `city_stream` day: the
+//!   restore of its day-end engine checkpoint, one midday cluster set's
+//!   decode, one stored record's decode and the checkpoint's encode.
 //!
 //! A group measures something the product runs.  A before/after group whose
 //! "before" lives only in this file is deleted once its numbers are recorded
@@ -48,6 +51,9 @@ use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
 use gpdt_geo::{
     bucketed_pair_cutoff, hausdorff_within, hausdorff_within_bruteforce, hausdorff_within_bucketed,
     Point, PointColumns,
+};
+use gpdt_store::{
+    checkpoint_to_vec, decode_from_slice, encode_to_vec, restore_from_slice, PatternRecord,
 };
 use gpdt_trajectory::{ObjectId, Timestamp, TrajectoryDatabase};
 use gpdt_workload::{generate_scenario, EventRates, ScenarioConfig, Weather};
@@ -516,6 +522,47 @@ fn bench_engine_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+/// The checkpoint codec on the `city_stream` day: the restore of its
+/// day-end engine checkpoint, one midday cluster set's decode, one stored
+/// record's decode (the record with the most participators), and the
+/// checkpoint's encode.
+fn bench_codec(c: &mut Criterion, db: &TrajectoryDatabase) {
+    let config = GatheringConfig::paper_default();
+    let mut engine = GatheringEngine::new(config);
+    engine.ingest_clusters(ClusterDatabase::build(db, &config.clustering));
+    let checkpoint = checkpoint_to_vec(&engine);
+    let cdb = engine.cluster_database();
+    let midday = cdb.iter().nth(cdb.len() / 2).expect("a day has ticks");
+    let set = encode_to_vec(midday);
+    let record = engine
+        .finalized_records()
+        .iter()
+        .map(|r| PatternRecord::from_crowd_record(r, cdb))
+        .max_by_key(|r| {
+            r.gatherings
+                .iter()
+                .map(|g| g.participators.len())
+                .sum::<usize>()
+        })
+        .expect("a city day finalizes crowds");
+    let record = encode_to_vec(&record);
+    let mut group = c.benchmark_group("codec");
+    group.bench_function(format!("restore/city_day_end/{}", checkpoint.len()), |b| {
+        b.iter(|| restore_from_slice(black_box(&checkpoint)).expect("restores"))
+    });
+    group.bench_function(format!("cluster_set_decode/{}", set.len()), |b| {
+        b.iter(|| decode_from_slice::<SnapshotClusterSet>(black_box(&set)).expect("decodes"))
+    });
+    group.bench_function(format!("record_decode/{}", record.len()), |b| {
+        b.iter(|| decode_from_slice::<PatternRecord>(black_box(&record)).expect("decodes"))
+    });
+    group.bench_function(
+        format!("checkpoint_encode/city_day_end/{}", checkpoint.len()),
+        |b| b.iter(|| checkpoint_to_vec(black_box(&engine))),
+    );
+    group.finish();
+}
+
 /// Mean time of the report entry whose name starts with `prefix`, in ns.
 fn mean_ns(c: &Criterion, prefix: &str) -> Option<f64> {
     c.reports()
@@ -677,6 +724,7 @@ fn main() {
     bench_shard_merge(&mut criterion, &mut rng);
     let edge_table = bench_tick_pair_edges(&mut criterion);
     bench_engine_ingest(&mut criterion);
+    bench_codec(&mut criterion, &day.database);
 
     let mut report = BenchReport::new("micro");
     let mut results = Table::new("Microbenchmarks — mean ns per iteration", &["bench", "ns"]);

@@ -179,12 +179,18 @@ impl SnapshotClusterSetBuilder {
     ///
     /// Panics if no member was pushed since the last seal.
     pub fn end_cluster(&mut self) {
+        self.seal(self.ids.len());
+    }
+
+    /// Seals the arena rows from the open cluster's start up to `end` as one
+    /// cluster, re-ordered by object id only if they are not in order.
+    fn seal(&mut self, end: usize) {
         let start = self.open_start();
-        assert!(self.ids.len() > start, "a snapshot cluster cannot be empty");
-        if !self.ids[start..].windows(2).all(|w| w[0] <= w[1]) {
+        assert!(end > start, "a snapshot cluster cannot be empty");
+        if !self.ids[start..end].windows(2).all(|w| w[0] <= w[1]) {
             // Stable sort by id, so members with a duplicate id keep the
             // order they were fed in.
-            let mut members: Vec<(ObjectId, f64, f64)> = (start..self.ids.len())
+            let mut members: Vec<(ObjectId, f64, f64)> = (start..end)
                 .map(|k| (self.ids[k], self.xs[k], self.ys[k]))
                 .collect();
             members.sort_by_key(|&(id, _, _)| id);
@@ -194,7 +200,7 @@ impl SnapshotClusterSetBuilder {
                 self.ys[start + k] = y;
             }
         }
-        self.ranges.push((start as u32, self.ids.len() as u32));
+        self.ranges.push((start as u32, end as u32));
     }
 
     /// Freezes the arenas and returns the finished set.
@@ -260,6 +266,50 @@ pub struct SnapshotClusterSet {
 }
 
 impl SnapshotClusterSet {
+    /// One tick's set from filled arena columns and its cluster lengths in
+    /// order: the set [`SnapshotClusterSetBuilder`] finishes with when the
+    /// same members are pushed one by one and a cluster is sealed after each
+    /// length — sorted the same way, with the same cached MBRs and
+    /// centroids — without pushing them one by one.  The coordinate
+    /// columns become the arena as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns are not parallel, hold more than `u32::MAX`
+    /// members, or the lengths include a zero or do not add up to them.
+    pub fn from_columns(
+        time: Timestamp,
+        ids: Vec<ObjectId>,
+        xs: Vec<f64>,
+        ys: Vec<f64>,
+        lens: impl ExactSizeIterator<Item = usize>,
+    ) -> Self {
+        assert!(
+            ids.len() == xs.len() && ids.len() == ys.len(),
+            "member and coordinate columns must be parallel"
+        );
+        assert!(
+            ids.len() <= u32::MAX as usize,
+            "a tick arena is u32-indexed"
+        );
+        let mut builder = SnapshotClusterSetBuilder {
+            time,
+            ids,
+            xs,
+            ys,
+            ranges: Vec::with_capacity(lens.len()),
+        };
+        for len in lens {
+            let end = builder.open_start() + len;
+            assert!(
+                end <= builder.ids.len(),
+                "cluster lengths overrun the columns"
+            );
+            builder.seal(end);
+        }
+        builder.finish()
+    }
+
     /// Number of clusters at this timestamp.
     pub fn len(&self) -> usize {
         self.clusters.len()

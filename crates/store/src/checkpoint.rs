@@ -38,7 +38,7 @@
 //! let mut engine = GatheringEngine::new(config);
 //! engine.ingest_trajectories_until(&db, 3);
 //! let mut bytes = Vec::new();
-//! engine.checkpoint(&mut bytes).unwrap();
+//! engine.checkpoint(&mut bytes);
 //! drop(engine);
 //!
 //! let mut resumed = GatheringEngine::restore(&mut bytes.as_slice()).unwrap();
@@ -48,8 +48,6 @@
 //! uninterrupted.ingest_trajectories(&db);
 //! assert_eq!(resumed.gatherings(), uninterrupted.gatherings());
 //! ```
-
-use std::io::{self, Read, Write};
 
 use gpdt_clustering::ClusterDatabase;
 use gpdt_core::{
@@ -70,19 +68,15 @@ pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Checkpoint/restore hooks for the discovery engine.
 ///
-/// Implemented for [`GatheringEngine`]; callers write to / read from any
-/// [`Write`]/[`Read`] — a file for durability, a `Vec<u8>` for tests or for
-/// shipping state between processes.
+/// Implemented for [`GatheringEngine`] and the sharded engine.  A
+/// checkpoint is written to a `Vec<u8>` and read back from a byte slice —
+/// a file's contents for durability, or state shipped between processes.
 pub trait EngineCheckpoint: Sized {
-    /// Serialises the complete discovery state to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    fn checkpoint<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()>;
+    /// Appends the complete discovery state to `out`.
+    fn checkpoint(&self, out: &mut Vec<u8>);
 
     /// Reconstructs an engine from a checkpoint produced by
-    /// [`checkpoint`](Self::checkpoint).
+    /// [`checkpoint`](Self::checkpoint), advancing `r` past it.
     ///
     /// The thread count is reset to the machine default (it is a property of
     /// the host, not of the discovery state); chain
@@ -93,21 +87,21 @@ pub trait EngineCheckpoint: Sized {
     /// Returns a [`DecodeError`] when the input is truncated, from an
     /// unsupported format version, or internally inconsistent (e.g. a crowd
     /// referencing a cluster missing from the stored database).
-    fn restore<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError>;
+    fn restore(r: &mut &[u8]) -> Result<Self, DecodeError>;
 }
 
 impl EngineCheckpoint for GatheringEngine {
-    fn checkpoint<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        write_header(w, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
-        self.config().encode(w)?;
-        self.strategy().encode(w)?;
-        self.variant().encode(w)?;
-        self.cluster_database().encode(w)?;
-        self.finalized_records().encode(w)?;
-        self.frontier().encode(w)
+    fn checkpoint(&self, out: &mut Vec<u8>) {
+        write_header(out, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+        self.config().encode(out);
+        self.strategy().encode(out);
+        self.variant().encode(out);
+        self.cluster_database().encode(out);
+        self.finalized_records().encode(out);
+        self.frontier().encode(out);
     }
 
-    fn restore<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn restore(r: &mut &[u8]) -> Result<Self, DecodeError> {
         read_header(r, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
         let config = GatheringConfig::decode(r)?;
         let strategy = RangeSearchStrategy::decode(r)?;
@@ -182,9 +176,7 @@ pub fn checkpoint_to_vec(engine: &GatheringEngine) -> Vec<u8> {
 pub(crate) fn checkpoint_into_vec(engine: &GatheringEngine, out: &mut Vec<u8>) {
     let _span = gpdt_obs::span!("store.checkpoint");
     out.clear();
-    engine
-        .checkpoint(out)
-        .expect("writing to a Vec never fails");
+    engine.checkpoint(out);
 }
 
 /// Convenience wrapper: restores an engine from a byte slice, requiring the
@@ -268,13 +260,13 @@ pub(crate) mod tests {
         frontier: &Vec<(Crowd, Vec<Gathering>)>,
     ) -> Result<GatheringEngine, DecodeError> {
         let mut bytes = Vec::new();
-        write_header(&mut bytes, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
-        engine.config().encode(&mut bytes).unwrap();
-        engine.strategy().encode(&mut bytes).unwrap();
-        engine.variant().encode(&mut bytes).unwrap();
-        cdb.encode(&mut bytes).unwrap();
-        engine.finalized_records().encode(&mut bytes).unwrap();
-        frontier.encode(&mut bytes).unwrap();
+        write_header(&mut bytes, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+        engine.config().encode(&mut bytes);
+        engine.strategy().encode(&mut bytes);
+        engine.variant().encode(&mut bytes);
+        cdb.encode(&mut bytes);
+        engine.finalized_records().encode(&mut bytes);
+        frontier.encode(&mut bytes);
         restore_from_slice(&bytes)
     }
 

@@ -1,4 +1,4 @@
-//! A hand-rolled, versioned binary codec.
+//! A hand-rolled, versioned, in-memory binary codec.
 //!
 //! The build container has no crates.io access, so — following the
 //! vendored-shim convention of this workspace — serialisation is implemented
@@ -13,12 +13,26 @@
 //!   string and a `u16` format version, checked on read so stale readers fail
 //!   loudly instead of misinterpreting bytes.
 //!
-//! [`Encode`] writes a value, [`Decode`] reads one back.  Decoding never
-//! panics on malformed input: every length, tag and invariant is validated
-//! and violations surface as a [`DecodeError`].  Domain-type implementations
-//! live in [`crate::model`].
-
-use std::io::{self, Read, Write};
+//! [`Encode`] appends a value to a `Vec<u8>`; [`Decode`] reads one off a
+//! byte-slice cursor (`&mut &[u8]`), advancing it past the value.  Every
+//! input is whole in memory — a checkpoint file, a segment frame — so the
+//! reader's contract is:
+//!
+//! * **each length is checked against the bytes left** before anything is
+//!   allocated: `len` values of at least [`Decode::MIN_BYTES`] bytes each
+//!   must fit in what remains of the cursor, or the read fails with
+//!   [`DecodeError::UnexpectedEof`];
+//! * a vector is then allocated at **exact capacity**, and a column of
+//!   fixed-width values (a tick's member ids and coordinates, a crowd's
+//!   cluster ids, a gathering's participators) is taken as one
+//!   bounds-checked block and converted in one pass;
+//! * so **one allocation bound** holds for any input, forged lengths
+//!   included: a vector never holds more than
+//!   `size_of::<T>() / T::MIN_BYTES` bytes per input byte left.
+//!
+//! Decoding never panics on malformed input: every length, tag and
+//! invariant is validated and violations surface as a [`DecodeError`].
+//! Domain-type implementations live in [`crate::model`].
 
 /// Version of the value-encoding rules themselves (bumped when the layout of
 /// any encoded type changes incompatibly).
@@ -27,9 +41,8 @@ pub const CODEC_VERSION: u16 = 1;
 /// Error produced when decoding malformed, truncated or incompatible input.
 #[derive(Debug)]
 pub enum DecodeError {
-    /// An underlying I/O error (other than a clean end-of-file).
-    Io(io::Error),
-    /// The input ended in the middle of a value.
+    /// The input ended in the middle of a value, or a length prefix claims
+    /// more than the input holds.
     UnexpectedEof,
     /// The file does not start with the expected magic string.
     BadMagic {
@@ -55,7 +68,6 @@ pub enum DecodeError {
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::Io(err) => write!(f, "i/o error while decoding: {err}"),
             DecodeError::UnexpectedEof => write!(f, "input ended in the middle of a value"),
             DecodeError::BadMagic { expected, found } => write!(
                 f,
@@ -73,53 +85,33 @@ impl std::fmt::Display for DecodeError {
     }
 }
 
-impl std::error::Error for DecodeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DecodeError::Io(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for DecodeError {
-    fn from(err: io::Error) -> Self {
-        if err.kind() == io::ErrorKind::UnexpectedEof {
-            DecodeError::UnexpectedEof
-        } else {
-            DecodeError::Io(err)
-        }
-    }
-}
+impl std::error::Error for DecodeError {}
 
 /// A value that can be written to the binary format.
 pub trait Encode {
-    /// Writes the value to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error of the writer; encoding itself is
-    /// infallible.
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()>;
+    /// Appends the value's encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
 }
 
 /// A value that can be read back from the binary format.
 pub trait Decode: Sized {
-    /// Reads one value from `r`.
+    /// The fewest bytes any encoding of the value takes; a sequence length
+    /// is checked against the bytes left in these units.
+    const MIN_BYTES: usize = 1;
+
+    /// Reads one value off the front of `r`, advancing it past the value.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the input is truncated, structurally
     /// invalid or violates an invariant of the type.
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError>;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError>;
 }
 
 /// Encodes a value into a fresh byte vector.
 pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
-    value
-        .encode(&mut out)
-        .expect("writing to a Vec never fails");
+    value.encode(&mut out);
     out
 }
 
@@ -137,22 +129,49 @@ pub fn decode_from_slice<T: Decode>(mut bytes: &[u8]) -> Result<T, DecodeError> 
     Ok(value)
 }
 
-/// Reads exactly `N` bytes, mapping a clean EOF to
-/// [`DecodeError::UnexpectedEof`].
-fn read_array<const N: usize, R: Read + ?Sized>(r: &mut R) -> Result<[u8; N], DecodeError> {
-    let mut buf = [0u8; N];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
+/// Takes the next `N` bytes off the cursor.
+pub(crate) fn read_array<const N: usize>(r: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = r
+        .split_first_chunk::<N>()
+        .ok_or(DecodeError::UnexpectedEof)?;
+    *r = rest;
+    Ok(*head)
+}
+
+/// Reads `len` fixed-width values as one column: the `len * N` bytes are
+/// taken off the cursor in one bounds check — before anything is
+/// allocated — and converted by `from` in one pass into a vector of exact
+/// capacity.
+pub(crate) fn column<const N: usize, T>(
+    r: &mut &[u8],
+    len: usize,
+    from: impl Fn([u8; N]) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let (block, rest) = len
+        .checked_mul(N)
+        .and_then(|bytes| r.split_at_checked(bytes))
+        .ok_or(DecodeError::UnexpectedEof)?;
+    *r = rest;
+    let mut out = Vec::with_capacity(len);
+    for &word in block.as_chunks::<N>().0 {
+        out.push(from(word)?);
+    }
+    Ok(out)
+}
+
+/// Reads a `u64`-length-prefixed [`column`].
+pub(crate) fn decode_column<const N: usize, T>(
+    r: &mut &[u8],
+    from: impl Fn([u8; N]) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let len = usize::decode(r)?;
+    column(r, len, from)
 }
 
 /// Writes a file header: an 8-byte magic string followed by a `u16` version.
-///
-/// # Errors
-///
-/// Propagates writer I/O errors.
-pub fn write_header<W: Write + ?Sized>(w: &mut W, magic: &[u8; 8], version: u16) -> io::Result<()> {
-    w.write_all(magic)?;
-    version.encode(w)
+pub fn write_header(out: &mut Vec<u8>, magic: &[u8; 8], version: u16) {
+    out.extend_from_slice(magic);
+    version.encode(out);
 }
 
 /// Reads and checks a file header written by [`write_header`]: the magic
@@ -162,11 +181,7 @@ pub fn write_header<W: Write + ?Sized>(w: &mut W, magic: &[u8; 8], version: u16)
 ///
 /// Returns [`DecodeError::BadMagic`] or [`DecodeError::UnsupportedVersion`]
 /// if the header does not match, besides the usual truncation errors.
-pub fn read_header<R: Read + ?Sized>(
-    r: &mut R,
-    magic: &[u8; 8],
-    supported: u16,
-) -> Result<(), DecodeError> {
+pub fn read_header(r: &mut &[u8], magic: &[u8; 8], supported: u16) -> Result<(), DecodeError> {
     let found: [u8; 8] = read_array(r)?;
     if &found != magic {
         return Err(DecodeError::BadMagic {
@@ -254,12 +269,13 @@ pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
 macro_rules! int_codec {
     ($($ty:ty),*) => {$(
         impl Encode for $ty {
-            fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-                w.write_all(&self.to_le_bytes())
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
             }
         }
         impl Decode for $ty {
-            fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
                 Ok(<$ty>::from_le_bytes(read_array(r)?))
             }
         }
@@ -269,38 +285,38 @@ macro_rules! int_codec {
 int_codec!(u8, u16, u32, u64);
 
 impl Encode for usize {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        (*self as u64).encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u64).encode(out);
     }
 }
 
 impl Decode for usize {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         usize::try_from(u64::decode(r)?)
             .map_err(|_| DecodeError::Corrupt("usize value exceeds this platform's pointer width"))
     }
 }
 
 impl Encode for f64 {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.to_bits().encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.to_bits().encode(out);
     }
 }
 
 impl Decode for f64 {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(f64::from_bits(u64::decode(r)?))
     }
 }
 
 impl Encode for bool {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        u8::from(*self).encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        u8::from(*self).encode(out);
     }
 }
 
 impl Decode for bool {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(r)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -310,48 +326,53 @@ impl Decode for bool {
 }
 
 impl Encode for str {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.len().encode(w)?;
-        w.write_all(self.as_bytes())
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        out.extend_from_slice(self.as_bytes());
     }
 }
 
 impl Encode for String {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.as_str().encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_str().encode(out);
     }
 }
 
 impl Decode for String {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let bytes: Vec<u8> = Vec::decode(r)?;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
+        let bytes = decode_column(r, |[b]: [u8; 1]| Ok(b))?;
         String::from_utf8(bytes).map_err(|_| DecodeError::Corrupt("string is not valid UTF-8"))
     }
 }
 
 impl<T: Encode> Encode for [T] {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.len().encode(w)?;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
         for item in self {
-            item.encode(w)?;
+            item.encode(out);
         }
-        Ok(())
     }
 }
 
 impl<T: Encode> Encode for Vec<T> {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.as_slice().encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
     }
 }
 
 impl<T: Decode> Decode for Vec<T> {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = 8;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let len = usize::decode(r)?;
-        // A corrupt length must not trigger a huge up-front allocation: grow
-        // from a bounded initial capacity and let truncation errors surface
-        // while reading the elements.
-        let mut out = Vec::with_capacity(len.min(4096));
+        // The length is checked against the bytes left before it sizes
+        // anything, so a forged one fails as truncation.
+        if len
+            .checked_mul(T::MIN_BYTES)
+            .is_none_or(|bytes| bytes > r.len())
+        {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -360,19 +381,16 @@ impl<T: Decode> Decode for Vec<T> {
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        match self {
-            None => false.encode(w),
-            Some(value) => {
-                true.encode(w)?;
-                value.encode(w)
-            }
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.is_some().encode(out);
+        if let Some(value) = self {
+            value.encode(out);
         }
     }
 }
 
 impl<T: Decode> Decode for Option<T> {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         if bool::decode(r)? {
             Ok(Some(T::decode(r)?))
         } else {
@@ -382,14 +400,15 @@ impl<T: Decode> Decode for Option<T> {
 }
 
 impl<A: Encode, B: Encode> Encode for (A, B) {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.0.encode(w)?;
-        self.1.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
     }
 }
 
 impl<A: Decode, B: Decode> Decode for (A, B) {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let a = A::decode(r)?;
         let b = B::decode(r)?;
         Ok((a, b))
@@ -471,7 +490,7 @@ mod tests {
     fn header_checks_magic_and_version() {
         const MAGIC: [u8; 8] = *b"GPDTTEST";
         let mut bytes = Vec::new();
-        write_header(&mut bytes, &MAGIC, 1).unwrap();
+        write_header(&mut bytes, &MAGIC, 1);
         read_header(&mut bytes.as_slice(), &MAGIC, 1).unwrap();
 
         // Wrong magic.
@@ -480,7 +499,7 @@ mod tests {
 
         // Newer version than supported.
         let mut newer = Vec::new();
-        write_header(&mut newer, &MAGIC, 2).unwrap();
+        write_header(&mut newer, &MAGIC, 2);
         let err = read_header(&mut newer.as_slice(), &MAGIC, 1).unwrap_err();
         assert!(matches!(
             err,
@@ -550,7 +569,6 @@ mod tests {
     #[test]
     fn display_covers_all_variants() {
         let cases: Vec<DecodeError> = vec![
-            DecodeError::Io(io::Error::other("boom")),
             DecodeError::UnexpectedEof,
             DecodeError::BadMagic {
                 expected: *b"GPDTSEG\0",

@@ -11,9 +11,7 @@
 //! a decoded value is always indistinguishable from the originally encoded
 //! one.
 
-use std::io::{self, Read, Write};
-
-use gpdt_clustering::{ClusterDatabase, ClusterId, SnapshotClusterSet, SnapshotClusterSetBuilder};
+use gpdt_clustering::{ClusterDatabase, ClusterId, SnapshotClusterSet};
 use gpdt_core::{
     Crowd, CrowdParams, CrowdRecord, Gathering, GatheringConfig, GatheringParams,
     RangeSearchStrategy, TadVariant,
@@ -21,33 +19,47 @@ use gpdt_core::{
 use gpdt_geo::{Mbr, Point};
 use gpdt_trajectory::{ObjectId, Sample, TimeInterval, Trajectory, TrajectoryDatabase};
 
-use crate::codec::{Decode, DecodeError, Encode};
+use crate::codec::{column, decode_column, read_array, Decode, DecodeError, Encode};
 use gpdt_clustering::ClusteringParams;
 
+/// A coordinate word, refused unless finite.
+fn finite(word: [u8; 8]) -> Result<f64, DecodeError> {
+    Some(f64::from_le_bytes(word))
+        .filter(|v| v.is_finite())
+        .ok_or(DecodeError::Corrupt("non-finite point coordinate"))
+}
+
+/// A member-id word of a column.
+pub(crate) fn object_id(word: [u8; 4]) -> Result<ObjectId, DecodeError> {
+    Ok(ObjectId::new(u32::from_le_bytes(word)))
+}
+
+/// A cluster-id word of a column: the tick, then the index as a `u64`.
+fn cluster_id(word: [u8; 12]) -> Result<ClusterId, DecodeError> {
+    let mut r = &word[..];
+    Ok(ClusterId::new(u32::decode(&mut r)?, usize::decode(&mut r)?))
+}
+
 impl Encode for Point {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.x.encode(w)?;
-        self.y.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.x.encode(out);
+        self.y.encode(out);
     }
 }
 
 impl Decode for Point {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let x = f64::decode(r)?;
-        let y = f64::decode(r)?;
-        if !(x.is_finite() && y.is_finite()) {
-            return Err(DecodeError::Corrupt("non-finite point coordinate"));
-        }
-        Ok(Point::new(x, y))
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
+        let x = finite(read_array(r)?)?;
+        Ok(Point::new(x, finite(read_array(r)?)?))
     }
 }
 
 impl Encode for Mbr {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.min_x.encode(w)?;
-        self.min_y.encode(w)?;
-        self.max_x.encode(w)?;
-        self.max_y.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.min_x.encode(out);
+        self.min_y.encode(out);
+        self.max_x.encode(out);
+        self.max_y.encode(out);
     }
 }
 
@@ -65,7 +77,7 @@ pub(crate) fn ticks_are_consecutive(ids: &[ClusterId]) -> bool {
 }
 
 impl Decode for Mbr {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let mbr = Mbr {
             min_x: f64::decode(r)?,
             min_y: f64::decode(r)?,
@@ -80,26 +92,26 @@ impl Decode for Mbr {
 }
 
 impl Encode for ObjectId {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.raw().encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.raw().encode(out);
     }
 }
 
 impl Decode for ObjectId {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(ObjectId::new(u32::decode(r)?))
     }
 }
 
 impl Encode for TimeInterval {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.start.encode(w)?;
-        self.end.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.start.encode(out);
+        self.end.encode(out);
     }
 }
 
 impl Decode for TimeInterval {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let start = u32::decode(r)?;
         let end = u32::decode(r)?;
         if start > end {
@@ -110,14 +122,15 @@ impl Decode for TimeInterval {
 }
 
 impl Encode for Sample {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.time.encode(w)?;
-        self.position.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.time.encode(out);
+        self.position.encode(out);
     }
 }
 
 impl Decode for Sample {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = 20;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let time = u32::decode(r)?;
         let position = Point::decode(r)?;
         Ok(Sample::new(time, position))
@@ -125,14 +138,15 @@ impl Decode for Sample {
 }
 
 impl Encode for Trajectory {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.id().encode(w)?;
-        self.samples().encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.id().encode(out);
+        self.samples().encode(out);
     }
 }
 
 impl Decode for Trajectory {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = 12;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let id = ObjectId::decode(r)?;
         let samples: Vec<Sample> = Vec::decode(r)?;
         if samples.is_empty() {
@@ -143,31 +157,30 @@ impl Decode for Trajectory {
 }
 
 impl Encode for TrajectoryDatabase {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.len().encode(w)?;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
         for trajectory in self.iter() {
-            trajectory.encode(w)?;
+            trajectory.encode(out);
         }
-        Ok(())
     }
 }
 
 impl Decode for TrajectoryDatabase {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let trajectories: Vec<Trajectory> = Vec::decode(r)?;
         Ok(TrajectoryDatabase::from_trajectories(trajectories))
     }
 }
 
 impl Encode for ClusteringParams {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.eps.encode(w)?;
-        self.min_pts.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.eps.encode(out);
+        self.min_pts.encode(out);
     }
 }
 
 impl Decode for ClusteringParams {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let eps = f64::decode(r)?;
         let min_pts = usize::decode(r)?;
         if !(eps.is_finite() && eps > 0.0) || min_pts == 0 {
@@ -178,15 +191,15 @@ impl Decode for ClusteringParams {
 }
 
 impl Encode for CrowdParams {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.mc.encode(w)?;
-        self.kc.encode(w)?;
-        self.delta.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.mc.encode(out);
+        self.kc.encode(out);
+        self.delta.encode(out);
     }
 }
 
 impl Decode for CrowdParams {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let mc = usize::decode(r)?;
         let kc = u32::decode(r)?;
         let delta = f64::decode(r)?;
@@ -198,14 +211,14 @@ impl Decode for CrowdParams {
 }
 
 impl Encode for GatheringParams {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.mp.encode(w)?;
-        self.kp.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.mp.encode(out);
+        self.kp.encode(out);
     }
 }
 
 impl Decode for GatheringParams {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let mp = usize::decode(r)?;
         let kp = u32::decode(r)?;
         if mp == 0 || kp == 0 {
@@ -216,15 +229,15 @@ impl Decode for GatheringParams {
 }
 
 impl Encode for GatheringConfig {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.clustering.encode(w)?;
-        self.crowd.encode(w)?;
-        self.gathering.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.clustering.encode(out);
+        self.crowd.encode(out);
+        self.gathering.encode(out);
     }
 }
 
 impl Decode for GatheringConfig {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let config = GatheringConfig {
             clustering: ClusteringParams::decode(r)?,
             crowd: CrowdParams::decode(r)?,
@@ -238,7 +251,7 @@ impl Decode for GatheringConfig {
 }
 
 impl Encode for RangeSearchStrategy {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+    fn encode(&self, out: &mut Vec<u8>) {
         let tag: u8 = match self {
             RangeSearchStrategy::BruteForce => 0,
             RangeSearchStrategy::RTreeDmin => 1,
@@ -246,12 +259,12 @@ impl Encode for RangeSearchStrategy {
             RangeSearchStrategy::Grid => 3,
             RangeSearchStrategy::Join => 4,
         };
-        tag.encode(w)
+        tag.encode(out);
     }
 }
 
 impl Decode for RangeSearchStrategy {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(r)? {
             0 => Ok(RangeSearchStrategy::BruteForce),
             1 => Ok(RangeSearchStrategy::RTreeDmin),
@@ -264,18 +277,18 @@ impl Decode for RangeSearchStrategy {
 }
 
 impl Encode for TadVariant {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+    fn encode(&self, out: &mut Vec<u8>) {
         let tag: u8 = match self {
             TadVariant::BruteForce => 0,
             TadVariant::Tad => 1,
             TadVariant::TadStar => 2,
         };
-        tag.encode(w)
+        tag.encode(out);
     }
 }
 
 impl Decode for TadVariant {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(r)? {
             0 => Ok(TadVariant::BruteForce),
             1 => Ok(TadVariant::Tad),
@@ -286,17 +299,16 @@ impl Decode for TadVariant {
 }
 
 impl Encode for ClusterId {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.time.encode(w)?;
-        self.index.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.time.encode(out);
+        self.index.encode(out);
     }
 }
 
 impl Decode for ClusterId {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let time = u32::decode(r)?;
-        let index = usize::decode(r)?;
-        Ok(ClusterId::new(time, index))
+    const MIN_BYTES: usize = 12;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
+        cluster_id(read_array(r)?)
     }
 }
 
@@ -305,94 +317,72 @@ impl Encode for SnapshotClusterSet {
     /// then the tick's shared arenas as flat columns — all member ids, all x
     /// coordinates, all y coordinates.  One length prefix and three
     /// homogeneous streams instead of a header per cluster.
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.time.encode(w)?;
-        self.clusters.len().encode(w)?;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.time.encode(out);
+        self.clusters.len().encode(out);
         for c in &self.clusters {
-            c.len().encode(w)?;
+            c.len().encode(out);
         }
         for c in &self.clusters {
             for &id in c.members() {
-                id.encode(w)?;
+                id.encode(out);
             }
         }
         for c in &self.clusters {
             for &x in c.points().xs() {
-                x.encode(w)?;
+                x.encode(out);
             }
         }
         for c in &self.clusters {
             for &y in c.points().ys() {
-                y.encode(w)?;
+                y.encode(out);
             }
         }
-        Ok(())
     }
 }
 
 impl Decode for SnapshotClusterSet {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = 12;
+    /// The lengths, then each column as one block straight into the tick's
+    /// arena.
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let time = u32::decode(r)?;
-        let count = usize::decode(r)?;
-        // Bounded initial capacities, as in `Vec::decode`: corrupt lengths
-        // surface as truncation errors instead of huge allocations.
-        let mut lens = Vec::with_capacity(count.min(4096));
-        let mut total = 0usize;
-        for _ in 0..count {
-            let len = usize::decode(r)?;
-            if len == 0 {
-                return Err(DecodeError::Corrupt("empty snapshot cluster"));
-            }
+        let lens = decode_column(r, |word| match u64::from_le_bytes(word) {
+            0 => Err(DecodeError::Corrupt("empty snapshot cluster")),
+            len => Ok(len),
+        })?;
+        let mut total = 0u64;
+        for &len in &lens {
             total = total
                 .checked_add(len)
-                .filter(|&t| t <= u32::MAX as usize)
+                .filter(|&t| t <= u64::from(u32::MAX))
                 .ok_or(DecodeError::Corrupt("cluster arena length overflows"))?;
-            lens.push(len);
         }
-        let mut ids = Vec::with_capacity(total.min(4096));
-        for _ in 0..total {
-            ids.push(ObjectId::decode(r)?);
-        }
-        let read_coords = |r: &mut R| -> Result<Vec<f64>, DecodeError> {
-            let mut out = Vec::with_capacity(total.min(4096));
-            for _ in 0..total {
-                let v = f64::decode(r)?;
-                if !v.is_finite() {
-                    return Err(DecodeError::Corrupt("non-finite point coordinate"));
-                }
-                out.push(v);
-            }
-            Ok(out)
-        };
-        let xs = read_coords(r)?;
-        let ys = read_coords(r)?;
-        let mut builder = SnapshotClusterSetBuilder::new(time);
-        let mut offset = 0;
-        for len in lens {
-            for i in offset..offset + len {
-                builder.push_member(ids[i], xs[i], ys[i]);
-            }
-            builder.end_cluster();
-            offset += len;
-        }
-        Ok(builder.finish())
+        let total = total as usize;
+        let ids = column(r, total, object_id)?;
+        let xs = column(r, total, finite)?;
+        let ys = column(r, total, finite)?;
+        let lens = lens.iter().map(|&len| len as usize);
+        Ok(SnapshotClusterSet::from_columns(time, ids, xs, ys, lens))
     }
 }
 
 impl Encode for ClusterDatabase {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.len().encode(w)?;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
         for set in self.iter() {
-            set.encode(w)?;
+            set.encode(out);
         }
-        Ok(())
     }
 }
 
 impl Decode for ClusterDatabase {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let sets: Vec<SnapshotClusterSet> = Vec::decode(r)?;
-        if sets.windows(2).any(|w| w[1].time != w[0].time + 1) {
+        if sets
+            .windows(2)
+            .any(|w| w[0].time.checked_add(1) != Some(w[1].time))
+        {
             return Err(DecodeError::Corrupt(
                 "cluster sets do not cover contiguous timestamps",
             ));
@@ -402,14 +392,15 @@ impl Decode for ClusterDatabase {
 }
 
 impl Encode for Crowd {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.cluster_ids().encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.cluster_ids().encode(out);
     }
 }
 
 impl Decode for Crowd {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
-        let ids: Vec<ClusterId> = Vec::decode(r)?;
+    const MIN_BYTES: usize = 8;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
+        let ids = decode_column(r, cluster_id)?;
         if ids.is_empty() {
             return Err(DecodeError::Corrupt("crowd without clusters"));
         }
@@ -423,29 +414,31 @@ impl Decode for Crowd {
 }
 
 impl Encode for Gathering {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.crowd().encode(w)?;
-        self.participators().encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.crowd().encode(out);
+        self.participators().encode(out);
     }
 }
 
 impl Decode for Gathering {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = 16;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let crowd = Crowd::decode(r)?;
-        let participators: Vec<ObjectId> = Vec::decode(r)?;
+        let participators = decode_column(r, object_id)?;
         Ok(Gathering::from_parts(crowd, participators))
     }
 }
 
 impl Encode for CrowdRecord {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.crowd.encode(w)?;
-        self.gatherings.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.crowd.encode(out);
+        self.gatherings.encode(out);
     }
 }
 
 impl Decode for CrowdRecord {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = 16;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let crowd = Crowd::decode(r)?;
         let gatherings: Vec<Gathering> = Vec::decode(r)?;
         Ok(CrowdRecord { crowd, gatherings })
@@ -640,8 +633,8 @@ mod tests {
     fn corrupt_domain_values_are_rejected() {
         // Reversed interval.
         let mut bytes = Vec::new();
-        9u32.encode(&mut bytes).unwrap();
-        3u32.encode(&mut bytes).unwrap();
+        9u32.encode(&mut bytes);
+        3u32.encode(&mut bytes);
         assert!(matches!(
             decode_from_slice::<TimeInterval>(&bytes),
             Err(DecodeError::Corrupt(_))
@@ -673,31 +666,26 @@ mod tests {
             Err(DecodeError::Corrupt(_))
         ));
 
-        // Non-contiguous cluster database.
+        // Non-contiguous cluster databases: a gap, and a wrap past the
+        // last tick.
         let mut rng = StdRng::seed_from_u64(0xA6);
-        let sets = vec![
-            SnapshotClusterSet {
-                time: 0,
-                clusters: vec![random_cluster(&mut rng, 0)],
-            },
-            SnapshotClusterSet {
-                time: 2,
-                clusters: vec![random_cluster(&mut rng, 2)],
-            },
-        ];
-        let bytes = encode_to_vec(&sets);
-        assert!(matches!(
-            decode_from_slice::<ClusterDatabase>(&bytes),
-            Err(DecodeError::Corrupt(_))
-        ));
+        for times in [[0, 2], [u32::MAX, 0]] {
+            let sets = times.map(|time| SnapshotClusterSet {
+                time,
+                clusters: vec![random_cluster(&mut rng, time)],
+            });
+            let bytes = encode_to_vec(&sets.to_vec());
+            assert!(matches!(
+                decode_from_slice::<ClusterDatabase>(&bytes),
+                Err(DecodeError::Corrupt(_))
+            ));
+        }
 
         // Inconsistent configuration (kp > kc).
         let mut bytes = Vec::new();
-        ClusteringParams::paper_default()
-            .encode(&mut bytes)
-            .unwrap();
-        CrowdParams::new(15, 5, 300.0).encode(&mut bytes).unwrap();
-        GatheringParams::new(10, 15).encode(&mut bytes).unwrap();
+        ClusteringParams::paper_default().encode(&mut bytes);
+        CrowdParams::new(15, 5, 300.0).encode(&mut bytes);
+        GatheringParams::new(10, 15).encode(&mut bytes);
         assert!(matches!(
             decode_from_slice::<GatheringConfig>(&bytes),
             Err(DecodeError::Corrupt(_))
@@ -705,8 +693,8 @@ mod tests {
 
         // Non-finite point.
         let mut bytes = Vec::new();
-        f64::NAN.encode(&mut bytes).unwrap();
-        0.0f64.encode(&mut bytes).unwrap();
+        f64::NAN.encode(&mut bytes);
+        0.0f64.encode(&mut bytes);
         assert!(matches!(
             decode_from_slice::<Point>(&bytes),
             Err(DecodeError::Corrupt(_))
@@ -735,9 +723,9 @@ mod tests {
     fn corrupt_columnar_set_frames_are_rejected() {
         // A zero cluster length.
         let mut bytes = Vec::new();
-        7u32.encode(&mut bytes).unwrap();
-        1usize.encode(&mut bytes).unwrap();
-        0usize.encode(&mut bytes).unwrap();
+        7u32.encode(&mut bytes);
+        1usize.encode(&mut bytes);
+        0usize.encode(&mut bytes);
         assert!(matches!(
             decode_from_slice::<SnapshotClusterSet>(&bytes),
             Err(DecodeError::Corrupt("empty snapshot cluster"))
@@ -745,12 +733,12 @@ mod tests {
 
         // A non-finite coordinate in the x column.
         let mut bytes = Vec::new();
-        7u32.encode(&mut bytes).unwrap();
-        1usize.encode(&mut bytes).unwrap();
-        1usize.encode(&mut bytes).unwrap();
-        ObjectId::new(1).encode(&mut bytes).unwrap();
-        f64::INFINITY.encode(&mut bytes).unwrap();
-        0.0f64.encode(&mut bytes).unwrap();
+        7u32.encode(&mut bytes);
+        1usize.encode(&mut bytes);
+        1usize.encode(&mut bytes);
+        ObjectId::new(1).encode(&mut bytes);
+        f64::INFINITY.encode(&mut bytes);
+        0.0f64.encode(&mut bytes);
         assert!(matches!(
             decode_from_slice::<SnapshotClusterSet>(&bytes),
             Err(DecodeError::Corrupt("non-finite point coordinate"))
@@ -758,10 +746,10 @@ mod tests {
 
         // Cluster lengths whose sum overflows the u32 arena range.
         let mut bytes = Vec::new();
-        7u32.encode(&mut bytes).unwrap();
-        2usize.encode(&mut bytes).unwrap();
-        (u32::MAX as usize).encode(&mut bytes).unwrap();
-        (u32::MAX as usize).encode(&mut bytes).unwrap();
+        7u32.encode(&mut bytes);
+        2usize.encode(&mut bytes);
+        (u32::MAX as usize).encode(&mut bytes);
+        (u32::MAX as usize).encode(&mut bytes);
         assert!(matches!(
             decode_from_slice::<SnapshotClusterSet>(&bytes),
             Err(DecodeError::Corrupt("cluster arena length overflows"))

@@ -38,7 +38,7 @@
 //! let mut engine = ShardedEngine::new(config, 3, partitioner);
 //! engine.ingest_trajectories_until(&db, 3);
 //! let mut bytes = Vec::new();
-//! engine.checkpoint(&mut bytes).unwrap();
+//! engine.checkpoint(&mut bytes);
 //! drop(engine);
 //!
 //! let mut resumed = ShardedEngine::restore(&mut bytes.as_slice()).unwrap();
@@ -48,8 +48,6 @@
 //! uninterrupted.ingest_trajectories(&db);
 //! assert_eq!(resumed.gatherings(), uninterrupted.gatherings());
 //! ```
-
-use std::io::{self, Read, Write};
 
 use gpdt_clustering::{ClusterDatabase, ClusterId};
 use gpdt_core::{Crowd, CrowdRecord, GatheringConfig, RangeSearchStrategy, TadVariant};
@@ -72,22 +70,22 @@ pub const SHARDED_CHECKPOINT_MAGIC: [u8; 8] = *b"GPDTSHC\0";
 pub const SHARDED_CHECKPOINT_VERSION: u16 = 3;
 
 impl Encode for Partitioner {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Partitioner::Grid(grid) => {
-                0u8.encode(w)?;
-                grid.cell_side().encode(w)?;
+                0u8.encode(out);
+                grid.cell_side().encode(out);
                 let (ox, oy) = grid.origin();
-                ox.encode(w)?;
-                oy.encode(w)
+                ox.encode(out);
+                oy.encode(out);
             }
-            Partitioner::HashByObject => 1u8.encode(w),
+            Partitioner::HashByObject => 1u8.encode(out),
         }
     }
 }
 
 impl Decode for Partitioner {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(r)? {
             0 => {
                 let cell_side = f64::decode(r)?;
@@ -107,16 +105,16 @@ impl Decode for Partitioner {
 }
 
 impl Encode for ShardState {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.first_tick.encode(w)?;
-        self.ticks_ingested.encode(w)?;
-        self.finalized.encode(w)?;
-        self.frontier.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.first_tick.encode(out);
+        self.ticks_ingested.encode(out);
+        self.finalized.encode(out);
+        self.frontier.encode(out);
     }
 }
 
 impl Decode for ShardState {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(ShardState {
             first_tick: Option::decode(r)?,
             ticks_ingested: u64::decode(r)?,
@@ -127,22 +125,22 @@ impl Decode for ShardState {
 }
 
 impl EngineCheckpoint for ShardedEngine {
-    fn checkpoint<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        write_header(w, &SHARDED_CHECKPOINT_MAGIC, SHARDED_CHECKPOINT_VERSION)?;
-        self.config().encode(w)?;
-        self.strategy().encode(w)?;
-        self.variant().encode(w)?;
-        self.partitioner().encode(w)?;
-        self.cluster_database().encode(w)?;
-        self.merge_frontier().encode(w)?;
-        self.cross_edge_heads().encode(w)?;
-        self.cross_edge_tails().encode(w)?;
-        self.finalized_records().encode(w)?;
+    fn checkpoint(&self, out: &mut Vec<u8>) {
+        write_header(out, &SHARDED_CHECKPOINT_MAGIC, SHARDED_CHECKPOINT_VERSION);
+        self.config().encode(out);
+        self.strategy().encode(out);
+        self.variant().encode(out);
+        self.partitioner().encode(out);
+        self.cluster_database().encode(out);
+        self.merge_frontier().encode(out);
+        self.cross_edge_heads().encode(out);
+        self.cross_edge_tails().encode(out);
+        self.finalized_records().encode(out);
         // The shard count, then a section per shard.
-        self.shard_states().encode(w)
+        self.shard_states().encode(out);
     }
 
-    fn restore<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    fn restore(r: &mut &[u8]) -> Result<Self, DecodeError> {
         read_header(r, &SHARDED_CHECKPOINT_MAGIC, SHARDED_CHECKPOINT_VERSION)?;
         let config = GatheringConfig::decode(r)?;
         let strategy = RangeSearchStrategy::decode(r)?;
@@ -189,9 +187,7 @@ pub fn sharded_checkpoint_to_vec(engine: &ShardedEngine) -> Vec<u8> {
 /// reusing its allocation.
 pub(crate) fn sharded_checkpoint_into_vec(engine: &ShardedEngine, out: &mut Vec<u8>) {
     out.clear();
-    engine
-        .checkpoint(out)
-        .expect("writing to a Vec never fails");
+    engine.checkpoint(out);
 }
 
 /// Convenience wrapper: restores a sharded engine from a byte slice,
@@ -253,19 +249,19 @@ mod tests {
     /// says `version`, the count field `count`, and `sections` follow.
     fn forge(engine: &ShardedEngine, version: u16, count: u64, sections: &[ShardState]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_header(&mut bytes, &SHARDED_CHECKPOINT_MAGIC, version).unwrap();
-        engine.config().encode(&mut bytes).unwrap();
-        engine.strategy().encode(&mut bytes).unwrap();
-        engine.variant().encode(&mut bytes).unwrap();
-        engine.partitioner().encode(&mut bytes).unwrap();
-        engine.cluster_database().encode(&mut bytes).unwrap();
-        engine.merge_frontier().encode(&mut bytes).unwrap();
-        engine.cross_edge_heads().encode(&mut bytes).unwrap();
-        engine.cross_edge_tails().encode(&mut bytes).unwrap();
-        engine.finalized_records().encode(&mut bytes).unwrap();
-        count.encode(&mut bytes).unwrap();
+        write_header(&mut bytes, &SHARDED_CHECKPOINT_MAGIC, version);
+        engine.config().encode(&mut bytes);
+        engine.strategy().encode(&mut bytes);
+        engine.variant().encode(&mut bytes);
+        engine.partitioner().encode(&mut bytes);
+        engine.cluster_database().encode(&mut bytes);
+        engine.merge_frontier().encode(&mut bytes);
+        engine.cross_edge_heads().encode(&mut bytes);
+        engine.cross_edge_tails().encode(&mut bytes);
+        engine.finalized_records().encode(&mut bytes);
+        count.encode(&mut bytes);
         for state in sections {
-            state.encode(&mut bytes).unwrap();
+            state.encode(&mut bytes);
         }
         bytes
     }
@@ -296,9 +292,9 @@ mod tests {
         ));
         // Grid with a non-finite side is rejected, not a panic.
         let mut bytes = vec![0u8];
-        f64::NAN.encode(&mut bytes).unwrap();
-        0.0f64.encode(&mut bytes).unwrap();
-        0.0f64.encode(&mut bytes).unwrap();
+        f64::NAN.encode(&mut bytes);
+        0.0f64.encode(&mut bytes);
+        0.0f64.encode(&mut bytes);
         assert!(matches!(
             crate::codec::decode_from_slice::<Partitioner>(&bytes),
             Err(DecodeError::Corrupt(_))
@@ -527,10 +523,10 @@ mod tests {
         // A forged length is read up to, never allocated for: the section's
         // frontier claims u64::MAX entries and the input simply runs out.
         let mut bytes = forge(&engine, SHARDED_CHECKPOINT_VERSION, 2, &states[..1]);
-        states[1].first_tick.encode(&mut bytes).unwrap();
-        states[1].ticks_ingested.encode(&mut bytes).unwrap();
-        states[1].finalized.encode(&mut bytes).unwrap();
-        u64::MAX.encode(&mut bytes).unwrap();
+        states[1].first_tick.encode(&mut bytes);
+        states[1].ticks_ingested.encode(&mut bytes);
+        states[1].finalized.encode(&mut bytes);
+        u64::MAX.encode(&mut bytes);
         assert!(matches!(
             restore_sharded_from_slice(&bytes),
             Err(DecodeError::UnexpectedEof)

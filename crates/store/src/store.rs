@@ -59,7 +59,7 @@ use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::{BuildHasher, Hasher};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -71,9 +71,9 @@ use gpdt_index::RTree;
 use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp};
 
 use crate::codec::{
-    decode_from_slice, read_header, write_header, xxh64, Decode, DecodeError, Encode,
+    decode_column, decode_from_slice, read_header, write_header, xxh64, Decode, DecodeError, Encode,
 };
-use crate::model::{mbr_is_valid, ticks_are_consecutive};
+use crate::model::{mbr_is_valid, object_id, ticks_are_consecutive};
 use crate::vfs::{RealVfs, Vfs, VfsFile};
 
 /// Magic string at the start of every segment file.
@@ -221,18 +221,19 @@ fn crowd_mbr(crowd: &Crowd, cdb: &ClusterDatabase) -> Mbr {
 }
 
 impl Encode for StoredGathering {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.interval.encode(w)?;
-        self.mbr.encode(w)?;
-        self.participators.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.interval.encode(out);
+        self.mbr.encode(out);
+        self.participators.encode(out);
     }
 }
 
 impl Decode for StoredGathering {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = 48;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let interval = TimeInterval::decode(r)?;
         let mbr = Mbr::decode(r)?;
-        let participators: Vec<ObjectId> = Vec::decode(r)?;
+        let participators = decode_column(r, object_id)?;
         Ok(StoredGathering {
             interval,
             mbr,
@@ -242,15 +243,16 @@ impl Decode for StoredGathering {
 }
 
 impl Encode for PatternRecord {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        self.crowd.encode(w)?;
-        self.mbr.encode(w)?;
-        self.gatherings.encode(w)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.crowd.encode(out);
+        self.mbr.encode(out);
+        self.gatherings.encode(out);
     }
 }
 
 impl Decode for PatternRecord {
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, DecodeError> {
+    const MIN_BYTES: usize = 48;
+    fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let crowd = Crowd::decode(r)?;
         let mbr = Mbr::decode(r)?;
         let gatherings: Vec<StoredGathering> = Vec::decode(r)?;
@@ -1253,8 +1255,7 @@ impl Drop for PatternStore {
 /// pieces.
 fn write_segment_header(file: &mut dyn VfsFile) -> io::Result<()> {
     let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
-    write_header(&mut header, &SEGMENT_MAGIC, SEGMENT_VERSION)
-        .expect("writing to a Vec never fails");
+    write_header(&mut header, &SEGMENT_MAGIC, SEGMENT_VERSION);
     file.write_all(&header)
 }
 
@@ -1269,9 +1270,7 @@ fn queue_frame(
 ) -> Result<usize, StoreError> {
     let start = pending.len();
     pending.extend_from_slice(&[0; 4]);
-    record
-        .encode(pending)
-        .expect("writing to a Vec never fails");
+    record.encode(pending);
     let len = pending.len() - start - 4;
     if len > FRAME_CAP {
         pending.truncate(start);
