@@ -38,22 +38,25 @@
 //! Results are printed and serialised to `BENCH_micro.json` (honouring
 //! `GPDT_BENCH_DIR`), with one speedup row per pair of live paths.
 
+use std::sync::Arc;
+
 use criterion::{black_box, BatchSize, Criterion};
 use gpdt_bench::report::{BenchReport, Table};
 use gpdt_clustering::{
-    dbscan_with, ClusterDatabase, ClusteringParams, DbscanScratch, SnapshotCluster,
+    dbscan_with, ClusterDatabase, ClusterId, ClusteringParams, DbscanScratch, SnapshotCluster,
     SnapshotClusterSet,
 };
 use gpdt_core::{
-    GatheringConfig, GatheringEngine, RangeSearchStrategy, SearcherScratch, TickSearcher,
+    Crowd, GatheringConfig, GatheringEngine, RangeSearchStrategy, SearcherScratch, TickSearcher,
 };
 use gpdt_geo::simd::{best_level, KernelDispatch, SimdLevel};
 use gpdt_geo::{
     bucketed_pair_cutoff, hausdorff_within, hausdorff_within_bruteforce, hausdorff_within_bucketed,
-    Point, PointColumns,
+    Mbr, Point, PointColumns,
 };
 use gpdt_store::{
-    checkpoint_to_vec, decode_from_slice, encode_to_vec, restore_from_slice, PatternRecord,
+    checkpoint_to_vec, decode_from_slice, encode_to_vec, restore_from_slice, FaultVfs,
+    PatternRecord, PatternStore, StoreOptions, StoredGathering,
 };
 use gpdt_trajectory::{ObjectId, Timestamp, TrajectoryDatabase};
 use gpdt_workload::{generate_scenario, EventRates, ScenarioConfig, Weather};
@@ -563,6 +566,69 @@ fn bench_codec(c: &mut Criterion, db: &TrajectoryDatabase) {
     group.finish();
 }
 
+/// `n` stored records around 256 venues: crowds of 15 to 119 ticks over a
+/// 100 000-tick axis, each with one gathering of 10 to 39 draws from 30 000
+/// objects (about 24 distinct).
+fn venue_records(rng: &mut StdRng, n: usize) -> Vec<PatternRecord> {
+    let venues: Vec<(f64, f64)> = (0..256)
+        .map(|_| {
+            (
+                rng.gen_range(-50_000.0..50_000.0),
+                rng.gen_range(-50_000.0..50_000.0),
+            )
+        })
+        .collect();
+    (0..n)
+        .map(|_| {
+            let (vx, vy) = venues[rng.gen_range(0..venues.len())];
+            let x = vx + rng.gen_range(-400.0..400.0);
+            let y = vy + rng.gen_range(-400.0..400.0);
+            let (w, h) = (rng.gen_range(50.0..600.0), rng.gen_range(50.0..600.0));
+            let start = rng.gen_range(0u32..100_000);
+            let crowd = Crowd::new(
+                (start..start + rng.gen_range(15u32..120))
+                    .map(|t| ClusterId::new(t, rng.gen_range(0usize..4)))
+                    .collect(),
+            );
+            let mut participators: Vec<ObjectId> = (0..rng.gen_range(10..40))
+                .map(|_| ObjectId::new(rng.gen_range(0u32..30_000)))
+                .collect();
+            participators.sort_unstable();
+            participators.dedup();
+            PatternRecord {
+                gatherings: vec![StoredGathering {
+                    interval: crowd.interval(),
+                    mbr: Mbr::new(x, y, x + w * 0.8, y + h * 0.8),
+                    participators,
+                }],
+                crowd,
+                mbr: Mbr::new(x, y, x + w, y + h),
+            }
+        })
+        .collect()
+}
+
+/// A reopen of a 30 000-record store held by an in-memory backend: every
+/// frame checksummed, decoded and checked, and the interval index, R-tree
+/// and participation index built.
+fn bench_store_reopen(c: &mut Criterion, rng: &mut StdRng) {
+    let vfs = Arc::new(FaultVfs::new(0));
+    let mut store = PatternStore::open_at(vfs.clone(), "/reopen", StoreOptions::default())
+        .expect("opens an empty store");
+    for record in venue_records(rng, 30_000) {
+        store.append(record).expect("appends");
+    }
+    store.sync().expect("syncs");
+    drop(store);
+    let mut group = c.benchmark_group("store_reopen");
+    group.bench_function("venues/30000", |b| {
+        b.iter(|| {
+            PatternStore::open_at(vfs.clone(), "/reopen", StoreOptions::default()).expect("reopens")
+        })
+    });
+    group.finish();
+}
+
 /// Mean time of the report entry whose name starts with `prefix`, in ns.
 fn mean_ns(c: &Criterion, prefix: &str) -> Option<f64> {
     c.reports()
@@ -725,6 +791,7 @@ fn main() {
     let edge_table = bench_tick_pair_edges(&mut criterion);
     bench_engine_ingest(&mut criterion);
     bench_codec(&mut criterion, &day.database);
+    bench_store_reopen(&mut criterion, &mut rng);
 
     let mut report = BenchReport::new("micro");
     let mut results = Table::new("Microbenchmarks — mean ns per iteration", &["bench", "ns"]);

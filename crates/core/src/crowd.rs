@@ -28,15 +28,29 @@ impl Crowd {
     ///
     /// Panics if `clusters` is empty or the timestamps are not consecutive.
     pub fn new(clusters: Vec<ClusterId>) -> Self {
-        assert!(!clusters.is_empty(), "a crowd needs at least one cluster");
-        for w in clusters.windows(2) {
-            assert_eq!(
-                w[1].time,
-                w[0].time + 1,
-                "crowd clusters must be at consecutive timestamps"
-            );
+        Self::try_new(clusters).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// Creates a crowd from cluster references, refusing a sequence that is
+    /// empty or whose timestamps are not consecutive (each one tick after
+    /// the last, with no wrap past `u32::MAX`).  [`Crowd::new`] and decoding
+    /// build through this rule, and the other constructors keep it, so a
+    /// `Crowd` value never breaks it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violated rule.
+    pub fn try_new(clusters: Vec<ClusterId>) -> Result<Self, &'static str> {
+        if clusters.is_empty() {
+            return Err("a crowd needs at least one cluster");
         }
-        Crowd { clusters }
+        if clusters
+            .windows(2)
+            .any(|w| w[0].time.checked_add(1) != Some(w[1].time))
+        {
+            return Err("crowd clusters must be at consecutive timestamps");
+        }
+        Ok(Crowd { clusters })
     }
 
     /// A single-cluster sequence (the seed of a crowd candidate).
@@ -101,9 +115,8 @@ impl Crowd {
     ///
     /// Panics if `next.time` is not exactly one tick after the current end.
     pub fn into_extended(mut self, next: ClusterId) -> Crowd {
-        assert_eq!(
-            next.time,
-            self.end_time() + 1,
+        assert!(
+            self.end_time().checked_add(1) == Some(next.time),
             "extension cluster must be at the next timestamp"
         );
         self.clusters.push(next);
@@ -470,6 +483,22 @@ mod tests {
 
     fn params(mc: usize, kc: u32, delta: f64) -> CrowdParams {
         CrowdParams::new(mc, kc, delta)
+    }
+
+    #[test]
+    fn try_new_refuses_what_new_panics_on() {
+        let ids = |ticks: &[u32]| ticks.iter().map(|&t| ClusterId::new(t, 0)).collect();
+        assert!(Crowd::try_new(ids(&[7, 8, 9])).is_ok());
+        assert!(Crowd::try_new(ids(&[u32::MAX])).is_ok());
+        for refused in [&[][..], &[3, 5], &[4, 4], &[5, 4], &[u32::MAX, 0]] {
+            assert!(Crowd::try_new(ids(refused)).is_err(), "{refused:?}");
+            let panicked = std::panic::catch_unwind(|| Crowd::new(ids(refused)));
+            assert!(panicked.is_err(), "{refused:?}");
+        }
+        // Extension keeps the rule at the end of time too.
+        let last = Crowd::single(ClusterId::new(u32::MAX, 0));
+        let wrapped = std::panic::catch_unwind(|| last.extended(ClusterId::new(0, 0)));
+        assert!(wrapped.is_err());
     }
 
     #[test]

@@ -70,12 +70,6 @@ pub(crate) fn mbr_is_valid(mbr: &Mbr) -> bool {
     corners.iter().all(|v| v.is_finite()) && mbr.min_x <= mbr.max_x && mbr.min_y <= mbr.max_y
 }
 
-/// [`Crowd`] decoding's rule: each cluster one tick after the last, no wrap.
-pub(crate) fn ticks_are_consecutive(ids: &[ClusterId]) -> bool {
-    ids.windows(2)
-        .all(|w| w[0].time.checked_add(1) == Some(w[1].time))
-}
-
 impl Decode for Mbr {
     fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
         let mbr = Mbr {
@@ -400,16 +394,7 @@ impl Encode for Crowd {
 impl Decode for Crowd {
     const MIN_BYTES: usize = 8;
     fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
-        let ids = decode_column(r, cluster_id)?;
-        if ids.is_empty() {
-            return Err(DecodeError::Corrupt("crowd without clusters"));
-        }
-        if !ticks_are_consecutive(&ids) {
-            return Err(DecodeError::Corrupt(
-                "crowd clusters are not at consecutive timestamps",
-            ));
-        }
-        Ok(Crowd::new(ids))
+        Crowd::try_new(decode_column(r, cluster_id)?).map_err(DecodeError::Corrupt)
     }
 }
 

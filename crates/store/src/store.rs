@@ -34,10 +34,12 @@
 //! # Replay
 //!
 //! On [`PatternStore::open`] every segment is replayed in one pass — frames
-//! parsed in place, each record held to [`PatternRecord::validate`] as
-//! `append` holds it, the indexes built in bulk; a torn tail in the *last*
-//! segment (the crash-during-write case) is truncated away, while damage
-//! anywhere else is reported as an error.
+//! parsed in place, each record held to what [`PatternRecord::validate`]
+//! asks of an appended one: decoding enforces its field rules, and replay
+//! checks the containment rules decoding cannot see — then the indexes are
+//! built in bulk.  A torn tail in the *last* segment (the crash-during-write
+//! case) is truncated away, while damage anywhere else is reported as an
+//! error.
 //!
 //! # Query indexes
 //!
@@ -48,7 +50,11 @@
 //! * an **R-tree** (reusing [`gpdt_index::RTree`]) over crowd MBRs, answering
 //!   "which records touched region `R`";
 //! * a **participation index** mapping each object to the gatherings it
-//!   participated in, as 8-byte `(record, gathering)` postings.
+//!   participated in, as 8-byte `(record, gathering)` postings: replay lays
+//!   each object's postings out as one run of a shared column (counted,
+//!   placed by a prefix sum, then filled in record order), and an append
+//!   pushes onto the object's short list of later postings, read after its
+//!   run.
 //!
 //! [`PatternStore::query_gatherings`] combines the first two for the
 //! region × time-window query of the ROADMAP's monitoring story;
@@ -73,7 +79,7 @@ use gpdt_trajectory::{ObjectId, TimeInterval, Timestamp};
 use crate::codec::{
     decode_column, decode_from_slice, read_header, write_header, xxh64, Decode, DecodeError, Encode,
 };
-use crate::model::{mbr_is_valid, object_id, ticks_are_consecutive};
+use crate::model::{mbr_is_valid, object_id};
 use crate::vfs::{RealVfs, Vfs, VfsFile};
 
 /// Magic string at the start of every segment file.
@@ -158,11 +164,11 @@ impl PatternRecord {
         self.crowd.interval()
     }
 
-    /// Checks what replay holds every decoded record to: the codec's field
-    /// rules (consecutive crowd ticks, finite and ordered MBRs, forward
-    /// lifespans) and the containment invariant the query indexes rely on —
-    /// every gathering's MBR and lifespan lie within the record's, and
-    /// participator lists are sorted.
+    /// Checks every invariant a stored record holds: the field rules the
+    /// codec enforces on decode (finite and ordered MBRs, forward gathering
+    /// lifespans; a [`Crowd`]'s consecutive ticks hold by construction) and
+    /// the containment rules it does not — every gathering's MBR and
+    /// lifespan lie within the record's, and participator lists are sorted.
     ///
     /// Records produced by [`PatternRecord::from_crowd_record`] satisfy this
     /// by construction (a gathering is a sub-crowd); hand-built records are
@@ -174,13 +180,9 @@ impl PatternRecord {
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if !ticks_are_consecutive(self.crowd.cluster_ids()) {
-            return Err("crowd clusters are not at consecutive timestamps");
-        }
         if !mbr_is_valid(&self.mbr) {
             return Err("record MBR corners are not finite and ordered");
         }
-        let interval = self.crowd.interval();
         for gathering in &self.gatherings {
             if gathering.interval.start > gathering.interval.end {
                 return Err("gathering lifespan is reversed");
@@ -188,6 +190,15 @@ impl PatternRecord {
             if !mbr_is_valid(&gathering.mbr) {
                 return Err("gathering MBR corners are not finite and ordered");
             }
+        }
+        self.check_containment()
+    }
+
+    /// The half of [`PatternRecord::validate`] that decoding does not
+    /// enforce, and all that replay checks on a decoded record.
+    fn check_containment(&self) -> Result<(), &'static str> {
+        let interval = self.crowd.interval();
+        for gathering in &self.gatherings {
             if !self.mbr.contains_mbr(&gathering.mbr) {
                 return Err("gathering MBR extends outside the record MBR");
             }
@@ -510,25 +521,98 @@ impl Hasher for FoldHasher {
     }
 }
 
-/// Each object's `(record, gathering index)` postings, 8 bytes apiece.
-type Participation = HashMap<ObjectId, Vec<(u32, u32)>, FoldHasher>;
+/// The participation index: each object's `(record, gathering index)`
+/// postings, 8 bytes apiece, in `(record, index)` order, in two tiers.
+///
+/// Replay builds the first in bulk: every object it sees gets a dense slot,
+/// and slot `s`'s postings are one run of a shared column,
+/// `column[offsets[s]..offsets[s + 1]]`.  Records appended after the open
+/// post to the second, a list per object, read after the run.  A store that
+/// was never reopened has an empty first tier.  The tiers are kept in two
+/// maps so that an append still touches one 32-byte entry: one map holding
+/// both an object's run and its list made appends about a tenth slower.
+#[derive(Debug, Default)]
+struct Participation {
+    slots: HashMap<ObjectId, u32, FoldHasher>,
+    offsets: Vec<usize>,
+    column: Vec<(u32, u32)>,
+    appended: HashMap<ObjectId, Vec<(u32, u32)>, FoldHasher>,
+}
 
-/// Posts record `id`'s participators; a gathering index fits a `u32`, as a
-/// frame holds at most [`FRAME_CAP`] bytes.
-fn post_participators(participation: &mut Participation, id: u32, record: &PatternRecord) {
-    for (g_idx, gathering) in record.gatherings.iter().enumerate() {
-        // Participator lists are sorted; skip adjacent duplicates so a
-        // sloppily built record cannot double-count a hit.
-        let mut previous: Option<ObjectId> = None;
+impl Participation {
+    /// Indexes `records`, whose ids are their positions, in two counted
+    /// passes: every posting's object given a slot and each slot's run
+    /// counted, the runs placed by a prefix sum, then each posting written
+    /// into its run in record order — no per-object allocation.
+    fn build(records: &[PatternRecord]) -> Self {
+        let mut index = Participation::default();
+        let mut slots = Vec::new();
+        for (record, id) in records.iter().zip(0..) {
+            for_each_posting(id, record, |object, _| {
+                let next = index.slots.len();
+                let slot = index.slots.entry(object).or_insert_with(|| {
+                    u32::try_from(next).expect("object ids are u32, so slots are too")
+                });
+                slots.push(*slot);
+            });
+        }
+        // Run `s` is counted two places on, so the prefix sum leaves
+        // `offsets[s + 1]` at its start, and the scatter moves that to its
+        // end, where run `s + 1` starts.
+        let mut offsets = vec![0; index.slots.len() + 2];
+        for &slot in &slots {
+            offsets[slot as usize + 2] += 1;
+        }
+        for s in 2..offsets.len() {
+            offsets[s] += offsets[s - 1];
+        }
+        let mut column = vec![(0, 0); slots.len()];
+        let mut slots = slots.into_iter();
+        for (record, id) in records.iter().zip(0..) {
+            for_each_posting(id, record, |_, posting| {
+                let slot = slots.next().expect("counted above") as usize;
+                column[offsets[slot + 1]] = posting;
+                offsets[slot + 1] += 1;
+            });
+        }
+        offsets.pop();
+        index.offsets = offsets;
+        index.column = column;
+        index
+    }
+
+    /// Posts record `id`, appended after the build.
+    fn post(&mut self, id: u32, record: &PatternRecord) {
+        for_each_posting(id, record, |object, posting| {
+            self.appended.entry(object).or_default().push(posting);
+        });
+    }
+
+    /// `object`'s postings, in `(record, index)` order; the iterator's
+    /// length is exact, so a `collect` allocates once.
+    fn of(&self, object: ObjectId) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let run = self.slots.get(&object).map_or(&[][..], |&slot| {
+            let slot = slot as usize;
+            &self.column[self.offsets[slot]..self.offsets[slot + 1]]
+        });
+        let appended = self.appended.get(&object).map_or(&[][..], Vec::as_slice);
+        run.iter().chain(appended).copied()
+    }
+}
+
+/// Calls `post` with each of record `id`'s postings, gathering by
+/// gathering; a gathering index fits a `u32`, as a frame holds at most
+/// [`FRAME_CAP`] bytes.  Participator lists are sorted, and adjacent
+/// duplicates are skipped so a sloppily built record cannot double-count a
+/// hit.
+fn for_each_posting(id: u32, record: &PatternRecord, mut post: impl FnMut(ObjectId, (u32, u32))) {
+    for (gathering, index) in record.gatherings.iter().zip(0..) {
+        let mut previous = None;
         for &object in &gathering.participators {
-            if previous == Some(object) {
-                continue;
+            if previous != Some(object) {
+                post(object, (id, index));
             }
             previous = Some(object);
-            participation
-                .entry(object)
-                .or_default()
-                .push((id, g_idx as u32));
         }
     }
 }
@@ -672,8 +756,8 @@ impl PatternStore {
         let dir = dir.as_ref().to_path_buf();
         vfs.create_dir_all(&dir)?;
 
+        let replay = gpdt_obs::span!("store.reopen.replay");
         let segments = Self::list_segments(vfs.as_ref(), &dir)?;
-
         let mut replayed: Vec<PatternRecord> = Vec::new();
         let mut tail_repair = None;
         let active = match segments.last().copied() {
@@ -743,23 +827,32 @@ impl PatternStore {
                 active.expect("the last segment produced the active handle")
             }
         };
+        drop(replay);
 
+        let index = gpdt_obs::span!("store.reopen.index");
         // Record ids fit a `u32`: `replay_segment` refuses any past it.
-        let mut participation = Participation::default();
-        for (id, record) in replayed.iter().enumerate() {
-            post_participators(&mut participation, id as u32, record);
+        let participation = Participation::build(&replayed);
+        if gpdt_obs::enabled() {
+            let postings = participation.column.len() as u64;
+            gpdt_obs::counter!("store.replay.postings").add(postings);
         }
         let entries = replayed
             .iter()
             .zip(0..)
             .map(|(r, id)| Entry { mbr: r.mbr, id });
-        let lifespans = replayed.iter().map(PatternRecord::interval).zip(0..);
+        let intervals = replayed
+            .iter()
+            .map(PatternRecord::interval)
+            .zip(0..)
+            .collect();
+        let rtree = RTree::bulk_load(entries.collect());
+        drop(index);
         Ok(PatternStore {
             vfs,
             dir,
             options,
-            intervals: lifespans.collect(),
-            rtree: RTree::bulk_load(entries.collect()),
+            intervals,
+            rtree,
             records: replayed,
             participation,
             active,
@@ -911,7 +1004,7 @@ impl PatternStore {
             mbr: record.mbr,
             id,
         });
-        post_participators(&mut self.participation, posting_id, &record);
+        self.participation.post(posting_id, &record);
         self.records.push(record);
         Ok(id)
     }
@@ -1181,12 +1274,9 @@ impl PatternStore {
     /// participated in, ordered by `(record, index)` (which is
     /// finalization order).
     pub fn object_history(&self, object: ObjectId) -> Vec<GatheringHit> {
-        let Some(entries) = self.participation.get(&object) else {
-            return Vec::new();
-        };
-        entries
-            .iter()
-            .map(|&(record, index)| {
+        self.participation
+            .of(object)
+            .map(|(record, index)| {
                 let (record, index) = (record as RecordId, index as usize);
                 GatheringHit {
                     record,
@@ -1304,7 +1394,7 @@ fn parse_frame(bytes: &[u8], id: u64) -> Result<(PatternRecord, usize), DecodeEr
         return Err(DecodeError::ChecksumMismatch);
     }
     let record: PatternRecord = decode_from_slice(payload)?;
-    record.validate().map_err(DecodeError::Corrupt)?;
+    record.check_containment().map_err(DecodeError::Corrupt)?;
     Ok((record, 4 + len + 8))
 }
 
@@ -1641,6 +1731,102 @@ mod tests {
         assert_eq!(top3.len(), 3);
         assert_eq!(&all[..3], top3.as_slice());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record of up to three gatherings whose participator lists are
+    /// sorted but may repeat an object (drawn from `0..40`).
+    fn record_with_repeats(rng: &mut StdRng) -> PatternRecord {
+        let mut rec = record(rng.gen_range(0u32..200), 6, rng.gen_range(-1e3..1e3), &[0]);
+        let template = rec.gatherings[0].clone();
+        rec.gatherings = (0..rng.gen_range(0usize..4))
+            .map(|_| {
+                let mut participators: Vec<ObjectId> = (0..rng.gen_range(1usize..12))
+                    .map(|_| ObjectId::new(rng.gen_range(0u32..40)))
+                    .collect();
+                participators.sort_unstable();
+                StoredGathering {
+                    participators,
+                    ..template.clone()
+                }
+            })
+            .collect();
+        rec
+    }
+
+    /// Every object's history, and an absent object's, equals a scan.
+    fn assert_histories_match_a_scan(store: &PatternStore, state: &str) {
+        for raw in 0..=40u32 {
+            let object = ObjectId::new(raw);
+            let got: Vec<(usize, usize)> = store
+                .object_history(object)
+                .iter()
+                .map(|h| (h.record, h.index))
+                .collect();
+            let mut expected = Vec::new();
+            for (id, rec) in store.records().iter().enumerate() {
+                for (index, g) in rec.gatherings.iter().enumerate() {
+                    if g.participators.contains(&object) {
+                        expected.push((id, index));
+                    }
+                }
+            }
+            assert_eq!(got, expected, "{state}: object {object}");
+        }
+    }
+
+    #[test]
+    fn object_history_matches_a_scan_across_reopens() {
+        let vfs = Arc::new(FaultVfs::new(0x415));
+        let dir = Path::new("/history");
+        let options = StoreOptions {
+            max_segment_bytes: 512,
+            ..StoreOptions::default()
+        };
+        let open = || PatternStore::open_at(vfs.clone(), dir, options).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x415);
+        let mut store = open();
+        for _ in 0..80 {
+            store.append(record_with_repeats(&mut rng)).unwrap();
+        }
+        assert!(
+            store
+                .records()
+                .iter()
+                .flat_map(|r| &r.gatherings)
+                .any(|g| g.participators.windows(2).any(|w| w[0] == w[1])),
+            "some list must repeat an object"
+        );
+        assert_histories_match_a_scan(&store, "appended");
+        drop(store);
+
+        let mut store = open();
+        assert!(store.segment_count() >= 3, "{}", store.segment_count());
+        assert_eq!(store.len(), 80);
+        assert_histories_match_a_scan(&store, "reopened");
+        for _ in 0..40 {
+            store.append(record_with_repeats(&mut rng)).unwrap();
+        }
+        assert_histories_match_a_scan(&store, "appended after a reopen");
+        drop(store);
+
+        let mut store = open();
+        assert_eq!(store.len(), 120);
+        assert_histories_match_a_scan(&store, "reopened twice");
+        for _ in 0..10 {
+            store.append(record_with_repeats(&mut rng)).unwrap();
+        }
+        let last = segment_path(dir, store.segment_count());
+        drop(store);
+
+        // A torn tail: the last frame loses its checksum's last byte.
+        vfs.truncate(&last, vfs.file_len(&last).unwrap() - 1)
+            .unwrap();
+        let mut store = open();
+        assert!(store.tail_repair().is_some());
+        assert_eq!(store.len(), 129);
+        assert_histories_match_a_scan(&store, "reopened over a torn tail");
+        store.append(record_with_repeats(&mut rng)).unwrap();
+        assert_histories_match_a_scan(&store, "appended after a repair");
     }
 
     #[test]

@@ -297,26 +297,39 @@ fn group_commit_writes_are_counted() {
     assert_eq!(vfs.file_len(segment).unwrap(), full, "no torn frame");
 }
 
-/// `(frames, bytes)` replayed so far.
-fn replay_work(snapshot: &gpdt_obs::Snapshot) -> (u64, u64) {
+/// `(frames, bytes, postings)` replayed so far, and how many reopens the
+/// `store.reopen.replay` and `store.reopen.index` spans timed.
+type ReplayWork = ((u64, u64, u64), [u64; 2]);
+
+fn replay_work(snapshot: &gpdt_obs::Snapshot) -> ReplayWork {
+    let counter = |name| snapshot.counter(name).unwrap_or(0);
+    let timed = |name| snapshot.histogram(name).map_or(0, |h| h.count);
     (
-        snapshot.counter("store.replay.frames").unwrap_or(0),
-        snapshot.counter("store.replay.bytes").unwrap_or(0),
+        (
+            counter("store.replay.frames"),
+            counter("store.replay.bytes"),
+            counter("store.replay.postings"),
+        ),
+        [timed("store.reopen.replay"), timed("store.reopen.index")],
     )
 }
 
 /// What one `PatternStore::open` of `vfs`'s store adds to the replay
 /// counters, and the number of records it replayed.
-fn reopen(vfs: &FaultVfs, options: StoreOptions) -> ((u64, u64), usize) {
-    let before = replay_work(&gpdt_obs::registry().snapshot());
+fn reopen(vfs: &FaultVfs, options: StoreOptions) -> (ReplayWork, usize) {
+    let (before, timed_before) = replay_work(&gpdt_obs::registry().snapshot());
     let store = PatternStore::open_at(Arc::new(vfs.clone()), "/replay", options).unwrap();
-    let after = replay_work(&gpdt_obs::registry().snapshot());
-    ((after.0 - before.0, after.1 - before.1), store.len())
+    let (after, timed_after) = replay_work(&gpdt_obs::registry().snapshot());
+    let work = (
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        [0, 1].map(|i| timed_after[i] - timed_before[i]),
+    );
+    (work, store.len())
 }
 
-/// Replay's work is the log itself: one frame per stored record and every
-/// byte of every segment, the same on each reopen, nothing with
-/// `GPDT_OBS=off`.  (Called from the one `#[test]`: the registry is
+/// Replay's work is the log itself: one frame per stored record, every
+/// byte of every segment and one posting per distinct participator of each
+/// stored gathering, the same on each reopen, nothing with `GPDT_OBS=off`.  (Called from the one `#[test]`: the registry is
 /// process-wide.)
 fn replay_work_is_counted() {
     let options = StoreOptions {
@@ -336,6 +349,13 @@ fn replay_work_is_counted() {
     store.sync().unwrap();
     let (stored, segments) = (store.len() as u64, store.segment_count());
     assert!(segments >= 3, "{segments} segments");
+    let mut postings = 0;
+    for gathering in store.records().iter().flat_map(|r| &r.gatherings) {
+        let mut objects = gathering.participators.clone();
+        objects.dedup();
+        postings += objects.len() as u64;
+    }
+    assert!(postings > stored, "{postings} postings");
     drop(store);
     let on_disk: u64 = (1..=segments)
         .map(|i| {
@@ -346,14 +366,18 @@ fn replay_work_is_counted() {
 
     let (first, len) = reopen(&vfs, options);
     assert_eq!(len as u64, stored);
-    assert_eq!(first, (stored, on_disk));
+    assert_eq!(first, ((stored, on_disk, postings), [1, 1]));
     let (second, _) = reopen(&vfs, options);
     assert_eq!(second, first, "replay counters must repeat exactly");
 
     gpdt_obs::set_enabled(false);
     let (silent, len) = reopen(&vfs, options);
     gpdt_obs::set_enabled(true);
-    assert_eq!(silent, (0, 0), "GPDT_OBS=off must record nothing");
+    assert_eq!(
+        silent,
+        ((0, 0, 0), [0, 0]),
+        "GPDT_OBS=off must record nothing"
+    );
     assert_eq!(len as u64, stored);
 }
 

@@ -20,10 +20,10 @@ use gpdt_core::Crowd;
 use gpdt_geo::Mbr;
 use gpdt_store::codec::xxh64;
 use gpdt_store::{
-    write_file_atomic, DecodeError, FaultVfs, PatternRecord, PatternStore, StoreError,
+    write_file_atomic, DecodeError, Encode, FaultVfs, PatternRecord, PatternStore, StoreError,
     StoreOptions, StoredGathering, Vfs, SEGMENT_VERSION,
 };
-use gpdt_trajectory::ObjectId;
+use gpdt_trajectory::{ObjectId, TimeInterval};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -302,6 +302,8 @@ fn mutated_segments_reopen_typed_or_repaired() {
         }
     }
 
+    forged_records_are_refused(&p);
+
     // No case allocated what the bytes do not explain: a forged 1 GiB
     // prefix reads nothing it was not handed.
     if let (Some(before), Some(after)) = (baseline, vm_peak_kib()) {
@@ -311,5 +313,121 @@ fn mutated_segments_reopen_typed_or_repaired() {
             "peak virtual size grew by {} KiB over a {store_kib} KiB store",
             after - before
         );
+    }
+}
+
+/// A record's payload from its parts, as `PatternRecord::encode` lays it
+/// out — with no check on any of them.
+fn payload(ticks: &[ClusterId], mbr: Mbr, gatherings: &[StoredGathering]) -> Vec<u8> {
+    let mut out = Vec::new();
+    ticks.encode(&mut out);
+    mbr.encode(&mut out);
+    gatherings.encode(&mut out);
+    out
+}
+
+/// Segment `s` with frame `frame` replaced by `payload`, sealed under the
+/// frame's record id so that only the record checks can refuse it.
+fn reseal(p: &Pristine, s: usize, frame: usize, payload: &[u8]) -> Vec<Vec<u8>> {
+    let f = p.frames(s);
+    let id = (p.records_before(s) + frame) as u64;
+    let bytes = &p.segments[s];
+    let mut forged = bytes[..f[frame]].to_vec();
+    forged.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    forged.extend_from_slice(payload);
+    forged.extend_from_slice(&xxh64(payload, id).to_le_bytes());
+    forged.extend_from_slice(&bytes[f[frame + 1]..]);
+    let mut segments = p.segments.clone();
+    segments[s] = forged;
+    segments
+}
+
+/// Each rule a stored record keeps, broken by one resealed frame in a
+/// sealed segment and in the last: the field rules decoding enforces and
+/// the containment rules replay checks after it.  A frame whose checksum
+/// holds was written whole, so it is damage in either place — a typed
+/// error naming the segment — never a torn tail to cut away.
+fn forged_records_are_refused(p: &Pristine) {
+    let ticks: Vec<ClusterId> = (10..14).map(|t| ClusterId::new(t, 0)).collect();
+    let mbr = Mbr::new(0.0, 0.0, 100.0, 100.0);
+    let gathering = StoredGathering {
+        interval: TimeInterval::new(11, 12),
+        mbr: Mbr::new(10.0, 10.0, 20.0, 20.0),
+        participators: vec![ObjectId::new(1), ObjectId::new(2), ObjectId::new(2)],
+    };
+    let with = |change: fn(&mut StoredGathering)| {
+        let mut g = gathering.clone();
+        change(&mut g);
+        vec![g]
+    };
+    let nan = Mbr {
+        max_x: f64::NAN,
+        ..mbr
+    };
+    let inverted = Mbr {
+        min_x: 150.0,
+        ..mbr
+    };
+    let gapped: Vec<ClusterId> = [10, 11, 13].map(|t| ClusterId::new(t, 0)).to_vec();
+    let cases = [
+        ("non-consecutive ticks", payload(&gapped, mbr, &[])),
+        ("no ticks", payload(&[], mbr, &[])),
+        ("non-finite record MBR", payload(&ticks, nan, &[])),
+        ("inverted record MBR", payload(&ticks, inverted, &[])),
+        (
+            "reversed gathering lifespan",
+            payload(
+                &ticks,
+                mbr,
+                &with(|g| g.interval = TimeInterval { start: 12, end: 11 }),
+            ),
+        ),
+        (
+            "non-finite gathering MBR",
+            payload(&ticks, mbr, &with(|g| g.mbr.min_y = f64::INFINITY)),
+        ),
+        (
+            "inverted gathering MBR",
+            payload(&ticks, mbr, &with(|g| g.mbr.max_y = 5.0)),
+        ),
+        (
+            "gathering MBR outside the record's",
+            payload(&ticks, mbr, &with(|g| g.mbr.max_x = 120.0)),
+        ),
+        (
+            "gathering lifespan outside the record's",
+            payload(&ticks, mbr, &with(|g| g.interval.end = 14)),
+        ),
+        (
+            "unsorted participators",
+            payload(&ticks, mbr, &with(|g| g.participators.reverse())),
+        ),
+    ];
+    let last = p.segments.len() - 1;
+    for s in [1, last] {
+        // The forge itself is sound: a rule-abiding record in the same
+        // place reopens, and is the record read back.
+        let sound = std::slice::from_ref(&gathering);
+        let store = reopen(
+            "sound forge",
+            &reseal(p, s, 1, &payload(&ticks, mbr, sound)),
+        )
+        .unwrap();
+        let at = p.records_before(s) + 1;
+        assert_eq!(store.records()[at].gatherings, sound);
+        assert_eq!(store.len(), p.records.len());
+        assert!(store.tail_repair().is_none());
+        drop(store);
+
+        for (rule, forged) in &cases {
+            let label = format!("segment {s}: {rule}");
+            match reopen(&label, &reseal(p, s, 1, forged)) {
+                Err(StoreError::Segment {
+                    path,
+                    source: DecodeError::Corrupt(_),
+                }) => assert_eq!(path, segment_path(s + 1), "{label}"),
+                other => panic!("{label}: {:?}", other.map(|s| s.len())),
+            }
+        }
     }
 }
