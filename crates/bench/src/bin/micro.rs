@@ -608,24 +608,67 @@ fn venue_records(rng: &mut StdRng, n: usize) -> Vec<PatternRecord> {
         .collect()
 }
 
-/// A reopen of a 30 000-record store held by an in-memory backend: every
-/// frame checksummed, decoded and checked, and the interval index, R-tree
-/// and participation index built.
-fn bench_store_reopen(c: &mut Criterion, rng: &mut StdRng) {
+/// The pattern store on an in-memory backend, 30 000 venue records:
+///
+/// * `store_append` — the 30 000 appends and the closing `sync` into a fresh
+///   store: frames queued, the indexes updated, the participation postings
+///   logged and folded into the column at each segment rotation;
+/// * `store_reopen` — a reopen: every frame checksummed, decoded and
+///   checked, and the interval index, R-tree and participation index built;
+/// * `store_history/{live,reopened}` — one iteration asks the history of
+///   1 000 objects, on the store the appends left (the postings since the
+///   last rotation still in the log) and on the reopened one (all in the
+///   column).
+fn bench_store(c: &mut Criterion, rng: &mut StdRng) {
+    let records = venue_records(rng, 30_000);
+    let objects: Vec<ObjectId> = (0..1_000)
+        .map(|_| ObjectId::new(rng.gen_range(0u32..30_000)))
+        .collect();
+    let fill = |vfs: &Arc<FaultVfs>, dir: &str, records: Vec<PatternRecord>| {
+        let mut store = PatternStore::open_at(vfs.clone(), dir, StoreOptions::default())
+            .expect("opens an empty store");
+        for record in records {
+            store.append(record).expect("appends");
+        }
+        store.sync().expect("syncs");
+        store
+    };
+    let histories = |store: &PatternStore| {
+        objects
+            .iter()
+            .map(|&object| store.object_history(object).len())
+            .sum::<usize>()
+    };
+
+    let mut group = c.benchmark_group("store_append");
+    group.bench_function("venues/30000", |b| {
+        b.iter_batched(
+            || (Arc::new(FaultVfs::new(0)), records.clone()),
+            |(vfs, records)| fill(&vfs, "/append", records),
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+
     let vfs = Arc::new(FaultVfs::new(0));
-    let mut store = PatternStore::open_at(vfs.clone(), "/reopen", StoreOptions::default())
-        .expect("opens an empty store");
-    for record in venue_records(rng, 30_000) {
-        store.append(record).expect("appends");
-    }
-    store.sync().expect("syncs");
-    drop(store);
+    let live = fill(&vfs, "/reopen", records);
+    let mut group = c.benchmark_group("store_history");
+    group.bench_function("live/30000", |b| b.iter(|| histories(&live)));
+    group.finish();
+    drop(live);
+
     let mut group = c.benchmark_group("store_reopen");
     group.bench_function("venues/30000", |b| {
         b.iter(|| {
             PatternStore::open_at(vfs.clone(), "/reopen", StoreOptions::default()).expect("reopens")
         })
     });
+    group.finish();
+
+    let reopened =
+        PatternStore::open_at(vfs.clone(), "/reopen", StoreOptions::default()).expect("reopens");
+    let mut group = c.benchmark_group("store_history");
+    group.bench_function("reopened/30000", |b| b.iter(|| histories(&reopened)));
     group.finish();
 }
 
@@ -791,7 +834,7 @@ fn main() {
     let edge_table = bench_tick_pair_edges(&mut criterion);
     bench_engine_ingest(&mut criterion);
     bench_codec(&mut criterion, &day.database);
-    bench_store_reopen(&mut criterion, &mut rng);
+    bench_store(&mut criterion, &mut rng);
 
     let mut report = BenchReport::new("micro");
     let mut results = Table::new("Microbenchmarks — mean ns per iteration", &["bench", "ns"]);

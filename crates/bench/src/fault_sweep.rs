@@ -341,7 +341,9 @@ pub fn mine_under_faults(
     sets: &[SnapshotClusterSet],
     budget_bytes: usize,
 ) -> (Vec<gpdt_store::PatternRecord>, usize, usize) {
-    const MAX_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
+    // Segments of a few records each: a day's store rotates, and so folds
+    // its participation log, several times under the faults below.
+    const MAX_SEGMENT_BYTES: u64 = 4 * 1024;
     // The kill point comes from the workload's own operation count, as the
     // crash lattice's do, so it lands mid-run however few batches the
     // budget makes of the input (a one-batch day included).
@@ -353,8 +355,11 @@ pub fn mine_under_faults(
             // between crashes instead of livelocking.
             kill_at: Some((total_ops / 2).max(1)),
             kill_every: Some(20_000),
-            transient_write_one_in: Some(101),
-            transient_sync_one_in: Some(97),
+            // A day at `GPDT_SCALE=0.05` makes 20–25 mutating operations:
+            // rates this high restart each one at least once on a
+            // transient fault (CI's seed: one or two restarts a day).
+            transient_write_one_in: Some(13),
+            transient_sync_one_in: Some(11),
             capacity: None,
         },
     );

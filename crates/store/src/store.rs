@@ -50,11 +50,15 @@
 //! * an **R-tree** (reusing [`gpdt_index::RTree`]) over crowd MBRs, answering
 //!   "which records touched region `R`";
 //! * a **participation index** mapping each object to the gatherings it
-//!   participated in, as 8-byte `(record, gathering)` postings: replay lays
-//!   each object's postings out as one run of a shared column (counted,
-//!   placed by a prefix sum, then filled in record order), and an append
-//!   pushes onto the object's short list of later postings, read after its
-//!   run.
+//!   participated in, as 8-byte `(record, gathering)` postings in two
+//!   tiers: a shared column holding each object's postings as one run, and
+//!   a flat log of the postings appended since, chained per object newest
+//!   first.  An append pushes its postings onto the log; each segment
+//!   rotation folds the log into the column in one counted pass (each
+//!   object's new postings counted, the runs moved up to make room, the log
+//!   scattered in append order), and replay builds the column with the
+//!   same count, placement and scatter.  A history reads the object's run,
+//!   then its chain reversed.
 //!
 //! [`PatternStore::query_gatherings`] combines the first two for the
 //! region × time-window query of the ROADMAP's monitoring story;
@@ -522,82 +526,203 @@ impl Hasher for FoldHasher {
 }
 
 /// The participation index: each object's `(record, gathering index)`
-/// postings, 8 bytes apiece, in `(record, index)` order, in two tiers.
+/// postings, in `(record, index)` order, in two tiers.
 ///
-/// Replay builds the first in bulk: every object it sees gets a dense slot,
-/// and slot `s`'s postings are one run of a shared column,
-/// `column[offsets[s]..offsets[s + 1]]`.  Records appended after the open
-/// post to the second, a list per object, read after the run.  A store that
-/// was never reopened has an empty first tier.  The tiers are kept in two
-/// maps so that an append still touches one 32-byte entry: one map holding
-/// both an object's run and its list made appends about a tenth slower.
+/// Every object gets a dense slot the first time it is posted.  The first
+/// tier is a shared column of 8-byte postings: slot `s`'s folded postings
+/// are one run, `column[offsets[s]..offsets[s + 1]]`, and a slot first seen
+/// after the last fold has no run.  The second is a flat log of the postings
+/// posted since: an append pushes one 16-byte [`Delta`] per posting, links
+/// it from slot `s`'s [`Head`], which chains `s`'s delta postings newest
+/// first, and counts it there.  A fold merges the log into the column in
+/// one counted pass — the runs moved up to their new starts from the top
+/// down, the log scattered in append order — and replay builds the column
+/// with the same count, placement and scatter, straight from the records.
+/// A store folds at each segment rotation, so one that never rotates is the
+/// log alone.
+///
+/// Neither tier frees a large buffer while appends run: the column grows in
+/// place, and the log is a list of [`LOG_CHUNK`]-posting chunks, each below
+/// the allocator's default threshold for a mapping of its own, kept across
+/// folds.  Freeing a multi-MiB buffer raises glibc's dynamic mmap
+/// threshold, which moved a later reopen's allocations onto the heap and
+/// slowed it.
 #[derive(Debug, Default)]
 struct Participation {
     slots: HashMap<ObjectId, u32, FoldHasher>,
     offsets: Vec<usize>,
     column: Vec<(u32, u32)>,
-    appended: HashMap<ObjectId, Vec<(u32, u32)>, FoldHasher>,
+    log: Vec<Vec<Delta>>,
+    /// Postings in the log.
+    logged: usize,
+    heads: Vec<Head>,
 }
 
+/// Slot `s`'s postings not yet in the column.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// Log position of the newest ([`NONE`] if none).
+    newest: u32,
+    /// How many there are.
+    count: u32,
+}
+
+impl Head {
+    const EMPTY: Head = Head {
+        newest: NONE,
+        count: 0,
+    };
+}
+
+/// A delta posting: `(record, index)` of slot `slot`'s object, and the log
+/// position of the same object's previous delta posting ([`NONE`] if none).
+#[derive(Debug, Clone, Copy)]
+struct Delta {
+    slot: u32,
+    record: u32,
+    index: u32,
+    prev: u32,
+}
+
+/// No log position: the end of a slot's chain of delta postings.
+const NONE: u32 = u32::MAX;
+
+/// Postings per log chunk: 4 096 × 16 bytes = 64 KiB, half glibc's default
+/// mmap threshold.
+const LOG_CHUNK: usize = 4096;
+
 impl Participation {
-    /// Indexes `records`, whose ids are their positions, in two counted
-    /// passes: every posting's object given a slot and each slot's run
-    /// counted, the runs placed by a prefix sum, then each posting written
-    /// into its run in record order — no per-object allocation.
+    /// Indexes `records`, whose ids are their positions, as one folded
+    /// column: every posting's object given a slot and each slot's postings
+    /// counted, the runs placed, then each posting written into its run in
+    /// record order — no per-object allocation and no log.
     fn build(records: &[PatternRecord]) -> Self {
         let mut index = Participation::default();
         let mut slots = Vec::new();
         for (record, id) in records.iter().zip(0..) {
-            for_each_posting(id, record, |object, _| {
-                let next = index.slots.len();
-                let slot = index.slots.entry(object).or_insert_with(|| {
-                    u32::try_from(next).expect("object ids are u32, so slots are too")
-                });
-                slots.push(*slot);
-            });
+            for_each_posting(id, record, |object, _| slots.push(index.slot(object)));
         }
-        // Run `s` is counted two places on, so the prefix sum leaves
-        // `offsets[s + 1]` at its start, and the scatter moves that to its
-        // end, where run `s + 1` starts.
-        let mut offsets = vec![0; index.slots.len() + 2];
+        index.heads = vec![Head::EMPTY; index.slots.len()];
         for &slot in &slots {
-            offsets[slot as usize + 2] += 1;
+            index.heads[slot as usize].count += 1;
         }
-        for s in 2..offsets.len() {
-            offsets[s] += offsets[s - 1];
-        }
-        let mut column = vec![(0, 0); slots.len()];
+        index.place(slots.len());
         let mut slots = slots.into_iter();
         for (record, id) in records.iter().zip(0..) {
             for_each_posting(id, record, |_, posting| {
-                let slot = slots.next().expect("counted above") as usize;
-                column[offsets[slot + 1]] = posting;
-                offsets[slot + 1] += 1;
+                let slot = slots.next().expect("counted above");
+                put(&mut index.offsets, &mut index.column, slot, posting);
             });
         }
-        offsets.pop();
-        index.offsets = offsets;
-        index.column = column;
+        index.heads.fill(Head::EMPTY);
         index
     }
 
-    /// Posts record `id`, appended after the build.
-    fn post(&mut self, id: u32, record: &PatternRecord) {
-        for_each_posting(id, record, |object, posting| {
-            self.appended.entry(object).or_default().push(posting);
-        });
+    /// `object`'s slot, the next one if it has none yet.
+    fn slot(&mut self, object: ObjectId) -> u32 {
+        let next = self.slots.len();
+        *self
+            .slots
+            .entry(object)
+            .or_insert_with(|| u32::try_from(next).expect("object ids are u32, so slots are too"))
     }
 
-    /// `object`'s postings, in `(record, index)` order; the iterator's
-    /// length is exact, so a `collect` allocates once.
-    fn of(&self, object: ObjectId) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let run = self.slots.get(&object).map_or(&[][..], |&slot| {
-            let slot = slot as usize;
-            &self.column[self.offsets[slot]..self.offsets[slot + 1]]
+    /// Posts record `id` to the log; returns how many postings it added.
+    fn post(&mut self, id: u32, record: &PatternRecord) -> usize {
+        let before = self.logged;
+        for_each_posting(id, record, |object, (record, index)| {
+            if self.logged == NONE as usize {
+                self.fold();
+            }
+            let slot = self.slot(object);
+            if slot as usize == self.heads.len() {
+                self.heads.push(Head::EMPTY);
+            }
+            let chunk = self.logged / LOG_CHUNK;
+            if chunk == self.log.len() {
+                self.log.push(Vec::with_capacity(LOG_CHUNK));
+            }
+            let head = &mut self.heads[slot as usize];
+            let prev = std::mem::replace(&mut head.newest, self.logged as u32);
+            head.count += 1;
+            self.log[chunk].push(Delta {
+                slot,
+                record,
+                index,
+                prev,
+            });
+            self.logged += 1;
         });
-        let appended = self.appended.get(&object).map_or(&[][..], Vec::as_slice);
-        run.iter().chain(appended).copied()
+        self.logged - before
     }
+
+    /// Merges the log into the column: the runs placed for the counted
+    /// postings, the log scattered in append order, then emptied.
+    fn fold(&mut self) {
+        if self.logged == 0 {
+            return;
+        }
+        self.place(self.logged);
+        for delta in self.log.iter().flatten() {
+            let posting = (delta.record, delta.index);
+            put(&mut self.offsets, &mut self.column, delta.slot, posting);
+        }
+        self.log.iter_mut().for_each(Vec::clear);
+        self.logged = 0;
+        self.heads.fill(Head::EMPTY);
+    }
+
+    /// Makes room for `added` postings, counted per slot in its [`Head`]:
+    /// grows the column in place and moves each run up to its new start,
+    /// top slot first so no run is overwritten before it moves.  It leaves
+    /// `offsets[s + 1]` where slot `s`'s new postings go; writing them with
+    /// [`put`] moves it on to the run's end, which is where run `s + 1`
+    /// starts.
+    fn place(&mut self, added: usize) {
+        let end = self.offsets.last().copied().unwrap_or(0);
+        self.offsets.resize(self.heads.len() + 1, end);
+        self.column.resize(end + added, (0, 0));
+        let mut top = self.column.len();
+        for s in (0..self.heads.len()).rev() {
+            let (start, stop) = (self.offsets[s], self.offsets[s + 1]);
+            let cursor = top - self.heads[s].count as usize;
+            top = cursor - (stop - start);
+            self.column.copy_within(start..stop, top);
+            self.offsets[s + 1] = cursor;
+        }
+    }
+
+    /// `object`'s folded run, in `(record, index)` order, and its delta
+    /// postings, newest first.
+    fn of(&self, object: ObjectId) -> (&[(u32, u32)], impl Iterator<Item = (u32, u32)> + '_) {
+        let slot = self.slots.get(&object).map(|&slot| slot as usize);
+        let run = slot
+            .filter(|&slot| slot + 1 < self.offsets.len())
+            .map_or(&[][..], |slot| {
+                &self.column[self.offsets[slot]..self.offsets[slot + 1]]
+            });
+        // An empty log chains nothing: a reopened store's history never
+        // reads the heads.
+        let newest = match slot {
+            Some(slot) if self.logged > 0 => self.heads[slot].newest,
+            _ => NONE,
+        };
+        let chain = std::iter::successors(self.delta(newest), |d| self.delta(d.prev));
+        (run, chain.map(|d| (d.record, d.index)))
+    }
+
+    /// The delta posting at log position `at`, `None` at [`NONE`].
+    fn delta(&self, at: u32) -> Option<Delta> {
+        let at = (at != NONE).then_some(at as usize)?;
+        Some(self.log[at / LOG_CHUNK][at % LOG_CHUNK])
+    }
+}
+
+/// Writes `posting` at slot `slot`'s cursor (see [`Participation::place`]).
+fn put(offsets: &mut [usize], column: &mut [(u32, u32)], slot: u32, posting: (u32, u32)) {
+    let cursor = &mut offsets[slot as usize + 1];
+    column[*cursor] = posting;
+    *cursor += 1;
 }
 
 /// Calls `post` with each of record `id`'s postings, gathering by
@@ -1004,7 +1129,10 @@ impl PatternStore {
             mbr: record.mbr,
             id,
         });
-        self.participation.post(posting_id, &record);
+        let postings = self.participation.post(posting_id, &record);
+        if gpdt_obs::enabled() {
+            gpdt_obs::counter!("store.append.postings").add(postings as u64);
+        }
         self.records.push(record);
         Ok(id)
     }
@@ -1152,7 +1280,7 @@ impl PatternStore {
 
     /// Seals the active segment durably — its first `sealed` queued bytes
     /// written and fsynced — and starts the next one, which takes over the
-    /// rest of the group.
+    /// rest of the group; then folds the participation log into its column.
     fn rotate(&mut self, sealed: usize) -> Result<(), StoreError> {
         let _span = gpdt_obs::span!("store.rotate");
         if gpdt_obs::enabled() {
@@ -1167,6 +1295,11 @@ impl PatternStore {
         let mut next = Self::create_segment(self.vfs.as_ref(), &self.dir, self.active.index + 1)?;
         next.pending = std::mem::take(&mut self.active.pending);
         self.active = next;
+        let _fold = gpdt_obs::span!("store.participation.fold");
+        if gpdt_obs::enabled() {
+            gpdt_obs::counter!("store.participation.folds").inc();
+        }
+        self.participation.fold();
         Ok(())
     }
 
@@ -1274,17 +1407,19 @@ impl PatternStore {
     /// participated in, ordered by `(record, index)` (which is
     /// finalization order).
     pub fn object_history(&self, object: ObjectId) -> Vec<GatheringHit> {
-        self.participation
-            .of(object)
-            .map(|(record, index)| {
-                let (record, index) = (record as RecordId, index as usize);
-                GatheringHit {
-                    record,
-                    index,
-                    gathering: self.records[record].gatherings[index].clone(),
-                }
-            })
-            .collect()
+        let hit = |(record, index): (u32, u32)| {
+            let (record, index) = (record as RecordId, index as usize);
+            GatheringHit {
+                record,
+                index,
+                gathering: self.records[record].gatherings[index].clone(),
+            }
+        };
+        let (run, delta) = self.participation.of(object);
+        let mut hits: Vec<GatheringHit> = run.iter().copied().map(hit).collect();
+        hits.extend(delta.map(hit));
+        hits[run.len()..].reverse();
+        hits
     }
 
     /// The `k` stored gatherings with the most participators, largest first;
@@ -1774,59 +1909,212 @@ mod tests {
         }
     }
 
+    /// First of the objects that only late records (see [`late_record`])
+    /// hold; `record_with_repeats` draws from `0..40`.
+    const LATE: u32 = 1_000;
+
+    /// A record whose one gathering holds late object `LATE + n` alone.
+    fn late_record(rng: &mut StdRng, n: u32) -> PatternRecord {
+        record(
+            rng.gen_range(0u32..200),
+            6,
+            rng.gen_range(-1e3..1e3),
+            &[LATE + n],
+        )
+    }
+
+    /// Every query path equals a full scan of the records: the history of
+    /// every object in `0..=40` (40 is never drawn) and of the first eight
+    /// late objects, `query_gatherings` and `crowds_in_window` on random
+    /// regions and windows, and `top_k_gatherings` against the full
+    /// ranking.
+    fn assert_queries_match_scans(store: &PatternStore, state: &str, rng: &mut StdRng) {
+        let records = store.records();
+        let keys = |hits: Vec<GatheringHit>| -> Vec<(RecordId, usize)> {
+            hits.iter().map(|h| (h.record, h.index)).collect()
+        };
+        let all = || {
+            records.iter().enumerate().flat_map(|(id, r)| {
+                r.gatherings
+                    .iter()
+                    .enumerate()
+                    .map(move |(index, g)| ((id, index), g))
+            })
+        };
+        for raw in (0..=40u32).chain(LATE..LATE + 8) {
+            let object = ObjectId::new(raw);
+            let expected: Vec<_> = all()
+                .filter(|(_, g)| g.participators.contains(&object))
+                .map(|(key, _)| key)
+                .collect();
+            let got = keys(store.object_history(object));
+            assert_eq!(got, expected, "{state}: object {object}");
+        }
+        for _ in 0..20 {
+            let (t1, t2) = (rng.gen_range(0u32..220), rng.gen_range(0u32..220));
+            let window = TimeInterval::new(t1.min(t2), t1.max(t2));
+            let x = rng.gen_range(-1_200.0..1_000.0);
+            let region = Mbr::new(x, -20.0, x + rng.gen_range(10.0..600.0), 80.0);
+            let overlaps = |i: TimeInterval| i.start <= window.end && i.end >= window.start;
+            let expected: Vec<_> = all()
+                .filter(|(_, g)| g.mbr.intersects(&region) && overlaps(g.interval))
+                .map(|(key, _)| key)
+                .collect();
+            let got = keys(store.query_gatherings(&region, window));
+            assert_eq!(got, expected, "{state}: {region:?} × {window:?}");
+            let expected: Vec<RecordId> = (0..records.len())
+                .filter(|&id| overlaps(records[id].interval()))
+                .collect();
+            assert_eq!(
+                store.crowds_in_window(window),
+                expected,
+                "{state}: {window:?}"
+            );
+        }
+        let mut ranking: Vec<_> = all()
+            .map(|(key, g)| (Reverse(g.participators.len()), key))
+            .collect();
+        ranking.sort_unstable();
+        for k in [0, 1, 5, ranking.len()] {
+            let expected: Vec<_> = ranking.iter().take(k).map(|&(_, key)| key).collect();
+            assert_eq!(
+                keys(store.top_k_gatherings(k)),
+                expected,
+                "{state}: top {k}"
+            );
+        }
+    }
+
+    /// Appends, reopens, more appends and a torn-tail reopen of stores
+    /// whose segments hold a few records each, so that postings move from
+    /// the log to the column many times: in every state every query path
+    /// equals a scan, including the history of an object first seen after
+    /// the last segment rotation.
     #[test]
     fn object_history_matches_a_scan_across_reopens() {
-        let vfs = Arc::new(FaultVfs::new(0x415));
-        let dir = Path::new("/history");
+        for seed in [0x415, 0x416, 0x417] {
+            let vfs = Arc::new(FaultVfs::new(seed));
+            let dir = Path::new("/history");
+            let options = StoreOptions {
+                max_segment_bytes: if seed % 2 == 0 { 256 } else { 512 },
+                ..StoreOptions::default()
+            };
+            let open = || PatternStore::open_at(vfs.clone(), dir, options).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut late = 0;
+            let mut append = |store: &mut PatternStore, rng: &mut StdRng, n: usize| {
+                for _ in 0..n {
+                    store.append(record_with_repeats(rng)).unwrap();
+                }
+                // A rotation this append starts happens before its
+                // postings: the late object is always in the log.
+                store.append(late_record(rng, late)).unwrap();
+                late += 1;
+            };
+            let mut store = open();
+            append(&mut store, &mut rng, 80);
+            assert!(
+                store
+                    .records()
+                    .iter()
+                    .flat_map(|r| &r.gatherings)
+                    .any(|g| g.participators.windows(2).any(|w| w[0] == w[1])),
+                "some list must repeat an object"
+            );
+            assert_queries_match_scans(&store, "appended", &mut rng);
+            drop(store);
+
+            let mut store = open();
+            assert!(store.segment_count() >= 3, "{}", store.segment_count());
+            assert_eq!(store.len(), 81);
+            assert_queries_match_scans(&store, "reopened", &mut rng);
+            append(&mut store, &mut rng, 40);
+            assert_queries_match_scans(&store, "appended after a reopen", &mut rng);
+            drop(store);
+
+            let mut store = open();
+            assert_eq!(store.len(), 122);
+            assert_queries_match_scans(&store, "reopened twice", &mut rng);
+            append(&mut store, &mut rng, 10);
+            let last = segment_path(dir, store.segment_count());
+            drop(store);
+
+            // A torn tail: the last frame loses its checksum's last byte.
+            vfs.truncate(&last, vfs.file_len(&last).unwrap() - 1)
+                .unwrap();
+            let mut store = open();
+            assert!(store.tail_repair().is_some());
+            assert_eq!(store.len(), 132);
+            assert_queries_match_scans(&store, "reopened over a torn tail", &mut rng);
+            append(&mut store, &mut rng, 1);
+            assert_queries_match_scans(&store, "appended after a repair", &mut rng);
+        }
+    }
+
+    /// An append that fails at its rotation's group write or fsync posts
+    /// nothing, a fold then leaves every answer as it was, and the retry
+    /// posts the record once.
+    #[test]
+    fn a_failed_append_posts_nothing() {
+        let vfs = Arc::new(FaultVfs::new(0xFA11));
         let options = StoreOptions {
             max_segment_bytes: 512,
             ..StoreOptions::default()
         };
-        let open = || PatternStore::open_at(vfs.clone(), dir, options).unwrap();
-        let mut rng = StdRng::seed_from_u64(0x415);
-        let mut store = open();
-        for _ in 0..80 {
-            store.append(record_with_repeats(&mut rng)).unwrap();
-        }
-        assert!(
-            store
-                .records()
-                .iter()
-                .flat_map(|r| &r.gatherings)
-                .any(|g| g.participators.windows(2).any(|w| w[0] == w[1])),
-            "some list must repeat an object"
-        );
-        assert_histories_match_a_scan(&store, "appended");
-        drop(store);
+        let mut store = PatternStore::open_at(vfs.clone(), Path::new("/failed"), options).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xFA11);
+        let faults = [
+            FaultPlan {
+                transient_write_one_in: Some(1),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                transient_sync_one_in: Some(1),
+                ..FaultPlan::default()
+            },
+        ];
+        let histories = |store: &PatternStore| -> Vec<Vec<GatheringHit>> {
+            (0..=40)
+                .map(|raw| store.object_history(ObjectId::new(raw)))
+                .collect()
+        };
+        for round in 0..8 {
+            let at = ["group write", "rotation fsync"][round % 2];
+            for _ in 0..rng.gen_range(0..6) {
+                store.append(record_with_repeats(&mut rng)).unwrap();
+            }
+            vfs.set_plan(faults[round % 2]);
+            let segments = store.segment_count();
+            let (record, err) = loop {
+                let record = record_with_repeats(&mut rng);
+                let len = store.len();
+                match store.append(record.clone()) {
+                    Ok(_) => assert_eq!(store.segment_count(), segments, "{at}"),
+                    Err(err) => {
+                        assert_eq!(store.len(), len, "{at}");
+                        break (record, err);
+                    }
+                }
+            };
+            assert!(err.is_transient(), "{at}: {err}");
+            assert_eq!(store.segment_count(), segments, "{at}");
+            assert_histories_match_a_scan(&store, at);
+            let before = histories(&store);
+            store.participation.fold();
+            assert_eq!(histories(&store), before, "{at}: a fold moved an answer");
 
-        let mut store = open();
-        assert!(store.segment_count() >= 3, "{}", store.segment_count());
-        assert_eq!(store.len(), 80);
+            vfs.clear_faults();
+            let id = store.append(record).unwrap();
+            assert_eq!(id + 1, store.len());
+            assert_eq!(store.segment_count(), segments + 1, "{at}");
+            assert_histories_match_a_scan(&store, &format!("{at}, retried"));
+        }
+        store.sync().unwrap();
+        let appended = store.records().to_vec();
+        drop(store);
+        let store = PatternStore::open_at(vfs, Path::new("/failed"), options).unwrap();
+        assert_eq!(store.records(), appended.as_slice());
         assert_histories_match_a_scan(&store, "reopened");
-        for _ in 0..40 {
-            store.append(record_with_repeats(&mut rng)).unwrap();
-        }
-        assert_histories_match_a_scan(&store, "appended after a reopen");
-        drop(store);
-
-        let mut store = open();
-        assert_eq!(store.len(), 120);
-        assert_histories_match_a_scan(&store, "reopened twice");
-        for _ in 0..10 {
-            store.append(record_with_repeats(&mut rng)).unwrap();
-        }
-        let last = segment_path(dir, store.segment_count());
-        drop(store);
-
-        // A torn tail: the last frame loses its checksum's last byte.
-        vfs.truncate(&last, vfs.file_len(&last).unwrap() - 1)
-            .unwrap();
-        let mut store = open();
-        assert!(store.tail_repair().is_some());
-        assert_eq!(store.len(), 129);
-        assert_histories_match_a_scan(&store, "reopened over a torn tail");
-        store.append(record_with_repeats(&mut rng)).unwrap();
-        assert_histories_match_a_scan(&store, "appended after a repair");
     }
 
     #[test]

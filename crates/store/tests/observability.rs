@@ -327,10 +327,24 @@ fn reopen(vfs: &FaultVfs, options: StoreOptions) -> (ReplayWork, usize) {
     (work, store.len())
 }
 
+/// `(postings, folds, timed folds)` that appends have posted to the
+/// participation log and folded into its column so far.
+fn append_work(snapshot: &gpdt_obs::Snapshot) -> (u64, u64, u64) {
+    (
+        snapshot.counter("store.append.postings").unwrap_or(0),
+        snapshot.counter("store.participation.folds").unwrap_or(0),
+        snapshot
+            .histogram("store.participation.fold")
+            .map_or(0, |h| h.count),
+    )
+}
+
 /// Replay's work is the log itself: one frame per stored record, every
 /// byte of every segment and one posting per distinct participator of each
-/// stored gathering, the same on each reopen, nothing with `GPDT_OBS=off`.  (Called from the one `#[test]`: the registry is
-/// process-wide.)
+/// stored gathering, the same on each reopen, nothing with `GPDT_OBS=off`.
+/// The appends that wrote the store posted those same postings, and folded
+/// them into the column once per segment rotation.  (Called from the one
+/// `#[test]`: the registry is process-wide.)
 fn replay_work_is_counted() {
     let options = StoreOptions {
         max_segment_bytes: 256,
@@ -339,6 +353,8 @@ fn replay_work_is_counted() {
     let vfs = FaultVfs::new(3);
     let mut engine = GatheringEngine::new(config());
     engine.ingest_trajectories(&scene());
+    let (postings_before, folds_before, timed_before) =
+        append_work(&gpdt_obs::registry().snapshot());
     let mut store = PatternStore::open_at(Arc::new(vfs.clone()), "/replay", options).unwrap();
     for _ in 0..4 {
         let at = store.len();
@@ -356,6 +372,17 @@ fn replay_work_is_counted() {
         postings += objects.len() as u64;
     }
     assert!(postings > stored, "{postings} postings");
+    let (posted, folds, timed) = append_work(&gpdt_obs::registry().snapshot());
+    let rotations = u64::from(segments) - 1;
+    assert_eq!(
+        (
+            posted - postings_before,
+            folds - folds_before,
+            timed - timed_before
+        ),
+        (postings, rotations, rotations),
+        "appends post each posting once and fold at each rotation"
+    );
     drop(store);
     let on_disk: u64 = (1..=segments)
         .map(|i| {
