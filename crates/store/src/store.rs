@@ -541,12 +541,12 @@ impl Hasher for FoldHasher {
 /// A store folds at each segment rotation, so one that never rotates is the
 /// log alone.
 ///
-/// Neither tier frees a large buffer while appends run: the column grows in
-/// place, and the log is a list of [`LOG_CHUNK`]-posting chunks, each below
-/// the allocator's default threshold for a mapping of its own, kept across
-/// folds.  Freeing a multi-MiB buffer raises glibc's dynamic mmap
-/// threshold, which moved a later reopen's allocations onto the heap and
-/// slowed it.
+/// Neither tier unmaps a large buffer while appends run: the column grows
+/// by reallocation (a mapped column is remapped, not freed), and the log is
+/// a list of [`LOG_CHUNK`]-posting chunks, each below the allocator's
+/// default threshold for a mapping of its own, kept across folds.  Freeing
+/// a mapped multi-MiB buffer raises glibc's dynamic mmap threshold, which
+/// moved a later reopen's allocations onto the heap and slowed it.
 #[derive(Debug, Default)]
 struct Participation {
     slots: HashMap<ObjectId, u32, FoldHasher>,
