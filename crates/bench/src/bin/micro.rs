@@ -612,26 +612,36 @@ fn venue_records(rng: &mut StdRng, n: usize) -> Vec<PatternRecord> {
 ///
 /// * `store_append` — the 30 000 appends and the closing `sync` into a fresh
 ///   store: frames queued, the indexes updated, the participation postings
-///   logged and folded into the column at each segment rotation;
+///   logged and folded into the column at segment rotations; once with the
+///   default 8 MiB segments (three rotations) and once with 64 KiB ones
+///   (about 470 rotations, where a fold at every rotation would move the
+///   whole column each time);
 /// * `store_reopen` — a reopen: every frame checksummed, decoded and
 ///   checked, and the interval index, R-tree and participation index built;
 /// * `store_history/{live,reopened}` — one iteration asks the history of
 ///   1 000 objects, on the store the appends left (the postings since the
-///   last rotation still in the log) and on the reopened one (all in the
+///   last fold still in the log) and on the reopened one (all in the
 ///   column).
 fn bench_store(c: &mut Criterion, rng: &mut StdRng) {
     let records = venue_records(rng, 30_000);
     let objects: Vec<ObjectId> = (0..1_000)
         .map(|_| ObjectId::new(rng.gen_range(0u32..30_000)))
         .collect();
-    let fill = |vfs: &Arc<FaultVfs>, dir: &str, records: Vec<PatternRecord>| {
-        let mut store = PatternStore::open_at(vfs.clone(), dir, StoreOptions::default())
-            .expect("opens an empty store");
+    let small_segments = StoreOptions {
+        max_segment_bytes: 64 << 10,
+        ..StoreOptions::default()
+    };
+    let fill_with = |vfs: &Arc<FaultVfs>, dir: &str, records: Vec<PatternRecord>, options| {
+        let mut store =
+            PatternStore::open_at(vfs.clone(), dir, options).expect("opens an empty store");
         for record in records {
             store.append(record).expect("appends");
         }
         store.sync().expect("syncs");
         store
+    };
+    let fill = |vfs: &Arc<FaultVfs>, dir: &str, records: Vec<PatternRecord>| {
+        fill_with(vfs, dir, records, StoreOptions::default())
     };
     let histories = |store: &PatternStore| {
         objects
@@ -645,6 +655,13 @@ fn bench_store(c: &mut Criterion, rng: &mut StdRng) {
         b.iter_batched(
             || (Arc::new(FaultVfs::new(0)), records.clone()),
             |(vfs, records)| fill(&vfs, "/append", records),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("venues_64k_segments/30000", |b| {
+        b.iter_batched(
+            || (Arc::new(FaultVfs::new(0)), records.clone()),
+            |(vfs, records)| fill_with(&vfs, "/append", records, small_segments),
             BatchSize::PerIteration,
         )
     });

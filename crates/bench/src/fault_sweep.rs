@@ -348,6 +348,11 @@ pub fn mine_under_faults(
     // crash lattice's do, so it lands mid-run however few batches the
     // budget makes of the input (a one-batch day included).
     let (_, total_ops) = reference_run(config, sets, budget_bytes, MAX_SEGMENT_BYTES);
+    // Transient faults also scale with the operation count: a run expects
+    // about two of them at any scale.  Each one restarts and re-mines the
+    // current batch, so a fixed rate would restart a day more often the
+    // more it writes.
+    let transient_one_in = (total_ops / 2).max(2);
     let vfs = FaultVfs::with_plan(
         seed,
         FaultPlan {
@@ -355,11 +360,8 @@ pub fn mine_under_faults(
             // between crashes instead of livelocking.
             kill_at: Some((total_ops / 2).max(1)),
             kill_every: Some(20_000),
-            // A day at `GPDT_SCALE=0.05` makes 20–25 mutating operations:
-            // rates this high restart each one at least once on a
-            // transient fault (CI's seed: one or two restarts a day).
-            transient_write_one_in: Some(13),
-            transient_sync_one_in: Some(11),
+            transient_write_one_in: Some(transient_one_in),
+            transient_sync_one_in: Some(transient_one_in),
             capacity: None,
         },
     );

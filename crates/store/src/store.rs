@@ -53,12 +53,13 @@
 //!   participated in, as 8-byte `(record, gathering)` postings in two
 //!   tiers: a shared column holding each object's postings as one run, and
 //!   a flat log of the postings appended since, chained per object newest
-//!   first.  An append pushes its postings onto the log; each segment
+//!   first.  An append pushes its postings onto the log; a segment
 //!   rotation folds the log into the column in one counted pass (each
 //!   object's new postings counted, the runs moved up to make room, the log
-//!   scattered in append order), and replay builds the column with the
-//!   same count, placement and scatter.  A history reads the object's run,
-//!   then its chain reversed.
+//!   scattered in append order) once the log holds at least a quarter as
+//!   many postings as the column, so the moves stay amortised O(1) a
+//!   posting; replay builds the column with the same count, placement and
+//!   scatter.  A history reads the object's run, then its chain reversed.
 //!
 //! [`PatternStore::query_gatherings`] combines the first two for the
 //! region × time-window query of the ROADMAP's monitoring story;
@@ -538,23 +539,22 @@ impl Hasher for FoldHasher {
 /// one counted pass — the runs moved up to their new starts from the top
 /// down, the log scattered in append order — and replay builds the column
 /// with the same count, placement and scatter, straight from the records.
-/// A store folds at each segment rotation, so one that never rotates is the
+/// A fold moves the whole column, so a store folds at a segment rotation
+/// only once the log holds at least a [`FOLD_SHARE`]th as many postings as
+/// the column (see [`Participation::due`]); one that never rotates is the
 /// log alone.
 ///
-/// Neither tier unmaps a large buffer while appends run: the column grows
-/// by reallocation (a mapped column is remapped, not freed), and the log is
-/// a list of [`LOG_CHUNK`]-posting chunks, each below the allocator's
-/// default threshold for a mapping of its own, kept across folds.  Freeing
-/// a mapped multi-MiB buffer raises glibc's dynamic mmap threshold, which
-/// moved a later reopen's allocations onto the heap and slowed it.
+/// Neither tier unmaps a large buffer while appends run: both grow by
+/// reallocation (a mapped buffer is remapped, not freed), and a fold
+/// empties the log but keeps its capacity.  Freeing a mapped multi-MiB
+/// buffer raises glibc's dynamic mmap threshold, which moved a later
+/// reopen's allocations onto the heap and slowed it.
 #[derive(Debug, Default)]
 struct Participation {
     slots: HashMap<ObjectId, u32, FoldHasher>,
     offsets: Vec<usize>,
     column: Vec<(u32, u32)>,
-    log: Vec<Vec<Delta>>,
-    /// Postings in the log.
-    logged: usize,
+    log: Vec<Delta>,
     heads: Vec<Head>,
 }
 
@@ -587,9 +587,13 @@ struct Delta {
 /// No log position: the end of a slot's chain of delta postings.
 const NONE: u32 = u32::MAX;
 
-/// Postings per log chunk: 4 096 × 16 bytes = 64 KiB, half glibc's default
-/// mmap threshold.
-const LOG_CHUNK: usize = 4096;
+/// A rotation folds once the log holds at least `1 / FOLD_SHARE` of the
+/// column's postings.  Each fold moves at most `FOLD_SHARE` column
+/// postings per log posting it folds in, so a posting costs amortised
+/// O(1) moves however many segments a store has (a fold at every rotation
+/// would cost O(segments²)), and the log holds at most a quarter of the
+/// column plus a segment's postings.
+const FOLD_SHARE: usize = 4;
 
 impl Participation {
     /// Indexes `records`, whose ids are their positions, as one folded
@@ -629,46 +633,46 @@ impl Participation {
 
     /// Posts record `id` to the log; returns how many postings it added.
     fn post(&mut self, id: u32, record: &PatternRecord) -> usize {
-        let before = self.logged;
+        let before = self.log.len();
         for_each_posting(id, record, |object, (record, index)| {
-            if self.logged == NONE as usize {
+            if self.log.len() == NONE as usize {
                 self.fold();
             }
             let slot = self.slot(object);
             if slot as usize == self.heads.len() {
                 self.heads.push(Head::EMPTY);
             }
-            let chunk = self.logged / LOG_CHUNK;
-            if chunk == self.log.len() {
-                self.log.push(Vec::with_capacity(LOG_CHUNK));
-            }
             let head = &mut self.heads[slot as usize];
-            let prev = std::mem::replace(&mut head.newest, self.logged as u32);
+            let prev = std::mem::replace(&mut head.newest, self.log.len() as u32);
             head.count += 1;
-            self.log[chunk].push(Delta {
+            self.log.push(Delta {
                 slot,
                 record,
                 index,
                 prev,
             });
-            self.logged += 1;
         });
-        self.logged - before
+        self.log.len() - before
+    }
+
+    /// Whether a segment rotation should fold: the log holds postings, at
+    /// least a [`FOLD_SHARE`]th as many as the column.
+    fn due(&self) -> bool {
+        !self.log.is_empty() && self.log.len() * FOLD_SHARE >= self.column.len()
     }
 
     /// Merges the log into the column: the runs placed for the counted
     /// postings, the log scattered in append order, then emptied.
     fn fold(&mut self) {
-        if self.logged == 0 {
+        if self.log.is_empty() {
             return;
         }
-        self.place(self.logged);
-        for delta in self.log.iter().flatten() {
+        self.place(self.log.len());
+        for delta in &self.log {
             let posting = (delta.record, delta.index);
             put(&mut self.offsets, &mut self.column, delta.slot, posting);
         }
-        self.log.iter_mut().for_each(Vec::clear);
-        self.logged = 0;
+        self.log.clear();
         self.heads.fill(Head::EMPTY);
     }
 
@@ -704,7 +708,7 @@ impl Participation {
         // An empty log chains nothing: a reopened store's history never
         // reads the heads.
         let newest = match slot {
-            Some(slot) if self.logged > 0 => self.heads[slot].newest,
+            Some(slot) if !self.log.is_empty() => self.heads[slot].newest,
             _ => NONE,
         };
         let chain = std::iter::successors(self.delta(newest), |d| self.delta(d.prev));
@@ -714,7 +718,7 @@ impl Participation {
     /// The delta posting at log position `at`, `None` at [`NONE`].
     fn delta(&self, at: u32) -> Option<Delta> {
         let at = (at != NONE).then_some(at as usize)?;
-        Some(self.log[at / LOG_CHUNK][at % LOG_CHUNK])
+        Some(self.log[at])
     }
 }
 
@@ -1280,7 +1284,8 @@ impl PatternStore {
 
     /// Seals the active segment durably — its first `sealed` queued bytes
     /// written and fsynced — and starts the next one, which takes over the
-    /// rest of the group; then folds the participation log into its column.
+    /// rest of the group; then folds the participation log into its column
+    /// if it is [due](Participation::due).
     fn rotate(&mut self, sealed: usize) -> Result<(), StoreError> {
         let _span = gpdt_obs::span!("store.rotate");
         if gpdt_obs::enabled() {
@@ -1295,11 +1300,13 @@ impl PatternStore {
         let mut next = Self::create_segment(self.vfs.as_ref(), &self.dir, self.active.index + 1)?;
         next.pending = std::mem::take(&mut self.active.pending);
         self.active = next;
-        let _fold = gpdt_obs::span!("store.participation.fold");
-        if gpdt_obs::enabled() {
-            gpdt_obs::counter!("store.participation.folds").inc();
+        if self.participation.due() {
+            let _fold = gpdt_obs::span!("store.participation.fold");
+            if gpdt_obs::enabled() {
+                gpdt_obs::counter!("store.participation.folds").inc();
+            }
+            self.participation.fold();
         }
-        self.participation.fold();
         Ok(())
     }
 
@@ -2115,6 +2122,35 @@ mod tests {
         let store = PatternStore::open_at(vfs, Path::new("/failed"), options).unwrap();
         assert_eq!(store.records(), appended.as_slice());
         assert_histories_match_a_scan(&store, "reopened");
+    }
+
+    /// A store that rotates at nearly every append folds only once its log
+    /// holds a quarter of the column: each posting is moved amortised O(1)
+    /// times, and the column grows geometrically from fold to fold.
+    #[test]
+    fn folds_move_each_posting_a_bounded_number_of_times() {
+        let mut store = mem_store(256);
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        let (mut folds, mut moved) = (0, 0);
+        for _ in 0..2_000 {
+            let column = store.participation.column.len();
+            store.append(record_with_repeats(&mut rng)).unwrap();
+            if store.participation.column.len() > column {
+                folds += 1;
+                moved += column;
+            }
+        }
+        let index = &store.participation;
+        let postings = index.column.len() + index.log.len();
+        assert!(store.segment_count() > 1_000, "{}", store.segment_count());
+        assert!(
+            moved <= FOLD_SHARE * postings,
+            "{moved} moves for {postings} postings"
+        );
+        let growth = 1.0 + 1.0 / FOLD_SHARE as f64;
+        let most = 2 + ((postings as f64).ln() / growth.ln()) as usize;
+        assert!((2..=most).contains(&folds), "{folds} folds, at most {most}");
+        assert_histories_match_a_scan(&store, "after many rotations");
     }
 
     #[test]
